@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ class Action:
     Attributes:
         id: unique instance identifier (file-name safe, no commas).
         subject: integer performer id.
-        label: class label; ints and strings both allowed.
+        label: class label; ints and strings (no commas) both allowed.
         frames: float64 positions of shape (num_frames, num_joints, 3).
     """
 
@@ -55,6 +55,8 @@ class Action:
         object.__setattr__(self, "frames", frames)
         if not self.id or any(c in self.id for c in ",\n"):
             raise ValueError(f"invalid action id {self.id!r}")
+        if isinstance(self.label, str) and any(c in self.label for c in ",\n"):
+            raise ValueError(f"action {self.id!r}: invalid label {self.label!r}")
         if frames.ndim != 3 or frames.shape[2] != 3:
             raise ValueError(
                 f"action {self.id!r}: frames must have shape (F, J, 3), got {frames.shape}"
@@ -504,25 +506,6 @@ def filter_action_set(dataset: Dataset, labels) -> Dataset:
     if not kept:
         raise ValueError(f"no actions remain after filtering to classes {wanted!r}")
     return Dataset(kept)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Evaluation protocol selector: repeated half splits or leave-one-subject-out."""
-
-    protocol: str
-    seed: int = 0
-    runs: int = 1
-
-    PROTOCOLS = ("cross_subject_half", "loso")
-
-    def __post_init__(self) -> None:
-        if self.protocol not in self.PROTOCOLS:
-            raise ValueError(
-                f"protocol must be one of {self.PROTOCOLS}, got {self.protocol!r}"
-            )
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
 
 
 def split_cross_subject(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:

@@ -1,18 +1,22 @@
 """Cross-validated experiment harness with CSV emission.
 
-`run_single` is the core: preprocess, train the codebook on the training
-half only, estimate class probabilities, score the held-out half. The two
-protocol drivers (`cross_validate`, `evaluate_loso`) and `parameter_sweep`
-compose it; per-run seeds are derived deterministically from the master seed
-so every result is reproducible bit-for-bit, with or without worker
-processes.
+`run_single` is the core: train the codebook on the training half only,
+estimate class probabilities, score the held-out half. The two protocol
+drivers (`cross_validate`, `evaluate_loso`) only list their runs as
+(train indices, test indices, SOM seed, run index) tasks; one path then
+preprocesses each action of the dataset once per protocol call and runs
+every task, in a loop or on worker processes that receive the dataset, the
+config and the shared WDFs (windowed direction frames) once each. Per-run
+seeds are derived deterministically from the master seed, so every result
+is reproducible bit-for-bit whatever the number of workers.
+`parameter_sweep` composes `cross_validate`.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,12 +111,13 @@ def run_single(
     cfg: ExperimentConfig,
     som_seed: int | None = None,
     run_index: int = 0,
-    cache: dict | None = None,
+    wdfs: dict | None = None,
 ) -> RunResult:
     """Train on `train` only (no test leakage anywhere) and score `test`.
 
-    `cache` optionally maps action id -> preprocessed WDFs; entries are filled
-    on demand. Callers reusing a cache must keep preprocessing params fixed.
+    `wdfs` optionally maps the id of every action in both halves to its
+    preprocessed WDFs under `cfg.preprocess`; it is only read. Without it the
+    actions are preprocessed here.
     """
     overlap = set(train.subject_set) & set(test.subject_set)
     if overlap:
@@ -126,16 +131,10 @@ def run_single(
         raise ValueError(
             f"training half covers {len(train.class_set)} class(es); need at least 2"
         )
+    if wdfs is None:
+        wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in (*train, *test)}
 
-    wdfs_of = cache if cache is not None else {}
-
-    def _wdfs(action):
-        got = wdfs_of.get(action.id)
-        if got is None:
-            got = wdfs_of[action.id] = preprocess_action(action, cfg.preprocess)
-        return got
-
-    train_sets = [_wdfs(a) for a in train]
+    train_sets = [wdfs[a.id] for a in train]
     som_params = replace(cfg.som, seed=cfg.som.seed if som_seed is None else int(som_seed))
     grid = train_som(np.vstack(train_sets), cfg.rows, cfg.cols, som_params)
 
@@ -152,7 +151,7 @@ def run_single(
     subj_seen: dict = {}
     subj_hit: dict = {}
     for action in test:
-        posterior = class_posterior(model, compute_histogram(grid, _wdfs(action)))
+        posterior = class_posterior(model, compute_histogram(grid, wdfs[action.id]))
         t = index[action.label]
         p = index[posterior.predicted]
         confusion[t, p] += 1
@@ -183,39 +182,43 @@ def run_single(
 
 # --- Protocol drivers -----------------------------------------------------------
 
-
-def _cv_run(dataset: Dataset, cfg: ExperimentConfig, run_index: int,
-            cache: dict | None = None) -> RunResult:
-    train, test = split_cross_subject(dataset, derive_seed(cfg.seed, run_index, 0))
-    return run_single(
-        train, test, cfg,
-        som_seed=derive_seed(cfg.seed, run_index, 1),
-        run_index=run_index,
-        cache=cache,
-    )
+# (dataset, cfg, wdfs) of the protocol call a worker process serves; set by
+# `_init_worker` in each worker, never in the calling process.
+_worker_state: tuple | None = None
 
 
-def _cv_task(args) -> RunResult:
-    dataset, cfg, run_index = args
-    return _cv_run(dataset, cfg, run_index)
+def _init_worker(dataset: Dataset, cfg: ExperimentConfig, wdfs: dict) -> None:
+    global _worker_state
+    _worker_state = (dataset, cfg, wdfs)
 
 
-def _loso_task(args) -> RunResult:
-    dataset, cfg, rep, fold_index, run_index = args
-    train, test = splits_loso(dataset)[fold_index]
-    return run_single(
-        train, test, cfg,
-        som_seed=derive_seed(cfg.seed, rep, fold_index),
-        run_index=run_index,
-        cache=None,
-    )
+def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
+    """Run one (train_idx, test_idx, som_seed, run_index) task."""
+    dataset, cfg, wdfs = state or _worker_state
+    train_idx, test_idx, som_seed, run_index = task
+    train = Dataset([dataset.actions[i] for i in train_idx])
+    test = Dataset([dataset.actions[i] for i in test_idx])
+    return run_single(train, test, cfg, som_seed=som_seed, run_index=run_index, wdfs=wdfs)
 
 
-def _map_tasks(task_fn, args_list, jobs: int):
-    if jobs <= 1 or len(args_list) <= 1:
-        return [task_fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
-        return list(pool.map(task_fn, args_list))
+def _run_tasks(dataset: Dataset, cfg: ExperimentConfig, tasks: list,
+               jobs: int) -> list[RunResult]:
+    """Preprocess every action once, then run the tasks; results keep task order."""
+    wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in dataset}
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_run_task(task, (dataset, cfg, wdfs)) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        initializer=_init_worker,
+        initargs=(dataset, cfg, wdfs),
+    ) as pool:
+        return list(pool.map(_run_task, tasks))
+
+
+def _indices(dataset: Dataset, halves: tuple[Dataset, Dataset]) -> tuple[list, list]:
+    """Positions in `dataset` of the actions of a (train, test) pair."""
+    position = {a.id: i for i, a in enumerate(dataset)}
+    return tuple([position[a.id] for a in half] for half in halves)
 
 
 def _aggregate(protocol: str, results: list[RunResult], pooled: bool) -> AggregateResult:
@@ -246,12 +249,12 @@ def _aggregate(protocol: str, results: list[RunResult], pooled: bool) -> Aggrega
 
 def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """cfg.runs repetitions of a fresh random cross-subject half split."""
-    if jobs <= 1:
-        cache: dict = {}
-        results = [_cv_run(dataset, cfg, r, cache) for r in range(cfg.runs)]
-    else:
-        results = _map_tasks(_cv_task, [(dataset, cfg, r) for r in range(cfg.runs)], jobs)
-    return _aggregate(CROSS_SUBJECT, results, pooled=False)
+    tasks = [
+        (*_indices(dataset, split_cross_subject(dataset, derive_seed(cfg.seed, r, 0))),
+         derive_seed(cfg.seed, r, 1), r)
+        for r in range(cfg.runs)
+    ]
+    return _aggregate(CROSS_SUBJECT, _run_tasks(dataset, cfg, tasks, jobs), pooled=False)
 
 
 def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
@@ -263,28 +266,13 @@ def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    folds = splits_loso(dataset)
-    if jobs <= 1:
-        cache: dict = {}
-        results = []
-        for rep in range(repeats):
-            for k, (train, test) in enumerate(folds):
-                results.append(
-                    run_single(
-                        train, test, cfg,
-                        som_seed=derive_seed(cfg.seed, rep, k),
-                        run_index=rep * len(folds) + k,
-                        cache=cache,
-                    )
-                )
-    else:
-        args = [
-            (dataset, cfg, rep, k, rep * len(folds) + k)
-            for rep in range(repeats)
-            for k in range(len(folds))
-        ]
-        results = _map_tasks(_loso_task, args, jobs)
-    return _aggregate(LOSO, results, pooled=True)
+    folds = [_indices(dataset, fold) for fold in splits_loso(dataset)]
+    tasks = [
+        (*fold, derive_seed(cfg.seed, rep, k), rep * len(folds) + k)
+        for rep in range(repeats)
+        for k, fold in enumerate(folds)
+    ]
+    return _aggregate(LOSO, _run_tasks(dataset, cfg, tasks, jobs), pooled=True)
 
 
 # --- Parameter sweep --------------------------------------------------------------

@@ -40,6 +40,11 @@ class TestActionAndDataset:
         with pytest.raises(ValueError):
             Action(id="x", subject=1, label=1, frames=np.full((4, 2, 3), np.nan))
 
+    @pytest.mark.parametrize("label", ["wave, both hands", "wave\nclap"])
+    def test_rejects_label_with_comma_or_newline(self, label):
+        with pytest.raises(ValueError, match="invalid label"):
+            Action(id="x", subject=1, label=label, frames=np.zeros((4, 2, 3)))
+
     def test_dataset_requires_consistent_joint_count(self):
         rng = np.random.default_rng(0)
         a = _random_action(rng, "a", joints=2)
@@ -293,6 +298,12 @@ class TestMsrc12Adapter:
         (tmp_path / "g_p01.csv").write_text("1 2 3 4 5\n")
         (tmp_path / "g_p01.tags").write_text("0;x\n")
         with pytest.raises(ValueError, match="g_p01"):
+            load_msrc12(tmp_path, layout=SMALL_LAYOUT)
+
+    def test_label_with_comma_is_rejected(self, tmp_path):
+        _write_msrc12_sequence(tmp_path / "g_p01.csv", 50, SMALL_LAYOUT)
+        (tmp_path / "g_p01.tags").write_text("20;wave, both hands\n")
+        with pytest.raises(ValueError, match="g_p01_i001.*invalid label"):
             load_msrc12(tmp_path, layout=SMALL_LAYOUT)
 
     def test_subject_pattern_must_match(self, tmp_path):

@@ -27,7 +27,7 @@ from dam.evaluation import (
     write_results_csv,
     write_sweep_csv,
 )
-from dam.preprocess import PreprocessParams
+from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import SomTrainParams
 from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
@@ -185,8 +185,6 @@ class TestRunSingle:
         cfg = small_config()
         train = Dataset([a for a in directional if a.subject != 4])
         test = Dataset([a for a in directional if a.subject == 4])
-        from dam.preprocess import preprocess_action
-
         train_wdfs = np.vstack([preprocess_action(a, cfg.preprocess) for a in train])
         result = run_single(train, test, cfg, som_seed=9)
         code = result.model.grid.codebook
@@ -194,15 +192,16 @@ class TestRunSingle:
         assert np.all(code >= train_wdfs.min(axis=0) - eps)
         assert np.all(code <= train_wdfs.max(axis=0) + eps)
 
-    def test_shared_cache_is_filled_and_reused(self, directional):
+    def test_precomputed_wdfs_give_identical_result(self, directional):
         cfg = small_config()
         train, test = split_cross_subject(directional, seed=0)
-        cache: dict = {}
-        first = run_single(train, test, cfg, som_seed=1, cache=cache)
-        assert set(cache) == {a.id for a in directional}
-        second = run_single(train, test, cfg, som_seed=1, cache=cache)
-        assert first.accuracy == second.accuracy
-        assert_array_equal(first.confusion, second.confusion)
+        wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in directional}
+        given = run_single(train, test, cfg, som_seed=1, wdfs=wdfs)
+        computed = run_single(train, test, cfg, som_seed=1)
+        assert given.accuracy == computed.accuracy
+        assert_array_equal(given.confusion, computed.confusion)
+        assert_array_equal(given.prob_matrix, computed.prob_matrix)
+        assert_array_equal(given.model.grid.codebook, computed.model.grid.codebook)
 
 
 class TestCrossValidate:
@@ -304,12 +303,38 @@ class TestLoso:
 
     def test_parallel_equals_serial(self, directional):
         cfg = small_config(runs=1, seed=9)
-        serial = evaluate_loso(directional, cfg, jobs=1)
-        parallel = evaluate_loso(directional, cfg, jobs=2)
+        serial = evaluate_loso(directional, cfg, jobs=1, repeats=2)
+        parallel = evaluate_loso(directional, cfg, jobs=2, repeats=2)
         assert [r.accuracy for r in serial.run_results] == [
             r.accuracy for r in parallel.run_results
         ]
+        for s, p in zip(serial.run_results, parallel.run_results):
+            assert_array_equal(s.confusion, p.confusion)
+        assert_array_equal(serial.mean_confusion, parallel.mean_confusion)
         assert_allclose(serial.mean_accuracy, parallel.mean_accuracy, rtol=0, atol=0)
+
+
+class TestPreprocessOnce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("protocol", ["cross_validate", "evaluate_loso"])
+    def test_each_action_is_preprocessed_once_in_the_caller(
+        self, directional, monkeypatch, protocol, jobs
+    ):
+        import dam.evaluation
+
+        calls = []
+
+        def counted(action, params):
+            calls.append(action.id)
+            return preprocess_action(action, params)
+
+        monkeypatch.setattr(dam.evaluation, "preprocess_action", counted)
+        cfg = small_config(runs=2, seed=3)
+        if protocol == "cross_validate":
+            cross_validate(directional, cfg, jobs=jobs)
+        else:
+            evaluate_loso(directional, cfg, jobs=jobs, repeats=2)
+        assert sorted(calls) == sorted(a.id for a in directional)
 
 
 class TestParameterSweep:
