@@ -2,20 +2,20 @@
 
 One binary, subcommand style. Experiment settings come from an optional JSON
 config file with flag overrides (flags win); `DAM_SEED` supplies the default
-seed when neither gives one. Every failure is reported as a single
+seed when neither gives one, and any other setting left out takes the default
+of the library dataclass it feeds. Every failure is reported as a single
 `error: ...` line on stderr with a nonzero exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,7 @@ from .evaluation import (
     write_results_csv,
     write_sweep_csv,
 )
-from .preprocess import (
-    DEFAULT_NORM_EPSILON,
-    DEFAULT_SMOOTHING_RADIUS,
-    DEFAULT_SMOOTHING_SIGMA,
-    PreprocessParams,
-    preprocess_action,
-)
+from .preprocess import PreprocessParams, preprocess_action
 from .som import SomTrainParams, train_som
 
 logger = logging.getLogger(__name__)
@@ -65,16 +59,6 @@ _PROTOCOL_ALIASES = {
     "loso": LOSO,
 }
 
-# Recognized config-file keys; anything else (bar "_"-prefixed comments) is an error.
-CONFIG_KEYS = frozenset(
-    {
-        "frames", "window", "smoothing_sigma", "smoothing_radius", "norm_epsilon",
-        "grid", "epochs", "learning_rate", "som_radius",
-        "runs", "seed", "jobs", "protocol",
-        "windows", "grids", "action_sets",
-    }
-)
-
 
 class CliError(Exception):
     """Usage or configuration problem; exits with status 2."""
@@ -88,36 +72,126 @@ class _Parser(argparse.ArgumentParser):
 # --- Settings resolution ---------------------------------------------------------
 
 
-def _load_config(path) -> dict:
-    path = Path(path)
+def _read_json_object(path: Path, what: str) -> dict:
+    """Decode a JSON object file, dropping "_"-prefixed comment keys."""
     try:
         data = json.loads(path.read_text())
     except OSError as e:
-        raise CliError(f"cannot read config {path}: {e}") from None
+        raise CliError(f"cannot read {what} {path}: {e}") from None
     except json.JSONDecodeError as e:
-        raise CliError(f"config {path} is not valid JSON: {e}") from None
+        raise CliError(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
-        raise CliError(f"config {path} must be a JSON object")
-    unknown = sorted(k for k in data if not k.startswith("_") and k not in CONFIG_KEYS)
+        raise CliError(f"{what} {path} must be a JSON object")
+    return {k: v for k, v in data.items() if not k.startswith("_")}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(key: str, value) -> int:
+    if not _is_integer(value):
+        raise CliError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    if not (_is_integer(value) or isinstance(value, float)):
+        raise CliError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number_pair(key: str, value, start_may_be_null: bool = False) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise CliError(f"config key {key} must be a list of 2 values, got {value!r}")
+    start, end = value
+    if start is None and start_may_be_null:
+        return None, _number(key, end)
+    return _number(key, start), _number(key, end)
+
+
+def _grid(key: str, value) -> tuple[int, int]:
+    """Accept '25x25' or a [rows, cols] pair of integers."""
+    pair = value
+    if isinstance(value, str):
+        try:
+            pair = [int(part) for part in value.lower().split("x")]
+        except ValueError:
+            pair = None
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_integer, pair))):
+        raise CliError(f'{key} must look like "25x25" or [25, 25], got {value!r}')
+    return pair[0], pair[1]
+
+
+def _non_empty_list(key: str, value, convert) -> list:
+    """A list from JSON or from a comma-separated flag, each item converted."""
+    if isinstance(value, str):
+        value = value.split(",")
+    if not isinstance(value, list) or not value:
+        raise CliError(f"{key} must be a non-empty list, got {value!r}")
+    return [convert(key, item) for item in value]
+
+
+def _window_item(key: str, value) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            raise CliError(f"{key} must be integers, got {value!r}") from None
+    return _integer(key, value)
+
+
+def _protocol(key: str, value) -> str:
+    protocol = _PROTOCOL_ALIASES.get(str(value).lower())
+    if protocol is None:
+        raise CliError(
+            f"unknown {key} {value!r}; choose from {', '.join(sorted(set(_PROTOCOL_ALIASES)))}"
+        )
+    return protocol
+
+
+def _action_sets(key: str, value) -> dict:
+    if isinstance(value, str):
+        return load_action_sets(value)
+    if not isinstance(value, dict):
+        raise CliError(f"{key} must map subset names to class lists, got {value!r}")
+    return _check_action_sets(value, f"config key {key}")
+
+
+# The one conversion of each config key (and of the flag of the same name).
+_CONVERTERS = {
+    "frames": _integer,
+    "window": _integer,
+    "smoothing_sigma": _number,
+    "smoothing_radius": _integer,
+    "norm_epsilon": _number,
+    "grid": _grid,
+    "epochs": _integer,
+    "learning_rate": _number_pair,
+    "som_radius": partial(_number_pair, start_may_be_null=True),
+    "runs": _integer,
+    "seed": _integer,
+    "jobs": _integer,
+    "protocol": _protocol,
+    "windows": partial(_non_empty_list, convert=_window_item),
+    "grids": partial(_non_empty_list, convert=_grid),
+    "action_sets": _action_sets,
+}
+
+# Recognized config-file keys; anything else (bar "_"-prefixed comments) is an error.
+CONFIG_KEYS = frozenset(_CONVERTERS)
+
+
+def _load_config(path) -> dict:
+    path = Path(path)
+    data = _read_json_object(path, "config")
+    unknown = sorted(k for k in data if k not in CONFIG_KEYS)
     if unknown:
         raise CliError(
             f"config {path} has unknown key(s): {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(CONFIG_KEYS))}"
         )
-    return {k: v for k, v in data.items() if not k.startswith("_")}
-
-
-def parse_grid(text) -> tuple[int, int]:
-    """Accept '25x25' or a [rows, cols] pair from a config file."""
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return int(text[0]), int(text[1])
-    parts = str(text).lower().split("x")
-    if len(parts) != 2:
-        raise CliError(f'grid must look like "25x25", got {text!r}')
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise CliError(f'grid must look like "25x25", got {text!r}') from None
+    return data
 
 
 def _env_seed() -> int | None:
@@ -130,176 +204,82 @@ def _env_seed() -> int | None:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-@dataclass
-class Settings:
-    """Flag/config/default merge for the experiment-driving commands."""
+def resolve_settings(args, config: dict) -> dict:
+    """Merge flags over config file over DAM_SEED; convert each given key once.
 
-    frames: int | None
-    window: int | None
-    grid: tuple[int, int] | None
-    smoothing_sigma: float
-    smoothing_radius: int
-    norm_epsilon: float
-    epochs: int
-    learning_rate: tuple[float, float]
-    som_radius: tuple[float | None, float]
-    runs: int
-    seed: int
-    jobs: int
-    protocol: str
-    windows: list[int] | None
-    grids: list[tuple[int, int]] | None
-    action_sets: dict | None
-
-    def require(self, *names: str) -> None:
-        missing = [n for n in names if getattr(self, n) is None]
-        if missing:
-            flags = "/".join(f"--{n}" for n in missing)
-            raise CliError(
-                f"missing required setting(s): {', '.join(missing)} "
-                f"(pass {flags} or put them in a config file)"
-            )
-
-    def preprocess_params(self) -> PreprocessParams:
-        self.require("frames", "window")
-        return PreprocessParams(
-            frames=self.frames,
-            window=self.window,
-            smoothing_sigma=self.smoothing_sigma,
-            smoothing_radius=self.smoothing_radius,
-            norm_epsilon=self.norm_epsilon,
-        )
-
-    def som_params(self, seed: int = 0) -> SomTrainParams:
-        return SomTrainParams(
-            epochs=self.epochs,
-            learning_rate_start=self.learning_rate[0],
-            learning_rate_end=self.learning_rate[1],
-            radius_start=self.som_radius[0],
-            radius_end=self.som_radius[1],
-            seed=seed,
-        )
-
-    def experiment_config(self) -> ExperimentConfig:
-        self.require("frames", "window", "grid")
-        return ExperimentConfig(
-            preprocess=self.preprocess_params(),
-            rows=self.grid[0],
-            cols=self.grid[1],
-            som=self.som_params(),
-            runs=self.runs,
-            seed=self.seed,
-        )
+    Keys given nowhere are left out, so the library dataclasses built from the
+    result supply their own defaults.
+    """
+    settings = {}
+    for key, convert in _CONVERTERS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is None and key == "seed":
+            value = _env_seed()
+        if value is not None:
+            settings[key] = convert(key, value)
+    return settings
 
 
-def _pair(value, name: str, length: int = 2) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise CliError(f"config key {name} must be a list of {length} values, got {value!r}")
-    return tuple(value)
-
-
-def resolve_settings(args, config: dict) -> Settings:
-    """Merge defaults < DAM_SEED < config file < flags into one Settings."""
-
-    def pick(name, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return config.get(name, default)
-
-    grid = pick("grid")
-    if grid is not None:
-        grid = parse_grid(grid)
-
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = config.get("seed")
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
-
-    lr = _pair(pick("learning_rate", [0.5, 0.01]), "learning_rate")
-    radius = _pair(pick("som_radius", [None, 0.5]), "som_radius")
-
-    windows = pick("windows")
-    if windows is not None:
-        if isinstance(windows, str):
-            windows = windows.split(",")
-        windows = [int(w) for w in windows]
-
-    grids = pick("grids")
-    if grids is not None:
-        if isinstance(grids, str):
-            grids = grids.split(",")
-        grids = [parse_grid(g) for g in grids]
-
-    action_sets = pick("action_sets")
-    if isinstance(action_sets, (str, Path)):
-        action_sets = load_action_sets(action_sets)
-    if action_sets is not None and not isinstance(action_sets, dict):
-        raise CliError(f"action_sets must map subset names to class lists, got {action_sets!r}")
-
-    protocol_raw = pick("protocol", CROSS_SUBJECT)
-    protocol = _PROTOCOL_ALIASES.get(str(protocol_raw).lower())
-    if protocol is None:
+def _require(settings: dict, *keys: str) -> None:
+    missing = [k for k in keys if k not in settings]
+    if missing:
+        flags = "/".join(f"--{k}" for k in missing)
         raise CliError(
-            f"unknown protocol {protocol_raw!r}; choose from "
-            f"{', '.join(sorted(set(_PROTOCOL_ALIASES)))}"
+            f"missing required setting(s): {', '.join(missing)} "
+            f"(pass {flags} or put them in a config file)"
         )
 
-    return Settings(
-        frames=pick("frames"),
-        window=pick("window"),
-        grid=grid,
-        smoothing_sigma=float(pick("smoothing_sigma", DEFAULT_SMOOTHING_SIGMA)),
-        smoothing_radius=int(pick("smoothing_radius", DEFAULT_SMOOTHING_RADIUS)),
-        norm_epsilon=float(pick("norm_epsilon", DEFAULT_NORM_EPSILON)),
-        epochs=int(pick("epochs", 20)),
-        learning_rate=(float(lr[0]), float(lr[1])),
-        som_radius=(None if radius[0] is None else float(radius[0]), float(radius[1])),
-        runs=int(pick("runs", 30)),
-        seed=int(seed),
-        jobs=int(pick("jobs", os.cpu_count() or 1)),
-        protocol=protocol,
-        windows=windows,
-        grids=grids,
-        action_sets=action_sets,
+
+def _given(settings: dict, *keys: str) -> dict:
+    return {k: settings[k] for k in keys if k in settings}
+
+
+def preprocess_params(settings: dict) -> PreprocessParams:
+    _require(settings, "frames", "window")
+    return PreprocessParams(**_given(
+        settings, "frames", "window", "smoothing_sigma", "smoothing_radius", "norm_epsilon"
+    ))
+
+
+def som_params(settings: dict, **fields) -> SomTrainParams:
+    if "learning_rate" in settings:
+        fields["learning_rate_start"], fields["learning_rate_end"] = settings["learning_rate"]
+    if "som_radius" in settings:
+        fields["radius_start"], fields["radius_end"] = settings["som_radius"]
+    return SomTrainParams(**_given(settings, "epochs"), **fields)
+
+
+def experiment_config(settings: dict) -> ExperimentConfig:
+    _require(settings, "frames", "window", "grid")
+    rows, cols = settings["grid"]
+    return ExperimentConfig(
+        preprocess_params(settings), rows, cols, som=som_params(settings),
+        **_given(settings, "runs", "seed"),
     )
+
+
+def _check_action_sets(sets: dict, source: str) -> dict:
+    if not sets:
+        raise CliError(f"{source} defines no subsets")
+    for name, labels in sets.items():
+        if not isinstance(labels, list) or not labels:
+            raise CliError(f"action set {name!r} in {source} must be a non-empty list")
+    return sets
 
 
 def load_action_sets(path) -> dict:
     """Read a subset file: JSON object mapping subset name -> class-label list."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise CliError(f"cannot read action sets {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"action sets {path} is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise CliError(f"action sets {path} must be a JSON object")
-    sets = {k: v for k, v in data.items() if not k.startswith("_")}
-    for name, labels in sets.items():
-        if not isinstance(labels, list) or not labels:
-            raise CliError(f"action set {name!r} in {path} must be a non-empty list")
-    if not sets:
-        raise CliError(f"action sets {path} defines no subsets")
-    return sets
+    return _check_action_sets(_read_json_object(path, "action sets"), f"action sets {path}")
 
 
 # --- Dataset loading ------------------------------------------------------------
 
 
 def _load_layout(path) -> Msrc12Layout:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise CliError(f"cannot read layout {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"layout {path} is not valid JSON: {e}") from None
-    return Msrc12Layout.from_dict(data)
+    return Msrc12Layout.from_dict(_read_json_object(Path(path), "layout"))
 
 
 def _load_dataset(directory, fmt: str, layout_path=None, apply_exclusions: bool = True) -> Dataset:
@@ -338,14 +318,19 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _settings(args) -> dict:
+    return resolve_settings(args, _load_config(args.config) if args.config else {})
+
+
 def cmd_train(args) -> int:
-    settings = resolve_settings(args, _load_config(args.config) if args.config else {})
-    settings.require("frames", "window", "grid")
+    settings = _settings(args)
+    _require(settings, "frames", "window", "grid")
+    params = preprocess_params(settings)
+    som = som_params(settings, **_given(settings, "seed"))
     dataset = _load_dataset(args.data, args.format, args.layout)
-    params = settings.preprocess_params()
     wdf_sets = [preprocess_action(a, params) for a in dataset]
-    rows, cols = settings.grid
-    grid = train_som(np.vstack(wdf_sets), rows, cols, settings.som_params(settings.seed))
+    rows, cols = settings["grid"]
+    grid = train_som(np.vstack(wdf_sets), rows, cols, som)
     model = fit_model(grid, wdf_sets, [a.label for a in dataset], params, dataset.joint_count)
     save_model(model, args.output)
     print(
@@ -386,12 +371,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _evaluate_once(dataset, settings: Settings, out_dir: Path, suffix: str) -> None:
-    cfg = settings.experiment_config()
-    if settings.protocol == LOSO:
-        agg = evaluate_loso(dataset, cfg, jobs=settings.jobs)
-    else:
-        agg = cross_validate(dataset, cfg, jobs=settings.jobs)
+def _jobs(settings: dict) -> int:
+    return settings.get("jobs", os.cpu_count() or 1)
+
+
+def _evaluate_once(dataset, settings: dict, cfg: ExperimentConfig, out_dir: Path,
+                   suffix: str) -> None:
+    protocol = evaluate_loso if settings.get("protocol") == LOSO else cross_validate
+    agg = protocol(dataset, cfg, jobs=_jobs(settings))
     write_results_csv(out_dir / f"results{suffix}.csv", agg, cfg)
     write_confusion_csv(out_dir / f"confusion{suffix}.csv", agg)
     write_prob_matrix_csv(out_dir / f"probmatrix{suffix}.csv", agg)
@@ -404,39 +391,41 @@ def _evaluate_once(dataset, settings: Settings, out_dir: Path, suffix: str) -> N
 
 
 def cmd_evaluate(args) -> int:
-    settings = resolve_settings(args, _load_config(args.config) if args.config else {})
-    settings.require("frames", "window", "grid")
+    settings = _settings(args)
+    cfg = experiment_config(settings)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     has_exclusions = (Path(args.data) / EXCLUDE_FILENAME).is_file()
     mode = args.exclusions or ("both" if has_exclusions else "apply")
     if mode in ("apply", "both"):
         dataset = _load_dataset(args.data, args.format, args.layout, apply_exclusions=True)
-        _evaluate_once(dataset, settings, out_dir, "")
+        _evaluate_once(dataset, settings, cfg, out_dir, "")
     if mode == "ignore":
         dataset = _load_dataset(args.data, args.format, args.layout, apply_exclusions=False)
-        _evaluate_once(dataset, settings, out_dir, "")
+        _evaluate_once(dataset, settings, cfg, out_dir, "")
     elif mode == "both" and has_exclusions:
         dataset = _load_dataset(args.data, args.format, args.layout, apply_exclusions=False)
-        _evaluate_once(dataset, settings, out_dir, "_noexcl")
+        _evaluate_once(dataset, settings, cfg, out_dir, "_noexcl")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    settings = resolve_settings(args, _load_config(args.config) if args.config else {})
-    settings.require("frames", "windows", "grids")
+    settings = _settings(args)
+    _require(settings, "frames", "windows", "grids")
+    base = experiment_config(
+        {**settings, "window": settings["windows"][0], "grid": settings["grids"][0]}
+    )
     dataset = _load_dataset(
         args.data, args.format, args.layout,
         apply_exclusions=args.exclusions != "ignore",
     )
-    base = dataclasses.replace(settings, window=settings.windows[0], grid=settings.grids[0])
     rows = parameter_sweep(
         dataset,
-        base.experiment_config(),
-        windows=settings.windows,
-        grids=settings.grids,
-        action_sets=settings.action_sets,
-        jobs=settings.jobs,
+        base,
+        windows=settings["windows"],
+        grids=settings["grids"],
+        action_sets=settings.get("action_sets"),
+        jobs=_jobs(settings),
     )
     write_sweep_csv(args.output, rows)
     print(f"wrote {args.output} ({len(rows)} rows)")
@@ -461,7 +450,7 @@ def _add_experiment_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", default=None, help='SOM grid as "ROWSxCOLS", e.g. 25x25')
     p.add_argument("--epochs", type=int, default=None, help="SOM training epochs")
     p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+                   help=f"master seed (default: ${SEED_ENV_VAR} or {ExperimentConfig.seed})")
 
 
 def build_parser() -> _Parser:
@@ -493,7 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", default=None,
                    help="cross-subject (random half splits) or loso (leave-one-subject-out)")
     p.add_argument("--runs", type=int, default=None,
-                   help="cross-subject repetitions (default 30)")
+                   help=f"cross-subject repetitions (default {ExperimentConfig.runs})")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: all cores)")
     p.add_argument("--exclusions", choices=("apply", "ignore", "both"), default=None,
@@ -511,7 +500,8 @@ def build_parser() -> _Parser:
     p.add_argument("--action-sets", dest="action_sets", default=None,
                    help="JSON file mapping subset names to class-label lists")
     p.add_argument("--runs", type=int, default=None,
-                   help="cross-subject repetitions per combination (default 30)")
+                   help=f"cross-subject repetitions per combination "
+                        f"(default {ExperimentConfig.runs})")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: all cores)")
     p.add_argument("--exclusions", choices=("apply", "ignore"), default="apply",

@@ -113,13 +113,6 @@ def _check_query(grid: SomGrid, vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def bmu(grid: SomGrid, x: np.ndarray) -> int:
-    """Index of the best-matching unit; exact ties go to the lowest index."""
-    x = _check_query(grid, x)
-    diff = grid.codebook - x
-    return int(np.argmin((diff * diff).sum(axis=1)))
-
-
 def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row argmin and min of squared distances, chunked to bound memory."""
     n, dim = xs.shape
@@ -137,9 +130,14 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def bmu_batch(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
-    """Vectorized bmu() over rows of xs; identical results, one call."""
+    """Best-matching unit of each row of xs; exact ties go to the lowest index."""
     xs = _check_query(grid, np.atleast_2d(xs))
     return _min_sqdist(grid.codebook, xs)[0]
+
+
+def bmu(grid: SomGrid, x: np.ndarray) -> int:
+    """Index of the best-matching unit of a single vector x."""
+    return int(bmu_batch(grid, x)[0])
 
 
 def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 from dam import cli
 from dam.classifier import load_model
 from dam.dataset import load_canonical_dataset, load_msr_action3d, write_canonical_dataset
+from dam.evaluation import ExperimentConfig
+from dam.preprocess import PreprocessParams
 from dam.synthetic import make_directional_dataset
 
 FAST = ["--frames", "10", "--window", "2", "--grid", "3x3", "--epochs", "4"]
@@ -216,6 +219,37 @@ class TestTrain:
         assert code == 2
         assert cli.SEED_ENV_VAR in stderr
 
+    @pytest.mark.parametrize("key, value", [
+        ("frames", "10"),
+        ("window", 2.5),
+        ("grid", [3.7, 3]),
+        ("grid", [3, True]),
+        ("smoothing_radius", 2.0),
+        ("smoothing_sigma", "1.0"),
+        ("epochs", 2.5),
+        ("learning_rate", [0.5]),
+        ("som_radius", ["a", 0.5]),
+        ("seed", "3"),
+        ("windows", [1.5]),
+        ("grids", "3x3,3"),
+        ("protocol", "leave-none-out"),
+        ("action_sets", ["AS1"]),
+        ("action_sets", {"AS1": 3}),
+        ("action_sets", {}),
+    ])
+    def test_mistyped_config_value_named_in_error(self, capsys, tmp_path, canon_dir,
+                                                  key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"frames": 10, "window": 2, "grid": "3x3", "epochs": 4, key: value}
+        ))
+        code, _, stderr = run(capsys, "train", str(canon_dir),
+                              "-o", str(tmp_path / "m.json"), "--config", str(config))
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert key in stderr
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestClassify:
     def test_training_actions_get_their_own_class(self, capsys, canon_dir, model_path):
@@ -411,6 +445,16 @@ class TestSweep:
         assert code == 2
         assert "windows" in stderr and "grids" in stderr
 
+    @pytest.mark.parametrize("key", ["windows", "grids"])
+    def test_empty_axis_rejected(self, capsys, tmp_path, canon_dir, key):
+        config = tmp_path / "sweep_config.json"
+        config.write_text(json.dumps({"frames": 10, "windows": [2], "grids": ["2x2"], key: []}))
+        code, _, stderr = run(capsys, "sweep", str(canon_dir), "-o", str(tmp_path / "s.csv"),
+                              "--config", str(config))
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert key in stderr
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
@@ -430,11 +474,28 @@ class TestTopLevel:
         assert stderr.startswith("error: ")
 
 
+def resolve(config: dict) -> dict:
+    return cli.resolve_settings(argparse.Namespace(), config)
+
+
 class TestShippedConfigs:
-    def test_example_experiment_configs_validate(self):
-        for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
-            config = cli._load_config(path)
-            assert config, path
+    def test_example_experiment_configs_validate(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            settings = resolve(cli._load_config(path))
+            if "windows" in settings:
+                settings.update(window=settings["windows"][0], grid=settings["grids"][0])
+            cfg = cli.experiment_config(settings)
+            assert isinstance(cfg, ExperimentConfig), path
+            assert cfg.preprocess.frames == settings["frames"]
+            assert (cfg.rows, cfg.cols) == settings["grid"]
+
+    def test_omitted_keys_take_the_library_defaults(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        cfg = cli.experiment_config(resolve({"frames": 25, "window": 3, "grid": [20, 30]}))
+        assert cfg == ExperimentConfig(PreprocessParams(25, 3), 20, 30)
 
     def test_packaged_action_sets_load(self):
         import dam
