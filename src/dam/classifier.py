@@ -72,7 +72,13 @@ class Posterior:
 
     @property
     def predicted(self):
+        """Highest-scoring class; all-zero scores fall to the first class."""
         return self.classes[int(np.argmax(self.scores))]
+
+    @property
+    def zero_evidence(self) -> bool:
+        """True when every score is zero: no window landed on a unit with a class."""
+        return not np.any(self.scores)
 
     def normalized(self) -> np.ndarray:
         """Scores rescaled to sum to 1; all-zero stays all-zero."""

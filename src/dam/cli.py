@@ -359,15 +359,24 @@ def _classify_inputs(paths) -> list[Path]:
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     lines = ["id,predicted," + ",".join(f"score_{c}" for c in model.classes)]
+    zero_evidence = 0
     for path in _classify_inputs(args.inputs):
         try:
             action = parse_action_file(path.read_text())
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
         posterior = classify_action(model, action)
+        zero_evidence += posterior.zero_evidence
         scores = ",".join(format(v, ".6g") for v in posterior.normalized())
         lines.append(f"{action.id},{posterior.predicted},{scores}")
     print("\n".join(lines))
+    if zero_evidence:
+        print(
+            f"warning: {zero_evidence} of {len(lines) - 1} actions had zero evidence "
+            f"(every window on a unit no training window won) and were predicted as "
+            f"{model.classes[0]}",
+            file=sys.stderr,
+        )
     return 0
 
 

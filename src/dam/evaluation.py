@@ -150,8 +150,10 @@ def run_single(
     prob_sums = np.zeros((n, n))
     subj_seen: dict = {}
     subj_hit: dict = {}
+    zero_evidence = 0
     for action in test:
         posterior = class_posterior(model, compute_histogram(grid, wdfs[action.id]))
+        zero_evidence += posterior.zero_evidence
         t = index[action.label]
         p = index[posterior.predicted]
         confusion[t, p] += 1
@@ -159,6 +161,12 @@ def run_single(
         subj_seen[action.subject] = subj_seen.get(action.subject, 0) + 1
         subj_hit[action.subject] = subj_hit.get(action.subject, 0) + (1 if t == p else 0)
 
+    if zero_evidence:
+        logger.warning(
+            "run %d: %d of %d test actions had zero evidence (every window on a "
+            "unit no training window won) and were predicted as %r",
+            run_index, zero_evidence, len(test), classes[0],
+        )
     row_counts = confusion.sum(axis=1)
     prob_matrix = np.divide(
         prob_sums,

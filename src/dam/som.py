@@ -21,8 +21,12 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = (0.5, 0.01)
 DEFAULT_FINAL_RADIUS = 0.5
 
-# Keep pairwise-distance work buffers around this many floats per chunk.
-_CHUNK_BUDGET = 4_000_000
+# Floats per (rows, K) score block of the nearest-unit search: 2 MiB, so a
+# block stays cache-sized and the search needs no (rows, K, dim) buffer.
+_CHUNK_BUDGET = 262_144
+# Below this ||x||^2 + max ||c||^2 neither a GEMM score nor a direct-form
+# distance (at most twice that sum) can overflow, so the rounding bound holds.
+_SIZE_LIMIT = np.finfo(np.float64).max / 8
 
 
 @dataclass(frozen=True)
@@ -110,27 +114,69 @@ def _check_query(grid: SomGrid, vectors: np.ndarray) -> np.ndarray:
             f"query dimension {vectors.shape[-1]} does not match codebook "
             f"dimension {grid.dim}"
         )
+    finite = np.isfinite(vectors).all(axis=-1)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(-1)))
+        raise ValueError(f"query row {row} contains non-finite values")
     return vectors
 
 
 def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row argmin and min of squared distances, chunked to bound memory."""
+    """Per-row argmin and min of squared distances to the codebook rows.
+
+    Scores blocks of `_CHUNK_BUDGET // K` rows with one GEMM: the score
+    ``h_j = ||c_j||^2 / 2 - x.c_j`` is half of ``||c_j||^2 - 2 x.c_j`` and
+    orders the units like the squared distance ``d_j = ||x||^2 + 2 h_j``.
+    Rounding moves ``2 h_j`` and the direct form ``sum((c_j - x)**2)`` by at
+    most ``E = 4 (dim + 2) eps (||x||^2 + max_j ||c_j||^2)`` together (plus an
+    absolute term for subnormals), in any summation order. So a row whose two
+    lowest scores are more than E apart (2E in units of d) has the same winner
+    under the direct form. Every other row (exact ties and duplicated units
+    included, and rows too large for the bound, see `_SIZE_LIMIT`) is
+    rescored over all K units with the direct form and `np.argmin`. The
+    winner is therefore the direct form's argmin, ties to the lowest index,
+    whatever the BLAS threading, and the returned distance is the direct
+    form's, to that winner.
+    """
     n, dim = xs.shape
     k = codebook.shape[0]
-    chunk = max(1, _CHUNK_BUDGET // max(1, k * dim))
+    chunk = max(1, _CHUNK_BUDGET // k)
+    eps = np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).smallest_subnormal
+    c2 = np.einsum("ij,ij->i", codebook, codebook)
+    half_c2 = 0.5 * c2
+    c2_max = c2.max()
     best = np.empty(n, dtype=np.int64)
     best_d = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        diff = xs[lo:hi, None, :] - codebook[None, :, :]
-        d = (diff * diff).sum(axis=2)
-        best[lo:hi] = np.argmin(d, axis=1)
-        best_d[lo:hi] = d[np.arange(hi - lo), best[lo:hi]]
+        block = xs[lo:hi]
+        rows = np.arange(hi - lo)
+        scores = block @ codebook.T
+        np.subtract(half_c2, scores, out=scores)
+        winner = np.argmin(scores, axis=1)
+        first = scores[rows, winner]
+        scores[rows, winner] = np.inf
+        second = scores.min(axis=1)
+        size = np.einsum("ij,ij->i", block, block) + c2_max
+        bound = 4.0 * (dim + 2) * (eps * size + tiny)
+        sure = (second - first > bound) & (size < _SIZE_LIMIT)
+        for i in np.flatnonzero(~sure):
+            winner[i] = np.argmin(((codebook - block[i]) ** 2).sum(axis=-1))
+        diff = block - codebook[winner]
+        best[lo:hi] = winner
+        best_d[lo:hi] = (diff * diff).sum(axis=-1)
     return best, best_d
 
 
 def bmu_batch(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
-    """Best-matching unit of each row of xs; exact ties go to the lowest index."""
+    """Best-matching unit of each row of xs; exact ties go to the lowest index.
+
+    The winner is always the argmin of the direct form ``sum((c - x)**2)``:
+    the fast GEMM scores only decide rows whose margin beats their rounding
+    bound, and every near-tie is rescored directly (see `_min_sqdist`).
+    Non-finite query rows are rejected with a ValueError.
+    """
     xs = _check_query(grid, np.atleast_2d(xs))
     return _min_sqdist(grid.codebook, xs)[0]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dam import cli
-from dam.classifier import load_model
+from dam.classifier import load_model, save_model
 from dam.dataset import load_canonical_dataset, load_msr_action3d, write_canonical_dataset
 from dam.evaluation import ExperimentConfig
 from dam.preprocess import PreprocessParams
@@ -294,6 +294,25 @@ class TestClassify:
         code, _, stderr = run(capsys, "classify", "--model", str(model_path), str(target))
         assert code == 1
         assert "joint" in stderr or "5" in stderr
+
+    def test_zero_evidence_warns_once_on_stderr(self, capsys, tmp_path, canon_dir, model_path):
+        targets = [str(canon_dir / "c1_s02_i00.txt"), str(canon_dir / "c2_s03_i01.txt")]
+        code, stdout, stderr = run(capsys, "classify", "--model", str(model_path), *targets)
+        assert code == 0
+        assert stderr == ""
+        model = load_model(model_path)
+        model.cluster_class_probs = np.zeros_like(model.cluster_class_probs)
+        empty = tmp_path / "empty.json"
+        save_model(model, empty)
+        code, stdout, stderr = run(capsys, "classify", "--model", str(empty), *targets)
+        assert code == 0
+        assert stdout == (
+            "id,predicted,score_0,score_1,score_2\n"
+            "c1_s02_i00,0,0,0,0\n"
+            "c2_s03_i01,0,0,0,0\n"
+        )
+        [line] = stderr.splitlines()
+        assert line.startswith("warning: 2 of 2 actions had zero evidence")
 
     def test_missing_input_fails(self, capsys, model_path, tmp_path):
         code, _, stderr = run(capsys, "classify", "--model", str(model_path),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dam import evaluation
 from dam.dataset import Dataset, split_cross_subject
 from dam.evaluation import (
     CROSS_SUBJECT,
@@ -202,6 +203,35 @@ class TestRunSingle:
         assert_array_equal(given.confusion, computed.confusion)
         assert_array_equal(given.prob_matrix, computed.prob_matrix)
         assert_array_equal(given.model.grid.codebook, computed.model.grid.codebook)
+
+    def test_zero_evidence_is_logged_once_and_predicts_the_first_class(
+        self, directional, monkeypatch, caplog
+    ):
+        cfg = small_config()
+        train, test = split_cross_subject(directional, seed=0)
+        real_fit = evaluation.fit_model
+
+        def fit_without_evidence(*args, **kwargs):
+            model = real_fit(*args, **kwargs)
+            model.cluster_class_probs = np.zeros_like(model.cluster_class_probs)
+            return model
+
+        monkeypatch.setattr(evaluation, "fit_model", fit_without_evidence)
+        with caplog.at_level("WARNING", logger="dam.evaluation"):
+            result = run_single(train, test, cfg, som_seed=1, run_index=4)
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert f"run 4: {len(test)} of {len(test)} test actions had zero evidence" in (
+            record.getMessage()
+        )
+        assert result.confusion[:, 0].sum() == len(test)
+        assert_array_equal(result.prob_matrix, np.zeros((3, 3)))
+
+    def test_no_warning_when_every_action_has_evidence(self, directional, caplog):
+        train, test = split_cross_subject(directional, seed=0)
+        with caplog.at_level("WARNING", logger="dam.evaluation"):
+            run_single(train, test, small_config(), som_seed=1)
+        assert caplog.records == []
 
 
 class TestCrossValidate:

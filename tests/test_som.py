@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam.som import SomGrid, SomTrainParams, bmu, bmu_batch, quantization_error, train_som
+from dam.descriptor import compute_histogram
+from dam.som import (
+    _CHUNK_BUDGET,
+    SomGrid,
+    SomTrainParams,
+    bmu,
+    bmu_batch,
+    quantization_error,
+    train_som,
+)
 
 
 def _bmu_oracle(codebook, x):
@@ -73,7 +84,8 @@ class TestBmu:
         codebook = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         grid = SomGrid(rows=1, cols=3, codebook=codebook)
         assert bmu(grid, np.array([1.0, 0.0])) == 0
-        assert bmu(grid, np.array([0.55, 0.55])) in (0, 1)
+        # (0.45^2 + 0.55^2) and (0.55^2 + 0.45^2) round alike: an exact tie.
+        assert bmu(grid, np.array([0.55, 0.55])) == 0
 
     def test_batch_agrees_with_single_queries(self):
         rng = np.random.default_rng(3)
@@ -89,6 +101,103 @@ class TestBmu:
         grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, 3)))
         with pytest.raises(ValueError):
             bmu(grid, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rows_rejected(self, bad):
+        grid = SomGrid(rows=1, cols=3, codebook=np.eye(3))
+        xs = np.zeros((4, 3))
+        xs[2, 1] = bad
+        with pytest.raises(ValueError, match="query row 2"):
+            bmu_batch(grid, xs)
+        with pytest.raises(ValueError, match="non-finite"):
+            compute_histogram(grid, xs)
+        with pytest.raises(ValueError, match="non-finite"):
+            bmu(grid, xs[2])
+
+
+def _direct_oracle(codebook, xs):
+    """Winner of each query under the direct form, ties to the lowest index."""
+    return np.array([np.argmin(((codebook - x) ** 2).sum(axis=1)) for x in xs])
+
+
+@st.composite
+def _near_tie_cases(draw):
+    """A codebook and queries at which the GEMM scores are least reliable.
+
+    Queries sit at midpoints of two codebook rows nudged by a few ulps, on
+    duplicated rows, or anywhere; everything may be shifted by 1e6, where
+    ||c||^2 - 2 x.c cancels worst.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 24))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    codebook = rng.normal(size=(k, dim)) * scale
+    for _ in range(draw(st.integers(0, k // 2))):
+        src, dst = sorted(rng.choice(k, size=2, replace=False))
+        codebook[dst] = codebook[src]
+    codebook += shift
+    queries = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["midpoint", "duplicate", "random"]))
+        i, j = rng.choice(k, size=2, replace=False)
+        if kind == "midpoint":
+            mid = (codebook[i] + codebook[j]) / 2.0
+            nudge = rng.integers(-4, 5, size=dim)
+            queries.append(mid + nudge * np.spacing(mid))
+        elif kind == "duplicate":
+            queries.append(codebook[i].copy())
+        else:
+            queries.append(rng.normal(size=dim) * scale + shift)
+    return codebook, np.array(queries)
+
+
+class TestBmuProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_near_tie_cases())
+    def test_near_ties_match_the_direct_form(self, case):
+        codebook, xs = case
+        grid = SomGrid(rows=1, cols=codebook.shape[0], codebook=codebook)
+        assert_array_equal(bmu_batch(grid, xs), _direct_oracle(codebook, xs))
+
+    def test_overflowing_distances_follow_the_direct_form(self):
+        # Both direct-form distances overflow to inf, an exact tie that goes to
+        # unit 0, though the finite GEMM scores favour unit 1 by far.
+        codebook = np.array([[-0.1e154], [-0.05e154]])
+        grid = SomGrid(rows=1, cols=2, codebook=codebook)
+        with np.errstate(over="ignore"):
+            assert bmu(grid, np.array([1.3e154])) == 0
+
+    def test_subnormal_distances_follow_the_direct_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            codebook = rng.normal(size=(8, 3)) * 1e-162
+            xs = rng.normal(size=(20, 3)) * 1e-162
+            xs[:5] = (codebook[0] + codebook[1]) / 2.0
+            grid = SomGrid(rows=1, cols=8, codebook=codebook)
+            assert_array_equal(bmu_batch(grid, xs), _direct_oracle(codebook, xs))
+
+    def test_queries_spanning_several_row_blocks(self):
+        rng = np.random.default_rng(21)
+        k, dim = 625, 6
+        block = _CHUNK_BUDGET // k
+        codebook = rng.normal(size=(k, dim))
+        codebook[400:420] = codebook[:20]
+        xs = rng.normal(size=(2 * block + 50, dim))
+        # Duplicated-row and midpoint queries on both sides of each block edge.
+        for edge in (block, 2 * block):
+            xs[edge - 2 : edge + 2] = codebook[[400, 401, 402, 403]]
+            xs[edge + 2] = (codebook[0] + codebook[1]) / 2.0
+            xs[edge - 3] = (codebook[5] + codebook[7]) / 2.0
+        grid = SomGrid(rows=25, cols=25, codebook=codebook)
+        want = _direct_oracle(codebook, xs)
+        assert_array_equal(bmu_batch(grid, xs), want)
+        # Rows 400..403 copy rows 0..3, so the exact ties go to 0..3.
+        for edge in (block, 2 * block):
+            assert_array_equal(want[edge - 2 : edge + 2], [0, 1, 2, 3])
+        distances = np.sqrt(((xs - codebook[want]) ** 2).sum(axis=1))
+        assert quantization_error(grid, xs) == distances.mean()
 
 
 class TestTraining:
