@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 DEFAULT_SMOOTHING_SIGMA = 1.0
 DEFAULT_SMOOTHING_RADIUS = 2
@@ -122,20 +122,98 @@ def arc_length_resample(
         raise ValueError(f"need at least 2 samples to resample, got {series.shape[0]}")
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
+    if not np.isfinite(series).all():
+        raise ValueError("series contains non-finite coordinates")
+    return _resample_joints(series[:, None, :], count, epsilon)[:, 0, :]
 
-    seglen = np.linalg.norm(np.diff(series, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seglen)])
-    total = arc[-1]
-    if total < epsilon:
-        return np.tile(series[0], (count, 1))
+
+def _resample_joints(series: np.ndarray, count: int, epsilon: float) -> np.ndarray:
+    """`arc_length_resample` of every joint of a (T, J, d) array at once.
+
+    The result is bit for bit what scipy's
+    ``CubicSpline(knots, points, axis=0, bc_type="natural")`` gives per joint.
+    The natural-spline systems of all moving joints are stacked, in a flat
+    concatenated knot layout, into one block-diagonal tridiagonal system with
+    zero couplings, and solved with one call to LAPACK's ``dgtsv``, the
+    routine scipy solves each of them with; a zero coupling only ever adds or
+    subtracts a zero, so every block sees the same arithmetic as alone. The
+    Hermite coefficients and the polynomial evaluation follow scipy's
+    formulas in its operation order.
+    """
+    _, joints, dim = series.shape
+    seglen = np.linalg.norm(np.diff(series, axis=0), axis=-1)
+    arc = np.concatenate([np.zeros((1, joints)), np.cumsum(seglen, axis=0)])
+    totals = arc[-1]
+    if not np.isfinite(totals).all():
+        raise ValueError("chord length overflows")
+    moving = totals >= epsilon
+    out = np.empty((count, joints, dim))
+    out[:] = series[0]
+    if not moving.any():
+        return out
 
     # Coincident consecutive samples give zero-length segments; the spline
     # needs strictly increasing knots, so collapse them.
-    keep = np.concatenate([[True], seglen > 0.0])
-    knots = arc[keep]
-    points = series[keep]
-    spline = CubicSpline(knots, points, axis=0, bc_type="natural")
-    return spline(np.linspace(0.0, total, count))
+    keep = (np.concatenate([np.ones((1, joints), bool), seglen > 0.0]) & moving).T
+    x = arc.T[keep]
+    y = series.transpose(1, 0, 2)[keep]
+    sizes = keep.sum(axis=1)[moving]
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    dx = np.diff(x)
+    if (np.delete(dx, last[:-1]) <= 0.0).any():
+        raise ValueError("arc-length knots must be strictly increasing")
+    # Entries of dx and slope across a block boundary are never used.
+    slope = np.diff(y, axis=0) / dx[:, None]
+
+    # Row i of a block: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set the second
+    # derivative to zero.
+    diag = np.empty(x.size)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    diag[first] = 2 * dx[first]
+    diag[last] = 2 * dx[last - 1]
+    upper = np.empty(x.size - 1)
+    upper[1:] = dx[:-1]
+    upper[first] = dx[first]
+    upper[last[:-1]] = 0.0
+    lower = np.empty(x.size - 1)
+    lower[:-1] = dx[1:]
+    lower[last - 1] = dx[last - 1]
+    lower[last[:-1]] = 0.0
+    rhs = np.empty((x.size, dim))
+    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    rhs[first] = 3 * (y[first + 1] - y[first])
+    rhs[last] = 3 * (y[last] - y[last - 1])
+    *_, deriv, info = dgtsv(lower, diag, upper, rhs)
+    if info != 0:
+        raise ValueError(f"natural-spline system is singular (dgtsv info {info})")
+
+    # CubicHermiteSpline's coefficients, highest power first.
+    t = (deriv[:-1] + deriv[1:] - 2 * slope) / dx[:, None]
+    c0 = t / dx[:, None]
+    c1 = (slope - deriv[:-1]) / dx[:, None] - t
+    c2 = deriv[:-1]
+    c3 = y[:-1]
+
+    # np.linspace(0, total, count) per joint, in its operation order; its
+    # branch for a step that underflows to zero is unreachable, since a
+    # nonzero chord length is at least ~2e-162.
+    total = totals[moving]
+    query = np.arange(count, dtype=np.float64) * (total / (count - 1))[:, None]
+    query[:, -1] = total
+
+    # Each query's interval is the last knot <= it, clipped to the last
+    # interval of its joint (PPoly's rule); knots are padded with +inf.
+    padded = np.full((sizes.size, sizes.max()), np.inf)
+    local = np.arange(x.size) - np.repeat(first, sizes)
+    padded[np.repeat(np.arange(sizes.size), sizes), local] = x
+    below = (padded[:, None, :] <= query[:, :, None]).sum(axis=-1) - 1
+    seg = np.minimum(below, sizes[:, None] - 2) + first[:, None]
+    s = (query - x[seg])[..., None]
+    values = 0.0 + c3[seg] + c2[seg] * s + c1[seg] * (s * s) + c0[seg] * (s * s * s)
+    out[:, moving] = values.transpose(1, 0, 2)
+    return out
 
 
 # --- Direction frames and windows --------------------------------------------
@@ -200,16 +278,15 @@ def preprocess_action(action, params: PreprocessParams) -> np.ndarray:
     # keeps translation invariance exact instead of within rounding error.
     positions = positions - positions[0]
 
-    resampled = np.empty((params.frames, positions.shape[1], 3))
-    for j in range(positions.shape[1]):
-        smoothed = smooth_joint(
-            positions[:, j, :],
-            sigma=params.smoothing_sigma,
-            radius=params.smoothing_radius,
-        )
-        resampled[:, j, :] = arc_length_resample(
-            smoothed, params.frames, epsilon=params.norm_epsilon
-        )
+    steps, joints = positions.shape[:2]
+    smoothed = smooth_joint(
+        positions.reshape(steps, joints * 3),
+        sigma=params.smoothing_sigma,
+        radius=params.smoothing_radius,
+    )
+    resampled = _resample_joints(
+        smoothed.reshape(steps, joints, 3), params.frames, params.norm_epsilon
+    )
 
     directions = direction_frames(resampled)
     wdfs = windowed_direction_frames(directions, params.window)

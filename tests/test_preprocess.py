@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import CubicSpline
 
 from dam.preprocess import (
     PreprocessParams,
@@ -19,6 +22,7 @@ from dam.preprocess import (
     smooth_joint,
     windowed_direction_frames,
 )
+from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
 
 def _smooth_oracle(series, sigma, radius):
@@ -144,6 +148,84 @@ class TestArcLengthResample:
             arc_length_resample(np.zeros((4, 3)), 1)
 
 
+def _spline_knots(series):
+    """Cumulative chord length with coincident samples collapsed."""
+    seglen = np.linalg.norm(np.diff(series, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seglen)])
+    keep = np.concatenate([[True], seglen > 0.0])
+    return arc[keep], series[keep], arc[-1]
+
+
+@st.composite
+def _polylines(draw):
+    """Random (T, d) polylines, some with repeated samples and large offsets."""
+    samples = draw(st.integers(2, 60))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    series = rng.normal(size=(samples, dim)) * scale
+    if draw(st.booleans()):
+        series = np.round(series, draw(st.integers(0, 2)))
+    repeat = rng.random(samples) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    for i in np.flatnonzero(repeat[1:]) + 1:
+        series[i] = series[i - 1]
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, -1e6]))
+    return series + offset, draw(st.integers(2, 40))
+
+
+class TestArcLengthResampleMatchesScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(_polylines())
+    def test_equals_natural_cubic_spline(self, case):
+        series, count = case
+        knots, points, total = _spline_knots(series)
+        got = arc_length_resample(series, count)
+        if total < 1e-8:
+            assert_array_equal(got, np.tile(series[0], (count, 1)))
+            return
+        try:
+            spline = CubicSpline(knots, points, axis=0, bc_type="natural")
+        except ValueError:
+            # A segment too short to move the running arc length leaves two
+            # equal knots, which neither implementation accepts.
+            with pytest.raises(ValueError):
+                arc_length_resample(series, count)
+            return
+        assert np.array_equal(got, spline(np.linspace(0.0, total, count)))
+
+    def test_negative_zero_coordinate_gives_scipys_bytes(self):
+        # scipy's polynomial evaluation starts from +0.0, so a coordinate held
+        # at -0.0 comes out as +0.0.
+        series = np.array([[-0.0, 0.0], [-0.0, 1.0], [-0.0, 3.0], [-0.0, 3.5]])
+        knots, points, total = _spline_knots(series)
+        spline = CubicSpline(knots, points, axis=0, bc_type="natural")
+        want = spline(np.linspace(0.0, total, 7))
+        assert arc_length_resample(series, 7).tobytes() == want.tobytes()
+
+    def test_equal_knots_rejected(self):
+        # The third segment, 1e-12 long, does not move an arc length of 2e6.
+        series = np.array([[0.0], [1e6], [0.0], [1e-12], [5.0]])
+        knots, points, _ = _spline_knots(series)
+        assert knots[2] == knots[3]
+        with pytest.raises(ValueError):
+            CubicSpline(knots, points, axis=0, bc_type="natural")
+        with pytest.raises(ValueError):
+            arc_length_resample(series, 5)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            np.array([[0.0, 0.0], [1.0, 1.0], [2.0, np.nan]]),
+            # Finite samples whose chord length overflows.
+            np.array([[1e308], [-1e308], [0.0]]),
+        ],
+        ids=["nan", "overflowing_chord"],
+    )
+    def test_non_finite_rejected(self, series):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            arc_length_resample(series, 5)
+
+
 class TestDirectionFrames:
     def test_hand_computed_differences(self):
         positions = np.array(
@@ -260,6 +342,42 @@ class TestPreprocessParams:
             PreprocessParams(**kwargs)
 
 
+def _reference_preprocess(action, params):
+    """The per-joint chain: smooth_joint, then scipy's CubicSpline, per joint."""
+    positions = np.asarray(getattr(action, "frames", action), dtype=np.float64)
+    positions = positions - positions[0]
+    resampled = np.empty((params.frames, positions.shape[1], 3))
+    for j in range(positions.shape[1]):
+        smoothed = smooth_joint(
+            positions[:, j, :],
+            sigma=params.smoothing_sigma,
+            radius=params.smoothing_radius,
+        )
+        knots, points, total = _spline_knots(smoothed)
+        if total < params.norm_epsilon:
+            resampled[:, j, :] = smoothed[0]
+            continue
+        spline = CubicSpline(knots, points, axis=0, bc_type="natural")
+        resampled[:, j, :] = spline(np.linspace(0.0, total, params.frames))
+    wdfs = windowed_direction_frames(direction_frames(resampled), params.window)
+    return normalize_wdfs(wdfs, epsilon=params.norm_epsilon)
+
+
+def _edge_case_actions():
+    rng = np.random.default_rng(31)
+    stationary_joint = np.cumsum(rng.normal(size=(30, 5, 3)), axis=0)
+    stationary_joint[:, 2] = stationary_joint[0, 2]
+    coincident = np.cumsum(rng.normal(size=(30, 5, 3)), axis=0)
+    coincident[10:14, 1] = coincident[10, 1]
+    return {
+        "stationary_joint": stationary_joint,
+        "coincident_samples": coincident,
+        "all_still": np.tile(rng.normal(size=(1, 4, 3)), (12, 1, 1)),
+        "two_frames": rng.normal(size=(2, 4, 3)),
+        "three_frames": rng.normal(size=(3, 4, 3)),
+    }
+
+
 def _grid_action(rng, frames=20, joints=3, step=2.0 ** -6):
     """Random action whose coordinates sit on a dyadic grid (exact fp sums)."""
     return rng.integers(-(2 ** 12), 2 ** 12, size=(frames, joints, 3)).astype(float) * step
@@ -345,3 +463,31 @@ class TestPreprocessAction:
         second = preprocess_action(frames, params)
         assert_array_equal(first, second)
         assert_array_equal(frames, copy)
+
+
+class TestBatchedResamplingIsByteIdentical:
+    """preprocess_action resamples all joints at once; the bytes must equal
+    those of the per-joint CubicSpline chain."""
+
+    PARAMS = [
+        PreprocessParams(frames=25, window=3),
+        PreprocessParams(frames=9, window=2, smoothing_sigma=0.0),
+        PreprocessParams(frames=40, window=1, smoothing_sigma=2.0, smoothing_radius=5),
+    ]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize(
+        "make", [make_directional_dataset, make_ordered_dataset], ids=lambda f: f.__name__
+    )
+    def test_synthetic_corpora(self, make, params):
+        dataset = make(classes=3, subjects=3, instances=2, raw_frames=45, joints=20, seed=4)
+        for action in dataset.actions:
+            got = preprocess_action(action, params)
+            assert got.tobytes() == _reference_preprocess(action, params).tobytes()
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("name", sorted(_edge_case_actions()))
+    def test_edge_cases(self, name, params):
+        action = _edge_case_actions()[name]
+        got = preprocess_action(action, params)
+        assert got.tobytes() == _reference_preprocess(action, params).tobytes()

@@ -1,5 +1,7 @@
 """Tests for the online Kohonen self-organizing map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,15 @@ class TestTraining:
         g1 = train_som(samples, 3, 3, params)
         g2 = train_som(samples, 3, 3, params)
         assert_array_equal(g1.codebook, g2.codebook)
+
+    def test_codebook_bytes_match_the_pinned_digest(self):
+        # Pins the online rule's exact output (numpy 2.x, x86-64), so a faster
+        # training loop can show it changes no bit of the codebook.
+        rng = np.random.default_rng(2024)
+        samples = rng.normal(size=(200, 12))
+        grid = train_som(samples, 5, 5, SomTrainParams(epochs=3, seed=7))
+        digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
+        assert digest == "5031de5d94ff5d75fba5ff055839599e377aca28a2a1798fb75248950359e1f3"
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(10)
