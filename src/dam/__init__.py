@@ -37,7 +37,7 @@ from .dataset import (
     splits_loso,
     write_canonical_dataset,
 )
-from .descriptor import Histogram, compute_histogram, write_histogram_csv
+from .descriptor import Histogram, compute_histogram
 from .evaluation import (
     AggregateResult,
     ExperimentConfig,
@@ -117,7 +117,6 @@ __all__ = [
     "windowed_direction_frames",
     "write_canonical_dataset",
     "write_confusion_csv",
-    "write_histogram_csv",
     "write_per_subject_csv",
     "write_prob_matrix_csv",
     "write_results_csv",

@@ -139,6 +139,26 @@ def _content_lines(text: str):
         yield number, line
 
 
+def _parse_frame_lines(body: list, num_frames: int, expected: int) -> np.ndarray:
+    """Per-line parse of (line number, line) frame lines; errors name the line."""
+    frames = np.empty((num_frames, expected))
+    have = 0
+    for number, line in body:
+        if have >= num_frames:
+            raise ValueError(f"line {number}: unexpected content after {num_frames} frame lines")
+        values = line.split()
+        if len(values) != expected:
+            raise ValueError(f"line {number}: expected {expected} values, got {len(values)}")
+        try:
+            frames[have] = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"line {number}: unparseable number") from None
+        have += 1
+    if have != num_frames:
+        raise ValueError(f"expected {num_frames} frame lines, found {have}")
+    return frames
+
+
 def parse_action_file(text: str) -> Action:
     """Parse one canonical action file; errors carry 1-based line numbers."""
     lines = _content_lines(text)
@@ -174,21 +194,16 @@ def parse_action_file(text: str) -> Action:
         raise ValueError(f"line {header_no}: num_joints must be >= 1, got {num_joints}")
 
     expected = num_joints * 3
-    frames = np.empty((num_frames, expected))
-    have = 0
-    for number, line in lines:
-        if have >= num_frames:
-            raise ValueError(f"line {number}: unexpected content after {num_frames} frame lines")
-        values = line.split()
-        if len(values) != expected:
-            raise ValueError(f"line {number}: expected {expected} values, got {len(values)}")
-        try:
-            frames[have] = [float(v) for v in values]
-        except ValueError:
-            raise ValueError(f"line {number}: unparseable number") from None
-        have += 1
-    if have != num_frames:
-        raise ValueError(f"expected {num_frames} frame lines, found {have}")
+    body = list(lines)
+    # One conversion for the whole file; numpy parses each token as float()
+    # does. A ragged, short or unparseable body is parsed again line by line,
+    # which names the first bad line.
+    try:
+        frames = np.array([line.split() for _, line in body], dtype=np.float64)
+    except ValueError:
+        frames = None
+    if frames is None or frames.shape != (num_frames, expected):
+        frames = _parse_frame_lines(body, num_frames, expected)
 
     return Action(
         id=ident,

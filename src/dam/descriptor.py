@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,17 +38,3 @@ def compute_histogram(grid: SomGrid, wdfs: np.ndarray) -> Histogram:
     bins = np.bincount(winners, minlength=grid.unit_count).astype(np.float64)
     return Histogram(bins=bins / wdfs.shape[0], wdf_count=wdfs.shape[0])
 
-
-def write_histogram_csv(path, records) -> None:
-    """Write one row per action: id, class, subject, then the K bin values."""
-    records = list(records)
-    if not records:
-        raise ValueError("no histograms to write")
-    k = records[0][1].bins.shape[0]
-    lines = ["id,class,subject," + ",".join(f"bin_{i}" for i in range(k))]
-    for action, histogram in records:
-        if histogram.bins.shape[0] != k:
-            raise ValueError("histograms have inconsistent bin counts")
-        values = ",".join(format(v, ".6g") for v in histogram.bins)
-        lines.append(f"{action.id},{action.label},{action.subject},{values}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -27,6 +27,20 @@ _CHUNK_BUDGET = 262_144
 # Below this ||x||^2 + max ||c||^2 neither a GEMM score nor a direct-form
 # distance (at most twice that sum) can overflow, so the rounding bound holds.
 _SIZE_LIMIT = np.finfo(np.float64).max / 8
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _rounding_bound(dim: int, size):
+    """Rounding slack E = 4 (dim + 2) (eps size + tiny) of a winner search.
+
+    Two float64 evaluations of the squared distances over `dim` coordinates,
+    each a sum of at most dim + 2 rounded terms whose magnitudes total at
+    most `size`, may order two units differently only if their values lie
+    within E of each other (the `tiny` term covers subnormals). `_min_sqdist`
+    and `train_som` state the argument for their own pair of evaluations.
+    """
+    return 4.0 * (dim + 2) * (_EPS * size + _TINY)
 
 
 @dataclass(frozen=True)
@@ -129,20 +143,18 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     orders the units like the squared distance ``d_j = ||x||^2 + 2 h_j``.
     Rounding moves ``2 h_j`` and the direct form ``sum((c_j - x)**2)`` by at
     most ``E = 4 (dim + 2) eps (||x||^2 + max_j ||c_j||^2)`` together (plus an
-    absolute term for subnormals), in any summation order. So a row whose two
-    lowest scores are more than E apart (2E in units of d) has the same winner
-    under the direct form. Every other row (exact ties and duplicated units
-    included, and rows too large for the bound, see `_SIZE_LIMIT`) is
-    rescored over all K units with the direct form and `np.argmin`. The
-    winner is therefore the direct form's argmin, ties to the lowest index,
-    whatever the BLAS threading, and the returned distance is the direct
-    form's, to that winner.
+    absolute term for subnormals: `_rounding_bound`), in any summation order.
+    So a row whose two lowest scores are more than E apart (2E in units of
+    d) has the same winner under the direct form. Every other row (exact
+    ties and duplicated units included, and rows too large for the bound,
+    see `_SIZE_LIMIT`) is rescored over all K units with the direct form and
+    `np.argmin`. The winner is therefore the direct form's argmin, ties to
+    the lowest index, whatever the BLAS threading, and the returned distance
+    is the direct form's, to that winner.
     """
     n, dim = xs.shape
     k = codebook.shape[0]
     chunk = max(1, _CHUNK_BUDGET // k)
-    eps = np.finfo(np.float64).eps
-    tiny = np.finfo(np.float64).smallest_subnormal
     c2 = np.einsum("ij,ij->i", codebook, codebook)
     half_c2 = 0.5 * c2
     c2_max = c2.max()
@@ -159,8 +171,7 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
         scores[rows, winner] = np.inf
         second = scores.min(axis=1)
         size = np.einsum("ij,ij->i", block, block) + c2_max
-        bound = 4.0 * (dim + 2) * (eps * size + tiny)
-        sure = (second - first > bound) & (size < _SIZE_LIMIT)
+        sure = (second - first > _rounding_bound(dim, size)) & (size < _SIZE_LIMIT)
         for i in np.flatnonzero(~sure):
             winner[i] = np.argmin(((codebook - block[i]) ** 2).sum(axis=-1))
         diff = block - codebook[winner]
@@ -210,6 +221,21 @@ def train_som(
     from their start to end values over all ``epochs * n`` steps. The codebook
     starts as a seeded draw of training vectors unless `initial_codebook` is
     given, and every epoch visits the samples in a fresh seeded order.
+
+    The winner of a step is the argmin of the direct form
+    ``(diff * diff).sum(axis=1)``, ties to the lowest index, found in one
+    pass: ``einsum`` sums the same non-negative squares in another order, so
+    each of its distances lies within ``(dim + 2) eps d`` of the direct
+    form's (see `_rounding_bound`). When the runner-up exceeds the einsum
+    winner by more than E = `_rounding_bound` at the runner-up's distance,
+    the direct form ranks that winner strictly first too. Every other step
+    (exact ties and duplicated units included; an overflow or NaN makes the
+    gap NaN, which fails the test) takes the direct form's argmin. The
+    update and the Gaussian neighborhood use the same float operations as
+    the plain rule; the negated squared grid distance ``-(dr^2 + dc^2)`` is
+    the sum of two slices of one vector of exact small integers. No BLAS
+    call is made, so the codebook is byte-identical for a seed whatever the
+    thread settings.
     """
     params = params or SomTrainParams()
     samples = np.ascontiguousarray(samples, dtype=np.float64)
@@ -237,11 +263,22 @@ def train_som(
     else:
         codebook = samples[rng.choice(n, size=units, replace=n < units)].copy()
 
-    grid_pos = SomGrid(rows, cols, np.zeros((units, samples.shape[1]))).unit_coordinates()
     alpha0, alpha1 = params.learning_rate_start, params.learning_rate_end
     sigma0 = params.radius_start if params.radius_start is not None else max(rows, cols) / 2.0
     sigma0 = max(sigma0, params.radius_end)
     sigma1 = params.radius_end
+
+    dim = samples.shape[1]
+    diff = np.empty_like(codebook)
+    dist = np.empty(units)
+    influence_grid = np.empty((rows, cols))
+    influence = influence_grid.reshape(units)
+    influence_col = influence[:, None]
+    # neg_sq[span - 1 + d] = -(d * d) for grid offsets |d| < span, with -0.0
+    # at d = 0; the slice of a row or column holds -(offset to it)^2.
+    span = max(rows, cols)
+    offsets = np.arange(1 - span, span, dtype=np.float64)
+    neg_sq = -(offsets * offsets)
 
     total = params.epochs * n
     step = 0
@@ -250,11 +287,24 @@ def train_som(
             frac = step / (total - 1) if total > 1 else 0.0
             alpha = alpha0 * (alpha1 / alpha0) ** frac
             sigma = sigma0 * (sigma1 / sigma0) ** frac
-            x = samples[i]
-            diff = codebook - x
-            winner = int(np.argmin((diff * diff).sum(axis=1)))
-            gdiff = grid_pos - grid_pos[winner]
-            influence = alpha * np.exp(-(gdiff * gdiff).sum(axis=1) / (2.0 * sigma * sigma))
-            codebook -= influence[:, None] * diff
+            np.subtract(codebook, samples[i], out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=dist)
+            winner = int(dist.argmin())
+            first = dist[winner]
+            dist[winner] = np.inf
+            second = dist.min()
+            if not second - first > _rounding_bound(dim, second):
+                winner = int(np.argmin((diff * diff).sum(axis=1)))
+            r, c = divmod(winner, cols)
+            np.add(
+                neg_sq[span - 1 - r : span - 1 - r + rows, None],
+                neg_sq[span - 1 - c : span - 1 - c + cols],
+                out=influence_grid,
+            )
+            np.divide(influence, 2.0 * sigma * sigma, out=influence)
+            np.exp(influence, out=influence)
+            np.multiply(influence, alpha, out=influence)
+            np.multiply(diff, influence_col, out=diff)
+            np.subtract(codebook, diff, out=codebook)
             step += 1
     return SomGrid(rows, cols, codebook)

@@ -115,6 +115,53 @@ class TestCanonicalFormat:
         with pytest.raises(ValueError, match=fragment):
             parse_action_file(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a,1,2,2,1\n0 0 0 0\n1 1\n", "line 2: expected 3 values, got 4"),
+            ("a,1,2,2,1\n0 0 0\n1 1 1\n2 2 2\n", "line 4: unexpected content after 2 frame lines"),
+            ("a,1,2,2,1\n0 0 0\n", "expected 2 frame lines, found 1"),
+            ("a,1,2,2,1\n0 0 0\n1 0x1p3 1\n", "line 3: unparseable number"),
+        ],
+    )
+    def test_frame_errors_are_word_for_word(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_action_file(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "nan", "NaN", "-nan", "inf", "Infinity", "-inf", "1e400", "1e-400",
+         "5e-324", "-0", ".5", "1.", " 1", "+1.5", "1E5", "0x1p3", "1__0", "_1", "1e",
+         "1,5", "--1"],
+    )
+    def test_numbers_parse_as_float_does(self, token):
+        text = f"a,1,2,2,1\n{token} 0 0\n0 0 0\n"
+        try:
+            want = float(token)
+        except ValueError:
+            with pytest.raises(ValueError, match="line 2: unparseable number"):
+                parse_action_file(text)
+            return
+        if not np.isfinite(want):
+            # Parsed like float(), then refused by the Action check.
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                parse_action_file(text)
+            return
+        got = parse_action_file(text).frames[0, 0, 0]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_frames_match_the_per_line_float_parse(self):
+        rng = np.random.default_rng(8)
+        for i in range(10):
+            action = _random_action(rng, ident=f"c{i}", frames=9, joints=4)
+            action.frames[0, 0] = [-0.0, 1e-310, 1e300]
+            text = serialize_action(action)
+            lines = text.splitlines()[1:]
+            want = np.array([[float(v) for v in line.split()] for line in lines])
+            got = parse_action_file(text).frames.reshape(len(lines), -1)
+            assert got.tobytes() == want.tobytes()
+
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(5)
         for i in range(25):

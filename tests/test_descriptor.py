@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam.descriptor import Histogram, compute_histogram, write_histogram_csv
+from dam.descriptor import Histogram, compute_histogram
 from dam.som import SomGrid
 
 
@@ -68,20 +68,3 @@ class TestComputeHistogram:
         with pytest.raises(ValueError):
             Histogram(bins=np.zeros(4), wdf_count=0)
 
-
-class TestCsvExport:
-    def test_golden_rows(self, tmp_path):
-        class Stub:
-            def __init__(self, ident, label, subject):
-                self.id, self.label, self.subject = ident, label, subject
-
-        records = [
-            (Stub("a1", "wave", 3), Histogram(np.array([0.75, 0.25]), 4)),
-            (Stub("a2", 7, 1), Histogram(np.array([1.0 / 3.0, 2.0 / 3.0]), 3)),
-        ]
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(path, records)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,class,subject,bin_0,bin_1"
-        assert lines[1] == "a1,wave,3,0.75,0.25"
-        assert lines[2] == "a2,7,1,0.333333,0.666667"

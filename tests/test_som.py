@@ -202,6 +202,132 @@ class TestBmuProperties:
         assert quantization_error(grid, xs) == distances.mean()
 
 
+def _reference_train_som(samples, rows, cols, params, initial_codebook=None):
+    """The plain online rule, frozen: one broadcast step per visited sample."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n, units = samples.shape[0], rows * cols
+    rng = np.random.default_rng(params.seed)
+    if initial_codebook is not None:
+        codebook = np.array(initial_codebook, dtype=np.float64)
+    else:
+        codebook = samples[rng.choice(n, size=units, replace=n < units)].copy()
+    idx = np.arange(units)
+    grid_pos = np.stack([idx // cols, idx % cols], axis=1).astype(np.float64)
+    alpha0, alpha1 = params.learning_rate_start, params.learning_rate_end
+    sigma0 = params.radius_start if params.radius_start is not None else max(rows, cols) / 2.0
+    sigma0 = max(sigma0, params.radius_end)
+    sigma1 = params.radius_end
+    total = params.epochs * n
+    step = 0
+    for _ in range(params.epochs):
+        for i in rng.permutation(n):
+            frac = step / (total - 1) if total > 1 else 0.0
+            alpha = alpha0 * (alpha1 / alpha0) ** frac
+            sigma = sigma0 * (sigma1 / sigma0) ** frac
+            diff = codebook - samples[i]
+            winner = int(np.argmin((diff * diff).sum(axis=1)))
+            gdiff = grid_pos - grid_pos[winner]
+            influence = alpha * np.exp(-(gdiff * gdiff).sum(axis=1) / (2.0 * sigma * sigma))
+            codebook -= influence[:, None] * diff
+            step += 1
+    return codebook
+
+
+@st.composite
+def _training_cases(draw):
+    """Samples, grid and schedule for a short training run, often tie-heavy.
+
+    Samples may be rounded to one decimal (distance ties are then common) or
+    contain copies; the grid may be a line either way; the codebook may start
+    from given rows with copies, or from fewer samples than units. Given rows
+    may all permute one vector while half the samples are zero: units at the
+    same grid distance from each winner then stay at distances equal in exact
+    arithmetic that different summation orders round apart.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["grid", "row", "column"]))
+    length = draw(st.integers(1, 12))
+    rows, cols = {
+        "grid": (draw(st.integers(1, 5)), draw(st.integers(1, 5))),
+        "row": (1, length),
+        "column": (length, 1),
+    }[shape]
+    units = rows * cols
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 24))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    samples = rng.normal(size=(n, dim))
+    if draw(st.booleans()):
+        samples = np.round(samples, 1)
+    for _ in range(draw(st.integers(0, n // 2))):
+        samples[rng.integers(n)] = samples[rng.integers(n)]
+    samples *= scale
+    start = draw(st.sampled_from(["sampled", "given", "permuted"]))
+    initial = None
+    if start == "given":
+        initial = rng.normal(size=(units, dim)) * scale
+        for _ in range(draw(st.integers(0, units // 2))):
+            initial[rng.integers(units)] = initial[rng.integers(units)]
+    elif start == "permuted":
+        coords = rng.normal(size=dim) * np.exp(rng.normal(size=dim) * 3) * scale
+        initial = np.array([rng.permutation(coords) for _ in range(units)])
+        samples[rng.integers(n, size=n // 2 + 1)] = 0.0
+    params = SomTrainParams(
+        epochs=draw(st.integers(1, 3)),
+        radius_start=draw(st.one_of(st.none(), st.floats(0.5, 8.0))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return samples, rows, cols, params, initial
+
+
+@pytest.mark.filterwarnings("ignore:training set has fewer")
+class TestTrainingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_training_cases())
+    def test_codebook_bytes_match_the_plain_rule(self, case):
+        samples, rows, cols, params, initial = case
+        grid = train_som(samples, rows, cols, params, initial_codebook=initial)
+        want = _reference_train_som(samples, rows, cols, params, initial)
+        assert grid.codebook.tobytes() == want.tobytes()
+
+    def test_duplicated_units_go_to_the_lowest_index(self):
+        # Every unit starts at the same point: the first step is an exact
+        # tie over all units, which must go to unit 0.
+        rng = np.random.default_rng(31)
+        samples = rng.normal(size=(1, 6))
+        start = np.tile(rng.normal(size=6), (9, 1))
+        params = SomTrainParams(epochs=1, seed=0)
+        grid = train_som(samples, 3, 3, params, initial_codebook=start)
+        want = _reference_train_som(samples, 3, 3, params, start)
+        assert grid.codebook.tobytes() == want.tobytes()
+        moved = np.linalg.norm(grid.codebook - start, axis=1)
+        assert np.argmax(moved) == 0
+
+    def test_near_tied_units_take_the_direct_form_winner(self):
+        # Every unit permutes the same coordinates, so all distances to the
+        # zero sample are equal in exact arithmetic and differ only by how
+        # each summation order rounds. The codebook used has a unique lowest
+        # einsum distance, an ulp or so below the next, at another unit than
+        # the direct form's, so only the rounding bound sends the step to the
+        # direct form.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            coords = rng.normal(size=48) * np.exp(rng.normal(size=48) * 3)
+            start = np.array([rng.permutation(coords) for _ in range(12)])
+            fast = np.einsum("ij,ij->i", start, start)
+            lowest, runner_up = np.sort(fast)[:2]
+            direct = np.argmin((start * start).sum(axis=1))
+            if lowest < runner_up and np.argmin(fast) != direct:
+                break
+        else:
+            pytest.skip("einsum ranks these units as the direct form does here")
+        samples = np.zeros((1, 48))
+        params = SomTrainParams(epochs=1, seed=0)
+        grid = train_som(samples, 3, 4, params, initial_codebook=start)
+        want = _reference_train_som(samples, 3, 4, params, start)
+        assert grid.codebook.tobytes() == want.tobytes()
+
+
 class TestTraining:
     def test_same_seed_is_bit_identical(self):
         rng = np.random.default_rng(9)
@@ -219,6 +345,17 @@ class TestTraining:
         grid = train_som(samples, 5, 5, SomTrainParams(epochs=3, seed=7))
         digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
         assert digest == "5031de5d94ff5d75fba5ff055839599e377aca28a2a1798fb75248950359e1f3"
+
+    def test_paper_shape_codebook_bytes_match_the_pinned_digest(self):
+        # The benchmark's shape (numpy 2.x, x86-64): 625 units, vectors of
+        # dimension 180. Fewer samples than units, so some units start as
+        # duplicates.
+        rng = np.random.default_rng(625)
+        samples = rng.normal(size=(300, 180))
+        with pytest.warns(UserWarning, match="fewer"):
+            grid = train_som(samples, 25, 25, SomTrainParams(epochs=1, seed=11))
+        digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
+        assert digest == "31ab61094061e8060c80827a9079211ac6473aa187d4659155418da5a674c20e"
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(10)
