@@ -10,6 +10,7 @@ class order.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .descriptor import Histogram, compute_histogram
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
-MODEL_FORMAT_VERSION = "1"
+MODEL_FORMAT_VERSION = "2"
 
 _ROW_SUM_TOL = 1e-9
 
@@ -180,9 +181,34 @@ def classify_action(model: ClassModel, action) -> Posterior:
 
 # --- Model files -----------------------------------------------------------------
 
+# JSON value kinds a model file field may be checked against. A JSON true or
+# false decodes to a Python bool, an int subclass, so `_field` rejects bools.
+_JSON_KINDS = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+}
+
+# Every `preprocess` key save_model writes, with the JSON kind it must have.
+_PREPROCESS_KINDS = {
+    "frames": "integer",
+    "window": "integer",
+    "smoothing_sigma": "number",
+    "smoothing_radius": "integer",
+    "norm_epsilon": "number",
+}
+
 
 def save_model(model: ClassModel, path) -> None:
-    """Write the model as deterministic JSON; floats keep full round-trip precision."""
+    """Write the model as deterministic JSON.
+
+    The codebook is stored as the lowercase hex of its row-major,
+    little-endian float64 bytes, so it round-trips bit for bit and loads
+    without parsing decimals; every other float keeps full round-trip
+    precision as a JSON number.
+    """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "joint_count": model.joint_count,
@@ -197,7 +223,7 @@ def save_model(model: ClassModel, path) -> None:
             "rows": model.grid.rows,
             "cols": model.grid.cols,
             "dim": model.grid.dim,
-            "codebook": model.grid.codebook.tolist(),
+            "codebook": model.grid.codebook.astype("<f8", copy=False).tobytes().hex(),
         },
         "classes": list(model.classes),
         "cluster_class_probs": model.cluster_class_probs.tolist(),
@@ -206,35 +232,81 @@ def save_model(model: ClassModel, path) -> None:
 
 
 def load_model(path) -> ClassModel:
-    """Parse and fully validate a model file written by save_model."""
+    """Parse and fully validate a model file written by save_model.
+
+    Every error, a malformed structure included, is a ValueError that names
+    the file.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
     try:
-        version = payload["format_version"]
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model format version {version!r} "
-                f"(this build reads {MODEL_FORMAT_VERSION!r})"
-            )
-        grid_data = payload["grid"]
-        grid = SomGrid(
-            rows=int(grid_data["rows"]),
-            cols=int(grid_data["cols"]),
-            codebook=np.asarray(grid_data["codebook"], dtype=np.float64),
+        return _decode_model(payload)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _field(obj: dict, key: str, kind: str, where: str = ""):
+    """obj[key], checked to be a JSON value of `kind`; errors name `where + key`."""
+    if key not in obj:
+        raise ValueError(f"model file missing field {where + key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(
+            f"field {where + key!r} must be a JSON {kind}, got {reprlib.repr(value)}"
         )
-        if grid.dim != int(grid_data["dim"]):
-            raise ValueError(
-                f"declared dim {grid_data['dim']} != codebook dim {grid.dim}"
-            )
-        params = PreprocessParams(**payload["preprocess"])
-        return ClassModel(
-            grid=grid,
-            classes=list(payload["classes"]),
-            cluster_class_probs=np.asarray(payload["cluster_class_probs"], dtype=np.float64),
-            params=params,
-            joint_count=int(payload["joint_count"]),
+    return value
+
+
+def _decode_model(payload) -> ClassModel:
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file must hold a JSON object, got {reprlib.repr(payload)}")
+    version = _field(payload, "format_version", "string")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported model format version {version!r} "
+            f"(this build reads {MODEL_FORMAT_VERSION!r}); re-create it with `dam train`"
         )
-    except KeyError as e:
-        raise ValueError(f"{path}: model file missing field {e}") from None
+    grid_data = _field(payload, "grid", "object")
+    rows, cols, dim = (
+        _field(grid_data, key, "integer", "grid.") for key in ("rows", "cols", "dim")
+    )
+    if min(rows, cols, dim) < 1:
+        raise ValueError(
+            f"fields 'grid.rows', 'grid.cols', 'grid.dim' must be >= 1, "
+            f"got {rows}, {cols}, {dim}"
+        )
+    text = _field(grid_data, "codebook", "string", "grid.")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as e:
+        raise ValueError(f"field 'grid.codebook' is not a hex string: {e}") from None
+    if len(raw) != rows * cols * dim * 8:
+        raise ValueError(
+            f"field 'grid.codebook' holds {len(raw)} bytes, expected "
+            f"rows * cols * dim * 8 = {rows * cols * dim * 8}"
+        )
+    codebook = np.frombuffer(raw, dtype="<f8").reshape(rows * cols, dim).astype(np.float64)
+    grid = SomGrid(rows=rows, cols=cols, codebook=codebook)
+
+    preprocess = _field(payload, "preprocess", "object")
+    unknown = sorted(set(preprocess) - set(_PREPROCESS_KINDS))
+    if unknown:
+        raise ValueError(f"unknown field 'preprocess.{unknown[0]}'")
+    params = PreprocessParams(**{
+        key: _field(preprocess, key, kind, "preprocess.")
+        for key, kind in _PREPROCESS_KINDS.items()
+    })
+    probs = _field(payload, "cluster_class_probs", "array")
+    try:
+        probs = np.asarray(probs, dtype=np.float64)
+    except TypeError as e:
+        raise ValueError(f"field 'cluster_class_probs' is not numeric: {e}") from None
+    return ClassModel(
+        grid=grid,
+        classes=_field(payload, "classes", "array"),
+        cluster_class_probs=probs,
+        params=params,
+        joint_count=_field(payload, "joint_count", "integer"),
+    )

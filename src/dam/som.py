@@ -109,11 +109,6 @@ class SomGrid:
     def dim(self) -> int:
         return self.codebook.shape[1]
 
-    def unit_coordinates(self) -> np.ndarray:
-        """(units, 2) array of (row, col) grid positions, row-major order."""
-        idx = np.arange(self.unit_count)
-        return np.stack([idx // self.cols, idx % self.cols], axis=1).astype(np.float64)
-
     @classmethod
     def from_vectors(cls, vectors: np.ndarray) -> "SomGrid":
         """Wrap externally produced cluster centers (k-means etc.) as a 1 x K grid."""

@@ -1,9 +1,13 @@
 """Tests for per-cluster class probabilities, posterior scoring, and model files."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam.classifier import (
@@ -223,6 +227,63 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_format_1_file_names_both_versions(self, tmp_path):
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = "1"
+        payload["grid"]["codebook"] = model.grid.codebook.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"version '1' \(this build reads '2'\); re-create"):
+            load_model(path)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(codebook=st.integers(1, 3).flatmap(lambda units: hnp.arrays(
+        np.float64, (units, 3), elements=st.floats(allow_nan=False, allow_infinity=False))))
+    @example(codebook=np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                                [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]))
+    def test_codebook_bits_round_trip(self, tmp_path, codebook):
+        params = PreprocessParams(frames=4, window=1)
+        units = codebook.shape[0]
+        model = ClassModel(SomGrid(rows=1, cols=units, codebook=codebook), ["a"],
+                           np.ones((units, 1)), params, joint_count=1)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path).grid.codebook
+        assert loaded.tobytes() == codebook.tobytes()
+        assert loaded.flags.writeable and loaded.flags.c_contiguous
+        assert loaded.dtype == np.float64
+
+    @pytest.mark.parametrize("edit", [
+        lambda hex_: hex_[:-16],  # truncated by one value
+        lambda hex_: hex_[:-1],  # odd length
+        lambda hex_: "g" + hex_[1:],  # not hex
+        lambda hex_: hex_ + "00" * 8,  # one value too many
+    ], ids=["truncated", "odd-length", "non-hex", "wrong-length"])
+    def test_bad_codebook_string_names_codebook(self, tmp_path, edit):
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["grid"]["codebook"] = edit(payload["grid"]["codebook"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"field 'grid\.codebook'"):
+            load_model(path)
+
+    def test_file_bytes_match_the_pinned_digest(self, tmp_path):
+        # Fails on any change of key order, separators, codebook byte order
+        # or float formatting; bump MODEL_FORMAT_VERSION with such a change.
+        params = PreprocessParams(frames=4, window=1)
+        codebook = np.array([[0.1, -0.0, 5e-324], [1e300, -2.5, 3.0]])
+        model = ClassModel(SomGrid(rows=1, cols=2, codebook=codebook), [0, "b"],
+                           np.array([[1.0, 0.0], [0.25, 0.75]]), params, joint_count=1)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "17f8b9eeb0c1d238176730ebcc31c89ec131a0441de78f42b5f2cb8de3da87cb"
 
     def test_corrupted_probability_rows_fail_validation(self, tmp_path):
         model, _ = _toy_model()

@@ -63,6 +63,21 @@ def model_path(tmp_path_factory, canon_dir) -> Path:
     return path
 
 
+# Each edit of a valid model file's payload, keyed by the field its error names.
+MALFORMED_MODEL_EDITS = {
+    "JSON object": lambda p: [],
+    "'grid'": lambda p: {**p, "grid": []},
+    "'grid.rows'": lambda p: {**p, "grid": {**p["grid"], "rows": 3.0}},
+    "'grid.codebook'": lambda p: {**p, "grid": {**p["grid"], "codebook": {}}},
+    "'preprocess'": lambda p: {**p, "preprocess": []},
+    "'preprocess.frames'": lambda p: {**p, "preprocess": {**p["preprocess"], "frames": "x"}},
+    "'preprocess.speed'": lambda p: {**p, "preprocess": {**p["preprocess"], "speed": 1}},
+    "'joint_count'": lambda p: {**p, "joint_count": "3"},
+    "'classes'": lambda p: {**p, "classes": 3},
+    "'cluster_class_probs'": lambda p: {**p, "cluster_class_probs": [[{}]]},
+}
+
+
 class TestConvert:
     def test_action3d_round_trip(self, capsys, tmp_path, action3d_dir):
         out = tmp_path / "canon"
@@ -313,6 +328,21 @@ class TestClassify:
         )
         [line] = stderr.splitlines()
         assert line.startswith("warning: 2 of 2 actions had zero evidence")
+
+    @pytest.mark.parametrize("field", list(MALFORMED_MODEL_EDITS))
+    def test_malformed_model_file_gives_one_error_line(self, capsys, tmp_path, canon_dir,
+                                                       model_path, field):
+        edit = MALFORMED_MODEL_EDITS[field]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+        code, stdout, stderr = run(capsys, "classify", "--model", str(bad),
+                                   str(canon_dir / "c0_s01_i00.txt"))
+        assert code == 1
+        assert stdout == ""
+        [line] = stderr.splitlines()
+        prefix = f"error: {bad}: "
+        assert line.startswith(prefix)
+        assert field in line[len(prefix):]
 
     def test_missing_input_fails(self, capsys, model_path, tmp_path):
         code, _, stderr = run(capsys, "classify", "--model", str(model_path),

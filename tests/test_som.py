@@ -60,13 +60,7 @@ class TestParamsAndGrid:
             SomGrid(rows=2, cols=3, codebook=np.zeros((5, 4)))
         with pytest.raises(ValueError):
             SomGrid(rows=2, cols=3, codebook=np.zeros(6))
-
-    def test_unit_coordinates_are_row_major(self):
         grid = SomGrid(rows=2, cols=3, codebook=np.zeros((6, 4)))
-        coords = grid.unit_coordinates()
-        assert_array_equal(
-            coords, [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
-        )
         assert grid.unit_count == 6
         assert grid.dim == 4
 
