@@ -4,12 +4,13 @@
 estimate class probabilities, score the held-out half. The two protocol
 drivers (`cross_validate`, `evaluate_loso`) only list their runs as
 (train indices, test indices, SOM seed, run index) tasks; one path then
-preprocesses each action of the dataset once per protocol call and runs
-every task, in a loop or on worker processes that receive the dataset, the
-config and the shared WDFs (windowed direction frames) once each. Per-run
+runs every task on the WDFs (windowed direction frames) of the dataset, in a
+loop or on worker processes that receive the dataset, the config and the
+shared WDFs once each. A protocol call preprocesses each action once;
+`parameter_sweep` preprocesses each action once per window and hands those
+WDFs to the cross-subject runs of every grid and action subset. Per-run
 seeds are derived deterministically from the master seed, so every result
 is reproducible bit-for-bit whatever the number of workers.
-`parameter_sweep` composes `cross_validate`.
 """
 
 from __future__ import annotations
@@ -209,10 +210,15 @@ def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
     return run_single(train, test, cfg, som_seed=som_seed, run_index=run_index, wdfs=wdfs)
 
 
-def _run_tasks(dataset: Dataset, cfg: ExperimentConfig, tasks: list,
-               jobs: int) -> list[RunResult]:
-    """Preprocess every action once, then run the tasks; results keep task order."""
-    wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in dataset}
+def _run_tasks(dataset: Dataset, cfg: ExperimentConfig, tasks: list, jobs: int,
+               wdfs: dict | None = None) -> list[RunResult]:
+    """Run the tasks; results keep task order.
+
+    `wdfs` maps the id of every action of `dataset` to its WDFs under
+    `cfg.preprocess`; without it the actions are preprocessed here.
+    """
+    if wdfs is None:
+        wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in dataset}
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_task(task, (dataset, cfg, wdfs)) for task in tasks]
     with ProcessPoolExecutor(
@@ -255,14 +261,19 @@ def _aggregate(protocol: str, results: list[RunResult], pooled: bool) -> Aggrega
     )
 
 
-def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
-    """cfg.runs repetitions of a fresh random cross-subject half split."""
-    tasks = [
+def _cross_subject_tasks(dataset: Dataset, cfg: ExperimentConfig) -> list:
+    """One task per run; depends only on the dataset, `cfg.seed` and `cfg.runs`."""
+    return [
         (*_indices(dataset, split_cross_subject(dataset, derive_seed(cfg.seed, r, 0))),
          derive_seed(cfg.seed, r, 1), r)
         for r in range(cfg.runs)
     ]
-    return _aggregate(CROSS_SUBJECT, _run_tasks(dataset, cfg, tasks, jobs), pooled=False)
+
+
+def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
+    """cfg.runs repetitions of a fresh random cross-subject half split."""
+    results = _run_tasks(dataset, cfg, _cross_subject_tasks(dataset, cfg), jobs)
+    return _aggregate(CROSS_SUBJECT, results, pooled=False)
 
 
 def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
@@ -312,7 +323,8 @@ def parameter_sweep(
     list) each combination is evaluated per subset and an unweighted `mean`
     row across subsets is appended, mirroring how multi-subset benchmarks are
     usually reported. All combinations share the master seed, so their
-    underlying splits are paired.
+    underlying splits are paired. Every window, grid and subset is checked
+    before the first codebook is trained.
     """
     windows = list(windows)
     grids = [(int(r), int(c)) for r, c in grids]
@@ -325,59 +337,40 @@ def parameter_sweep(
                 f"must be in [1, {cfg.preprocess.frames - 1}]"
             )
 
+    configs = [
+        [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
+         for r, c in grids]
+        for w in windows
+    ]
     if action_sets:
-        subsets = [(name, action_sets[name]) for name in sorted(action_sets)]
+        subsets = {name: filter_action_set(dataset, action_sets[name])
+                   for name in sorted(action_sets)}
     else:
-        subsets = [("all", None)]
+        subsets = {"all": dataset}
+    tasks = {name: _cross_subject_tasks(sub, cfg) for name, sub in subsets.items()}
+    actions = {a.id: a for sub in subsets.values() for a in sub}
 
     out: list[SweepRow] = []
-    for window in windows:
-        for rows, cols in grids:
-            combo_cfg = replace(
-                cfg,
-                preprocess=replace(cfg.preprocess, window=window),
-                rows=rows,
-                cols=cols,
-            )
+    for window, window_cfgs in zip(windows, configs):
+        wdfs = {i: preprocess_action(a, window_cfgs[0].preprocess) for i, a in actions.items()}
+        for combo in window_cfgs:
             per_subset: list[SweepRow] = []
-            for name, labels in subsets:
-                sub = dataset if labels is None else filter_action_set(dataset, labels)
-                agg = cross_validate(sub, combo_cfg, jobs=jobs)
-                per_subset.append(
-                    SweepRow(
-                        subset=name,
-                        window=window,
-                        rows=rows,
-                        cols=cols,
-                        clusters=rows * cols,
-                        runs=cfg.runs,
-                        mean_accuracy=agg.mean_accuracy,
-                        std_accuracy=agg.std_accuracy,
-                    )
-                )
-                logger.info(
-                    "sweep %s W=%d %dx%d: %.4f +/- %.4f",
-                    name, window, rows, cols,
-                    per_subset[-1].mean_accuracy, per_subset[-1].std_accuracy,
-                )
+            for name, sub in subsets.items():
+                sub_wdfs = {a.id: wdfs[a.id] for a in sub}
+                results = _run_tasks(sub, combo, tasks[name], jobs, sub_wdfs)
+                agg = _aggregate(CROSS_SUBJECT, results, pooled=False)
+                per_subset.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
+                                           cfg.runs, agg.mean_accuracy, agg.std_accuracy))
+                logger.info("sweep %s W=%d %dx%d: %.4f +/- %.4f", name, window, combo.rows,
+                            combo.cols, agg.mean_accuracy, agg.std_accuracy)
             out.extend(per_subset)
             if action_sets:
-                out.append(
-                    SweepRow(
-                        subset="mean",
-                        window=window,
-                        rows=rows,
-                        cols=cols,
-                        clusters=rows * cols,
-                        runs=cfg.runs,
-                        mean_accuracy=float(
-                            np.mean([r.mean_accuracy for r in per_subset])
-                        ),
-                        std_accuracy=float(
-                            np.mean([r.std_accuracy for r in per_subset])
-                        ),
-                    )
-                )
+                out.append(replace(
+                    per_subset[0],
+                    subset="mean",
+                    mean_accuracy=float(np.mean([r.mean_accuracy for r in per_subset])),
+                    std_accuracy=float(np.mean([r.std_accuracy for r in per_subset])),
+                ))
     return out
 
 

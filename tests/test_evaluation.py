@@ -7,6 +7,8 @@ against itself.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -29,7 +31,7 @@ from dam.evaluation import (
     write_sweep_csv,
 )
 from dam.preprocess import PreprocessParams, preprocess_action
-from dam.som import SomTrainParams
+from dam.som import SomTrainParams, train_som
 from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
 
@@ -292,6 +294,26 @@ class TestCrossValidate:
         agg = cross_validate(directional, small_config(runs=1))
         assert agg.std_accuracy == 0.0
 
+    def test_accuracy_below_ceiling_is_pinned(self):
+        # A noisy corpus the classifier gets mostly but not all right, so a
+        # change that costs accuracy shows here; the path is byte-deterministic.
+        ds = make_directional_dataset(
+            classes=6, subjects=6, instances=5, raw_frames=40, joints=10, seed=1,
+            noise=0.3, direction_jitter=2.0,
+        )
+        cfg = ExperimentConfig(
+            preprocess=PreprocessParams(frames=25, window=3),
+            rows=12,
+            cols=12,
+            som=SomTrainParams(epochs=5),
+            runs=3,
+            seed=0,
+        )
+        agg = cross_validate(ds, cfg)
+        assert [(r.correct_count, r.test_count) for r in agg.run_results] == [
+            (79, 90), (83, 90), (79, 90),
+        ]
+
     def test_parallel_equals_serial(self, directional):
         cfg = small_config(runs=3, seed=13)
         serial = cross_validate(directional, cfg, jobs=1)
@@ -366,6 +388,23 @@ class TestPreprocessOnce:
             evaluate_loso(directional, cfg, jobs=jobs, repeats=2)
         assert sorted(calls) == sorted(a.id for a in directional)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_preprocesses_each_action_once_per_window(
+        self, directional, monkeypatch, jobs
+    ):
+        calls = []
+
+        def counted(action, params):
+            calls.append((action.id, params.window))
+            return preprocess_action(action, params)
+
+        monkeypatch.setattr(evaluation, "preprocess_action", counted)
+        parameter_sweep(
+            directional, small_config(runs=2, seed=3), windows=[1, 2],
+            grids=[(2, 2), (3, 3)], action_sets={"even": [0, 2], "low": [0, 1]}, jobs=jobs,
+        )
+        assert sorted(calls) == sorted((a.id, w) for a in directional for w in (1, 2))
+
 
 class TestParameterSweep:
     def test_row_count_without_subsets(self, directional):
@@ -410,6 +449,48 @@ class TestParameterSweep:
             parameter_sweep(directional, cfg, windows=[2, 10], grids=[(2, 2)])
         with pytest.raises(ValueError, match="window 0"):
             parameter_sweep(directional, cfg, windows=[0], grids=[(2, 2)])
+
+    @pytest.mark.filterwarnings("ignore:class 99 not present")
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(windows=[1, 2], grids=[(2, 2), (0, 3)]), "grid must be at least 1x1"),
+            (dict(windows=[2], grids=[(2, 2)], action_sets={"a": [0, 1], "z": [99]}),
+             "no actions remain"),
+        ],
+        ids=["grid", "subset"],
+    )
+    def test_bad_grid_or_subset_rejected_before_training(
+        self, directional, monkeypatch, kwargs, match
+    ):
+        trained = []
+
+        def counted(*args, **kw):
+            trained.append(args)
+            return train_som(*args, **kw)
+
+        monkeypatch.setattr(evaluation, "train_som", counted)
+        with pytest.raises(ValueError, match=match):
+            parameter_sweep(directional, small_config(runs=2), **kwargs)
+        assert trained == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_csv_bytes_are_pinned(self, tmp_path, jobs):
+        ds = make_directional_dataset(
+            classes=3, subjects=4, instances=2, raw_frames=20, joints=3, seed=11,
+            noise=0.3, direction_jitter=2.0,
+        )
+        rows = parameter_sweep(
+            ds, small_config(runs=2, seed=4), windows=[1, 2], grids=[(2, 2), (3, 3)],
+            action_sets={"even": [0, 2], "low": [0, 1]}, jobs=jobs,
+        )
+        # Accuracies below 1.0, so the digest pins values and not only layout.
+        assert max(r.mean_accuracy for r in rows) < 1.0
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, rows)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "243897ec6a404cc61548632d4b0591756c5b61a6f07407397e9c6b6e93e0ab98"
+        )
 
     def test_empty_axes_rejected(self, directional):
         cfg = small_config(runs=1)
