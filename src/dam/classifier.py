@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._jsonin import build, field
 from .descriptor import Histogram, compute_histogram
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
@@ -181,26 +182,6 @@ def classify_action(model: ClassModel, action) -> Posterior:
 
 # --- Model files -----------------------------------------------------------------
 
-# JSON value kinds a model file field may be checked against. A JSON true or
-# false decodes to a Python bool, an int subclass, so `_field` rejects bools.
-_JSON_KINDS = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-}
-
-# Every `preprocess` key save_model writes, with the JSON kind it must have.
-_PREPROCESS_KINDS = {
-    "frames": "integer",
-    "window": "integer",
-    "smoothing_sigma": "number",
-    "smoothing_radius": "integer",
-    "norm_epsilon": "number",
-}
-
-
 def save_model(model: ClassModel, path) -> None:
     """Write the model as deterministic JSON.
 
@@ -212,13 +193,7 @@ def save_model(model: ClassModel, path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "joint_count": model.joint_count,
-        "preprocess": {
-            "frames": model.params.frames,
-            "window": model.params.window,
-            "smoothing_sigma": model.params.smoothing_sigma,
-            "smoothing_radius": model.params.smoothing_radius,
-            "norm_epsilon": model.params.norm_epsilon,
-        },
+        "preprocess": asdict(model.params),
         "grid": {
             "rows": model.grid.rows,
             "cols": model.grid.cols,
@@ -247,37 +222,25 @@ def load_model(path) -> ClassModel:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _field(obj: dict, key: str, kind: str, where: str = ""):
-    """obj[key], checked to be a JSON value of `kind`; errors name `where + key`."""
-    if key not in obj:
-        raise ValueError(f"model file missing field {where + key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-        raise ValueError(
-            f"field {where + key!r} must be a JSON {kind}, got {reprlib.repr(value)}"
-        )
-    return value
-
-
 def _decode_model(payload) -> ClassModel:
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {reprlib.repr(payload)}")
-    version = _field(payload, "format_version", "string")
+    version = field(payload, "format_version", str)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {version!r} "
             f"(this build reads {MODEL_FORMAT_VERSION!r}); re-create it with `dam train`"
         )
-    grid_data = _field(payload, "grid", "object")
+    grid_data = field(payload, "grid", dict)
     rows, cols, dim = (
-        _field(grid_data, key, "integer", "grid.") for key in ("rows", "cols", "dim")
+        field(grid_data, key, int, "grid.") for key in ("rows", "cols", "dim")
     )
     if min(rows, cols, dim) < 1:
         raise ValueError(
             f"fields 'grid.rows', 'grid.cols', 'grid.dim' must be >= 1, "
             f"got {rows}, {cols}, {dim}"
         )
-    text = _field(grid_data, "codebook", "string", "grid.")
+    text = field(grid_data, "codebook", str, "grid.")
     try:
         raw = bytes.fromhex(text)
     except ValueError as e:
@@ -290,23 +253,17 @@ def _decode_model(payload) -> ClassModel:
     codebook = np.frombuffer(raw, dtype="<f8").reshape(rows * cols, dim).astype(np.float64)
     grid = SomGrid(rows=rows, cols=cols, codebook=codebook)
 
-    preprocess = _field(payload, "preprocess", "object")
-    unknown = sorted(set(preprocess) - set(_PREPROCESS_KINDS))
-    if unknown:
-        raise ValueError(f"unknown field 'preprocess.{unknown[0]}'")
-    params = PreprocessParams(**{
-        key: _field(preprocess, key, kind, "preprocess.")
-        for key, kind in _PREPROCESS_KINDS.items()
-    })
-    probs = _field(payload, "cluster_class_probs", "array")
+    preprocess = field(payload, "preprocess", dict)
+    params = build(PreprocessParams, preprocess, "preprocess.", defaults=False)
+    probs = field(payload, "cluster_class_probs", list)
     try:
         probs = np.asarray(probs, dtype=np.float64)
     except TypeError as e:
         raise ValueError(f"field 'cluster_class_probs' is not numeric: {e}") from None
     return ClassModel(
         grid=grid,
-        classes=_field(payload, "classes", "array"),
+        classes=field(payload, "classes", list),
         cluster_class_probs=probs,
         params=params,
-        joint_count=_field(payload, "joint_count", "integer"),
+        joint_count=field(payload, "joint_count", int),
     )

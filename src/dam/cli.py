@@ -10,9 +10,9 @@ of the library dataclass it feeds. Every failure is reported as a single
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
+import reprlib
 import shutil
 import sys
 from functools import partial
@@ -20,11 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonin import build, convert, field_types, is_kind, read_object
 from .classifier import classify_action, fit_model, load_model, save_model
 from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
     Msrc12Layout,
+    drop_excluded,
     load_canonical_dataset,
     load_msr_action3d,
     load_msrc12,
@@ -72,44 +74,6 @@ class _Parser(argparse.ArgumentParser):
 # --- Settings resolution ---------------------------------------------------------
 
 
-def _read_json_object(path: Path, what: str) -> dict:
-    """Decode a JSON object file, dropping "_"-prefixed comment keys."""
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise CliError(f"cannot read {what} {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"{what} {path} is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise CliError(f"{what} {path} must be a JSON object")
-    return {k: v for k, v in data.items() if not k.startswith("_")}
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integer(key: str, value) -> int:
-    if not _is_integer(value):
-        raise CliError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(key: str, value) -> float:
-    if not (_is_integer(value) or isinstance(value, float)):
-        raise CliError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _number_pair(key: str, value, start_may_be_null: bool = False) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise CliError(f"config key {key} must be a list of 2 values, got {value!r}")
-    start, end = value
-    if start is None and start_may_be_null:
-        return None, _number(key, end)
-    return _number(key, start), _number(key, end)
-
-
 def _grid(key: str, value) -> tuple[int, int]:
     """Accept '25x25' or a [rows, cols] pair of integers."""
     pair = value
@@ -118,18 +82,19 @@ def _grid(key: str, value) -> tuple[int, int]:
             pair = [int(part) for part in value.lower().split("x")]
         except ValueError:
             pair = None
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_integer, pair))):
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(is_kind(v, int) for v in pair)):
         raise CliError(f'{key} must look like "25x25" or [25, 25], got {value!r}')
     return pair[0], pair[1]
 
 
-def _non_empty_list(key: str, value, convert) -> list:
+def _non_empty_list(key: str, value, convert_item) -> list:
     """A list from JSON or from a comma-separated flag, each item converted."""
     if isinstance(value, str):
         value = value.split(",")
     if not isinstance(value, list) or not value:
         raise CliError(f"{key} must be a non-empty list, got {value!r}")
-    return [convert(key, item) for item in value]
+    return [convert_item(key, item) for item in value]
 
 
 def _window_item(key: str, value) -> int:
@@ -138,7 +103,7 @@ def _window_item(key: str, value) -> int:
             return int(value)
         except ValueError:
             raise CliError(f"{key} must be integers, got {value!r}") from None
-    return _integer(key, value)
+    return convert(int, key, value)
 
 
 def _protocol(key: str, value) -> str:
@@ -153,28 +118,19 @@ def _protocol(key: str, value) -> str:
 def _action_sets(key: str, value) -> dict:
     if isinstance(value, str):
         return load_action_sets(value)
-    if not isinstance(value, dict):
-        raise CliError(f"{key} must map subset names to class lists, got {value!r}")
     return _check_action_sets(value, f"config key {key}")
 
 
 # The one conversion of each config key (and of the flag of the same name).
 _CONVERTERS = {
-    "frames": _integer,
-    "window": _integer,
-    "smoothing_sigma": _number,
-    "smoothing_radius": _integer,
-    "norm_epsilon": _number,
+    **{key: partial(convert, hint) for key, hint in field_types(PreprocessParams).items()},
     "grid": _grid,
-    "epochs": _integer,
-    "learning_rate": _number_pair,
-    "som_radius": partial(_number_pair, start_may_be_null=True),
-    "runs": _integer,
-    "seed": _integer,
-    "jobs": _integer,
+    **dict.fromkeys(("epochs", "runs", "seed", "jobs"), partial(convert, int)),
+    "learning_rate": partial(convert, tuple[float, float]),
+    "som_radius": partial(convert, tuple[float | None, float]),
     "protocol": _protocol,
-    "windows": partial(_non_empty_list, convert=_window_item),
-    "grids": partial(_non_empty_list, convert=_grid),
+    "windows": partial(_non_empty_list, convert_item=_window_item),
+    "grids": partial(_non_empty_list, convert_item=_grid),
     "action_sets": _action_sets,
 }
 
@@ -183,8 +139,7 @@ CONFIG_KEYS = frozenset(_CONVERTERS)
 
 
 def _load_config(path) -> dict:
-    path = Path(path)
-    data = _read_json_object(path, "config")
+    data = read_object(path, "config")
     unknown = sorted(k for k in data if k not in CONFIG_KEYS)
     if unknown:
         raise CliError(
@@ -211,14 +166,14 @@ def resolve_settings(args, config: dict) -> dict:
     result supply their own defaults.
     """
     settings = {}
-    for key, convert in _CONVERTERS.items():
+    for key, to_setting in _CONVERTERS.items():
         value = getattr(args, key, None)
         if value is None:
             value = config.get(key)
         if value is None and key == "seed":
             value = _env_seed()
         if value is not None:
-            settings[key] = convert(key, value)
+            settings[key] = to_setting(key, value)
     return settings
 
 
@@ -238,9 +193,7 @@ def _given(settings: dict, *keys: str) -> dict:
 
 def preprocess_params(settings: dict) -> PreprocessParams:
     _require(settings, "frames", "window")
-    return PreprocessParams(**_given(
-        settings, "frames", "window", "smoothing_sigma", "smoothing_radius", "norm_epsilon"
-    ))
+    return PreprocessParams(**_given(settings, *field_types(PreprocessParams)))
 
 
 def som_params(settings: dict, **fields) -> SomTrainParams:
@@ -260,26 +213,34 @@ def experiment_config(settings: dict) -> ExperimentConfig:
     )
 
 
-def _check_action_sets(sets: dict, source: str) -> dict:
-    if not sets:
-        raise CliError(f"{source} defines no subsets")
+def _check_action_sets(sets, source: str) -> dict:
+    if not (is_kind(sets, dict) and sets):
+        raise CliError(f"{source} must map subset names to class lists, got {sets!r}")
     for name, labels in sets.items():
-        if not isinstance(labels, list) or not labels:
-            raise CliError(f"action set {name!r} in {source} must be a non-empty list")
+        if not (is_kind(labels, list) and labels
+                and all(is_kind(label, int) or is_kind(label, str) for label in labels)):
+            raise CliError(f"action set {name!r} in {source} must be a non-empty list of "
+                           f"integer or string class labels, got {reprlib.repr(labels)}")
     return sets
 
 
 def load_action_sets(path) -> dict:
     """Read a subset file: JSON object mapping subset name -> class-label list."""
-    path = Path(path)
-    return _check_action_sets(_read_json_object(path, "action sets"), f"action sets {path}")
+    return _check_action_sets(read_object(path, "action sets"), f"action sets {path}")
 
 
 # --- Dataset loading ------------------------------------------------------------
 
 
 def _load_layout(path) -> Msrc12Layout:
-    return Msrc12Layout.from_dict(_read_json_object(Path(path), "layout"))
+    try:
+        data = read_object(path, "layout")
+    except ValueError as e:
+        raise CliError(str(e)) from None
+    try:
+        return build(Msrc12Layout, data)
+    except ValueError as e:
+        raise CliError(f"layout {path}: {e}") from None
 
 
 def _load_dataset(directory, fmt: str, layout_path=None, apply_exclusions: bool = True) -> Dataset:
@@ -319,7 +280,11 @@ def cmd_convert(args) -> int:
 
 
 def _settings(args) -> dict:
-    return resolve_settings(args, _load_config(args.config) if args.config else {})
+    """The resolved settings; every error in the config or the flags exits 2."""
+    try:
+        return resolve_settings(args, _load_config(args.config) if args.config else {})
+    except ValueError as e:
+        raise CliError(str(e)) from None
 
 
 def cmd_train(args) -> int:
@@ -406,15 +371,14 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     has_exclusions = (Path(args.data) / EXCLUDE_FILENAME).is_file()
     mode = args.exclusions or ("both" if has_exclusions else "apply")
-    if mode in ("apply", "both"):
-        dataset = _load_dataset(args.data, args.format, args.layout, apply_exclusions=True)
-        _evaluate_once(dataset, settings, cfg, out_dir, "")
-    if mode == "ignore":
-        dataset = _load_dataset(args.data, args.format, args.layout, apply_exclusions=False)
-        _evaluate_once(dataset, settings, cfg, out_dir, "")
-    elif mode == "both" and has_exclusions:
-        dataset = _load_dataset(args.data, args.format, args.layout, apply_exclusions=False)
+    # "both" loads the directory once, exclusions ignored, and filters that.
+    dataset = _load_dataset(args.data, args.format, args.layout,
+                            apply_exclusions=mode == "apply")
+    if mode == "both" and has_exclusions:
+        _evaluate_once(drop_excluded(dataset, args.data), settings, cfg, out_dir, "")
         _evaluate_once(dataset, settings, cfg, out_dir, "_noexcl")
+    else:
+        _evaluate_once(dataset, settings, cfg, out_dir, "")
     return 0
 
 

@@ -242,6 +242,15 @@ def _exclusions_for(directory: Path, apply_exclusions: bool) -> set[str]:
     return set()
 
 
+def drop_excluded(actions, directory) -> Dataset:
+    """A Dataset of `actions` less the ids that `directory`'s exclusion file lists."""
+    excluded = _exclusions_for(Path(directory), apply_exclusions=True)
+    kept = [a for a in actions if a.id not in excluded]
+    if not kept:
+        raise ValueError(f"all actions in {directory} are excluded")
+    return Dataset(kept)
+
+
 def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
     """Load every canonical ``*.txt`` action file under `directory`."""
     directory = Path(directory)
@@ -250,18 +259,13 @@ def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
     paths = sorted(p for p in directory.glob("*.txt") if p.name != EXCLUDE_FILENAME)
     if not paths:
         raise ValueError(f"no canonical action files (*.txt) in {directory}")
-    excluded = _exclusions_for(directory, apply_exclusions)
     actions = []
     for path in paths:
         try:
-            action = parse_action_file(path.read_text())
+            actions.append(parse_action_file(path.read_text()))
         except ValueError as e:
             raise ValueError(f"{path.name}: {e}") from None
-        if action.id not in excluded:
-            actions.append(action)
-    if not actions:
-        raise ValueError(f"all actions in {directory} are excluded")
-    return Dataset(actions)
+    return drop_excluded(actions, directory) if apply_exclusions else Dataset(actions)
 
 
 def write_canonical_dataset(dataset: Dataset, directory) -> list[Path]:
@@ -349,7 +353,6 @@ class Msrc12Layout:
     """
 
     values_per_frame: int = 81
-    timestamp_column: int = 0
     first_joint_column: int = 1
     joint_stride: int = 4
     coord_offsets: tuple[int, int, int] = (0, 1, 2)
@@ -375,17 +378,6 @@ class Msrc12Layout:
                 f"joint columns run to {top} but rows only have "
                 f"{self.values_per_frame} values"
             )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Msrc12Layout":
-        known = {k: v for k, v in data.items() if not k.startswith("_")}
-        fields = set(cls.__dataclass_fields__)
-        unknown = set(known) - fields
-        if unknown:
-            raise ValueError(f"unknown layout keys: {sorted(unknown)}")
-        if "coord_offsets" in known:
-            known["coord_offsets"] = tuple(known["coord_offsets"])
-        return cls(**known)
 
 
 def _parse_numeric_table(path: Path, width: int) -> np.ndarray:

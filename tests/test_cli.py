@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from dam import cli
+from dam import dataset as dataset_module
 from dam.classifier import load_model, save_model
-from dam.dataset import load_canonical_dataset, load_msr_action3d, write_canonical_dataset
+from dam.dataset import (
+    load_canonical_dataset,
+    load_msr_action3d,
+    parse_action_file,
+    write_canonical_dataset,
+)
 from dam.evaluation import ExperimentConfig
 from dam.preprocess import PreprocessParams
 from dam.synthetic import make_directional_dataset
@@ -71,6 +77,10 @@ MALFORMED_MODEL_EDITS = {
     "'grid.codebook'": lambda p: {**p, "grid": {**p["grid"], "codebook": {}}},
     "'preprocess'": lambda p: {**p, "preprocess": []},
     "'preprocess.frames'": lambda p: {**p, "preprocess": {**p["preprocess"], "frames": "x"}},
+    "'preprocess.window'": lambda p: {**p, "preprocess": {**p["preprocess"], "window": True}},
+    "'preprocess.norm_epsilon'": lambda p: {
+        **p, "preprocess": {k: v for k, v in p["preprocess"].items() if k != "norm_epsilon"}
+    },
     "'preprocess.speed'": lambda p: {**p, "preprocess": {**p["preprocess"], "speed": 1}},
     "'joint_count'": lambda p: {**p, "joint_count": "3"},
     "'classes'": lambda p: {**p, "classes": 3},
@@ -156,6 +166,26 @@ class TestConvert:
         ids = sorted(p.stem for p in out.glob("*.txt"))
         assert ids == ["gesture_p06_x1_i001", "gesture_p06_x1_i002"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("joint_count", "2"),
+        ("coord_offsets", 5),
+        ("coord_offsets", [0, 1.5, 2]),
+        ("subject_pattern", 7),
+        ("timestamp_column", 0),
+    ])
+    def test_mistyped_or_unknown_layout_key_named_in_error(self, capsys, tmp_path, key, value):
+        src = tmp_path / "msrc"
+        src.mkdir()
+        (src / "gesture_p06_x1.csv").write_text("0" + ",0" * 80 + "\n")
+        (src / "gesture_p06_x1.tags").write_text("0;1\n")
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(json.dumps({key: value}))
+        code, _, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
+                              "--format", "msrc12", "--layout", str(layout_path))
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert key in stderr
+
 
 class TestTrain:
     def test_writes_model_with_requested_shape(self, capsys, tmp_path, canon_dir):
@@ -236,11 +266,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [
         ("frames", "10"),
+        ("frames", True),
         ("window", 2.5),
         ("grid", [3.7, 3]),
         ("grid", [3, True]),
         ("smoothing_radius", 2.0),
         ("smoothing_sigma", "1.0"),
+        ("smoothing_sigma", False),
         ("epochs", 2.5),
         ("learning_rate", [0.5]),
         ("som_radius", ["a", 0.5]),
@@ -396,16 +428,20 @@ class TestEvaluate:
         assert code != 0
         assert "runs" in stderr
 
-    def test_exclusion_modes(self, capsys, tmp_path, canon_dir):
+    def test_exclusion_modes(self, capsys, tmp_path, canon_dir, monkeypatch):
         data = tmp_path / "data"
         shutil.copytree(canon_dir, data)
         victim = sorted(p.stem for p in data.glob("*.txt"))[0]
         (data / "exclude.txt").write_text(f"{victim}\n")
         args = [*FAST, "--runs", "2", "--seed", "5", "--jobs", "1"]
+        parsed = []
+        monkeypatch.setattr(dataset_module, "parse_action_file",
+                            lambda text: parsed.append(1) or parse_action_file(text))
 
         both = tmp_path / "both"
         code, stdout, _ = run(capsys, "evaluate", str(data), "--output-dir", str(both), *args)
         assert code == 0
+        assert len(parsed) == len(list(canon_dir.glob("*.txt")))  # one load for both passes
         assert (both / "results.csv").is_file()
         assert (both / "results_noexcl.csv").is_file()
         assert (both / "confusion_noexcl.csv").is_file()
@@ -493,6 +529,19 @@ class TestSweep:
                               "-o", str(tmp_path / "s.csv"), "--frames", "10")
         assert code == 2
         assert "windows" in stderr and "grids" in stderr
+
+    @pytest.mark.parametrize("sets", [{"AS1": [[0], 1]}, {"AS1": [{"a": 1}]}])
+    def test_unhashable_action_set_labels_rejected(self, capsys, tmp_path, canon_dir, sets):
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps(sets))
+        code, _, stderr = run(
+            capsys, "sweep", str(canon_dir), "-o", str(tmp_path / "s.csv"),
+            "--frames", "10", "--windows", "2", "--grids", "2x2",
+            "--action-sets", str(sets_path),
+        )
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "AS1" in stderr
 
     @pytest.mark.parametrize("key", ["windows", "grids"])
     def test_empty_axis_rejected(self, capsys, tmp_path, canon_dir, key):
