@@ -49,6 +49,13 @@ def field(obj: dict, key: str, kind, where: str = ""):
     return convert(kind, f"field {where + key!r}", obj[key])
 
 
+def reject_unknown(obj: dict, known, where: str = "") -> None:
+    """Raise naming the first key of `obj`, in sorted order, that is not in `known`."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown field {where + unknown[0]!r}")
+
+
 @functools.cache
 def field_types(cls) -> MappingProxyType:
     """Field name -> resolved annotation of dataclass `cls`, read once per class."""
@@ -63,9 +70,7 @@ def build(cls, data: dict, where: str = "", defaults: bool = True):
     is an error too when `defaults` is false. Range checks stay in `cls`.
     """
     types = field_types(cls)
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValueError(f"unknown field {where + unknown[0]!r}")
+    reject_unknown(data, types, where)
     return cls(**{
         key: field(data, key, hint, where)
         for key, hint in types.items()

@@ -16,12 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonin import build, field
+from ._jsonin import build, field, is_kind, reject_unknown
 from .descriptor import Histogram, compute_histogram
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
 MODEL_FORMAT_VERSION = "2"
+_MODEL_FIELDS = ("format_version", "joint_count", "preprocess", "grid", "classes",
+                 "cluster_class_probs")
 
 _ROW_SUM_TOL = 1e-9
 
@@ -231,7 +233,9 @@ def _decode_model(payload) -> ClassModel:
             f"unsupported model format version {version!r} "
             f"(this build reads {MODEL_FORMAT_VERSION!r}); re-create it with `dam train`"
         )
+    reject_unknown(payload, _MODEL_FIELDS)
     grid_data = field(payload, "grid", dict)
+    reject_unknown(grid_data, ("rows", "cols", "dim", "codebook"), "grid.")
     rows, cols, dim = (
         field(grid_data, key, int, "grid.") for key in ("rows", "cols", "dim")
     )
@@ -255,6 +259,11 @@ def _decode_model(payload) -> ClassModel:
 
     preprocess = field(payload, "preprocess", dict)
     params = build(PreprocessParams, preprocess, "preprocess.", defaults=False)
+    classes = field(payload, "classes", list)
+    for i, label in enumerate(classes):
+        if not (is_kind(label, int) or is_kind(label, str)):
+            raise ValueError(f"field 'classes[{i}]' must be a JSON integer or string, "
+                             f"got {reprlib.repr(label)}")
     probs = field(payload, "cluster_class_probs", list)
     try:
         probs = np.asarray(probs, dtype=np.float64)
@@ -262,7 +271,7 @@ def _decode_model(payload) -> ClassModel:
         raise ValueError(f"field 'cluster_class_probs' is not numeric: {e}") from None
     return ClassModel(
         grid=grid,
-        classes=field(payload, "classes", list),
+        classes=classes,
         cluster_class_probs=probs,
         params=params,
         joint_count=field(payload, "joint_count", int),

@@ -15,6 +15,7 @@ import os
 import reprlib
 import shutil
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -279,24 +280,26 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _settings(args) -> dict:
-    """The resolved settings; every error in the config or the flags exits 2."""
+def _settings(args, make) -> tuple:
+    """The resolved settings and `make(settings)`, the dataclasses they build.
+
+    Every error in the config or the flags exits 2, a value out of range included.
+    """
     try:
-        return resolve_settings(args, _load_config(args.config) if args.config else {})
+        settings = resolve_settings(args, _load_config(args.config) if args.config else {})
+        return settings, make(settings)
     except ValueError as e:
         raise CliError(str(e)) from None
 
 
 def cmd_train(args) -> int:
-    settings = _settings(args)
-    _require(settings, "frames", "window", "grid")
-    params = preprocess_params(settings)
-    som = som_params(settings, **_given(settings, "seed"))
+    _, cfg = _settings(args, experiment_config)
     dataset = _load_dataset(args.data, args.format, args.layout)
-    wdf_sets = [preprocess_action(a, params) for a in dataset]
-    rows, cols = settings["grid"]
-    grid = train_som(np.vstack(wdf_sets), rows, cols, som)
-    model = fit_model(grid, wdf_sets, [a.label for a in dataset], params, dataset.joint_count)
+    wdf_sets = [preprocess_action(a, cfg.preprocess) for a in dataset]
+    rows, cols = cfg.rows, cfg.cols
+    grid = train_som(np.vstack(wdf_sets), rows, cols, replace(cfg.som, seed=cfg.seed))
+    model = fit_model(grid, wdf_sets, [a.label for a in dataset], cfg.preprocess,
+                      dataset.joint_count)
     save_model(model, args.output)
     print(
         f"wrote {args.output}: {rows}x{cols} grid ({rows * cols} units), "
@@ -365,8 +368,7 @@ def _evaluate_once(dataset, settings: dict, cfg: ExperimentConfig, out_dir: Path
 
 
 def cmd_evaluate(args) -> int:
-    settings = _settings(args)
-    cfg = experiment_config(settings)
+    settings, cfg = _settings(args, experiment_config)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     has_exclusions = (Path(args.data) / EXCLUDE_FILENAME).is_file()
@@ -382,12 +384,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    settings = _settings(args)
+def _sweep_base(settings: dict) -> ExperimentConfig:
     _require(settings, "frames", "windows", "grids")
-    base = experiment_config(
+    return experiment_config(
         {**settings, "window": settings["windows"][0], "grid": settings["grids"][0]}
     )
+
+
+def cmd_sweep(args) -> int:
+    settings, base = _settings(args, _sweep_base)
     dataset = _load_dataset(
         args.data, args.format, args.layout,
         apply_exclusions=args.exclusions != "ignore",

@@ -131,41 +131,47 @@ def _parse_label(text: str):
         return text
 
 
-def _content_lines(text: str):
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based number, stripped text) of each line that is not blank or a # comment."""
+    lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield number, line
+        if line and not line.startswith("#"):
+            lines.append((number, line))
+    return lines
 
 
-def _parse_frame_lines(body: list, num_frames: int, expected: int) -> np.ndarray:
-    """Per-line parse of (line number, line) frame lines; errors name the line."""
-    frames = np.empty((num_frames, expected))
-    have = 0
-    for number, line in body:
-        if have >= num_frames:
-            raise ValueError(f"line {number}: unexpected content after {num_frames} frame lines")
+def _read_table(lines: list, width: int) -> np.ndarray:
+    """A (len(lines), width) float64 table from (line number, line) pairs.
+
+    One conversion for the whole table; numpy parses each token as float()
+    does. A ragged, short or unparseable table is parsed again line by line,
+    which names the first bad line.
+    """
+    try:
+        table = np.array([line.split() for _, line in lines], dtype=np.float64)
+    except ValueError:
+        table = None
+    if table is not None and table.shape == (len(lines), width):
+        return table
+    table = np.empty((len(lines), width))
+    for row, (number, line) in zip(table, lines):
         values = line.split()
-        if len(values) != expected:
-            raise ValueError(f"line {number}: expected {expected} values, got {len(values)}")
+        if len(values) != width:
+            raise ValueError(f"line {number}: expected {width} values, got {len(values)}")
         try:
-            frames[have] = [float(v) for v in values]
+            row[:] = [float(v) for v in values]
         except ValueError:
             raise ValueError(f"line {number}: unparseable number") from None
-        have += 1
-    if have != num_frames:
-        raise ValueError(f"expected {num_frames} frame lines, found {have}")
-    return frames
+    return table
 
 
 def parse_action_file(text: str) -> Action:
     """Parse one canonical action file; errors carry 1-based line numbers."""
     lines = _content_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise ValueError("empty file: missing header line") from None
+    if not lines:
+        raise ValueError("empty file: missing header line")
+    (header_no, header), body = lines[0], lines[1:]
 
     fields = [f.strip() for f in header.split(",")]
     if len(fields) != 5:
@@ -193,17 +199,14 @@ def parse_action_file(text: str) -> Action:
     if num_joints < 1:
         raise ValueError(f"line {header_no}: num_joints must be >= 1, got {num_joints}")
 
-    expected = num_joints * 3
-    body = list(lines)
-    # One conversion for the whole file; numpy parses each token as float()
-    # does. A ragged, short or unparseable body is parsed again line by line,
-    # which names the first bad line.
-    try:
-        frames = np.array([line.split() for _, line in body], dtype=np.float64)
-    except ValueError:
-        frames = None
-    if frames is None or frames.shape != (num_frames, expected):
-        frames = _parse_frame_lines(body, num_frames, expected)
+    count = max(num_frames, 0)
+    frames = _read_table(body[:count], num_joints * 3)
+    if len(body) > count:
+        raise ValueError(
+            f"line {body[count][0]}: unexpected content after {num_frames} frame lines"
+        )
+    if len(body) != num_frames:
+        raise ValueError(f"expected {num_frames} frame lines, found {len(body)}")
 
     return Action(
         id=ident,
@@ -224,13 +227,19 @@ def serialize_action(action: Action) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_file_table(path: Path, text: str, width: int) -> np.ndarray:
+    """`_read_table` of `path`'s `text`, which must have a row; errors name the file."""
+    try:
+        table = _read_table(_content_lines(text), width)
+    except ValueError as e:
+        raise ValueError(f"{path.name}: {e}") from None
+    if not len(table):
+        raise ValueError(f"{path.name}: no data lines")
+    return table
+
+
 def read_exclusion_file(path: Path) -> set[str]:
-    ids = set()
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            ids.add(line)
-    return ids
+    return {line for _, line in _content_lines(Path(path).read_text())}
 
 
 def _exclusions_for(directory: Path, apply_exclusions: bool) -> set[str]:
@@ -295,40 +304,32 @@ def load_msr_action3d(directory, apply_exclusions: bool = True) -> Dataset:
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"dataset directory not found: {directory}")
+    paths = [p for p in sorted(directory.iterdir())
+             if p.is_file() and _ACTION3D_NAME.match(p.name)]
+    if not paths:
+        raise ValueError(f"no MSR-Action3D files (a*_s*_e*) found in {directory}")
     excluded = _exclusions_for(directory, apply_exclusions)
     actions = []
-    for path in sorted(directory.iterdir()):
-        if not path.is_file():
+    for path in paths:
+        if path.stem in excluded:
             continue
-        m = _ACTION3D_NAME.match(path.name)
-        if m is None:
-            continue
-        try:
-            records = np.loadtxt(path, ndmin=2)
-        except ValueError as e:
-            raise ValueError(f"{path.name}: {e}") from None
-        if records.shape[1] != 4:
-            raise ValueError(
-                f"{path.name}: expected 4 values per joint record, got {records.shape[1]}"
-            )
+        records = _read_file_table(path, path.read_text(), 4)
         if records.shape[0] % MSR_ACTION3D_JOINTS != 0:
             raise ValueError(
                 f"{path.name}: {records.shape[0]} records is not a multiple of "
                 f"{MSR_ACTION3D_JOINTS} joints"
             )
-        ident = path.stem
-        if ident in excluded:
-            continue
+        label, subject = _ACTION3D_NAME.match(path.name).group(1, 2)
         actions.append(
             Action(
-                id=ident,
-                subject=int(m.group(2)),
-                label=int(m.group(1)),
+                id=path.stem,
+                subject=int(subject),
+                label=int(label),
                 frames=records[:, :3].reshape(-1, MSR_ACTION3D_JOINTS, 3),
             )
         )
     if not actions:
-        raise ValueError(f"no MSR-Action3D files (a*_s*_e*) found in {directory}")
+        raise ValueError(f"all actions in {directory} are excluded")
     return Dataset(actions)
 
 
@@ -380,32 +381,9 @@ class Msrc12Layout:
             )
 
 
-def _parse_numeric_table(path: Path, width: int) -> np.ndarray:
-    rows = []
-    for number, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.replace(",", " ").strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != width:
-            raise ValueError(
-                f"{path.name}: line {number}: expected {width} values, got {len(tokens)}"
-            )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise ValueError(f"{path.name}: line {number}: unparseable number") from None
-    if not rows:
-        raise ValueError(f"{path.name}: no frames")
-    return np.asarray(rows)
-
-
 def _parse_annotations(path: Path) -> list[tuple[int, object]]:
     markers = []
-    for number, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in _content_lines(path.read_text()):
         parts = [p.strip() for p in (line.split(";") if ";" in line else line.split(None, 1))]
         if len(parts) != 2 or not parts[1]:
             raise ValueError(
@@ -448,7 +426,8 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
         ann_path = directory / f"{stem}{layout.annotation_suffix}"
         if not ann_path.is_file():
             raise ValueError(f"{seq_path.name}: missing annotation file {ann_path.name}")
-        table = _parse_numeric_table(seq_path, layout.values_per_frame)
+        text = seq_path.read_text().replace(",", " ")
+        table = _read_file_table(seq_path, text, layout.values_per_frame)
         positions = table[:, columns]  # (frames, joints, 3)
         total = positions.shape[0]
 

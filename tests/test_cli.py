@@ -84,6 +84,12 @@ MALFORMED_MODEL_EDITS = {
     "'preprocess.speed'": lambda p: {**p, "preprocess": {**p["preprocess"], "speed": 1}},
     "'joint_count'": lambda p: {**p, "joint_count": "3"},
     "'classes'": lambda p: {**p, "classes": 3},
+    "'classes[0]' must be a JSON integer or string, got True":
+        lambda p: {**p, "classes": [True, 1, 2]},
+    "'classes[0]' must be a JSON integer or string, got [0]":
+        lambda p: {**p, "classes": [[0], 1, 2]},
+    "unknown field 'extra'": lambda p: {**p, "extra": 1},
+    "unknown field 'grid.extra'": lambda p: {**p, "grid": {**p["grid"], "extra": 1}},
     "'cluster_class_probs'": lambda p: {**p, "cluster_class_probs": [[{}]]},
 }
 
@@ -110,6 +116,16 @@ class TestConvert:
         first = tree_bytes(out)
         run(capsys, "convert", str(action3d_dir), str(out), "--format", "action3d")
         assert tree_bytes(out) == first
+
+    def test_bad_raw_line_is_one_error_line(self, capsys, tmp_path, action3d_dir):
+        src = tmp_path / "src"
+        shutil.copytree(action3d_dir, src)
+        dump = sorted(src.iterdir())[0]
+        dump.write_text(dump.read_text().replace("1.000000", "x", 1))
+        code, stdout, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
+                                   "--format", "action3d")
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {dump.name}: line 1: unparseable number\n"
 
     def test_empty_directory_fails_with_no_input_files(self, capsys, tmp_path):
         empty = tmp_path / "empty"
@@ -283,6 +299,10 @@ class TestTrain:
         ("action_sets", ["AS1"]),
         ("action_sets", {"AS1": 3}),
         ("action_sets", {}),
+        ("window", 20),
+        ("epochs", 0),
+        ("smoothing_sigma", -1.0),
+        ("learning_rate", [0.5, 0.9]),
     ])
     def test_mistyped_config_value_named_in_error(self, capsys, tmp_path, canon_dir,
                                                   key, value):

@@ -266,6 +266,15 @@ class TestMsrAction3dAdapter:
         ds = load_msr_action3d(tmp_path)
         assert [a.id for a in ds.actions] == ["a01_s02_e01"]
 
+    def test_excluded_dumps_are_not_read(self, tmp_path):
+        np.savetxt(tmp_path / "a02_s01_e01.txt", np.zeros((41, 4)))
+        self._write(tmp_path / "a01_s02_e01.txt", frames=2)
+        (tmp_path / "exclude.txt").write_text("a02_s01_e01\n")
+        assert [a.id for a in load_msr_action3d(tmp_path).actions] == ["a01_s02_e01"]
+        (tmp_path / "exclude.txt").write_text("a02_s01_e01\na01_s02_e01\n")
+        with pytest.raises(ValueError, match=r"^all actions in .* are excluded$"):
+            load_msr_action3d(tmp_path)
+
 
 def _write_msrc12_sequence(path, frames, layout, seed=0):
     """Numeric sequence file laid out per `layout`, joints at predictable values."""
@@ -358,6 +367,69 @@ class TestMsrc12Adapter:
         (tmp_path / "nosubject.tags").write_text("20;x\n")
         with pytest.raises(ValueError, match="subject"):
             load_msrc12(tmp_path, layout=SMALL_LAYOUT)
+
+
+# Raw-format name -> (loader, table file, values per line, lines in a valid table,
+# the columns that hold coordinates).
+RAW_TABLES = {
+    "action3d": (load_msr_action3d, "a01_s01_e01.txt", 4, 40, [0, 1, 2]),
+    "msrc12": (lambda d: load_msrc12(d, layout=SMALL_LAYOUT), "g_p01.csv", 9, 2,
+               [1, 2, 3, 5, 6, 7]),
+}
+
+
+class TestRawTables:
+    """Both raw formats read their number tables with the canonical format's rules."""
+
+    @staticmethod
+    def _load(tmp_path, fmt, rows, head=("# recorded 2012", "")):
+        loader, name = RAW_TABLES[fmt][:2]
+        (tmp_path / name).write_text("\n".join([*head, *rows]) + "\n")
+        (tmp_path / "g_p01.tags").write_text("1;x\n")  # action3d ignores it
+        return loader(tmp_path)
+
+    @staticmethod
+    def _rows(fmt, seed=0):
+        width, count = RAW_TABLES[fmt][2:4]
+        table = np.random.default_rng(seed).normal(size=(count, width))
+        return [" ".join(repr(float(v)) for v in row) for row in table], table
+
+    @pytest.mark.parametrize("fmt", list(RAW_TABLES))
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, fmt):
+        rows, table = self._rows(fmt)
+        rows[1:1] = ["", "  # halfway", "   "]
+        [action] = self._load(tmp_path, fmt, rows).actions
+        want = table[:, RAW_TABLES[fmt][4]].reshape(-1, 3)
+        assert action.frames.reshape(-1, 3).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", list(RAW_TABLES))
+    def test_numbers_parse_as_float_does(self, tmp_path, fmt):
+        rows, _ = self._rows(fmt)
+        rows[0] = " ".join(["1_0"] * RAW_TABLES[fmt][2])
+        [action] = self._load(tmp_path, fmt, rows).actions
+        assert_array_equal(action.frames[0, 0], [float("1_0")] * 3)
+
+    @pytest.mark.parametrize("fmt", list(RAW_TABLES))
+    @pytest.mark.parametrize("edit,message", [
+        (lambda row: "x" + row, "line 3: unparseable number"),
+        (lambda row: row.rsplit(" ", 1)[0], "line 3: expected {w} values, got {short}"),
+        (lambda row: row + " # note", "line 3: expected {w} values, got {long}"),
+    ], ids=["bad token", "short row", "inline comment"])
+    def test_bad_line_gives_one_error_naming_file_and_line(self, tmp_path, fmt, edit,
+                                                          message):
+        name, width = RAW_TABLES[fmt][1:3]
+        rows, _ = self._rows(fmt)
+        rows[0] = edit(rows[0])
+        with pytest.raises(ValueError) as info:
+            self._load(tmp_path, fmt, rows)
+        want = message.format(w=width, short=width - 1, long=width + 2)
+        assert str(info.value) == f"{name}: {want}"
+
+    @pytest.mark.parametrize("fmt", list(RAW_TABLES))
+    def test_empty_table_is_one_error_naming_the_file(self, tmp_path, fmt):
+        with pytest.raises(ValueError) as info:
+            self._load(tmp_path, fmt, [], head=("# nothing recorded", ""))
+        assert str(info.value) == f"{RAW_TABLES[fmt][1]}: no data lines"
 
 
 def _subject_dataset(subjects, per_subject=3, joints=2, seed=0):
