@@ -105,7 +105,7 @@ def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
         (classes, probs): the class order used and the (units, classes)
         probability matrix. Units that won no training WDF get all-zero rows.
     """
-    wdf_sets = list(wdf_sets)
+    wdf_sets = [np.asarray(w, dtype=np.float64) for w in wdf_sets]
     labels = list(labels)
     if len(wdf_sets) != len(labels):
         raise ValueError(
@@ -121,25 +121,23 @@ def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
     if unknown:
         raise ValueError(f"label {unknown[0]!r} not in the class list {classes!r}")
 
-    counts = np.zeros((grid.unit_count, len(classes)))
-    total = 0
-    for wdfs, label in zip(wdf_sets, labels):
-        wdfs = np.asarray(wdfs, dtype=np.float64)
-        if wdfs.shape[0] == 0:
-            continue
-        winners = bmu_batch(grid, wdfs)
-        counts[:, index[label]] += np.bincount(winners, minlength=grid.unit_count)
-        total += wdfs.shape[0]
-    if total == 0:
+    sizes = [len(w) for w in wdf_sets]
+    if not any(sizes):
         raise ValueError("no training WDFs")
-    row_sums = counts.sum(axis=1)
-    probs = np.divide(
-        counts,
-        row_sums[:, None],
-        out=np.zeros_like(counts),
-        where=row_sums[:, None] > 0,
-    )
-    return classes, probs
+    # One winner search over every training WDF; winner l of a WDF of class c
+    # counts in bin l * C + c of the flattened (units, C) count table.
+    winners = bmu_batch(grid, np.concatenate([w for w in wdf_sets if len(w)]))
+    class_index = np.repeat([index[label] for label in labels], sizes)
+    counts = np.bincount(
+        winners * len(classes) + class_index, minlength=grid.unit_count * len(classes)
+    ).reshape(grid.unit_count, len(classes)).astype(np.float64)
+    return classes, _per_row(counts, counts.sum(axis=1))
+
+
+def _per_row(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row i of `totals` divided by counts[i]; a row whose count is 0 stays all-zero."""
+    counts = counts[:, None]
+    return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
 
 
 def fit_model(grid, wdf_sets, labels, params: PreprocessParams, joint_count: int,

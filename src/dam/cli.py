@@ -27,6 +27,7 @@ from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
     Msrc12Layout,
+    _canonical_files,
     drop_excluded,
     load_canonical_dataset,
     load_msr_action3d,
@@ -197,12 +198,13 @@ def preprocess_params(settings: dict) -> PreprocessParams:
     return PreprocessParams(**_given(settings, *field_types(PreprocessParams)))
 
 
-def som_params(settings: dict, **fields) -> SomTrainParams:
+def som_params(settings: dict) -> SomTrainParams:
+    fields = _given(settings, "epochs")
     if "learning_rate" in settings:
         fields["learning_rate_start"], fields["learning_rate_end"] = settings["learning_rate"]
     if "som_radius" in settings:
         fields["radius_start"], fields["radius_end"] = settings["som_radius"]
-    return SomTrainParams(**_given(settings, "epochs"), **fields)
+    return SomTrainParams(**fields)
 
 
 def experiment_config(settings: dict) -> ExperimentConfig:
@@ -313,10 +315,10 @@ def _classify_inputs(paths) -> list[Path]:
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            found = sorted(p for p in path.glob("*.txt") if p.name != EXCLUDE_FILENAME)
-            if not found:
-                raise CliError(f"no input files: no canonical action files (*.txt) in {path}")
-            files.extend(found)
+            try:
+                files.extend(_canonical_files(path))
+            except ValueError as e:
+                raise CliError(f"no input files: {e}") from None
         elif path.is_file():
             files.append(path)
         else:

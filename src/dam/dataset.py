@@ -154,16 +154,16 @@ def _read_table(lines: list, width: int) -> np.ndarray:
         table = None
     if table is not None and table.shape == (len(lines), width):
         return table
-    table = np.empty((len(lines), width))
-    for row, (number, line) in zip(table, lines):
+    rows = []
+    for number, line in lines:
         values = line.split()
         if len(values) != width:
             raise ValueError(f"line {number}: expected {width} values, got {len(values)}")
         try:
-            row[:] = [float(v) for v in values]
+            rows.append([float(v) for v in values])
         except ValueError:
             raise ValueError(f"line {number}: unparseable number") from None
-    return table
+    return np.array(rows, dtype=np.float64).reshape(len(lines), width)
 
 
 def parse_action_file(text: str) -> Action:
@@ -223,7 +223,7 @@ def serialize_action(action: Action) -> str:
         f"{action.num_frames},{action.num_joints}"
     ]
     for frame in action.frames:
-        out.append(" ".join(repr(float(v)) for v in frame.reshape(-1)))
+        out.append(" ".join(map(repr, frame.reshape(-1).tolist())))
     return "\n".join(out) + "\n"
 
 
@@ -260,16 +260,21 @@ def drop_excluded(actions, directory) -> Dataset:
     return Dataset(kept)
 
 
+def _canonical_files(directory: Path) -> list[Path]:
+    """The sorted ``*.txt`` files of `directory` bar the exclusion file; never empty."""
+    paths = sorted(p for p in directory.glob("*.txt") if p.name != EXCLUDE_FILENAME)
+    if not paths:
+        raise ValueError(f"no canonical action files (*.txt) in {directory}")
+    return paths
+
+
 def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
     """Load every canonical ``*.txt`` action file under `directory`."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"dataset directory not found: {directory}")
-    paths = sorted(p for p in directory.glob("*.txt") if p.name != EXCLUDE_FILENAME)
-    if not paths:
-        raise ValueError(f"no canonical action files (*.txt) in {directory}")
     actions = []
-    for path in paths:
+    for path in _canonical_files(directory):
         try:
             actions.append(parse_action_file(path.read_text()))
         except ValueError as e:
@@ -426,12 +431,15 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
         ann_path = directory / f"{stem}{layout.annotation_suffix}"
         if not ann_path.is_file():
             raise ValueError(f"{seq_path.name}: missing annotation file {ann_path.name}")
+        markers = _parse_annotations(ann_path)
+        ids = [f"{stem}_i{k:03d}" for k in range(1, len(markers) + 1)]
+        if ids and excluded.issuperset(ids):  # every instance excluded: table unread
+            continue
         text = seq_path.read_text().replace(",", " ")
         table = _read_file_table(seq_path, text, layout.values_per_frame)
         positions = table[:, columns]  # (frames, joints, 3)
         total = positions.shape[0]
 
-        markers = _parse_annotations(ann_path)
         if not markers:
             warnings.warn(f"{ann_path.name}: empty annotation file, sequence skipped")
             continue
@@ -444,7 +452,7 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
         subject = int(m.group(1))
 
         previous = -1
-        for k, (frame, label) in enumerate(markers, start=1):
+        for ident, (frame, label) in zip(ids, markers):
             if not 0 <= frame < total:
                 raise ValueError(
                     f"{ann_path.name}: annotation frame {frame} outside sequence "
@@ -461,7 +469,6 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
                     f"{ann_path.name}: annotation at frame {frame} yields an "
                     f"instance with fewer than 2 frames"
                 )
-            ident = f"{stem}_i{k:03d}"
             if ident in excluded:
                 continue
             actions.append(

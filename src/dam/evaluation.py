@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ClassModel, class_posterior, fit_model
+from .classifier import ClassModel, _per_row, class_posterior, fit_model
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
 from .descriptor import compute_histogram
 from .preprocess import PreprocessParams, preprocess_action
@@ -149,8 +149,7 @@ def run_single(
     n = len(classes)
     confusion = np.zeros((n, n), dtype=np.int64)
     prob_sums = np.zeros((n, n))
-    subj_seen: dict = {}
-    subj_hit: dict = {}
+    subject_hits: dict = {}
     zero_evidence = 0
     for action in test:
         posterior = class_posterior(model, compute_histogram(grid, wdfs[action.id]))
@@ -159,8 +158,7 @@ def run_single(
         p = index[posterior.predicted]
         confusion[t, p] += 1
         prob_sums[t] += posterior.normalized()
-        subj_seen[action.subject] = subj_seen.get(action.subject, 0) + 1
-        subj_hit[action.subject] = subj_hit.get(action.subject, 0) + (1 if t == p else 0)
+        subject_hits.setdefault(action.subject, []).append(t == p)
 
     if zero_evidence:
         logger.warning(
@@ -168,21 +166,14 @@ def run_single(
             "unit no training window won) and were predicted as %r",
             run_index, zero_evidence, len(test), classes[0],
         )
-    row_counts = confusion.sum(axis=1)
-    prob_matrix = np.divide(
-        prob_sums,
-        row_counts[:, None],
-        out=np.zeros_like(prob_sums),
-        where=row_counts[:, None] > 0,
-    )
     return RunResult(
         run_index=run_index,
         seed=som_params.seed,
         classes=tuple(classes),
         accuracy=float(np.trace(confusion) / confusion.sum()),
         confusion=confusion,
-        prob_matrix=prob_matrix,
-        subject_accuracy={s: subj_hit[s] / subj_seen[s] for s in sorted(subj_seen)},
+        prob_matrix=_per_row(prob_sums, confusion.sum(axis=1)),
+        subject_accuracy={s: sum(hits) / len(hits) for s, hits in sorted(subject_hits.items())},
         train_subjects=train.subject_set,
         test_subjects=test.subject_set,
         model=model,
@@ -381,21 +372,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    Path(path).write_text("\n".join([header, *rows]) + "\n")
+
+
 def write_results_csv(path, agg: AggregateResult, cfg: ExperimentConfig) -> None:
     """Per-run rows: run index, window, cluster count, seed, accuracy."""
-    lines = ["run,window,clusters,seed,accuracy"]
-    for r in agg.run_results:
-        lines.append(
-            f"{r.run_index},{cfg.preprocess.window},{cfg.clusters},{r.seed},{_fmt(r.accuracy)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "run,window,clusters,seed,accuracy", (
+        f"{r.run_index},{cfg.preprocess.window},{cfg.clusters},{r.seed},{_fmt(r.accuracy)}"
+        for r in agg.run_results
+    ))
 
 
 def _write_matrix_csv(path, classes, matrix) -> None:
-    lines = ["true_class," + ",".join(str(c) for c in classes)]
-    for label, row in zip(classes, matrix):
-        lines.append(f"{label}," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "true_class," + ",".join(str(c) for c in classes), (
+        f"{label}," + ",".join(_fmt(v) for v in row) for label, row in zip(classes, matrix)
+    ))
 
 
 def write_confusion_csv(path, agg: AggregateResult) -> None:
@@ -409,17 +401,15 @@ def write_prob_matrix_csv(path, agg: AggregateResult) -> None:
 
 
 def write_per_subject_csv(path, agg: AggregateResult) -> None:
-    lines = ["subject,accuracy"]
-    for subject, accuracy in agg.subject_accuracy.items():
-        lines.append(f"{subject},{_fmt(accuracy)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "subject,accuracy", (
+        f"{subject},{_fmt(accuracy)}" for subject, accuracy in agg.subject_accuracy.items()
+    ))
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    lines = ["subset,window,grid_rows,grid_cols,clusters,runs,mean_accuracy,std_accuracy"]
-    for r in rows:
-        lines.append(
-            f"{r.subset},{r.window},{r.rows},{r.cols},{r.clusters},{r.runs},"
-            f"{_fmt(r.mean_accuracy)},{_fmt(r.std_accuracy)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "subset,window,grid_rows,grid_cols,clusters,runs,mean_accuracy,std_accuracy"
+    _write_csv(path, header, (
+        f"{r.subset},{r.window},{r.rows},{r.cols},{r.clusters},{r.runs},"
+        f"{_fmt(r.mean_accuracy)},{_fmt(r.std_accuracy)}"
+        for r in rows
+    ))

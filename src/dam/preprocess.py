@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+from .som import _gaussian
+
 DEFAULT_SMOOTHING_SIGMA = 1.0
 DEFAULT_SMOOTHING_RADIUS = 2
 DEFAULT_NORM_EPSILON = 1e-8
@@ -84,7 +86,7 @@ def smooth_joint(
     if sigma <= 0 or radius <= 0:
         return series.copy()
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
+    kernel = _gaussian(-(offsets * offsets), sigma)
     n = series.shape[0]
 
     def _centered(signal: np.ndarray) -> np.ndarray:

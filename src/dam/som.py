@@ -4,10 +4,6 @@ Deliberately hand-rolled rather than pulled off the shelf: the clustering
 contract here (seeded sample-based initialization, per-epoch seeded visiting
 order, lowest-index tie breaking, exponential decay of learning rate and
 neighborhood radius) must be reproducible bit-for-bit for a given seed.
-
-The codebook container doubles as the pluggable-clusterer seam: anything able
-to produce a (units, dim) matrix — e.g. k-means centers via
-``SomGrid.from_vectors`` — can stand in for the trained map downstream.
 """
 
 from __future__ import annotations
@@ -21,9 +17,10 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = (0.5, 0.01)
 DEFAULT_FINAL_RADIUS = 0.5
 
-# Floats per (rows, K) score block of the nearest-unit search: 2 MiB, so a
-# block stays cache-sized and the search needs no (rows, K, dim) buffer.
-_CHUNK_BUDGET = 262_144
+# Floats per (rows, K) score block of the nearest-unit search: 512 KiB, so a
+# block stays cache-sized, a bulk search (e.g. all of a fit's training WDFs)
+# needs little memory beyond its input, and no (rows, K, dim) buffer is made.
+_CHUNK_BUDGET = 65_536
 # Below this ||x||^2 + max ||c||^2 neither a GEMM score nor a direct-form
 # distance (at most twice that sum) can overflow, so the rounding bound holds.
 _SIZE_LIMIT = np.finfo(np.float64).max / 8
@@ -109,11 +106,13 @@ class SomGrid:
     def dim(self) -> int:
         return self.codebook.shape[1]
 
-    @classmethod
-    def from_vectors(cls, vectors: np.ndarray) -> "SomGrid":
-        """Wrap externally produced cluster centers (k-means etc.) as a 1 x K grid."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        return cls(rows=1, cols=vectors.shape[0], codebook=vectors)
+
+def _gaussian(neg_sq: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(neg_sq / (2 sigma^2)), in place when `out` is given; the package's one exp.
+
+    Both the SOM neighbourhood and `preprocess.smooth_joint`'s kernel use it.
+    """
+    return np.exp(np.divide(neg_sq, 2.0 * sigma * sigma, out=out), out=out)
 
 
 def _check_query(grid: SomGrid, vectors: np.ndarray) -> np.ndarray:
@@ -296,8 +295,7 @@ def train_som(
                 neg_sq[span - 1 - c : span - 1 - c + cols],
                 out=influence_grid,
             )
-            np.divide(influence, 2.0 * sigma * sigma, out=influence)
-            np.exp(influence, out=influence)
+            _gaussian(influence, sigma, out=influence)
             np.multiply(influence, alpha, out=influence)
             np.multiply(diff, influence_col, out=diff)
             np.subtract(codebook, diff, out=codebook)

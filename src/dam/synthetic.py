@@ -52,6 +52,20 @@ def _walk(rng, directions: np.ndarray, joints: int, noise: float) -> np.ndarray:
     return start + np.concatenate([np.zeros((1, joints, 3)), np.cumsum(deltas, axis=0)])
 
 
+def _corpus(prefix: str, bases, subjects: int, instances: int, joints: int, seed: int,
+            noise: float, direction_jitter: float) -> Dataset:
+    """Instance i of subject s in class c walks jittered `bases[c]` with its own generator."""
+    actions = []
+    for c, base in enumerate(bases):
+        for s in range(subjects):
+            for i in range(instances):
+                rng = _instance_rng(seed, c, s, i)
+                directions = _jittered(rng, base, direction_jitter)
+                actions.append(Action(f"{prefix}{c}_s{s:02d}_i{i:02d}", s + 1, c,
+                                      _walk(rng, directions, joints, noise)))
+    return Dataset(actions)
+
+
 def make_directional_dataset(
     classes: int = 3,
     subjects: int = 10,
@@ -71,22 +85,8 @@ def make_directional_dataset(
     """
     if not 1 <= classes <= len(_AXES):
         raise ValueError(f"classes must be in [1, {len(_AXES)}], got {classes}")
-    actions = []
-    for c in range(classes):
-        base = np.tile(_AXES[c], (raw_frames - 1, 1))
-        for s in range(subjects):
-            for i in range(instances):
-                rng = _instance_rng(seed, c, s, i)
-                directions = _jittered(rng, base, direction_jitter)
-                actions.append(
-                    Action(
-                        id=f"c{c}_s{s:02d}_i{i:02d}",
-                        subject=s + 1,
-                        label=c,
-                        frames=_walk(rng, directions, joints, noise),
-                    )
-                )
-    return Dataset(actions)
+    bases = [np.tile(_AXES[c], (raw_frames - 1, 1)) for c in range(classes)]
+    return _corpus("c", bases, subjects, instances, joints, seed, noise, direction_jitter)
 
 
 def make_ordered_dataset(
@@ -108,27 +108,7 @@ def make_ordered_dataset(
     n_segments = max(2, classes)
     if classes < 2 or n_segments > len(_AXES):
         raise ValueError(f"classes must be in [2, {len(_AXES)}], got {classes}")
-    segments = _AXES[:n_segments]
-    bounds = np.linspace(0, raw_frames - 1, n_segments + 1).astype(int)
-    actions = []
-    for c in range(classes):
-        order = np.roll(np.arange(n_segments), -c)
-        base = np.concatenate(
-            [
-                np.tile(segments[order[k]], (bounds[k + 1] - bounds[k], 1))
-                for k in range(n_segments)
-            ]
-        )
-        for s in range(subjects):
-            for i in range(instances):
-                rng = _instance_rng(seed, c, s, i)
-                directions = _jittered(rng, base, direction_jitter)
-                actions.append(
-                    Action(
-                        id=f"o{c}_s{s:02d}_i{i:02d}",
-                        subject=s + 1,
-                        label=c,
-                        frames=_walk(rng, directions, joints, noise),
-                    )
-                )
-    return Dataset(actions)
+    lengths = np.diff(np.linspace(0, raw_frames - 1, n_segments + 1).astype(int))
+    bases = [np.repeat(np.roll(_AXES[:n_segments], -c, axis=0), lengths, axis=0)
+             for c in range(classes)]
+    return _corpus("o", bases, subjects, instances, joints, seed, noise, direction_jitter)

@@ -66,7 +66,7 @@ def test_randomized_instances_match_brute_force_oracles():
     for _ in range(1000):
         codebook = rng.normal(size=(int(rng.integers(2, 12)), int(rng.integers(1, 6))))
         x = rng.normal(size=codebook.shape[1])
-        assert bmu(SomGrid.from_vectors(codebook), x) == _bmu_oracle(codebook, x)
+        assert bmu(SomGrid(1, len(codebook), codebook), x) == _bmu_oracle(codebook, x)
 
     for _ in range(1000):
         rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dam import classifier as classifier_module
 from dam.classifier import (
     MODEL_FORMAT_VERSION,
     ClassModel,
@@ -24,7 +25,7 @@ from dam.classifier import (
 from dam.dataset import Action
 from dam.descriptor import Histogram, compute_histogram
 from dam.preprocess import PreprocessParams, preprocess_action
-from dam.som import SomGrid, SomTrainParams, train_som
+from dam.som import SomGrid, SomTrainParams, bmu, bmu_batch, train_som
 
 
 def _posterior_oracle(probs, bins):
@@ -80,6 +81,25 @@ class TestEstimate:
         assert_array_equal(probs, [[0.0, 1.0]])
         with pytest.raises(ValueError):
             estimate_class_probabilities(grid, [np.array([[0.0]])], ["c"], classes=["a"])
+
+    def test_one_winner_search_gives_the_per_vector_counts(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        grid = SomGrid(rows=2, cols=3, codebook=rng.normal(size=(6, 4)))
+        sets = [rng.normal(size=(int(n), 4)) for n in rng.integers(0, 6, size=12)]
+        labels = [int(v) for v in rng.integers(0, 3, size=12)]
+        counts = np.zeros((6, 3))
+        for wdfs, label in zip(sets, labels):
+            for x in wdfs:
+                counts[bmu(grid, x), label] += 1
+        calls = []
+        monkeypatch.setattr(classifier_module, "bmu_batch",
+                            lambda g, xs: calls.append(len(xs)) or bmu_batch(g, xs))
+        classes, probs = estimate_class_probabilities(grid, sets, labels)
+        assert calls == [sum(map(len, sets))]
+        sums = counts.sum(axis=1, keepdims=True)
+        want = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+        assert classes == [0, 1, 2]
+        assert probs.tobytes() == want.tobytes()
 
     def test_requires_training_vectors(self):
         grid = SomGrid(rows=1, cols=1, codebook=np.zeros((1, 2)))

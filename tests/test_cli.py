@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dam import cli
 from dam import dataset as dataset_module
@@ -401,6 +403,86 @@ class TestClassify:
                               str(tmp_path / "ghost.txt"))
         assert code == 2
         assert "ghost.txt" in stderr
+
+
+# Text an edit may splice into an input: tokens that some reader treats
+# specially, and one byte that is not UTF-8 ("\udcff", written as 0xff).
+_SNIPPETS = ["", " ", "\n", "#", ",", ";", ":", "x", "0", "-1", "1.5", "1e999", "nan",
+             "-inf", "1_0", "0x1p3", '"', "{", "}", "[", "]", "null", "true", "\x00",
+             "\u00e9", "\udcff"]
+
+# (where, as a fraction of the text; characters deleted there; text inserted there)
+_EDITS = st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 12), st.sampled_from(_SNIPPETS)),
+                  min_size=1, max_size=3)
+
+
+def _edited(text: str, edits) -> bytes:
+    for where, cut, insert in edits:
+        at = int(where * len(text))
+        text = text[:at] + insert + text[at + cut:]
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(canon_dir, model_path) -> dict:
+    """Input kind -> (valid files by name, the file edits hit, `dam` argv).
+
+    In the argv, "{d}" stands for the directory that holds the files.
+    """
+    rng = np.random.default_rng(12)
+    canonical = (canon_dir / "c1_s02_i01.txt").read_text()
+    dump = "\n".join(" ".join(f"{v:.3f}" for v in row) for row in rng.normal(size=(40, 4)))
+    msrc12 = {
+        "g_p01.csv": "\n".join(",".join(f"{v:.3f}" for v in row)
+                               for row in rng.normal(size=(10, 9))) + "\n",
+        "g_p01.tags": "# frame;class\n4;1\n9;2\n",
+        "layout.json": json.dumps({"values_per_frame": 9, "first_joint_column": 1,
+                                   "joint_stride": 4, "joint_count": 2}),
+    }
+    msrc12_argv = ["convert", "{d}", "{d}/out", "--format", "msrc12",
+                   "--layout", "{d}/layout.json"]
+    return {
+        "canonical file (classify)": (
+            {"c.txt": canonical}, "c.txt", ["classify", "--model", str(model_path), "{d}"]),
+        "canonical file (convert)": ({"c.txt": canonical}, "c.txt", ["convert", "{d}", "{d}/out"]),
+        "model file": (
+            {"c.txt": canonical, "model.json": model_path.read_text()}, "model.json",
+            ["classify", "--model", "{d}/model.json", "{d}/c.txt"]),
+        "MSR-Action3D dump": (
+            {"a01_s01_e01_skeleton.txt": dump + "\n"}, "a01_s01_e01_skeleton.txt",
+            ["convert", "{d}", "{d}/out", "--format", "action3d"]),
+        "MSRC-12 table": (msrc12, "g_p01.csv", msrc12_argv),
+        "MSRC-12 tags": (msrc12, "g_p01.tags", msrc12_argv),
+        "layout file": (msrc12, "layout.json", msrc12_argv),
+    }
+
+
+class TestInputContract:
+    """Random edits of every input kind end in success or one error line, never a traceback.
+
+    The enumerated cases above pin the wording of particular errors; this
+    checks the contract itself on inputs nobody wrote by hand.
+    """
+
+    @pytest.mark.parametrize("kind", [
+        "canonical file (classify)", "canonical file (convert)", "model file",
+        "MSR-Action3D dump", "MSRC-12 table", "MSRC-12 tags", "layout file",
+    ])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=_EDITS)
+    def test_edited_input_exits_cleanly(self, capsys, tmp_path_factory, contract_inputs,
+                                        kind, edits):
+        files, target, argv = contract_inputs[kind]
+        d = tmp_path_factory.mktemp("edited")
+        for name, text in files.items():
+            (d / name).write_text(text)
+        (d / target).write_bytes(_edited(files[target], edits))
+        # An exception out of main would be a traceback from the console script.
+        code, _, stderr = run(capsys, *(arg.replace("{d}", str(d)) for arg in argv))
+        assert code in (0, 1, 2)
+        if code:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 class TestEvaluate:

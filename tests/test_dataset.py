@@ -1,5 +1,7 @@
 """Tests for dataset types, the canonical file format, adapters, and splits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -20,6 +22,18 @@ from dam.dataset import (
     splits_loso,
     write_canonical_dataset,
 )
+from dam.synthetic import make_directional_dataset, make_ordered_dataset
+
+# SHA-256 over (file name, NUL, bytes) of each file `write_canonical_dataset`
+# writes for a small noisy, jittered corpus of each generator (see
+# `test_written_corpus_bytes_are_pinned`); it pins both generators and
+# `serialize_action`.
+CORPUS_DIGESTS = {
+    "make_directional_dataset":
+        "a8670ea215c2bc0321864ae79c16bc1acff3bf680f5c0e370cf2a6696d456054",
+    "make_ordered_dataset":
+        "832f2164dfcef0ee41d5b67977d12018a837d259d78b26ed262b9ba1beec0c9d",
+}
 
 
 def _random_action(rng, ident="a1", subject=1, label=1, frames=6, joints=2):
@@ -122,6 +136,9 @@ class TestCanonicalFormat:
             ("a,1,2,2,1\n0 0 0\n1 1 1\n2 2 2\n", "line 4: unexpected content after 2 frame lines"),
             ("a,1,2,2,1\n0 0 0\n", "expected 2 frame lines, found 1"),
             ("a,1,2,2,1\n0 0 0\n1 0x1p3 1\n", "line 3: unparseable number"),
+            # A header too large to allocate a table for is still one line error.
+            ("a,1,2,2,100000000000\n0 0 0\n1 1 1\n",
+             "line 2: expected 300000000000 values, got 3"),
         ],
     )
     def test_frame_errors_are_word_for_word(self, text, message):
@@ -184,6 +201,22 @@ class TestCanonicalFormat:
         action = _random_action(rng, "fp")
         text = serialize_action(action)
         assert serialize_action(parse_action_file(text)) == text
+
+    def test_extreme_floats_are_written_as_repr(self):
+        values = [-0.0, 5e-324, 1e300, -1.7976931348623157e308, 0.1, 3.0]
+        action = Action("x", 1, 1, np.array(values).reshape(2, 1, 3))
+        lines = serialize_action(action).splitlines()[1:]
+        assert lines == ["-0.0 5e-324 1e+300", "-1.7976931348623157e+308 0.1 3.0"]
+
+    @pytest.mark.parametrize("make", [make_directional_dataset, make_ordered_dataset],
+                             ids=lambda f: f.__name__)
+    def test_written_corpus_bytes_are_pinned(self, tmp_path, make):
+        ds = make(classes=3, subjects=2, instances=2, raw_frames=12, joints=3, seed=7,
+                  noise=0.05, direction_jitter=0.3)
+        digest = hashlib.sha256()
+        for path in write_canonical_dataset(ds, tmp_path):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == CORPUS_DIGESTS[make.__name__]
 
     def test_directory_round_trip_with_loader(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -344,6 +377,24 @@ class TestMsrc12Adapter:
         with pytest.warns(UserWarning, match="b_p02"):
             ds = load_msrc12(tmp_path, layout=SMALL_LAYOUT)
         assert len(ds) == 1
+
+    def test_fully_excluded_sequence_is_not_read(self, tmp_path):
+        _write_msrc12_sequence(tmp_path / "a_p01.csv", 50, SMALL_LAYOUT, seed=1)
+        (tmp_path / "a_p01.tags").write_text("20;wave\n")
+        (tmp_path / "b_p02.csv").write_text("1 2 3\n")
+        (tmp_path / "b_p02.tags").write_text("20;wave\n")
+        (tmp_path / "exclude.txt").write_text("b_p02_i001\n")
+        ds = load_msrc12(tmp_path, layout=SMALL_LAYOUT)
+        assert [a.id for a in ds.actions] == ["a_p01_i001"]
+        with pytest.raises(ValueError, match="^b_p02.csv: line 1: expected 9 values, got 3$"):
+            load_msrc12(tmp_path, layout=SMALL_LAYOUT, apply_exclusions=False)
+
+    def test_partly_excluded_sequence_is_read_and_checked(self, tmp_path):
+        (tmp_path / "b_p02.csv").write_text("1 2 3\n")
+        (tmp_path / "b_p02.tags").write_text("20;wave\n40;wave\n")
+        (tmp_path / "exclude.txt").write_text("b_p02_i001\n")
+        with pytest.raises(ValueError, match="^b_p02.csv: line 1: expected 9 values, got 3$"):
+            load_msrc12(tmp_path, layout=SMALL_LAYOUT)
 
     def test_missing_annotation_file_fails(self, tmp_path):
         _write_msrc12_sequence(tmp_path / "g_p01.csv", 50, SMALL_LAYOUT)
