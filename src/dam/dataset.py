@@ -418,12 +418,7 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
         )
     excluded = _exclusions_for(directory, apply_exclusions)
     subject_re = re.compile(layout.subject_pattern)
-    offsets = np.asarray(layout.coord_offsets)
-    columns = (
-        layout.first_joint_column
-        + np.arange(layout.joint_count)[:, None] * layout.joint_stride
-        + offsets[None, :]
-    )
+    columns = None  # built once a table has passed the width check
 
     actions = []
     for seq_path in seq_paths:
@@ -437,6 +432,12 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
             continue
         text = seq_path.read_text().replace(",", " ")
         table = _read_file_table(seq_path, text, layout.values_per_frame)
+        if columns is None:
+            columns = (
+                layout.first_joint_column
+                + np.arange(layout.joint_count)[:, None] * layout.joint_stride
+                + np.asarray(layout.coord_offsets)[None, :]
+            )
         positions = table[:, columns]  # (frames, joints, 3)
         total = positions.shape[0]
 

@@ -321,13 +321,6 @@ def parameter_sweep(
     grids = [(int(r), int(c)) for r, c in grids]
     if not windows or not grids:
         raise ValueError("need at least one window and one grid")
-    for w in windows:
-        if not 1 <= w <= cfg.preprocess.frames - 1:
-            raise ValueError(
-                f"window {w} invalid for frames {cfg.preprocess.frames}; "
-                f"must be in [1, {cfg.preprocess.frames - 1}]"
-            )
-
     configs = [
         [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
          for r, c in grids]

@@ -8,10 +8,14 @@ neighborhood radius) must be reproducible bit-for-bit for a given seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = (0.5, 0.01)
@@ -26,6 +30,9 @@ _CHUNK_BUDGET = 65_536
 _SIZE_LIMIT = np.finfo(np.float64).max / 8
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+# Online steps per block: one neighbourhood table of this many rows is filled
+# per block (at 25x25 under 0.3 MB) and handed to the block runner.
+_BLOCK_STEPS = 128
 
 
 def _rounding_bound(dim: int, size):
@@ -107,10 +114,11 @@ class SomGrid:
         return self.codebook.shape[1]
 
 
-def _gaussian(neg_sq: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(neg_sq / (2 sigma^2)), in place when `out` is given; the package's one exp.
+def _gaussian(neg_sq: np.ndarray, sigma: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(neg_sq / (2 sigma^2)), into `out` when given; the package's one exp.
 
-    Both the SOM neighbourhood and `preprocess.smooth_joint`'s kernel use it.
+    Both the SOM neighbourhood table (`sigma` a column of per-step radii) and
+    `preprocess.smooth_joint`'s kernel use it.
     """
     return np.exp(np.divide(neg_sq, 2.0 * sigma * sigma, out=out), out=out)
 
@@ -200,6 +208,87 @@ def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
     return float(np.sqrt(d).mean())
 
 
+def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
+    """The direct form's winner: argmin of ``(diff * diff).sum(axis=1)``."""
+    diff = codebook - x
+    return int(np.argmin((diff * diff).sum(axis=1)))
+
+
+def _neighbour_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct squared grid distances, negated, and where each offset finds its own.
+
+    Returns ``neg_k`` with ``neg_k[j] = -k_j`` over the distinct values k of
+    ``dr^2 + dc^2`` (``-0.0`` first) and an int64 ``(2 rows - 1, 2 cols - 1)``
+    array whose entry ``[rows - 1 + dr, cols - 1 + dc]`` is the j of that
+    offset. Sliced at a winner's cell it gives every unit's column of a
+    neighbourhood table.
+    """
+    dr = np.arange(1 - rows, rows)
+    dc = np.arange(1 - cols, cols)
+    distinct, index = np.unique(dr[:, None] ** 2 + dc**2, return_inverse=True)
+    return -distinct.astype(np.float64), index.reshape(2 * rows - 1, 2 * cols - 1).astype(np.int64)
+
+
+def _numpy_block(codebook, samples, rows, cols, order, table, alphas, index):
+    """Run one block of online steps with numpy; the reference block runner.
+
+    Step s visits ``samples[order[s]]`` with the weights ``table[s]`` and the
+    learning rate ``alphas[s]``; `index` is `_neighbour_index`'s.
+    """
+    units, dim = codebook.shape
+    diff = np.empty_like(codebook)
+    dist = np.empty(units)
+    influence_grid = np.empty((rows, cols))
+    influence = influence_grid.reshape(units)
+    influence_col = influence[:, None]
+    for s, i in enumerate(order):
+        np.subtract(codebook, samples[i], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=dist)
+        winner = int(dist.argmin())
+        first = dist[winner]
+        dist[winner] = np.inf
+        second = dist.min()
+        if not second - first > _rounding_bound(dim, second):
+            winner = _direct_winner(codebook, samples[i])
+        r, c = divmod(winner, cols)
+        np.take(table[s], index[rows - 1 - r : 2 * rows - 1 - r, cols - 1 - c : 2 * cols - 1 - c],
+                out=influence_grid)
+        np.multiply(influence, alphas[s], out=influence)
+        np.multiply(diff, influence_col, out=diff)
+        np.subtract(codebook, diff, out=codebook)
+
+
+def _compiled_block(kernel, codebook, samples, rows, cols, order, table, alphas, index):
+    """`_numpy_block` in the C kernel; numpy settles the steps it hands back.
+
+    Every array is C-contiguous, float64 or int64, as `train_som` makes them.
+    """
+    dist = np.empty(codebook.shape[0])
+    start, forced = 0, -1
+    while start < len(order):
+        start += kernel(
+            codebook.ctypes.data, rows, cols, codebook.shape[1], samples.ctypes.data,
+            order[start:].ctypes.data, len(order) - start, table[start:].ctypes.data,
+            table.shape[1], alphas[start:].ctypes.data, index.ctypes.data, forced,
+            dist.ctypes.data,
+        )
+        if start < len(order):
+            forced = _direct_winner(codebook, samples[order[start]])
+
+
+def _block_runner():
+    """The C block runner when `_som_kernel.c` is compiled and loads, else numpy's."""
+    library = _native.load("_som_kernel.c")
+    if library is None:
+        return _numpy_block
+    kernel = library.dam_som_block
+    pointer, size = ctypes.c_void_p, ctypes.c_int64
+    kernel.argtypes = [pointer, size, size, size, pointer, pointer, size, pointer, size,
+                       pointer, pointer, size, pointer]
+    kernel.restype = size
+    return functools.partial(_compiled_block, kernel)
+
+
 def train_som(
     samples: np.ndarray,
     rows: int,
@@ -216,20 +305,24 @@ def train_som(
     starts as a seeded draw of training vectors unless `initial_codebook` is
     given, and every epoch visits the samples in a fresh seeded order.
 
+    The steps run in blocks of `_BLOCK_STEPS`. Per block, numpy fills one
+    neighbourhood table, ``exp(-k / (2 sigma(t)^2))`` for each step t and
+    each distinct squared grid distance k, and a block runner makes the
+    steps: a compiled C kernel (`dam._native` builds it on first use) or,
+    without a compiler, the numpy loop `_numpy_block`. Both update with the
+    same float operations, ``t = c - x; t *= h; c -= t`` with h a table entry
+    times alpha(t), so they give the same bytes.
+
     The winner of a step is the argmin of the direct form
-    ``(diff * diff).sum(axis=1)``, ties to the lowest index, found in one
-    pass: ``einsum`` sums the same non-negative squares in another order, so
-    each of its distances lies within ``(dim + 2) eps d`` of the direct
-    form's (see `_rounding_bound`). When the runner-up exceeds the einsum
-    winner by more than E = `_rounding_bound` at the runner-up's distance,
-    the direct form ranks that winner strictly first too. Every other step
-    (exact ties and duplicated units included; an overflow or NaN makes the
-    gap NaN, which fails the test) takes the direct form's argmin. The
-    update and the Gaussian neighborhood use the same float operations as
-    the plain rule; the negated squared grid distance ``-(dr^2 + dc^2)`` is
-    the sum of two slices of one vector of exact small integers. No BLAS
-    call is made, so the codebook is byte-identical for a seed whatever the
-    thread settings.
+    ``(diff * diff).sum(axis=1)``, ties to the lowest index. Either runner
+    sums the same non-negative squares in another order, so each of its
+    distances lies within ``(dim + 2) eps d`` of the direct form's (see
+    `_rounding_bound`). When the runner-up exceeds that winner by more than
+    E = `_rounding_bound` at the runner-up's distance, the direct form ranks
+    the winner strictly first too. Every other step (exact ties and
+    duplicated units included; an overflow or NaN makes the gap NaN, which
+    fails the test) takes the direct form's argmin. No BLAS call is made, so
+    the codebook is byte-identical for a seed whatever the thread settings.
     """
     params = params or SomTrainParams()
     samples = np.ascontiguousarray(samples, dtype=np.float64)
@@ -249,11 +342,13 @@ def train_som(
 
     rng = np.random.default_rng(params.seed)
     if initial_codebook is not None:
-        codebook = np.array(initial_codebook, dtype=np.float64)
+        codebook = np.array(initial_codebook, dtype=np.float64, order="C")
         if codebook.shape != (units, samples.shape[1]):
             raise ValueError(
                 f"initial_codebook shape {codebook.shape} != {(units, samples.shape[1])}"
             )
+        if not np.isfinite(codebook).all():
+            raise ValueError("initial_codebook contains non-finite values")
     else:
         codebook = samples[rng.choice(n, size=units, replace=n < units)].copy()
 
@@ -262,42 +357,15 @@ def train_som(
     sigma0 = max(sigma0, params.radius_end)
     sigma1 = params.radius_end
 
-    dim = samples.shape[1]
-    diff = np.empty_like(codebook)
-    dist = np.empty(units)
-    influence_grid = np.empty((rows, cols))
-    influence = influence_grid.reshape(units)
-    influence_col = influence[:, None]
-    # neg_sq[span - 1 + d] = -(d * d) for grid offsets |d| < span, with -0.0
-    # at d = 0; the slice of a row or column holds -(offset to it)^2.
-    span = max(rows, cols)
-    offsets = np.arange(1 - span, span, dtype=np.float64)
-    neg_sq = -(offsets * offsets)
-
     total = params.epochs * n
-    step = 0
-    for _ in range(params.epochs):
-        for i in rng.permutation(n):
-            frac = step / (total - 1) if total > 1 else 0.0
-            alpha = alpha0 * (alpha1 / alpha0) ** frac
-            sigma = sigma0 * (sigma1 / sigma0) ** frac
-            np.subtract(codebook, samples[i], out=diff)
-            np.einsum("ij,ij->i", diff, diff, out=dist)
-            winner = int(dist.argmin())
-            first = dist[winner]
-            dist[winner] = np.inf
-            second = dist.min()
-            if not second - first > _rounding_bound(dim, second):
-                winner = int(np.argmin((diff * diff).sum(axis=1)))
-            r, c = divmod(winner, cols)
-            np.add(
-                neg_sq[span - 1 - r : span - 1 - r + rows, None],
-                neg_sq[span - 1 - c : span - 1 - c + cols],
-                out=influence_grid,
-            )
-            _gaussian(influence, sigma, out=influence)
-            np.multiply(influence, alpha, out=influence)
-            np.multiply(diff, influence_col, out=diff)
-            np.subtract(codebook, diff, out=codebook)
-            step += 1
+    order = np.concatenate([rng.permutation(n) for _ in range(params.epochs)]).astype(np.int64)
+    neg_k, index = _neighbour_index(rows, cols)
+    run_block = _block_runner()
+    for lo in range(0, total, _BLOCK_STEPS):
+        steps = range(lo, min(total, lo + _BLOCK_STEPS))
+        fracs = [step / (total - 1) if total > 1 else 0.0 for step in steps]
+        alphas = np.array([alpha0 * (alpha1 / alpha0) ** frac for frac in fracs])
+        sigmas = np.array([sigma0 * (sigma1 / sigma0) ** frac for frac in fracs])
+        table = _gaussian(neg_k, sigmas[:, None], out=np.empty((len(steps), len(neg_k))))
+        run_block(codebook, samples, rows, cols, order[lo : steps.stop], table, alphas, index)
     return SomGrid(rows, cols, codebook)

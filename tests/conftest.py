@@ -1,6 +1,8 @@
-"""Shared pytest hooks: a summary line per labeled acceptance criterion.
+"""Shared pytest hooks: a per-session kernel cache and acceptance summary lines.
 
-Tests marked ``@pytest.mark.acceptance("<label>")`` get one
+Compiled kernels (`dam._native`) are built into a temporary cache of the
+session, so the tests start from a cold cache and write nothing under the
+user's home. Tests marked ``@pytest.mark.acceptance("<label>")`` get one
 ``[acceptance] <label>: PASS|FAIL|SKIP`` line in the terminal summary, so the
 acceptance status is readable at a glance even inside a long run.
 """
@@ -9,9 +11,21 @@ from __future__ import annotations
 
 import pytest
 
+from dam import _native
+
 _RANK = {"passed": 0, "skipped": 1, "failed": 2}
 _VERDICT = {"passed": "PASS", "skipped": "SKIP", "failed": "FAIL"}
 _results: dict = {}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _kernel_cache(tmp_path_factory):
+    """Build the compiled kernels into a cache of the session, not the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+        _native.load.cache_clear()
+        yield
+    _native.load.cache_clear()
 
 
 def pytest_configure(config):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dam import cli
+from dam import cli, evaluation
 from dam import dataset as dataset_module
 from dam.classifier import load_model, save_model
 from dam.dataset import (
@@ -203,6 +203,24 @@ class TestConvert:
         assert code == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert key in stderr
+
+
+    def test_layout_wider_than_the_table_is_one_error_line(self, capsys, tmp_path):
+        # The column map of this layout would take ~745 GiB; the table's
+        # width check must reject the file before the map is built.
+        src = tmp_path / "msrc"
+        src.mkdir()
+        (src / "gesture_p06_x1.csv").write_text("0" + ",0" * 80 + "\n")
+        (src / "gesture_p06_x1.tags").write_text("0;1\n")
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(json.dumps(
+            {"joint_count": 100_000_000_000, "values_per_frame": 1_000_000_000_000}
+        ))
+        code, _, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
+                              "--format", "msrc12", "--layout", str(layout_path))
+        assert code == 1
+        assert stderr.startswith("error: gesture_p06_x1.csv: line 1: expected")
+        assert stderr.count("\n") == 1
 
 
 class TestTrain:
@@ -644,6 +662,18 @@ class TestSweep:
         assert code == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "AS1" in stderr
+
+    @pytest.mark.parametrize("windows, code", [("2,10", 1), ("0", 2)])
+    def test_bad_window_rejected_before_training(self, capsys, tmp_path, canon_dir,
+                                                 monkeypatch, windows, code):
+        trained = []
+        monkeypatch.setattr(evaluation, "train_som", lambda *a, **kw: trained.append(a))
+        out = tmp_path / "s.csv"
+        got, _, stderr = run(capsys, "sweep", str(canon_dir), "-o", str(out),
+                             "--frames", "10", "--windows", windows, "--grids", "2x2")
+        assert got == code
+        assert stderr.startswith("error: window must be in") and stderr.count("\n") == 1
+        assert trained == [] and not out.exists()
 
     @pytest.mark.parametrize("key", ["windows", "grids"])
     def test_empty_axis_rejected(self, capsys, tmp_path, canon_dir, key):

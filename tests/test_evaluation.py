@@ -443,13 +443,6 @@ class TestParameterSweep:
         assert rows[0].mean_accuracy == direct.mean_accuracy
         assert rows[0].std_accuracy == direct.std_accuracy
 
-    def test_invalid_window_rejected_up_front(self, directional):
-        cfg = small_config(runs=1)
-        with pytest.raises(ValueError, match="window 10"):
-            parameter_sweep(directional, cfg, windows=[2, 10], grids=[(2, 2)])
-        with pytest.raises(ValueError, match="window 0"):
-            parameter_sweep(directional, cfg, windows=[0], grids=[(2, 2)])
-
     @pytest.mark.filterwarnings("ignore:class 99 not present")
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -457,8 +450,10 @@ class TestParameterSweep:
             (dict(windows=[1, 2], grids=[(2, 2), (0, 3)]), "grid must be at least 1x1"),
             (dict(windows=[2], grids=[(2, 2)], action_sets={"a": [0, 1], "z": [99]}),
              "no actions remain"),
+            (dict(windows=[2, 10], grids=[(2, 2)]), r"window must be in .*, got 10"),
+            (dict(windows=[0], grids=[(2, 2)]), r"window must be in .*, got 0"),
         ],
-        ids=["grid", "subset"],
+        ids=["grid", "subset", "late-window", "window"],
     )
     def test_bad_grid_or_subset_rejected_before_training(
         self, directional, monkeypatch, kwargs, match

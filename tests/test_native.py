@@ -1,0 +1,131 @@
+"""Tests of the build-on-first-use kernel loader and of the path it selects."""
+
+from __future__ import annotations
+
+import logging
+import os
+import shlex
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dam import _native, cli, som
+from dam.dataset import write_canonical_dataset
+from dam.som import SomTrainParams, train_som
+from dam.synthetic import make_directional_dataset
+
+SOURCE = "_som_kernel.c"
+SRC = Path(som.__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache, which the next `train_som` call loads from anew."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _native.load.cache_clear()
+    yield tmp_path / "cache" / "dam"
+    _native.load.cache_clear()
+
+
+def _train() -> bytes:
+    rng = np.random.default_rng(8)
+    samples = np.round(rng.normal(size=(60, 7)), 1)
+    return train_som(samples, 4, 3, SomTrainParams(epochs=2, seed=5)).codebook.tobytes()
+
+
+@pytest.fixture(scope="module")
+def numpy_bytes():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(som, "_block_runner", lambda: som._numpy_block)
+        return _train()
+
+
+def _fake_compilers(directory: Path, body: str) -> Path:
+    """A directory holding `cc` and the configured compiler as shell scripts."""
+    directory.mkdir()
+    configured = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    for name in {"cc", os.path.basename(configured)}:
+        script = directory / name
+        script.write_text(f"#!/bin/sh\n{body}\n")
+        script.chmod(0o755)
+    return directory
+
+
+def _assert_numpy_ran(caplog, reason: str) -> None:
+    assert _native.load(SOURCE) is None
+    messages = [r.getMessage() for r in caplog.records if r.name == "dam._native"]
+    assert len(messages) == 1 and reason in messages[0] and "using numpy" in messages[0]
+
+
+class TestFallback:
+    def test_no_compiler_on_path(self, fresh_cache, tmp_path, monkeypatch, caplog,
+                                 numpy_bytes):
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        caplog.set_level(logging.INFO, logger="dam._native")
+        assert _train() == numpy_bytes
+        assert _train() == numpy_bytes
+        _assert_numpy_ran(caplog, "no C compiler")
+
+    def test_failing_compile(self, fresh_cache, tmp_path, monkeypatch, caplog, numpy_bytes):
+        bin_dir = _fake_compilers(tmp_path / "bin", "echo broken >&2; exit 1")
+        monkeypatch.setenv("PATH", str(bin_dir))
+        caplog.set_level(logging.INFO, logger="dam._native")
+        assert _train() == numpy_bytes
+        _assert_numpy_ran(caplog, "exited 1: broken")
+        assert list(fresh_cache.iterdir()) == []  # no temporary file left behind
+
+    def test_corrupt_cached_library(self, fresh_cache, caplog, numpy_bytes):
+        target = _native.library_path(SOURCE)
+        target.parent.mkdir(parents=True)
+        target.write_bytes(b"not a shared library")
+        caplog.set_level(logging.INFO, logger="dam._native")
+        assert _train() == numpy_bytes
+        _assert_numpy_ran(caplog, "cannot load")
+        assert target.read_bytes() == b"not a shared library"
+
+
+def _which_runner(env: dict) -> subprocess.CompletedProcess:
+    code = (
+        "import logging; logging.basicConfig(level=logging.INFO)\n"
+        "from dam import som\n"
+        "print(som._block_runner() is not som._numpy_block)\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler here")
+def test_second_process_reuses_the_cached_library(tmp_path):
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "PYTHONPATH": str(SRC)}
+    first = _which_runner(env)
+    assert first.stdout == "True\n"
+    library = _native.library_path(SOURCE).name
+    assert (tmp_path / "cache" / "dam" / library).is_file()
+    assert oct((tmp_path / "cache" / "dam").stat().st_mode & 0o777) == "0o700"
+
+    marker = tmp_path / "compiler_ran"
+    bin_dir = _fake_compilers(tmp_path / "bin", f"touch {marker}; exit 1")
+    second = _which_runner({**env, "PATH": str(bin_dir)})
+    assert second.stdout == "True\n"
+    assert not marker.exists()
+    assert second.stderr.count("using the compiled library") == 1
+
+
+def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys):
+    data, model = tmp_path / "data", tmp_path / "model.json"
+    write_canonical_dataset(
+        make_directional_dataset(classes=2, subjects=2, instances=2, raw_frames=20,
+                                 joints=3, seed=1),
+        data,
+    )
+    assert cli.main(["train", str(data), "-o", str(model), "--frames", "10",
+                     "--window", "2", "--grid", "2x2", "--epochs", "1"]) == 0
+    calls = []
+    monkeypatch.setattr(_native, "load", lambda name: calls.append(name))
+    assert cli.main(["classify", "--model", str(model), str(data)]) == 0
+    assert calls == []

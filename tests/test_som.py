@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dam import som
 from dam.descriptor import compute_histogram
 from dam.som import (
     _CHUNK_BUDGET,
@@ -274,6 +275,21 @@ def _training_cases(draw):
     return samples, rows, cols, params, initial
 
 
+@pytest.fixture(scope="class", params=["compiled", "numpy"])
+def block_runner(request):
+    """Train with the C block runner, then with the numpy one."""
+    if request.param == "numpy":
+        runner = lambda: som._numpy_block  # noqa: E731
+    elif som._block_runner() is som._numpy_block:
+        pytest.skip("the C kernel was not compiled here")
+    else:
+        runner = som._block_runner
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(som, "_block_runner", runner)
+        yield request.param
+
+
+@pytest.mark.usefixtures("block_runner")
 @pytest.mark.filterwarnings("ignore:training set has fewer")
 class TestTrainingMatchesReference:
     @settings(max_examples=300, deadline=None)
@@ -331,26 +347,6 @@ class TestTraining:
         g2 = train_som(samples, 3, 3, params)
         assert_array_equal(g1.codebook, g2.codebook)
 
-    def test_codebook_bytes_match_the_pinned_digest(self):
-        # Pins the online rule's exact output (numpy 2.x, x86-64), so a faster
-        # training loop can show it changes no bit of the codebook.
-        rng = np.random.default_rng(2024)
-        samples = rng.normal(size=(200, 12))
-        grid = train_som(samples, 5, 5, SomTrainParams(epochs=3, seed=7))
-        digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
-        assert digest == "5031de5d94ff5d75fba5ff055839599e377aca28a2a1798fb75248950359e1f3"
-
-    def test_paper_shape_codebook_bytes_match_the_pinned_digest(self):
-        # The benchmark's shape (numpy 2.x, x86-64): 625 units, vectors of
-        # dimension 180. Fewer samples than units, so some units start as
-        # duplicates.
-        rng = np.random.default_rng(625)
-        samples = rng.normal(size=(300, 180))
-        with pytest.warns(UserWarning, match="fewer"):
-            grid = train_som(samples, 25, 25, SomTrainParams(epochs=1, seed=11))
-        digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
-        assert digest == "31ab61094061e8060c80827a9079211ac6473aa187d4659155418da5a674c20e"
-
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(10)
         samples = rng.normal(size=(80, 6))
@@ -393,6 +389,10 @@ class TestTraining:
             train_som(np.zeros((0, 4)), 2, 2, SomTrainParams())
         with pytest.raises(ValueError):
             train_som(np.full((5, 4), np.nan), 2, 2, SomTrainParams())
+        start = np.zeros((4, 4))
+        start[2, 1] = np.inf
+        with pytest.raises(ValueError, match="initial_codebook contains non-finite"):
+            train_som(np.zeros((5, 4)), 2, 2, SomTrainParams(), initial_codebook=start)
 
     def test_initial_codebook_is_sampled_from_training_vectors(self):
         # With learning rate ~0 the codebook stays at its initialization,
@@ -406,6 +406,29 @@ class TestTraining:
         for unit in grid.codebook:
             match = np.isclose(samples, unit, atol=1e-9).all(axis=1)
             assert match.any()
+
+
+@pytest.mark.usefixtures("block_runner")
+class TestPinnedDigests:
+    def test_codebook_bytes_match_the_pinned_digest(self):
+        # Pins the online rule's exact output (numpy 2.x, x86-64), so a faster
+        # training loop can show it changes no bit of the codebook.
+        rng = np.random.default_rng(2024)
+        samples = rng.normal(size=(200, 12))
+        grid = train_som(samples, 5, 5, SomTrainParams(epochs=3, seed=7))
+        digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
+        assert digest == "5031de5d94ff5d75fba5ff055839599e377aca28a2a1798fb75248950359e1f3"
+
+    def test_paper_shape_codebook_bytes_match_the_pinned_digest(self):
+        # The benchmark's shape (numpy 2.x, x86-64): 625 units, vectors of
+        # dimension 180. Fewer samples than units, so some units start as
+        # duplicates.
+        rng = np.random.default_rng(625)
+        samples = rng.normal(size=(300, 180))
+        with pytest.warns(UserWarning, match="fewer"):
+            grid = train_som(samples, 25, 25, SomTrainParams(epochs=1, seed=11))
+        digest = hashlib.sha256(grid.codebook.tobytes()).hexdigest()
+        assert digest == "31ab61094061e8060c80827a9079211ac6473aa187d4659155418da5a674c20e"
 
 
 class TestQuantizationError:
