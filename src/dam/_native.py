@@ -9,8 +9,8 @@ processes only load it. The build writes a temporary file and renames it
 into place, so concurrent processes never load a half-written library.
 
 Loading never raises: with no compiler, a failed build or a cached file
-that does not load, `load` returns None and the caller keeps its numpy
-path. Either outcome is logged once per process at INFO.
+that does not load, `load` returns None and the caller keeps its Python
+path, which gives the same results. Either outcome is logged once per process at INFO.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-# No -march and no fast-math: the code must round exactly as numpy does, on
-# every machine; -ffp-contract=off keeps gcc from fusing a multiply and add.
+# No -march and no fast-math: the code must round exactly as its Python path
+# does, on every machine; -ffp-contract=off keeps gcc from fusing a multiply and add.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT_S = 120
 
@@ -86,17 +86,17 @@ def load(source_name: str) -> ctypes.CDLL | None:
     try:
         target = library_path(source_name)
     except OSError as exc:
-        logger.info("%s: cannot read the source (%s); using numpy", source_name, exc)
+        logger.info("%s: cannot read the source (%s); using the Python path", source_name, exc)
         return None
     if not target.exists():
         failure = _build(source, target)
         if failure is not None:
-            logger.info("%s: not compiled (%s); using numpy", source_name, failure)
+            logger.info("%s: not compiled (%s); using the Python path", source_name, failure)
             return None
     try:
         library = ctypes.CDLL(str(target))
     except OSError as exc:
-        logger.info("%s: cannot load %s (%s); using numpy", source_name, target, exc)
+        logger.info("%s: cannot load %s (%s); using the Python path", source_name, target, exc)
         return None
     logger.info("%s: using the compiled library %s", source_name, target)
     return library

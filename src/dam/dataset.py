@@ -14,6 +14,8 @@ produce the same in-memory types.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import re
 import warnings
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import _native
 
 logger = logging.getLogger(__name__)
 
@@ -141,7 +145,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-def _read_table(lines: list, width: int) -> np.ndarray:
+def _convert_lines(lines: list, width: int) -> np.ndarray:
     """A (len(lines), width) float64 table from (line number, line) pairs.
 
     One conversion for the whole table; numpy parses each token as float()
@@ -166,12 +170,96 @@ def _read_table(lines: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(lines), width)
 
 
+@functools.lru_cache(maxsize=None)
+def _powers_of_five() -> np.ndarray:
+    """The compiled reader's (651, 2) uint64 table: 5**q for q in [-342, 308].
+
+    Each entry is 5**q scaled by a power of two into [2**127, 2**128), high
+    word first: truncated for q >= 0, and for q < 0 the quotient of a power
+    of two by 5**-q plus one, as Lemire's table generator makes it, so that
+    Eisel-Lemire needs no fallback.
+    """
+    words = []
+    for q in range(-342, 309):
+        power = 5 ** abs(q)
+        bits = power.bit_length()
+        if q >= 0:
+            scaled = power << (128 - bits) if bits < 128 else power >> (bits - 128)
+        elif q >= -27:
+            scaled = (1 << (bits + 127)) // power + 1
+        else:
+            scaled = (1 << (2 * bits + 128)) // power + 1
+            scaled >>= scaled.bit_length() - 128
+        assert scaled.bit_length() == 128
+        words.append((scaled >> 64, scaled & (2**64 - 1)))
+    return np.array(words, dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _bind_reader(library: ctypes.CDLL):
+    """`library`'s `dam_read_table` with its argument types and powers of five bound."""
+    reader = library.dam_read_table
+    size = ctypes.c_int64
+    reader.argtypes = [ctypes.c_void_p, ctypes.c_char_p, size, size, size, size,
+                       ctypes.c_void_p]
+    reader.restype = size
+    return functools.partial(reader, _powers_of_five().ctypes.data)
+
+
+def _table_reader():
+    """The compiled table reader when `_table_reader.c` is compiled and loads, else None."""
+    library = _native.load("_table_reader.c")
+    return None if library is None else _bind_reader(library)
+
+
+def _compiled_table(text: str, width: int, skip: int, rows: int | None) -> np.ndarray | None:
+    """`_read_table`'s table from the compiled reader, or None when it cannot give it."""
+    reader = _table_reader()
+    if reader is None or not text.isascii():
+        return None
+    # A row takes at least 2 * width - 1 bytes and a line break, which bounds
+    # the rows the text can hold.
+    capacity = (len(text) + 1) // (2 * width) if width > 0 else 0
+    if rows is not None:
+        capacity = rows if 0 <= rows <= capacity else 0
+    if capacity == 0:
+        return None
+    table = np.empty((capacity, width))
+    count = reader(text.encode("ascii"), len(text), skip, width, capacity, table.ctypes.data)
+    if count < 0 or (rows is not None and count != rows):
+        return None
+    return table if count == capacity else table[:count].copy()
+
+
+def _read_table(text: str, width: int, skip: int = 0, rows: int | None = None) -> np.ndarray:
+    """The (n, width) float64 table of `text`'s content lines after the first `skip`.
+
+    `rows`, a canonical file's frame count, is the number of lines the table
+    must have. The compiled reader reads the table when it loads and accepts
+    the text; any other text goes to `_content_lines`, which gives the same
+    values, as float() parses them, or the error naming the first bad line.
+    """
+    table = _compiled_table(text, width, skip, rows)
+    if table is not None:
+        return table
+    body = _content_lines(text)[skip:]
+    if rows is None:
+        return _convert_lines(body, width)
+    count = max(rows, 0)
+    table = _convert_lines(body[:count], width)
+    if len(body) > count:
+        raise ValueError(f"line {body[count][0]}: unexpected content after {rows} frame lines")
+    if len(body) != rows:
+        raise ValueError(f"expected {rows} frame lines, found {len(body)}")
+    return table
+
+
 def parse_action_file(text: str) -> Action:
     """Parse one canonical action file; errors carry 1-based line numbers."""
-    lines = _content_lines(text)
-    if not lines:
+    first = next(iter(_content_lines(text)), None)
+    if first is None:
         raise ValueError("empty file: missing header line")
-    (header_no, header), body = lines[0], lines[1:]
+    header_no, header = first
 
     fields = [f.strip() for f in header.split(",")]
     if len(fields) != 5:
@@ -199,15 +287,7 @@ def parse_action_file(text: str) -> Action:
     if num_joints < 1:
         raise ValueError(f"line {header_no}: num_joints must be >= 1, got {num_joints}")
 
-    count = max(num_frames, 0)
-    frames = _read_table(body[:count], num_joints * 3)
-    if len(body) > count:
-        raise ValueError(
-            f"line {body[count][0]}: unexpected content after {num_frames} frame lines"
-        )
-    if len(body) != num_frames:
-        raise ValueError(f"expected {num_frames} frame lines, found {len(body)}")
-
+    frames = _read_table(text, num_joints * 3, skip=1, rows=num_frames)
     return Action(
         id=ident,
         subject=subject,
@@ -230,7 +310,7 @@ def serialize_action(action: Action) -> str:
 def _read_file_table(path: Path, text: str, width: int) -> np.ndarray:
     """`_read_table` of `path`'s `text`, which must have a row; errors name the file."""
     try:
-        table = _read_table(_content_lines(text), width)
+        table = _read_table(text, width)
     except ValueError as e:
         raise ValueError(f"{path.name}: {e}") from None
     if not len(table):

@@ -205,22 +205,26 @@ class TestConvert:
         assert key in stderr
 
 
-    def test_layout_wider_than_the_table_is_one_error_line(self, capsys, tmp_path):
-        # The column map of this layout would take ~745 GiB; the table's
-        # width check must reject the file before the map is built.
+    @pytest.mark.parametrize("layout", [
+        {"joint_count": 100_000_000_000, "values_per_frame": 1_000_000_000_000},
+        {"values_per_frame": 10**20},
+        {"values_per_frame": 0, "first_joint_column": -10, "joint_count": 1},
+    ], ids=["huge-map", "huge-width", "zero-width"])
+    def test_layout_wider_than_the_table_is_one_error_line(self, capsys, tmp_path, layout):
+        # The column map of the first layout would take ~745 GiB; the table's
+        # width check must reject the file before the map is built. No width
+        # may fail in the table reader before that check.
         src = tmp_path / "msrc"
         src.mkdir()
         (src / "gesture_p06_x1.csv").write_text("0" + ",0" * 80 + "\n")
         (src / "gesture_p06_x1.tags").write_text("0;1\n")
         layout_path = tmp_path / "layout.json"
-        layout_path.write_text(json.dumps(
-            {"joint_count": 100_000_000_000, "values_per_frame": 1_000_000_000_000}
-        ))
+        layout_path.write_text(json.dumps(layout))
         code, _, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
                               "--format", "msrc12", "--layout", str(layout_path))
         assert code == 1
-        assert stderr.startswith("error: gesture_p06_x1.csv: line 1: expected")
-        assert stderr.count("\n") == 1
+        width = layout["values_per_frame"]
+        assert stderr == f"error: gesture_p06_x1.csv: line 1: expected {width} values, got 81\n"
 
 
 class TestTrain:

@@ -1,11 +1,19 @@
 """Tests for dataset types, the canonical file format, adapters, and splits."""
 
 import hashlib
+import locale
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dam import dataset
 from dam.dataset import (
     Action,
     Dataset,
@@ -91,6 +99,21 @@ class TestActionAndDataset:
         assert class_order({2, "a", 1}) == [1, 2, "a"]
 
 
+@pytest.fixture(scope="class", params=["compiled", "python"])
+def table_reader(request):
+    """Read number tables with the compiled reader, then with the Python one."""
+    if request.param == "python":
+        reader = lambda: None  # noqa: E731
+    elif dataset._table_reader() is None:
+        pytest.skip("the table reader was not compiled here")
+    else:
+        reader = dataset._table_reader
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_table_reader", reader)
+        yield request.param
+
+
+@pytest.mark.usefixtures("table_reader")
 class TestCanonicalFormat:
     def test_parse_happy_path_with_comments_and_blank_lines(self):
         text = (
@@ -429,6 +452,7 @@ RAW_TABLES = {
 }
 
 
+@pytest.mark.usefixtures("table_reader")
 class TestRawTables:
     """Both raw formats read their number tables with the canonical format's rules."""
 
@@ -481,6 +505,276 @@ class TestRawTables:
         with pytest.raises(ValueError) as info:
             self._load(tmp_path, fmt, [], head=("# nothing recorded", ""))
         assert str(info.value) == f"{RAW_TABLES[fmt][1]}: no data lines"
+
+
+# --- The compiled table reader against the Python one -------------------------
+
+def _spelled_numbers(max_exponent):
+    """1-30 digits, a point anywhere or none, an exponent up to `max_exponent` or none."""
+    exponents = st.builds("{}{}{}".format, st.sampled_from("eE"),
+                          st.sampled_from(["", "+", "-"]), st.integers(0, max_exponent))
+    return st.tuples(
+        st.sampled_from(["", "-", "+"]),
+        st.text("0123456789", min_size=1, max_size=30),
+        st.one_of(st.none(), st.integers(0, 30)),
+        st.just("") | exponents,
+    ).map(lambda t: t[0] + (t[1] if t[2] is None else f"{t[1][:t[2]]}.{t[1][t[2]:]}") + t[3])
+
+
+# Numbers as a file may spell them, all in the range the compiled reader reads.
+_NUMBERS = st.one_of(st.floats(-1e6, 1e6, allow_subnormal=False).map(repr),
+                     st.floats(1e-300, 1e300).map(repr), _spelled_numbers(30))
+# What one text in two gets inserted at a random place: a subnormal or
+# overflowing number, a token float() may or may not take, a separator or
+# line break that Python honours, or a byte it does not.
+_ODDITIES = st.one_of(
+    _spelled_numbers(400),
+    st.floats(0, 1e-300).map(repr),
+    st.sampled_from([
+        "1_0", "_1", "inf", "-Infinity", "nan", "0x1p3", "1e", ".", "--1", "1.5.2", "1,5",
+        "١٢", "１.5", "5²", "\x00", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+        "\xa0", " ", "　", "\r", "\n", "\t", "#", "1e309", "5e-324",
+    ]),
+)
+_FILLER_LINES = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  # 1 2 3", "#"]),
+                         max_size=2)
+
+
+@st.composite
+def _table_text(draw, width, rows):
+    """`rows` lines of `width` values, with comments and blank lines between; in one
+    text of two, a line has a value too few or too many, or an oddity is inserted."""
+    fault = draw(st.sampled_from([None, "oddity", "count"])) if draw(st.booleans()) else None
+    counts = [width] * rows
+    if rows and fault == "count":
+        counts[draw(st.integers(0, rows - 1))] += draw(st.sampled_from([-1, 1]))
+    lines = []
+    for count in counts:
+        lines += draw(_FILLER_LINES)
+        tokens = draw(st.lists(_NUMBERS, min_size=count, max_size=count))
+        separators = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t "]),
+                                   min_size=count + 1, max_size=count + 1))
+        lines.append("".join(sep + tok for sep, tok in zip(separators, tokens))
+                     + draw(st.sampled_from(["", separators[-1]])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if fault == "oddity":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_ODDITIES) + text[at:]
+    return text
+
+
+@st.composite
+def _canonical_text(draw):
+    joints = draw(st.integers(1, 2))
+    rows = draw(st.integers(2, 5))
+    frames = rows + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    head = draw(st.sampled_from(["", "# recorded\n", "\n  \n", "#a\r\n\r\n", "#b\r \r"]))
+    return f"{head}clip,3,wave,{frames},{joints}\n" + draw(_table_text(joints * 3, rows))
+
+
+def _outcome(read):
+    """What `read()` gives, as bytes and fields that compare exactly, or its error text."""
+    try:
+        result = read()
+    except ValueError as e:
+        return str(e)
+    if isinstance(result, Action):
+        return (result.id, result.subject, result.label, result.frames.shape,
+                result.frames.tobytes())
+    return result.shape, result.tobytes()
+
+
+def _on_both_readers(read) -> tuple:
+    """`_outcome(read)` with the compiled table reader, then with the Python one."""
+    compiled = _outcome(read)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_table_reader", lambda: None)
+        return compiled, _outcome(read)
+
+
+@pytest.fixture(scope="module")
+def compiled_reader():
+    if dataset._table_reader() is None:
+        pytest.skip("the table reader was not compiled here")
+
+
+DBL_MIN = sys.float_info.min
+
+# Named hard cases: the first odd integer past 2**53, the largest subnormal
+# spelled long, the smallest subnormal, the largest double and one just past
+# it that rounds to infinity, a 60-digit mantissa, and exact halfway points.
+HARD_TOKENS = [
+    "9007199254740993", "2.2250738585072011e-308", "2.2250738585072012e-308",
+    "4.9406564584124654e-324", "1.7976931348623157e308", "1.7976931348623158e308",
+    "1.7976931348623159e308", "123456789012345678901234567890123456789012345678901234567890",
+    "0.000000000000000000000000000000000000000000000000000000000001234567890123456789",
+    "9007199254740992.5", "1.00000000000000011102230246251565404236316680908203125",
+    "7.2057594037927933e16", "1e23", "8.98846567431158e307", "1e-22", "1e22",
+    "18446744073709551615", "18446744073709551616e-20", "0e99999999999", "-0.0e-999",
+    "2.2250738585072014e-308", "5e-324", "1e400", "1e-400",
+]
+
+
+def _sweep_tokens(seed: int, n: int) -> list[str]:
+    """`n` seeded number tokens across binary64 in four spellings, then the hard cases.
+
+    The spellings: repr and %.Ne of random bit patterns, %.Nf of values up to
+    1e6, and up to 12 + 12 random digits around a point, zero-padded, with
+    an exponent in [-340, 300].
+    """
+    rng = np.random.default_rng(seed)
+    quarter = n // 4
+    bits = rng.integers(0, 2**64, size=2 * quarter, dtype=np.uint64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 1.5)
+    tokens = str(bits[:quarter].tolist())[1:-1].split(", ")
+    for places, values in enumerate(np.array_split(bits[quarter:], 25)):
+        tokens += (f"%.{places}e " * len(values) % tuple(values.tolist())).split()
+    for places, values in enumerate(np.array_split(rng.uniform(-1e6, 1e6, quarter), 25)):
+        tokens += (f"%.{places}f " * len(values) % tuple(values.tolist())).split()
+    rest = n - len(tokens)
+    widths = rng.integers(0, 13, size=(2, rest))
+    columns = [rng.choice(["", "-", "+"], size=rest), widths[0], rng.integers(0, 10**widths[0]),
+               widths[1], rng.integers(0, 10**widths[1]), rng.integers(-340, 301, size=rest)]
+    rows = [value for row in zip(*(c.tolist() for c in columns)) for value in row]
+    tokens += ("%s%0*d.%0*de%d " * rest % tuple(rows)).split()
+    return tokens + HARD_TOKENS
+
+
+def _zero_mantissa(token: str) -> bool:
+    return not token.lower().split("e")[0].strip("+-0.")
+
+
+def _in_normal_range(token: str, value: float) -> bool:
+    """Whether the compiled reader must read `token`: 0 spelled as 0, or normal and
+    finite, with an exponent below 10**5."""
+    exponent = token.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) >= 10**5:
+        return False
+    if value == 0:
+        return _zero_mantissa(token)
+    return 2 * DBL_MIN <= abs(value) < float("inf")
+
+
+def _out_of_range(token: str, value: float) -> bool:
+    """Whether the compiled reader must decline `token`: subnormal, underflowing or infinite."""
+    return abs(value) == float("inf") or (abs(value) < DBL_MIN and not _zero_mantissa(token))
+
+
+@pytest.mark.usefixtures("compiled_reader")
+class TestCompiledReader:
+    """The compiled reader gives float()'s bytes or leaves the table to the Python one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_canonical_text())
+    def test_canonical_file_reads_the_same_on_both_readers(self, text):
+        compiled, python = _on_both_readers(lambda: parse_action_file(text))
+        assert compiled == python
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda width: st.tuples(st.just(width), _table_text(width, 4))))
+    def test_raw_table_reads_the_same_on_both_readers(self, case):
+        width, text = case
+        compiled, python = _on_both_readers(
+            lambda: dataset._read_file_table(Path("t.csv"), text, width))
+        assert compiled == python
+
+    def test_a_million_tokens_match_float_bit_for_bit(self):
+        tokens = _sweep_tokens(seed=13, n=1_040_000)
+        values = np.array([float(t) for t in tokens])
+        magnitude = np.abs(values)
+        normal = np.flatnonzero((magnitude >= 2 * DBL_MIN) & (magnitude < np.inf))
+        assert len(normal) > 1_000_000
+        # The zeros, subnormals and infinities each go through both readers.
+        for i in np.flatnonzero((magnitude < 2 * DBL_MIN) | (magnitude == np.inf)).tolist():
+            compiled = dataset._compiled_table(tokens[i], 1, 0, None)
+            if compiled is not None:
+                assert compiled.tobytes() == values[i].tobytes(), tokens[i]
+            assert dataset._read_table(tokens[i], 1).tobytes() == values[i].tobytes()
+        width = 100
+        normal = normal[: len(normal) // width * width]
+        text = "\n".join(map(" ".join, zip(*[iter([tokens[i] for i in normal])] * width)))
+        table = dataset._compiled_table(text, width, 0, None)
+        assert table is not None
+        wrong = np.flatnonzero(table.reshape(-1).view(np.uint64)
+                               != values[normal].view(np.uint64))
+        assert [tokens[normal[i]] for i in wrong[:5]] == []
+
+    @pytest.mark.parametrize("token", HARD_TOKENS)
+    def test_hard_cases_match_float_or_are_declined(self, token):
+        value = float(token)
+        want = np.float64(value).tobytes()
+        compiled = dataset._compiled_table(token, 1, 0, None)
+        if _in_normal_range(token, value):
+            assert compiled is not None
+        if _out_of_range(token, value):
+            assert compiled is None
+        if compiled is not None:
+            assert compiled.tobytes() == want
+        assert dataset._read_table(token, 1).tobytes() == want
+
+    @pytest.mark.parametrize("text", [
+        "1 2\n3 4\x0b\n", "1 2\n\x1f\n", "1\xa02\n", "1 2\n3 4 5\n", "1 2\n3\n",
+        "1 2\n5e-324 1\n", "1 2\n1e309 1\n", "1 2\ninf 1\n", "1 0x1p3\n", "1_0 2\n",
+        *(f"# a{byte}1 2\n1 2\n" for byte in "\x0b\x0c\x1c\x1d\x1e\x1f"),
+    ], ids=repr)
+    def test_declined_tables_are_left_to_python(self, text):
+        assert dataset._compiled_table(text, 2, 0, None) is None
+        # The same byte in a skipped header line.
+        assert dataset._compiled_table("h\n" + text, 2, 1, None) is None
+
+    @pytest.mark.parametrize("zeros", [0, 123_200])
+    @pytest.mark.parametrize("exponent", ["1234567", "100000", "-100000", "+0100000"])
+    def test_exponent_of_six_digits_is_declined(self, zeros, exponent):
+        # An exponent of 10**5 or more is declined, not cut short: cut to
+        # 123456, 1234567 behind 123 200 fraction zeros lands back in range
+        # and reads as a finite 1e255, where float() gives inf.
+        token = f"0.{'0' * zeros}1e{exponent}"
+        assert dataset._compiled_table(token, 1, 0, None) is None
+        assert dataset._read_table(token, 1).tobytes() == np.float64(float(token)).tobytes()
+
+    def test_powers_of_five_match_the_published_table(self):
+        # Entries of the table in fast_float (q = -342, -1, 0), which the
+        # generator must reproduce from exact integers.
+        powers = dataset._powers_of_five()
+        assert powers.shape == (651, 2)
+        assert [hex(w) for w in powers[0].tolist()] == ["0xeef453d6923bd65a",
+                                                         "0x113faa2906a13b3f"]
+        assert [hex(w) for w in powers[341].tolist()] == ["0xcccccccccccccccc",
+                                                           "0xcccccccccccccccd"]
+        assert powers[342].tolist() == [2**63, 0]
+
+    def test_comma_decimal_locale_is_declined_not_misread(self, tmp_path, monkeypatch):
+        # strtod reads the locale's decimal point: under one that uses a
+        # comma it stops at the '.', and the reader must decline the table.
+        # Without such a locale installed, localedef builds one.
+        token = "1.2345678901234567890123"
+        before = locale.setlocale(locale.LC_NUMERIC)
+        if not _set_numeric_locale("de_DE.UTF-8"):
+            if shutil.which("localedef") is None:
+                pytest.skip("no locale with a comma decimal point here")
+            subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8",
+                            str(tmp_path / "de_DE.UTF-8")], capture_output=True, timeout=120)
+            monkeypatch.setenv("LOCPATH", str(tmp_path))
+            if not _set_numeric_locale("de_DE.UTF-8"):
+                pytest.skip("no locale with a comma decimal point here")
+        try:
+            assert locale.localeconv()["decimal_point"] == ","
+            assert dataset._compiled_table(token, 1, 0, None) is None
+            assert dataset._compiled_table("1.5", 1, 0, None)[0, 0] == 1.5
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, before)
+        assert dataset._read_table(token, 1)[0, 0] == float(token)
+
+
+def _set_numeric_locale(name: str) -> bool:
+    try:
+        locale.setlocale(locale.LC_NUMERIC, name)
+    except locale.Error:
+        return False
+    return True
 
 
 def _subject_dataset(subjects, per_subject=3, joints=2, seed=0):

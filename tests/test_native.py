@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dam import _native, cli, som
-from dam.dataset import write_canonical_dataset
+from dam.dataset import load_canonical_dataset, write_canonical_dataset
 from dam.som import SomTrainParams, train_som
 from dam.synthetic import make_directional_dataset
 
@@ -55,10 +55,12 @@ def _fake_compilers(directory: Path, body: str) -> Path:
     return directory
 
 
-def _assert_numpy_ran(caplog, reason: str) -> None:
-    assert _native.load(SOURCE) is None
+def _assert_fallback_ran(caplog, reason: str, source: str = SOURCE) -> None:
+    assert _native.load(source) is None
     messages = [r.getMessage() for r in caplog.records if r.name == "dam._native"]
-    assert len(messages) == 1 and reason in messages[0] and "using numpy" in messages[0]
+    assert len(messages) == 1
+    assert messages[0].startswith(source) and reason in messages[0]
+    assert messages[0].endswith("; using the Python path")
 
 
 class TestFallback:
@@ -69,14 +71,34 @@ class TestFallback:
         caplog.set_level(logging.INFO, logger="dam._native")
         assert _train() == numpy_bytes
         assert _train() == numpy_bytes
-        _assert_numpy_ran(caplog, "no C compiler")
+        _assert_fallback_ran(caplog, "no C compiler")
+
+    def test_no_compiler_reads_the_same_tables(self, fresh_cache, tmp_path, monkeypatch,
+                                               caplog):
+        data = tmp_path / "data"
+        write_canonical_dataset(
+            make_directional_dataset(classes=2, subjects=2, instances=2, raw_frames=12,
+                                     joints=3, seed=4, noise=0.05),
+            data,
+        )
+        compiled = load_canonical_dataset(data)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other_cache"))
+        _native.load.cache_clear()
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        caplog.clear()
+        caplog.set_level(logging.INFO, logger="dam._native")
+        python = load_canonical_dataset(data)
+        assert [(a.id, a.frames.tobytes()) for a in python] == [
+            (a.id, a.frames.tobytes()) for a in compiled]
+        _assert_fallback_ran(caplog, "no C compiler", "_table_reader.c")
 
     def test_failing_compile(self, fresh_cache, tmp_path, monkeypatch, caplog, numpy_bytes):
         bin_dir = _fake_compilers(tmp_path / "bin", "echo broken >&2; exit 1")
         monkeypatch.setenv("PATH", str(bin_dir))
         caplog.set_level(logging.INFO, logger="dam._native")
         assert _train() == numpy_bytes
-        _assert_numpy_ran(caplog, "exited 1: broken")
+        _assert_fallback_ran(caplog, "exited 1: broken")
         assert list(fresh_cache.iterdir()) == []  # no temporary file left behind
 
     def test_corrupt_cached_library(self, fresh_cache, caplog, numpy_bytes):
@@ -85,7 +107,7 @@ class TestFallback:
         target.write_bytes(b"not a shared library")
         caplog.set_level(logging.INFO, logger="dam._native")
         assert _train() == numpy_bytes
-        _assert_numpy_ran(caplog, "cannot load")
+        _assert_fallback_ran(caplog, "cannot load")
         assert target.read_bytes() == b"not a shared library"
 
 
@@ -117,6 +139,7 @@ def test_second_process_reuses_the_cached_library(tmp_path):
 
 
 def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys):
+    # Only the table reader: `dam classify` parses files but trains no map.
     data, model = tmp_path / "data", tmp_path / "model.json"
     write_canonical_dataset(
         make_directional_dataset(classes=2, subjects=2, instances=2, raw_frames=20,
@@ -128,4 +151,4 @@ def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys
     calls = []
     monkeypatch.setattr(_native, "load", lambda name: calls.append(name))
     assert cli.main(["classify", "--model", str(model), str(data)]) == 0
-    assert calls == []
+    assert calls and set(calls) == {"_table_reader.c"}
