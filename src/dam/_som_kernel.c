@@ -4,9 +4,10 @@
  * ctypes. It must train the same codebook bytes as `som._numpy_block`, so:
  *
  * - the update repeats numpy's operations in numpy's order,
- *   t = c - x; t *= h; c -= t, and the build passes -ffp-contract=off so
- *   that no multiply and add fuse into one rounding. Two-lane vectors
- *   (a GCC extension clang also has) round each lane as a scalar would;
+ *   t = c - x; t *= h; c -= t, element by element, and the build passes
+ *   -ffp-contract=off so that no multiply and add fuse into one rounding.
+ *   Vectors (a GCC extension clang also has) round each lane as a scalar
+ *   would, whatever their width;
  * - the neighbourhood weight is read from a table numpy filled, one row per
  *   step and one entry per distinct squared grid distance dr^2 + dc^2
  *   (h = table[s][index[dr][dc]] * alpha[s]), so no libm exp is called;
@@ -14,67 +15,25 @@
  *   the runner-up is further than the rounding bound of
  *   `som._rounding_bound`; otherwise the step is handed back, and the
  *   caller finds the direct-form winner with numpy and resumes with it
- *   forced.
+ *   forced. The distances sum the same squares as numpy's, in another
+ *   order. The bound holds for any order, so the lanes a body splits the
+ *   sum into decide only how often a step is handed back, never a winner.
+ *
+ * The file includes itself to compile the block body twice: on two-lane
+ * (128-bit) vectors for the baseline ISA and, on x86-64, on four-lane
+ * (256-bit) vectors in functions built for AVX2, which does not enable FMA.
+ * The baseline body stays two lanes wide because a baseline build splits
+ * each four-lane operation in two and keeps the halves on the stack.
+ * `dam_som_block` runs the AVX2 body when the CPU and OS support it;
+ * `dam_som_block_baseline` always runs the other, so tests can train with
+ * both.
  */
+
+#ifndef VEC
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
-
-typedef double pair __attribute__((vector_size(16)));
-
-static pair load(const double *p)
-{
-    pair v;
-    __builtin_memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static void store(double *p, pair v)
-{
-    __builtin_memcpy(p, &v, sizeof v);
-}
-
-static double sq_dist(const double *c, const double *x, int64_t dim)
-{
-    pair acc0 = {0.0, 0.0}, acc1 = {0.0, 0.0};
-    int64_t j = 0;
-    for (; j + 4 <= dim; j += 4) {
-        pair e0 = load(c + j) - load(x + j), e1 = load(c + j + 2) - load(x + j + 2);
-        acc0 += e0 * e0;
-        acc1 += e1 * e1;
-    }
-    double sum = (acc0[0] + acc0[1]) + (acc1[0] + acc1[1]);
-    for (; j < dim; ++j) {
-        double e = c[j] - x[j];
-        sum += e * e;
-    }
-    return sum;
-}
-
-/* Moves unit c toward x by h and returns its new squared distance to next. */
-static double move_unit(double *c, const double *x, const double *next, double h, int64_t dim)
-{
-    pair hh = {h, h}, acc0 = {0.0, 0.0}, acc1 = {0.0, 0.0};
-    int64_t j = 0;
-    for (; j + 4 <= dim; j += 4) {
-        pair c0 = load(c + j), c1 = load(c + j + 2);
-        c0 -= (c0 - load(x + j)) * hh;
-        c1 -= (c1 - load(x + j + 2)) * hh;
-        store(c + j, c0);
-        store(c + j + 2, c1);
-        pair e0 = c0 - load(next + j), e1 = c1 - load(next + j + 2);
-        acc0 += e0 * e0;
-        acc1 += e1 * e1;
-    }
-    double sum = (acc0[0] + acc0[1]) + (acc1[0] + acc1[1]);
-    for (; j < dim; ++j) {
-        c[j] -= (c[j] - x[j]) * h;
-        double e = c[j] - next[j];
-        sum += e * e;
-    }
-    return sum;
-}
 
 /* Winner of a step from its distances, ties to the lowest index, or -1 when
  * the distances cannot decide it. */
@@ -100,6 +59,126 @@ static int64_t decide(const double *dist, int64_t units, int64_t dim)
     return winner;
 }
 
+#define BLOCK_PARAMS                                                                   \
+    double *codebook, int64_t rows, int64_t cols, int64_t dim, const double *samples, \
+        const int64_t *order, int64_t steps, const double *table, int64_t stride,     \
+        const double *alpha, const int64_t *index, int64_t forced, double *dist
+#define BLOCK_ARGS \
+    codebook, rows, cols, dim, samples, order, steps, table, stride, alpha, index, forced, dist
+
+/* Vectors read and written in place need only a double's alignment. */
+typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
+#define VEC pair
+#define LANES 2
+#define TARGET
+#define NAME(f) f##_pair
+#include "_som_kernel.c"
+#undef VEC
+#undef LANES
+#undef TARGET
+#undef NAME
+
+#if defined(__x86_64__)
+typedef double quad __attribute__((vector_size(32), aligned(8), may_alias));
+#define VEC quad
+#define LANES 4
+#define TARGET __attribute__((target("avx2")))
+#define NAME(f) f##_quad
+#include "_som_kernel.c"
+#endif
+
+/* The block body for the baseline ISA; `dam_som_block` takes the same arguments. */
+int64_t dam_som_block_baseline(BLOCK_PARAMS)
+{
+    return block_pair(BLOCK_ARGS);
+}
+
+/* 1 when `dam_som_block` runs the AVX2 body on this machine, else 0. */
+int dam_som_avx2(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return 0;
+#endif
+}
+
+/* The block body for this machine: AVX2 when `dam_som_avx2`, else baseline. */
+int64_t dam_som_block(BLOCK_PARAMS)
+{
+#if defined(__x86_64__)
+    if (dam_som_avx2())
+        return block_quad(BLOCK_ARGS);
+#endif
+    return block_pair(BLOCK_ARGS);
+}
+
+#else /* The block body on VEC, a vector of LANES doubles, built with TARGET. */
+
+#define AT(p) (*(VEC *)(p))
+
+TARGET static double NAME(sq_dist)(const double *c, const double *x, int64_t dim)
+{
+    VEC acc0 = {0.0}, acc1 = {0.0};
+    int64_t j = 0;
+    for (; j + 2 * LANES <= dim; j += 2 * LANES) {
+        VEC e0 = AT(c + j) - AT(x + j), e1 = AT(c + j + LANES) - AT(x + j + LANES);
+        acc0 += e0 * e0;
+        acc1 += e1 * e1;
+    }
+    if (j + LANES <= dim) {
+        VEC e0 = AT(c + j) - AT(x + j);
+        acc0 += e0 * e0;
+        j += LANES;
+    }
+    acc0 += acc1;
+    double sum = acc0[0];
+    for (int l = 1; l < LANES; ++l)
+        sum += acc0[l];
+    for (; j < dim; ++j) {
+        double e = c[j] - x[j];
+        sum += e * e;
+    }
+    return sum;
+}
+
+/* Moves unit c toward x by h and returns its new squared distance to next. */
+TARGET static double NAME(move_unit)(double *c, const double *x, const double *next, double h,
+                                     int64_t dim)
+{
+    VEC acc0 = {0.0}, acc1 = {0.0};
+    int64_t j = 0;
+    for (; j + 2 * LANES <= dim; j += 2 * LANES) {
+        VEC c0 = AT(c + j), c1 = AT(c + j + LANES);
+        c0 -= (c0 - AT(x + j)) * h;
+        c1 -= (c1 - AT(x + j + LANES)) * h;
+        AT(c + j) = c0;
+        AT(c + j + LANES) = c1;
+        VEC e0 = c0 - AT(next + j), e1 = c1 - AT(next + j + LANES);
+        acc0 += e0 * e0;
+        acc1 += e1 * e1;
+    }
+    if (j + LANES <= dim) {
+        VEC c0 = AT(c + j);
+        c0 -= (c0 - AT(x + j)) * h;
+        AT(c + j) = c0;
+        VEC e0 = c0 - AT(next + j);
+        acc0 += e0 * e0;
+        j += LANES;
+    }
+    acc0 += acc1;
+    double sum = acc0[0];
+    for (int l = 1; l < LANES; ++l)
+        sum += acc0[l];
+    for (; j < dim; ++j) {
+        c[j] -= (c[j] - x[j]) * h;
+        double e = c[j] - next[j];
+        sum += e * e;
+    }
+    return sum;
+}
+
 /* Runs steps 0 .. steps-1 of a block on the (rows * cols, dim) codebook.
  *
  * Step s visits samples[order[s]]; table has one row of `stride` weights per
@@ -110,15 +189,12 @@ static int64_t decide(const double *dist, int64_t units, int64_t dim)
  * step ran, else the index of the first step whose winner is undecided;
  * that step has not changed the codebook.
  */
-int64_t dam_som_block(double *codebook, int64_t rows, int64_t cols, int64_t dim,
-                      const double *samples, const int64_t *order, int64_t steps,
-                      const double *table, int64_t stride, const double *alpha,
-                      const int64_t *index, int64_t forced, double *dist)
+TARGET static int64_t NAME(block)(BLOCK_PARAMS)
 {
     int64_t units = rows * cols;
     if (forced < 0 && steps > 0)
         for (int64_t u = 0; u < units; ++u)
-            dist[u] = sq_dist(codebook + u * dim, samples + order[0] * dim, dim);
+            dist[u] = NAME(sq_dist)(codebook + u * dim, samples + order[0] * dim, dim);
     for (int64_t s = 0; s < steps; ++s) {
         int64_t winner = forced;
         forced = -1;
@@ -136,9 +212,14 @@ int64_t dam_som_block(double *codebook, int64_t rows, int64_t cols, int64_t dim,
             const int64_t *column = index + (rows - 1 + r - wr) * (2 * cols - 1) + cols - 1 - wc;
             for (int64_t c = 0; c < cols; ++c) {
                 int64_t u = r * cols + c;
-                dist[u] = move_unit(codebook + u * dim, x, next, weights[column[c]] * alpha[s], dim);
+                dist[u] = NAME(move_unit)(codebook + u * dim, x, next,
+                                          weights[column[c]] * alpha[s], dim);
             }
         }
     }
     return steps;
 }
+
+#undef AT
+
+#endif

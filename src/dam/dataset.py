@@ -456,6 +456,12 @@ class Msrc12Layout:
             raise ValueError(f"window_radius must be >= 1, got {self.window_radius}")
         if self.joint_count < 1:
             raise ValueError(f"joint_count must be >= 1, got {self.joint_count}")
+        # A negative column would index from the end of each row.
+        for name in ("first_joint_column", "joint_stride"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if min(self.coord_offsets) < 0:
+            raise ValueError(f"coord_offsets must be >= 0, got {list(self.coord_offsets)}")
         top = self.first_joint_column + (self.joint_count - 1) * self.joint_stride + max(
             self.coord_offsets
         )

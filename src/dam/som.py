@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _native
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = (0.5, 0.01)
@@ -276,17 +279,29 @@ def _compiled_block(kernel, codebook, samples, rows, cols, order, table, alphas,
             forced = _direct_winner(codebook, samples[order[start]])
 
 
-def _block_runner():
-    """The C block runner when `_som_kernel.c` is compiled and loads, else numpy's."""
-    library = _native.load("_som_kernel.c")
-    if library is None:
-        return _numpy_block
-    kernel = library.dam_som_block
+def _kernel_runner(kernel):
+    """A block runner that calls `kernel`, a block body of `_som_kernel.c`."""
     pointer, size = ctypes.c_void_p, ctypes.c_int64
     kernel.argtypes = [pointer, size, size, size, pointer, pointer, size, pointer, size,
                        pointer, pointer, size, pointer]
     kernel.restype = size
     return functools.partial(_compiled_block, kernel)
+
+
+@functools.lru_cache(maxsize=None)
+def _library_runner(library):
+    """The block runner of a loaded `_som_kernel.c`; logs which body it runs, once."""
+    library.dam_som_avx2.argtypes = []
+    library.dam_som_avx2.restype = ctypes.c_int
+    body = "avx2" if library.dam_som_avx2() else "baseline"
+    logger.info("_som_kernel.c: running the %s block body", body)
+    return _kernel_runner(library.dam_som_block)
+
+
+def _block_runner():
+    """The C block runner when `_som_kernel.c` is compiled and loads, else numpy's."""
+    library = _native.load("_som_kernel.c")
+    return _numpy_block if library is None else _library_runner(library)
 
 
 def train_som(
@@ -308,10 +323,11 @@ def train_som(
     The steps run in blocks of `_BLOCK_STEPS`. Per block, numpy fills one
     neighbourhood table, ``exp(-k / (2 sigma(t)^2))`` for each step t and
     each distinct squared grid distance k, and a block runner makes the
-    steps: a compiled C kernel (`dam._native` builds it on first use) or,
-    without a compiler, the numpy loop `_numpy_block`. Both update with the
-    same float operations, ``t = c - x; t *= h; c -= t`` with h a table entry
-    times alpha(t), so they give the same bytes.
+    steps: a compiled C kernel (`dam._native` builds it on first use; it
+    runs its AVX2 body where the CPU has AVX2) or, without a compiler, the
+    numpy loop `_numpy_block`. Both update with the same float operations,
+    ``t = c - x; t *= h; c -= t`` with h a table entry times alpha(t), so
+    they give the same bytes.
 
     The winner of a step is the argmin of the direct form
     ``(diff * diff).sum(axis=1)``, ties to the lowest index. Either runner

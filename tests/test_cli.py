@@ -208,8 +208,7 @@ class TestConvert:
     @pytest.mark.parametrize("layout", [
         {"joint_count": 100_000_000_000, "values_per_frame": 1_000_000_000_000},
         {"values_per_frame": 10**20},
-        {"values_per_frame": 0, "first_joint_column": -10, "joint_count": 1},
-    ], ids=["huge-map", "huge-width", "zero-width"])
+    ], ids=["huge-map", "huge-width"])
     def test_layout_wider_than_the_table_is_one_error_line(self, capsys, tmp_path, layout):
         # The column map of the first layout would take ~745 GiB; the table's
         # width check must reject the file before the map is built. No width
@@ -225,6 +224,20 @@ class TestConvert:
         assert code == 1
         width = layout["values_per_frame"]
         assert stderr == f"error: gesture_p06_x1.csv: line 1: expected {width} values, got 81\n"
+
+    def test_negative_layout_column_is_one_error_line(self, capsys, tmp_path):
+        src = tmp_path / "msrc"
+        src.mkdir()
+        (src / "gesture_p06_x1.csv").write_text("0" + ",0" * 80 + "\n")
+        (src / "gesture_p06_x1.tags").write_text("0;1\n")
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(json.dumps(
+            {"values_per_frame": 0, "first_joint_column": -10, "joint_count": 1}))
+        code, _, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
+                              "--format", "msrc12", "--layout", str(layout_path))
+        assert code == 2
+        assert stderr == (f"error: layout {layout_path}: "
+                          "first_joint_column must be >= 0, got -10\n")
 
 
 class TestTrain:

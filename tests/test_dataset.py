@@ -436,6 +436,18 @@ class TestMsrc12Adapter:
         with pytest.raises(ValueError, match="g_p01_i001.*invalid label"):
             load_msrc12(tmp_path, layout=SMALL_LAYOUT)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"first_joint_column": -1}, "first_joint_column must be >= 0, got -1"),
+        ({"joint_stride": -4, "first_joint_column": 77}, "joint_stride must be >= 0, got -4"),
+        ({"coord_offsets": (0, -1, 2)}, r"coord_offsets must be >= 0, got \[0, -1, 2\]"),
+        ({"values_per_frame": 0, "first_joint_column": 0, "joint_count": 1,
+          "coord_offsets": (0, 0, 0)}, "joint columns run to 0 but rows only have 0 values"),
+    ])
+    def test_layout_rejects_negative_columns(self, fields, message):
+        # A negative column would index each row from its end.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Msrc12Layout(**fields)
+
     def test_subject_pattern_must_match(self, tmp_path):
         _write_msrc12_sequence(tmp_path / "nosubject.csv", 50, SMALL_LAYOUT)
         (tmp_path / "nosubject.tags").write_text("20;x\n")

@@ -111,6 +111,19 @@ class TestFallback:
         assert target.read_bytes() == b"not a shared library"
 
 
+def test_block_body_is_logged_once_per_library(caplog):
+    library = _native.load(SOURCE)
+    if library is None:
+        pytest.skip("the C kernel was not compiled here")
+    som._library_runner.cache_clear()
+    caplog.set_level(logging.INFO, logger="dam.som")
+    _train()
+    _train()
+    body = "avx2" if library.dam_som_avx2() else "baseline"
+    messages = [r.getMessage() for r in caplog.records if r.name == "dam.som"]
+    assert messages == [f"_som_kernel.c: running the {body} block body"]
+
+
 def _which_runner(env: dict) -> subprocess.CompletedProcess:
     code = (
         "import logging; logging.basicConfig(level=logging.INFO)\n"

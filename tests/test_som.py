@@ -1,5 +1,6 @@
 """Tests for the online Kohonen self-organizing map."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam import som
+from dam import _native, som
 from dam.descriptor import compute_histogram
 from dam.som import (
     _CHUNK_BUDGET,
@@ -275,15 +276,22 @@ def _training_cases(draw):
     return samples, rows, cols, params, initial
 
 
-@pytest.fixture(scope="class", params=["compiled", "numpy"])
+@pytest.fixture(scope="class", params=["avx2", "baseline", "numpy"])
 def block_runner(request):
-    """Train with the C block runner, then with the numpy one."""
+    """Train with each C block body, then with the numpy block runner."""
     if request.param == "numpy":
         runner = lambda: som._numpy_block  # noqa: E731
-    elif som._block_runner() is som._numpy_block:
-        pytest.skip("the C kernel was not compiled here")
     else:
-        runner = som._block_runner
+        library = _native.load("_som_kernel.c")
+        if library is None:
+            pytest.skip("the C kernel was not compiled here")
+        if request.param == "avx2":
+            if not library.dam_som_avx2():
+                pytest.skip("this CPU has no AVX2")
+            kernel = library.dam_som_block
+        else:
+            kernel = library.dam_som_block_baseline
+        runner = functools.partial(som._kernel_runner, kernel)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(som, "_block_runner", runner)
         yield request.param
