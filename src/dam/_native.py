@@ -7,6 +7,9 @@ The library's name is the SHA-256 of the source, the
 flags and the machine type, so a machine compiles each source once and later
 processes only load it. The build writes a temporary file and renames it
 into place, so concurrent processes never load a half-written library.
+After a build, the cache's other libraries of that source (earlier versions,
+or other flags or machine types sharing the cache) are removed; loading an
+existing library removes nothing.
 
 Loading never raises: with no compiler, a failed build or a cached file
 that does not load, `load` returns None and the caller keeps its Python
@@ -15,6 +18,7 @@ path, which gives the same results. Either outcome is logged once per process at
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -93,6 +97,10 @@ def load(source_name: str) -> ctypes.CDLL | None:
         if failure is not None:
             logger.info("%s: not compiled (%s); using the Python path", source_name, failure)
             return None
+        for stale in target.parent.glob(f"{source.stem}-*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     try:
         library = ctypes.CDLL(str(target))
     except OSError as exc:

@@ -8,16 +8,17 @@
  *   -ffp-contract=off so that no multiply and add fuse into one rounding.
  *   Vectors (a GCC extension clang also has) round each lane as a scalar
  *   would, whatever their width;
- * - the neighbourhood weight is read from a table numpy filled, one row per
- *   step and one entry per distinct squared grid distance dr^2 + dc^2
- *   (h = table[s][index[dr][dc]] * alpha[s]), so no libm exp is called;
+ * - the weight h is read from a table numpy filled, one row per step and
+ *   one entry per distinct squared grid distance dr^2 + dc^2, that already
+ *   holds the learning rate (h = table[s][index[dr][dc]]), so no libm exp
+ *   is called and the schedule stays in `som.train_som`;
  * - the winner is the argmin of the distances this kernel summed only when
  *   the runner-up is further than the rounding bound of
- *   `som._rounding_bound`; otherwise the step is handed back, and the
- *   caller finds the direct-form winner with numpy and resumes with it
- *   forced. The distances sum the same squares as numpy's, in another
- *   order. The bound holds for any order, so the lanes a body splits the
- *   sum into decide only how often a step is handed back, never a winner.
+ *   `som._rounding_bound`; otherwise the kernel stops before that step and
+ *   numpy makes it. The distances sum the same squares as numpy's, in
+ *   another order. The bound holds for any order, so the lanes a body
+ *   splits the sum into decide only how often numpy makes a step, never a
+ *   winner.
  *
  * The file includes itself to compile the block body twice: on two-lane
  * (128-bit) vectors for the baseline ISA and, on x86-64, on four-lane
@@ -40,20 +41,21 @@
 static int64_t decide(const double *dist, int64_t units, int64_t dim)
 {
     int64_t winner = 0;
-    double first = dist[0], second = INFINITY;
+    double first = INFINITY, second = INFINITY;
     if (units == 1)
         return 0;
-    for (int64_t u = 0; u < units; ++u)
-        if (dist[u] != dist[u])
+    for (int64_t u = 0; u < units; ++u) {
+        double d = dist[u];
+        if (d != d)
             return -1;
-    for (int64_t u = 1; u < units; ++u)
-        if (dist[u] < first) {
-            first = dist[u];
+        if (d < first) {
+            second = first;
+            first = d;
             winner = u;
+        } else if (d < second) {
+            second = d;
         }
-    for (int64_t u = 0; u < units; ++u)
-        if (u != winner && dist[u] < second)
-            second = dist[u];
+    }
     if (!(second - first > 4.0 * (double)(dim + 2) * (DBL_EPSILON * second + 0x1p-1074)))
         return -1;
     return winner;
@@ -62,9 +64,8 @@ static int64_t decide(const double *dist, int64_t units, int64_t dim)
 #define BLOCK_PARAMS                                                                   \
     double *codebook, int64_t rows, int64_t cols, int64_t dim, const double *samples, \
         const int64_t *order, int64_t steps, const double *table, int64_t stride,     \
-        const double *alpha, const int64_t *index, int64_t forced, double *dist
-#define BLOCK_ARGS \
-    codebook, rows, cols, dim, samples, order, steps, table, stride, alpha, index, forced, dist
+        const int64_t *index, double *dist
+#define BLOCK_ARGS codebook, rows, cols, dim, samples, order, steps, table, stride, index, dist
 
 /* Vectors read and written in place need only a double's alignment. */
 typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
@@ -182,27 +183,23 @@ TARGET static double NAME(move_unit)(double *c, const double *x, const double *n
 /* Runs steps 0 .. steps-1 of a block on the (rows * cols, dim) codebook.
  *
  * Step s visits samples[order[s]]; table has one row of `stride` weights per
- * step and alpha one learning rate. `index` is (2 rows - 1, 2 cols - 1):
+ * step, the learning rate included. `index` is (2 rows - 1, 2 cols - 1):
  * entry [rows - 1 + dr][cols - 1 + dc] is the table column of the grid
- * offset (dr, dc). `forced`, when not negative, is the winner of step 0.
- * `dist` is scratch for rows * cols distances. Returns `steps` when every
- * step ran, else the index of the first step whose winner is undecided;
- * that step has not changed the codebook.
+ * offset (dr, dc). `dist` is scratch for rows * cols distances. Returns
+ * `steps` when every step ran, else the index of the first step whose
+ * winner is undecided; that step has not changed the codebook, and the
+ * caller makes it with numpy.
  */
 TARGET static int64_t NAME(block)(BLOCK_PARAMS)
 {
     int64_t units = rows * cols;
-    if (forced < 0 && steps > 0)
+    if (steps > 0)
         for (int64_t u = 0; u < units; ++u)
             dist[u] = NAME(sq_dist)(codebook + u * dim, samples + order[0] * dim, dim);
     for (int64_t s = 0; s < steps; ++s) {
-        int64_t winner = forced;
-        forced = -1;
-        if (winner < 0) {
-            winner = decide(dist, units, dim);
-            if (winner < 0)
-                return s;
-        }
+        int64_t winner = decide(dist, units, dim);
+        if (winner < 0)
+            return s;
         const double *x = samples + order[s] * dim;
         /* The last step's distances are not used: the next call starts anew. */
         const double *next = s + 1 < steps ? samples + order[s + 1] * dim : x;
@@ -212,8 +209,7 @@ TARGET static int64_t NAME(block)(BLOCK_PARAMS)
             const int64_t *column = index + (rows - 1 + r - wr) * (2 * cols - 1) + cols - 1 - wc;
             for (int64_t c = 0; c < cols; ++c) {
                 int64_t u = r * cols + c;
-                dist[u] = NAME(move_unit)(codebook + u * dim, x, next,
-                                          weights[column[c]] * alpha[s], dim);
+                dist[u] = NAME(move_unit)(codebook + u * dim, x, next, weights[column[c]], dim);
             }
         }
     }

@@ -140,6 +140,12 @@ def _check_query(grid: SomGrid, vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
+    """The direct form's winner: argmin of ``(diff * diff).sum(axis=1)``."""
+    diff = codebook - x
+    return int(np.argmin((diff * diff).sum(axis=1)))
+
+
 def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row argmin and min of squared distances to the codebook rows.
 
@@ -178,7 +184,7 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
         size = np.einsum("ij,ij->i", block, block) + c2_max
         sure = (second - first > _rounding_bound(dim, size)) & (size < _SIZE_LIMIT)
         for i in np.flatnonzero(~sure):
-            winner[i] = np.argmin(((codebook - block[i]) ** 2).sum(axis=-1))
+            winner[i] = _direct_winner(codebook, block[i])
         diff = block - codebook[winner]
         best[lo:hi] = winner
         best_d[lo:hi] = (diff * diff).sum(axis=-1)
@@ -211,12 +217,6 @@ def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
     return float(np.sqrt(d).mean())
 
 
-def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
-    """The direct form's winner: argmin of ``(diff * diff).sum(axis=1)``."""
-    diff = codebook - x
-    return int(np.argmin((diff * diff).sum(axis=1)))
-
-
 def _neighbour_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct squared grid distances, negated, and where each offset finds its own.
 
@@ -232,18 +232,17 @@ def _neighbour_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return -distinct.astype(np.float64), index.reshape(2 * rows - 1, 2 * cols - 1).astype(np.int64)
 
 
-def _numpy_block(codebook, samples, rows, cols, order, table, alphas, index):
+def _numpy_block(codebook, samples, rows, cols, order, table, index):
     """Run one block of online steps with numpy; the reference block runner.
 
-    Step s visits ``samples[order[s]]`` with the weights ``table[s]`` and the
-    learning rate ``alphas[s]``; `index` is `_neighbour_index`'s.
+    Step s visits ``samples[order[s]]`` with the weights ``table[s]``, the
+    learning rate included; `index` is `_neighbour_index`'s.
     """
     units, dim = codebook.shape
     diff = np.empty_like(codebook)
     dist = np.empty(units)
     influence_grid = np.empty((rows, cols))
-    influence = influence_grid.reshape(units)
-    influence_col = influence[:, None]
+    influence_col = influence_grid.reshape(units, 1)
     for s, i in enumerate(order):
         np.subtract(codebook, samples[i], out=diff)
         np.einsum("ij,ij->i", diff, diff, out=dist)
@@ -256,34 +255,34 @@ def _numpy_block(codebook, samples, rows, cols, order, table, alphas, index):
         r, c = divmod(winner, cols)
         np.take(table[s], index[rows - 1 - r : 2 * rows - 1 - r, cols - 1 - c : 2 * cols - 1 - c],
                 out=influence_grid)
-        np.multiply(influence, alphas[s], out=influence)
         np.multiply(diff, influence_col, out=diff)
         np.subtract(codebook, diff, out=codebook)
 
 
-def _compiled_block(kernel, codebook, samples, rows, cols, order, table, alphas, index):
-    """`_numpy_block` in the C kernel; numpy settles the steps it hands back.
+def _compiled_block(kernel, codebook, samples, rows, cols, order, table, index):
+    """`_numpy_block` in the C kernel; numpy makes each step the kernel leaves undecided.
 
     Every array is C-contiguous, float64 or int64, as `train_som` makes them.
     """
     dist = np.empty(codebook.shape[0])
-    start, forced = 0, -1
+    start = 0
     while start < len(order):
         start += kernel(
             codebook.ctypes.data, rows, cols, codebook.shape[1], samples.ctypes.data,
             order[start:].ctypes.data, len(order) - start, table[start:].ctypes.data,
-            table.shape[1], alphas[start:].ctypes.data, index.ctypes.data, forced,
-            dist.ctypes.data,
+            table.shape[1], index.ctypes.data, dist.ctypes.data,
         )
         if start < len(order):
-            forced = _direct_winner(codebook, samples[order[start]])
+            _numpy_block(codebook, samples, rows, cols, order[start : start + 1],
+                         table[start : start + 1], index)
+            start += 1
 
 
 def _kernel_runner(kernel):
     """A block runner that calls `kernel`, a block body of `_som_kernel.c`."""
     pointer, size = ctypes.c_void_p, ctypes.c_int64
     kernel.argtypes = [pointer, size, size, size, pointer, pointer, size, pointer, size,
-                       pointer, pointer, size, pointer]
+                       pointer, pointer]
     kernel.restype = size
     return functools.partial(_compiled_block, kernel)
 
@@ -321,13 +320,13 @@ def train_som(
     given, and every epoch visits the samples in a fresh seeded order.
 
     The steps run in blocks of `_BLOCK_STEPS`. Per block, numpy fills one
-    neighbourhood table, ``exp(-k / (2 sigma(t)^2))`` for each step t and
-    each distinct squared grid distance k, and a block runner makes the
+    weight table, ``exp(-k / (2 sigma(t)^2)) * alpha(t)`` for each step t
+    and each distinct squared grid distance k, and a block runner makes the
     steps: a compiled C kernel (`dam._native` builds it on first use; it
     runs its AVX2 body where the CPU has AVX2) or, without a compiler, the
     numpy loop `_numpy_block`. Both update with the same float operations,
-    ``t = c - x; t *= h; c -= t`` with h a table entry times alpha(t), so
-    they give the same bytes.
+    ``t = c - x; t *= h; c -= t`` with h a table entry, so they give the
+    same bytes.
 
     The winner of a step is the argmin of the direct form
     ``(diff * diff).sum(axis=1)``, ties to the lowest index. Either runner
@@ -337,7 +336,8 @@ def train_som(
     E = `_rounding_bound` at the runner-up's distance, the direct form ranks
     the winner strictly first too. Every other step (exact ties and
     duplicated units included; an overflow or NaN makes the gap NaN, which
-    fails the test) takes the direct form's argmin. No BLAS call is made, so
+    fails the test) takes the direct form's argmin; the kernel leaves such a
+    step to `_numpy_block`. No BLAS call is made, so
     the codebook is byte-identical for a seed whatever the thread settings.
     """
     params = params or SomTrainParams()
@@ -383,5 +383,6 @@ def train_som(
         alphas = np.array([alpha0 * (alpha1 / alpha0) ** frac for frac in fracs])
         sigmas = np.array([sigma0 * (sigma1 / sigma0) ** frac for frac in fracs])
         table = _gaussian(neg_k, sigmas[:, None], out=np.empty((len(steps), len(neg_k))))
-        run_block(codebook, samples, rows, cols, order[lo : steps.stop], table, alphas, index)
+        table *= alphas[:, None]
+        run_block(codebook, samples, rows, cols, order[lo : steps.stop], table, index)
     return SomGrid(rows, cols, codebook)

@@ -111,6 +111,33 @@ class TestFallback:
         assert target.read_bytes() == b"not a shared library"
 
 
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler here")
+def test_a_build_removes_the_stale_libraries_of_its_source(fresh_cache):
+    fresh_cache.mkdir(parents=True)
+    planted = {
+        name: fresh_cache / name
+        for name in ("_som_kernel-0123.so", "_som_kernel-4567.so", "_table_reader-89ab.so",
+                     "_som_kernel-cdef.tmp", "other-0123.so")
+    }
+    for path in planted.values():
+        path.write_bytes(b"stale")
+    assert _native.load(SOURCE) is not None
+    assert sorted(p.name for p in fresh_cache.iterdir()) == sorted(
+        [_native.library_path(SOURCE).name, "_table_reader-89ab.so", "_som_kernel-cdef.tmp",
+         "other-0123.so"])
+
+    # A load from the cache builds nothing, so it removes nothing either.
+    _native.load.cache_clear()
+    planted["_som_kernel-0123.so"].write_bytes(b"stale")
+    assert _native.load(SOURCE) is not None
+    assert planted["_som_kernel-0123.so"].exists()
+
+    assert _native.load("_table_reader.c") is not None
+    assert not planted["_table_reader-89ab.so"].exists()
+    assert planted["_som_kernel-0123.so"].exists()
+    assert planted["other-0123.so"].read_bytes() == b"stale"
+
+
 def test_block_body_is_logged_once_per_library(caplog):
     library = _native.load(SOURCE)
     if library is None:

@@ -276,22 +276,25 @@ def _training_cases(draw):
     return samples, rows, cols, params, initial
 
 
+def _kernel(body):
+    """The compiled block body `body` ("avx2" or "baseline"), else a skip."""
+    library = _native.load("_som_kernel.c")
+    if library is None:
+        pytest.skip("the C kernel was not compiled here")
+    if body == "baseline":
+        return library.dam_som_block_baseline
+    if not library.dam_som_avx2():
+        pytest.skip("this CPU has no AVX2")
+    return library.dam_som_block
+
+
 @pytest.fixture(scope="class", params=["avx2", "baseline", "numpy"])
 def block_runner(request):
     """Train with each C block body, then with the numpy block runner."""
     if request.param == "numpy":
         runner = lambda: som._numpy_block  # noqa: E731
     else:
-        library = _native.load("_som_kernel.c")
-        if library is None:
-            pytest.skip("the C kernel was not compiled here")
-        if request.param == "avx2":
-            if not library.dam_som_avx2():
-                pytest.skip("this CPU has no AVX2")
-            kernel = library.dam_som_block
-        else:
-            kernel = library.dam_som_block_baseline
-        runner = functools.partial(som._kernel_runner, kernel)
+        runner = functools.partial(som._kernel_runner, _kernel(request.param))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(som, "_block_runner", runner)
         yield request.param
@@ -344,6 +347,66 @@ class TestTrainingMatchesReference:
         grid = train_som(samples, 3, 4, params, initial_codebook=start)
         want = _reference_train_som(samples, 3, 4, params, start)
         assert grid.codebook.tobytes() == want.tobytes()
+
+    def test_two_near_tied_units_take_the_direct_form_winner(self):
+        # Units 3 and 7 permute the same coordinates and every other unit
+        # twice them, so only 3 and 7 tie in exact arithmetic. Each runner
+        # sums the 48 squares in its own order, so over these codebooks its
+        # lower distance is sometimes unit 7's, only rounding below unit 3's,
+        # while the direct form ranks unit 3 first: the step must be decided
+        # by the rounding bound against unit 3, not against the far units.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            coords = rng.normal(size=48) * np.exp(rng.normal(size=48) * 3)
+            start = np.array([rng.permutation(coords) for _ in range(12)])
+            start[[0, 1, 2, 4, 5, 6, 8, 9, 10, 11]] *= 2.0
+            samples = np.zeros((1, 48))
+            params = SomTrainParams(epochs=1, seed=0)
+            grid = train_som(samples, 3, 4, params, initial_codebook=start)
+            want = _reference_train_som(samples, 3, 4, params, start)
+            assert grid.codebook.tobytes() == want.tobytes(), seed
+
+    @pytest.mark.parametrize("block_steps", [1, 3])
+    def test_short_blocks_match_the_plain_rule(self, block_steps, monkeypatch):
+        # Every hypothesis case fits in one block of `_BLOCK_STEPS`; here
+        # blocks of 1 and 3 steps split a tie-heavy run: rounded, repeated
+        # samples and units that all start at one point. Units at the same
+        # grid distance from the winners stay duplicates, so besides step 0
+        # step 5, the last of its 3-step block, is an exact tie.
+        rng = np.random.default_rng(15)
+        samples = np.round(rng.normal(size=(42, 6)), 1)
+        samples[::3] = samples[1::3]
+        start = np.tile(np.round(rng.normal(size=6), 1), (9, 1))
+        params = SomTrainParams(epochs=2, seed=3)
+        monkeypatch.setattr(som, "_BLOCK_STEPS", block_steps)
+        grid = train_som(samples, 3, 3, params, initial_codebook=start)
+        want = _reference_train_som(samples, 3, 3, params, start)
+        assert grid.codebook.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("body", ["avx2", "baseline"])
+def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
+    # All units start at one point, so the first step is an exact tie the
+    # kernel cannot decide: numpy must make it, one step at a time.
+    kernel = _kernel(body)
+    rng = np.random.default_rng(7)
+    samples = rng.normal(size=(40, 6))
+    start = np.tile(rng.normal(size=6), (9, 1))
+    params = SomTrainParams(epochs=2, seed=1)
+    monkeypatch.setattr(som, "_block_runner", lambda: som._numpy_block)
+    want = train_som(samples, 3, 3, params, initial_codebook=start).codebook.tobytes()
+
+    numpy_block, handed = som._numpy_block, []
+
+    def counted(*args):
+        handed.append(len(args[4]))
+        numpy_block(*args)
+
+    monkeypatch.setattr(som, "_numpy_block", counted)
+    monkeypatch.setattr(som, "_block_runner", lambda: som._kernel_runner(kernel))
+    got = train_som(samples, 3, 3, params, initial_codebook=start).codebook.tobytes()
+    assert handed and set(handed) == {1}
+    assert got == want
 
 
 class TestTraining:
