@@ -1,0 +1,352 @@
+/* The preprocessing chain of one action, compiled on first use by
+ * dam._native.
+ *
+ * Plain C with no Python headers; `dam.preprocess.preprocess_action` calls it
+ * through ctypes, once per action, and normalizes the windows it returns.
+ * It makes the float operations of the numpy path (`smooth_joint`,
+ * `_resample_joints`, `direction_frames`, `windowed_direction_frames`) in
+ * the same order, so both give the same bytes:
+ *
+ * - each joint is anchored at its first position, then smoothed by
+ *   `smooth_joint`'s fixed-order shifted sums;
+ * - chord lengths are sqrt((dx*dx + dy*dy) + dz*dz), summed in time order,
+ *   and coincident samples are collapsed;
+ * - the natural-spline systems of all moving joints form one block-diagonal
+ *   tridiagonal system with zero couplings, solved as LAPACK's dgtsv solves
+ *   it, row interchanges included (`solve_blocks`);
+ * - Hermite coefficients, then the polynomial at linspace(0, total, count),
+ *   as scipy's CubicSpline evaluates it;
+ * - frame differences, then windows.
+ *
+ * The build passes -ffp-contract=off, so no multiply and add fuse into one
+ * rounding, and each lane of a vector rounds as a scalar would. A knot's
+ * three coordinates are stored with a fourth, unused lane, so two pairs of
+ * lanes hold them.
+ *
+ * What the numpy path rejects, a non-finite chord length, knots that do not
+ * increase or a singular system, this code declines, and so does a failed
+ * allocation or a step `solve_blocks` cannot show exact: the caller then
+ * runs the numpy path, which raises or gives the result. A coordinate that
+ * is not finite makes its joint's chord length non-finite, so an action
+ * with one is declined, and the caller rejects it.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define DIM 3
+#define ROW 4 /* doubles per knot: DIM coordinates and an unused lane */
+
+/* Two doubles, read and written in place with a double's alignment. */
+typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
+#define AT(p) (*(pair *)(p))
+
+enum { DONE, NO_MEMORY, NOT_FINITE, NOT_INCREASING, SINGULAR, NOT_EXACT };
+
+/* `smooth_joint` of the (steps, width) series into out: sample t is
+ * (((0.0 + w[lo] x[t+lo]) + ...) + w[hi] x[t+hi]) / (((0.0 + w[lo]) + ...) +
+ * w[hi]) over the offsets lo..hi of -radius..radius that stay in the series. */
+static void smooth(const double *restrict series, int64_t steps, int64_t width,
+                   const double *kernel, int64_t radius, double *restrict out)
+{
+    for (int64_t t = 0; t < steps; t++) {
+        int64_t lo = t < radius ? -t : -radius;
+        int64_t hi = steps - 1 - t < radius ? steps - 1 - t : radius;
+        const double *w = kernel + radius, *x = series + t * width;
+        double wsum = 0.0;
+        for (int64_t k = lo; k <= hi; k++)
+            wsum += w[k];
+        int64_t i = 0;
+        for (; i + 2 <= width; i += 2) {
+            pair acc = {0.0, 0.0};
+            for (int64_t k = lo; k <= hi; k++)
+                acc += w[k] * AT(x + k * width + i);
+            AT(out + t * width + i) = acc / wsum;
+        }
+        for (; i < width; i++) {
+            double acc = 0.0;
+            for (int64_t k = lo; k <= hi; k++)
+                acc += w[k] * x[k * width + i];
+            out[t * width + i] = acc / wsum;
+        }
+    }
+}
+
+/* Row i's step of dgtsv's elimination with partial pivoting on a system of
+ * n rows, b (n, ROW); 0 when the pivot is zero. */
+static int eliminate(int64_t i, int64_t n, double *dl, double *d, double *du, double *b)
+{
+    double *row = b + i * ROW, *next = row + ROW;
+    if (fabs(d[i]) >= fabs(dl[i])) {
+        if (d[i] == 0.0)
+            return 0;
+        double fact = dl[i] / d[i];
+        d[i + 1] = d[i + 1] - fact * du[i];
+        for (int h = 0; h < ROW; h += 2)
+            AT(next + h) = AT(next + h) - fact * AT(row + h);
+        if (i < n - 2)
+            dl[i] = 0.0;
+    } else {
+        double fact = d[i] / dl[i];
+        d[i] = dl[i];
+        double temp = d[i + 1];
+        d[i + 1] = du[i] - fact * temp;
+        if (i < n - 2) {
+            dl[i] = du[i + 1];
+            du[i + 1] = -fact * dl[i];
+        }
+        du[i] = temp;
+        for (int h = 0; h < ROW; h += 2) {
+            pair top = AT(row + h);
+            AT(row + h) = AT(next + h);
+            AT(next + h) = top - fact * AT(next + h);
+        }
+    }
+    return 1;
+}
+
+static int same(double a, double b)
+{
+    uint64_t p, q;
+    memcpy(&p, &a, sizeof p);
+    memcpy(&q, &b, sizeof q);
+    return p == q;
+}
+
+/* dgtsv on the n-row block-diagonal system whose blocks start at first[m]
+ * and have size[m] >= 2 rows, m < blocks, the rows where two blocks meet
+ * coupled by zeros: the solution replaces b. Returns DONE, SINGULAR or
+ * NOT_EXACT; saved holds 1 + DIM + 2 ROW doubles per block.
+ *
+ * dgtsv steps through the rows in order, one chain of dependent divisions.
+ * Here the blocks take their steps side by side, and the steps that cross
+ * from one block into the next are left out: the elimination step of a
+ * block's last row l, which subtracts a zero multiple of row l from the
+ * next block's first row, and the terms of the back solve of rows l and
+ * l - 1 that multiply the next block's solution by a zero coupling. Each
+ * left-out step is made afterwards on saved values and must leave the bits
+ * of its target as they are; one that would flip the sign of a zero, or
+ * meets a value that is not finite, gives NOT_EXACT. */
+static int64_t solve_blocks(int64_t blocks, const int64_t *first, const int64_t *size,
+                            int64_t n, double *dl, double *d, double *du, double *b,
+                            double *saved)
+{
+    const int64_t stride = 1 + DIM + 2 * ROW;
+    int64_t longest = 0;
+    for (int64_t m = 0; m < blocks; m++) {
+        longest = size[m] > longest ? size[m] : longest;
+        double *keep = saved + stride * m;
+        keep[0] = d[first[m]];
+        for (int c = 0; c < DIM; c++)
+            keep[1 + c] = b[first[m] * ROW + c];
+    }
+
+    for (int64_t s = 0; s + 1 < longest; s++)
+        for (int64_t m = 0; m < blocks; m++)
+            if (s + 1 < size[m] && !eliminate(first[m] + s, n, dl, d, du, b))
+                return SINGULAR;
+    for (int64_t m = 0; m + 1 < blocks; m++) {
+        int64_t l = first[m] + size[m] - 1;
+        const double *next = saved + stride * (m + 1);
+        if (d[l] == 0.0)
+            return SINGULAR;
+        if (!(fabs(d[l]) >= fabs(dl[l])))
+            return NOT_EXACT;
+        double fact = dl[l] / d[l];
+        if (!same(next[0] - fact * du[l], next[0]))
+            return NOT_EXACT;
+        for (int c = 0; c < DIM; c++)
+            if (!same(next[1 + c] - fact * b[l * ROW + c], next[1 + c]))
+                return NOT_EXACT;
+    }
+    if (d[n - 1] == 0.0)
+        return SINGULAR;
+
+    /* Back solve, from each block's last row up: row i becomes
+     * ((b[i] - du[i] b[i+1]) - dl[i] b[i+2]) / d[i] but in the last two
+     * rows, which leave out the terms of the next block; the numerators of
+     * those two rows are kept for the check below. */
+    for (int64_t m = 0; m < blocks; m++) {
+        int64_t l = first[m] + size[m] - 1;
+        double *row = b + l * ROW, *keep = saved + stride * m + 1 + DIM;
+        for (int h = 0; h < ROW; h += 2) {
+            AT(keep + h) = AT(row + h);
+            AT(row + h) = AT(keep + h) / d[l];
+            AT(keep + ROW + h) = AT(row - ROW + h) - du[l - 1] * AT(row + h);
+            AT(row - ROW + h) = AT(keep + ROW + h) / d[l - 1];
+        }
+    }
+    for (int64_t s = 2; s < longest; s++)
+        for (int64_t m = 0; m < blocks; m++) {
+            if (s >= size[m])
+                continue;
+            int64_t i = first[m] + size[m] - 1 - s;
+            double *row = b + i * ROW;
+            for (int h = 0; h < ROW; h += 2)
+                AT(row + h) = (AT(row + h) - du[i] * AT(row + ROW + h)
+                               - dl[i] * AT(row + 2 * ROW + h)) / d[i];
+        }
+    for (int64_t m = 0; m + 1 < blocks; m++) {
+        int64_t l = first[m] + size[m] - 1;
+        const double *keep = saved + stride * m + 1 + DIM, *after = b + (l + 1) * ROW;
+        for (int c = 0; c < DIM; c++)
+            if (!same(keep[c] - du[l] * after[c] - dl[l] * after[ROW + c], keep[c])
+                || !same(keep[ROW + c] - dl[l - 1] * after[c], keep[ROW + c]))
+                return NOT_EXACT;
+    }
+    return DONE;
+}
+
+/* The (count - window, joints * 3 * window) windowed direction frames of the
+ * (steps, joints, 3) action `frames`, unnormalized, into out. kernel holds
+ * the 2 radius + 1 smoothing weights; radius 0 smooths nothing. Returns DONE,
+ * or why it declined. */
+int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
+                       const double *kernel, int64_t radius, int64_t count,
+                       int64_t window, double epsilon, double *out)
+{
+    const int64_t width = joints * DIM, cells = steps * joints;
+    /* Knots: at most one per (step, joint). */
+    double *work = malloc(sizeof(double) *
+                          (size_t)(2 * steps * width + 7 * cells + 3 * ROW * cells
+                                   + count * width + (1 + DIM + 2 * ROW) * joints));
+    int64_t *blocks = malloc(sizeof(int64_t) * (size_t)(3 * joints));
+    if (work == NULL || blocks == NULL) {
+        free(work);
+        free(blocks);
+        return NO_MEMORY;
+    }
+    double *anchored = work, *smoothed = anchored + steps * width;
+    double *seglen = smoothed + steps * width, *arc = seglen + cells;
+    double *x = arc + cells, *dx = x + cells, *diag = dx + cells, *upper = diag + cells;
+    double *lower = upper + cells, *y = lower + cells, *slope = y + ROW * cells;
+    double *deriv = slope + ROW * cells, *resampled = deriv + ROW * cells;
+    double *saved = resampled + count * width;
+    int64_t *first = blocks, *size = first + joints, *which = size + joints;
+    int64_t status = DONE;
+
+    for (int64_t t = 0; t < steps; t++)
+        for (int64_t i = 0; i < width; i++)
+            anchored[t * width + i] = frames[t * width + i] - frames[i];
+    if (radius > 0)
+        smooth(anchored, steps, width, kernel, radius, smoothed);
+    else
+        smoothed = anchored;
+
+    for (int64_t j = 0; j < joints; j++)
+        arc[j] = 0.0;
+    for (int64_t t = 1; t < steps; t++)
+        for (int64_t j = 0; j < joints; j++) {
+            const double *a = smoothed + (t - 1) * width + j * DIM, *b = a + width;
+            double d0 = b[0] - a[0], d1 = b[1] - a[1], d2 = b[2] - a[2];
+            double len = sqrt((d0 * d0 + d1 * d1) + d2 * d2);
+            seglen[t * joints + j] = len;
+            arc[t * joints + j] = arc[(t - 1) * joints + j] + len;
+        }
+
+    /* The knots of each moving joint in turn, one block of the system each. */
+    int64_t moving = 0, knots = 0;
+    for (int64_t j = 0; j < joints; j++) {
+        double total = arc[(steps - 1) * joints + j];
+        if (!isfinite(total)) {
+            status = NOT_FINITE;
+            goto done;
+        }
+        if (!(total >= epsilon))
+            continue;
+        which[moving] = j;
+        first[moving] = knots;
+        for (int64_t t = 0; t < steps; t++) {
+            if (t > 0 && !(seglen[t * joints + j] > 0.0))
+                continue;
+            x[knots] = arc[t * joints + j];
+            memcpy(y + knots * ROW, smoothed + t * width + j * DIM, DIM * sizeof(double));
+            y[knots * ROW + DIM] = 0.0;
+            knots++;
+        }
+        size[moving] = knots - first[moving];
+        moving++;
+    }
+
+    for (int64_t m = 0; m < moving; m++) {
+        int64_t f = first[m], l = f + size[m] - 1;
+        for (int64_t k = f; k < l; k++) {
+            dx[k] = x[k + 1] - x[k];
+            if (!(dx[k] > 0.0)) {
+                status = NOT_INCREASING;
+                goto done;
+            }
+            for (int h = 0; h < ROW; h += 2)
+                AT(slope + k * ROW + h) = (AT(y + (k + 1) * ROW + h) - AT(y + k * ROW + h)) / dx[k];
+        }
+        /* Row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+         * = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set the
+         * second derivative to zero, and the rows where blocks meet couple
+         * them by zeros. */
+        diag[f] = 2 * dx[f];
+        upper[f] = dx[f];
+        for (int h = 0; h < ROW; h += 2)
+            AT(deriv + f * ROW + h) = 3.0 * (AT(y + (f + 1) * ROW + h) - AT(y + f * ROW + h));
+        for (int64_t i = f + 1; i < l; i++) {
+            diag[i] = 2 * (dx[i - 1] + dx[i]);
+            upper[i] = dx[i - 1];
+            lower[i - 1] = dx[i];
+            for (int h = 0; h < ROW; h += 2)
+                AT(deriv + i * ROW + h) = 3.0 * (dx[i] * AT(slope + (i - 1) * ROW + h)
+                                                 + dx[i - 1] * AT(slope + i * ROW + h));
+        }
+        lower[l - 1] = dx[l - 1];
+        diag[l] = 2 * dx[l - 1];
+        for (int h = 0; h < ROW; h += 2)
+            AT(deriv + l * ROW + h) = 3.0 * (AT(y + l * ROW + h) - AT(y + (l - 1) * ROW + h));
+        if (m < moving - 1)
+            upper[l] = lower[l] = 0.0;
+    }
+    if (moving > 0) {
+        status = solve_blocks(moving, first, size, knots, lower, diag, upper, deriv, saved);
+        if (status != DONE)
+            goto done;
+    }
+
+    for (int64_t i = 0; i < count; i++)
+        memcpy(resampled + i * width, smoothed, width * sizeof(double));
+    for (int64_t m = 0; m < moving; m++) {
+        int64_t f = first[m], j = which[m], p = 0;
+        double total = arc[(steps - 1) * joints + j];
+        double step = total / (double)(count - 1);
+        for (int64_t i = 0; i < count; i++) {
+            double q = i == count - 1 ? total : (double)i * step;
+            /* The interval of q: its last knot <= q, clipped to the last one. */
+            while (p > 0 && x[f + p] > q)
+                p--;
+            while (p + 1 < size[m] && x[f + p + 1] <= q)
+                p++;
+            int64_t k = f + (p < size[m] - 2 ? p : size[m] - 2);
+            double h = dx[k], s = q - x[k];
+            double v[ROW];
+            for (int e = 0; e < ROW; e += 2) {
+                pair d0 = AT(deriv + k * ROW + e), d1 = AT(deriv + (k + 1) * ROW + e);
+                pair sl = AT(slope + k * ROW + e);
+                pair t = (d0 + d1 - 2.0 * sl) / h;
+                pair c0 = t / h, c1 = (sl - d0) / h - t;
+                AT(v + e) = 0.0 + AT(y + k * ROW + e) + d0 * s + c1 * (s * s) + c0 * (s * s * s);
+            }
+            memcpy(resampled + i * width + j * DIM, v, DIM * sizeof(double));
+        }
+    }
+
+    for (int64_t r = 0; r < count - window; r++)
+        for (int64_t w = 0; w < window; w++) {
+            const double *a = resampled + (r + w) * width, *b = a + width;
+            double *dst = out + (r * window + w) * width;
+            for (int64_t i = 0; i < width; i++)
+                dst[i] = b[i] - a[i];
+        }
+
+done:
+    free(work);
+    free(blocks);
+    return status;
+}

@@ -8,11 +8,13 @@ the whole skeleton. Every stage is deterministic and side-effect free.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from . import _native
 from .som import _gaussian
 
 DEFAULT_SMOOTHING_SIGMA = 1.0
@@ -79,28 +81,36 @@ def smooth_joint(
     Weights are exp(-k^2 / (2 sigma^2)) for offsets k in [-radius, radius];
     near the boundaries the kernel is truncated to valid samples and
     renormalized. sigma <= 0 or radius <= 0 returns the input unchanged.
+
+    The sums run in one fixed order, whatever the CPU or the length: sample
+    t is ``(((0.0 + w[-r] x[t-r]) + w[-r+1] x[t-r+1]) + ...) / (((0.0 +
+    w[-r]) + w[-r+1]) + ...)`` over the offsets k = -r..r with t + k a valid
+    sample, each product rounded on its own. The compiled preprocessing in
+    `_preprocess.c` sums in the same order, so both give the same bytes.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ValueError(f"series must be 2-dimensional (T, d), got shape {series.shape}")
     if sigma <= 0 or radius <= 0:
         return series.copy()
+    n = series.shape[0]
+    acc = np.zeros_like(series)
+    weight_sums = np.zeros((n, 1))
+    for k, weight in zip(range(-radius, radius + 1), _smoothing_kernel(sigma, radius)):
+        lo, hi = max(0, -k), min(n, n - k)
+        if lo < hi:
+            acc[lo:hi] += weight * series[lo + k : hi + k]
+            weight_sums[lo:hi] += weight
+    return acc / weight_sums
+
+
+@functools.lru_cache(maxsize=None)
+def _smoothing_kernel(sigma: float, radius: int) -> np.ndarray:
+    """The 2 radius + 1 Gaussian weights of `smooth_joint`, for offsets -radius..radius."""
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = _gaussian(-(offsets * offsets), sigma)
-    n = series.shape[0]
-
-    def _centered(signal: np.ndarray) -> np.ndarray:
-        # Center slice of the full convolution; with a symmetric kernel this is
-        # the truncated correlation sum_k w[k] * signal[t + k]. (numpy's 'same'
-        # mode pads to the longer operand, which misbehaves when n < kernel.)
-        return np.convolve(signal, kernel, mode="full")[radius : radius + n]
-
-    # Dividing by the convolved all-ones series renormalizes the boundaries.
-    weight_sums = _centered(np.ones(n))
-    out = np.empty_like(series)
-    for col in range(series.shape[1]):
-        out[:, col] = _centered(series[:, col]) / weight_sums
-    return out
+    kernel.flags.writeable = False
+    return kernel
 
 
 # --- Arc-length resampling ---------------------------------------------------
@@ -138,12 +148,22 @@ def _resample_joints(series: np.ndarray, count: int, epsilon: float) -> np.ndarr
     concatenated knot layout, into one block-diagonal tridiagonal system with
     zero couplings, and solved with one call to LAPACK's ``dgtsv``, the
     routine scipy solves each of them with; a zero coupling only ever adds or
-    subtracts a zero, so every block sees the same arithmetic as alone. The
-    Hermite coefficients and the polynomial evaluation follow scipy's
-    formulas in its operation order.
+    subtracts a zero, so every block sees the same arithmetic as alone (but
+    for the sign such a step can give a zero). The Hermite coefficients and
+    the polynomial evaluation follow scipy's formulas in its operation order.
+    A chord length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, summed in that
+    order.
+
+    This is the numpy path of `preprocess_action`: it runs when
+    `_preprocess.c` is not compiled or declines an action, and tests hold
+    the compiled chain to its bytes. scipy is imported here, so only this
+    path loads it.
     """
+    from scipy.linalg.lapack import dgtsv
+
     _, joints, dim = series.shape
-    seglen = np.linalg.norm(np.diff(series, axis=0), axis=-1)
+    squares = np.diff(series, axis=0) ** 2
+    seglen = np.sqrt(functools.reduce(np.add, squares.transpose(2, 0, 1)))
     arc = np.concatenate([np.zeros((1, joints)), np.cumsum(seglen, axis=0)])
     totals = arc[-1]
     if not np.isfinite(totals).all():
@@ -250,10 +270,16 @@ def windowed_direction_frames(directions: np.ndarray, window: int) -> np.ndarray
 
 def normalize_wdfs(wdfs: np.ndarray, epsilon: float = DEFAULT_NORM_EPSILON) -> np.ndarray:
     """Rescale each row to euclidean norm 1; rows with norm < epsilon stay as-is."""
-    wdfs = np.asarray(wdfs, dtype=np.float64)
-    norms = np.linalg.norm(wdfs, axis=1)
-    scale = np.where(norms < epsilon, 1.0, norms)
-    return wdfs / scale[:, None]
+    return _normalize_in_place(np.array(wdfs, dtype=np.float64), epsilon)
+
+
+def _normalize_in_place(wdfs: np.ndarray, epsilon: float) -> np.ndarray:
+    """`normalize_wdfs` of the 2-D float64 array `wdfs`, written into it."""
+    # np.linalg.norm(wdfs, axis=1) is this sum, after a copy of wdfs.
+    norms = np.sqrt(np.add.reduce(wdfs * wdfs, axis=1))
+    norms[norms < epsilon] = 1.0
+    wdfs /= norms[:, None]
+    return wdfs
 
 
 # --- Full chain ---------------------------------------------------------------
@@ -266,15 +292,29 @@ def preprocess_action(action, params: PreprocessParams) -> np.ndarray:
     attribute holding one. Stages, in fixed order: per-joint Gaussian
     smoothing, per-joint arc-length resampling to `params.frames` positions,
     frame-to-frame differencing, windowing, unit normalization.
+
+    Everything up to the normalization runs in one call of the compiled
+    `_preprocess.c` (`dam._native` builds it on first use), which gives the
+    numpy path's bytes. Without a compiler, or for an action it declines,
+    the numpy path runs; it checks the coordinates are finite (the compiled
+    chain declines any that are not) and raises for an action it cannot
+    resample.
     """
     positions = np.asarray(getattr(action, "frames", action), dtype=np.float64)
     if positions.ndim != 3 or positions.shape[2] != 3:
         raise ValueError(f"action must have shape (F, J, 3), got {positions.shape}")
     if positions.shape[0] < 2:
         raise ValueError(f"action needs at least 2 frames, got {positions.shape[0]}")
-    if not np.isfinite(positions).all():
-        raise ValueError("action contains non-finite coordinates")
+    wdfs = _compiled_windows(positions, params)
+    if wdfs is None:
+        if not np.isfinite(positions).all():
+            raise ValueError("action contains non-finite coordinates")
+        wdfs = _numpy_windows(positions, params)
+    return _normalize_in_place(wdfs, params.norm_epsilon)
 
+
+def _numpy_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarray:
+    """The unnormalized windows of `preprocess_action`, in numpy; the fallback and the oracle."""
     # Anchor each joint at its first position. Downstream differencing makes
     # the result independent of absolute position anyway; doing it up front
     # keeps translation invariance exact instead of within rounding error.
@@ -289,7 +329,34 @@ def preprocess_action(action, params: PreprocessParams) -> np.ndarray:
     resampled = _resample_joints(
         smoothed.reshape(steps, joints, 3), params.frames, params.norm_epsilon
     )
+    return windowed_direction_frames(direction_frames(resampled), params.window)
 
-    directions = direction_frames(resampled)
-    wdfs = windowed_direction_frames(directions, params.window)
-    return normalize_wdfs(wdfs, epsilon=params.norm_epsilon)
+
+@functools.lru_cache(maxsize=None)
+def _bind_chain(library: ctypes.CDLL):
+    """`library`'s `dam_preprocess` with its argument types set."""
+    chain = library.dam_preprocess
+    pointer, size = ctypes.c_void_p, ctypes.c_int64
+    chain.argtypes = [pointer, size, size, pointer, size, size, size, ctypes.c_double, pointer]
+    chain.restype = size
+    return chain
+
+
+def _compiled_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarray | None:
+    """`_numpy_windows` from `_preprocess.c`, or None when it is not compiled or declines.
+
+    `positions` is a float64 (steps >= 2, joints, 3) array.
+    """
+    library = _native.load("_preprocess.c")
+    if library is None:
+        return None
+    positions = np.ascontiguousarray(positions)
+    steps, joints = positions.shape[:2]
+    radius = params.smoothing_radius if params.smoothing_sigma > 0 else 0
+    kernel = _smoothing_kernel(params.smoothing_sigma, radius) if radius > 0 else None
+    out = np.empty((params.wdf_count, params.feature_dim(joints)))
+    status = _bind_chain(library)(
+        positions.ctypes.data, steps, joints, None if kernel is None else kernel.ctypes.data,
+        radius, params.frames, params.window, params.norm_epsilon, out.ctypes.data,
+    )
+    return out if status == 0 else None

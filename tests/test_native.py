@@ -15,6 +15,7 @@ import pytest
 
 from dam import _native, cli, som
 from dam.dataset import load_canonical_dataset, write_canonical_dataset
+from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import SomTrainParams, train_som
 from dam.synthetic import make_directional_dataset
 
@@ -92,6 +93,21 @@ class TestFallback:
         assert [(a.id, a.frames.tobytes()) for a in python] == [
             (a.id, a.frames.tobytes()) for a in compiled]
         _assert_fallback_ran(caplog, "no C compiler", "_table_reader.c")
+
+    def test_no_compiler_preprocesses_the_same_bytes(self, fresh_cache, tmp_path, monkeypatch,
+                                                     caplog):
+        actions = make_directional_dataset(classes=2, subjects=2, instances=2, raw_frames=30,
+                                           joints=4, seed=6).actions
+        params = PreprocessParams(frames=12, window=2)
+        compiled = [preprocess_action(a, params).tobytes() for a in actions]
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other_cache"))
+        _native.load.cache_clear()
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        caplog.clear()
+        caplog.set_level(logging.INFO, logger="dam._native")
+        assert [preprocess_action(a, params).tobytes() for a in actions] == compiled
+        _assert_fallback_ran(caplog, "no C compiler", "_preprocess.c")
 
     def test_failing_compile(self, fresh_cache, tmp_path, monkeypatch, caplog, numpy_bytes):
         bin_dir = _fake_compilers(tmp_path / "bin", "echo broken >&2; exit 1")
@@ -178,8 +194,8 @@ def test_second_process_reuses_the_cached_library(tmp_path):
     assert second.stderr.count("using the compiled library") == 1
 
 
-def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys):
-    # Only the table reader: `dam classify` parses files but trains no map.
+def _trained_model(tmp_path: Path) -> tuple[Path, Path]:
+    """A small canonical dataset and a model `dam train` fit to it."""
     data, model = tmp_path / "data", tmp_path / "model.json"
     write_canonical_dataset(
         make_directional_dataset(classes=2, subjects=2, instances=2, raw_frames=20,
@@ -188,7 +204,29 @@ def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys
     )
     assert cli.main(["train", str(data), "-o", str(model), "--frames", "10",
                      "--window", "2", "--grid", "2x2", "--epochs", "1"]) == 0
+    return data, model
+
+
+def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys):
+    # Only the table reader and the preprocessing chain: `dam classify`
+    # parses and preprocesses files but trains no map.
+    data, model = _trained_model(tmp_path)
     calls = []
     monkeypatch.setattr(_native, "load", lambda name: calls.append(name))
     assert cli.main(["classify", "--model", str(model), str(data)]) == 0
-    assert calls and set(calls) == {"_table_reader.c"}
+    assert calls and set(calls) == {"_table_reader.c", "_preprocess.c"}
+
+
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler here")
+def test_compiled_classify_never_imports_scipy(tmp_path):
+    # scipy's dgtsv serves only the numpy preprocessing path.
+    data, model = _trained_model(tmp_path)
+    code = (
+        "import sys\n"
+        "import dam.cli\n"
+        f"status = dam.cli.main(['classify', '--model', {str(model)!r}, {str(data)!r}])\n"
+        "print(status, [m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"

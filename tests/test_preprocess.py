@@ -1,9 +1,12 @@
 """Tests for the pose-sequence preprocessing chain.
 
 Oracles here are deliberately independent re-implementations (plain Python
-loops, closed-form values) rather than calls back into the library.
+loops, closed-form values) rather than calls back into the library. The one
+exception is the compiled chain, `_preprocess.c`, which is held to the bytes
+of the library's numpy path.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.interpolate import CubicSpline
 
+from dam import _native, preprocess
 from dam.preprocess import (
     PreprocessParams,
     arc_length_resample,
@@ -26,21 +30,28 @@ from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
 
 def _smooth_oracle(series, sigma, radius):
-    """Direct O(T*r) weighted moving average with boundary renormalization."""
+    """Direct O(T*r) weighted moving average with boundary renormalization.
+
+    Plain Python floats in one fixed order: sample t is the sum of
+    w[k] * series[t + k], then the sum of w[k], each over the offsets
+    k = -radius..radius that stay in the series, in increasing k, starting
+    from 0.0. The weights are numpy's exp over all offsets at once.
+    """
     series = np.asarray(series, dtype=float)
     if sigma <= 0 or radius <= 0:
         return series.copy()
-    out = np.zeros_like(series)
-    n = series.shape[0]
+    offsets = np.arange(-radius, radius + 1, dtype=float)
+    weights = [float(w) for w in np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))]
+    n, dim = series.shape
+    out = np.empty_like(series)
     for t in range(n):
-        acc = np.zeros(series.shape[1])
-        wsum = 0.0
-        for k in range(-radius, radius + 1):
-            if 0 <= t + k < n:
-                w = math.exp(-(k * k) / (2.0 * sigma * sigma))
-                acc += w * series[t + k]
-                wsum += w
-        out[t] = acc / wsum
+        for col in range(dim):
+            acc = wsum = 0.0
+            for k in range(-radius, radius + 1):
+                if 0 <= t + k < n:
+                    acc += weights[k + radius] * float(series[t + k, col])
+                    wsum += weights[k + radius]
+            out[t, col] = acc / wsum
     return out
 
 
@@ -55,7 +66,7 @@ class TestSmoothing:
             radius = int(rng.choice([1, 2, 5]))
             got = smooth_joint(series, sigma=sigma, radius=radius)
             want = _smooth_oracle(series, sigma, radius)
-            assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert got.tobytes() == want.tobytes()
 
     def test_constant_series_is_preserved(self):
         series = np.full((30, 3), 7.25)
@@ -491,3 +502,138 @@ class TestBatchedResamplingIsByteIdentical:
         action = _edge_case_actions()[name]
         got = preprocess_action(action, params)
         assert got.tobytes() == _reference_preprocess(action, params).tobytes()
+
+
+# SHA-256 of the concatenated preprocess_action(a, PreprocessParams(25, 3))
+# bytes over the seed-0 paper-scale synthetic corpus: 600 actions of 45
+# frames and 20 joints.
+PINNED_DIGEST = "c71641f1ee61661837d0c43a01fab54e67fdbb1db7420ce374a13aa8194cdbac"
+
+
+def _compiled_library():
+    library = _native.load("_preprocess.c")
+    if library is None:
+        pytest.skip("_preprocess.c was not compiled here")
+    return library
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def chain_path(request, monkeypatch):
+    """preprocess_action on the compiled chain, or on the numpy path alone."""
+    if request.param == "compiled":
+        _compiled_library()
+    else:
+        monkeypatch.setattr(preprocess, "_compiled_windows", lambda positions, params: None)
+    return request.param
+
+
+class TestPinnedBytes:
+    def test_pinned_digest(self, chain_path):
+        dataset = make_directional_dataset(
+            classes=6, subjects=10, instances=10, raw_frames=45, joints=20, seed=0
+        )
+        params = PreprocessParams(frames=25, window=3)
+        if chain_path == "compiled":
+            assert all(
+                preprocess._compiled_windows(a.frames, params) is not None
+                for a in dataset.actions
+            )
+        digest = hashlib.sha256()
+        for action in dataset.actions:
+            digest.update(preprocess_action(action, params).tobytes())
+        assert digest.hexdigest() == PINNED_DIGEST
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (np.array([[[0.0, 0.0, 0.0]], [[1.0, np.nan, 0.0]], [[2.0, 0.0, 0.0]]]),
+             "action contains non-finite coordinates"),
+            (np.array([[[0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0]], [[2.0, 0.0, 0.0]]]),
+             "action contains non-finite coordinates"),
+            # Finite coordinates whose chord length overflows.
+            (np.array([[[1e308, 0.0, 0.0]], [[-1e308, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]),
+             "chord length overflows"),
+        ],
+        ids=["nan", "inf", "overflowing_chord"],
+    )
+    def test_rejections_keep_their_messages(self, chain_path, frames, message):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            preprocess_action(frames, PreprocessParams(frames=4, window=1))
+
+
+@st.composite
+def _chain_cases(draw):
+    """Random actions and parameters, with the cases where the chain branches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = draw(st.integers(2, 30))
+    joints = draw(st.integers(1, 6))
+    frames = np.cumsum(rng.normal(size=(steps, joints, 3)), axis=0)
+    if draw(st.booleans()):
+        frames = np.round(frames, draw(st.integers(0, 1)))
+    frames *= draw(st.sampled_from([1.0, 1e-150, 1e150, 1e-3, 1e4]))
+    frames += draw(st.sampled_from([0.0, -0.0, 7.5, -1e6]))
+    if draw(st.booleans()):  # stationary joints
+        still = rng.random(joints) < 0.5
+        frames[:, still] = frames[0, still]
+    if draw(st.booleans()):  # a coordinate that never moves
+        frames[:, :, draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, -0.0, 3.0]))
+    repeat = rng.random(steps) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    for i in np.flatnonzero(repeat[1:]) + 1:  # coincident consecutive samples
+        frames[i] = frames[i - 1]
+    count = draw(st.integers(2, 30))
+    params = PreprocessParams(
+        frames=count,
+        window=draw(st.integers(1, count - 1)),
+        smoothing_sigma=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        smoothing_radius=draw(st.integers(0, 5)),
+    )
+    return frames, params
+
+
+class TestCompiledChain:
+    """`_preprocess.c` gives the numpy path's bytes, or declines the action."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_chain_cases())
+    def test_same_bytes_as_numpy(self, case):
+        _compiled_library()
+        frames, params = case
+        compiled = preprocess._compiled_windows(frames, params)
+        try:
+            with np.errstate(all="ignore"):
+                expected = preprocess._numpy_windows(frames, params)
+        except ValueError:
+            assert compiled is None
+            return
+        if compiled is not None:
+            assert compiled.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("params", TestBatchedResamplingIsByteIdentical.PARAMS)
+    @pytest.mark.parametrize("name", sorted(_edge_case_actions()))
+    def test_edge_cases_run_compiled(self, name, params, scale):
+        _compiled_library()
+        frames = _edge_case_actions()[name] * scale
+        compiled = preprocess._compiled_windows(frames, params)
+        assert compiled is not None
+        with np.errstate(all="ignore"):  # s**3 overflows at 1e150
+            expected = preprocess._numpy_windows(frames, params)
+        assert compiled.tobytes() == expected.tobytes()
+
+    def test_declines_a_zero_whose_sign_the_block_coupling_flips(self):
+        # Joint 1's x goes from +0.0 to -0.0 while joint 0's x falls: in the
+        # one block-diagonal system, the zero step from joint 0's last row
+        # into joint 1's first turns that row's -0.0 into +0.0. The compiled
+        # solver, which leaves such steps out, cannot match it and declines.
+        frames = np.array([
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[-1.0, 1.0, 0.0], [-0.0, 1.0, 0.0]],
+            [[-3.0, 1.5, 0.0], [-0.0, 2.0, 1.0]],
+        ])
+        params = PreprocessParams(frames=5, window=1, smoothing_sigma=0.0)
+        _compiled_library()
+        assert preprocess._compiled_windows(frames, params) is None
+        want = normalize_wdfs(preprocess._numpy_windows(frames, params))
+        assert preprocess_action(frames, params).tobytes() == want.tobytes()
+        frames[1, 1, 0] = 0.0
+        assert preprocess._compiled_windows(frames, params) is not None
