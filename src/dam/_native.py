@@ -7,8 +7,10 @@ The library's name is the SHA-256 of the source, the
 flags and the machine type, so a machine compiles each source once and later
 processes only load it. The build writes a temporary file and renames it
 into place, so concurrent processes never load a half-written library.
-After a build, the cache's other libraries of that source (earlier versions,
-or other flags or machine types sharing the cache) are removed; loading an
+After a build, the newest other library of that source (by build time) is
+kept and the older ones are removed, so two source versions (two branches
+or two installs) can share a cache without rebuilding on each switch, and
+an edited source leaves at most one earlier library behind. Loading an
 existing library removes nothing.
 
 Loading never raises: with no compiler, a failed build or a cached file
@@ -97,10 +99,14 @@ def load(source_name: str) -> ctypes.CDLL | None:
         if failure is not None:
             logger.info("%s: not compiled (%s); using the Python path", source_name, failure)
             return None
-        for stale in target.parent.glob(f"{source.stem}-*.so"):
-            if stale != target:
+        others = []
+        for other in target.parent.glob(f"{source.stem}-*.so"):
+            if other != target:
                 with contextlib.suppress(OSError):
-                    stale.unlink()
+                    others.append((other.stat().st_mtime_ns, other))
+        for _, stale in sorted(others)[:-1]:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     try:
         library = ctypes.CDLL(str(target))
     except OSError as exc:

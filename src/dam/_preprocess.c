@@ -1,5 +1,4 @@
-/* The preprocessing chain of one action, compiled on first use by
- * dam._native.
+/* The preprocessing chain of one action, compiled on first use by dam._native.
  *
  * Plain C with no Python headers; `dam.preprocess.preprocess_action` calls it
  * through ctypes, once per action, and normalizes the windows it returns.
@@ -11,9 +10,8 @@
  *   `smooth_joint`'s fixed-order shifted sums;
  * - chord lengths are sqrt((dx*dx + dy*dy) + dz*dz), summed in time order,
  *   and coincident samples are collapsed;
- * - the natural-spline systems of all moving joints form one block-diagonal
- *   tridiagonal system with zero couplings, solved as LAPACK's dgtsv solves
- *   it, row interchanges included (`solve_blocks`);
+ * - the natural-spline system of each moving joint is solved as LAPACK's
+ *   dgtsv solves it alone, row interchanges included (`solve_blocks`);
  * - Hermite coefficients, then the polynomial at linspace(0, total, count),
  *   as scipy's CubicSpline evaluates it;
  * - frame differences, then windows.
@@ -23,12 +21,18 @@
  * three coordinates are stored with a fourth, unused lane, so two pairs of
  * lanes hold them.
  *
+ * The numpy path solves all joints in one dgtsv call, their blocks coupled
+ * by zeros. Chord lengths are checked finite first, so the solve is finite,
+ * and a step across a coupling subtracts a zero multiple: it can change at
+ * most the sign of a zero in a spline derivative. The Hermite sum starts at
+ * 0.0 + y, never -0.0, and adding +-0 to a value that is not -0.0 leaves its
+ * bits unchanged, so no evaluated position depends on the coupling.
+ *
  * What the numpy path rejects, a non-finite chord length, knots that do not
  * increase or a singular system, this code declines, and so does a failed
- * allocation or a step `solve_blocks` cannot show exact: the caller then
- * runs the numpy path, which raises or gives the result. A coordinate that
- * is not finite makes its joint's chord length non-finite, so an action
- * with one is declined, and the caller rejects it.
+ * allocation: the caller then runs the numpy path, which raises or gives
+ * the result. A non-finite coordinate makes its joint's chord length
+ * non-finite, so an action with one is declined, and the caller rejects it.
  */
 
 #include <math.h>
@@ -43,7 +47,7 @@
 typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
 #define AT(p) (*(pair *)(p))
 
-enum { DONE, NO_MEMORY, NOT_FINITE, NOT_INCREASING, SINGULAR, NOT_EXACT };
+enum { DONE, NO_MEMORY, NOT_FINITE, NOT_INCREASING, SINGULAR };
 
 /* `smooth_joint` of the (steps, width) series into out: sample t is
  * (((0.0 + w[lo] x[t+lo]) + ...) + w[hi] x[t+hi]) / (((0.0 + w[lo]) + ...) +
@@ -74,9 +78,9 @@ static void smooth(const double *restrict series, int64_t steps, int64_t width,
     }
 }
 
-/* Row i's step of dgtsv's elimination with partial pivoting on a system of
- * n rows, b (n, ROW); 0 when the pivot is zero. */
-static int eliminate(int64_t i, int64_t n, double *dl, double *d, double *du, double *b)
+/* Row i's step of dgtsv's elimination with partial pivoting on a block whose
+ * rows end before row end, b (rows, ROW); 0 when the pivot is zero. */
+static int eliminate(int64_t i, int64_t end, double *dl, double *d, double *du, double *b)
 {
     double *row = b + i * ROW, *next = row + ROW;
     if (fabs(d[i]) >= fabs(dl[i])) {
@@ -86,14 +90,14 @@ static int eliminate(int64_t i, int64_t n, double *dl, double *d, double *du, do
         d[i + 1] = d[i + 1] - fact * du[i];
         for (int h = 0; h < ROW; h += 2)
             AT(next + h) = AT(next + h) - fact * AT(row + h);
-        if (i < n - 2)
+        if (i < end - 2)
             dl[i] = 0.0;
     } else {
         double fact = d[i] / dl[i];
         d[i] = dl[i];
         double temp = d[i + 1];
         d[i + 1] = du[i] - fact * temp;
-        if (i < n - 2) {
+        if (i < end - 2) {
             dl[i] = du[i + 1];
             du[i + 1] = -fact * dl[i];
         }
@@ -107,75 +111,31 @@ static int eliminate(int64_t i, int64_t n, double *dl, double *d, double *du, do
     return 1;
 }
 
-static int same(double a, double b)
-{
-    uint64_t p, q;
-    memcpy(&p, &a, sizeof p);
-    memcpy(&q, &b, sizeof q);
-    return p == q;
-}
-
-/* dgtsv on the n-row block-diagonal system whose blocks start at first[m]
- * and have size[m] >= 2 rows, m < blocks, the rows where two blocks meet
- * coupled by zeros: the solution replaces b. Returns DONE, SINGULAR or
- * NOT_EXACT; saved holds 1 + DIM + 2 ROW doubles per block.
- *
- * dgtsv steps through the rows in order, one chain of dependent divisions.
- * Here the blocks take their steps side by side, and the steps that cross
- * from one block into the next are left out: the elimination step of a
- * block's last row l, which subtracts a zero multiple of row l from the
- * next block's first row, and the terms of the back solve of rows l and
- * l - 1 that multiply the next block's solution by a zero coupling. Each
- * left-out step is made afterwards on saved values and must leave the bits
- * of its target as they are; one that would flip the sign of a zero, or
- * meets a value that is not finite, gives NOT_EXACT. */
+/* dgtsv on each block of rows first[m] .. first[m] + size[m] - 1, size[m] >= 2,
+ * m < blocks, as it solves that block alone; the solution replaces b. Returns
+ * DONE or SINGULAR. The blocks take their steps side by side, so that their
+ * chains of dependent divisions overlap. */
 static int64_t solve_blocks(int64_t blocks, const int64_t *first, const int64_t *size,
-                            int64_t n, double *dl, double *d, double *du, double *b,
-                            double *saved)
+                            double *dl, double *d, double *du, double *b)
 {
-    const int64_t stride = 1 + DIM + 2 * ROW;
     int64_t longest = 0;
-    for (int64_t m = 0; m < blocks; m++) {
+    for (int64_t m = 0; m < blocks; m++)
         longest = size[m] > longest ? size[m] : longest;
-        double *keep = saved + stride * m;
-        keep[0] = d[first[m]];
-        for (int c = 0; c < DIM; c++)
-            keep[1 + c] = b[first[m] * ROW + c];
-    }
-
     for (int64_t s = 0; s + 1 < longest; s++)
         for (int64_t m = 0; m < blocks; m++)
-            if (s + 1 < size[m] && !eliminate(first[m] + s, n, dl, d, du, b))
+            if (s + 1 < size[m] && !eliminate(first[m] + s, first[m] + size[m], dl, d, du, b))
                 return SINGULAR;
-    for (int64_t m = 0; m + 1 < blocks; m++) {
-        int64_t l = first[m] + size[m] - 1;
-        const double *next = saved + stride * (m + 1);
-        if (d[l] == 0.0)
-            return SINGULAR;
-        if (!(fabs(d[l]) >= fabs(dl[l])))
-            return NOT_EXACT;
-        double fact = dl[l] / d[l];
-        if (!same(next[0] - fact * du[l], next[0]))
-            return NOT_EXACT;
-        for (int c = 0; c < DIM; c++)
-            if (!same(next[1 + c] - fact * b[l * ROW + c], next[1 + c]))
-                return NOT_EXACT;
-    }
-    if (d[n - 1] == 0.0)
-        return SINGULAR;
 
     /* Back solve, from each block's last row up: row i becomes
-     * ((b[i] - du[i] b[i+1]) - dl[i] b[i+2]) / d[i] but in the last two
-     * rows, which leave out the terms of the next block; the numerators of
-     * those two rows are kept for the check below. */
+     * ((b[i] - du[i] b[i+1]) - dl[i] b[i+2]) / d[i], without terms past the block. */
     for (int64_t m = 0; m < blocks; m++) {
         int64_t l = first[m] + size[m] - 1;
-        double *row = b + l * ROW, *keep = saved + stride * m + 1 + DIM;
+        double *row = b + l * ROW;
+        if (d[l] == 0.0)
+            return SINGULAR;
         for (int h = 0; h < ROW; h += 2) {
-            AT(keep + h) = AT(row + h);
-            AT(row + h) = AT(keep + h) / d[l];
-            AT(keep + ROW + h) = AT(row - ROW + h) - du[l - 1] * AT(row + h);
-            AT(row - ROW + h) = AT(keep + ROW + h) / d[l - 1];
+            AT(row + h) = AT(row + h) / d[l];
+            AT(row - ROW + h) = (AT(row - ROW + h) - du[l - 1] * AT(row + h)) / d[l - 1];
         }
     }
     for (int64_t s = 2; s < longest; s++)
@@ -188,14 +148,6 @@ static int64_t solve_blocks(int64_t blocks, const int64_t *first, const int64_t 
                 AT(row + h) = (AT(row + h) - du[i] * AT(row + ROW + h)
                                - dl[i] * AT(row + 2 * ROW + h)) / d[i];
         }
-    for (int64_t m = 0; m + 1 < blocks; m++) {
-        int64_t l = first[m] + size[m] - 1;
-        const double *keep = saved + stride * m + 1 + DIM, *after = b + (l + 1) * ROW;
-        for (int c = 0; c < DIM; c++)
-            if (!same(keep[c] - du[l] * after[c] - dl[l] * after[ROW + c], keep[c])
-                || !same(keep[ROW + c] - dl[l - 1] * after[c], keep[ROW + c]))
-                return NOT_EXACT;
-    }
     return DONE;
 }
 
@@ -211,7 +163,7 @@ int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
     /* Knots: at most one per (step, joint). */
     double *work = malloc(sizeof(double) *
                           (size_t)(2 * steps * width + 7 * cells + 3 * ROW * cells
-                                   + count * width + (1 + DIM + 2 * ROW) * joints));
+                                   + count * width));
     int64_t *blocks = malloc(sizeof(int64_t) * (size_t)(3 * joints));
     if (work == NULL || blocks == NULL) {
         free(work);
@@ -223,7 +175,6 @@ int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
     double *x = arc + cells, *dx = x + cells, *diag = dx + cells, *upper = diag + cells;
     double *lower = upper + cells, *y = lower + cells, *slope = y + ROW * cells;
     double *deriv = slope + ROW * cells, *resampled = deriv + ROW * cells;
-    double *saved = resampled + count * width;
     int64_t *first = blocks, *size = first + joints, *which = size + joints;
     int64_t status = DONE;
 
@@ -283,8 +234,7 @@ int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
         }
         /* Row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
          * = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set the
-         * second derivative to zero, and the rows where blocks meet couple
-         * them by zeros. */
+         * second derivative to zero. */
         diag[f] = 2 * dx[f];
         upper[f] = dx[f];
         for (int h = 0; h < ROW; h += 2)
@@ -301,11 +251,9 @@ int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
         diag[l] = 2 * dx[l - 1];
         for (int h = 0; h < ROW; h += 2)
             AT(deriv + l * ROW + h) = 3.0 * (AT(y + l * ROW + h) - AT(y + (l - 1) * ROW + h));
-        if (m < moving - 1)
-            upper[l] = lower[l] = 0.0;
     }
     if (moving > 0) {
-        status = solve_blocks(moving, first, size, knots, lower, diag, upper, deriv, saved);
+        status = solve_blocks(moving, first, size, lower, diag, upper, deriv);
         if (status != DONE)
             goto done;
     }

@@ -125,7 +125,9 @@ def arc_length_resample(
     length and evaluated at `count` evenly spaced parameter values, so output
     points are equidistant along the curve and the endpoints are preserved.
     A path whose total chord length is below `epsilon` is considered
-    stationary and yields `count` copies of its first position.
+    stationary and yields `count` copies of its first position. Raises
+    ValueError when a resampled position is not finite: coordinates near
+    1e103 and beyond overflow the spline's cubic term.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
@@ -136,7 +138,10 @@ def arc_length_resample(
         raise ValueError(f"count must be >= 2, got {count}")
     if not np.isfinite(series).all():
         raise ValueError("series contains non-finite coordinates")
-    return _resample_joints(series[:, None, :], count, epsilon)[:, 0, :]
+    out = _resample_joints(series[:, None, :], count, epsilon)[:, 0, :]
+    if not np.isfinite(out).all():
+        raise ValueError("resampled positions are not finite")
+    return out
 
 
 def _resample_joints(series: np.ndarray, count: int, epsilon: float) -> np.ndarray:
@@ -147,17 +152,23 @@ def _resample_joints(series: np.ndarray, count: int, epsilon: float) -> np.ndarr
     The natural-spline systems of all moving joints are stacked, in a flat
     concatenated knot layout, into one block-diagonal tridiagonal system with
     zero couplings, and solved with one call to LAPACK's ``dgtsv``, the
-    routine scipy solves each of them with; a zero coupling only ever adds or
-    subtracts a zero, so every block sees the same arithmetic as alone (but
-    for the sign such a step can give a zero). The Hermite coefficients and
-    the polynomial evaluation follow scipy's formulas in its operation order.
-    A chord length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, summed in that
-    order.
+    routine scipy solves each of them with. The Hermite coefficients and the
+    polynomial evaluation follow scipy's formulas in its operation order. A
+    chord length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, summed in that order.
+
+    The one call gives the bytes of a solve per joint. Chord lengths are
+    checked finite first, so the solve is finite (a finite chord length is
+    below ~1.3e154, where its square overflows). A step across a zero
+    coupling subtracts a zero multiple, so it can change at most the sign of
+    a zero in a spline derivative. The Hermite sum starts at ``0.0 + y``,
+    which is never -0.0, and adding ±0 to a value that is not -0.0 leaves
+    its bits unchanged, so no evaluated position depends on the coupling.
 
     This is the numpy path of `preprocess_action`: it runs when
-    `_preprocess.c` is not compiled or declines an action, and tests hold
-    the compiled chain to its bytes. scipy is imported here, so only this
-    path loads it.
+    `_preprocess.c`, which solves each joint's system alone, is not compiled
+    or declines an action, and tests hold the compiled chain to its bytes.
+    One call keeps this path fast. scipy is imported here, so only this path
+    loads it.
     """
     from scipy.linalg.lapack import dgtsv
 
@@ -269,7 +280,11 @@ def windowed_direction_frames(directions: np.ndarray, window: int) -> np.ndarray
 
 
 def normalize_wdfs(wdfs: np.ndarray, epsilon: float = DEFAULT_NORM_EPSILON) -> np.ndarray:
-    """Rescale each row to euclidean norm 1; rows with norm < epsilon stay as-is."""
+    """Rescale each row to euclidean norm 1; rows with norm < epsilon stay as-is.
+
+    Raises ValueError when a row's norm is not finite (a NaN or infinite
+    entry, or squares that overflow).
+    """
     return _normalize_in_place(np.array(wdfs, dtype=np.float64), epsilon)
 
 
@@ -277,6 +292,8 @@ def _normalize_in_place(wdfs: np.ndarray, epsilon: float) -> np.ndarray:
     """`normalize_wdfs` of the 2-D float64 array `wdfs`, written into it."""
     # np.linalg.norm(wdfs, axis=1) is this sum, after a copy of wdfs.
     norms = np.sqrt(np.add.reduce(wdfs * wdfs, axis=1))
+    if not np.isfinite(norms).all():
+        raise ValueError("window norm is not finite")
     norms[norms < epsilon] = 1.0
     wdfs /= norms[:, None]
     return wdfs
@@ -298,7 +315,9 @@ def preprocess_action(action, params: PreprocessParams) -> np.ndarray:
     numpy path's bytes. Without a compiler, or for an action it declines,
     the numpy path runs; it checks the coordinates are finite (the compiled
     chain declines any that are not) and raises for an action it cannot
-    resample.
+    resample. On both paths, a window whose norm is not finite (coordinates
+    near 1e103 and beyond overflow the spline's cubic term) raises
+    ValueError.
     """
     positions = np.asarray(getattr(action, "frames", action), dtype=np.float64)
     if positions.ndim != 3 or positions.shape[2] != 3:

@@ -132,26 +132,56 @@ def test_a_build_removes_the_stale_libraries_of_its_source(fresh_cache):
     fresh_cache.mkdir(parents=True)
     planted = {
         name: fresh_cache / name
-        for name in ("_som_kernel-0123.so", "_som_kernel-4567.so", "_table_reader-89ab.so",
-                     "_som_kernel-cdef.tmp", "other-0123.so")
+        for name in ("_som_kernel-0123.so", "_som_kernel-4567.so", "_som_kernel-89ab.so",
+                     "_table_reader-89ab.so", "_som_kernel-cdef.tmp", "other-0123.so")
     }
-    for path in planted.values():
+    for built_at, path in enumerate(planted.values()):
         path.write_bytes(b"stale")
+        os.utime(path, (1_000_000 + built_at, 1_000_000 + built_at))
+    # The newest other library of the source stays; the older ones go.
     assert _native.load(SOURCE) is not None
     assert sorted(p.name for p in fresh_cache.iterdir()) == sorted(
-        [_native.library_path(SOURCE).name, "_table_reader-89ab.so", "_som_kernel-cdef.tmp",
-         "other-0123.so"])
+        [_native.library_path(SOURCE).name, "_som_kernel-89ab.so", "_table_reader-89ab.so",
+         "_som_kernel-cdef.tmp", "other-0123.so"])
 
     # A load from the cache builds nothing, so it removes nothing either.
     _native.load.cache_clear()
     planted["_som_kernel-0123.so"].write_bytes(b"stale")
     assert _native.load(SOURCE) is not None
     assert planted["_som_kernel-0123.so"].exists()
+    assert planted["_som_kernel-89ab.so"].exists()
 
+    # The only other library of a source is its newest.
     assert _native.load("_table_reader.c") is not None
-    assert not planted["_table_reader-89ab.so"].exists()
+    assert planted["_table_reader-89ab.so"].exists()
     assert planted["_som_kernel-0123.so"].exists()
     assert planted["other-0123.so"].read_bytes() == b"stale"
+
+
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler here")
+def test_two_source_versions_share_a_cache_without_rebuilding(fresh_cache, tmp_path,
+                                                              monkeypatch):
+    # Two checkouts of the package whose versions of one source differ, as
+    # when switching branches, alternate on one cache: each builds once.
+    versions = []
+    for version in (1, 2):
+        package = tmp_path / f"v{version}"
+        package.mkdir()
+        (package / "tiny.c").write_text(f"int dam_tiny(void) {{ return {version}; }}\n")
+        versions.append(str(package / "_native.py"))
+    builds, build = [], _native._build
+
+    def counted_build(source, target):
+        builds.append(target)
+        return build(source, target)
+
+    monkeypatch.setattr(_native, "_build", counted_build)
+    for module_file in versions * 3:
+        monkeypatch.setattr(_native, "__file__", module_file)
+        _native.load.cache_clear()
+        assert _native.load("tiny.c").dam_tiny() == versions.index(module_file) + 1
+    assert len(builds) == 2
+    assert len(list(fresh_cache.glob("tiny-*.so"))) == 2
 
 
 def test_block_body_is_logged_once_per_library(caplog):

@@ -229,8 +229,10 @@ class TestArcLengthResampleMatchesScipy:
             np.array([[0.0, 0.0], [1.0, 1.0], [2.0, np.nan]]),
             # Finite samples whose chord length overflows.
             np.array([[1e308], [-1e308], [0.0]]),
+            # Finite chord lengths, but the spline's cubic term overflows.
+            np.cumsum(np.random.default_rng(3).normal(size=(30, 3)), axis=0) * 1e150,
         ],
-        ids=["nan", "overflowing_chord"],
+        ids=["nan", "overflowing_chord", "overflowing_spline"],
     )
     def test_non_finite_rejected(self, series):
         with np.errstate(over="ignore"), pytest.raises(ValueError):
@@ -330,6 +332,13 @@ class TestNormalizeWdfs:
         assert_array_equal(out[0], np.zeros(6))
         assert_array_equal(out[1], wdfs[1])
         assert_allclose(np.linalg.norm(out[2]), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_rows_whose_norm_is_not_finite_are_rejected(self, bad):
+        wdfs = np.ones((3, 6))
+        wdfs[1, 2] = bad
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm is not finite"):
+            normalize_wdfs(wdfs)
 
 
 class TestPreprocessParams:
@@ -553,12 +562,16 @@ class TestPinnedBytes:
             # Finite coordinates whose chord length overflows.
             (np.array([[[1e308, 0.0, 0.0]], [[-1e308, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]),
              "chord length overflows"),
+            # Finite chord lengths, but the spline's cubic term overflows.
+            (np.cumsum(np.random.default_rng(0).normal(size=(30, 2, 3)), axis=0) * 1e103,
+             "window norm is not finite"),
+            (_edge_case_actions()["coincident_samples"] * 1e150, "window norm is not finite"),
         ],
-        ids=["nan", "inf", "overflowing_chord"],
+        ids=["nan", "inf", "overflowing_chord", "overflowing_spline", "edge_case_at_1e150"],
     )
     def test_rejections_keep_their_messages(self, chain_path, frames, message):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
-            preprocess_action(frames, PreprocessParams(frames=4, window=1))
+            preprocess_action(frames, PreprocessParams(frames=10, window=2))
 
 
 @st.composite
@@ -567,11 +580,16 @@ def _chain_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     steps = draw(st.integers(2, 30))
     joints = draw(st.integers(1, 6))
-    frames = np.cumsum(rng.normal(size=(steps, joints, 3)), axis=0)
-    if draw(st.booleans()):
-        frames = np.round(frames, draw(st.integers(0, 1)))
-    frames *= draw(st.sampled_from([1.0, 1e-150, 1e150, 1e-3, 1e4]))
-    frames += draw(st.sampled_from([0.0, -0.0, 7.5, -1e6]))
+    signed_zeros = draw(st.booleans())
+    if signed_zeros:  # small integer steps with exact +-0.0 entries, no smoothing
+        frames = np.cumsum(rng.integers(-1, 2, size=(steps, joints, 3)), axis=0) * 1.0
+        frames[(frames == 0.0) & (rng.random(frames.shape) < 0.5)] = -0.0
+    else:
+        frames = np.cumsum(rng.normal(size=(steps, joints, 3)), axis=0)
+        if draw(st.booleans()):
+            frames = np.round(frames, draw(st.integers(0, 1)))
+        frames *= draw(st.sampled_from([1.0, 1e-150, 1e150, 1e-3, 1e4]))
+        frames += draw(st.sampled_from([0.0, -0.0, 7.5, -1e6]))
     if draw(st.booleans()):  # stationary joints
         still = rng.random(joints) < 0.5
         frames[:, still] = frames[0, still]
@@ -584,14 +602,14 @@ def _chain_cases(draw):
     params = PreprocessParams(
         frames=count,
         window=draw(st.integers(1, count - 1)),
-        smoothing_sigma=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        smoothing_sigma=0.0 if signed_zeros else draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
         smoothing_radius=draw(st.integers(0, 5)),
     )
     return frames, params
 
 
 class TestCompiledChain:
-    """`_preprocess.c` gives the numpy path's bytes, or declines the action."""
+    """`_preprocess.c` gives the numpy path's bytes, or declines what the numpy path rejects."""
 
     @settings(max_examples=400, deadline=None)
     @given(_chain_cases())
@@ -605,8 +623,8 @@ class TestCompiledChain:
         except ValueError:
             assert compiled is None
             return
-        if compiled is not None:
-            assert compiled.tobytes() == expected.tobytes()
+        assert compiled is not None
+        assert compiled.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
     @pytest.mark.parametrize("params", TestBatchedResamplingIsByteIdentical.PARAMS)
@@ -620,11 +638,12 @@ class TestCompiledChain:
             expected = preprocess._numpy_windows(frames, params)
         assert compiled.tobytes() == expected.tobytes()
 
-    def test_declines_a_zero_whose_sign_the_block_coupling_flips(self):
+    def test_a_zero_whose_sign_the_block_coupling_flips_runs_compiled(self):
         # Joint 1's x goes from +0.0 to -0.0 while joint 0's x falls: in the
-        # one block-diagonal system, the zero step from joint 0's last row
-        # into joint 1's first turns that row's -0.0 into +0.0. The compiled
-        # solver, which leaves such steps out, cannot match it and declines.
+        # numpy path's one block-diagonal system, the zero step from joint 0's
+        # last row into joint 1's first turns that row's -0.0 into +0.0. No
+        # position depends on the sign of that zero, so the compiled chain,
+        # which solves each joint alone, gives the same bytes.
         frames = np.array([
             [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
             [[-1.0, 1.0, 0.0], [-0.0, 1.0, 0.0]],
@@ -632,8 +651,8 @@ class TestCompiledChain:
         ])
         params = PreprocessParams(frames=5, window=1, smoothing_sigma=0.0)
         _compiled_library()
-        assert preprocess._compiled_windows(frames, params) is None
-        want = normalize_wdfs(preprocess._numpy_windows(frames, params))
+        compiled = preprocess._compiled_windows(frames, params)
+        assert compiled is not None
+        assert compiled.tobytes() == preprocess._numpy_windows(frames, params).tobytes()
+        want = _reference_preprocess(frames, params)
         assert preprocess_action(frames, params).tobytes() == want.tobytes()
-        frames[1, 1, 0] = 0.0
-        assert preprocess._compiled_windows(frames, params) is not None
