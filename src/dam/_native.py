@@ -3,24 +3,24 @@
 A source ships inside the package. The first time a process asks for it,
 its library is loaded from a per-user cache, ``$XDG_CACHE_HOME/dam/`` (by
 default ``~/.cache/dam/``), and compiled into the cache first when missing.
-The library's name is the SHA-256 of the source, the
-flags and the machine type, so a machine compiles each source once and later
-processes only load it. The build writes a temporary file and renames it
-into place, so concurrent processes never load a half-written library.
-After a build, the newest other library of that source (by build time) is
-kept and the older ones are removed, so two source versions (two branches
-or two installs) can share a cache without rebuilding on each switch, and
-an edited source leaves at most one earlier library behind. Loading an
-existing library removes nothing.
+The cache is content-addressed: a library's name is the SHA-256 of the
+source, the flags and the machine type, so a machine compiles each source
+version once and later processes only load it. The build writes a temporary
+file and renames it into place, so concurrent processes never load a
+half-written library. The cache is append-only: a library is never changed
+or removed once built, so any number of source versions (branches,
+installs) share one cache without rebuilding, and deleting the directory is
+always safe (the next process rebuilds what it needs).
 
-Loading never raises: with no compiler, a failed build or a cached file
-that does not load, `load` returns None and the caller keeps its Python
-path, which gives the same results. Either outcome is logged once per process at INFO.
+`function` is the one place a C function gets its argument and result
+types. Loading never raises: with no compiler, a failed build or a cached
+file that does not load, `load` and `function` return None and the caller
+keeps its Python path, which gives the same results. Either outcome is
+logged once per process at INFO.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import hashlib
@@ -56,23 +56,23 @@ def _build(source: Path, target: Path) -> str | None:
         return "no C compiler on PATH"
     try:
         target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
+        scratch = tempfile.TemporaryDirectory(dir=target.parent, prefix=f"{target.stem}-",
+                                              ignore_cleanup_errors=True)
     except OSError as exc:
         return f"cannot write the cache: {exc}"
-    os.close(fd)
-    try:
-        run = subprocess.run(
-            [*cc, *CFLAGS, "-o", tmp, str(source)],
-            capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S,
-        )
-        if run.returncode != 0:
-            return f"{cc[0]} exited {run.returncode}: {run.stderr.strip()[-500:]}"
-        os.replace(tmp, target)
-    except (OSError, subprocess.SubprocessError) as exc:
-        return f"{cc[0]} failed: {exc}"
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    # Built inside a private directory that the `with` removes, whatever the outcome.
+    with scratch:
+        tmp = os.path.join(scratch.name, target.name)
+        try:
+            run = subprocess.run(
+                [*cc, *CFLAGS, "-o", tmp, str(source)],
+                capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S,
+            )
+            if run.returncode != 0:
+                return f"{cc[0]} exited {run.returncode}: {run.stderr.strip()[-500:]}"
+            os.replace(tmp, target)
+        except (OSError, subprocess.SubprocessError) as exc:
+            return f"{cc[0]} failed: {exc}"
     return None
 
 
@@ -99,14 +99,6 @@ def load(source_name: str) -> ctypes.CDLL | None:
         if failure is not None:
             logger.info("%s: not compiled (%s); using the Python path", source_name, failure)
             return None
-        others = []
-        for other in target.parent.glob(f"{source.stem}-*.so"):
-            if other != target:
-                with contextlib.suppress(OSError):
-                    others.append((other.stat().st_mtime_ns, other))
-        for _, stale in sorted(others)[:-1]:
-            with contextlib.suppress(OSError):
-                stale.unlink()
     try:
         library = ctypes.CDLL(str(target))
     except OSError as exc:
@@ -114,3 +106,20 @@ def load(source_name: str) -> ctypes.CDLL | None:
         return None
     logger.info("%s: using the compiled library %s", source_name, target)
     return library
+
+
+def function(source_name: str, name: str, restype, *argtypes):
+    """The C function `name` of the compiled `source_name`, typed, or None when not compiled.
+
+    `restype` and `argtypes` are ctypes types, as ctypes' attributes of those names take them.
+    """
+    library = load(source_name)
+    return None if library is None else _typed(library, name, restype, *argtypes)
+
+
+@functools.lru_cache(maxsize=None)
+def _typed(library: ctypes.CDLL, name: str, restype, *argtypes):
+    # Indexing makes a new function object, so two signatures of one name never clash.
+    typed = library[name]
+    typed.restype, typed.argtypes = restype, argtypes
+    return typed

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
+from .dataset import class_order
 from .descriptor import Histogram, compute_histogram
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
@@ -111,8 +112,6 @@ def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
         raise ValueError(
             f"{len(wdf_sets)} WDF sets but {len(labels)} labels"
         )
-    from .dataset import class_order  # local import: dataset pulls in nothing heavy
-
     if classes is None:
         classes = class_order(labels)
     classes = list(classes)

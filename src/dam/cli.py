@@ -351,7 +351,12 @@ def cmd_classify(args) -> int:
 
 
 def _jobs(settings: dict) -> int:
-    return settings.get("jobs", os.cpu_count() or 1)
+    """`jobs` as set, else the CPUs this process may run on."""
+    if "jobs" in settings:
+        return settings["jobs"]
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _evaluate_once(dataset, settings: dict, cfg: ExperimentConfig, out_dir: Path,
@@ -464,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=int, default=None,
                    help=f"cross-subject repetitions (default {ExperimentConfig.runs})")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores)")
+                   help="worker processes (default: the CPUs this process may use)")
     p.add_argument("--exclusions", choices=("apply", "ignore", "both"), default=None,
                    help="exclusion-list handling (default: both when an exclusion "
                         "file is present, else apply)")
@@ -483,7 +488,7 @@ def build_parser() -> _Parser:
                    help=f"cross-subject repetitions per combination "
                         f"(default {ExperimentConfig.runs})")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores)")
+                   help="worker processes (default: the CPUs this process may use)")
     p.add_argument("--exclusions", choices=("apply", "ignore"), default="apply",
                    help="exclusion-list handling (default: apply)")
     p.add_argument("--output", "-o", required=True, help="sweep CSV file to write")

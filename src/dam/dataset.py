@@ -195,21 +195,12 @@ def _powers_of_five() -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-@functools.lru_cache(maxsize=None)
-def _bind_reader(library: ctypes.CDLL):
-    """`library`'s `dam_read_table` with its argument types and powers of five bound."""
-    reader = library.dam_read_table
-    size = ctypes.c_int64
-    reader.argtypes = [ctypes.c_void_p, ctypes.c_char_p, size, size, size, size,
-                       ctypes.c_void_p]
-    reader.restype = size
-    return functools.partial(reader, _powers_of_five().ctypes.data)
-
-
 def _table_reader():
     """The compiled table reader when `_table_reader.c` is compiled and loads, else None."""
-    library = _native.load("_table_reader.c")
-    return None if library is None else _bind_reader(library)
+    size = ctypes.c_int64
+    reader = _native.function("_table_reader.c", "dam_read_table", size, ctypes.c_void_p,
+                              ctypes.c_char_p, size, size, size, size, ctypes.c_void_p)
+    return None if reader is None else functools.partial(reader, _powers_of_five().ctypes.data)
 
 
 def _compiled_table(text: str, width: int, skip: int, rows: int | None) -> np.ndarray | None:

@@ -351,30 +351,22 @@ def _numpy_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarra
     return windowed_direction_frames(direction_frames(resampled), params.window)
 
 
-@functools.lru_cache(maxsize=None)
-def _bind_chain(library: ctypes.CDLL):
-    """`library`'s `dam_preprocess` with its argument types set."""
-    chain = library.dam_preprocess
-    pointer, size = ctypes.c_void_p, ctypes.c_int64
-    chain.argtypes = [pointer, size, size, pointer, size, size, size, ctypes.c_double, pointer]
-    chain.restype = size
-    return chain
-
-
 def _compiled_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarray | None:
     """`_numpy_windows` from `_preprocess.c`, or None when it is not compiled or declines.
 
     `positions` is a float64 (steps >= 2, joints, 3) array.
     """
-    library = _native.load("_preprocess.c")
-    if library is None:
+    pointer, size = ctypes.c_void_p, ctypes.c_int64
+    chain = _native.function("_preprocess.c", "dam_preprocess", size, pointer, size, size,
+                             pointer, size, size, size, ctypes.c_double, pointer)
+    if chain is None:
         return None
     positions = np.ascontiguousarray(positions)
     steps, joints = positions.shape[:2]
     radius = params.smoothing_radius if params.smoothing_sigma > 0 else 0
     kernel = _smoothing_kernel(params.smoothing_sigma, radius) if radius > 0 else None
     out = np.empty((params.wdf_count, params.feature_dim(joints)))
-    status = _bind_chain(library)(
+    status = chain(
         positions.ctypes.data, steps, joints, None if kernel is None else kernel.ctypes.data,
         radius, params.frames, params.window, params.norm_epsilon, out.ctypes.data,
     )

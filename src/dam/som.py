@@ -146,8 +146,8 @@ def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
     return int(np.argmin((diff * diff).sum(axis=1)))
 
 
-def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row argmin and min of squared distances to the codebook rows.
+def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Per-row argmin of squared distances to the codebook rows.
 
     Scores blocks of `_CHUNK_BUDGET // K` rows with one GEMM: the score
     ``h_j = ||c_j||^2 / 2 - x.c_j`` is half of ``||c_j||^2 - 2 x.c_j`` and
@@ -160,8 +160,7 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     ties and duplicated units included, and rows too large for the bound,
     see `_SIZE_LIMIT`) is rescored over all K units with the direct form and
     `np.argmin`. The winner is therefore the direct form's argmin, ties to
-    the lowest index, whatever the BLAS threading, and the returned distance
-    is the direct form's, to that winner.
+    the lowest index, whatever the BLAS threading.
     """
     n, dim = xs.shape
     k = codebook.shape[0]
@@ -170,7 +169,6 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
     half_c2 = 0.5 * c2
     c2_max = c2.max()
     best = np.empty(n, dtype=np.int64)
-    best_d = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         block = xs[lo:hi]
@@ -185,10 +183,8 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nd
         sure = (second - first > _rounding_bound(dim, size)) & (size < _SIZE_LIMIT)
         for i in np.flatnonzero(~sure):
             winner[i] = _direct_winner(codebook, block[i])
-        diff = block - codebook[winner]
         best[lo:hi] = winner
-        best_d[lo:hi] = (diff * diff).sum(axis=-1)
-    return best, best_d
+    return best
 
 
 def bmu_batch(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
@@ -200,7 +196,7 @@ def bmu_batch(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
     Non-finite query rows are rejected with a ValueError.
     """
     xs = _check_query(grid, np.atleast_2d(xs))
-    return _min_sqdist(grid.codebook, xs)[0]
+    return _min_sqdist(grid.codebook, xs)
 
 
 def bmu(grid: SomGrid, x: np.ndarray) -> int:
@@ -213,8 +209,8 @@ def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
     samples = _check_query(grid, np.atleast_2d(samples))
     if samples.shape[0] == 0:
         raise ValueError("quantization error needs at least one sample")
-    _, d = _min_sqdist(grid.codebook, samples)
-    return float(np.sqrt(d).mean())
+    diff = samples - grid.codebook[_min_sqdist(grid.codebook, samples)]
+    return float(np.sqrt((diff * diff).sum(axis=-1)).mean())
 
 
 def _neighbour_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,23 +274,20 @@ def _compiled_block(kernel, codebook, samples, rows, cols, order, table, index):
             start += 1
 
 
-def _kernel_runner(kernel):
-    """A block runner that calls `kernel`, a block body of `_som_kernel.c`."""
+def _kernel(name):
+    """The block body `name` of `_som_kernel.c`, typed, or None when it is not compiled."""
     pointer, size = ctypes.c_void_p, ctypes.c_int64
-    kernel.argtypes = [pointer, size, size, size, pointer, pointer, size, pointer, size,
-                       pointer, pointer]
-    kernel.restype = size
-    return functools.partial(_compiled_block, kernel)
+    return _native.function("_som_kernel.c", name, size, pointer, size, size, size, pointer,
+                            pointer, size, pointer, size, pointer, pointer)
 
 
 @functools.lru_cache(maxsize=None)
 def _library_runner(library):
     """The block runner of a loaded `_som_kernel.c`; logs which body it runs, once."""
-    library.dam_som_avx2.argtypes = []
-    library.dam_som_avx2.restype = ctypes.c_int
-    body = "avx2" if library.dam_som_avx2() else "baseline"
+    avx2 = _native.function("_som_kernel.c", "dam_som_avx2", ctypes.c_int)
+    body = "avx2" if avx2() else "baseline"
     logger.info("_som_kernel.c: running the %s block body", body)
-    return _kernel_runner(library.dam_som_block)
+    return functools.partial(_compiled_block, _kernel("dam_som_block"))
 
 
 def _block_runner():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -556,6 +557,25 @@ class TestEvaluate:
         subjects = (out / "per_subject.csv").read_text().splitlines()
         assert subjects[0] == "subject,accuracy"
         assert [line.split(",")[0] for line in subjects[1:]] == ["1", "2", "3", "4"]
+
+    def test_jobs_default_to_the_cpus_the_process_may_use(self, capsys, tmp_path, canon_dir,
+                                                          monkeypatch):
+        # Pinned to one CPU of a larger machine, the default starts one worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        started, protocol = [], cli.cross_validate
+
+        def recorded(dataset, cfg, jobs):  # notes the count, runs on one process
+            started.append(jobs)
+            return protocol(dataset, cfg, jobs=1)
+
+        monkeypatch.setattr(cli, "cross_validate", recorded)
+        args = ["evaluate", str(canon_dir), *FAST, "--runs", "1", "--seed", "2"]
+        assert run(capsys, *args, "--output-dir", str(tmp_path / "a"))[0] == 0
+        assert run(capsys, *args, "--output-dir", str(tmp_path / "b"), "--jobs", "2")[0] == 0
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run(capsys, *args, "--output-dir", str(tmp_path / "c"))[0] == 0
+        assert started == [1, 2, 8]
 
     def test_zero_runs_rejected(self, capsys, tmp_path, canon_dir):
         code, _, stderr = run(

@@ -276,27 +276,23 @@ def _training_cases(draw):
     return samples, rows, cols, params, initial
 
 
-def _kernel(body):
-    """The compiled block body `body` ("avx2" or "baseline"), else a skip."""
+def _compiled_runner(body):
+    """The block runner of the compiled body `body` ("avx2" or "baseline"), else a skip."""
     library = _native.load("_som_kernel.c")
     if library is None:
         pytest.skip("the C kernel was not compiled here")
-    if body == "baseline":
-        return library.dam_som_block_baseline
-    if not library.dam_som_avx2():
+    if body == "avx2" and not library.dam_som_avx2():
         pytest.skip("this CPU has no AVX2")
-    return library.dam_som_block
+    name = "dam_som_block" if body == "avx2" else "dam_som_block_baseline"
+    return functools.partial(som._compiled_block, som._kernel(name))
 
 
 @pytest.fixture(scope="class", params=["avx2", "baseline", "numpy"])
 def block_runner(request):
     """Train with each C block body, then with the numpy block runner."""
-    if request.param == "numpy":
-        runner = lambda: som._numpy_block  # noqa: E731
-    else:
-        runner = functools.partial(som._kernel_runner, _kernel(request.param))
+    run_block = som._numpy_block if request.param == "numpy" else _compiled_runner(request.param)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(som, "_block_runner", runner)
+        patch.setattr(som, "_block_runner", lambda: run_block)
         yield request.param
 
 
@@ -388,7 +384,7 @@ class TestTrainingMatchesReference:
 def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
     # All units start at one point, so the first step is an exact tie the
     # kernel cannot decide: numpy must make it, one step at a time.
-    kernel = _kernel(body)
+    runner = _compiled_runner(body)
     rng = np.random.default_rng(7)
     samples = rng.normal(size=(40, 6))
     start = np.tile(rng.normal(size=6), (9, 1))
@@ -403,7 +399,7 @@ def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
         numpy_block(*args)
 
     monkeypatch.setattr(som, "_numpy_block", counted)
-    monkeypatch.setattr(som, "_block_runner", lambda: som._kernel_runner(kernel))
+    monkeypatch.setattr(som, "_block_runner", lambda: runner)
     got = train_som(samples, 3, 3, params, initial_codebook=start).codebook.tobytes()
     assert handed and set(handed) == {1}
     assert got == want
