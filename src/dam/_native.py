@@ -12,6 +12,12 @@ or removed once built, so any number of source versions (branches,
 installs) share one cache without rebuilding, and deleting the directory is
 always safe (the next process rebuilds what it needs).
 
+A build the compiler rejects (a non-zero exit) leaves a marker beside the
+library, keyed on the library and the compiler's resolved path, so later
+processes do not run that compiler on that source again; a timeout or a
+compiler that cannot be run leaves none. Delete the marker, or the cache,
+to try again; another compiler tries anew.
+
 `function` is the one place a C function gets its argument and result
 types. Loading never raises: with no compiler, a failed build or a cached
 file that does not load, `load` and `function` return None and the caller
@@ -21,6 +27,7 @@ logged once per process at INFO.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -49,11 +56,24 @@ def _compiler() -> list[str] | None:
     return ["cc"] if shutil.which("cc") else None
 
 
+def _failure_marker(target: Path, compiler: str) -> Path:
+    """Where a build of `target` that the compiler at `compiler` rejected is remembered."""
+    key = hashlib.sha256(os.path.realpath(compiler).encode()).hexdigest()[:16]
+    return target.with_name(f"{target.stem}-{key}.failed")
+
+
 def _build(source: Path, target: Path) -> str | None:
     """Compile `source` into `target`; the reason it failed, or None."""
     cc = _compiler()
     if cc is None:
         return "no C compiler on PATH"
+    marker = _failure_marker(target, shutil.which(cc[0]))
+    try:
+        return f"{marker.read_text()} (in an earlier build; delete {marker} to retry)"
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        return f"cannot read the cache: {exc}"
     try:
         target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         scratch = tempfile.TemporaryDirectory(dir=target.parent, prefix=f"{target.stem}-",
@@ -69,7 +89,11 @@ def _build(source: Path, target: Path) -> str | None:
                 capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S,
             )
             if run.returncode != 0:
-                return f"{cc[0]} exited {run.returncode}: {run.stderr.strip()[-500:]}"
+                failure = f"{cc[0]} exited {run.returncode}: {run.stderr.strip()[-500:]}"
+                with contextlib.suppress(OSError):
+                    Path(tmp).write_text(failure)
+                    os.replace(tmp, marker)
+                return failure
             os.replace(tmp, target)
         except (OSError, subprocess.SubprocessError) as exc:
             return f"{cc[0]} failed: {exc}"

@@ -20,6 +20,18 @@
  *   splits the sum into decide only how often numpy makes a step, never a
  *   winner.
  *
+ * A block runs on one thread or on two. With two, each thread owns a
+ * contiguous half of the units: it moves them and finds their nearest two
+ * to the next sample. Both threads then merge the two halves the same way,
+ * ties to the lower half, and apply the same test, so they agree on every
+ * winner and stop at the same step. A unit's arithmetic does not depend on
+ * the thread that moves it, so the bytes are those of one thread. The
+ * threads meet once per step: each publishes its half's nearest units and
+ * bumps its own step counter, then waits for the other's. The helper thread
+ * starts with every signal blocked and is joined before the call returns,
+ * so signals reach the caller's thread and a fork never copies it; when it
+ * cannot start, the caller's thread runs the block alone.
+ *
  * The file includes itself to compile the block body twice: on two-lane
  * (128-bit) vectors for the baseline ISA and, on x86-64, on four-lane
  * (256-bit) vectors in functions built for AVX2, which does not enable FMA.
@@ -32,40 +44,149 @@
 
 #ifndef VEC
 
+#define _GNU_SOURCE
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 
-/* Winner of a step from its distances, ties to the lowest index, or -1 when
- * the distances cannot decide it. */
-static int64_t decide(const double *dist, int64_t units, int64_t dim)
+/* The nearest units of one half of the map to one sample. */
+struct nearest {
+    double first, second; /* the lowest and second-lowest distance, INFINITY if none */
+    int64_t winner;       /* the first unit at `first` */
+    int64_t nan;          /* 1 when some distance is NaN */
+};
+
+static const struct nearest NONE = {INFINITY, INFINITY, 0, 0};
+
+static inline void see(struct nearest *n, double d, int64_t u)
 {
-    int64_t winner = 0;
-    double first = INFINITY, second = INFINITY;
+    if (d != d) {
+        n->nan = 1;
+    } else if (d < n->first) {
+        n->second = n->first;
+        n->first = d;
+        n->winner = u;
+    } else if (d < n->second) {
+        n->second = d;
+    }
+}
+
+/* Winner of a step from the nearest units of the lower and the upper half,
+ * ties to the lowest index, or -1 when the distances cannot decide it. */
+static int64_t decide(const struct nearest *lower, const struct nearest *upper, int64_t units,
+                      int64_t dim)
+{
     if (units == 1)
         return 0;
-    for (int64_t u = 0; u < units; ++u) {
-        double d = dist[u];
-        if (d != d)
-            return -1;
-        if (d < first) {
-            second = first;
-            first = d;
-            winner = u;
-        } else if (d < second) {
-            second = d;
-        }
-    }
+    if (lower->nan || upper->nan)
+        return -1;
+    const struct nearest *near = upper->first < lower->first ? upper : lower;
+    const struct nearest *far = near == lower ? upper : lower;
+    double first = near->first;
+    double second = far->first < near->second ? far->first : near->second;
     if (!(second - first > 4.0 * (double)(dim + 2) * (DBL_EPSILON * second + 0x1p-1074)))
         return -1;
-    return winner;
+    return near->winner;
+}
+
+/* What one thread publishes, on cache lines of its own: `ready` steps have
+ * their nearest units in `nearest`, step s in nearest[s & 1]. */
+struct lane {
+    _Alignas(64) _Atomic int64_t ready;
+    struct nearest nearest[2];
+};
+
+/* Pauses before a waiting thread gives up its CPU: a few microseconds on
+ * older x86 cores, ~50 us on Skylake and later, whose `pause` is longer. */
+#define SPINS 1024
+
+static void wait_for(struct lane *lane, int64_t steps)
+{
+    for (int spins = 0; atomic_load_explicit(&lane->ready, memory_order_acquire) < steps;) {
+        if (spins < SPINS) {
+            ++spins;
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#endif
+        } else {
+            sched_yield();
+        }
+    }
+}
+
+static void publish(struct lane *lane, int64_t steps, const struct nearest *near)
+{
+    lane->nearest[(steps - 1) & 1] = *near;
+    atomic_store_explicit(&lane->ready, steps, memory_order_release);
 }
 
 #define BLOCK_PARAMS                                                                   \
     double *codebook, int64_t rows, int64_t cols, int64_t dim, const double *samples, \
         const int64_t *order, int64_t steps, const double *table, int64_t stride,     \
-        const int64_t *index, double *dist
-#define BLOCK_ARGS codebook, rows, cols, dim, samples, order, steps, table, stride, index, dist
+        const int64_t *index, int64_t threads
+#define BLOCK_ARGS codebook, rows, cols, dim, samples, order, steps, table, stride, index, threads
+
+/* One call's arguments and its threads' meeting point. */
+struct block {
+    double *codebook;
+    int64_t rows, cols, dim;
+    const double *samples;
+    const int64_t *order;
+    int64_t steps;
+    const double *table;
+    int64_t stride;
+    const int64_t *index;
+    int64_t threads; /* 1 or 2 */
+    struct lane lane[2];
+};
+
+/* Starts the helper on a CPU other than the caller's: a new thread often
+ * starts on its creator's CPU and stays there for a whole call. */
+static void place_helper(pthread_attr_t *attr)
+{
+#if defined(__GLIBC__)
+    cpu_set_t cpus;
+    int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return;
+    CPU_CLR(cpu, &cpus);
+    if (CPU_COUNT(&cpus) > 0)
+        pthread_attr_setaffinity_np(attr, sizeof cpus, &cpus);
+#else
+    (void)attr;
+#endif
+}
+
+/* Runs `body` on the caller's thread and, when two threads are asked for
+ * and the helper starts, `helper` on another; returns once both are done. */
+static int64_t run(BLOCK_PARAMS, int64_t (*body)(struct block *, int), void *(*helper)(void *))
+{
+    struct block block = {codebook, rows, cols, dim, samples, order, steps, table, stride, index,
+                          threads > 1 ? 2 : 1, {{0, {NONE, NONE}}, {0, {NONE, NONE}}}};
+    pthread_t thread;
+    if (steps <= 0)
+        return steps;
+    if (block.threads > 1) {
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        place_helper(&attr);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        if (pthread_create(&thread, &attr, helper, &block) != 0)
+            block.threads = 1;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+        pthread_attr_destroy(&attr);
+    }
+    int64_t done = body(&block, 0);
+    if (block.threads > 1)
+        pthread_join(thread, NULL);
+    return done;
+}
 
 /* Vectors read and written in place need only a double's alignment. */
 typedef double pair __attribute__((vector_size(16), aligned(8), may_alias));
@@ -91,7 +212,7 @@ typedef double quad __attribute__((vector_size(32), aligned(8), may_alias));
 /* The block body for the baseline ISA; `dam_som_block` takes the same arguments. */
 int64_t dam_som_block_baseline(BLOCK_PARAMS)
 {
-    return block_pair(BLOCK_ARGS);
+    return run(BLOCK_ARGS, block_pair, helper_pair);
 }
 
 /* 1 when `dam_som_block` runs the AVX2 body on this machine, else 0. */
@@ -110,9 +231,9 @@ int64_t dam_som_block(BLOCK_PARAMS)
 {
 #if defined(__x86_64__)
     if (dam_som_avx2())
-        return block_quad(BLOCK_ARGS);
+        return run(BLOCK_ARGS, block_quad, helper_quad);
 #endif
-    return block_pair(BLOCK_ARGS);
+    return run(BLOCK_ARGS, block_pair, helper_pair);
 }
 
 #else /* The block body on VEC, a vector of LANES doubles, built with TARGET. */
@@ -144,9 +265,12 @@ TARGET static double NAME(sq_dist)(const double *c, const double *x, int64_t dim
     return sum;
 }
 
-/* Moves unit c toward x by h and returns its new squared distance to next. */
-TARGET static double NAME(move_unit)(double *c, const double *x, const double *next, double h,
-                                     int64_t dim)
+/* Moves unit c toward x by h and returns its new squared distance to next.
+ * Out of line: inlined into `block`'s unit loop, gcc 12 loads every second
+ * vector of the unit twice, and steps take ~10% longer. */
+TARGET __attribute__((noinline)) static double NAME(move_unit)(double *c, const double *x,
+                                                               const double *next, double h,
+                                                               int64_t dim)
 {
     VEC acc0 = {0.0}, acc1 = {0.0};
     int64_t j = 0;
@@ -180,40 +304,61 @@ TARGET static double NAME(move_unit)(double *c, const double *x, const double *n
     return sum;
 }
 
-/* Runs steps 0 .. steps-1 of a block on the (rows * cols, dim) codebook.
+/* Runs steps 0 .. steps-1 of a block on the (rows * cols, dim) codebook, as
+ * thread t of block->threads.
  *
  * Step s visits samples[order[s]]; table has one row of `stride` weights per
  * step, the learning rate included. `index` is (2 rows - 1, 2 cols - 1):
  * entry [rows - 1 + dr][cols - 1 + dc] is the table column of the grid
- * offset (dr, dc). `dist` is scratch for rows * cols distances. Returns
- * `steps` when every step ran, else the index of the first step whose
- * winner is undecided; that step has not changed the codebook, and the
- * caller makes it with numpy.
+ * offset (dr, dc). Returns `steps` when every step ran, else the index of
+ * the first step whose winner is undecided; that step has not changed the
+ * codebook, and the caller makes it with numpy.
  */
-TARGET static int64_t NAME(block)(BLOCK_PARAMS)
+TARGET static int64_t NAME(block)(struct block *b, int t)
 {
-    int64_t units = rows * cols;
-    if (steps > 0)
-        for (int64_t u = 0; u < units; ++u)
-            dist[u] = NAME(sq_dist)(codebook + u * dim, samples + order[0] * dim, dim);
+    double *codebook = b->codebook;
+    const double *samples = b->samples, *table = b->table;
+    const int64_t *order = b->order, *index = b->index;
+    const int64_t rows = b->rows, cols = b->cols, dim = b->dim, steps = b->steps;
+    const int64_t stride = b->stride, threads = b->threads;
+    const int64_t units = rows * cols, split = threads > 1 ? units / 2 : units;
+    const int64_t lo = t ? split : 0, hi = t ? units : split;
+    struct lane *own = &b->lane[t], *other = &b->lane[1 - t];
+    struct nearest near = NONE;
+    for (int64_t u = lo; u < hi; ++u)
+        see(&near, NAME(sq_dist)(codebook + u * dim, samples + order[0] * dim, dim), u);
+    publish(own, 1, &near);
     for (int64_t s = 0; s < steps; ++s) {
-        int64_t winner = decide(dist, units, dim);
+        if (threads > 1)
+            wait_for(other, s + 1);
+        int64_t winner = decide(&b->lane[0].nearest[s & 1], &b->lane[1].nearest[s & 1], units, dim);
         if (winner < 0)
             return s;
         const double *x = samples + order[s] * dim;
         /* The last step's distances are not used: the next call starts anew. */
         const double *next = s + 1 < steps ? samples + order[s + 1] * dim : x;
         const double *weights = table + s * stride;
-        int64_t wr = winner / cols, wc = winner % cols;
-        for (int64_t r = 0; r < rows; ++r) {
-            const int64_t *column = index + (rows - 1 + r - wr) * (2 * cols - 1) + cols - 1 - wc;
-            for (int64_t c = 0; c < cols; ++c) {
-                int64_t u = r * cols + c;
-                dist[u] = NAME(move_unit)(codebook + u * dim, x, next, weights[column[c]], dim);
+        /* Unit u in grid cell (r, c) takes the weight of table column column[c]. */
+        const int64_t *column = index + (rows - 1 + lo / cols - winner / cols) * (2 * cols - 1)
+                                + cols - 1 - winner % cols;
+        near = NONE;
+        for (int64_t u = lo, c = lo % cols; u < hi; ++u) {
+            double d = NAME(move_unit)(codebook + u * dim, x, next, weights[column[c]], dim);
+            see(&near, d, u);
+            if (++c == cols) {
+                c = 0;
+                column += 2 * cols - 1;
             }
         }
+        publish(own, s + 2, &near);
     }
     return steps;
+}
+
+TARGET static void *NAME(helper)(void *block)
+{
+    NAME(block)(block, 1);
+    return NULL;
 }
 
 #undef AT

@@ -11,6 +11,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +38,11 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 # Online steps per block: one neighbourhood table of this many rows is filled
 # per block (at 25x25 under 0.3 MB) and handed to the block runner.
 _BLOCK_STEPS = 128
+# Smallest units * dim whose online steps run on two threads. At dim 180 on a
+# 2-core VM, a step of 25 units took ~20% longer on two threads (the threads
+# meet once per step), 40 units broke even and 75 gained ~20%; the margin
+# keeps small maps off a second CPU that something else may be using.
+_THREAD_MIN_WORK = 75 * 180
 
 
 def _rounding_bound(dim: int, size):
@@ -255,18 +262,18 @@ def _numpy_block(codebook, samples, rows, cols, order, table, index):
         np.subtract(codebook, diff, out=codebook)
 
 
-def _compiled_block(kernel, codebook, samples, rows, cols, order, table, index):
-    """`_numpy_block` in the C kernel; numpy makes each step the kernel leaves undecided.
+def _compiled_block(kernel, threads, codebook, samples, rows, cols, order, table, index):
+    """`_numpy_block` in the C kernel on `threads` threads (1 or 2); numpy makes each
+    step the kernel leaves undecided.
 
     Every array is C-contiguous, float64 or int64, as `train_som` makes them.
     """
-    dist = np.empty(codebook.shape[0])
     start = 0
     while start < len(order):
         start += kernel(
             codebook.ctypes.data, rows, cols, codebook.shape[1], samples.ctypes.data,
             order[start:].ctypes.data, len(order) - start, table[start:].ctypes.data,
-            table.shape[1], index.ctypes.data, dist.ctypes.data,
+            table.shape[1], index.ctypes.data, threads,
         )
         if start < len(order):
             _numpy_block(codebook, samples, rows, cols, order[start : start + 1],
@@ -278,22 +285,37 @@ def _kernel(name):
     """The block body `name` of `_som_kernel.c`, typed, or None when it is not compiled."""
     pointer, size = ctypes.c_void_p, ctypes.c_int64
     return _native.function("_som_kernel.c", name, size, pointer, size, size, size, pointer,
-                            pointer, size, pointer, size, pointer, pointer)
+                            pointer, size, pointer, size, pointer, size)
+
+
+def _thread_count(units: int, dim: int) -> int:
+    """Threads the kernel trains a map of `units` units of dimension `dim` on: 1 or 2.
+
+    Two only for a map of at least `_THREAD_MIN_WORK` values, when this
+    process may run on two CPUs and is no worker of another (a pool of
+    workers already keeps the CPUs busy).
+    """
+    if units * dim < _THREAD_MIN_WORK or multiprocessing.parent_process() is not None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if (cpus or 1) >= 2 else 1
 
 
 @functools.lru_cache(maxsize=None)
-def _library_runner(library):
-    """The block runner of a loaded `_som_kernel.c`; logs which body it runs, once."""
+def _library_runner(library, threads):
+    """The block runner of a loaded `_som_kernel.c` on `threads` threads; logs its choice, once."""
     avx2 = _native.function("_som_kernel.c", "dam_som_avx2", ctypes.c_int)
     body = "avx2" if avx2() else "baseline"
-    logger.info("_som_kernel.c: running the %s block body", body)
-    return functools.partial(_compiled_block, _kernel("dam_som_block"))
+    logger.info("_som_kernel.c: running the %s block body on %d thread%s", body, threads,
+                "s" if threads > 1 else "")
+    return functools.partial(_compiled_block, _kernel("dam_som_block"), threads)
 
 
-def _block_runner():
-    """The C block runner when `_som_kernel.c` is compiled and loads, else numpy's."""
+def _block_runner(units: int, dim: int):
+    """The block runner for a map of `units` units of dimension `dim`: the C kernel's
+    when `_som_kernel.c` is compiled and loads, else numpy's."""
     library = _native.load("_som_kernel.c")
-    return _numpy_block if library is None else _library_runner(library)
+    return _numpy_block if library is None else _library_runner(library, _thread_count(units, dim))
 
 
 def train_som(
@@ -316,10 +338,11 @@ def train_som(
     weight table, ``exp(-k / (2 sigma(t)^2)) * alpha(t)`` for each step t
     and each distinct squared grid distance k, and a block runner makes the
     steps: a compiled C kernel (`dam._native` builds it on first use; it
-    runs its AVX2 body where the CPU has AVX2) or, without a compiler, the
-    numpy loop `_numpy_block`. Both update with the same float operations,
-    ``t = c - x; t *= h; c -= t`` with h a table entry, so they give the
-    same bytes.
+    runs its AVX2 body where the CPU has AVX2, and splits the units of a
+    large map over two threads, see `_thread_count`) or, without a
+    compiler, the numpy loop `_numpy_block`. All update with the same float
+    operations, ``t = c - x; t *= h; c -= t`` with h a table entry, so they
+    give the same bytes.
 
     The winner of a step is the argmin of the direct form
     ``(diff * diff).sum(axis=1)``, ties to the lowest index. Either runner
@@ -369,7 +392,7 @@ def train_som(
     total = params.epochs * n
     order = np.concatenate([rng.permutation(n) for _ in range(params.epochs)]).astype(np.int64)
     neg_k, index = _neighbour_index(rows, cols)
-    run_block = _block_runner()
+    run_block = _block_runner(units, samples.shape[1])
     for lo in range(0, total, _BLOCK_STEPS):
         steps = range(lo, min(total, lo + _BLOCK_STEPS))
         fracs = [step / (total - 1) if total > 1 else 0.0 for step in steps]

@@ -6,6 +6,7 @@ import ctypes
 import logging
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -42,7 +43,7 @@ def _train() -> bytes:
 @pytest.fixture(scope="module")
 def numpy_bytes():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(som, "_block_runner", lambda: som._numpy_block)
+        patch.setattr(som, "_block_runner", lambda units, dim: som._numpy_block)
         return _train()
 
 
@@ -55,6 +56,20 @@ def _fake_compilers(directory: Path, body: str) -> Path:
         script.write_text(f"#!/bin/sh\n{body}\n")
         script.chmod(0o755)
     return directory
+
+
+SOURCES = sorted(p.name for p in SRC.joinpath("dam").glob("*.c"))
+
+
+def _load_all(env: dict) -> subprocess.CompletedProcess:
+    """Load every C source in a new process; prints which loaded."""
+    code = (
+        "import logging; logging.basicConfig(level=logging.INFO)\n"
+        "from dam import _native\n"
+        f"print([_native.load(name) is not None for name in {SOURCES!r}])\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120, check=True)
 
 
 def _assert_fallback_ran(caplog, reason: str, source: str = SOURCE) -> None:
@@ -116,7 +131,49 @@ class TestFallback:
         caplog.set_level(logging.INFO, logger="dam._native")
         assert _train() == numpy_bytes
         _assert_fallback_ran(caplog, "exited 1: broken")
-        assert list(fresh_cache.iterdir()) == []  # no temporary file left behind
+        # No temporary file is left behind; only the marker of the failure.
+        marker, = fresh_cache.iterdir()
+        assert marker.name.startswith("_som_kernel-") and marker.suffix == ".failed"
+        assert "exited 1: broken" in marker.read_text()
+
+    def test_compiler_that_cannot_run_leaves_no_marker(self, fresh_cache, tmp_path,
+                                                        monkeypatch, caplog, numpy_bytes):
+        # Only a compiler's verdict on the source is remembered: one that
+        # cannot even start (here, its interpreter is missing) may work later.
+        bin_dir = _fake_compilers(tmp_path / "bin", "exit 1")
+        for script in bin_dir.iterdir():
+            script.write_text("#!/nonexistent/sh\nexit 1\n")
+        monkeypatch.setenv("PATH", str(bin_dir))
+        caplog.set_level(logging.INFO, logger="dam._native")
+        assert _train() == numpy_bytes
+        _assert_fallback_ran(caplog, "failed: ")
+        assert list(fresh_cache.iterdir()) == []
+
+    def test_failed_build_is_remembered_across_processes(self, fresh_cache, tmp_path):
+        # Three processes each load every source with a compiler that fails:
+        # it runs once per source, not once per source and process.
+        log = tmp_path / "compiler_calls"
+        failing = _fake_compilers(tmp_path / "failing", f"echo call >> {log}; exit 1")
+        env = {**os.environ, "XDG_CACHE_HOME": str(fresh_cache.parent), "PATH": str(failing)}
+        for _ in range(3):
+            run = _load_all(env)
+            assert run.stdout == f"{[False] * len(SOURCES)}\n"
+        assert log.read_text() == "call\n" * len(SOURCES)
+        assert run.stderr.count("in an earlier build; delete") == len(SOURCES)
+
+    def test_another_compiler_builds_after_a_failure(self, tmp_path):
+        # The marker names the compiler that failed, so a compiler at another
+        # path still builds every source.
+        _require(*SOURCES)
+        real = shutil.which(_native._compiler()[0])
+        log = tmp_path / "compiler_calls"
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        failing = _fake_compilers(tmp_path / "failing", f"echo call >> {log}; exit 1")
+        assert _load_all({**env, "PATH": str(failing)}).stdout == f"{[False] * len(SOURCES)}\n"
+        working = _fake_compilers(tmp_path / "working", f'echo call >> {log}; exec {real} "$@"')
+        run = _load_all({**env, "PATH": os.pathsep.join((str(working), os.environ["PATH"]))})
+        assert run.stdout == f"{[True] * len(SOURCES)}\n"
+        assert log.read_text() == "call\n" * 2 * len(SOURCES)
 
     def test_corrupt_cached_library(self, fresh_cache, caplog, numpy_bytes):
         target = _native.library_path(SOURCE)
@@ -173,14 +230,30 @@ def test_block_body_is_logged_once_per_library(caplog):
     _train()
     body = "avx2" if library.dam_som_avx2() else "baseline"
     messages = [r.getMessage() for r in caplog.records if r.name == "dam.som"]
-    assert messages == [f"_som_kernel.c: running the {body} block body"]
+    assert messages == [f"_som_kernel.c: running the {body} block body on 1 thread"]
+
+
+def test_paper_shape_trains_on_two_threads(caplog):
+    # The choice is logged next to the body, once per library and thread count.
+    library = _native.load(SOURCE)
+    if library is None:
+        pytest.skip("the C kernel was not compiled here")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may run on one CPU only")
+    som._library_runner.cache_clear()
+    caplog.set_level(logging.INFO, logger="dam.som")
+    samples = np.random.default_rng(3).normal(size=(700, 180))
+    train_som(samples, 25, 25, SomTrainParams(epochs=1, seed=0))
+    body = "avx2" if library.dam_som_avx2() else "baseline"
+    messages = [r.getMessage() for r in caplog.records if r.name == "dam.som"]
+    assert messages == [f"_som_kernel.c: running the {body} block body on 2 threads"]
 
 
 def _which_runner(env: dict) -> subprocess.CompletedProcess:
     code = (
         "import logging; logging.basicConfig(level=logging.INFO)\n"
         "from dam import som\n"
-        "print(som._block_runner() is not som._numpy_block)\n"
+        "print(som._block_runner(1, 1) is not som._numpy_block)\n"
     )
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)

@@ -1,7 +1,12 @@
 """Tests for the online Kohonen self-organizing map."""
 
+import concurrent.futures
 import functools
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,22 +282,27 @@ def _training_cases(draw):
 
 
 def _compiled_runner(body):
-    """The block runner of the compiled body `body` ("avx2" or "baseline"), else a skip."""
+    """The block runner of the compiled body `body`, else a skip.
+
+    `body` is "avx2" or "baseline", on one thread, or either with "-2" for
+    two threads whatever the map's size.
+    """
     library = _native.load("_som_kernel.c")
     if library is None:
         pytest.skip("the C kernel was not compiled here")
-    if body == "avx2" and not library.dam_som_avx2():
+    isa, _, threads = body.partition("-")
+    if isa == "avx2" and not library.dam_som_avx2():
         pytest.skip("this CPU has no AVX2")
-    name = "dam_som_block" if body == "avx2" else "dam_som_block_baseline"
-    return functools.partial(som._compiled_block, som._kernel(name))
+    name = "dam_som_block" if isa == "avx2" else "dam_som_block_baseline"
+    return functools.partial(som._compiled_block, som._kernel(name), int(threads or 1))
 
 
-@pytest.fixture(scope="class", params=["avx2", "baseline", "numpy"])
+@pytest.fixture(scope="class", params=["avx2", "baseline", "avx2-2", "baseline-2", "numpy"])
 def block_runner(request):
-    """Train with each C block body, then with the numpy block runner."""
+    """Train with each C block body on one and on two threads, then with numpy's runner."""
     run_block = som._numpy_block if request.param == "numpy" else _compiled_runner(request.param)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(som, "_block_runner", lambda: run_block)
+        patch.setattr(som, "_block_runner", lambda units, dim: run_block)
         yield request.param
 
 
@@ -380,7 +390,10 @@ class TestTrainingMatchesReference:
         assert grid.codebook.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("body", ["avx2", "baseline"])
+COMPILED_BODIES = ["avx2", "baseline", "avx2-2", "baseline-2"]
+
+
+@pytest.mark.parametrize("body", COMPILED_BODIES)
 def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
     # All units start at one point, so the first step is an exact tie the
     # kernel cannot decide: numpy must make it, one step at a time.
@@ -389,7 +402,7 @@ def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
     samples = rng.normal(size=(40, 6))
     start = np.tile(rng.normal(size=6), (9, 1))
     params = SomTrainParams(epochs=2, seed=1)
-    monkeypatch.setattr(som, "_block_runner", lambda: som._numpy_block)
+    monkeypatch.setattr(som, "_block_runner", lambda units, dim: som._numpy_block)
     want = train_som(samples, 3, 3, params, initial_codebook=start).codebook.tobytes()
 
     numpy_block, handed = som._numpy_block, []
@@ -399,10 +412,146 @@ def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
         numpy_block(*args)
 
     monkeypatch.setattr(som, "_numpy_block", counted)
-    monkeypatch.setattr(som, "_block_runner", lambda: runner)
+    monkeypatch.setattr(som, "_block_runner", lambda units, dim: runner)
     got = train_som(samples, 3, 3, params, initial_codebook=start).codebook.tobytes()
     assert handed and set(handed) == {1}
     assert got == want
+
+
+def test_two_threads_run_on_one_when_the_helper_cannot_start():
+    # Under an address-space limit just above the process's size no thread
+    # stack can be mapped, so the kernel's helper does not start: the caller's
+    # thread then runs every block alone, to the same bytes.
+    _compiled_runner("baseline")  # skips unless the kernel is compiled
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status")
+    code = """
+import functools, resource, threading
+import numpy as np
+from dam import som
+from dam.som import SomTrainParams, train_som
+
+def train(threads):
+    runner = functools.partial(som._compiled_block, som._kernel("dam_som_block"), threads)
+    som._block_runner = lambda units, dim: runner
+    samples = np.random.default_rng(0).normal(size=(300, 12))
+    return train_som(samples, 5, 5, SomTrainParams(epochs=1, seed=0)).codebook.tobytes()
+
+want = train(1)
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + (4 << 20), resource.RLIM_INFINITY))
+try:
+    threading.Thread(target=print).start()
+except RuntimeError:
+    print("no thread starts", train(2) == want)
+"""
+    src = Path(som.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "no thread starts True\n"
+
+
+@pytest.mark.parametrize("body", ["avx2-2", "baseline-2"])
+def test_concurrent_two_thread_trainings_keep_their_bytes(body, monkeypatch):
+    # Four trainings at once, each on two kernel threads, oversubscribe the
+    # CPUs: a waiting thread must yield, and each map must still train to
+    # the bytes of one thread.
+    runner = _compiled_runner(body)
+    rng = np.random.default_rng(17)
+    samples = [rng.normal(size=(2000, 32)) for _ in range(4)]
+    params = SomTrainParams(epochs=1, seed=3)
+    monkeypatch.setattr(som, "_block_runner",
+                        lambda units, dim: _compiled_runner(body.replace("-2", "")))
+    want = [train_som(x, 8, 8, params).codebook.tobytes() for x in samples]
+    monkeypatch.setattr(som, "_block_runner", lambda units, dim: runner)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(train_som, x, 8, 8, params) for x in samples]
+        got = [f.result(timeout=120).codebook.tobytes() for f in futures]
+    assert got == want
+
+
+def _winner_only_block(codebook, samples, order):
+    """`_compiled_block`'s arguments on a 4x4 map whose steps move only their winner."""
+    rows, cols = 4, 4
+    neg_k, index = som._neighbour_index(rows, cols)
+    table = np.zeros((len(order), len(neg_k)))
+    table[:, 0] = 0.5  # column 0 is the winner's own, at grid distance 0
+    return codebook, samples, rows, cols, np.array(order, dtype=np.int64), table, index
+
+
+@pytest.mark.parametrize("body", COMPILED_BODIES)
+def test_undecided_steps_in_either_half_go_to_numpy(body, monkeypatch):
+    # On a 4x4 map the second thread owns units 8..15. Units 2 and 5 are one
+    # point near sample 0 and units 10 and 13 one point near sample 1, so the
+    # first visit of each sample is an exact tie inside one half: the kernel
+    # hands it to numpy, which picks the lower unit. Only winners move, so
+    # the later visits have a clear winner, which the kernel decides.
+    runner = _compiled_runner(body)
+    rng = np.random.default_rng(4)
+    codebook = rng.normal(size=(16, 6)) * 10.0
+    codebook[[2, 5]] = rng.normal(size=6)
+    codebook[[10, 13]] = rng.normal(size=6) + 3.0
+    samples = np.stack([codebook[2], codebook[10]]) + rng.normal(size=(2, 6)) * 0.1
+    order = [0, 1, 0, 1, 1, 0]
+    want = codebook.copy()
+    som._numpy_block(*_winner_only_block(want, samples, order))
+
+    numpy_block, handed = som._numpy_block, []
+
+    def counted(*args):
+        handed.append(args[4].tolist())
+        numpy_block(*args)
+
+    monkeypatch.setattr(som, "_numpy_block", counted)
+    got = codebook.copy()
+    runner(*_winner_only_block(got, samples, order))
+    assert handed == [[0], [1]]
+    assert got.tobytes() == want.tobytes()
+    moved = np.flatnonzero((got != codebook).any(axis=1))
+    assert moved.tolist() == [2, 10]
+
+
+@pytest.mark.parametrize("body", COMPILED_BODIES)
+def test_exact_ties_across_the_split_go_to_the_lower_unit(body, monkeypatch):
+    # Unit 6 of a 3x3 map, in the second thread's half (units 4..8), copies
+    # unit 1 of the first: the one step, at a sample near them, ties across
+    # the two halves and must go to unit 1, as the plain rule has it.
+    rng = np.random.default_rng(12)
+    start = rng.normal(size=(9, 5)) * 10.0
+    start[6] = start[1]
+    samples = start[1] + rng.normal(size=(1, 5)) * 0.01
+    params = SomTrainParams(epochs=1, seed=2, radius_start=0.5)
+    monkeypatch.setattr(som, "_block_runner", lambda units, dim: _compiled_runner(body))
+    with pytest.warns(UserWarning, match="fewer"):
+        grid = train_som(samples, 3, 3, params, initial_codebook=start)
+    want = _reference_train_som(samples, 3, 3, params, start)
+    assert grid.codebook.tobytes() == want.tobytes()
+    moved = np.linalg.norm(grid.codebook - start, axis=1)
+    assert moved[1] > 1000 * moved[6] > 0.0
+
+
+class TestThreadCount:
+    def test_large_maps_take_two_threads_in_the_main_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert som._thread_count(625, 180) == 2
+        assert som._thread_count(1, som._THREAD_MIN_WORK) == 2
+
+    def test_small_maps_take_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert som._thread_count(1, som._THREAD_MIN_WORK - 1) == 1
+        assert som._thread_count(64, 180) == 1
+
+    def test_one_cpu_takes_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert som._thread_count(625, 180) == 1
+
+    def test_pool_workers_take_one(self):
+        # Workers of `--jobs N`, made by the same default pool, already keep
+        # the CPUs busy.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(som._thread_count, 625, 180).result(timeout=60) == 1
 
 
 class TestTraining:
