@@ -3,7 +3,7 @@
  * Plain C with no Python headers; `dam.preprocess.preprocess_action` calls it
  * through ctypes, once per action, and normalizes the windows it returns.
  * It makes the float operations of the numpy path (`smooth_joint`,
- * `_resample_joints`, `direction_frames`, `windowed_direction_frames`) in
+ * `_resample_joint`, `direction_frames`, `windowed_direction_frames`) in
  * the same order, so both give the same bytes:
  *
  * - each joint is anchored at its first position, then smoothed by
@@ -20,13 +20,6 @@
  * rounding, and each lane of a vector rounds as a scalar would. A knot's
  * three coordinates are stored with a fourth, unused lane, so two pairs of
  * lanes hold them.
- *
- * The numpy path solves all joints in one dgtsv call, their blocks coupled
- * by zeros. Chord lengths are checked finite first, so the solve is finite,
- * and a step across a coupling subtracts a zero multiple: it can change at
- * most the sign of a zero in a spline derivative. The Hermite sum starts at
- * 0.0 + y, never -0.0, and adding +-0 to a value that is not -0.0 leaves its
- * bits unchanged, so no evaluated position depends on the coupling.
  *
  * What the numpy path rejects, a non-finite chord length, knots that do not
  * increase or a singular system, this code declines, and so does a failed

@@ -49,7 +49,7 @@ from .evaluation import (
     write_sweep_csv,
 )
 from .preprocess import PreprocessParams, preprocess_action
-from .som import SomTrainParams, train_som
+from .som import SomTrainParams, _usable_cpus, train_som
 
 logger = logging.getLogger(__name__)
 
@@ -352,11 +352,7 @@ def cmd_classify(args) -> int:
 
 def _jobs(settings: dict) -> int:
     """`jobs` as set, else the CPUs this process may run on."""
-    if "jobs" in settings:
-        return settings["jobs"]
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return settings["jobs"] if "jobs" in settings else _usable_cpus()
 
 
 def _evaluate_once(dataset, settings: dict, cfg: ExperimentConfig, out_dir: Path,

@@ -148,16 +148,8 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 def _convert_lines(lines: list, width: int) -> np.ndarray:
     """A (len(lines), width) float64 table from (line number, line) pairs.
 
-    One conversion for the whole table; numpy parses each token as float()
-    does. A ragged, short or unparseable table is parsed again line by line,
-    which names the first bad line.
+    Each token is parsed by float(); an error names the first bad line.
     """
-    try:
-        table = np.array([line.split() for _, line in lines], dtype=np.float64)
-    except ValueError:
-        table = None
-    if table is not None and table.shape == (len(lines), width):
-        return table
     rows = []
     for number, line in lines:
         values = line.split()
@@ -354,16 +346,21 @@ def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
 
 
 def write_canonical_dataset(dataset: Dataset, directory) -> list[Path]:
-    """Write one ``<id>.txt`` canonical file per action; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
+    """Write one ``<id>.txt`` canonical file per action; returns the paths.
+
+    Nothing is written when an id holds a path separator or would name the
+    exclusion file, which the loader reads as a list of ids to drop.
+    """
     for action in dataset.actions:
         if "/" in action.id or "\\" in action.id:
             raise ValueError(f"action id {action.id!r} is not file-name safe")
-        path = directory / f"{action.id}.txt"
+        if f"{action.id}.txt" == EXCLUDE_FILENAME:
+            raise ValueError(f"action id {action.id!r} names the exclusion file")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / f"{action.id}.txt" for action in dataset.actions]
+    for action, path in zip(dataset.actions, paths):
         path.write_text(serialize_action(action))
-        paths.append(path)
     return paths
 
 

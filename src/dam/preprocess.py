@@ -138,115 +138,69 @@ def arc_length_resample(
         raise ValueError(f"count must be >= 2, got {count}")
     if not np.isfinite(series).all():
         raise ValueError("series contains non-finite coordinates")
-    out = _resample_joints(series[:, None, :], count, epsilon)[:, 0, :]
+    out = _resample_joint(series, count, epsilon)
     if not np.isfinite(out).all():
         raise ValueError("resampled positions are not finite")
     return out
 
 
-def _resample_joints(series: np.ndarray, count: int, epsilon: float) -> np.ndarray:
-    """`arc_length_resample` of every joint of a (T, J, d) array at once.
+def _resample_joint(points: np.ndarray, count: int, epsilon: float) -> np.ndarray:
+    """`arc_length_resample` of the (T, d) polyline `points`, past its input checks.
 
-    The result is bit for bit what scipy's
-    ``CubicSpline(knots, points, axis=0, bc_type="natural")`` gives per joint.
-    The natural-spline systems of all moving joints are stacked, in a flat
-    concatenated knot layout, into one block-diagonal tridiagonal system with
-    zero couplings, and solved with one call to LAPACK's ``dgtsv``, the
-    routine scipy solves each of them with. The Hermite coefficients and the
-    polynomial evaluation follow scipy's formulas in its operation order. A
-    chord length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, summed in that order.
-
-    The one call gives the bytes of a solve per joint. Chord lengths are
-    checked finite first, so the solve is finite (a finite chord length is
-    below ~1.3e154, where its square overflows). A step across a zero
-    coupling subtracts a zero multiple, so it can change at most the sign of
-    a zero in a spline derivative. The Hermite sum starts at ``0.0 + y``,
-    which is never -0.0, and adding ±0 to a value that is not -0.0 leaves
-    its bits unchanged, so no evaluated position depends on the coupling.
-
-    This is the numpy path of `preprocess_action`: it runs when
-    `_preprocess.c`, which solves each joint's system alone, is not compiled
-    or declines an action, and tests hold the compiled chain to its bytes.
-    One call keeps this path fast. scipy is imported here, so only this path
-    loads it.
+    The bytes are scipy's ``CubicSpline(knots, points, axis=0,
+    bc_type="natural")``: one LAPACK ``dgtsv`` call, the routine scipy uses,
+    solves the natural-spline system, and the Hermite coefficients and the
+    evaluation follow scipy's formulas in its operation order. A chord
+    length is ``sqrt((dx*dx + dy*dy) + dz*dz)``, summed in that order, and
+    is checked finite first, so the solve is finite. `_preprocess.c` makes
+    the same operations per joint, and tests hold it to these bytes. Only
+    this path imports scipy.
     """
     from scipy.linalg.lapack import dgtsv
 
-    _, joints, dim = series.shape
-    squares = np.diff(series, axis=0) ** 2
-    seglen = np.sqrt(functools.reduce(np.add, squares.transpose(2, 0, 1)))
-    arc = np.concatenate([np.zeros((1, joints)), np.cumsum(seglen, axis=0)])
-    totals = arc[-1]
-    if not np.isfinite(totals).all():
+    squares = np.diff(points, axis=0) ** 2
+    seglen = np.sqrt(functools.reduce(np.add, squares.T))
+    arc = np.concatenate([[0.0], np.cumsum(seglen)])
+    total = arc[-1]
+    if not np.isfinite(total):
         raise ValueError("chord length overflows")
-    moving = totals >= epsilon
-    out = np.empty((count, joints, dim))
-    out[:] = series[0]
-    if not moving.any():
-        return out
+    if not total >= epsilon:
+        return np.repeat(points[:1], count, axis=0)
 
     # Coincident consecutive samples give zero-length segments; the spline
     # needs strictly increasing knots, so collapse them.
-    keep = (np.concatenate([np.ones((1, joints), bool), seglen > 0.0]) & moving).T
-    x = arc.T[keep]
-    y = series.transpose(1, 0, 2)[keep]
-    sizes = keep.sum(axis=1)[moving]
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
+    keep = np.concatenate([[True], seglen > 0.0])
+    x, y = arc[keep], points[keep]
     dx = np.diff(x)
-    if (np.delete(dx, last[:-1]) <= 0.0).any():
+    if (dx <= 0.0).any():
         raise ValueError("arc-length knots must be strictly increasing")
-    # Entries of dx and slope across a block boundary are never used.
     slope = np.diff(y, axis=0) / dx[:, None]
 
-    # Row i of a block: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    # Row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
     # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set the second
     # derivative to zero.
-    diag = np.empty(x.size)
-    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-    diag[first] = 2 * dx[first]
-    diag[last] = 2 * dx[last - 1]
-    upper = np.empty(x.size - 1)
-    upper[1:] = dx[:-1]
-    upper[first] = dx[first]
-    upper[last[:-1]] = 0.0
-    lower = np.empty(x.size - 1)
-    lower[:-1] = dx[1:]
-    lower[last - 1] = dx[last - 1]
-    lower[last[:-1]] = 0.0
-    rhs = np.empty((x.size, dim))
-    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    rhs[first] = 3 * (y[first + 1] - y[first])
-    rhs[last] = 3 * (y[last] - y[last - 1])
+    diag = 2 * np.concatenate([dx[:1], dx[:-1] + dx[1:], dx[-1:]])
+    inner = dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:]
+    rhs = 3 * np.concatenate([y[1:2] - y[:1], inner, y[-1:] - y[-2:-1]])
+    upper, lower = np.concatenate([dx[:1], dx[:-1]]), np.concatenate([dx[1:], dx[-1:]])
     *_, deriv, info = dgtsv(lower, diag, upper, rhs)
     if info != 0:
         raise ValueError(f"natural-spline system is singular (dgtsv info {info})")
 
-    # CubicHermiteSpline's coefficients, highest power first.
+    # CubicHermiteSpline's coefficients, highest power first: c0, c1, deriv, y.
     t = (deriv[:-1] + deriv[1:] - 2 * slope) / dx[:, None]
     c0 = t / dx[:, None]
     c1 = (slope - deriv[:-1]) / dx[:, None] - t
-    c2 = deriv[:-1]
-    c3 = y[:-1]
 
-    # np.linspace(0, total, count) per joint, in its operation order; its
-    # branch for a step that underflows to zero is unreachable, since a
-    # nonzero chord length is at least ~2e-162.
-    total = totals[moving]
-    query = np.arange(count, dtype=np.float64) * (total / (count - 1))[:, None]
-    query[:, -1] = total
-
-    # Each query's interval is the last knot <= it, clipped to the last
-    # interval of its joint (PPoly's rule); knots are padded with +inf.
-    padded = np.full((sizes.size, sizes.max()), np.inf)
-    local = np.arange(x.size) - np.repeat(first, sizes)
-    padded[np.repeat(np.arange(sizes.size), sizes), local] = x
-    below = (padded[:, None, :] <= query[:, :, None]).sum(axis=-1) - 1
-    seg = np.minimum(below, sizes[:, None] - 2) + first[:, None]
-    s = (query - x[seg])[..., None]
-    values = 0.0 + c3[seg] + c2[seg] * s + c1[seg] * (s * s) + c0[seg] * (s * s * s)
-    out[:, moving] = values.transpose(1, 0, 2)
-    return out
+    # np.linspace(0, total, count), in its operation order; its branch for a
+    # step that underflows to zero is unreachable, since a nonzero chord
+    # length is at least ~2e-162. Each query's interval is the last knot
+    # <= it, clipped to the last interval (PPoly's rule).
+    query = np.arange(count, dtype=np.float64) * (total / (count - 1))
+    query[-1] = total
+    seg = np.minimum(np.searchsorted(x, query, side="right") - 1, x.size - 2)
+    s = (query - x[seg])[:, None]
+    return 0.0 + y[seg] + deriv[seg] * s + c1[seg] * (s * s) + c0[seg] * (s * s * s)
 
 
 # --- Direction frames and windows --------------------------------------------
@@ -344,9 +298,11 @@ def _numpy_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarra
         positions.reshape(steps, joints * 3),
         sigma=params.smoothing_sigma,
         radius=params.smoothing_radius,
-    )
-    resampled = _resample_joints(
-        smoothed.reshape(steps, joints, 3), params.frames, params.norm_epsilon
+    ).reshape(steps, joints, 3)
+    resampled = np.stack(
+        [_resample_joint(joint, params.frames, params.norm_epsilon)
+         for joint in smoothed.swapaxes(0, 1)],
+        axis=1,
     )
     return windowed_direction_frames(direction_frames(resampled), params.window)
 

@@ -297,8 +297,13 @@ def _thread_count(units: int, dim: int) -> int:
     """
     if units * dim < _THREAD_MIN_WORK or multiprocessing.parent_process() is not None:
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 2 if (cpus or 1) >= 2 else 1
+    return min(2, _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (`os.sched_getaffinity`), else `os.cpu_count()`."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -251,6 +251,16 @@ class TestCanonicalFormat:
         for a in ds.actions:
             assert_array_equal(by_id[a.id].frames, a.frames)
 
+    @pytest.mark.parametrize("bad", ["exclude", "sub/c1", "sub\\c1"])
+    def test_writer_rejects_an_unsafe_id_before_writing_anything(self, tmp_path, bad):
+        # An action named `exclude` would be written to the exclusion file,
+        # and the loader would read it as one instead of loading it.
+        rng = np.random.default_rng(9)
+        ds = Dataset([_random_action(rng, i) for i in ("b", "c", bad)])
+        with pytest.raises(ValueError, match=repr(bad).replace("\\", "\\\\")):
+            write_canonical_dataset(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_loader_applies_exclusion_file(self, tmp_path):
         rng = np.random.default_rng(8)
         ds = Dataset([_random_action(rng, f"c{i}") for i in range(4)])

@@ -171,7 +171,7 @@ def _spline_knots(series):
 def _polylines(draw):
     """Random (T, d) polylines, some with repeated samples and large offsets."""
     samples = draw(st.integers(2, 60))
-    dim = draw(st.sampled_from([1, 2, 3]))
+    dim = draw(st.sampled_from([1, 2, 3, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = 10.0 ** draw(st.integers(-6, 3))
     series = rng.normal(size=(samples, dim)) * scale
@@ -486,8 +486,8 @@ class TestPreprocessAction:
 
 
 class TestBatchedResamplingIsByteIdentical:
-    """preprocess_action resamples all joints at once; the bytes must equal
-    those of the per-joint CubicSpline chain."""
+    """preprocess_action's bytes must equal those of the reference chain:
+    smooth_joint, then scipy's CubicSpline, one joint at a time."""
 
     PARAMS = [
         PreprocessParams(frames=25, window=3),
@@ -638,12 +638,10 @@ class TestCompiledChain:
             expected = preprocess._numpy_windows(frames, params)
         assert compiled.tobytes() == expected.tobytes()
 
-    def test_a_zero_whose_sign_the_block_coupling_flips_runs_compiled(self):
-        # Joint 1's x goes from +0.0 to -0.0 while joint 0's x falls: in the
-        # numpy path's one block-diagonal system, the zero step from joint 0's
-        # last row into joint 1's first turns that row's -0.0 into +0.0. No
-        # position depends on the sign of that zero, so the compiled chain,
-        # which solves each joint alone, gives the same bytes.
+    def test_a_zero_that_turns_negative_runs_compiled(self):
+        # Joint 1's x goes from +0.0 to -0.0 while joint 0's x falls: signed
+        # zeros in one joint beside a moving one. Each path solves each
+        # joint's system alone, and both give the reference chain's bytes.
         frames = np.array([
             [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
             [[-1.0, 1.0, 0.0], [-0.0, 1.0, 0.0]],
