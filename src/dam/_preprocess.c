@@ -8,12 +8,12 @@
  *
  * - each joint is anchored at its first position, then smoothed by
  *   `smooth_joint`'s fixed-order shifted sums;
- * - chord lengths are sqrt((dx*dx + dy*dy) + dz*dz), summed in time order,
- *   and coincident samples are collapsed;
- * - the natural-spline system of each moving joint is solved as LAPACK's
- *   dgtsv solves it alone, row interchanges included (`solve_blocks`);
- * - Hermite coefficients, then the polynomial at linspace(0, total, count),
- *   as scipy's CubicSpline evaluates it;
+ * - each joint is then resampled on its own, as `_resample_joint` does it
+ *   (`resample`): chord lengths are sqrt((dx*dx + dy*dy) + dz*dz), summed
+ *   in time order, and coincident samples are collapsed; the natural-spline
+ *   system is solved as LAPACK's dgtsv solves it, row interchanges included
+ *   (`gtsv`); Hermite coefficients, then the polynomial at
+ *   linspace(0, total, count), as scipy's CubicSpline evaluates it;
  * - frame differences, then windows.
  *
  * The build passes -ffp-contract=off, so no multiply and add fuse into one
@@ -104,71 +104,136 @@ static int eliminate(int64_t i, int64_t end, double *dl, double *d, double *du, 
     return 1;
 }
 
-/* dgtsv on each block of rows first[m] .. first[m] + size[m] - 1, size[m] >= 2,
- * m < blocks, as it solves that block alone; the solution replaces b. Returns
- * DONE or SINGULAR. The blocks take their steps side by side, so that their
- * chains of dependent divisions overlap. */
-static int64_t solve_blocks(int64_t blocks, const int64_t *first, const int64_t *size,
-                            double *dl, double *d, double *du, double *b)
+/* dgtsv on the n >= 2 rows of one system; the solution replaces b (n, ROW).
+ * Returns DONE or SINGULAR. */
+static int64_t gtsv(int64_t n, double *dl, double *d, double *du, double *b)
 {
-    int64_t longest = 0;
-    for (int64_t m = 0; m < blocks; m++)
-        longest = size[m] > longest ? size[m] : longest;
-    for (int64_t s = 0; s + 1 < longest; s++)
-        for (int64_t m = 0; m < blocks; m++)
-            if (s + 1 < size[m] && !eliminate(first[m] + s, first[m] + size[m], dl, d, du, b))
-                return SINGULAR;
-
-    /* Back solve, from each block's last row up: row i becomes
-     * ((b[i] - du[i] b[i+1]) - dl[i] b[i+2]) / d[i], without terms past the block. */
-    for (int64_t m = 0; m < blocks; m++) {
-        int64_t l = first[m] + size[m] - 1;
-        double *row = b + l * ROW;
-        if (d[l] == 0.0)
+    for (int64_t i = 0; i + 1 < n; i++)
+        if (!eliminate(i, n, dl, d, du, b))
             return SINGULAR;
-        for (int h = 0; h < ROW; h += 2) {
-            AT(row + h) = AT(row + h) / d[l];
-            AT(row - ROW + h) = (AT(row - ROW + h) - du[l - 1] * AT(row + h)) / d[l - 1];
-        }
+    if (d[n - 1] == 0.0)
+        return SINGULAR;
+
+    /* Back solve, from the last row up: row i becomes
+     * ((b[i] - du[i] b[i+1]) - dl[i] b[i+2]) / d[i], without terms past the end. */
+    double *last = b + (n - 1) * ROW;
+    for (int h = 0; h < ROW; h += 2) {
+        AT(last + h) = AT(last + h) / d[n - 1];
+        AT(last - ROW + h) = (AT(last - ROW + h) - du[n - 2] * AT(last + h)) / d[n - 2];
     }
-    for (int64_t s = 2; s < longest; s++)
-        for (int64_t m = 0; m < blocks; m++) {
-            if (s >= size[m])
+    for (int64_t i = n - 3; i >= 0; i--) {
+        double *row = b + i * ROW;
+        for (int h = 0; h < ROW; h += 2)
+            AT(row + h) = (AT(row + h) - du[i] * AT(row + ROW + h)
+                           - dl[i] * AT(row + 2 * ROW + h)) / d[i];
+    }
+    return DONE;
+}
+
+/* `_resample_joint` of one joint: its steps points, width doubles apart from
+ * `points`, resampled to count points, width doubles apart from out. scratch
+ * holds (5 + 3 ROW) steps doubles. Returns DONE, or why it declined. */
+static int64_t resample(const double *points, int64_t steps, int64_t width, int64_t count,
+                        double epsilon, double *scratch, double *out)
+{
+    double *x = scratch, *dx = x + steps, *diag = dx + steps, *upper = diag + steps;
+    double *lower = upper + steps, *y = lower + steps, *slope = y + ROW * steps;
+    double *deriv = slope + ROW * steps;
+
+    /* The running arc length at each sample, less the samples that do not move. */
+    double total = 0.0;
+    int64_t n = 0;
+    for (int64_t t = 0; t < steps; t++) {
+        const double *b = points + t * width;
+        if (t > 0) {
+            const double *a = b - width;
+            double d0 = b[0] - a[0], d1 = b[1] - a[1], d2 = b[2] - a[2];
+            double len = sqrt((d0 * d0 + d1 * d1) + d2 * d2);
+            total += len;
+            if (!(len > 0.0))
                 continue;
-            int64_t i = first[m] + size[m] - 1 - s;
-            double *row = b + i * ROW;
-            for (int h = 0; h < ROW; h += 2)
-                AT(row + h) = (AT(row + h) - du[i] * AT(row + ROW + h)
-                               - dl[i] * AT(row + 2 * ROW + h)) / d[i];
         }
+        x[n] = total;
+        memcpy(y + n * ROW, b, DIM * sizeof(double));
+        y[n * ROW + DIM] = 0.0;
+        n++;
+    }
+    if (!isfinite(total))
+        return NOT_FINITE;
+    if (!(total >= epsilon)) {
+        for (int64_t i = 0; i < count; i++)
+            memcpy(out + i * width, points, DIM * sizeof(double));
+        return DONE;
+    }
+
+    for (int64_t k = 0; k + 1 < n; k++) {
+        dx[k] = x[k + 1] - x[k];
+        if (!(dx[k] > 0.0))
+            return NOT_INCREASING;
+        for (int h = 0; h < ROW; h += 2)
+            AT(slope + k * ROW + h) = (AT(y + (k + 1) * ROW + h) - AT(y + k * ROW + h)) / dx[k];
+    }
+    /* Row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+     * = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set the
+     * second derivative to zero. */
+    int64_t l = n - 1;
+    diag[0] = 2 * dx[0];
+    upper[0] = dx[0];
+    for (int h = 0; h < ROW; h += 2)
+        AT(deriv + h) = 3.0 * (AT(y + ROW + h) - AT(y + h));
+    for (int64_t i = 1; i < l; i++) {
+        diag[i] = 2 * (dx[i - 1] + dx[i]);
+        upper[i] = dx[i - 1];
+        lower[i - 1] = dx[i];
+        for (int h = 0; h < ROW; h += 2)
+            AT(deriv + i * ROW + h) = 3.0 * (dx[i] * AT(slope + (i - 1) * ROW + h)
+                                             + dx[i - 1] * AT(slope + i * ROW + h));
+    }
+    lower[l - 1] = dx[l - 1];
+    diag[l] = 2 * dx[l - 1];
+    for (int h = 0; h < ROW; h += 2)
+        AT(deriv + l * ROW + h) = 3.0 * (AT(y + l * ROW + h) - AT(y + (l - 1) * ROW + h));
+    if (gtsv(n, lower, diag, upper, deriv) != DONE)
+        return SINGULAR;
+
+    double step = total / (double)(count - 1);
+    for (int64_t i = 0, p = 0; i < count; i++) {
+        double q = i == count - 1 ? total : (double)i * step;
+        /* The interval of q: its last knot <= q, clipped to the last one. */
+        while (p > 0 && x[p] > q)
+            p--;
+        while (p + 1 < n && x[p + 1] <= q)
+            p++;
+        int64_t k = p < n - 2 ? p : n - 2;
+        double h = dx[k], s = q - x[k];
+        double v[ROW];
+        for (int e = 0; e < ROW; e += 2) {
+            pair d0 = AT(deriv + k * ROW + e), d1 = AT(deriv + (k + 1) * ROW + e);
+            pair sl = AT(slope + k * ROW + e);
+            pair t = (d0 + d1 - 2.0 * sl) / h;
+            pair c0 = t / h, c1 = (sl - d0) / h - t;
+            AT(v + e) = 0.0 + AT(y + k * ROW + e) + d0 * s + c1 * (s * s) + c0 * (s * s * s);
+        }
+        memcpy(out + i * width, v, DIM * sizeof(double));
+    }
     return DONE;
 }
 
 /* The (count - window, joints * 3 * window) windowed direction frames of the
  * (steps, joints, 3) action `frames`, unnormalized, into out. kernel holds
  * the 2 radius + 1 smoothing weights; radius 0 smooths nothing. Returns DONE,
- * or why it declined. */
+ * or why the first joint that declined did. */
 int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
                        const double *kernel, int64_t radius, int64_t count,
                        int64_t window, double epsilon, double *out)
 {
-    const int64_t width = joints * DIM, cells = steps * joints;
-    /* Knots: at most one per (step, joint). */
+    const int64_t width = joints * DIM;
     double *work = malloc(sizeof(double) *
-                          (size_t)(2 * steps * width + 7 * cells + 3 * ROW * cells
-                                   + count * width));
-    int64_t *blocks = malloc(sizeof(int64_t) * (size_t)(3 * joints));
-    if (work == NULL || blocks == NULL) {
-        free(work);
-        free(blocks);
+                          (size_t)(2 * steps * width + (5 + 3 * ROW) * steps + count * width));
+    if (work == NULL)
         return NO_MEMORY;
-    }
     double *anchored = work, *smoothed = anchored + steps * width;
-    double *seglen = smoothed + steps * width, *arc = seglen + cells;
-    double *x = arc + cells, *dx = x + cells, *diag = dx + cells, *upper = diag + cells;
-    double *lower = upper + cells, *y = lower + cells, *slope = y + ROW * cells;
-    double *deriv = slope + ROW * cells, *resampled = deriv + ROW * cells;
-    int64_t *first = blocks, *size = first + joints, *which = size + joints;
+    double *scratch = smoothed + steps * width, *resampled = scratch + (5 + 3 * ROW) * steps;
     int64_t status = DONE;
 
     for (int64_t t = 0; t < steps; t++)
@@ -179,115 +244,17 @@ int64_t dam_preprocess(const double *frames, int64_t steps, int64_t joints,
     else
         smoothed = anchored;
 
-    for (int64_t j = 0; j < joints; j++)
-        arc[j] = 0.0;
-    for (int64_t t = 1; t < steps; t++)
-        for (int64_t j = 0; j < joints; j++) {
-            const double *a = smoothed + (t - 1) * width + j * DIM, *b = a + width;
-            double d0 = b[0] - a[0], d1 = b[1] - a[1], d2 = b[2] - a[2];
-            double len = sqrt((d0 * d0 + d1 * d1) + d2 * d2);
-            seglen[t * joints + j] = len;
-            arc[t * joints + j] = arc[(t - 1) * joints + j] + len;
-        }
-
-    /* The knots of each moving joint in turn, one block of the system each. */
-    int64_t moving = 0, knots = 0;
-    for (int64_t j = 0; j < joints; j++) {
-        double total = arc[(steps - 1) * joints + j];
-        if (!isfinite(total)) {
-            status = NOT_FINITE;
-            goto done;
-        }
-        if (!(total >= epsilon))
-            continue;
-        which[moving] = j;
-        first[moving] = knots;
-        for (int64_t t = 0; t < steps; t++) {
-            if (t > 0 && !(seglen[t * joints + j] > 0.0))
-                continue;
-            x[knots] = arc[t * joints + j];
-            memcpy(y + knots * ROW, smoothed + t * width + j * DIM, DIM * sizeof(double));
-            y[knots * ROW + DIM] = 0.0;
-            knots++;
-        }
-        size[moving] = knots - first[moving];
-        moving++;
-    }
-
-    for (int64_t m = 0; m < moving; m++) {
-        int64_t f = first[m], l = f + size[m] - 1;
-        for (int64_t k = f; k < l; k++) {
-            dx[k] = x[k + 1] - x[k];
-            if (!(dx[k] > 0.0)) {
-                status = NOT_INCREASING;
-                goto done;
+    for (int64_t j = 0; j < joints && status == DONE; j++)
+        status = resample(smoothed + j * DIM, steps, width, count, epsilon, scratch,
+                          resampled + j * DIM);
+    if (status == DONE)
+        for (int64_t r = 0; r < count - window; r++)
+            for (int64_t w = 0; w < window; w++) {
+                const double *a = resampled + (r + w) * width, *b = a + width;
+                double *dst = out + (r * window + w) * width;
+                for (int64_t i = 0; i < width; i++)
+                    dst[i] = b[i] - a[i];
             }
-            for (int h = 0; h < ROW; h += 2)
-                AT(slope + k * ROW + h) = (AT(y + (k + 1) * ROW + h) - AT(y + k * ROW + h)) / dx[k];
-        }
-        /* Row i: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
-         * = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows set the
-         * second derivative to zero. */
-        diag[f] = 2 * dx[f];
-        upper[f] = dx[f];
-        for (int h = 0; h < ROW; h += 2)
-            AT(deriv + f * ROW + h) = 3.0 * (AT(y + (f + 1) * ROW + h) - AT(y + f * ROW + h));
-        for (int64_t i = f + 1; i < l; i++) {
-            diag[i] = 2 * (dx[i - 1] + dx[i]);
-            upper[i] = dx[i - 1];
-            lower[i - 1] = dx[i];
-            for (int h = 0; h < ROW; h += 2)
-                AT(deriv + i * ROW + h) = 3.0 * (dx[i] * AT(slope + (i - 1) * ROW + h)
-                                                 + dx[i - 1] * AT(slope + i * ROW + h));
-        }
-        lower[l - 1] = dx[l - 1];
-        diag[l] = 2 * dx[l - 1];
-        for (int h = 0; h < ROW; h += 2)
-            AT(deriv + l * ROW + h) = 3.0 * (AT(y + l * ROW + h) - AT(y + (l - 1) * ROW + h));
-    }
-    if (moving > 0) {
-        status = solve_blocks(moving, first, size, lower, diag, upper, deriv);
-        if (status != DONE)
-            goto done;
-    }
-
-    for (int64_t i = 0; i < count; i++)
-        memcpy(resampled + i * width, smoothed, width * sizeof(double));
-    for (int64_t m = 0; m < moving; m++) {
-        int64_t f = first[m], j = which[m], p = 0;
-        double total = arc[(steps - 1) * joints + j];
-        double step = total / (double)(count - 1);
-        for (int64_t i = 0; i < count; i++) {
-            double q = i == count - 1 ? total : (double)i * step;
-            /* The interval of q: its last knot <= q, clipped to the last one. */
-            while (p > 0 && x[f + p] > q)
-                p--;
-            while (p + 1 < size[m] && x[f + p + 1] <= q)
-                p++;
-            int64_t k = f + (p < size[m] - 2 ? p : size[m] - 2);
-            double h = dx[k], s = q - x[k];
-            double v[ROW];
-            for (int e = 0; e < ROW; e += 2) {
-                pair d0 = AT(deriv + k * ROW + e), d1 = AT(deriv + (k + 1) * ROW + e);
-                pair sl = AT(slope + k * ROW + e);
-                pair t = (d0 + d1 - 2.0 * sl) / h;
-                pair c0 = t / h, c1 = (sl - d0) / h - t;
-                AT(v + e) = 0.0 + AT(y + k * ROW + e) + d0 * s + c1 * (s * s) + c0 * (s * s * s);
-            }
-            memcpy(resampled + i * width + j * DIM, v, DIM * sizeof(double));
-        }
-    }
-
-    for (int64_t r = 0; r < count - window; r++)
-        for (int64_t w = 0; w < window; w++) {
-            const double *a = resampled + (r + w) * width, *b = a + width;
-            double *dst = out + (r * window + w) * width;
-            for (int64_t i = 0; i < width; i++)
-                dst[i] = b[i] - a[i];
-        }
-
-done:
     free(work);
-    free(blocks);
     return status;
 }

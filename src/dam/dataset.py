@@ -83,9 +83,13 @@ class Action:
         return self.frames.shape[1]
 
 
+def _label_key(label) -> tuple:
+    return (isinstance(label, str), label)
+
+
 def class_order(labels) -> list:
     """Deterministic total order over class labels: ints first, then strings."""
-    return sorted(set(labels), key=lambda c: (isinstance(c, str), c))
+    return sorted(set(labels), key=_label_key)
 
 
 @dataclass
@@ -475,7 +479,7 @@ def _parse_annotations(path: Path) -> list[tuple[int, object]]:
                 f"{path.name}: line {number}: frame index must be an integer"
             ) from None
         markers.append((frame, _parse_label(parts[1])))
-    return sorted(markers)
+    return sorted(markers, key=lambda marker: (marker[0], _label_key(marker[1])))
 
 
 def load_msrc12(directory, layout: Msrc12Layout | None = None,

@@ -185,6 +185,18 @@ class TestConvert:
         ids = sorted(p.stem for p in out.glob("*.txt"))
         assert ids == ["gesture_p06_x1_i001", "gesture_p06_x1_i002"]
 
+    def test_int_and_string_labels_on_one_frame_is_one_error_line(self, capsys, tmp_path):
+        # The span extent gives the second marker on frame 20 no frames.
+        src = tmp_path / "msrc"
+        src.mkdir()
+        (src / "gesture_p06_x1.csv").write_text(("0" + ",0" * 80 + "\n") * 40)
+        (src / "gesture_p06_x1.tags").write_text("20;1\n20;walk\n35;2\n")
+        code, _, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
+                              "--format", "msrc12")
+        assert code == 1
+        assert stderr == ("error: gesture_p06_x1.tags: annotation at frame 20 yields an "
+                          "instance with fewer than 2 frames\n")
+
     @pytest.mark.parametrize("key, value", [
         ("joint_count", "2"),
         ("coord_offsets", 5),

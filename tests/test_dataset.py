@@ -386,6 +386,15 @@ class TestMsrc12Adapter:
         lengths = sorted(a.frames.shape[0] for a in ds.actions)
         assert lengths == [16, 21]  # first window clipped at sequence start
 
+    def test_int_and_string_labels_on_one_frame(self, tmp_path):
+        layout = Msrc12Layout(values_per_frame=9, first_joint_column=1, joint_stride=4,
+                              joint_count=2, extent="window", window_radius=10)
+        _write_msrc12_sequence(tmp_path / "g_p01.csv", 100, layout)
+        (tmp_path / "g_p01.tags").write_text("20;1\n20;walk\n35;2\n")
+        ds = load_msrc12(tmp_path, layout=layout)
+        labels = [a.label for a in sorted(ds.actions, key=lambda a: a.id)]
+        assert labels == [1, "walk", 2]  # on one frame, the int label first
+
     def test_default_layout_dimensions(self, tmp_path):
         layout = Msrc12Layout()
         assert layout.values_per_frame == 81

@@ -485,7 +485,7 @@ class TestPreprocessAction:
         assert_array_equal(frames, copy)
 
 
-class TestBatchedResamplingIsByteIdentical:
+class TestMatchesReferenceChain:
     """preprocess_action's bytes must equal those of the reference chain:
     smooth_joint, then scipy's CubicSpline, one joint at a time."""
 
@@ -566,8 +566,14 @@ class TestPinnedBytes:
             (np.cumsum(np.random.default_rng(0).normal(size=(30, 2, 3)), axis=0) * 1e103,
              "window norm is not finite"),
             (_edge_case_actions()["coincident_samples"] * 1e150, "window norm is not finite"),
+            # Joint 1's last step moves its smoothed sample, so it is a knot,
+            # but it is too short to change an arc length near 4.
+            (np.array([[[t, 0, 0], [x, 0, 0]]
+                       for t, x in enumerate([0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1e-20])], dtype=float),
+             "arc-length knots must be strictly increasing"),
         ],
-        ids=["nan", "inf", "overflowing_chord", "overflowing_spline", "edge_case_at_1e150"],
+        ids=["nan", "inf", "overflowing_chord", "overflowing_spline", "edge_case_at_1e150",
+             "knots_not_increasing"],
     )
     def test_rejections_keep_their_messages(self, chain_path, frames, message):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
@@ -627,7 +633,7 @@ class TestCompiledChain:
         assert compiled.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
-    @pytest.mark.parametrize("params", TestBatchedResamplingIsByteIdentical.PARAMS)
+    @pytest.mark.parametrize("params", TestMatchesReferenceChain.PARAMS)
     @pytest.mark.parametrize("name", sorted(_edge_case_actions()))
     def test_edge_cases_run_compiled(self, name, params, scale):
         _compiled_library()
