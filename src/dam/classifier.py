@@ -18,7 +18,7 @@ import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import class_order
-from .descriptor import Histogram, compute_histogram
+from .descriptor import Histogram, compute_histogram, pair_counts
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
@@ -124,12 +124,10 @@ def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
     if not any(sizes):
         raise ValueError("no training WDFs")
     # One winner search over every training WDF; winner l of a WDF of class c
-    # counts in bin l * C + c of the flattened (units, C) count table.
+    # counts in cell (l, c) of the (units, C) count table.
     winners = bmu_batch(grid, np.concatenate([w for w in wdf_sets if len(w)]))
     class_index = np.repeat([index[label] for label in labels], sizes)
-    counts = np.bincount(
-        winners * len(classes) + class_index, minlength=grid.unit_count * len(classes)
-    ).reshape(grid.unit_count, len(classes)).astype(np.float64)
+    counts = pair_counts(winners, class_index, (grid.unit_count, len(classes)))
     return classes, _per_row(counts, counts.sum(axis=1))
 
 
@@ -187,7 +185,10 @@ def save_model(model: ClassModel, path) -> None:
     The codebook is stored as the lowercase hex of its row-major,
     little-endian float64 bytes, so it round-trips bit for bit and loads
     without parsing decimals; every other float keeps full round-trip
-    precision as a JSON number.
+    precision as a JSON number. The file is the bytes of
+    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``; the hex,
+    which JSON leaves as it is, is spliced in rather than scanned for
+    characters to escape.
     """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -197,12 +198,17 @@ def save_model(model: ClassModel, path) -> None:
             "rows": model.grid.rows,
             "cols": model.grid.cols,
             "dim": model.grid.dim,
-            "codebook": model.grid.codebook.astype("<f8", copy=False).tobytes().hex(),
+            "codebook": "",
         },
         "classes": list(model.classes),
         "cluster_class_probs": model.cluster_class_probs.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    # Inside a JSON string every quote is escaped, so the empty codebook
+    # string is the only place this key and value appear.
+    head, _, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).partition(
+        '"codebook":""')
+    codebook = model.grid.codebook.astype("<f8", copy=False).tobytes().hex()
+    Path(path).write_text(f'{head}"codebook":"{codebook}"{tail}\n')
 
 
 def load_model(path) -> ClassModel:

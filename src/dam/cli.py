@@ -332,7 +332,7 @@ def cmd_classify(args) -> int:
     zero_evidence = 0
     for path in _classify_inputs(args.inputs):
         try:
-            action = parse_action_file(path.read_text())
+            action = parse_action_file(path.read_bytes())
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
         posterior = classify_action(model, action)

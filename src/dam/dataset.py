@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import io
 import logging
 import re
 import warnings
@@ -199,11 +200,20 @@ def _table_reader():
     return None if reader is None else functools.partial(reader, _powers_of_five().ctypes.data)
 
 
-def _compiled_table(text: str, width: int, skip: int, rows: int | None) -> np.ndarray | None:
-    """`_read_table`'s table from the compiled reader, or None when it cannot give it."""
+def _compiled_table(text: str | bytes, width: int, skip: int,
+                    rows: int | None) -> np.ndarray | None:
+    """`_read_table`'s table from the compiled reader, or None when it cannot give it.
+
+    `text` is a file's text or its bytes; the reader declines every byte
+    outside ASCII.
+    """
     reader = _table_reader()
-    if reader is None or not text.isascii():
+    if reader is None:
         return None
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
     # A row takes at least 2 * width - 1 bytes and a line break, which bounds
     # the rows the text can hold.
     capacity = (len(text) + 1) // (2 * width) if width > 0 else 0
@@ -212,7 +222,7 @@ def _compiled_table(text: str, width: int, skip: int, rows: int | None) -> np.nd
     if capacity == 0:
         return None
     table = np.empty((capacity, width))
-    count = reader(text.encode("ascii"), len(text), skip, width, capacity, table.ctypes.data)
+    count = reader(text, len(text), skip, width, capacity, table.ctypes.data)
     if count < 0 or (rows is not None and count != rows):
         return None
     return table if count == capacity else table[:count].copy()
@@ -241,46 +251,103 @@ def _read_table(text: str, width: int, skip: int = 0, rows: int | None = None) -
     return table
 
 
-def parse_action_file(text: str) -> Action:
-    """Parse one canonical action file; errors carry 1-based line numbers."""
-    first = next(iter(_content_lines(text)), None)
-    if first is None:
-        raise ValueError("empty file: missing header line")
-    header_no, header = first
+# One line of a file's bytes and its end: \n, \r\n, \r or the end of the bytes.
+_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n|\Z)")
 
+
+def _header_line(data: bytes) -> tuple[int, str] | None:
+    """(1-based number, stripped text) of the first line of `data` that is not
+    blank or a # comment, or None when there is none or it is not ASCII.
+
+    Lines are split and stripped at ASCII bytes only. The text's
+    `_content_lines` finds the same line unless a byte before it or in it is
+    \\v, \\f, \\x1c-\\x1f or outside ASCII, and the compiled reader declines
+    any file that holds one of those.
+    """
+    for number, match in enumerate(_LINE.finditer(data), start=1):
+        line = match.group(1).strip()
+        if line and not line.startswith(b"#"):
+            return (number, line.decode("ascii")) if line.isascii() else None
+    return None
+
+
+def _header_fields(number: int, header: str) -> tuple:
+    """(id, subject, label, num_frames, num_joints) of header line `number`."""
     fields = [f.strip() for f in header.split(",")]
     if len(fields) != 5:
         raise ValueError(
-            f"line {header_no}: header must be 'id,subject,class,num_frames,num_joints', "
+            f"line {number}: header must be 'id,subject,class,num_frames,num_joints', "
             f"got {len(fields)} fields"
         )
     ident, subject_text, label_text, frames_text, joints_text = fields
     if not ident:
-        raise ValueError(f"line {header_no}: id must be non-empty")
+        raise ValueError(f"line {number}: id must be non-empty")
     try:
         subject = int(subject_text)
     except ValueError:
         raise ValueError(
-            f"line {header_no}: subject must be an integer, got {subject_text!r}"
+            f"line {number}: subject must be an integer, got {subject_text!r}"
         ) from None
     try:
         num_frames = int(frames_text)
         num_joints = int(joints_text)
     except ValueError:
         raise ValueError(
-            f"line {header_no}: num_frames/num_joints must be integers, "
+            f"line {number}: num_frames/num_joints must be integers, "
             f"got {frames_text!r}/{joints_text!r}"
         ) from None
     if num_joints < 1:
-        raise ValueError(f"line {header_no}: num_joints must be >= 1, got {num_joints}")
+        raise ValueError(f"line {number}: num_joints must be >= 1, got {num_joints}")
+    return ident, subject, _parse_label(label_text), num_frames, num_joints
 
-    frames = _read_table(text, num_joints * 3, skip=1, rows=num_frames)
-    return Action(
-        id=ident,
-        subject=subject,
-        label=_parse_label(label_text),
-        frames=frames.reshape(num_frames, num_joints, 3),
-    )
+
+def _action(fields: tuple, table: np.ndarray) -> Action:
+    ident, subject, label, num_frames, num_joints = fields
+    return Action(id=ident, subject=subject, label=label,
+                  frames=table.reshape(num_frames, num_joints, 3))
+
+
+def _compiled_action(data: bytes) -> Action | None:
+    """The action of a canonical file's bytes when its header parses and the
+    compiled reader reads its frames; None leaves the file to the text path."""
+    found = _header_line(data)
+    if found is None:
+        return None
+    try:
+        fields = _header_fields(*found)
+    except ValueError:
+        return None
+    _, _, _, num_frames, num_joints = fields
+    table = _compiled_table(data, num_joints * 3, skip=1, rows=num_frames)
+    return None if table is None else _action(fields, table)
+
+
+def parse_action_file(text: str | bytes) -> Action:
+    """Parse one canonical action file, given as its text or as its bytes.
+
+    Errors carry 1-based line numbers. The compiled reader reads the file
+    straight from its bytes, or from the text's ASCII bytes. Any file it
+    does not read, an erroneous one included, takes the text path; bytes
+    are first decoded as `Path.read_text` decodes a file, so a file gives
+    the same action or error either way.
+    """
+    if isinstance(text, bytes):
+        data = text
+    else:
+        data = text.encode("ascii") if text.isascii() else None
+    action = None if data is None else _compiled_action(data)
+    if action is not None:
+        return action
+    if isinstance(text, bytes):
+        # As `Path.read_text` decodes: the locale's encoding, universal newlines.
+        text = io.TextIOWrapper(io.BytesIO(text)).read()
+
+    first = next(iter(_content_lines(text)), None)
+    if first is None:
+        raise ValueError("empty file: missing header line")
+    fields = _header_fields(*first)
+    _, _, _, num_frames, num_joints = fields
+    return _action(fields, _read_table(text, num_joints * 3, skip=1, rows=num_frames))
 
 
 def serialize_action(action: Action) -> str:
@@ -328,8 +395,9 @@ def drop_excluded(actions, directory) -> Dataset:
 
 
 def _canonical_files(directory: Path) -> list[Path]:
-    """The sorted ``*.txt`` files of `directory` bar the exclusion file; never empty."""
-    paths = sorted(p for p in directory.glob("*.txt") if p.name != EXCLUDE_FILENAME)
+    """The sorted regular ``*.txt`` files of `directory` bar the exclusion file; never empty."""
+    paths = sorted(p for p in directory.glob("*.txt")
+                   if p.name != EXCLUDE_FILENAME and p.is_file())
     if not paths:
         raise ValueError(f"no canonical action files (*.txt) in {directory}")
     return paths
@@ -343,7 +411,7 @@ def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
     actions = []
     for path in _canonical_files(directory):
         try:
-            actions.append(parse_action_file(path.read_text()))
+            actions.append(parse_action_file(path.read_bytes()))
         except ValueError as e:
             raise ValueError(f"{path.name}: {e}") from None
     return drop_excluded(actions, directory) if apply_exclusions else Dataset(actions)

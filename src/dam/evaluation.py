@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifier import ClassModel, _per_row, class_posterior, fit_model
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
-from .descriptor import compute_histogram
+from .descriptor import compute_histograms
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomTrainParams, train_som
 
@@ -151,8 +151,10 @@ def run_single(
     prob_sums = np.zeros((n, n))
     subject_hits: dict = {}
     zero_evidence = 0
-    for action in test:
-        posterior = class_posterior(model, compute_histogram(grid, wdfs[action.id]))
+    # One winner search over the whole test half, then one posterior per action.
+    histograms = compute_histograms(grid, [wdfs[a.id] for a in test])
+    for action, histogram in zip(test, histograms):
+        posterior = class_posterior(model, histogram)
         zero_evidence += posterior.zero_evidence
         t = index[action.label]
         p = index[posterior.predicted]

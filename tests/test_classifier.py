@@ -229,6 +229,18 @@ class TestModelFile:
         save_model(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_file_is_the_plain_json_dump(self, tmp_path):
+        # The codebook hex is spliced in, not dumped; the bytes must be those
+        # of json.dumps over the whole payload, quotes and non-ASCII included.
+        model, _ = _toy_model(seed=5, rows=3, cols=4)
+        model.classes = ['say "hi"', "caf\u00e9"]
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["grid"]["codebook"] == model.grid.codebook.tobytes().hex()
+        plain = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == plain.encode()
+
     def test_integer_and_string_labels_survive(self, tmp_path):
         params = PreprocessParams(frames=8, window=2)
         grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, params.feature_dim(1))))

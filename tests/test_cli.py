@@ -401,6 +401,14 @@ class TestClassify:
         agreement = np.mean([p == t for p, t in zip(predicted, truth)])
         assert agreement == 1.0
 
+    def test_directory_input_skips_a_subdirectory_named_like_a_file(self, capsys, tmp_path,
+                                                                     canon_dir, model_path):
+        d = tmp_path / "with_subdir"
+        shutil.copytree(canon_dir, d)
+        (d / "zz.txt").mkdir()
+        args = ["classify", "--model", str(model_path)]
+        assert run(capsys, *args, str(d)) == run(capsys, *args, str(canon_dir))
+
     def test_joint_count_mismatch_fails(self, capsys, tmp_path, model_path):
         other = make_directional_dataset(
             classes=2, subjects=2, instances=1, raw_frames=20, joints=5, seed=1
@@ -556,6 +564,20 @@ class TestEvaluate:
         run(capsys, "evaluate", str(canon_dir), "--output-dir", str(b), *args)
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "confusion.csv").read_bytes() == (b / "confusion.csv").read_bytes()
+
+    def test_a_subdirectory_named_like_a_file_is_skipped(self, capsys, tmp_path, canon_dir):
+        d = tmp_path / "with_subdir"
+        shutil.copytree(canon_dir, d)
+        (d / "zz.txt").mkdir()
+        args = [*FAST, "--runs", "1", "--seed", "42", "--jobs", "1"]
+        outputs = []
+        for data in (canon_dir, d):
+            out = tmp_path / f"out_{data.name}"
+            code, stdout, stderr = run(capsys, "evaluate", str(data), "--output-dir", str(out),
+                                       *args)
+            assert (code, stderr) == (0, "")
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1]
 
     def test_loso_emits_one_row_per_subject(self, capsys, tmp_path, canon_dir):
         out = tmp_path / "loso"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -806,6 +806,95 @@ def _set_numeric_locale(name: str) -> bool:
     except locale.Error:
         return False
     return True
+
+
+# Bytes a file may hold where `str.splitlines` and `str.strip` disagree with
+# a plain ASCII reading, or that the locale's codec treats specially: \v, \f
+# and \x1c-\x1f, NEL and LINE SEPARATOR, other non-ASCII text, a UTF-8 BOM,
+# and bytes that are not UTF-8 at all.
+_STRAY_BYTES = st.sampled_from([
+    b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1f", "\x85".encode(), "\u2028".encode(),
+    "\u00e9".encode(), "\u00a0".encode(), b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xe9",
+    b"\t", b"\r", b"\n", b"#", b",", b" ",
+])
+
+
+@st.composite
+def _canonical_bytes(draw):
+    """A canonical file's bytes: LF, CRLF or lone-CR line ends, comments and blank
+    lines before the header, tabs, too few or too many rows (`_canonical_text`),
+    and in two files of three a stray byte or two, in or before the header or
+    anywhere; one file in four starts with a UTF-8 BOM."""
+    raw = draw(_canonical_text()).encode("utf-8")
+    ends = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    raw = raw.replace(b"\n", ends)
+    header_end = raw.index(b"wave") + 8
+    for _ in range(draw(st.sampled_from([0, 1, 2]))):
+        at = draw(st.integers(0, header_end) | st.integers(0, len(raw)))
+        raw = raw[:at] + draw(_STRAY_BYTES) + raw[at:]
+    if draw(st.integers(0, 3)) == 0:
+        raw = b"\xef\xbb\xbf" + raw
+    return raw
+
+
+def _parsed(read):
+    """What `read()` gives, as fields and bytes that compare exactly, or its error's
+    type and text."""
+    try:
+        action = read()
+    except ValueError as e:  # UnicodeDecodeError included
+        return type(e), str(e)
+    return action.id, action.subject, action.label, action.frames.shape, action.frames.tobytes()
+
+
+class TestBytesAndText:
+    """A file's bytes parse as its text does: same action, or same error and message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_canonical_bytes())
+    # A bad header in a file that is not UTF-8 further on, a comment shaped
+    # like a header, and a header that \x1c splits in the text.
+    @example(raw=b"a,1,2\n0 0 0\n\xff\n")
+    @example(raw=b"#c,1,2,1,1\nclip,3,wave,2,1\n1 2 3\n4 5 6\n")
+    @example(raw=b"clip,3,wave\x1c,2,1\n1 2 3\n4 5 6\n")
+    def test_bytes_parse_as_the_decoded_text(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "bytes_and_text.txt"
+        path.write_bytes(raw)
+        encoding = locale.getpreferredencoding(False)
+        reads = (
+            lambda: parse_action_file(raw),
+            lambda: parse_action_file(raw.decode(encoding)),
+            lambda: parse_action_file(path.read_text()),
+        )
+        outcomes = [_parsed(read) for read in reads]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_table_reader", lambda: None)
+            outcomes += [_parsed(read) for read in reads]
+        assert outcomes == [outcomes[0]] * len(outcomes)
+
+    @pytest.mark.usefixtures("compiled_reader")
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=repr)
+    def test_a_clean_file_is_read_without_splitting_its_text(self, monkeypatch, end):
+        text = f"# recorded{end}{end}clip,3,wave,2,1{end}1 2 3{end}\t4 5 6{end}"
+        want = _parsed(lambda: parse_action_file(text))
+        monkeypatch.setattr(dataset, "_content_lines", None)
+        assert _parsed(lambda: parse_action_file(text)) == want
+        assert _parsed(lambda: parse_action_file(text.encode())) == want
+        assert isinstance(want[0], str)
+
+    def test_every_kind_of_file_is_generated(self):
+        # The property above sees files that parse, files with each kind of
+        # error, and files that are not UTF-8.
+        seen = set()
+
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @given(raw=_canonical_bytes())
+        def collect(raw):
+            outcome = _parsed(lambda: parse_action_file(raw))
+            seen.add("ok" if isinstance(outcome[0], str) else outcome[0].__name__)
+
+        collect()
+        assert {"ok", "ValueError", "UnicodeDecodeError"} <= seen
 
 
 def _subject_dataset(subjects, per_subject=3, joints=2, seed=0):

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam import evaluation
+from dam import classifier, descriptor, evaluation, som
+from dam.classifier import _per_row, class_posterior
 from dam.dataset import Dataset, split_cross_subject
+from dam.descriptor import compute_histogram
 from dam.evaluation import (
     CROSS_SUBJECT,
     LOSO,
@@ -31,7 +33,7 @@ from dam.evaluation import (
     write_sweep_csv,
 )
 from dam.preprocess import PreprocessParams, preprocess_action
-from dam.som import SomTrainParams, train_som
+from dam.som import SomGrid, SomTrainParams, train_som
 from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
 
@@ -234,6 +236,83 @@ class TestRunSingle:
         with caplog.at_level("WARNING", logger="dam.evaluation"):
             run_single(train, test, small_config(), som_seed=1)
         assert caplog.records == []
+
+
+@pytest.fixture(scope="module")
+def paper_half():
+    """The seed-0 paper-scale corpus (6 classes, 10 subjects, 10 instances, 20
+    joints) split as cross-subject run 0 of seed 0 scores it, with its WDFs."""
+    dataset = make_directional_dataset(
+        classes=6, subjects=10, instances=10, raw_frames=45, joints=20, seed=0
+    )
+    cfg = ExperimentConfig(preprocess=PreprocessParams(frames=25, window=3), rows=25, cols=25,
+                           som=SomTrainParams(epochs=1), runs=1, seed=0)
+    train, test = split_cross_subject(dataset, derive_seed(0, 0, 0))
+    wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in dataset}
+    return train, test, cfg, wdfs
+
+
+def _scored_per_action(model, test, wdfs):
+    """(confusion, prob_matrix, subject accuracy, zero-evidence count) with one
+    winner search and one posterior per test action."""
+    index = {c: i for i, c in enumerate(model.classes)}
+    n = len(model.classes)
+    confusion = np.zeros((n, n), dtype=np.int64)
+    prob_sums = np.zeros((n, n))
+    hits, zero_evidence = {}, 0
+    for action in test:
+        posterior = class_posterior(model, compute_histogram(model.grid, wdfs[action.id]))
+        zero_evidence += posterior.zero_evidence
+        t, p = index[action.label], index[posterior.predicted]
+        confusion[t, p] += 1
+        prob_sums[t] += posterior.normalized()
+        hits.setdefault(action.subject, []).append(t == p)
+    subject_accuracy = {s: sum(h) / len(h) for s, h in sorted(hits.items())}
+    return confusion, _per_row(prob_sums, confusion.sum(axis=1)), subject_accuracy, zero_evidence
+
+
+class TestOneSearchPerTestHalf:
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["trained", "duplicated_units"])
+    def test_bulk_scores_equal_the_per_action_loop(self, paper_half, duplicated, monkeypatch,
+                                                    caplog):
+        train, test, cfg, wdfs = paper_half
+        if duplicated:
+            # Units 1, 6, 11, ... copy the unit before them, so each window
+            # that one of those pairs wins is an exact tie, rescored directly.
+            real_train = evaluation.train_som
+
+            def train_duplicated(*args, **kwargs):
+                grid = real_train(*args, **kwargs)
+                codebook = grid.codebook.copy()
+                codebook[1::5] = codebook[:-1:5]
+                return SomGrid(rows=grid.rows, cols=grid.cols, codebook=codebook)
+
+            monkeypatch.setattr(evaluation, "train_som", train_duplicated)
+        searches, rescored = [], []
+        for module in (descriptor, classifier):
+            monkeypatch.setattr(module, "bmu_batch",
+                                lambda g, xs, search=module.bmu_batch:
+                                searches.append(len(xs)) or search(g, xs))
+        monkeypatch.setattr(som, "_direct_winner",
+                            lambda c, x, winner=som._direct_winner:
+                            rescored.append(1) or winner(c, x))
+        with caplog.at_level("WARNING", logger="dam.evaluation"):
+            result = run_single(train, test, cfg, som_seed=derive_seed(0, 0, 1), wdfs=wdfs)
+        sizes = [sum(len(wdfs[a.id]) for a in half) for half in (train, test)]
+        assert searches == sizes
+        assert bool(rescored) == duplicated
+        monkeypatch.undo()
+
+        confusion, prob_matrix, subject_accuracy, zero_evidence = _scored_per_action(
+            result.model, test, wdfs)
+        assert result.confusion.tobytes() == confusion.tobytes()
+        assert result.prob_matrix.tobytes() == prob_matrix.tobytes()
+        assert result.subject_accuracy == subject_accuracy
+        assert result.accuracy == float(np.trace(confusion) / confusion.sum())
+        logged = [r.getMessage() for r in caplog.records]
+        assert len(logged) == bool(zero_evidence)
+        if zero_evidence:
+            assert f": {zero_evidence} of {len(test)} test actions" in logged[0]
 
 
 class TestCrossValidate:
