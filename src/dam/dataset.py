@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import io
+import locale
 import logging
 import re
 import warnings
@@ -200,6 +201,56 @@ def _table_reader():
     return None if reader is None else functools.partial(reader, _powers_of_five().ctypes.data)
 
 
+@functools.lru_cache(maxsize=None)
+def _ryu_tables() -> np.ndarray:
+    """The compiled writer's (668, 2) uint64 table, high word first.
+
+    The first 342 entries hold, for q in [0, 342), 2**(b + 124) // 5**q + 1,
+    where b is the bit length of 5**q; the other 326, for i in [0, 326),
+    5**i scaled by a power of two to 125 bits, truncated. These are Ryu's
+    DOUBLE_POW5_INV_SPLIT and DOUBLE_POW5_SPLIT.
+    """
+    words = []
+    for q in range(342):
+        power = 5**q
+        words.append((1 << (power.bit_length() + 124)) // power + 1)
+    for i in range(326):
+        shift = (5**i).bit_length() - 125
+        words.append(5**i >> shift if shift >= 0 else 5**i << -shift)
+    return np.array([(w >> 64, w & (2**64 - 1)) for w in words], dtype=np.uint64)
+
+
+# The most bytes repr() gives a finite float ("-2.2250738585072014e-308"),
+# and the separator or line end after it.
+_VALUE_BYTES = 25
+
+
+def _table_writer():
+    """The compiled table writer when `_table_reader.c` is compiled and loads, else None."""
+    size = ctypes.c_int64
+    writer = _native.function("_table_reader.c", "dam_write_table", size, ctypes.c_void_p,
+                              ctypes.c_void_p, size, size, ctypes.c_void_p)
+    return None if writer is None else functools.partial(writer, _ryu_tables().ctypes.data)
+
+
+def _frame_lines(frames: np.ndarray) -> bytes:
+    """The frame lines of a canonical file: one line per frame, its
+    coordinates as repr() writes them, joined by ' ' and ended by '\\n'.
+
+    The compiled writer gives the bytes of the Python path below, which is
+    its test oracle and runs when it is not compiled.
+    """
+    table = frames.reshape(len(frames), -1)
+    writer = _table_writer()
+    if writer is not None:
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        out = np.empty(table.size * _VALUE_BYTES + len(table), dtype=np.uint8)
+        count = writer(table.ctypes.data, *table.shape, out.ctypes.data)
+        if count >= 0:
+            return out[:count].tobytes()
+    return "".join([" ".join(map(repr, row)) + "\n" for row in table.tolist()]).encode("ascii")
+
+
 def _compiled_table(text: str | bytes, width: int, skip: int,
                     rows: int | None) -> np.ndarray | None:
     """`_read_table`'s table from the compiled reader, or None when it cannot give it.
@@ -350,15 +401,19 @@ def parse_action_file(text: str | bytes) -> Action:
     return _action(fields, _read_table(text, num_joints * 3, skip=1, rows=num_frames))
 
 
+def _header(action: Action) -> str:
+    return f"{action.id},{action.subject},{action.label},{action.num_frames},{action.num_joints}\n"
+
+
 def serialize_action(action: Action) -> str:
-    """Inverse of parse_action_file; floats keep exact round-trip precision."""
-    out = [
-        f"{action.id},{action.subject},{action.label},"
-        f"{action.num_frames},{action.num_joints}"
-    ]
-    for frame in action.frames:
-        out.append(" ".join(map(repr, frame.reshape(-1).tolist())))
-    return "\n".join(out) + "\n"
+    """Inverse of parse_action_file: the header line, then one line per frame.
+
+    Each coordinate is written as repr() writes it, so it reads back as the
+    same float. The compiled writer (`dam_write_table`, Ryu's shortest
+    round-trip digits laid out by repr()'s rule) gives the same text as
+    the Python path, which runs when it is not compiled.
+    """
+    return _header(action) + _frame_lines(action.frames).decode("ascii")
 
 
 def _read_file_table(path: Path, text: str, width: int) -> np.ndarray:
@@ -431,8 +486,10 @@ def write_canonical_dataset(dataset: Dataset, directory) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / f"{action.id}.txt" for action in dataset.actions]
+    # The header is encoded as `Path.write_text` would encode it.
+    encoding = locale.getpreferredencoding(False)
     for action, path in zip(dataset.actions, paths):
-        path.write_text(serialize_action(action))
+        path.write_bytes(_header(action).encode(encoding) + _frame_lines(action.frames))
     return paths
 
 
@@ -557,7 +614,7 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"dataset directory not found: {directory}")
-    seq_paths = sorted(directory.glob(f"*{layout.sequence_suffix}"))
+    seq_paths = sorted(p for p in directory.glob(f"*{layout.sequence_suffix}") if p.is_file())
     if not seq_paths:
         raise ValueError(
             f"no sequence files (*{layout.sequence_suffix}) found in {directory}"

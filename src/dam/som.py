@@ -14,7 +14,7 @@ import logging
 import multiprocessing
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,11 +94,16 @@ class SomGrid:
     """A trained (or just assembled) codebook on a rows x cols grid.
 
     Unit l corresponds to grid cell (l // cols, l % cols) — row-major.
+    The nearest-unit search caches the codebook's squared row norms per
+    codebook array (see `squared_norms`): give a grid a new codebook by
+    assigning a new array, not by editing its array in place.
     """
 
     rows: int
     cols: int
     codebook: np.ndarray  # (rows * cols, dim)
+    # (codebook array, its squared row norms), as `squared_norms` last made them.
+    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -122,6 +127,16 @@ class SomGrid:
     @property
     def dim(self) -> int:
         return self.codebook.shape[1]
+
+    def squared_norms(self) -> np.ndarray:
+        """``||c||^2`` of each codebook row, computed once per codebook array.
+
+        The norms are tied to the array they came from, so a grid whose
+        `codebook` was reassigned computes them again.
+        """
+        if self._norms is None or self._norms[0] is not self.codebook:
+            self._norms = (self.codebook, np.einsum("ij,ij->i", self.codebook, self.codebook))
+        return self._norms[1]
 
 
 def _gaussian(neg_sq: np.ndarray, sigma: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -153,8 +168,8 @@ def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
     return int(np.argmin((diff * diff).sum(axis=1)))
 
 
-def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per-row argmin of squared distances to the codebook rows.
+def _min_sqdist(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
+    """Per-row argmin of squared distances to the rows of `grid`'s codebook.
 
     Scores blocks of `_CHUNK_BUDGET // K` rows with one GEMM: the score
     ``h_j = ||c_j||^2 / 2 - x.c_j`` is half of ``||c_j||^2 - 2 x.c_j`` and
@@ -169,10 +184,11 @@ def _min_sqdist(codebook: np.ndarray, xs: np.ndarray) -> np.ndarray:
     `np.argmin`. The winner is therefore the direct form's argmin, ties to
     the lowest index, whatever the BLAS threading.
     """
+    codebook = grid.codebook
     n, dim = xs.shape
     k = codebook.shape[0]
     chunk = max(1, _CHUNK_BUDGET // k)
-    c2 = np.einsum("ij,ij->i", codebook, codebook)
+    c2 = grid.squared_norms()
     half_c2 = 0.5 * c2
     c2_max = c2.max()
     best = np.empty(n, dtype=np.int64)
@@ -203,7 +219,7 @@ def bmu_batch(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
     Non-finite query rows are rejected with a ValueError.
     """
     xs = _check_query(grid, np.atleast_2d(xs))
-    return _min_sqdist(grid.codebook, xs)
+    return _min_sqdist(grid, xs)
 
 
 def bmu(grid: SomGrid, x: np.ndarray) -> int:
@@ -216,7 +232,7 @@ def quantization_error(grid: SomGrid, samples: np.ndarray) -> float:
     samples = _check_query(grid, np.atleast_2d(samples))
     if samples.shape[0] == 0:
         raise ValueError("quantization error needs at least one sample")
-    diff = samples - grid.codebook[_min_sqdist(grid.codebook, samples)]
+    diff = samples - grid.codebook[_min_sqdist(grid, samples)]
     return float(np.sqrt((diff * diff).sum(axis=-1)).mean())
 
 

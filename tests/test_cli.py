@@ -185,6 +185,20 @@ class TestConvert:
         ids = sorted(p.stem for p in out.glob("*.txt"))
         assert ids == ["gesture_p06_x1_i001", "gesture_p06_x1_i002"]
 
+    def test_msrc12_skips_a_subdirectory_named_like_a_sequence(self, capsys, tmp_path):
+        src = tmp_path / "msrc"
+        src.mkdir()
+        (src / "gesture_p06_x1.csv").write_text(("0" + ",0" * 80 + "\n") * 40)
+        (src / "gesture_p06_x1.tags").write_text("20;1\n35;2\n")
+        (src / "zz.csv").mkdir()
+        (src / "zz.tags").write_text("5;1\n")
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, "convert", str(src), str(out), "--format", "msrc12")
+        assert (code, stderr) == (0, "")
+        assert "2 actions" in stdout
+        assert sorted(p.stem for p in out.glob("*.txt")) == ["gesture_p06_x1_i001",
+                                                             "gesture_p06_x1_i002"]
+
     def test_int_and_string_labels_on_one_frame_is_one_error_line(self, capsys, tmp_path):
         # The span extent gives the second marker on frame 20 no frames.
         src = tmp_path / "msrc"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import dataset
@@ -34,8 +35,8 @@ from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
 # SHA-256 over (file name, NUL, bytes) of each file `write_canonical_dataset`
 # writes for a small noisy, jittered corpus of each generator (see
-# `test_written_corpus_bytes_are_pinned`); it pins both generators and
-# `serialize_action`.
+# `test_written_corpus_bytes_are_pinned`); it pins both generators and both
+# paths of the writer.
 CORPUS_DIGESTS = {
     "make_directional_dataset":
         "a8670ea215c2bc0321864ae79c16bc1acff3bf680f5c0e370cf2a6696d456054",
@@ -226,20 +227,27 @@ class TestCanonicalFormat:
         assert serialize_action(parse_action_file(text)) == text
 
     def test_extreme_floats_are_written_as_repr(self):
-        values = [-0.0, 5e-324, 1e300, -1.7976931348623157e308, 0.1, 3.0]
-        action = Action("x", 1, 1, np.array(values).reshape(2, 1, 3))
+        values = [-0.0, 5e-324, 1e300, -1.7976931348623157e308, 0.1, 3.0,
+                  1e-4, 1e-5, 9999999999999998.0, 1e16, 2.0**-25, 2.225073858507201e-308]
+        action = Action("x", 1, 1, np.array(values).reshape(4, 1, 3))
         lines = serialize_action(action).splitlines()[1:]
-        assert lines == ["-0.0 5e-324 1e+300", "-1.7976931348623157e+308 0.1 3.0"]
+        assert lines == ["-0.0 5e-324 1e+300", "-1.7976931348623157e+308 0.1 3.0",
+                         "0.0001 1e-05 9999999999999998.0",
+                         "1e+16 2.9802322387695312e-08 2.225073858507201e-308"]
 
     @pytest.mark.parametrize("make", [make_directional_dataset, make_ordered_dataset],
                              ids=lambda f: f.__name__)
-    def test_written_corpus_bytes_are_pinned(self, tmp_path, make):
+    def test_written_corpus_bytes_are_pinned(self, tmp_path, monkeypatch, make):
+        # With the compiled writer when it loads, then with the Python path.
         ds = make(classes=3, subjects=2, instances=2, raw_frames=12, joints=3, seed=7,
                   noise=0.05, direction_jitter=0.3)
-        digest = hashlib.sha256()
-        for path in write_canonical_dataset(ds, tmp_path):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        assert digest.hexdigest() == CORPUS_DIGESTS[make.__name__]
+        for writer in ("compiled", "python"):
+            if writer == "python":
+                monkeypatch.setattr(dataset, "_table_writer", lambda: None)
+            digest = hashlib.sha256()
+            for path in write_canonical_dataset(ds, tmp_path / writer):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            assert digest.hexdigest() == CORPUS_DIGESTS[make.__name__], writer
 
     def test_directory_round_trip_with_loader(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -394,6 +402,14 @@ class TestMsrc12Adapter:
         ds = load_msrc12(tmp_path, layout=layout)
         labels = [a.label for a in sorted(ds.actions, key=lambda a: a.id)]
         assert labels == [1, "walk", 2]  # on one frame, the int label first
+
+    def test_a_subdirectory_named_like_a_sequence_is_skipped(self, tmp_path):
+        _write_msrc12_sequence(tmp_path / "g_p01.csv", 60, SMALL_LAYOUT)
+        (tmp_path / "g_p01.tags").write_text("20;wave\n")
+        (tmp_path / "zz.csv").mkdir()
+        (tmp_path / "zz.tags").write_text("5;wave\n")
+        ds = load_msrc12(tmp_path, layout=SMALL_LAYOUT)
+        assert [a.id for a in ds.actions] == ["g_p01_i001"]
 
     def test_default_layout_dimensions(self, tmp_path):
         layout = Msrc12Layout()
@@ -895,6 +911,87 @@ class TestBytesAndText:
 
         collect()
         assert {"ok", "ValueError", "UnicodeDecodeError"} <= seen
+
+
+@pytest.fixture(scope="module")
+def compiled_writer():
+    if dataset._table_writer() is None:
+        pytest.skip("the table writer was not compiled here")
+
+
+def _repr_lines(table) -> bytes:
+    """The oracle: each row's values as repr() writes them, joined by ' ', ended by '\\n'."""
+    return "".join(" ".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.uint64(bits).view(np.float64))
+
+
+def _finite_doubles():
+    """Finite doubles drawn from raw 64-bit patterns, and hypothesis's own floats."""
+    raw = st.integers(0, 2**64 - 1).map(_from_bits).filter(np.isfinite)
+    return raw | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _neighbours(x: float) -> list[float]:
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+# Zeros, the subnormal and normal limits, the largest double, the powers of
+# two and ten on each side of repr()'s switches to scientific notation below
+# 1e-4 and at 1e16, the integers around 2**53 + 1, 0.1, and 2**-25 =
+# 2.98023223876953125e-08, which lies exactly halfway between its two
+# shortest candidates and is written with the even one.
+PINNED_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    2.0**-14, 2.0**-13, 2.0**53, 2.0**54, *_neighbours(1e-4), 1e-5, *_neighbours(1e16),
+    1e15, 1e17, *_neighbours(9007199254740992.0), 9007199254740994.0, 0.1, -0.1,
+    2.0**-25,
+]
+
+
+def _with_pinned_doubles(test):
+    for value in PINNED_DOUBLES:
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.usefixtures("compiled_writer")
+class TestCompiledWriter:
+    """The compiled writer gives the bytes of repr() for every finite double."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(value=_finite_doubles())
+    @_with_pinned_doubles
+    def test_a_double_is_written_as_repr(self, value):
+        table = np.array([[value, -value]])
+        assert dataset._frame_lines(table) == _repr_lines(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 70)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=_finite_doubles())))
+    def test_a_table_is_written_as_repr(self, table):
+        assert dataset._frame_lines(table) == _repr_lines(table)
+
+    def test_transposed_frames_are_written_in_frame_order(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        frames = rng.normal(size=(3, 4, 9)).transpose(2, 1, 0)
+        action = Action("t", 1, 1, frames)
+        assert not action.frames.flags.c_contiguous
+        compiled = serialize_action(action)
+        (path,) = write_canonical_dataset(Dataset([action]), tmp_path / "compiled")
+        monkeypatch.setattr(dataset, "_table_writer", lambda: None)
+        assert serialize_action(action) == compiled
+        assert compiled.encode() == path.read_bytes()
+        assert compiled.splitlines()[1:] == [" ".join(map(repr, f.ravel().tolist()))
+                                             for f in frames]
+        assert_array_equal(parse_action_file(path.read_bytes()).frames, frames)
+
+    def test_a_non_finite_value_leaves_the_table_to_the_python_path(self):
+        table = np.array([[1.0, np.inf], [np.nan, -np.inf]])
+        assert dataset._frame_lines(table) == b"1.0 inf\nnan -inf\n"
 
 
 def _subject_dataset(subjects, per_subject=3, joints=2, seed=0):

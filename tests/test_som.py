@@ -100,6 +100,16 @@ class TestBmu:
         for i in range(0, 200, 17):
             assert batch[i] == bmu(grid, xs[i])
 
+    def test_a_reassigned_codebook_is_scored_with_its_own_norms(self):
+        rng = np.random.default_rng(11)
+        grid = SomGrid(rows=2, cols=3, codebook=rng.normal(size=(6, 4)))
+        xs = rng.normal(size=(100, 4)) * 3.0
+        assert_array_equal(bmu_batch(grid, xs), _direct_oracle(grid.codebook, xs))
+        # The old norms would put a far unit first for most of these queries.
+        grid.codebook = np.concatenate([grid.codebook[:3] * 4.0, grid.codebook[3:] / 4.0])
+        assert_array_equal(bmu_batch(grid, xs), _direct_oracle(grid.codebook, xs))
+        assert_allclose(grid.squared_norms(), (grid.codebook**2).sum(axis=1), rtol=1e-14)
+
     def test_dimension_mismatch_fails(self):
         grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, 3)))
         with pytest.raises(ValueError):
