@@ -18,15 +18,13 @@
  * - so do a row with the wrong count of values, more rows than the caller
  *   has room for, and a value that is subnormal or overflows.
  *
- * A value of at most 19 significant digits is converted by the Eisel-Lemire
- * algorithm (Lemire, "Number parsing at a gigabyte per second", SPE 2021;
- * with the table below it needs no fallback, Mushtak and Lemire, "Fast
- * number parsing without fallback", SPE 2022). The rest, and the few values
- * Eisel-Lemire leaves near the subnormal range, go to strtod, which must
- * stop at the token's end with errno 0 and a finite result: a locale whose
- * decimal point is not '.' makes it stop early, and the table is declined.
- * An exponent of 10^5 or more also declines, so the exponent is read whole
- * and cannot overflow.
+ * Each value is converted by the Eisel-Lemire algorithm (Lemire, "Number
+ * parsing at a gigabyte per second", SPE 2021), which with the table the
+ * caller passes is exact for every value of at most 19 significant digits
+ * (Mushtak and Lemire, "Fast number parsing without fallback", SPE 2022).
+ * A value of more significant digits declines, as does an exponent of 10^5
+ * or more, so the exponent is read whole and cannot overflow. No locale
+ * setting changes what the reader accepts.
  *
  * `dam_write_table` writes each value with the bytes of Python's
  * repr(float): the shortest digits that read back as the value, the one
@@ -38,11 +36,8 @@
  * the layout is the one CPython's float_repr_style 'short' gives.
  */
 
-#include <errno.h>
-#include <float.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* The powers of five table covers 5^q for q in [MIN_Q, MAX_Q]. */
@@ -124,11 +119,11 @@ static int eisel_lemire(uint64_t w, int64_t q, const uint64_t *powers, double *o
 }
 
 /* Reads the value at *cursor into *out and moves the cursor past it. The
- * byte after the value must be a blank, a line end or `end`, which the
- * caller guarantees is followed by a NUL for strtod. Returns 0 to decline. */
+ * byte after the value must be a blank, a line end or `end`. Returns 0 to
+ * decline. */
 static int read_value(const char **cursor, const char *end, const uint64_t *powers, double *out)
 {
-    const char *start = *cursor, *p = start;
+    const char *p = *cursor;
     int negative = 0;
     if (p < end && (*p == '+' || *p == '-'))
         negative = *p++ == '-';
@@ -170,28 +165,14 @@ static int read_value(const char **cursor, const char *end, const uint64_t *powe
     int64_t significant = digits;
     for (const char *d = mantissa; significant > MAX_DIGITS && (*d == '0' || *d == '.'); ++d)
         significant -= *d == '0';
-    double value;
-    int64_t q = exp10 - fraction;
-    if (significant <= MAX_DIGITS) {
-        if (w == 0) {
-            *out = negative ? -0.0 : 0.0;
-            return 1;
-        }
-        if (eisel_lemire(w, q, powers, &value)) {
-            *out = negative ? -value : value;
-            return 1;
-        }
-    }
-    char *stop;
-    errno = 0;
-    value = strtod(start, &stop);
-    if (stop != p || errno != 0 || !isfinite(value) || fabs(value) < DBL_MIN)
+    double value = 0.0;
+    if (significant > MAX_DIGITS || (w != 0 && !eisel_lemire(w, exp10 - fraction, powers, &value)))
         return 0;
-    *out = value;
+    *out = negative ? -value : value;
     return 1;
 }
 
-/* Reads the table of text[0 .. length), which must be followed by a NUL.
+/* Reads the table of text[0 .. length).
  *
  * The first `skip` lines that are neither blank nor comments are passed
  * over unread; every later one is a row of `width` values, stored row after

@@ -333,9 +333,9 @@ def cmd_classify(args) -> int:
     for path in _classify_inputs(args.inputs):
         try:
             action = parse_action_file(path.read_bytes())
+            posterior = classify_action(model, action)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-        posterior = classify_action(model, action)
         zero_evidence += posterior.zero_evidence
         scores = ",".join(format(v, ".6g") for v in posterior.normalized())
         lines.append(f"{action.id},{posterior.predicted},{scores}")

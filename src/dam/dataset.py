@@ -253,10 +253,11 @@ def _frame_lines(frames: np.ndarray) -> bytes:
 
 def _compiled_table(text: str | bytes, width: int, skip: int,
                     rows: int | None) -> np.ndarray | None:
-    """`_read_table`'s table from the compiled reader, or None when it cannot give it.
+    """The (n, width) table of `text`'s content lines after the first `skip`,
+    from the compiled reader, or None when it cannot give it.
 
     `text` is a file's text or its bytes; the reader declines every byte
-    outside ASCII.
+    outside ASCII. `rows`, when given, is the number of rows it must have.
     """
     reader = _table_reader()
     if reader is None:
@@ -279,27 +280,15 @@ def _compiled_table(text: str | bytes, width: int, skip: int,
     return table if count == capacity else table[:count].copy()
 
 
-def _read_table(text: str, width: int, skip: int = 0, rows: int | None = None) -> np.ndarray:
-    """The (n, width) float64 table of `text`'s content lines after the first `skip`.
+def _read_table(text: str, width: int) -> np.ndarray:
+    """The (n, width) float64 table of `text`'s content lines.
 
-    `rows`, a canonical file's frame count, is the number of lines the table
-    must have. The compiled reader reads the table when it loads and accepts
-    the text; any other text goes to `_content_lines`, which gives the same
-    values, as float() parses them, or the error naming the first bad line.
+    The compiled reader reads the table when it loads and accepts the text;
+    any other text goes to `_content_lines`, which gives the same values, as
+    float() parses them, or the error naming the first bad line.
     """
-    table = _compiled_table(text, width, skip, rows)
-    if table is not None:
-        return table
-    body = _content_lines(text)[skip:]
-    if rows is None:
-        return _convert_lines(body, width)
-    count = max(rows, 0)
-    table = _convert_lines(body[:count], width)
-    if len(body) > count:
-        raise ValueError(f"line {body[count][0]}: unexpected content after {rows} frame lines")
-    if len(body) != rows:
-        raise ValueError(f"expected {rows} frame lines, found {len(body)}")
-    return table
+    table = _compiled_table(text, width, 0, None)
+    return _convert_lines(_content_lines(text), width) if table is None else table
 
 
 # One line of a file's bytes and its end: \n, \r\n, \r or the end of the bytes.
@@ -358,51 +347,60 @@ def _action(fields: tuple, table: np.ndarray) -> Action:
                   frames=table.reshape(num_frames, num_joints, 3))
 
 
-def _compiled_action(data: bytes) -> Action | None:
-    """The action of a canonical file's bytes when its header parses and the
-    compiled reader reads its frames; None leaves the file to the text path."""
-    found = _header_line(data)
-    if found is None:
-        return None
-    try:
-        fields = _header_fields(*found)
-    except ValueError:
-        return None
-    _, _, _, num_frames, num_joints = fields
-    table = _compiled_table(data, num_joints * 3, skip=1, rows=num_frames)
-    return None if table is None else _action(fields, table)
-
-
 def parse_action_file(text: str | bytes) -> Action:
     """Parse one canonical action file, given as its text or as its bytes.
 
-    Errors carry 1-based line numbers. The compiled reader reads the file
-    straight from its bytes, or from the text's ASCII bytes. Any file it
-    does not read, an erroneous one included, takes the text path; bytes
-    are first decoded as `Path.read_text` decodes a file, so a file gives
-    the same action or error either way.
+    Errors carry 1-based line numbers. When the compiled reader loads, it
+    reads the frames straight from the bytes, or from the text's ASCII
+    bytes, after a header found and parsed on those bytes. Any file it does
+    not read, an erroneous one included, takes the text path, which splits
+    the text into lines once; bytes are first decoded as `Path.read_text`
+    decodes a file, so a file gives the same action or error either way.
     """
-    if isinstance(text, bytes):
-        data = text
-    else:
-        data = text.encode("ascii") if text.isascii() else None
-    action = None if data is None else _compiled_action(data)
-    if action is not None:
-        return action
+    if _table_reader() is not None:
+        # A text that is not ASCII is left to the text path.
+        data = text if isinstance(text, bytes) else text.encode() if text.isascii() else b""
+        found = _header_line(data)
+        try:
+            fields = None if found is None else _header_fields(*found)
+        except ValueError:
+            fields = None
+        if fields is not None:
+            _, _, _, num_frames, num_joints = fields
+            table = _compiled_table(data, num_joints * 3, 1, num_frames)
+            if table is not None:
+                return _action(fields, table)
     if isinstance(text, bytes):
         # As `Path.read_text` decodes: the locale's encoding, universal newlines.
         text = io.TextIOWrapper(io.BytesIO(text)).read()
 
-    first = next(iter(_content_lines(text)), None)
-    if first is None:
+    lines = _content_lines(text)
+    if not lines:
         raise ValueError("empty file: missing header line")
-    fields = _header_fields(*first)
+    fields = _header_fields(*lines[0])
     _, _, _, num_frames, num_joints = fields
-    return _action(fields, _read_table(text, num_joints * 3, skip=1, rows=num_frames))
+    body, count = lines[1:], max(num_frames, 0)
+    table = _convert_lines(body[:count], num_joints * 3)
+    if len(body) > count:
+        raise ValueError(
+            f"line {body[count][0]}: unexpected content after {num_frames} frame lines")
+    if len(body) != num_frames:
+        raise ValueError(f"expected {num_frames} frame lines, found {len(body)}")
+    return _action(fields, table)
 
 
 def _header(action: Action) -> str:
-    return f"{action.id},{action.subject},{action.label},{action.num_frames},{action.num_joints}\n"
+    """`action`'s header line, which must read back as one content line with
+    the action's fields."""
+    fields = (action.id, action.subject, action.label, action.num_frames, action.num_joints)
+    line = ",".join(map(str, fields))
+    try:
+        same = _content_lines(line) == [(1, line)] and _header_fields(1, line) == fields
+    except ValueError:
+        same = False
+    if not same:
+        raise ValueError(f"action {action.id!r}: header {line!r} does not read back as written")
+    return line + "\n"
 
 
 def serialize_action(action: Action) -> str:
@@ -476,20 +474,22 @@ def write_canonical_dataset(dataset: Dataset, directory) -> list[Path]:
     """Write one ``<id>.txt`` canonical file per action; returns the paths.
 
     Nothing is written when an id holds a path separator or would name the
-    exclusion file, which the loader reads as a list of ids to drop.
+    exclusion file, which the loader reads as a list of ids to drop, or when
+    a header would not read back as its action's fields.
     """
     for action in dataset.actions:
         if "/" in action.id or "\\" in action.id:
             raise ValueError(f"action id {action.id!r} is not file-name safe")
         if f"{action.id}.txt" == EXCLUDE_FILENAME:
             raise ValueError(f"action id {action.id!r} names the exclusion file")
+    # Each header is encoded as `Path.write_text` would encode it.
+    encoding = locale.getpreferredencoding(False)
+    headers = [_header(action).encode(encoding) for action in dataset.actions]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / f"{action.id}.txt" for action in dataset.actions]
-    # The header is encoded as `Path.write_text` would encode it.
-    encoding = locale.getpreferredencoding(False)
-    for action, path in zip(dataset.actions, paths):
-        path.write_bytes(_header(action).encode(encoding) + _frame_lines(action.frames))
+    for action, header, path in zip(dataset.actions, headers, paths):
+        path.write_bytes(header + _frame_lines(action.frames))
     return paths
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .som import _gaussian
+from .som import _check_width, _gaussian
 
 DEFAULT_SMOOTHING_SIGMA = 1.0
 DEFAULT_SMOOTHING_RADIUS = 2
@@ -54,6 +54,7 @@ class PreprocessParams:
             )
         if self.smoothing_sigma < 0:
             raise ValueError(f"smoothing_sigma must be >= 0, got {self.smoothing_sigma}")
+        _check_width("smoothing_sigma", self.smoothing_sigma)
         if self.smoothing_radius < 0:
             raise ValueError(f"smoothing_radius must be >= 0, got {self.smoothing_radius}")
         if self.norm_epsilon <= 0:

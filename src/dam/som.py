@@ -82,6 +82,8 @@ class SomTrainParams:
             )
         if self.radius_end <= 0.0:
             raise ValueError(f"radius_end must be > 0, got {self.radius_end}")
+        # Every radius of the schedule is at least about radius_end.
+        _check_width("radius_end", self.radius_end)
         if self.radius_start is not None and self.radius_start < self.radius_end:
             raise ValueError(
                 f"radius_start ({self.radius_start}) must be >= radius_end "
@@ -137,6 +139,16 @@ class SomGrid:
         if self._norms is None or self._norms[0] is not self.codebook:
             self._norms = (self.codebook, np.einsum("ij,ij->i", self.codebook, self.codebook))
         return self._norms[1]
+
+
+def _check_width(name: str, sigma: float) -> None:
+    """Rejects a positive width `sigma` whose 2 sigma^2, `_gaussian`'s divisor,
+    is not a normal float (it is 0 for sigma below ~1.1e-162)."""
+    if sigma > 0 and 2.0 * sigma * sigma < np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"{name} is too small: 2 {name}^2 must be a normal float "
+            f"({name} >= ~1.05e-154), got {sigma}"
+        )
 
 
 def _gaussian(neg_sq: np.ndarray, sigma: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -185,6 +185,20 @@ class TestConvert:
         ids = sorted(p.stem for p in out.glob("*.txt"))
         assert ids == ["gesture_p06_x1_i001", "gesture_p06_x1_i002"]
 
+    def test_msrc12_sequence_whose_ids_read_as_comments_is_not_converted(self, capsys,
+                                                                          tmp_path):
+        # `#g_p01_i001,...` would be a comment line, and the file unreadable.
+        src = tmp_path / "msrc"
+        src.mkdir()
+        table = np.random.default_rng(9).normal(size=(10, 81))
+        np.savetxt(src / "#g_p01.csv", table, fmt="%.5f", delimiter=",")
+        (src / "#g_p01.tags").write_text("9;1\n")
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, "convert", str(src), str(out), "--format", "msrc12")
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: action '#g_p01_i001': header ")
+        assert not out.exists()
+
     def test_msrc12_skips_a_subdirectory_named_like_a_sequence(self, capsys, tmp_path):
         src = tmp_path / "msrc"
         src.mkdir()
@@ -433,6 +447,18 @@ class TestClassify:
         code, _, stderr = run(capsys, "classify", "--model", str(model_path), str(target))
         assert code == 1
         assert "joint" in stderr or "5" in stderr
+
+    def test_joint_count_mismatch_in_a_directory_names_the_file(self, capsys, tmp_path,
+                                                                model_path):
+        other = make_directional_dataset(
+            classes=2, subjects=2, instances=1, raw_frames=20, joints=5, seed=1
+        )
+        first = min(write_canonical_dataset(other, tmp_path / "other"))
+        code, stdout, stderr = run(capsys, "classify", "--model", str(model_path),
+                                   str(tmp_path / "other"))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {first}: action has 5 joints but the model was trained with 3\n"
 
     def test_zero_evidence_warns_once_on_stderr(self, capsys, tmp_path, canon_dir, model_path):
         targets = [str(canon_dir / "c1_s02_i00.txt"), str(canon_dir / "c2_s03_i01.txt")]

@@ -2,6 +2,7 @@
 
 import hashlib
 import locale
+import re
 import shutil
 import subprocess
 import sys
@@ -268,6 +269,25 @@ class TestCanonicalFormat:
         with pytest.raises(ValueError, match=repr(bad).replace("\\", "\\\\")):
             write_canonical_dataset(ds, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ident, label", [
+        # A header that reads as a comment, as an MSRC-12 sequence `#g_p01.csv` makes.
+        ("#g_p01_i001", 1),
+        # Fields that read back stripped, or as another type.
+        (" a", 1), ("a", " wave "), ("a", "1"),
+        # Line breaks of `str.splitlines` that `Action` lets through.
+        *((f"a{c}b", 1) for c in "\r\x0b\x1c\x85\u2028"),
+        *(("a", f"x{c}y") for c in "\r\x0c\u2028"),
+    ], ids=repr)
+    def test_writer_rejects_a_header_that_does_not_read_back(self, tmp_path, ident, label):
+        rng = np.random.default_rng(10)
+        bad = _random_action(rng, ident, label=label)
+        ds = Dataset([_random_action(rng, "b"), bad])
+        with pytest.raises(ValueError, match=re.escape(f"action {ident!r}")):
+            write_canonical_dataset(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="does not read back"):
+            serialize_action(bad)
 
     def test_loader_applies_exclusion_file(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -693,11 +713,16 @@ def _zero_mantissa(token: str) -> bool:
     return not token.lower().split("e")[0].strip("+-0.")
 
 
+def _significant_digits(token: str) -> int:
+    """The mantissa digits of `token` from its first nonzero one on."""
+    return len(token.lower().partition("e")[0].strip("+-").replace(".", "").lstrip("0"))
+
+
 def _in_normal_range(token: str, value: float) -> bool:
-    """Whether the compiled reader must read `token`: 0 spelled as 0, or normal and
-    finite, with an exponent below 10**5."""
+    """Whether the compiled reader must read `token`: at most 19 significant digits,
+    and 0 spelled as 0, or normal and finite, with an exponent below 10**5."""
     exponent = token.lower().partition("e")[2]
-    if exponent and abs(int(exponent)) >= 10**5:
+    if exponent and abs(int(exponent)) >= 10**5 or _significant_digits(token) > 19:
         return False
     if value == 0:
         return _zero_mantissa(token)
@@ -740,14 +765,20 @@ class TestCompiledReader:
             if compiled is not None:
                 assert compiled.tobytes() == values[i].tobytes(), tokens[i]
             assert dataset._read_table(tokens[i], 1).tobytes() == values[i].tobytes()
-        width = 100
-        normal = normal[: len(normal) // width * width]
-        text = "\n".join(map(" ".join, zip(*[iter([tokens[i] for i in normal])] * width)))
-        table = dataset._compiled_table(text, width, 0, None)
-        assert table is not None
-        wrong = np.flatnonzero(table.reshape(-1).view(np.uint64)
-                               != values[normal].view(np.uint64))
-        assert [tokens[normal[i]] for i in wrong[:5]] == []
+        # The compiled reader reads the normal tokens of at most 19 significant
+        # digits; the Python one reads the longer ones, which the compiled one
+        # declines.
+        long = np.array([_significant_digits(tokens[i]) > 19 for i in normal.tolist()])
+        assert long.sum() > 150_000
+        for i in normal[long][::4001].tolist():
+            assert dataset._compiled_table(tokens[i], 1, 0, None) is None, tokens[i]
+        for part, read in ((normal[~long], lambda text: dataset._compiled_table(text, 1, 0, None)),
+                           (normal[long], lambda text: dataset._read_table(text, 1))):
+            table = read("\n".join([tokens[i] for i in part.tolist()]))
+            assert table is not None and table.shape == (len(part), 1)
+            wrong = np.flatnonzero(table.reshape(-1).view(np.uint64)
+                                   != values[part].view(np.uint64))
+            assert [tokens[part[i]] for i in wrong[:5]] == []
 
     @pytest.mark.parametrize("token", HARD_TOKENS)
     def test_hard_cases_match_float_or_are_declined(self, token):
@@ -771,6 +802,19 @@ class TestCompiledReader:
         assert dataset._compiled_table(text, 2, 0, None) is None
         # The same byte in a skipped header line.
         assert dataset._compiled_table("h\n" + text, 2, 1, None) is None
+
+    def test_tokens_of_more_than_19_significant_digits_are_left_to_python(self):
+        # Eisel-Lemire is exact up to 19 significant digits; a longer token
+        # declines the table, and the Python reader gives float()'s bytes.
+        values = np.random.default_rng(5).uniform(-1e5, 1e5, size=(10, 6))
+        rows = [" ".join(f"{v:.{digits - 1}e}" for digits, v in zip(range(20, 26), row))
+                for row in values.tolist()]
+        text = "\n".join(rows)
+        for token in text.split():
+            assert dataset._compiled_table(token, 1, 0, None) is None, token
+        assert dataset._compiled_table(text, 6, 0, None) is None
+        want = np.array([[float(t) for t in row.split()] for row in rows])
+        assert dataset._read_table(text, 6).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("zeros", [0, 123_200])
     @pytest.mark.parametrize("exponent", ["1234567", "100000", "-100000", "+0100000"])
@@ -897,6 +941,37 @@ class TestBytesAndText:
         assert _parsed(lambda: parse_action_file(text)) == want
         assert _parsed(lambda: parse_action_file(text.encode())) == want
         assert isinstance(want[0], str)
+
+    @pytest.mark.usefixtures("compiled_reader")
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    @pytest.mark.parametrize("value", ["nan", "1.2345678901234567890"])
+    def test_a_declined_file_is_read_once_by_each_reader(self, monkeypatch, as_bytes, value):
+        # One call of the compiled reader on the bytes, then one split of the
+        # text for the Python reader.
+        text = f"# recorded\nclip,3,wave,2,1\n1 2 3\n4 5 {value}\n"
+        want = _parsed(lambda: parse_action_file(text))
+        calls = []
+        reader, content_lines = dataset._table_reader(), dataset._content_lines
+
+        def counted_reader(*args):
+            calls.append("dam_read_table")
+            return reader(*args)
+
+        def counted_lines(text):
+            calls.append("_content_lines")
+            return content_lines(text)
+
+        monkeypatch.setattr(dataset, "_table_reader", lambda: counted_reader)
+        monkeypatch.setattr(dataset, "_content_lines", counted_lines)
+        assert _parsed(lambda: parse_action_file(text.encode() if as_bytes else text)) == want
+        assert calls == ["dam_read_table", "_content_lines"]
+
+    def test_without_the_compiled_reader_the_header_is_found_on_the_text(self, monkeypatch):
+        text = "# recorded\nclip,3,wave,2,1\n1 2 3\n4 5 6\n"
+        monkeypatch.setattr(dataset, "_table_reader", lambda: None)
+        monkeypatch.setattr(dataset, "_header_line", None)
+        for given in (text, text.encode()):
+            assert parse_action_file(given).frames.tobytes() == np.arange(1.0, 7.0).tobytes()
 
     def test_every_kind_of_file_is_generated(self):
         # The property above sees files that parse, files with each kind of

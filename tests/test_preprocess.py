@@ -361,6 +361,19 @@ class TestPreprocessParams:
         with pytest.raises(ValueError):
             PreprocessParams(**kwargs)
 
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-155])
+    def test_rejects_a_sigma_too_small_for_the_gaussian(self, sigma):
+        # 2 sigma^2 is not a normal float: at 1e-170 it is 0, the kernel would
+        # be NaN, and preprocessing would fail with a misleading error.
+        with pytest.raises(ValueError, match="smoothing_sigma is too small"):
+            PreprocessParams(frames=10, window=2, smoothing_sigma=sigma)
+
+    def test_the_smallest_sigma_leaves_the_path_unsmoothed(self):
+        path = np.cumsum(np.random.default_rng(4).normal(size=(12, 2, 3)), axis=0)
+        tiny = PreprocessParams(frames=10, window=2, smoothing_sigma=1.06e-154)
+        off = PreprocessParams(frames=10, window=2, smoothing_sigma=0.0)
+        assert_array_equal(preprocess_action(path, tiny), preprocess_action(path, off))
+
 
 def _reference_preprocess(action, params):
     """The per-joint chain: smooth_joint, then scipy's CubicSpline, per joint."""

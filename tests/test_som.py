@@ -62,6 +62,21 @@ class TestParamsAndGrid:
         with pytest.raises(ValueError):
             SomTrainParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(radius_end=1e-170), dict(radius_end=1e-155),
+        dict(radius_start=1e-170, radius_end=1e-170),
+    ])
+    def test_rejects_a_radius_too_small_for_the_gaussian(self, kwargs):
+        # 2 sigma^2 is not a normal float: at 1e-170 it is 0, and every
+        # neighbourhood weight would be NaN.
+        with pytest.raises(ValueError, match="radius_end is too small"):
+            SomTrainParams(**kwargs)
+
+    def test_the_smallest_radius_trains_a_finite_map(self):
+        samples = np.random.default_rng(3).normal(size=(20, 3))
+        grid = train_som(samples, 1, 2, SomTrainParams(epochs=1, radius_end=1.06e-154))
+        assert np.isfinite(grid.codebook).all()
+
     def test_grid_shape_must_match(self):
         with pytest.raises(ValueError):
             SomGrid(rows=2, cols=3, codebook=np.zeros((5, 4)))
