@@ -9,6 +9,7 @@ class order.
 
 from __future__ import annotations
 
+import binascii
 import json
 import reprlib
 from dataclasses import asdict, dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
-from .dataset import class_order
+from .dataset import _file_text, class_order
 from .descriptor import Histogram, compute_histogram, pair_counts
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
@@ -163,8 +164,11 @@ def class_posterior(model: ClassModel, histogram: Histogram) -> Posterior:
     )
 
 
-def classify_action(model: ClassModel, action) -> Posterior:
-    """Preprocess a raw action with the model's own parameters and score it."""
+def action_windows(model: ClassModel, action) -> np.ndarray:
+    """The WDFs of a raw action, preprocessed with the model's own parameters.
+
+    The action must be (F, J, 3) with the model's joint count J.
+    """
     frames = np.asarray(getattr(action, "frames", action), dtype=np.float64)
     if frames.ndim != 3:
         raise ValueError(f"action must have shape (F, J, 3), got {frames.shape}")
@@ -173,8 +177,12 @@ def classify_action(model: ClassModel, action) -> Posterior:
             f"action has {frames.shape[1]} joints but the model was trained "
             f"with {model.joint_count}"
         )
-    wdfs = preprocess_action(frames, model.params)
-    return class_posterior(model, compute_histogram(model.grid, wdfs))
+    return preprocess_action(frames, model.params)
+
+
+def classify_action(model: ClassModel, action) -> Posterior:
+    """Preprocess a raw action with the model's own parameters and score it."""
+    return class_posterior(model, compute_histogram(model.grid, action_windows(model, action)))
 
 
 # --- Model files -----------------------------------------------------------------
@@ -215,19 +223,71 @@ def load_model(path) -> ClassModel:
     """Parse and fully validate a model file written by save_model.
 
     Every error, a malformed structure included, is a ValueError that names
-    the file.
+    the file. The file is read once; `_spliced_payload` decodes the
+    codebook of a file laid out as save_model writes it, and any other file
+    is parsed as whole JSON text, which gives the same model or error.
     """
+    data = Path(path).read_bytes()
+    parsed = _spliced_payload(data)
+    if parsed is None:
+        try:
+            parsed = json.loads(_file_text(data)), None
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not valid JSON: {e}") from None
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: not valid JSON: {e}") from None
-    try:
-        return _decode_model(payload)
+        return _decode_model(*parsed)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _decode_model(payload) -> ClassModel:
+# The key and the opening quote of the codebook's value, as save_model writes them.
+_CODEBOOK_SLOT = b'"codebook":"'
+
+
+def _spliced_payload(data: bytes) -> tuple[dict, bytes] | None:
+    """(payload, codebook bytes) of a model file's bytes, or None.
+
+    The hex between the first `"codebook":"` and the next quote is decoded
+    in place. Only the rest of the file, with that string replaced by the
+    constant NaN, is decoded as text and parsed as JSON. The result stands
+    only when that NaN is the one constant the parser met and the value it
+    gives `grid.codebook`: the whole file then parses to the same payload
+    with the hex there, which `bytes.fromhex` decodes to the same bytes.
+    Any other file (hex with spaces or escapes, a `codebook` key elsewhere
+    or twice, text that is not JSON) gives None, and parsing the whole file
+    words its error.
+    """
+    start = data.find(_CODEBOOK_SLOT)
+    if start < 0:
+        return None
+    start += len(_CODEBOOK_SLOT)
+    end = data.find(b'"', start)
+    if end < 0:
+        return None
+    try:
+        codebook = binascii.unhexlify(memoryview(data)[start:end])
+    except binascii.Error:
+        return None
+    constants = []
+
+    def constant(name):
+        # Every constant parses to this list, which no JSON value is.
+        constants.append(name)
+        return constants
+
+    try:
+        payload = json.loads(_file_text(data[:start - 1] + b"NaN" + data[end + 1:]),
+                             parse_constant=constant)
+    except ValueError:
+        return None
+    grid = payload.get("grid") if isinstance(payload, dict) else None
+    if len(constants) != 1 or not isinstance(grid, dict) or grid.get("codebook") is not constants:
+        return None
+    return payload, codebook
+
+
+def _decode_model(payload, raw: bytes | None = None) -> ClassModel:
+    """The model `payload` holds; `raw`, when given, is its decoded codebook."""
     if not isinstance(payload, dict):
         raise ValueError(f"model file must hold a JSON object, got {reprlib.repr(payload)}")
     version = field(payload, "format_version", str)
@@ -247,11 +307,12 @@ def _decode_model(payload) -> ClassModel:
             f"fields 'grid.rows', 'grid.cols', 'grid.dim' must be >= 1, "
             f"got {rows}, {cols}, {dim}"
         )
-    text = field(grid_data, "codebook", str, "grid.")
-    try:
-        raw = bytes.fromhex(text)
-    except ValueError as e:
-        raise ValueError(f"field 'grid.codebook' is not a hex string: {e}") from None
+    if raw is None:
+        text = field(grid_data, "codebook", str, "grid.")
+        try:
+            raw = bytes.fromhex(text)
+        except ValueError as e:
+            raise ValueError(f"field 'grid.codebook' is not a hex string: {e}") from None
     if len(raw) != rows * cols * dim * 8:
         raise ValueError(
             f"field 'grid.codebook' holds {len(raw)} bytes, expected "

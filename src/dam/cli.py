@@ -16,13 +16,13 @@ import reprlib
 import shutil
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from ._jsonin import build, convert, field_types, is_kind, read_object
-from .classifier import classify_action, fit_model, load_model, save_model
+from .classifier import action_windows, class_posterior, fit_model, load_model, save_model
 from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
@@ -35,6 +35,7 @@ from .dataset import (
     parse_action_file,
     write_canonical_dataset,
 )
+from .descriptor import compute_histograms
 from .evaluation import (
     CROSS_SUBJECT,
     LOSO,
@@ -326,19 +327,32 @@ def _classify_inputs(paths) -> list[Path]:
     return files
 
 
+# Inputs `dam classify` scores with one winner search; it bounds the windows
+# held at once for a large directory.
+_CLASSIFY_GROUP = 256
+
+
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     lines = ["id,predicted," + ",".join(f"score_{c}" for c in model.classes)]
     zero_evidence = 0
-    for path in _classify_inputs(args.inputs):
-        try:
-            action = parse_action_file(path.read_bytes())
-            posterior = classify_action(model, action)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-        zero_evidence += posterior.zero_evidence
-        scores = ",".join(format(v, ".6g") for v in posterior.normalized())
-        lines.append(f"{action.id},{posterior.predicted},{scores}")
+    files = _classify_inputs(args.inputs)
+    for first in range(0, len(files), _CLASSIFY_GROUP):
+        ids, wdf_sets = [], []
+        for path in files[first:first + _CLASSIFY_GROUP]:
+            try:
+                action = parse_action_file(path.read_bytes())
+                wdf_sets.append(action_windows(model, action))
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
+            ids.append(action.id)
+        # Preprocessed windows are finite and of the model's dimension, so
+        # scoring raises for no input.
+        for ident, histogram in zip(ids, compute_histograms(model.grid, wdf_sets)):
+            posterior = class_posterior(model, histogram)
+            zero_evidence += posterior.zero_evidence
+            scores = ",".join(format(v, ".6g") for v in posterior.normalized())
+            lines.append(f"{ident},{posterior.predicted},{scores}")
     print("\n".join(lines))
     if zero_evidence:
         print(
@@ -435,6 +449,7 @@ def _add_experiment_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
+    """The `dam` argument parser; `main` builds it once per process."""
     parser = _Parser(prog="dam", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -493,6 +508,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Parsing keeps no state in the parser, so one serves every `main` call.
+_parser = cache(build_parser)
+
+
 def _fail(e: Exception, code: int) -> int:
     message = " ".join(str(e).splitlines()) or e.__class__.__name__
     print(f"error: {message}", file=sys.stderr)
@@ -501,9 +520,8 @@ def _fail(e: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except CliError as e:
         return _fail(e, 2)
     except SystemExit as e:  # --help

@@ -252,14 +252,16 @@ def _frame_lines(frames: np.ndarray) -> bytes:
 
 
 def _compiled_table(text: str | bytes, width: int, skip: int,
-                    rows: int | None) -> np.ndarray | None:
+                    rows: int | None, reader=None) -> np.ndarray | None:
     """The (n, width) table of `text`'s content lines after the first `skip`,
     from the compiled reader, or None when it cannot give it.
 
     `text` is a file's text or its bytes; the reader declines every byte
     outside ASCII. `rows`, when given, is the number of rows it must have.
+    `reader` is `_table_reader()`, looked up when not given.
     """
-    reader = _table_reader()
+    if reader is None:
+        reader = _table_reader()
     if reader is None:
         return None
     if isinstance(text, str):
@@ -357,7 +359,8 @@ def parse_action_file(text: str | bytes) -> Action:
     the text into lines once; bytes are first decoded as `Path.read_text`
     decodes a file, so a file gives the same action or error either way.
     """
-    if _table_reader() is not None:
+    reader = _table_reader()
+    if reader is not None:
         # A text that is not ASCII is left to the text path.
         data = text if isinstance(text, bytes) else text.encode() if text.isascii() else b""
         found = _header_line(data)
@@ -367,12 +370,11 @@ def parse_action_file(text: str | bytes) -> Action:
             fields = None
         if fields is not None:
             _, _, _, num_frames, num_joints = fields
-            table = _compiled_table(data, num_joints * 3, 1, num_frames)
+            table = _compiled_table(data, num_joints * 3, 1, num_frames, reader)
             if table is not None:
                 return _action(fields, table)
     if isinstance(text, bytes):
-        # As `Path.read_text` decodes: the locale's encoding, universal newlines.
-        text = io.TextIOWrapper(io.BytesIO(text)).read()
+        text = _file_text(text)
 
     lines = _content_lines(text)
     if not lines:
@@ -387,6 +389,12 @@ def parse_action_file(text: str | bytes) -> Action:
     if len(body) != num_frames:
         raise ValueError(f"expected {num_frames} frame lines, found {len(body)}")
     return _action(fields, table)
+
+
+def _file_text(data: bytes) -> str:
+    """`data` decoded as `Path.read_text` decodes a file: the locale's encoding,
+    universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def _header(action: Action) -> str:

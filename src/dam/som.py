@@ -157,7 +157,11 @@ def _gaussian(neg_sq: np.ndarray, sigma: float | np.ndarray, out: np.ndarray | N
     Both the SOM neighbourhood table (`sigma` a column of per-step radii) and
     `preprocess.smooth_joint`'s kernel use it.
     """
-    return np.exp(np.divide(neg_sq, 2.0 * sigma * sigma, out=out), out=out)
+    # Beside a width near the smallest allowed, -k / (2 sigma^2) overflows to
+    # -inf, and its exp is the right weight, 0.
+    with np.errstate(over="ignore"):
+        quotient = np.divide(neg_sq, 2.0 * sigma * sigma, out=out)
+    return np.exp(quotient, out=out)
 
 
 def _check_query(grid: SomGrid, vectors: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,6 +183,64 @@ def _toy_model(seed=0, joints=2, frames=10, window=2, rows=2, cols=2):
     return model, actions
 
 
+def _edit_hex(edit):
+    """An edit of a model file's text that rewrites its codebook hex."""
+    def apply(text):
+        start = text.index('"codebook":"') + len('"codebook":"')
+        end = text.index('"', start)
+        return text[:start] + edit(text[start:end]) + text[end:]
+    return apply
+
+
+# Edits of a saved model file's text, and whether the spliced load takes the
+# edited file (otherwise the whole file is parsed as JSON).
+_SPLICE_CASES = {
+    "saved": (lambda text: text, True),
+    "uppercase hex": (_edit_hex(str.upper), True),
+    "hex with spaces": (_edit_hex(lambda h: h[:16] + " " + h[16:]), False),
+    "escaped digit": (_edit_hex(lambda h: h.replace("0", "\\u0030", 1)), False),
+    "odd-length hex": (_edit_hex(lambda h: h[:-1]), False),
+    "not hex": (_edit_hex(lambda h: "g" + h[1:]), False),
+    "one value too many": (_edit_hex(lambda h: h + "00" * 8), True),
+    "label holding the key": (
+        lambda text: text.replace('"left"', '"\\"codebook\\":\\""', 1), True),
+    "duplicate key, empty first": (
+        lambda text: text.replace('"codebook":"', '"codebook":"","codebook":"'), False),
+    "duplicate key, empty last": (_edit_hex(lambda h: h + '","codebook":"'), False),
+    "escaped duplicate key first": (
+        lambda text: text.replace('"codebook":"', '"cod\\u0065book":"00","codebook":"'), True),
+    "top-level key": (lambda text: '{"codebook":"00",' + text[1:], False),
+    "NaN elsewhere": (
+        lambda text: re.sub(r'("cluster_class_probs":\[\[)[^,\]]+', r"\1NaN", text), False),
+    "truncated in the hex": (
+        lambda text: text[:text.index('"codebook":"') + 20], False),
+    "truncated after the hex": (lambda text: text[:-3], False),
+}
+
+# Text the property test splices into a model file.
+_SPLICE_SNIPPETS = ['"', "\\", " ", "\n", "0", "A", "g", ",", ":", "{", "}", "[", "]", "NaN",
+                    "Infinity", "\\u0030", '"codebook":"', '"codebook":"00",', '"grid":{',
+                    '"",']
+
+
+def _load_outcome(path):
+    """("model", the bytes save_model writes for the loaded model, whether its
+    codebook is writeable) or ("error", the error text)."""
+    try:
+        model = load_model(path)
+    except ValueError as e:
+        return "error", str(e)
+    again = path.with_name("again.json")
+    save_model(model, again)
+    return "model", again.read_bytes(), model.grid.codebook.flags.writeable
+
+
+def _whole_file_outcome(path):
+    """`_load_outcome` with every file parsed as whole JSON text."""
+    with mock.patch.object(classifier_module, "_spliced_payload", lambda data: None):
+        return _load_outcome(path)
+
+
 class TestClassifyAction:
     def test_classifies_its_own_training_classes(self):
         model, actions = _toy_model()
@@ -304,6 +364,32 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"field 'grid\.codebook'"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", list(_SPLICE_CASES))
+    def test_spliced_load_gives_what_the_whole_file_parse_gives(self, tmp_path, case):
+        edit, spliced = _SPLICE_CASES[case]
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        path.write_text(edit(path.read_text()))
+        assert _load_outcome(path) == _whole_file_outcome(path)
+        assert (classifier_module._spliced_payload(path.read_bytes()) is not None) == spliced
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_spliced_load_of_an_edited_file_gives_the_whole_file_parse(self, tmp_path, data):
+        # One snippet inserted anywhere in a saved file, or one character
+        # deleted: the same model or the same error either way.
+        model, _ = _toy_model(rows=1, cols=2)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        text = path.read_text()
+        at = data.draw(st.integers(0, len(text)))
+        snippet = data.draw(st.sampled_from(_SPLICE_SNIPPETS))
+        cut = data.draw(st.integers(0, 1))
+        path.write_text(text[:at] + snippet + text[at + cut:])
+        assert _load_outcome(path) == _whole_file_outcome(path)
 
     def test_file_bytes_match_the_pinned_digest(self, tmp_path):
         # Fails on any change of key order, separators, codebook byte order

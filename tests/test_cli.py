@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dam import cli, evaluation
 from dam import dataset as dataset_module
-from dam.classifier import load_model, save_model
+from dam.classifier import action_windows, load_model, save_model
 from dam.dataset import (
     load_canonical_dataset,
     load_msr_action3d,
@@ -24,6 +24,7 @@ from dam.dataset import (
 )
 from dam.evaluation import ExperimentConfig
 from dam.preprocess import PreprocessParams
+from dam.som import bmu_batch
 from dam.synthetic import make_directional_dataset
 
 FAST = ["--frames", "10", "--window", "2", "--grid", "3x3", "--epochs", "4"]
@@ -494,11 +495,79 @@ class TestClassify:
         assert line.startswith(prefix)
         assert field in line[len(prefix):]
 
+    @pytest.mark.parametrize("group", [2, cli._CLASSIFY_GROUP], ids=["groups-of-2", "one-group"])
+    def test_one_call_prints_what_one_file_calls_print(self, capsys, monkeypatch, tmp_path,
+                                                       canon_dir, model_path, group):
+        # The units one action's windows win carry no class in this model, so
+        # that action, and any other whose windows all land there, has zero
+        # evidence.
+        model = load_model(model_path)
+        files = sorted(canon_dir.glob("*.txt"))
+        silent = action_windows(model, parse_action_file(files[3].read_bytes()))
+        model.cluster_class_probs[bmu_batch(model.grid, silent)] = 0.0
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        monkeypatch.setattr(cli, "_CLASSIFY_GROUP", group)
+        args = ["classify", "--model", str(path)]
+        singles = [run(capsys, *args, str(f)) for f in files]
+        code, stdout, stderr = run(capsys, *args, *map(str, files))
+        assert code == 0 and {c for c, _, _ in singles} == {0}
+        header = singles[0][1].splitlines(keepends=True)[0]
+        assert stdout == header + "".join(out.splitlines(keepends=True)[1] for _, out, _ in singles)
+        warned = [err for _, _, err in singles if err]
+        assert 0 < len(warned) < len(files)
+        assert stderr == warned[0].replace("1 of 1", f"{len(warned)} of {len(files)}")
+
+    def test_a_bad_file_in_a_later_group_is_named_and_nothing_is_printed(
+            self, capsys, monkeypatch, tmp_path, canon_dir, model_path):
+        d = tmp_path / "inputs"
+        shutil.copytree(canon_dir, d)
+        bad = sorted(d.glob("*.txt"))[4]
+        bad.write_text(bad.read_text() + "1 2 3\n")
+        args = ["classify", "--model", str(model_path)]
+        code, stdout, alone = run(capsys, *args, str(bad))
+        assert code == 1 and stdout == ""
+        assert alone.startswith(f"error: {bad}: line ") and alone.count("\n") == 1
+        monkeypatch.setattr(cli, "_CLASSIFY_GROUP", 2)
+        assert run(capsys, *args, str(d)) == (1, "", alone)
+
     def test_missing_input_fails(self, capsys, model_path, tmp_path):
         code, _, stderr = run(capsys, "classify", "--model", str(model_path),
                               str(tmp_path / "ghost.txt"))
         assert code == 2
         assert "ghost.txt" in stderr
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_in_turn_give_what_a_fresh_parser_gives(self, capsys, monkeypatch, tmp_path,
+                                                         canon_dir, model_path):
+        calls = [
+            ["--help"],
+            ["classify", "--bogus"],
+            ["classify", "--model", str(model_path), str(canon_dir)],
+            ["evaluate", str(canon_dir), *FAST, "--runs", "1", "--jobs", "1", "--output-dir"],
+            ["classify", "--help"],
+            ["evaluate", str(canon_dir), "--frames", "10", "--output-dir"],
+            ["classify", "--model", str(model_path), str(canon_dir / "c0_s01_i00.txt")],
+        ]
+
+        def outcomes(tag):
+            results = []
+            for i, argv in enumerate(calls):
+                out = tmp_path / f"{tag}{i}"
+                if argv[-1] == "--output-dir":
+                    argv = [*argv, str(out)]
+                code, stdout, stderr = run(capsys, *argv)
+                results.append((code, stdout, stderr, tree_bytes(out) if out.is_dir() else None))
+            return results
+
+        shared = outcomes("shared")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert outcomes("fresh") == shared
+        assert [code for code, *_ in shared] == [0, 2, 0, 0, 0, 2, 0]
 
 
 # Text an edit may splice into an input: tokens that some reader treats

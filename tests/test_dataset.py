@@ -966,6 +966,16 @@ class TestBytesAndText:
         assert _parsed(lambda: parse_action_file(text.encode() if as_bytes else text)) == want
         assert calls == ["dam_read_table", "_content_lines"]
 
+    @pytest.mark.usefixtures("compiled_reader")
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_a_parse_looks_the_reader_up_once(self, monkeypatch, as_bytes):
+        text = "clip,3,wave,2,1\n1 2 3\n4 5 6\n"
+        reader, lookups = dataset._table_reader(), []
+        monkeypatch.setattr(dataset, "_table_reader", lambda: lookups.append(1) or reader)
+        action = parse_action_file(text.encode() if as_bytes else text)
+        assert action.frames.tobytes() == np.arange(1.0, 7.0).tobytes()
+        assert len(lookups) == 1
+
     def test_without_the_compiled_reader_the_header_is_found_on_the_text(self, monkeypatch):
         text = "# recorded\nclip,3,wave,2,1\n1 2 3\n4 5 6\n"
         monkeypatch.setattr(dataset, "_table_reader", lambda: None)

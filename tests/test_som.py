@@ -77,6 +77,16 @@ class TestParamsAndGrid:
         grid = train_som(samples, 1, 2, SomTrainParams(epochs=1, radius_end=1.06e-154))
         assert np.isfinite(grid.codebook).all()
 
+    def test_the_smallest_radius_on_a_5x5_map_overflows_to_zero_weights_silently(self):
+        # At the last steps -k / (2 sigma^2) overflows to -inf for the far
+        # units of a 5x5 map; their weights are exactly 0, and no
+        # RuntimeWarning (an error under this suite's settings) is raised.
+        samples = np.random.default_rng(3).normal(size=(40, 3))
+        grid = train_som(samples, 5, 5, SomTrainParams(epochs=1, radius_end=1.06e-154))
+        assert np.isfinite(grid.codebook).all()
+        assert_array_equal(som._gaussian(np.array([-0.0, -1.0, -32.0]), 1.06e-154),
+                           [1.0, 0.0, 0.0])
+
     def test_grid_shape_must_match(self):
         with pytest.raises(ValueError):
             SomGrid(rows=2, cols=3, codebook=np.zeros((5, 4)))
