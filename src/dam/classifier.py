@@ -2,9 +2,9 @@
 
 A trained model couples the codebook with a (units x classes) matrix whose
 row l holds P(class | unit l), estimated from the training WDFs that unit l
-won. An action's score for class c is the histogram-weighted sum of those
-probabilities; the argmax wins, ties to the earliest class in the model's
-class order.
+won. `score_actions`, the one path from WDFs to scores, scores class c by
+the histogram-weighted sum of those probabilities; the argmax wins, ties to
+the earliest class in the model's class order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import _file_text, class_order
-from .descriptor import Histogram, compute_histogram, pair_counts
+from .descriptor import Histogram, histogram_bins, pair_counts
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
@@ -142,13 +142,8 @@ def fit_model(grid, wdf_sets, labels, params: PreprocessParams, joint_count: int
               classes=None) -> ClassModel:
     """estimate_class_probabilities + packaging into a ClassModel."""
     classes, probs = estimate_class_probabilities(grid, wdf_sets, labels, classes)
-    return ClassModel(
-        grid=grid,
-        classes=classes,
-        cluster_class_probs=probs,
-        params=params,
-        joint_count=joint_count,
-    )
+    return ClassModel(grid=grid, classes=classes, cluster_class_probs=probs, params=params,
+                      joint_count=joint_count)
 
 
 def class_posterior(model: ClassModel, histogram: Histogram) -> Posterior:
@@ -158,10 +153,17 @@ def class_posterior(model: ClassModel, histogram: Histogram) -> Posterior:
         raise ValueError(
             f"histogram has {bins.shape[0]} bins, model expects {model.grid.unit_count}"
         )
-    return Posterior(
-        classes=tuple(model.classes),
-        scores=bins @ model.cluster_class_probs,
-    )
+    return Posterior(tuple(model.classes), bins @ model.cluster_class_probs)
+
+
+def score_actions(model: ClassModel, wdf_sets) -> list[Posterior]:
+    """The `class_posterior` of each (n_i, dim) set's histogram, from one winner search.
+
+    Each row is its own ``bins @ probs`` product; one (sets, units) @ (units,
+    classes) product may round differently, moving scores and their ties.
+    """
+    return [Posterior(tuple(model.classes), bins @ model.cluster_class_probs)
+            for bins in histogram_bins(model.grid, wdf_sets)]
 
 
 def action_windows(model: ClassModel, action) -> np.ndarray:
@@ -182,7 +184,7 @@ def action_windows(model: ClassModel, action) -> np.ndarray:
 
 def classify_action(model: ClassModel, action) -> Posterior:
     """Preprocess a raw action with the model's own parameters and score it."""
-    return class_posterior(model, compute_histogram(model.grid, action_windows(model, action)))
+    return score_actions(model, [action_windows(model, action)])[0]
 
 
 # --- Model files -----------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import build, convert, field_types, is_kind, read_object
-from .classifier import action_windows, class_posterior, fit_model, load_model, save_model
+from .classifier import action_windows, fit_model, load_model, save_model, score_actions
 from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
@@ -35,7 +35,6 @@ from .dataset import (
     parse_action_file,
     write_canonical_dataset,
 )
-from .descriptor import compute_histograms
 from .evaluation import (
     CROSS_SUBJECT,
     LOSO,
@@ -348,8 +347,7 @@ def cmd_classify(args) -> int:
             ids.append(action.id)
         # Preprocessed windows are finite and of the model's dimension, so
         # scoring raises for no input.
-        for ident, histogram in zip(ids, compute_histograms(model.grid, wdf_sets)):
-            posterior = class_posterior(model, histogram)
+        for ident, posterior in zip(ids, score_actions(model, wdf_sets)):
             zero_evidence += posterior.zero_evidence
             scores = ",".join(format(v, ".6g") for v in posterior.normalized())
             lines.append(f"{ident},{posterior.predicted},{scores}")

@@ -32,11 +32,10 @@ def pair_counts(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> n
     return flat.reshape(shape).astype(np.float64)
 
 
-def compute_histograms(grid: SomGrid, wdf_sets) -> list[Histogram]:
-    """`compute_histogram` of each (n_i, dim) set, from one winner search over all of them.
+def histogram_bins(grid: SomGrid, wdf_sets) -> np.ndarray:
+    """The (sets, units) bins of each (n_i, dim) set, from one winner search over all of them.
 
-    Row i of the (sets, units) count table is divided by n_i, the division
-    `compute_histogram` makes, so each histogram has the same bins.
+    Row i, set i's winner counts over n_i, is the `compute_histogram` of set i.
     """
     wdf_sets = [np.asarray(w, dtype=np.float64) for w in wdf_sets]
     for wdfs in wdf_sets:
@@ -45,8 +44,7 @@ def compute_histograms(grid: SomGrid, wdf_sets) -> list[Histogram]:
     sizes = np.array([len(w) for w in wdf_sets])
     winners = bmu_batch(grid, np.concatenate(wdf_sets))
     owners = np.repeat(np.arange(len(wdf_sets)), sizes)
-    bins = pair_counts(owners, winners, (len(wdf_sets), grid.unit_count)) / sizes[:, None]
-    return [Histogram(bins=row, wdf_count=int(n)) for row, n in zip(bins, sizes)]
+    return pair_counts(owners, winners, (len(wdf_sets), grid.unit_count)) / sizes[:, None]
 
 
 def compute_histogram(grid: SomGrid, wdfs: np.ndarray) -> Histogram:
@@ -55,4 +53,4 @@ def compute_histogram(grid: SomGrid, wdfs: np.ndarray) -> Histogram:
     bins[l] = |{vectors whose best-matching unit is l}| / len(wdfs); the bins
     therefore sum to 1 regardless of the codebook.
     """
-    return compute_histograms(grid, [wdfs])[0]
+    return Histogram(bins=histogram_bins(grid, [wdfs])[0], wdf_count=len(wdfs))

@@ -1,16 +1,17 @@
 """Cross-validated experiment harness with CSV emission.
 
 `run_single` is the core: train the codebook on the training half only,
-estimate class probabilities, score the held-out half. The two protocol
-drivers (`cross_validate`, `evaluate_loso`) only list their runs as
-(train indices, test indices, SOM seed, run index) tasks; one path then
-runs every task on the WDFs (windowed direction frames) of the dataset, in a
-loop or on worker processes that receive the dataset, the config and the
-shared WDFs once each. A protocol call preprocesses each action once;
-`parameter_sweep` preprocesses each action once per window and hands those
-WDFs to the cross-subject runs of every grid and action subset. Per-run
-seeds are derived deterministically from the master seed, so every result
-is reproducible bit-for-bit whatever the number of workers.
+estimate class probabilities, score the held-out half with one
+`classifier.score_actions` call. The two protocol drivers (`cross_validate`,
+`evaluate_loso`) only list their runs as (train indices, test indices, SOM
+seed, run index) tasks; one path then runs every task on the WDFs (windowed
+direction frames) of the dataset, in a loop or on worker processes that
+receive the dataset, the config and the shared WDFs once each. A protocol
+call preprocesses each action once; `parameter_sweep` preprocesses each
+action once per window and hands those WDFs to the cross-subject runs of
+every grid and action subset. Per-run seeds are derived deterministically
+from the master seed, so every result is reproducible bit-for-bit whatever
+the number of workers.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ClassModel, _per_row, class_posterior, fit_model
+from .classifier import ClassModel, _per_row, fit_model, score_actions
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
-from .descriptor import compute_histograms
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomTrainParams, train_som
 
@@ -151,10 +151,7 @@ def run_single(
     prob_sums = np.zeros((n, n))
     subject_hits: dict = {}
     zero_evidence = 0
-    # One winner search over the whole test half, then one posterior per action.
-    histograms = compute_histograms(grid, [wdfs[a.id] for a in test])
-    for action, histogram in zip(test, histograms):
-        posterior = class_posterior(model, histogram)
+    for action, posterior in zip(test, score_actions(model, [wdfs[a.id] for a in test])):
         zero_evidence += posterior.zero_evidence
         t = index[action.label]
         p = index[posterior.predicted]

@@ -390,8 +390,9 @@ def train_som(
     the winner strictly first too. Every other step (exact ties and
     duplicated units included; an overflow or NaN makes the gap NaN, which
     fails the test) takes the direct form's argmin; the kernel leaves such a
-    step to `_numpy_block`. No BLAS call is made, so
-    the codebook is byte-identical for a seed whatever the thread settings.
+    step to `_numpy_block`. No BLAS call is made, so the codebook is
+    byte-identical for a seed whatever the thread settings. Samples or an
+    initial codebook so large that the codebook overflows raise a ValueError.
     """
     params = params or SomTrainParams()
     samples = np.ascontiguousarray(samples, dtype=np.float64)
@@ -438,4 +439,7 @@ def train_som(
         table = _gaussian(neg_k, sigmas[:, None], out=np.empty((len(steps), len(neg_k))))
         table *= alphas[:, None]
         run_block(codebook, samples, rows, cols, order[lo : steps.stop], table, index)
+    if not np.isfinite(codebook).all():
+        raise ValueError("training overflowed: the samples or the initial codebook are too "
+                         "large in magnitude")
     return SomGrid(rows, cols, codebook)

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import classifier as classifier_module
+from dam import descriptor
 from dam.classifier import (
     MODEL_FORMAT_VERSION,
     ClassModel,
@@ -23,6 +24,7 @@ from dam.classifier import (
     fit_model,
     load_model,
     save_model,
+    score_actions,
 )
 from dam.dataset import Action
 from dam.descriptor import Histogram, compute_histogram
@@ -160,6 +162,34 @@ class TestPosterior:
         model = ClassModel(grid, ["a"], np.array([[1.0], [1.0]]), params, joint_count=1)
         with pytest.raises(ValueError):
             class_posterior(model, Histogram(np.ones(3) / 3.0, 3))
+
+
+class TestScoreActions:
+    def test_each_row_is_the_posterior_of_its_own_histogram(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        params = PreprocessParams(frames=8, window=2)
+        dim = params.feature_dim(1)
+        codebook = rng.normal(size=(25, dim))
+        probs = rng.dirichlet(np.ones(4), size=25)
+        probs[7] = 0.0  # a unit no training window won
+        model = ClassModel(SomGrid(5, 5, codebook), ["a", "b", "c", "d"], probs, params,
+                           joint_count=1)
+        sets = [rng.normal(size=(n, dim)) for n in (1, 9, 40, 3)]
+        # Every window of the last set lands on the dead unit: zero evidence.
+        sets.append(codebook[7] + 1e-3 * rng.normal(size=(6, dim)))
+        searches = []
+        monkeypatch.setattr(descriptor, "bmu_batch",
+                            lambda g, xs: searches.append(len(xs)) or bmu_batch(g, xs))
+        posteriors = score_actions(model, sets)
+        assert searches == [sum(map(len, sets))]
+        monkeypatch.undo()
+
+        for posterior, wdfs in zip(posteriors, sets, strict=True):
+            want = class_posterior(model, compute_histogram(model.grid, wdfs))
+            assert posterior.classes == want.classes == ("a", "b", "c", "d")
+            assert posterior.scores.tobytes() == want.scores.tobytes()
+        assert [p.zero_evidence for p in posteriors] == [False] * 4 + [True]
+        assert posteriors[-1].predicted == "a"
 
 
 def _toy_model(seed=0, joints=2, frames=10, window=2, rows=2, cols=2):
@@ -420,3 +450,16 @@ class TestModelFile:
             ClassModel(grid, ["a"], np.ones((3, 1)), params, joint_count=1)
         with pytest.raises(ValueError):  # dim inconsistent with joints * 3 * window
             ClassModel(grid, ["a"], np.ones((2, 1)), params, joint_count=2)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("miss, refused", [(2e-9, True), (5e-10, False)])
+    def test_probability_rows_sum_to_one_within_1e_9(self, miss, refused, sign):
+        params = PreprocessParams(frames=8, window=2)
+        grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, params.feature_dim(1))))
+        probs = np.array([[0.25, 0.75], [0.5, 0.5 + sign * miss]])
+        assert abs(abs(probs[1].sum() - 1.0) - miss) < 1e-15
+        if refused:
+            with pytest.raises(ValueError, match="row 1 sums to"):
+                ClassModel(grid, ["a", "b"], probs, params, joint_count=1)
+        else:
+            ClassModel(grid, ["a", "b"], probs, params, joint_count=1)

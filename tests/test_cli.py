@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,15 @@ def _edited(text: str, edits) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
+def _no_content_line(data: bytes) -> bool:
+    """True when `data` is UTF-8 text whose every line is blank or a # comment."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        return False
+    return all(not line.strip() or line.strip().startswith("#") for line in text.splitlines())
+
+
 @pytest.fixture(scope="module")
 def contract_inputs(canon_dir, model_path) -> dict:
     """Input kind -> (valid files by name, the file edits hit, `dam` argv).
@@ -642,12 +652,20 @@ class TestInputContract:
         d = tmp_path_factory.mktemp("edited")
         for name, text in files.items():
             (d / name).write_text(text)
-        (d / target).write_bytes(_edited(files[target], edits))
+        edited = _edited(files[target], edits)
+        (d / target).write_bytes(edited)
         # An exception out of main would be a traceback from the console script.
-        code, _, stderr = run(capsys, *(arg.replace("{d}", str(d)) for arg in argv))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, stderr = run(capsys, *(arg.replace("{d}", str(d)) for arg in argv))
         assert code in (0, 1, 2)
         if code:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        # A tags file edited down to no annotation line is the one edit that
+        # warns: its sequence is skipped.
+        skipped = kind == "MSRC-12 tags" and _no_content_line(edited)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "g_p01.tags: empty annotation file, sequence skipped")] * skipped
 
 
 class TestEvaluate:

@@ -421,6 +421,17 @@ class TestLoso:
         assert_allclose(agg.mean_accuracy, correct / total, rtol=0, atol=0)
         assert set(agg.subject_accuracy) == {1, 2, 3, 4}
 
+        # Folds of unequal size, where pooling and the mean of the fold
+        # accuracies disagree: subject 1 keeps four of its six actions.
+        ordered = make_ordered_dataset(classes=3, subjects=4, instances=2, raw_frames=20,
+                                       joints=3, seed=11)
+        dropped = [a.id for a in ordered if a.subject == 1][:2]
+        agg = evaluate_loso(Dataset([a for a in ordered if a.id not in dropped]), cfg)
+        sizes = [r.test_count for r in agg.run_results]
+        assert sizes == [4, 6, 6, 6]
+        assert agg.mean_accuracy == sum(r.correct_count for r in agg.run_results) / sum(sizes)
+        assert agg.mean_accuracy != np.mean([r.accuracy for r in agg.run_results])
+
     def test_repeats_multiply_folds(self, directional):
         cfg = small_config(runs=1, seed=3)
         agg = evaluate_loso(directional, cfg, repeats=2)

@@ -352,6 +352,16 @@ class TestTrainingMatchesReference:
         want = _reference_train_som(samples, rows, cols, params, initial)
         assert grid.codebook.tobytes() == want.tobytes()
 
+    def test_an_overflowing_codebook_names_the_inputs(self):
+        # A unit at the largest float pulled toward a sample at -1e300
+        # overflows; the codebook it leaves is not a map.
+        start = np.zeros((16, 2))
+        start[15, 0] = np.finfo(np.float64).max
+        params = SomTrainParams(epochs=3, radius_start=0.05, radius_end=0.05)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="samples or the initial codebook are too large in magnitude"):
+            train_som(np.array([[-1e300, 0.0]]), 4, 4, params, initial_codebook=start)
+
     def test_duplicated_units_go_to_the_lowest_index(self):
         # Every unit starts at the same point: the first step is an exact
         # tie over all units, which must go to unit 0.
