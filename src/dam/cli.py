@@ -108,6 +108,13 @@ def _window_item(key: str, value) -> int:
     return convert(int, key, value)
 
 
+def _jobs(key: str, value) -> int:
+    jobs = convert(int, key, value)
+    if jobs < 1:
+        raise CliError(f"{key} must be >= 1, got {jobs}")
+    return jobs
+
+
 def _protocol(key: str, value) -> str:
     protocol = _PROTOCOL_ALIASES.get(str(value).lower())
     if protocol is None:
@@ -127,7 +134,8 @@ def _action_sets(key: str, value) -> dict:
 _CONVERTERS = {
     **{key: partial(convert, hint) for key, hint in field_types(PreprocessParams).items()},
     "grid": _grid,
-    **dict.fromkeys(("epochs", "runs", "seed", "jobs"), partial(convert, int)),
+    **dict.fromkeys(("epochs", "runs", "seed"), partial(convert, int)),
+    "jobs": _jobs,
     "learning_rate": partial(convert, tuple[float, float]),
     "som_radius": partial(convert, tuple[float | None, float]),
     "protocol": _protocol,
@@ -362,15 +370,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _jobs(settings: dict) -> int:
-    """`jobs` as set, else the CPUs this process may run on."""
-    return settings["jobs"] if "jobs" in settings else _usable_cpus()
-
-
 def _evaluate_once(dataset, settings: dict, cfg: ExperimentConfig, out_dir: Path,
                    suffix: str) -> None:
     protocol = evaluate_loso if settings.get("protocol") == LOSO else cross_validate
-    agg = protocol(dataset, cfg, jobs=_jobs(settings))
+    agg = protocol(dataset, cfg, jobs=settings.get("jobs", _usable_cpus()))
     write_results_csv(out_dir / f"results{suffix}.csv", agg, cfg)
     write_confusion_csv(out_dir / f"confusion{suffix}.csv", agg)
     write_prob_matrix_csv(out_dir / f"probmatrix{suffix}.csv", agg)
@@ -408,18 +411,10 @@ def _sweep_base(settings: dict) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     settings, base = _settings(args, _sweep_base)
-    dataset = _load_dataset(
-        args.data, args.format, args.layout,
-        apply_exclusions=args.exclusions != "ignore",
-    )
-    rows = parameter_sweep(
-        dataset,
-        base,
-        windows=settings["windows"],
-        grids=settings["grids"],
-        action_sets=settings.get("action_sets"),
-        jobs=_jobs(settings),
-    )
+    dataset = _load_dataset(args.data, args.format, args.layout,
+                            apply_exclusions=args.exclusions != "ignore")
+    rows = parameter_sweep(dataset, base, settings["windows"], settings["grids"],
+                           settings.get("action_sets"), settings.get("jobs", _usable_cpus()))
     write_sweep_csv(args.output, rows)
     print(f"wrote {args.output} ({len(rows)} rows)")
     return 0

@@ -2,16 +2,14 @@
 
 `run_single` is the core: train the codebook on the training half only,
 estimate class probabilities, score the held-out half with one
-`classifier.score_actions` call. The two protocol drivers (`cross_validate`,
-`evaluate_loso`) only list their runs as (train indices, test indices, SOM
-seed, run index) tasks; one path then runs every task on the WDFs (windowed
-direction frames) of the dataset, in a loop or on worker processes that
-receive the dataset, the config and the shared WDFs once each. A protocol
-call preprocesses each action once; `parameter_sweep` preprocesses each
-action once per window and hands those WDFs to the cross-subject runs of
-every grid and action subset. Per-run seeds are derived deterministically
-from the master seed, so every result is reproducible bit-for-bit whatever
-the number of workers.
+`classifier.score_actions` call. `cross_validate`, `evaluate_loso` and
+`parameter_sweep` only list their runs as (config, train indices, test
+indices, SOM seed, run index) tasks, and make one `_run_tasks` call. That
+driver preprocesses each action once per distinct preprocessing config into
+WDFs (windowed direction frames), then runs every task in a loop or on one
+pool of worker processes. A sweep thus holds the WDFs of all its windows at
+once. Per-run seeds are derived deterministically from the master seed, so
+every result is reproducible bit-for-bit whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -19,10 +17,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .classifier import ClassModel, _per_row, fit_model, score_actions
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
 from .preprocess import PreprocessParams, preprocess_action
@@ -181,42 +181,47 @@ def run_single(
 
 # --- Protocol drivers -----------------------------------------------------------
 
-# (dataset, cfg, wdfs) of the protocol call a worker process serves; set by
+# (dataset, wdfs) of the driver call a worker process serves; set by
 # `_init_worker` in each worker, never in the calling process.
 _worker_state: tuple | None = None
 
 
-def _init_worker(dataset: Dataset, cfg: ExperimentConfig, wdfs: dict) -> None:
+def _init_worker(dataset: Dataset, wdfs: dict) -> None:
     global _worker_state
-    _worker_state = (dataset, cfg, wdfs)
+    _worker_state = (dataset, wdfs)
 
 
 def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
-    """Run one (train_idx, test_idx, som_seed, run_index) task."""
-    dataset, cfg, wdfs = state or _worker_state
-    train_idx, test_idx, som_seed, run_index = task
+    """Run one (cfg, train_idx, test_idx, som_seed, run_index) task."""
+    dataset, wdfs = state or _worker_state
+    cfg, train_idx, test_idx, som_seed, run_index = task
     train = Dataset([dataset.actions[i] for i in train_idx])
     test = Dataset([dataset.actions[i] for i in test_idx])
-    return run_single(train, test, cfg, som_seed=som_seed, run_index=run_index, wdfs=wdfs)
+    return run_single(train, test, cfg, som_seed, run_index, wdfs[cfg.preprocess])
 
 
-def _run_tasks(dataset: Dataset, cfg: ExperimentConfig, tasks: list, jobs: int,
-               wdfs: dict | None = None) -> list[RunResult]:
-    """Run the tasks; results keep task order.
+def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
+    """Yield the result of each (cfg, train_idx, test_idx, som_seed, run_index) task, in order.
 
-    `wdfs` maps the id of every action of `dataset` to its WDFs under
-    `cfg.preprocess`; without it the actions are preprocessed here.
+    The one place that preprocesses actions and starts workers. Indices are
+    positions in `dataset`. It preprocesses every action once per distinct
+    `cfg.preprocess` among the tasks, in the calling process, then runs the
+    tasks in a loop, or on one pool of `jobs` workers that each receive the
+    dataset and all the WDFs once.
     """
-    if wdfs is None:
-        wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in dataset}
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task(task, (dataset, cfg, wdfs)) for task in tasks]
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        initializer=_init_worker,
-        initargs=(dataset, cfg, wdfs),
-    ) as pool:
-        return list(pool.map(_run_task, tasks))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    params = dict.fromkeys(cfg.preprocess for cfg, *_ in tasks)
+    wdfs = {p: {a.id: preprocess_action(a, p) for a in dataset} for p in params}
+    if jobs == 1 or len(tasks) <= 1:
+        yield from (_run_task(task, (dataset, wdfs)) for task in tasks)
+        return
+    # Forked workers inherit the loaded kernel; loaded in each worker instead,
+    # a cold cache would compile it once per worker.
+    _native.load("_som_kernel.c")
+    with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_init_worker,
+                             initargs=(dataset, wdfs)) as pool:
+        yield from pool.map(_run_task, tasks)
 
 
 def _indices(dataset: Dataset, halves: tuple[Dataset, Dataset]) -> tuple[list, list]:
@@ -251,10 +256,10 @@ def _aggregate(protocol: str, results: list[RunResult], pooled: bool) -> Aggrega
     )
 
 
-def _cross_subject_tasks(dataset: Dataset, cfg: ExperimentConfig) -> list:
-    """One task per run; depends only on the dataset, `cfg.seed` and `cfg.runs`."""
+def _cross_subject_runs(subset: Dataset, cfg: ExperimentConfig, dataset: Dataset) -> list:
+    """Each run's (train_idx, test_idx, som_seed, run_index) on `subset`, indexed in `dataset`."""
     return [
-        (*_indices(dataset, split_cross_subject(dataset, derive_seed(cfg.seed, r, 0))),
+        (*_indices(dataset, split_cross_subject(subset, derive_seed(cfg.seed, r, 0))),
          derive_seed(cfg.seed, r, 1), r)
         for r in range(cfg.runs)
     ]
@@ -262,8 +267,8 @@ def _cross_subject_tasks(dataset: Dataset, cfg: ExperimentConfig) -> list:
 
 def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """cfg.runs repetitions of a fresh random cross-subject half split."""
-    results = _run_tasks(dataset, cfg, _cross_subject_tasks(dataset, cfg), jobs)
-    return _aggregate(CROSS_SUBJECT, results, pooled=False)
+    tasks = [(cfg, *run) for run in _cross_subject_runs(dataset, cfg, dataset)]
+    return _aggregate(CROSS_SUBJECT, list(_run_tasks(dataset, tasks, jobs)), pooled=False)
 
 
 def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
@@ -277,11 +282,11 @@ def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     folds = [_indices(dataset, fold) for fold in splits_loso(dataset)]
     tasks = [
-        (*fold, derive_seed(cfg.seed, rep, k), rep * len(folds) + k)
+        (cfg, *fold, derive_seed(cfg.seed, rep, k), rep * len(folds) + k)
         for rep in range(repeats)
         for k, fold in enumerate(folds)
     ]
-    return _aggregate(LOSO, _run_tasks(dataset, cfg, tasks, jobs), pooled=True)
+    return _aggregate(LOSO, list(_run_tasks(dataset, tasks, jobs)), pooled=True)
 
 
 # --- Parameter sweep --------------------------------------------------------------
@@ -320,40 +325,36 @@ def parameter_sweep(
     grids = [(int(r), int(c)) for r, c in grids]
     if not windows or not grids:
         raise ValueError("need at least one window and one grid")
-    configs = [
-        [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
-         for r, c in grids]
-        for w in windows
-    ]
+    combos = [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
+              for w in windows for r, c in grids]
     if action_sets:
         subsets = {name: filter_action_set(dataset, action_sets[name])
                    for name in sorted(action_sets)}
     else:
         subsets = {"all": dataset}
-    tasks = {name: _cross_subject_tasks(sub, cfg) for name, sub in subsets.items()}
-    actions = {a.id: a for sub in subsets.values() for a in sub}
+    union = Dataset(list({a.id: a for sub in subsets.values() for a in sub}.values()))
+    runs = {name: _cross_subject_runs(sub, cfg, union) for name, sub in subsets.items()}
+    tasks = [(combo, *run) for combo in combos for name in subsets for run in runs[name]]
+    results = _run_tasks(union, tasks, jobs)
 
     out: list[SweepRow] = []
-    for window, window_cfgs in zip(windows, configs):
-        wdfs = {i: preprocess_action(a, window_cfgs[0].preprocess) for i, a in actions.items()}
-        for combo in window_cfgs:
-            per_subset: list[SweepRow] = []
-            for name, sub in subsets.items():
-                sub_wdfs = {a.id: wdfs[a.id] for a in sub}
-                results = _run_tasks(sub, combo, tasks[name], jobs, sub_wdfs)
-                agg = _aggregate(CROSS_SUBJECT, results, pooled=False)
-                per_subset.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
-                                           cfg.runs, agg.mean_accuracy, agg.std_accuracy))
-                logger.info("sweep %s W=%d %dx%d: %.4f +/- %.4f", name, window, combo.rows,
-                            combo.cols, agg.mean_accuracy, agg.std_accuracy)
-            out.extend(per_subset)
-            if action_sets:
-                out.append(replace(
-                    per_subset[0],
-                    subset="mean",
-                    mean_accuracy=float(np.mean([r.mean_accuracy for r in per_subset])),
-                    std_accuracy=float(np.mean([r.std_accuracy for r in per_subset])),
-                ))
+    for combo in combos:
+        window = combo.preprocess.window
+        per_subset: list[SweepRow] = []
+        for name in subsets:
+            agg = _aggregate(CROSS_SUBJECT, list(islice(results, cfg.runs)), pooled=False)
+            per_subset.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
+                                       cfg.runs, agg.mean_accuracy, agg.std_accuracy))
+            logger.info("sweep %s W=%d %dx%d: %.4f +/- %.4f", name, window, combo.rows,
+                        combo.cols, agg.mean_accuracy, agg.std_accuracy)
+        out.extend(per_subset)
+        if action_sets:
+            out.append(replace(
+                per_subset[0],
+                subset="mean",
+                mean_accuracy=float(np.mean([r.mean_accuracy for r in per_subset])),
+                std_accuracy=float(np.mean([r.std_accuracy for r in per_subset])),
+            ))
     return out
 
 

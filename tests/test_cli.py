@@ -383,6 +383,8 @@ class TestTrain:
         ("epochs", 0),
         ("smoothing_sigma", -1.0),
         ("learning_rate", [0.5, 0.9]),
+        ("jobs", 0),
+        ("jobs", -1),
     ])
     def test_mistyped_config_value_named_in_error(self, capsys, tmp_path, canon_dir,
                                                   key, value):
@@ -737,6 +739,17 @@ class TestEvaluate:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert run(capsys, *args, "--output-dir", str(tmp_path / "c"))[0] == 0
         assert started == [1, 2, 8]
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected_before_data_is_read(self, capsys, tmp_path, jobs):
+        missing = str(tmp_path / "missing")
+        for args in (["evaluate", missing, *FAST, "--output-dir", str(tmp_path / "out")],
+                     ["sweep", missing, "--frames", "10", "--windows", "2", "--grids", "3x3",
+                      "-o", str(tmp_path / "s.csv")]):
+            code, _, stderr = run(capsys, *args, "--jobs", jobs)
+            assert code == 2
+            assert stderr == f"error: jobs must be >= 1, got {jobs}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_runs_rejected(self, capsys, tmp_path, canon_dir):
         code, _, stderr = run(

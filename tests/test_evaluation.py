@@ -8,6 +8,9 @@ against itself.
 from __future__ import annotations
 
 import hashlib
+import logging
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,6 +446,18 @@ class TestLoso:
         with pytest.raises(ValueError, match="repeats"):
             evaluate_loso(directional, small_config(), repeats=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, directional, monkeypatch, jobs):
+        trained = []
+        monkeypatch.setattr(evaluation, "train_som", lambda *a, **kw: trained.append(a))
+        cfg = small_config()
+        for protocol in (cross_validate, evaluate_loso):
+            with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+                protocol(directional, cfg, jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            parameter_sweep(directional, cfg, windows=[2], grids=[(3, 3)], jobs=jobs)
+        assert trained == []
+
     def test_parallel_equals_serial(self, directional):
         cfg = small_config(runs=1, seed=9)
         serial = evaluate_loso(directional, cfg, jobs=1, repeats=2)
@@ -496,6 +511,50 @@ class TestPreprocessOnce:
         assert sorted(calls) == sorted((a.id, w) for a in directional for w in (1, 2))
 
 
+class TestOnePoolPerCall:
+    @pytest.fixture
+    def pools(self, monkeypatch) -> list:
+        """The pools `dam.evaluation` starts, one entry each."""
+        started = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Counted)
+        return started
+
+    @pytest.mark.parametrize("jobs, expected", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("protocol", ["cross_validate", "evaluate_loso", "parameter_sweep"])
+    def test_one_pool_per_call(self, directional, pools, protocol, jobs, expected):
+        cfg = small_config(runs=2, seed=3)
+        if protocol == "parameter_sweep":
+            parameter_sweep(directional, cfg, windows=[1, 2], grids=[(2, 2), (3, 3)],
+                            action_sets={"even": [0, 2], "low": [0, 1]}, jobs=jobs)
+        else:
+            getattr(evaluation, protocol)(directional, cfg, jobs=jobs)
+        assert len(pools) == expected
+
+    def test_sweep_logs_each_combination_as_it_finishes(self, directional, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="dam.evaluation")
+        logged = []  # the sweep records logged before each train_som call
+
+        def counted(*args, **kw):
+            logged.append([r.getMessage() for r in caplog.records
+                           if r.getMessage().startswith("sweep ")])
+            return train_som(*args, **kw)
+
+        monkeypatch.setattr(evaluation, "train_som", counted)
+        parameter_sweep(directional, small_config(runs=2, seed=3), windows=[1, 2],
+                        grids=[(2, 2), (3, 3)], action_sets={"even": [0, 2], "low": [0, 1]},
+                        jobs=1)
+        # 4 combinations x 2 subsets x 2 runs; the last combination trains last.
+        assert len(logged) == 16
+        assert len(logged[-4]) == 6
+        assert logged[-4][0].startswith("sweep even W=1 2x2: ")
+
+
 class TestParameterSweep:
     def test_row_count_without_subsets(self, directional):
         cfg = small_config(runs=2, seed=1)
@@ -522,16 +581,32 @@ class TestParameterSweep:
             mean_row.std_accuracy, np.mean([rows[0].std_accuracy, rows[1].std_accuracy])
         )
 
-    def test_subset_row_matches_direct_cross_validation(self, directional):
+    def test_subset_row_matches_direct_cross_validation(self):
+        # Every combination's rows come from runs of its own config on its
+        # own subset, though all of them share one pool of workers. The
+        # accuracies are below 1.0 and differ between rows, so a result given
+        # to the wrong combination changes a row.
         from dam.dataset import filter_action_set
 
-        cfg = small_config(runs=2, seed=4)
-        rows = parameter_sweep(
-            directional, cfg, windows=[2], grids=[(3, 3)], action_sets={"even": [0, 2]}
+        ds = make_directional_dataset(
+            classes=3, subjects=4, instances=2, raw_frames=20, joints=3, seed=11,
+            noise=0.3, direction_jitter=2.0,
         )
-        direct = cross_validate(filter_action_set(directional, [0, 2]), cfg)
-        assert rows[0].mean_accuracy == direct.mean_accuracy
-        assert rows[0].std_accuracy == direct.std_accuracy
+        cfg = small_config(runs=3, seed=5)
+        sets = {"even": [0, 2], "low": [0, 1]}
+        rows = parameter_sweep(ds, cfg, windows=[1, 2], grids=[(2, 2), (3, 3)],
+                               action_sets=sets, jobs=2)
+        rows = [r for r in rows if r.subset != "mean"]
+        assert [(r.window, r.rows, r.subset) for r in rows] == [
+            (w, g, name) for w in (1, 2) for g in (2, 3) for name in ("even", "low")
+        ]
+        assert len({(r.mean_accuracy, r.std_accuracy) for r in rows}) == 7
+        for r in rows:
+            combo = replace(cfg, preprocess=replace(cfg.preprocess, window=r.window),
+                            rows=r.rows, cols=r.cols)
+            direct = cross_validate(filter_action_set(ds, sets[r.subset]), combo)
+            assert (r.mean_accuracy, r.std_accuracy) == (direct.mean_accuracy,
+                                                         direct.std_accuracy)
 
     @pytest.mark.filterwarnings("ignore:class 99 not present")
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import pytest
 
 from dam import _native, cli, som
 from dam.dataset import load_canonical_dataset, write_canonical_dataset
+from dam.evaluation import ExperimentConfig, cross_validate
 from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import SomTrainParams, train_som
 from dam.synthetic import make_directional_dataset
@@ -218,6 +219,30 @@ def test_source_versions_share_a_cache_without_rebuilding(fresh_cache, tmp_path,
         assert tiny() == versions.index(module_file) + 1
     assert len(builds) == 3
     assert len(list(fresh_cache.glob("tiny-*.so"))) == 3
+
+
+def test_workers_inherit_the_kernel_the_caller_compiled(fresh_cache, tmp_path, monkeypatch):
+    # With a cold cache, cross_validate on two workers compiles the SOM kernel
+    # once, in the calling process, before the workers start; workers that
+    # loaded it themselves would each compile it.
+    if _native._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    markers, build = tmp_path / "builds", _native._build
+    markers.mkdir()
+
+    def marked_build(source, target):
+        with open(markers / f"{os.getpid()}-{source.name}", "a") as marker:
+            marker.write("build\n")
+        return build(source, target)
+
+    monkeypatch.setattr(_native, "_build", marked_build)
+    dataset = make_directional_dataset(classes=2, subjects=4, instances=2, raw_frames=12,
+                                       joints=3, seed=4)
+    cfg = ExperimentConfig(PreprocessParams(frames=8, window=2), 3, 3,
+                           som=SomTrainParams(epochs=2), runs=2)
+    cross_validate(dataset, cfg, jobs=2)
+    builds = [(p.name, p.read_text()) for p in markers.iterdir() if p.name.endswith(SOURCE)]
+    assert builds == [(f"{os.getpid()}-{SOURCE}", "build\n")]
 
 
 def test_block_body_is_logged_once_per_library(caplog):
