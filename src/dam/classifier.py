@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
-from .dataset import _file_text, class_order
+from .dataset import class_order
 from .descriptor import Histogram, histogram_bins, pair_counts
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
-MODEL_FORMAT_VERSION = "2"
+MODEL_FORMAT_VERSION = "3"
 _MODEL_FIELDS = ("format_version", "joint_count", "preprocess", "grid", "classes",
                  "cluster_class_probs")
 
@@ -190,139 +190,84 @@ def classify_action(model: ClassModel, action) -> Posterior:
 # --- Model files -----------------------------------------------------------------
 
 def save_model(model: ClassModel, path) -> None:
-    """Write the model as deterministic JSON.
+    """Write the model as two canonical JSON lines (model format 3).
 
-    The codebook is stored as the lowercase hex of its row-major,
-    little-endian float64 bytes, so it round-trips bit for bit and loads
-    without parsing decimals; every other float keeps full round-trip
-    precision as a JSON number. The file is the bytes of
-    ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``; the hex,
-    which JSON leaves as it is, is spliced in rather than scanned for
-    characters to escape.
+    Line 1 is ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
+    of every field but the codebook, whose floats round-trip as JSON numbers.
+    Line 2 is the codebook as a JSON string: the lowercase hex of its
+    row-major, little-endian float64 bytes, which round-trip bit for bit.
     """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "joint_count": model.joint_count,
         "preprocess": asdict(model.params),
-        "grid": {
-            "rows": model.grid.rows,
-            "cols": model.grid.cols,
-            "dim": model.grid.dim,
-            "codebook": "",
-        },
+        "grid": {"rows": model.grid.rows, "cols": model.grid.cols, "dim": model.grid.dim},
         "classes": list(model.classes),
         "cluster_class_probs": model.cluster_class_probs.tolist(),
     }
-    # Inside a JSON string every quote is escaped, so the empty codebook
-    # string is the only place this key and value appear.
-    head, _, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).partition(
-        '"codebook":""')
+    header = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     codebook = model.grid.codebook.astype("<f8", copy=False).tobytes().hex()
-    Path(path).write_text(f'{head}"codebook":"{codebook}"{tail}\n')
+    Path(path).write_text(f'{header}\n"{codebook}"\n')
 
 
 def load_model(path) -> ClassModel:
     """Parse and fully validate a model file written by save_model.
 
     Every error, a malformed structure included, is a ValueError that names
-    the file. The file is read once; `_spliced_payload` decodes the
-    codebook of a file laid out as save_model writes it, and any other file
-    is parsed as whole JSON text, which gives the same model or error.
+    the file. Line 2's hex is decoded where it lies in the file's bytes.
     """
     data = Path(path).read_bytes()
-    parsed = _spliced_payload(data)
-    if parsed is None:
-        try:
-            parsed = json.loads(_file_text(data)), None
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON: {e}") from None
     try:
-        return _decode_model(*parsed)
+        return _decode_model(*_model_lines(data))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-# The key and the opening quote of the codebook's value, as save_model writes them.
-_CODEBOOK_SLOT = b'"codebook":"'
-
-
-def _spliced_payload(data: bytes) -> tuple[dict, bytes] | None:
-    """(payload, codebook bytes) of a model file's bytes, or None.
-
-    The hex between the first `"codebook":"` and the next quote is decoded
-    in place. Only the rest of the file, with that string replaced by the
-    constant NaN, is decoded as text and parsed as JSON. The result stands
-    only when that NaN is the one constant the parser met and the value it
-    gives `grid.codebook`: the whole file then parses to the same payload
-    with the hex there, which `bytes.fromhex` decodes to the same bytes.
-    Any other file (hex with spaces or escapes, a `codebook` key elsewhere
-    or twice, text that is not JSON) gives None, and parsing the whole file
-    words its error.
-    """
-    start = data.find(_CODEBOOK_SLOT)
-    if start < 0:
-        return None
-    start += len(_CODEBOOK_SLOT)
-    end = data.find(b'"', start)
-    if end < 0:
-        return None
+def _model_lines(data: bytes) -> tuple[dict, bytes]:
+    """(line 1's payload, line 2's decoded codebook) of a model file's bytes."""
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
     try:
-        codebook = binascii.unhexlify(memoryview(data)[start:end])
-    except binascii.Error:
-        return None
-    constants = []
-
-    def constant(name):
-        # Every constant parses to this list, which no JSON value is.
-        constants.append(name)
-        return constants
-
-    try:
-        payload = json.loads(_file_text(data[:start - 1] + b"NaN" + data[end + 1:]),
-                             parse_constant=constant)
-    except ValueError:
-        return None
-    grid = payload.get("grid") if isinstance(payload, dict) else None
-    if len(constants) != 1 or not isinstance(grid, dict) or grid.get("codebook") is not constants:
-        return None
-    return payload, codebook
-
-
-def _decode_model(payload, raw: bytes | None = None) -> ClassModel:
-    """The model `payload` holds; `raw`, when given, is its decoded codebook."""
+        payload = json.loads(data[:end])
+    except ValueError as e:
+        raise ValueError(f"line 1 is not valid JSON: {e}") from None
     if not isinstance(payload, dict):
-        raise ValueError(f"model file must hold a JSON object, got {reprlib.repr(payload)}")
+        raise ValueError(f"line 1 must hold a JSON object, got {reprlib.repr(payload)}")
     version = field(payload, "format_version", str)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {version!r} "
             f"(this build reads {MODEL_FORMAT_VERSION!r}); re-create it with `dam train`"
         )
+    start = end + 1
+    close = data.find(b'"', start + 1)
+    if data[start:start + 1] != b'"' or close < 0 or data[close + 1:].strip(b" \t\r\n"):
+        raise ValueError("line 2 must be the last line and hold the codebook as one "
+                         "quoted hex string")
+    try:
+        return payload, binascii.unhexlify(memoryview(data)[start + 1:close])
+    except binascii.Error as e:
+        raise ValueError(f"the codebook on line 2 is not hex: {e}") from None
+
+
+def _decode_model(payload: dict, raw: bytes) -> ClassModel:
+    """The model that line 1's `payload` and the decoded codebook `raw` hold."""
     reject_unknown(payload, _MODEL_FIELDS)
     grid_data = field(payload, "grid", dict)
-    reject_unknown(grid_data, ("rows", "cols", "dim", "codebook"), "grid.")
-    rows, cols, dim = (
-        field(grid_data, key, int, "grid.") for key in ("rows", "cols", "dim")
-    )
+    reject_unknown(grid_data, ("rows", "cols", "dim"), "grid.")
+    rows, cols, dim = (field(grid_data, key, int, "grid.") for key in ("rows", "cols", "dim"))
     if min(rows, cols, dim) < 1:
         raise ValueError(
             f"fields 'grid.rows', 'grid.cols', 'grid.dim' must be >= 1, "
             f"got {rows}, {cols}, {dim}"
         )
-    if raw is None:
-        text = field(grid_data, "codebook", str, "grid.")
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError as e:
-            raise ValueError(f"field 'grid.codebook' is not a hex string: {e}") from None
     if len(raw) != rows * cols * dim * 8:
         raise ValueError(
-            f"field 'grid.codebook' holds {len(raw)} bytes, expected "
+            f"the codebook on line 2 holds {len(raw)} bytes, expected "
             f"rows * cols * dim * 8 = {rows * cols * dim * 8}"
         )
     codebook = np.frombuffer(raw, dtype="<f8").reshape(rows * cols, dim).astype(np.float64)
     grid = SomGrid(rows=rows, cols=cols, codebook=codebook)
-
     preprocess = field(payload, "preprocess", dict)
     params = build(PreprocessParams, preprocess, "preprocess.", defaults=False)
     classes = field(payload, "classes", list)
@@ -331,10 +276,14 @@ def _decode_model(payload, raw: bytes | None = None) -> ClassModel:
             raise ValueError(f"field 'classes[{i}]' must be a JSON integer or string, "
                              f"got {reprlib.repr(label)}")
     probs = field(payload, "cluster_class_probs", list)
-    try:
-        probs = np.asarray(probs, dtype=np.float64)
-    except TypeError as e:
-        raise ValueError(f"field 'cluster_class_probs' is not numeric: {e}") from None
+    # numpy would take a JSON true or false as 1.0 or 0.0: check one set of item types.
+    kinds = {type(row) for row in probs}
+    if kinds == {list}:
+        kinds = {type(p) for row in probs for p in row}
+    if not kinds <= {int, float}:
+        raise ValueError("field 'cluster_class_probs' must be an array of arrays of "
+                         "JSON numbers")
+    probs = np.asarray(probs, dtype=np.float64)
     return ClassModel(
         grid=grid,
         classes=classes,

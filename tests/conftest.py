@@ -4,10 +4,14 @@ Compiled kernels (`dam._native`) are built into a temporary cache of the
 session, so the tests start from a cold cache and write nothing under the
 user's home. Tests marked ``@pytest.mark.acceptance("<label>")`` get one
 ``[acceptance] <label>: PASS|FAIL|SKIP`` line in the terminal summary, so the
-acceptance status is readable at a glance even inside a long run.
+acceptance status is readable at a glance even inside a long run. The
+`rewrite_model_payload` fixture edits the JSON payload of a model file.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,17 @@ def _kernel_cache(tmp_path_factory):
         _native.load.cache_clear()
         yield
     _native.load.cache_clear()
+
+
+@pytest.fixture
+def rewrite_model_payload():
+    """``rewrite(src, edit, dst=None)``: write to `dst` (default `src`) the
+    model file `src` with line 1's payload replaced by ``edit(payload)``;
+    line 2, the codebook, is kept as it is."""
+    def rewrite(src, edit, dst=None):
+        header, codebook = Path(src).read_text().split("\n", 1)
+        Path(dst or src).write_text(json.dumps(edit(json.loads(header))) + "\n" + codebook)
+    return rewrite
 
 
 def pytest_configure(config):

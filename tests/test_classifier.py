@@ -3,7 +3,6 @@
 import hashlib
 import json
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,44 +212,50 @@ def _toy_model(seed=0, joints=2, frames=10, window=2, rows=2, cols=2):
     return model, actions
 
 
-def _edit_hex(edit):
-    """An edit of a model file's text that rewrites its codebook hex."""
+def _edit_line_2(edit):
+    """An edit of a model file's text that rewrites the hex between line 2's quotes."""
     def apply(text):
-        start = text.index('"codebook":"') + len('"codebook":"')
-        end = text.index('"', start)
-        return text[:start] + edit(text[start:end]) + text[end:]
+        header, codebook = text.split("\n", 1)
+        hex_ = codebook[1:codebook.index('"', 1)]
+        return f'{header}\n"{edit(hex_)}"\n'
     return apply
 
 
-# Edits of a saved model file's text, and whether the spliced load takes the
-# edited file (otherwise the whole file is parsed as JSON).
-_SPLICE_CASES = {
-    "saved": (lambda text: text, True),
-    "uppercase hex": (_edit_hex(str.upper), True),
-    "hex with spaces": (_edit_hex(lambda h: h[:16] + " " + h[16:]), False),
-    "escaped digit": (_edit_hex(lambda h: h.replace("0", "\\u0030", 1)), False),
-    "odd-length hex": (_edit_hex(lambda h: h[:-1]), False),
-    "not hex": (_edit_hex(lambda h: "g" + h[1:]), False),
-    "one value too many": (_edit_hex(lambda h: h + "00" * 8), True),
-    "label holding the key": (
-        lambda text: text.replace('"left"', '"\\"codebook\\":\\""', 1), True),
-    "duplicate key, empty first": (
-        lambda text: text.replace('"codebook":"', '"codebook":"","codebook":"'), False),
-    "duplicate key, empty last": (_edit_hex(lambda h: h + '","codebook":"'), False),
-    "escaped duplicate key first": (
-        lambda text: text.replace('"codebook":"', '"cod\\u0065book":"00","codebook":"'), True),
-    "top-level key": (lambda text: '{"codebook":"00",' + text[1:], False),
-    "NaN elsewhere": (
-        lambda text: re.sub(r'("cluster_class_probs":\[\[)[^,\]]+', r"\1NaN", text), False),
-    "truncated in the hex": (
-        lambda text: text[:text.index('"codebook":"') + 20], False),
-    "truncated after the hex": (lambda text: text[:-3], False),
+def _first_line(text):
+    return text.split("\n", 1)[0]
+
+
+_NOT_LINE_2 = "line 2 must be the last line and hold the codebook as one quoted hex string"
+_NOT_HEX = "the codebook on line 2 is not hex"
+_WRONG_SIZE = r"the codebook on line 2 holds \d+ bytes, expected rows \* cols \* dim \* 8 = 384"
+
+# Edits of a saved model file's text, and the error each gives (None: the
+# file loads as the saved model).
+_LINE_2_CASES = {
+    "CRLF copy": (lambda text: text.replace("\n", "\r\n"), None),
+    "no final newline": (lambda text: text[:-1], None),
+    "trailing whitespace": (lambda text: text + " \t\r\n\n", None),
+    "uppercase hex": (_edit_line_2(str.upper), None),
+    "line 1 cut short": (lambda text: text[:20] + text[text.index("\n"):],
+                         "line 1 is not valid JSON"),
+    "no line 2": (_first_line, _NOT_LINE_2),
+    "empty line 2": (lambda text: _first_line(text) + "\n", _NOT_LINE_2),
+    "line 2 not quoted": (
+        lambda text: text.replace('\n"', "\n").replace('"\n', "\n"), _NOT_LINE_2),
+    "line 2 not closed": (lambda text: text.replace('"\n', "\n"), _NOT_LINE_2),
+    "space before line 2": (lambda text: text.replace('\n"', '\n "'), _NOT_LINE_2),
+    "a third line": (lambda text: text + '"00"\n', _NOT_LINE_2),
+    "odd-length hex": (_edit_line_2(lambda h: h[:-1]), _NOT_HEX),
+    "not hex": (_edit_line_2(lambda h: "g" + h[1:]), _NOT_HEX),
+    "hex with a space": (_edit_line_2(lambda h: h[:16] + " " + h[16:]), _NOT_HEX),
+    "escaped digit": (_edit_line_2(lambda h: h.replace("0", "\\u0030", 1)), _NOT_HEX),
+    "truncated by one value": (_edit_line_2(lambda h: h[:-16]), _WRONG_SIZE),
+    "one value too many": (_edit_line_2(lambda h: h + "00" * 8), _WRONG_SIZE),
 }
 
-# Text the property test splices into a model file.
-_SPLICE_SNIPPETS = ['"', "\\", " ", "\n", "0", "A", "g", ",", ":", "{", "}", "[", "]", "NaN",
-                    "Infinity", "\\u0030", '"codebook":"', '"codebook":"00",', '"grid":{',
-                    '"",']
+# Text the property test inserts into a model file.
+_SNIPPETS = ['"', "\\", " ", "\t", "\r", "\n", "0", "A", "g", ",", ":", "{", "}", "[", "]",
+             "NaN", "Infinity", "true", "\\u0030", '"codebook":"00",', '"grid":{', '"",']
 
 
 def _load_outcome(path):
@@ -265,10 +270,21 @@ def _load_outcome(path):
     return "model", again.read_bytes(), model.grid.codebook.flags.writeable
 
 
-def _whole_file_outcome(path):
-    """`_load_outcome` with every file parsed as whole JSON text."""
-    with mock.patch.object(classifier_module, "_spliced_payload", lambda data: None):
-        return _load_outcome(path)
+def _two_line_model(path):
+    """The bytes save_model writes for the model in `path` when its first line
+    and the rest of the file are each read by `json.loads`; None when that
+    reading gives no model."""
+    header, _, codebook = path.read_bytes().partition(b"\n")
+    try:
+        payload = json.loads(header)
+        if payload["format_version"] != MODEL_FORMAT_VERSION:
+            return None
+        model = classifier_module._decode_model(payload, bytes.fromhex(json.loads(codebook)))
+    except (ValueError, TypeError, KeyError):
+        return None
+    again = path.with_name("oracle.json")
+    save_model(model, again)
+    return again.read_bytes()
 
 
 class TestClassifyAction:
@@ -319,17 +335,20 @@ class TestModelFile:
         save_model(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_file_is_the_plain_json_dump(self, tmp_path):
-        # The codebook hex is spliced in, not dumped; the bytes must be those
-        # of json.dumps over the whole payload, quotes and non-ASCII included.
+    def test_file_is_two_canonical_json_lines(self, tmp_path):
+        # Line 1 is json.dumps of every field but the codebook, quotes and
+        # non-ASCII included; line 2 is the codebook's hex as a JSON string.
         model, _ = _toy_model(seed=5, rows=3, cols=4)
         model.classes = ['say "hi"', "caf\u00e9"]
         path = tmp_path / "m.json"
         save_model(model, path)
-        payload = json.loads(path.read_text())
-        assert payload["grid"]["codebook"] == model.grid.codebook.tobytes().hex()
-        plain = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        assert path.read_bytes() == plain.encode()
+        header, codebook, end = path.read_text().split("\n")
+        payload = json.loads(header)
+        assert payload["classes"] == model.classes
+        assert payload["grid"] == {"rows": 3, "cols": 4, "dim": model.grid.dim}
+        assert header == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert codebook == json.dumps(model.grid.codebook.tobytes().hex())
+        assert end == ""
 
     def test_integer_and_string_labels_survive(self, tmp_path):
         params = PreprocessParams(frames=8, window=2)
@@ -340,25 +359,29 @@ class TestModelFile:
         save_model(model, path)
         assert load_model(path).classes == [2, "wave"]
 
-    def test_unsupported_version_fails(self, tmp_path):
+    def test_unsupported_version_fails(self, tmp_path, rewrite_model_payload):
         model, _ = _toy_model()
         path = tmp_path / "m.json"
         save_model(model, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = "999"
-        path.write_text(json.dumps(payload))
+        rewrite_model_payload(path, lambda p: {**p, "format_version": "999"})
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
-    def test_format_1_file_names_both_versions(self, tmp_path):
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_format_1_file_names_both_versions(self, tmp_path, version):
+        # Format 1 held the codebook as decimals and format 2 as hex, both in
+        # one JSON object on one line; either is refused by its version.
         model, _ = _toy_model()
         path = tmp_path / "m.json"
         save_model(model, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = "1"
-        payload["grid"]["codebook"] = model.grid.codebook.tolist()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"version '1' \(this build reads '2'\); re-create"):
+        payload = json.loads(path.read_text().split("\n")[0])
+        payload["format_version"] = version
+        payload["grid"]["codebook"] = (model.grid.codebook.tolist() if version == "1"
+                                       else model.grid.codebook.tobytes().hex())
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: unsupported model format version '{version}' "
+                r"\(this build reads '3'\); re-create it with `dam train`$")):
             load_model(path)
 
     @settings(max_examples=100, deadline=None,
@@ -379,47 +402,41 @@ class TestModelFile:
         assert loaded.flags.writeable and loaded.flags.c_contiguous
         assert loaded.dtype == np.float64
 
-    @pytest.mark.parametrize("edit", [
-        lambda hex_: hex_[:-16],  # truncated by one value
-        lambda hex_: hex_[:-1],  # odd length
-        lambda hex_: "g" + hex_[1:],  # not hex
-        lambda hex_: hex_ + "00" * 8,  # one value too many
-    ], ids=["truncated", "odd-length", "non-hex", "wrong-length"])
-    def test_bad_codebook_string_names_codebook(self, tmp_path, edit):
+    @pytest.mark.parametrize("case", list(_LINE_2_CASES))
+    def test_line_2_holds_the_codebook_or_the_file_is_refused(self, tmp_path, case):
+        edit, error = _LINE_2_CASES[case]
         model, _ = _toy_model()
+        saved = tmp_path / "saved.json"
+        save_model(model, saved)
         path = tmp_path / "m.json"
-        save_model(model, path)
-        payload = json.loads(path.read_text())
-        payload["grid"]["codebook"] = edit(payload["grid"]["codebook"])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=r"field 'grid\.codebook'"):
-            load_model(path)
-
-    @pytest.mark.parametrize("case", list(_SPLICE_CASES))
-    def test_spliced_load_gives_what_the_whole_file_parse_gives(self, tmp_path, case):
-        edit, spliced = _SPLICE_CASES[case]
-        model, _ = _toy_model()
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        path.write_text(edit(path.read_text()))
-        assert _load_outcome(path) == _whole_file_outcome(path)
-        assert (classifier_module._spliced_payload(path.read_bytes()) is not None) == spliced
+        path.write_bytes(edit(saved.read_text()).encode())
+        if error is None:
+            assert _load_outcome(path) == ("model", saved.read_bytes(), True)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+                load_model(path)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_spliced_load_of_an_edited_file_gives_the_whole_file_parse(self, tmp_path, data):
+    def test_an_edited_file_gives_its_two_line_model_or_an_error_naming_it(self, tmp_path,
+                                                                          data):
         # One snippet inserted anywhere in a saved file, or one character
-        # deleted: the same model or the same error either way.
+        # deleted: the loaded model is the one json.loads reads from the two
+        # lines, or the error names the file.
         model, _ = _toy_model(rows=1, cols=2)
         path = tmp_path / "m.json"
         save_model(model, path)
         text = path.read_text()
         at = data.draw(st.integers(0, len(text)))
-        snippet = data.draw(st.sampled_from(_SPLICE_SNIPPETS))
+        snippet = data.draw(st.sampled_from(_SNIPPETS))
         cut = data.draw(st.integers(0, 1))
-        path.write_text(text[:at] + snippet + text[at + cut:])
-        assert _load_outcome(path) == _whole_file_outcome(path)
+        path.write_bytes((text[:at] + snippet + text[at + cut:]).encode())
+        outcome = _load_outcome(path)
+        if outcome[0] == "model":
+            assert outcome[1:] == (_two_line_model(path), True)
+        else:
+            assert outcome[1].startswith(f"{path}: ")
 
     def test_file_bytes_match_the_pinned_digest(self, tmp_path):
         # Fails on any change of key order, separators, codebook byte order
@@ -431,16 +448,29 @@ class TestModelFile:
         path = tmp_path / "m.json"
         save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "17f8b9eeb0c1d238176730ebcc31c89ec131a0441de78f42b5f2cb8de3da87cb"
+        assert digest == "96cb610445337cb35f41e6ec4364413bb5a8450daf2e00f7664055f9e55673c2"
 
-    def test_corrupted_probability_rows_fail_validation(self, tmp_path):
+    def test_corrupted_probability_rows_fail_validation(self, tmp_path, rewrite_model_payload):
         model, _ = _toy_model()
         path = tmp_path / "m.json"
         save_model(model, path)
-        payload = json.loads(path.read_text())
-        payload["cluster_class_probs"][0] = [0.4, 0.4]
-        path.write_text(json.dumps(payload))
+        rewrite_model_payload(path, lambda p: {
+            **p, "cluster_class_probs": [[0.4, 0.4], *p["cluster_class_probs"][1:]]})
         with pytest.raises(ValueError, match="row"):
+            load_model(path)
+
+    @pytest.mark.parametrize("probs", [[True, False], [1, False], ["1.0", "0"]],
+                             ids=["bools", "int-and-bool", "strings"])
+    def test_probabilities_must_be_json_numbers(self, tmp_path, rewrite_model_payload, probs):
+        # numpy reads true/false as 1.0/0.0 and a numeric string as its value;
+        # every row here would sum to 1.
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        rewrite_model_payload(path, lambda p: {
+            **p, "cluster_class_probs": [probs] * len(p["cluster_class_probs"])})
+        with pytest.raises(ValueError, match=(
+                "field 'cluster_class_probs' must be an array of arrays of JSON numbers")):
             load_model(path)
 
     def test_model_validation_catches_shape_drift(self):

@@ -485,10 +485,10 @@ class TestClassify:
 
     @pytest.mark.parametrize("field", list(MALFORMED_MODEL_EDITS))
     def test_malformed_model_file_gives_one_error_line(self, capsys, tmp_path, canon_dir,
-                                                       model_path, field):
-        edit = MALFORMED_MODEL_EDITS[field]
+                                                       model_path, rewrite_model_payload,
+                                                       field):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+        rewrite_model_payload(model_path, MALFORMED_MODEL_EDITS[field], bad)
         code, stdout, stderr = run(capsys, "classify", "--model", str(bad),
                                    str(canon_dir / "c0_s01_i00.txt"))
         assert code == 1
@@ -497,6 +497,22 @@ class TestClassify:
         prefix = f"error: {bad}: "
         assert line.startswith(prefix)
         assert field in line[len(prefix):]
+
+    def test_format_2_model_file_gives_one_error_line(self, capsys, tmp_path, canon_dir,
+                                                      model_path):
+        # A format-2 file is one JSON object on one line, its codebook's hex
+        # inside `grid`.
+        header, codebook, _ = model_path.read_text().split("\n")
+        payload = json.loads(header)
+        payload["format_version"] = "2"
+        payload["grid"]["codebook"] = json.loads(codebook)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        code, stdout, stderr = run(capsys, "classify", "--model", str(old),
+                                   str(canon_dir / "c0_s01_i00.txt"))
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: {old}: unsupported model format version '2' (this build "
+                          "reads '3'); re-create it with `dam train`\n")
 
     @pytest.mark.parametrize("group", [2, cli._CLASSIFY_GROUP], ids=["groups-of-2", "one-group"])
     def test_one_call_prints_what_one_file_calls_print(self, capsys, monkeypatch, tmp_path,
