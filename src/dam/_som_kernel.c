@@ -11,7 +11,8 @@
  * - the weight h is read from a table numpy filled, one row per step and
  *   one entry per distinct squared grid distance dr^2 + dc^2, that already
  *   holds the learning rate (h = table[s][index[dr][dc]]), so no libm exp
- *   is called and the schedule stays in `som.train_som`;
+ *   is called. `dam_som_schedule` gives numpy the learning rate and radius
+ *   of each step with libm's pow, the function Python's float `**` calls;
  * - the winner is the argmin of the distances this kernel summed only when
  *   the runner-up is further than the rounding bound of
  *   `som._rounding_bound`; otherwise the kernel stops before that step and
@@ -234,6 +235,23 @@ int64_t dam_som_block(BLOCK_PARAMS)
         return run(BLOCK_ARGS, block_quad, helper_quad);
 #endif
     return run(BLOCK_ARGS, block_pair, helper_pair);
+}
+
+/* Steps first .. first + count - 1 of a `total`-step schedule: alphas[s] and
+ * sigmas[s] decay exponentially from alpha0 and sigma0 toward alpha1 and
+ * sigma1, as `som._python_schedule` computes them with Python's float `**`
+ * (libm's pow for a positive base and a finite exponent). Python's int
+ * true division rounds step / (total - 1) once, as this quotient of two
+ * exact doubles does for any step count below 2^53. */
+void dam_som_schedule(double alpha0, double alpha1, double sigma0, double sigma1, int64_t total,
+                      int64_t first, int64_t count, double *alphas, double *sigmas)
+{
+    const double alpha_ratio = alpha1 / alpha0, sigma_ratio = sigma1 / sigma0;
+    for (int64_t s = 0; s < count; ++s) {
+        double frac = total > 1 ? (double)(first + s) / (double)(total - 1) : 0.0;
+        alphas[s] = alpha0 * pow(alpha_ratio, frac);
+        sigmas[s] = sigma0 * pow(sigma_ratio, frac);
+    }
 }
 
 #else /* The block body on VEC, a vector of LANES doubles, built with TARGET. */

@@ -280,6 +280,10 @@ def _decode_model(payload: dict, raw: bytes) -> ClassModel:
     kinds = {type(row) for row in probs}
     if kinds == {list}:
         kinds = {type(p) for row in probs for p in row}
+        for i, row in enumerate(probs):
+            if len(row) != len(classes):
+                raise ValueError(f"field 'cluster_class_probs' row {i} has {len(row)} "
+                                 f"entries, expected one per class, {len(classes)}")
     if not kinds <= {int, float}:
         raise ValueError("field 'cluster_class_probs' must be an array of arrays of "
                          "JSON numbers")

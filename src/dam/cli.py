@@ -39,6 +39,7 @@ from .evaluation import (
     CROSS_SUBJECT,
     LOSO,
     ExperimentConfig,
+    _sweep_axes,
     cross_validate,
     evaluate_loso,
     parameter_sweep,
@@ -404,6 +405,7 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_base(settings: dict) -> ExperimentConfig:
     _require(settings, "frames", "windows", "grids")
+    _sweep_axes(settings["windows"], settings["grids"])
     return experiment_config(
         {**settings, "window": settings["windows"][0], "grid": settings["grids"][0]}
     )

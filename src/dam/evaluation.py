@@ -304,6 +304,20 @@ class SweepRow:
     std_accuracy: float
 
 
+def _sweep_axes(windows, grids) -> tuple[list, list]:
+    """The windows and (rows, cols) grids of a sweep, as lists; a ValueError when
+    either is empty or lists an entry twice (it would train every task twice)."""
+    windows = list(windows)
+    grids = [(int(r), int(c)) for r, c in grids]
+    if not windows or not grids:
+        raise ValueError("need at least one window and one grid")
+    for name, items in (("windows", windows), ("grids", grids)):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ValueError(f"{name} lists {item!r} twice")
+    return windows, grids
+
+
 def parameter_sweep(
     dataset: Dataset,
     cfg: ExperimentConfig,
@@ -319,12 +333,10 @@ def parameter_sweep(
     row across subsets is appended, mirroring how multi-subset benchmarks are
     usually reported. All combinations share the master seed, so their
     underlying splits are paired. Every window, grid and subset is checked
-    before the first codebook is trained.
+    before the first codebook is trained, and none may be listed twice
+    (`_sweep_axes`).
     """
-    windows = list(windows)
-    grids = [(int(r), int(c)) for r, c in grids]
-    if not windows or not grids:
-        raise ValueError("need at least one window and one grid")
+    windows, grids = _sweep_axes(windows, grids)
     combos = [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
               for w in windows for r, c in grids]
     if action_sets:

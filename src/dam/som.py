@@ -26,18 +26,16 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = (0.5, 0.01)
 DEFAULT_FINAL_RADIUS = 0.5
 
-# Floats per (rows, K) score block of the nearest-unit search: 512 KiB, so a
-# block stays cache-sized, a bulk search (e.g. all of a fit's training WDFs)
-# needs little memory beyond its input, and no (rows, K, dim) buffer is made.
+# Floats per (rows, K) score block of the nearest-unit search, and per
+# neighbourhood table of online training: 512 KiB, so a block stays
+# cache-sized, a bulk search (e.g. all of a fit's training WDFs) needs little
+# memory beyond its input, and no (rows, K, dim) buffer is made.
 _CHUNK_BUDGET = 65_536
 # Below this ||x||^2 + max ||c||^2 neither a GEMM score nor a direct-form
 # distance (at most twice that sum) can overflow, so the rounding bound holds.
 _SIZE_LIMIT = np.finfo(np.float64).max / 8
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
-# Online steps per block: one neighbourhood table of this many rows is filled
-# per block (at 25x25 under 0.3 MB) and handed to the block runner.
-_BLOCK_STEPS = 128
 # Smallest units * dim whose online steps run on two threads. At dim 180 on a
 # 2-core VM, a step of 25 units took ~20% longer on two threads (the threads
 # meet once per step), 40 units broke even and 75 gained ~20%; the margin
@@ -313,6 +311,33 @@ def _compiled_block(kernel, threads, codebook, samples, rows, cols, order, table
             start += 1
 
 
+def _python_schedule(alpha0, alpha1, sigma0, sigma1, total, first, count):
+    """(alphas, sigmas) of steps first .. first + count - 1 of a `total`-step schedule.
+
+    Each decays exponentially, ``alpha0 * (alpha1 / alpha0) ** (t / (total - 1))``,
+    with Python's float `**`; `_som_kernel.c`'s `dam_som_schedule` gives the same bits.
+    """
+    fracs = [step / (total - 1) if total > 1 else 0.0 for step in range(first, first + count)]
+    return (np.array([alpha0 * (alpha1 / alpha0) ** frac for frac in fracs]),
+            np.array([sigma0 * (sigma1 / sigma0) ** frac for frac in fracs]))
+
+
+def _compiled_schedule(kernel, alpha0, alpha1, sigma0, sigma1, total, first, count):
+    """`_python_schedule` in `_som_kernel.c`'s `dam_som_schedule`."""
+    alphas, sigmas = np.empty(count), np.empty(count)
+    kernel(alpha0, alpha1, sigma0, sigma1, total, first, count, alphas.ctypes.data,
+           sigmas.ctypes.data)
+    return alphas, sigmas
+
+
+def _schedule():
+    """The schedule function: `_som_kernel.c`'s when it is compiled and loads, else Python's."""
+    double, size, pointer = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    kernel = _native.function("_som_kernel.c", "dam_som_schedule", None, double, double, double,
+                              double, size, size, size, pointer, pointer)
+    return _python_schedule if kernel is None else functools.partial(_compiled_schedule, kernel)
+
+
 def _kernel(name):
     """The block body `name` of `_som_kernel.c`, typed, or None when it is not compiled."""
     pointer, size = ctypes.c_void_p, ctypes.c_int64
@@ -371,15 +396,18 @@ def train_som(
     starts as a seeded draw of training vectors unless `initial_codebook` is
     given, and every epoch visits the samples in a fresh seeded order.
 
-    The steps run in blocks of `_BLOCK_STEPS`. Per block, numpy fills one
-    weight table, ``exp(-k / (2 sigma(t)^2)) * alpha(t)`` for each step t
-    and each distinct squared grid distance k, and a block runner makes the
-    steps: a compiled C kernel (`dam._native` builds it on first use; it
-    runs its AVX2 body where the CPU has AVX2, and splits the units of a
-    large map over two threads, see `_thread_count`) or, without a
-    compiler, the numpy loop `_numpy_block`. All update with the same float
-    operations, ``t = c - x; t *= h; c -= t`` with h a table entry, so they
-    give the same bytes.
+    The steps run in chunks of as many steps as fit one weight table of
+    `_CHUNK_BUDGET` floats (1 927 steps at 8x8, 240 at 25x25). Per chunk,
+    `_schedule` gives alpha(t) and sigma(t): `_som_kernel.c` computes them
+    with libm's `pow`, or, without a compiler, Python's float `**` does, to
+    the same bits. numpy fills the table, ``exp(-k / (2 sigma(t)^2)) *
+    alpha(t)`` for each step t and each distinct squared grid distance k,
+    and one block runner call makes the chunk's steps: a compiled C kernel
+    (`dam._native` builds it on first use; it runs its AVX2 body where the
+    CPU has AVX2, and splits the units of a large map over two threads, see
+    `_thread_count`) or, without a compiler, the numpy loop `_numpy_block`.
+    All update with the same float operations, ``t = c - x; t *= h;
+    c -= t`` with h a table entry, so they give the same bytes.
 
     The winner of a step is the argmin of the direct form
     ``(diff * diff).sum(axis=1)``, ties to the lowest index. Either runner
@@ -431,14 +459,14 @@ def train_som(
     order = np.concatenate([rng.permutation(n) for _ in range(params.epochs)]).astype(np.int64)
     neg_k, index = _neighbour_index(rows, cols)
     run_block = _block_runner(units, samples.shape[1])
-    for lo in range(0, total, _BLOCK_STEPS):
-        steps = range(lo, min(total, lo + _BLOCK_STEPS))
-        fracs = [step / (total - 1) if total > 1 else 0.0 for step in steps]
-        alphas = np.array([alpha0 * (alpha1 / alpha0) ** frac for frac in fracs])
-        sigmas = np.array([sigma0 * (sigma1 / sigma0) ** frac for frac in fracs])
-        table = _gaussian(neg_k, sigmas[:, None], out=np.empty((len(steps), len(neg_k))))
+    schedule = _schedule()
+    chunk = max(1, _CHUNK_BUDGET // len(neg_k))
+    for lo in range(0, total, chunk):
+        hi = min(total, lo + chunk)
+        alphas, sigmas = schedule(alpha0, alpha1, sigma0, sigma1, total, lo, hi - lo)
+        table = _gaussian(neg_k, sigmas[:, None], out=np.empty((hi - lo, len(neg_k))))
         table *= alphas[:, None]
-        run_block(codebook, samples, rows, cols, order[lo : steps.stop], table, index)
+        run_block(codebook, samples, rows, cols, order[lo:hi], table, index)
     if not np.isfinite(codebook).all():
         raise ValueError("training overflowed: the samples or the initial codebook are too "
                          "large in magnitude")

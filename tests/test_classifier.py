@@ -459,6 +459,21 @@ class TestModelFile:
         with pytest.raises(ValueError, match="row"):
             load_model(path)
 
+    def test_a_ragged_probability_row_names_the_field_and_its_width(self, tmp_path,
+                                                                    rewrite_model_payload):
+        # numpy would refuse the ragged table as an "inhomogeneous shape",
+        # naming no field.
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        rewrite_model_payload(path, lambda p: {
+            **p, "cluster_class_probs": [*p["cluster_class_probs"][:-1], [1.0]]})
+        last = model.grid.unit_count - 1
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: field 'cluster_class_probs' row {last} has 1 "
+                rf"entries, expected one per class, {len(model.classes)}$")):
+            load_model(path)
+
     @pytest.mark.parametrize("probs", [[True, False], [1, False], ["1.0", "0"]],
                              ids=["bools", "int-and-bool", "strings"])
     def test_probabilities_must_be_json_numbers(self, tmp_path, rewrite_model_payload, probs):

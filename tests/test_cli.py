@@ -96,6 +96,8 @@ MALFORMED_MODEL_EDITS = {
     "unknown field 'extra'": lambda p: {**p, "extra": 1},
     "unknown field 'grid.extra'": lambda p: {**p, "grid": {**p["grid"], "extra": 1}},
     "'cluster_class_probs'": lambda p: {**p, "cluster_class_probs": [[{}]]},
+    "'cluster_class_probs' row 0 has 1 entries, expected one per class, 3": lambda p: {
+        **p, "cluster_class_probs": [[1.0], *p["cluster_class_probs"][1:]]},
 }
 
 
@@ -901,6 +903,28 @@ class TestSweep:
         assert got == code
         assert stderr.startswith("error: window must be in") and stderr.count("\n") == 1
         assert trained == [] and not out.exists()
+
+    @pytest.mark.parametrize("axes, message", [
+        (["--windows", "3,3", "--grids", "3x3"], "windows lists 3 twice"),
+        (["--windows", "2,3", "--grids", "3x3,2x2,3X3"], "grids lists (3, 3) twice"),
+    ], ids=["windows", "grids"])
+    def test_an_axis_listing_an_entry_twice_is_refused_before_reading(self, capsys, tmp_path,
+                                                                      axes, message):
+        # The data directory does not exist: reading it would fail with status 1.
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run(capsys, "sweep", str(tmp_path / "missing"), "-o", str(out),
+                                   "--frames", "10", *axes)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_config_grid_listed_twice_is_refused(self, capsys, tmp_path, canon_dir):
+        config = tmp_path / "sweep_config.json"
+        config.write_text(json.dumps({"frames": 10, "windows": [2], "grids": [[2, 2], "2x2"]}))
+        code, _, stderr = run(capsys, "sweep", str(canon_dir), "-o", str(tmp_path / "s.csv"),
+                              "--config", str(config))
+        assert code == 2
+        assert stderr == "error: grids lists (2, 2) twice\n"
 
     @pytest.mark.parametrize("key", ["windows", "grids"])
     def test_empty_axis_rejected(self, capsys, tmp_path, canon_dir, key):

@@ -652,6 +652,18 @@ class TestParameterSweep:
             "243897ec6a404cc61548632d4b0591756c5b61a6f07407397e9c6b6e93e0ab98"
         )
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(windows=[1, 2, 1], grids=[(2, 2)]), "windows lists 1 twice"),
+        (dict(windows=[2], grids=[(2, 2), (3, 3), [2, 2]]), r"grids lists \(2, 2\) twice"),
+    ], ids=["windows", "grids"])
+    def test_an_entry_listed_twice_is_refused_before_training(self, directional, monkeypatch,
+                                                              kwargs, message):
+        trained = []
+        monkeypatch.setattr(evaluation, "train_som", lambda *a, **kw: trained.append(a))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parameter_sweep(directional, small_config(runs=1), **kwargs)
+        assert trained == []
+
     def test_empty_axes_rejected(self, directional):
         cfg = small_config(runs=1)
         with pytest.raises(ValueError, match="at least one"):

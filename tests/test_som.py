@@ -238,6 +238,13 @@ class TestBmuProperties:
         assert quantization_error(grid, xs) == distances.mean()
 
 
+def _schedule_ends(params, rows, cols):
+    """(alpha0, alpha1, sigma0, sigma1) of a rows x cols map trained with `params`."""
+    sigma0 = params.radius_start if params.radius_start is not None else max(rows, cols) / 2.0
+    sigma0 = max(sigma0, params.radius_end)
+    return params.learning_rate_start, params.learning_rate_end, sigma0, params.radius_end
+
+
 def _reference_train_som(samples, rows, cols, params, initial_codebook=None):
     """The plain online rule, frozen: one broadcast step per visited sample."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -249,10 +256,7 @@ def _reference_train_som(samples, rows, cols, params, initial_codebook=None):
         codebook = samples[rng.choice(n, size=units, replace=n < units)].copy()
     idx = np.arange(units)
     grid_pos = np.stack([idx // cols, idx % cols], axis=1).astype(np.float64)
-    alpha0, alpha1 = params.learning_rate_start, params.learning_rate_end
-    sigma0 = params.radius_start if params.radius_start is not None else max(rows, cols) / 2.0
-    sigma0 = max(sigma0, params.radius_end)
-    sigma1 = params.radius_end
+    alpha0, alpha1, sigma0, sigma1 = _schedule_ends(params, rows, cols)
     total = params.epochs * n
     step = 0
     for _ in range(params.epochs):
@@ -419,17 +423,19 @@ class TestTrainingMatchesReference:
 
     @pytest.mark.parametrize("block_steps", [1, 3])
     def test_short_blocks_match_the_plain_rule(self, block_steps, monkeypatch):
-        # Every hypothesis case fits in one block of `_BLOCK_STEPS`; here
-        # blocks of 1 and 3 steps split a tie-heavy run: rounded, repeated
-        # samples and units that all start at one point. Units at the same
-        # grid distance from the winners stay duplicates, so besides step 0
-        # step 5, the last of its 3-step block, is an exact tie.
+        # Every hypothesis case fits in one chunk of `_CHUNK_BUDGET` floats;
+        # here a budget of 1 or 3 table rows splits a tie-heavy run into
+        # chunks of 1 and 3 steps: rounded, repeated samples and units that
+        # all start at one point. Units at the same grid distance from the
+        # winners stay duplicates, so besides step 0 step 5, the last of its
+        # 3-step chunk, is an exact tie.
         rng = np.random.default_rng(15)
         samples = np.round(rng.normal(size=(42, 6)), 1)
         samples[::3] = samples[1::3]
         start = np.tile(np.round(rng.normal(size=6), 1), (9, 1))
         params = SomTrainParams(epochs=2, seed=3)
-        monkeypatch.setattr(som, "_BLOCK_STEPS", block_steps)
+        columns = len(som._neighbour_index(3, 3)[0])
+        monkeypatch.setattr(som, "_CHUNK_BUDGET", block_steps * columns)
         grid = train_som(samples, 3, 3, params, initial_codebook=start)
         want = _reference_train_som(samples, 3, 3, params, start)
         assert grid.codebook.tobytes() == want.tobytes()
@@ -575,6 +581,59 @@ def test_exact_ties_across_the_split_go_to_the_lower_unit(body, monkeypatch):
     assert grid.codebook.tobytes() == want.tobytes()
     moved = np.linalg.norm(grid.codebook - start, axis=1)
     assert moved[1] > 1000 * moved[6] > 0.0
+
+
+SCHEDULES = {
+    "default-25x25": (SomTrainParams(), 25, 25),
+    "radius-start-none-8x8": (SomTrainParams(radius_start=None), 8, 8),
+    "constant": (SomTrainParams(learning_rate_start=0.3, learning_rate_end=0.3,
+                                radius_start=2.0, radius_end=2.0), 5, 5),
+    "smallest-radius": (SomTrainParams(radius_end=1.06e-154), 25, 25),
+    # sigma1 / sigma0 underflows to 0: every radius after step 0 is 0.
+    "radius-ratio-underflows": (SomTrainParams(radius_start=1e300, radius_end=1.06e-154), 3, 3),
+}
+
+
+class TestChunkedSchedule:
+    @pytest.mark.parametrize("total", [1, 2, 3, 127, 128, 129, 14_784, 100_003])
+    @pytest.mark.parametrize("case", list(SCHEDULES))
+    def test_compiled_schedule_matches_python_bits(self, case, total):
+        if _native.load("_som_kernel.c") is None:
+            pytest.skip("the C kernel was not compiled here")
+        schedule = som._schedule()
+        assert schedule is not som._python_schedule
+        ends = _schedule_ends(*SCHEDULES[case])
+        want = som._python_schedule(*ends, total, 0, total)
+        whole = schedule(*ends, total, 0, total)
+        # A chunk starting mid-schedule gives that part of the whole.
+        first = total // 3
+        part = schedule(*ends, total, first, total - first)
+        for got, expected in zip(whole, want):
+            assert got.tobytes() == expected.tobytes()
+        for got, expected in zip(part, want):
+            assert got.tobytes() == expected[first:].tobytes()
+
+    def test_an_8x8_training_runs_in_table_sized_chunks(self, monkeypatch):
+        # 34 distinct squared grid distances at 8x8, so 65 536 // 34 = 1 927
+        # steps per chunk: 14 784 steps make ceil(14 784 / 1 927) = 8 runner
+        # calls, every chunk full but the last.
+        columns = len(som._neighbour_index(8, 8)[0])
+        assert _CHUNK_BUDGET // columns == 1927
+        block_runner, calls = som._block_runner, []
+
+        def counting(units, dim):
+            run_block = block_runner(units, dim)
+
+            def counted(codebook, samples, rows, cols, order, table, index):
+                calls.append(len(order))
+                assert table.shape == (len(order), columns)
+                run_block(codebook, samples, rows, cols, order, table, index)
+            return counted
+
+        monkeypatch.setattr(som, "_block_runner", counting)
+        samples = np.random.default_rng(3).normal(size=(1848, 4))
+        train_som(samples, 8, 8, SomTrainParams(epochs=8, seed=0))
+        assert calls == [1927] * 7 + [14_784 - 7 * 1927]
 
 
 class TestThreadCount:
