@@ -15,12 +15,12 @@ evaluate, sweep).
 from .classifier import (
     ClassModel,
     Posterior,
-    class_posterior,
     classify_action,
     estimate_class_probabilities,
     fit_model,
     load_model,
     save_model,
+    score_actions,
 )
 from .dataset import (
     Action,
@@ -37,7 +37,6 @@ from .dataset import (
     splits_loso,
     write_canonical_dataset,
 )
-from .descriptor import Histogram, compute_histogram
 from .evaluation import (
     AggregateResult,
     ExperimentConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "ClassModel",
     "Dataset",
     "ExperimentConfig",
-    "Histogram",
     "Msrc12Layout",
     "Posterior",
     "PreprocessParams",
@@ -86,9 +84,7 @@ __all__ = [
     "bmu",
     "bmu_batch",
     "class_order",
-    "class_posterior",
     "classify_action",
-    "compute_histogram",
     "cross_validate",
     "derive_seed",
     "direction_frames",
@@ -109,6 +105,7 @@ __all__ = [
     "quantization_error",
     "run_single",
     "save_model",
+    "score_actions",
     "serialize_action",
     "smooth_joint",
     "split_cross_subject",

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import class_order
-from .descriptor import Histogram, histogram_bins, pair_counts
+from .descriptor import histogram_bins, pair_counts
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
@@ -146,19 +146,10 @@ def fit_model(grid, wdf_sets, labels, params: PreprocessParams, joint_count: int
                       joint_count=joint_count)
 
 
-def class_posterior(model: ClassModel, histogram: Histogram) -> Posterior:
-    """Score every class: sum over units of P(class | unit) * histogram mass."""
-    bins = np.asarray(histogram.bins, dtype=np.float64)
-    if bins.shape[0] != model.grid.unit_count:
-        raise ValueError(
-            f"histogram has {bins.shape[0]} bins, model expects {model.grid.unit_count}"
-        )
-    return Posterior(tuple(model.classes), bins @ model.cluster_class_probs)
-
-
 def score_actions(model: ClassModel, wdf_sets) -> list[Posterior]:
-    """The `class_posterior` of each (n_i, dim) set's histogram, from one winner search.
+    """The posterior of each (n_i, dim) set, from one winner search over all of them.
 
+    Class c scores sum_l P(c | l) * bins[l] over the set's `histogram_bins` row.
     Each row is its own ``bins @ probs`` product; one (sets, units) @ (units,
     classes) product may round differently, moving scores and their ties.
     """

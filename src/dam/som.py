@@ -69,6 +69,8 @@ class SomTrainParams:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.learning_rate_start <= 1.0:
             raise ValueError(
                 f"learning_rate_start must be in (0, 1], got {self.learning_rate_start}"
@@ -78,14 +80,23 @@ class SomTrainParams:
                 "learning_rate_end must be in (0, learning_rate_start], got "
                 f"{self.learning_rate_end}"
             )
-        if self.radius_end <= 0.0:
-            raise ValueError(f"radius_end must be > 0, got {self.radius_end}")
+        if not 0.0 < self.radius_end < np.inf:
+            raise ValueError(f"radius_end must be finite and > 0, got {self.radius_end}")
         # Every radius of the schedule is at least about radius_end.
         _check_width("radius_end", self.radius_end)
-        if self.radius_start is not None and self.radius_start < self.radius_end:
+        if self.radius_start is None:
+            return
+        if not self.radius_end <= self.radius_start < np.inf:
             raise ValueError(
-                f"radius_start ({self.radius_start}) must be >= radius_end "
+                f"radius_start ({self.radius_start}) must be finite and >= radius_end "
                 f"({self.radius_end})"
+            )
+        # The schedule scales radius_start by powers of this ratio; a subnormal
+        # or zero ratio takes the radius below radius_end, down to 0.
+        if self.radius_end / self.radius_start < np.finfo(np.float64).tiny:
+            raise ValueError(
+                "radius_end / radius_start must be a normal float (>= ~2.2e-308), got "
+                f"{self.radius_end} / {self.radius_start}"
             )
 
 

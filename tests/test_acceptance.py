@@ -17,9 +17,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import cli
-from dam.classifier import ClassModel, class_posterior, fit_model
+from dam.classifier import ClassModel, fit_model, score_actions
 from dam.dataset import load_msr_action3d, load_msrc12, write_canonical_dataset
-from dam.descriptor import Histogram, compute_histogram
+from dam.descriptor import histogram_bins
 from dam.evaluation import ExperimentConfig, cross_validate, parameter_sweep
 from dam.preprocess import (
     PreprocessParams,
@@ -74,7 +74,7 @@ def test_randomized_instances_match_brute_force_oracles():
         grid = SomGrid(rows, cols, rng.normal(size=(rows * cols, dim)))
         wdfs = rng.normal(size=(int(rng.integers(1, 12)), dim))
         assert_array_equal(
-            compute_histogram(grid, wdfs).bins, _histogram_oracle(grid.codebook, wdfs)
+            histogram_bins(grid, [wdfs])[0], _histogram_oracle(grid.codebook, wdfs)
         )
 
     for _ in range(1000):
@@ -86,8 +86,9 @@ def test_randomized_instances_match_brute_force_oracles():
             counts = rng.integers(0, 5, size=n_classes)
             if counts.sum() > 0:
                 probs[row] = counts / counts.sum()
+        codebook = rng.normal(size=(units, joints * 3 * window))
         model = ClassModel(
-            grid=SomGrid(rows, cols, rng.normal(size=(units, joints * 3 * window))),
+            grid=SomGrid(rows, cols, codebook),
             classes=list(range(n_classes)),
             cluster_class_probs=probs,
             params=PreprocessParams(frames=6, window=window),
@@ -96,10 +97,11 @@ def test_randomized_instances_match_brute_force_oracles():
         counts = rng.integers(0, 6, size=units)
         if counts.sum() == 0:
             counts[0] = 1
-        histogram = Histogram(bins=counts / counts.sum(), wdf_count=int(counts.sum()))
+        # A copy of unit l is won by unit l, so these windows have bins counts / n.
+        wdfs = np.repeat(codebook, counts, axis=0)
         assert_allclose(
-            class_posterior(model, histogram).scores,
-            _posterior_oracle(histogram.bins, probs),
+            score_actions(model, [wdfs])[0].scores,
+            _posterior_oracle(counts / counts.sum(), probs),
             rtol=0, atol=1e-12,
         )
 
@@ -136,9 +138,9 @@ def test_translation_exact_scale_close_histograms_unit_mass():
     )
     for positions in lattice_actions:
         offset = rng.integers(-(2**12), 2**12, size=3).astype(np.float64) * 2.0**-6
-        base = compute_histogram(grid, preprocess_action(positions, params))
-        moved = compute_histogram(grid, preprocess_action(positions + offset, params))
-        assert_array_equal(moved.bins, base.bins)
+        base = histogram_bins(grid, [preprocess_action(positions, params)])[0]
+        moved = histogram_bins(grid, [preprocess_action(positions + offset, params)])[0]
+        assert_array_equal(moved, base)
 
     # Scale invariance within 1e-9 per bin for x10 and x0.1.
     corpus = make_directional_dataset(
@@ -146,12 +148,12 @@ def test_translation_exact_scale_close_histograms_unit_mass():
     )
     float_grid = _sample_codebook(list(corpus), params, 16, seed=5)
     for action in corpus:
-        base = compute_histogram(float_grid, preprocess_action(action, params))
+        base = histogram_bins(float_grid, [preprocess_action(action, params)])[0]
         for factor in (10.0, 0.1):
-            scaled = compute_histogram(
-                float_grid, preprocess_action(action.frames * factor, params)
-            )
-            assert_allclose(scaled.bins, base.bins, rtol=0, atol=1e-9)
+            scaled = histogram_bins(
+                float_grid, [preprocess_action(action.frames * factor, params)]
+            )[0]
+            assert_allclose(scaled, base, rtol=0, atol=1e-9)
 
     # Unit mass on every action of every test corpus.
     ordered = make_ordered_dataset(
@@ -163,8 +165,8 @@ def test_translation_exact_scale_close_histograms_unit_mass():
         (lattice_actions, grid),
     ):
         for action in corpus_actions:
-            histogram = compute_histogram(codebook, preprocess_action(action, params))
-            assert abs(histogram.bins.sum() - 1.0) <= 1e-9
+            histogram = histogram_bins(codebook, [preprocess_action(action, params)])[0]
+            assert abs(histogram.sum() - 1.0) <= 1e-9
 
 
 # --- Criterion 3: windowing identities -----------------------------------------

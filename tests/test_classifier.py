@@ -17,7 +17,6 @@ from dam.classifier import (
     MODEL_FORMAT_VERSION,
     ClassModel,
     Posterior,
-    class_posterior,
     classify_action,
     estimate_class_probabilities,
     fit_model,
@@ -26,7 +25,6 @@ from dam.classifier import (
     score_actions,
 )
 from dam.dataset import Action
-from dam.descriptor import Histogram, compute_histogram
 from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import SomGrid, SomTrainParams, bmu, bmu_batch, train_som
 
@@ -110,6 +108,12 @@ class TestEstimate:
             estimate_class_probabilities(grid, [], [])
 
 
+def _units_on_a_line(units, dim):
+    """(units, dim) codebook with unit l at l * e_0: a copy of unit l is won by l alone,
+    so repeating unit l n_l times gives any histogram of counts n_l exactly."""
+    return np.outer(np.arange(units, dtype=np.float64), np.eye(1, dim)[0])
+
+
 class TestPosterior:
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(7)
@@ -122,11 +126,12 @@ class TestPosterior:
             probs = np.divide(
                 counts, totals[:, None], out=np.zeros_like(counts), where=totals[:, None] > 0
             )
-            bins = rng.integers(0, 4, size=k).astype(float)
-            if bins.sum() == 0:
-                bins[0] = 1.0
-            bins /= bins.sum()
-            grid = SomGrid(rows=1, cols=k, codebook=np.zeros((k, params.feature_dim(1) )))
+            hits = rng.integers(0, 4, size=k)
+            if hits.sum() == 0:
+                hits[0] = 1
+            bins = hits / hits.sum()
+            codebook = _units_on_a_line(k, params.feature_dim(1))
+            grid = SomGrid(rows=1, cols=k, codebook=codebook)
             model = ClassModel(
                 grid=grid,
                 classes=list(range(c)),
@@ -134,7 +139,7 @@ class TestPosterior:
                 params=params,
                 joint_count=1,
             )
-            post = class_posterior(model, Histogram(bins, int(bins.size)))
+            post = score_actions(model, [np.repeat(codebook, hits, axis=0)])[0]
             want = _posterior_oracle(probs, bins)
             assert np.abs(post.scores - want).max() <= 1e-12
             assert post.scores.min() >= 0.0
@@ -142,10 +147,10 @@ class TestPosterior:
 
     def test_tie_goes_to_first_class_in_order(self):
         params = PreprocessParams(frames=8, window=2)
-        grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, params.feature_dim(1))))
+        grid = SomGrid(rows=1, cols=2, codebook=_units_on_a_line(2, params.feature_dim(1)))
         probs = np.array([[0.5, 0.5], [0.5, 0.5]])
         model = ClassModel(grid, ["x", "y"], probs, params, joint_count=1)
-        post = class_posterior(model, Histogram(np.array([0.5, 0.5]), 2))
+        post = score_actions(model, [grid.codebook])[0]
         assert post.scores[0] == post.scores[1]
         assert post.predicted == "x"
 
@@ -154,13 +159,6 @@ class TestPosterior:
         assert_allclose(post.normalized(), [0.75, 0.25])
         zero = Posterior(classes=("a", "b"), scores=np.zeros(2))
         assert_array_equal(zero.normalized(), [0.0, 0.0])
-
-    def test_histogram_length_must_match(self):
-        params = PreprocessParams(frames=8, window=2)
-        grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, params.feature_dim(1))))
-        model = ClassModel(grid, ["a"], np.array([[1.0], [1.0]]), params, joint_count=1)
-        with pytest.raises(ValueError):
-            class_posterior(model, Histogram(np.ones(3) / 3.0, 3))
 
 
 class TestScoreActions:
@@ -184,7 +182,7 @@ class TestScoreActions:
         monkeypatch.undo()
 
         for posterior, wdfs in zip(posteriors, sets, strict=True):
-            want = class_posterior(model, compute_histogram(model.grid, wdfs))
+            want = score_actions(model, [wdfs])[0]
             assert posterior.classes == want.classes == ("a", "b", "c", "d")
             assert posterior.scores.tobytes() == want.scores.tobytes()
         assert [p.zero_evidence for p in posteriors] == [False] * 4 + [True]

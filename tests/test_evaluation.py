@@ -17,9 +17,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import classifier, descriptor, evaluation, som
-from dam.classifier import _per_row, class_posterior
+from dam.classifier import _per_row, score_actions
 from dam.dataset import Dataset, split_cross_subject
-from dam.descriptor import compute_histogram
 from dam.evaluation import (
     CROSS_SUBJECT,
     LOSO,
@@ -264,7 +263,7 @@ def _scored_per_action(model, test, wdfs):
     prob_sums = np.zeros((n, n))
     hits, zero_evidence = {}, 0
     for action in test:
-        posterior = class_posterior(model, compute_histogram(model.grid, wdfs[action.id]))
+        posterior = score_actions(model, [wdfs[action.id]])[0]
         zero_evidence += posterior.zero_evidence
         t, p = index[action.label], index[posterior.predicted]
         confusion[t, p] += 1

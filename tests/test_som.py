@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import _native, som
-from dam.descriptor import compute_histogram
+from dam.descriptor import histogram_bins
 from dam.som import (
     _CHUNK_BUDGET,
     SomGrid,
@@ -46,6 +46,25 @@ def _two_clouds(rng, n=120, dim=5, gap=60.0):
     return np.vstack([a, b]), np.array([0] * n + [1] * n)
 
 
+@st.composite
+def _train_fields(draw):
+    """Epochs 1-3, rates from 1e-320 to 1 and radii from 1e-170 to 1e200, each pair
+    in order; one field may then take an out-of-range or non-finite value."""
+    def pair(low, high):
+        return sorted(draw(st.lists(st.floats(low, high).map(lambda e: 10.0**e),
+                                    min_size=2, max_size=2)), reverse=True)
+    rates, radii = pair(-320.0, 0.0), pair(-170.0, 200.0)
+    fields = dict(epochs=draw(st.integers(1, 3)), learning_rate_start=rates[0],
+                  learning_rate_end=rates[1], radius_start=draw(st.sampled_from([radii[0], None])),
+                  radius_end=radii[1])
+    bad = draw(st.none() | st.sampled_from(sorted(fields)))
+    if bad == "epochs":
+        fields[bad] = draw(st.integers(-1, 0))
+    elif bad is not None:
+        fields[bad] = draw(st.sampled_from([0.0, -1.0, 2.0, np.nan, np.inf]))
+    return fields
+
+
 class TestParamsAndGrid:
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,11 +75,37 @@ class TestParamsAndGrid:
             dict(learning_rate_end=0.2, learning_rate_start=0.1),
             dict(radius_end=0.0),
             dict(radius_start=0.1, radius_end=0.5),
+            dict(radius_end=np.nan),
+            dict(radius_end=np.inf),
+            dict(radius_start=np.nan),
+            dict(radius_start=np.inf),
+            dict(seed=-1),
         ],
     )
     def test_rejects_bad_training_params(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SomTrainParams(**kwargs)
+
+    def test_rejects_a_radius_ratio_that_is_not_a_normal_float(self):
+        # The schedule's radius is radius_start * (radius_end / radius_start) ** frac;
+        # here the ratio underflows to 0, so every radius after step 0 would be 0.
+        with pytest.raises(ValueError, match="radius_end / radius_start"):
+            SomTrainParams(epochs=1, radius_start=1e200, radius_end=1.06e-154)
+        SomTrainParams(radius_start=1e150, radius_end=1.06e-154)  # a ratio of ~1e-304
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @example(dict(epochs=1, learning_rate_start=0.5, learning_rate_end=0.01,
+                  radius_start=1e200, radius_end=1.06e-154))
+    @given(_train_fields())
+    def test_every_accepted_schedule_trains_without_a_warning(self, fields):
+        # A refusal names a field; anything accepted trains (a warning fails the test).
+        try:
+            params = SomTrainParams(**fields)
+        except ValueError as error:
+            assert any(name in str(error) for name in fields), error
+            return
+        samples = np.random.default_rng(3).normal(size=(12, 3))
+        assert np.isfinite(train_som(samples, 3, 3, params).codebook).all()
 
     @pytest.mark.parametrize("kwargs", [
         dict(radius_end=1e-170), dict(radius_end=1e-155),
@@ -148,7 +193,7 @@ class TestBmu:
         with pytest.raises(ValueError, match="query row 2"):
             bmu_batch(grid, xs)
         with pytest.raises(ValueError, match="non-finite"):
-            compute_histogram(grid, xs)
+            histogram_bins(grid, [xs])
         with pytest.raises(ValueError, match="non-finite"):
             bmu(grid, xs[2])
 
@@ -583,14 +628,16 @@ def test_exact_ties_across_the_split_go_to_the_lower_unit(body, monkeypatch):
     assert moved[1] > 1000 * moved[6] > 0.0
 
 
+# (alpha0, alpha1, sigma0, sigma1) of each schedule.
 SCHEDULES = {
-    "default-25x25": (SomTrainParams(), 25, 25),
-    "radius-start-none-8x8": (SomTrainParams(radius_start=None), 8, 8),
-    "constant": (SomTrainParams(learning_rate_start=0.3, learning_rate_end=0.3,
-                                radius_start=2.0, radius_end=2.0), 5, 5),
-    "smallest-radius": (SomTrainParams(radius_end=1.06e-154), 25, 25),
-    # sigma1 / sigma0 underflows to 0: every radius after step 0 is 0.
-    "radius-ratio-underflows": (SomTrainParams(radius_start=1e300, radius_end=1.06e-154), 3, 3),
+    "default-25x25": _schedule_ends(SomTrainParams(), 25, 25),
+    "radius-start-none-8x8": _schedule_ends(SomTrainParams(radius_start=None), 8, 8),
+    "constant": _schedule_ends(SomTrainParams(learning_rate_start=0.3, learning_rate_end=0.3,
+                                              radius_start=2.0, radius_end=2.0), 5, 5),
+    "smallest-radius": _schedule_ends(SomTrainParams(radius_end=1.06e-154), 25, 25),
+    # sigma1 / sigma0 underflows to 0: every radius after step 0 is 0. SomTrainParams
+    # refuses these radii, but both schedules must still agree on them.
+    "radius-ratio-underflows": (0.5, 0.01, 1e300, 1.06e-154),
 }
 
 
@@ -602,7 +649,7 @@ class TestChunkedSchedule:
             pytest.skip("the C kernel was not compiled here")
         schedule = som._schedule()
         assert schedule is not som._python_schedule
-        ends = _schedule_ends(*SCHEDULES[case])
+        ends = SCHEDULES[case]
         want = som._python_schedule(*ends, total, 0, total)
         whole = schedule(*ends, total, 0, total)
         # A chunk starting mid-schedule gives that part of the whole.
