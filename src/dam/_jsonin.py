@@ -4,7 +4,8 @@ A value is checked against the annotation of the field it fills: `int` takes a
 JSON integer, `float` an integer or number (stored as float), `str` a string,
 `dict`/`list` an object/array, `X | None` also null, and `tuple[X, Y, ...]`
 an array of that length whose items X, Y, ... take. A JSON true or false
-decodes to a bool and is never an integer or a number.
+decodes to a bool and is never an integer or a number. `check_fields` holds
+a settings dataclass built in Python to its `int` and `float` annotations.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
+import numbers
 import reprlib
 import typing
 from pathlib import Path
@@ -61,6 +64,30 @@ def field_types(cls) -> MappingProxyType:
     """Field name -> resolved annotation of dataclass `cls`, read once per class."""
     hints = typing.get_type_hints(cls)
     return MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(cls)})
+
+
+def check_fields(obj) -> None:
+    """Raise naming the first field of dataclass `obj` annotated `int` that holds
+    no integer (numpy's count; a bool or a float does not) or `float` that holds
+    no finite number. Integers are stored as Python ints: numpy's fixed-width
+    ones wrap (25 * 25 is 113 in uint8) and do not serialize to JSON."""
+    for name, hint in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if hint is int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+            object.__setattr__(obj, name, int(value))
+        elif hint is float and not _finite(value):
+            raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
+def _finite(value) -> bool:
+    """True for a real number, not a bool, that a float holds finitely."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond any float
+        return False
 
 
 def build(cls, data: dict, where: str = "", defaults: bool = True):

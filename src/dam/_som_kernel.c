@@ -15,11 +15,11 @@
  *   of each step with libm's pow, the function Python's float `**` calls;
  * - the winner is the argmin of the distances this kernel summed only when
  *   the runner-up is further than the rounding bound of
- *   `som._rounding_bound`; otherwise the kernel stops before that step and
- *   numpy makes it. The distances sum the same squares as numpy's, in
- *   another order. The bound holds for any order, so the lanes a body
- *   splits the sum into decide only how often numpy makes a step, never a
- *   winner.
+ *   `som._rounding_bound`, which makes it the winner of numpy's direct form
+ *   (`som.train_som` states why); otherwise the kernel stops before that
+ *   step and numpy makes it with the direct form. The bound holds for any
+ *   summation order, so the lanes a body splits the sum into decide only
+ *   how often numpy makes a step, never a winner.
  *
  * A block runs on one thread or on two. With two, each thread owns a
  * contiguous half of the units: it moves them and finds their nearest two

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _native
+from . import _jsonin, _native
 from .classifier import ClassModel, _per_row, fit_model, score_actions
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
 from .preprocess import PreprocessParams, preprocess_action
@@ -52,8 +52,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _jsonin.check_fields(self)
         if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+            raise ValueError(
+                f"grid must be at least 1x1 in rows x cols, got {self.rows}x{self.cols}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.seed < 0:
@@ -100,10 +102,6 @@ class AggregateResult:
     mean_confusion: np.ndarray
     mean_prob_matrix: np.ndarray
     subject_accuracy: dict
-
-    @property
-    def accuracies(self) -> list[float]:
-        return [r.accuracy for r in self.run_results]
 
 
 def run_single(
@@ -230,13 +228,14 @@ def _indices(dataset: Dataset, halves: tuple[Dataset, Dataset]) -> tuple[list, l
     return tuple([position[a.id] for a in half] for half in halves)
 
 
-def _aggregate(protocol: str, results: list[RunResult], pooled: bool) -> AggregateResult:
+def _aggregate(protocol: str, results: list[RunResult]) -> AggregateResult:
+    """Reduce runs to means; LOSO pools its accuracy over every held-out action."""
     classes = results[0].classes
     for r in results:
         if r.classes != classes:
             raise ValueError("runs disagree on the class set")
     accuracies = np.array([r.accuracy for r in results])
-    if pooled:
+    if protocol == LOSO:
         mean = sum(r.correct_count for r in results) / sum(r.test_count for r in results)
     else:
         mean = float(accuracies.mean())
@@ -268,7 +267,7 @@ def _cross_subject_runs(subset: Dataset, cfg: ExperimentConfig, dataset: Dataset
 def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """cfg.runs repetitions of a fresh random cross-subject half split."""
     tasks = [(cfg, *run) for run in _cross_subject_runs(dataset, cfg, dataset)]
-    return _aggregate(CROSS_SUBJECT, list(_run_tasks(dataset, tasks, jobs)), pooled=False)
+    return _aggregate(CROSS_SUBJECT, list(_run_tasks(dataset, tasks, jobs)))
 
 
 def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
@@ -286,7 +285,7 @@ def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
         for rep in range(repeats)
         for k, fold in enumerate(folds)
     ]
-    return _aggregate(LOSO, list(_run_tasks(dataset, tasks, jobs)), pooled=True)
+    return _aggregate(LOSO, list(_run_tasks(dataset, tasks, jobs)))
 
 
 # --- Parameter sweep --------------------------------------------------------------
@@ -354,7 +353,7 @@ def parameter_sweep(
         window = combo.preprocess.window
         per_subset: list[SweepRow] = []
         for name in subsets:
-            agg = _aggregate(CROSS_SUBJECT, list(islice(results, cfg.runs)), pooled=False)
+            agg = _aggregate(CROSS_SUBJECT, list(islice(results, cfg.runs)))
             per_subset.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
                                        cfg.runs, agg.mean_accuracy, agg.std_accuracy))
             logger.info("sweep %s W=%d %dx%d: %.4f +/- %.4f", name, window, combo.rows,

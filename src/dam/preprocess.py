@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _native
+from . import _jsonin, _native
 from .som import _check_width, _gaussian
 
 DEFAULT_SMOOTHING_SIGMA = 1.0
@@ -30,12 +30,12 @@ class PreprocessParams:
         frames: temporal length F every action is resampled to (>= 2).
         window: number of consecutive direction frames per feature vector,
             in [1, frames - 1].
-        smoothing_sigma: Gaussian weight scale of the moving average; <= 0
-            disables smoothing.
+        smoothing_sigma: Gaussian weight scale of the moving average, finite;
+            0 disables smoothing.
         smoothing_radius: one-sided kernel extent in samples; 0 disables
             smoothing.
-        norm_epsilon: vectors (and total path lengths) below this are treated
-            as zero and left unnormalized.
+        norm_epsilon: vectors (and total path lengths) below this finite
+            bound are treated as zero and left unnormalized.
     """
 
     frames: int
@@ -45,6 +45,7 @@ class PreprocessParams:
     norm_epsilon: float = DEFAULT_NORM_EPSILON
 
     def __post_init__(self) -> None:
+        _jsonin.check_fields(self)
         if self.frames < 2:
             raise ValueError(f"frames must be >= 2, got {self.frames}")
         if not 1 <= self.window <= self.frames - 1:
@@ -81,7 +82,8 @@ def smooth_joint(
 
     Weights are exp(-k^2 / (2 sigma^2)) for offsets k in [-radius, radius];
     near the boundaries the kernel is truncated to valid samples and
-    renormalized. sigma <= 0 or radius <= 0 returns the input unchanged.
+    renormalized. A sigma that is not > 0 (NaN too) or radius <= 0 returns
+    the input unchanged.
 
     The sums run in one fixed order, whatever the CPU or the length: sample
     t is ``(((0.0 + w[-r] x[t-r]) + w[-r+1] x[t-r+1]) + ...) / (((0.0 +
@@ -92,7 +94,7 @@ def smooth_joint(
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ValueError(f"series must be 2-dimensional (T, d), got shape {series.shape}")
-    if sigma <= 0 or radius <= 0:
+    if not sigma > 0 or radius <= 0:
         return series.copy()
     n = series.shape[0]
     acc = np.zeros_like(series)

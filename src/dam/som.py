@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _native
+from . import _jsonin, _native
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,8 @@ def _rounding_bound(dim: int, size):
     each a sum of at most dim + 2 rounded terms whose magnitudes total at
     most `size`, may order two units differently only if their values lie
     within E of each other (the `tiny` term covers subnormals). `_min_sqdist`
-    and `train_som` state the argument for their own pair of evaluations.
+    states the argument for its GEMM scores, `train_som` for the C kernel's
+    online distances.
     """
     return 4.0 * (dim + 2) * (_EPS * size + _TINY)
 
@@ -67,6 +68,7 @@ class SomTrainParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _jsonin.check_fields(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
@@ -280,23 +282,15 @@ def _numpy_block(codebook, samples, rows, cols, order, table, index):
     """Run one block of online steps with numpy; the reference block runner.
 
     Step s visits ``samples[order[s]]`` with the weights ``table[s]``, the
-    learning rate included; `index` is `_neighbour_index`'s.
+    learning rate included; `index` is `_neighbour_index`'s. Its winner is
+    the direct form's argmin, ties to the lowest index.
     """
-    units, dim = codebook.shape
     diff = np.empty_like(codebook)
-    dist = np.empty(units)
     influence_grid = np.empty((rows, cols))
-    influence_col = influence_grid.reshape(units, 1)
+    influence_col = influence_grid.reshape(-1, 1)
     for s, i in enumerate(order):
         np.subtract(codebook, samples[i], out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=dist)
-        winner = int(dist.argmin())
-        first = dist[winner]
-        dist[winner] = np.inf
-        second = dist.min()
-        if not second - first > _rounding_bound(dim, second):
-            winner = _direct_winner(codebook, samples[i])
-        r, c = divmod(winner, cols)
+        r, c = divmod(int(np.argmin((diff * diff).sum(axis=1))), cols)
         np.take(table[s], index[rows - 1 - r : 2 * rows - 1 - r, cols - 1 - c : 2 * cols - 1 - c],
                 out=influence_grid)
         np.multiply(diff, influence_col, out=diff)
@@ -421,15 +415,15 @@ def train_som(
     c -= t`` with h a table entry, so they give the same bytes.
 
     The winner of a step is the argmin of the direct form
-    ``(diff * diff).sum(axis=1)``, ties to the lowest index. Either runner
-    sums the same non-negative squares in another order, so each of its
-    distances lies within ``(dim + 2) eps d`` of the direct form's (see
-    `_rounding_bound`). When the runner-up exceeds that winner by more than
-    E = `_rounding_bound` at the runner-up's distance, the direct form ranks
-    the winner strictly first too. Every other step (exact ties and
-    duplicated units included; an overflow or NaN makes the gap NaN, which
-    fails the test) takes the direct form's argmin; the kernel leaves such a
-    step to `_numpy_block`. No BLAS call is made, so the codebook is
+    ``(diff * diff).sum(axis=1)``, ties to the lowest index, which
+    `_numpy_block` computes as it stands. The C kernel sums the same
+    non-negative squares in another order, so each of its distances lies
+    within ``(dim + 2) eps d`` of the direct form's (see `_rounding_bound`).
+    When its runner-up exceeds its winner by more than E = `_rounding_bound`
+    at the runner-up's distance, the direct form ranks that winner strictly
+    first too. The kernel leaves every other step (exact ties and duplicated
+    units included; an overflow or NaN makes the gap NaN, which fails the
+    test) to one `_numpy_block` step. No BLAS call is made, so the codebook is
     byte-identical for a seed whatever the thread settings. Samples or an
     initial codebook so large that the codebook overflows raise a ValueError.
     """

@@ -387,6 +387,11 @@ class TestTrain:
         ("learning_rate", [0.5, 0.9]),
         ("jobs", 0),
         ("jobs", -1),
+        # json.loads reads NaN and Infinity as floats.
+        ("smoothing_sigma", float("nan")),
+        ("smoothing_sigma", float("inf")),
+        ("norm_epsilon", float("nan")),
+        ("norm_epsilon", float("inf")),
     ])
     def test_mistyped_config_value_named_in_error(self, capsys, tmp_path, canon_dir,
                                                   key, value):

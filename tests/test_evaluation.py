@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam import classifier, descriptor, evaluation, som
+from dam import _native, classifier, descriptor, evaluation, preprocess, som
 from dam.classifier import _per_row, score_actions
 from dam.dataset import Dataset, split_cross_subject
 from dam.evaluation import (
@@ -679,6 +682,11 @@ class TestConfigValidation:
             (dict(rows=3, cols=0), "grid"),
             (dict(runs=0), "runs"),
             (dict(seed=-1), "seed"),
+            (dict(rows=2.0), "rows"),
+            (dict(cols=True), "cols"),
+            (dict(runs=1.5), "runs"),
+            (dict(seed=1.5), "seed"),
+            (dict(seed="3"), "seed"),
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):
@@ -686,11 +694,89 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**{**base, **kwargs})
 
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        # uint8 would wrap: 25 * 25 is 113 in eight bits.
+        cfg = ExperimentConfig(preprocess=PreprocessParams(frames=10, window=2),
+                               rows=np.uint8(25), cols=np.uint8(25), seed=np.int64(3))
+        assert cfg.clusters == 625
+        assert {type(cfg.rows), type(cfg.cols), type(cfg.seed)} == {int}
+
     def test_cluster_count(self):
         cfg = ExperimentConfig(
             preprocess=PreprocessParams(frames=10, window=2), rows=4, cols=5
         )
         assert cfg.clusters == 20
+
+
+def _integers(low: int, high: int):
+    """Integers in [low, high], as Python or (up to 2**63 - 1) numpy int64 values."""
+    return st.integers(low, high) | st.integers(low, min(high, 2**63 - 1)).map(np.int64)
+
+
+_INTEGER_FIELDS = ("frames", "window", "smoothing_radius", "rows", "cols", "runs", "seed")
+_BAD_INTEGERS = [-1, 1.5, 2.0, True, np.float64(3.0), "2", None]
+_BAD_FLOATS = [-1.0, np.nan, np.inf, -np.inf, True, "1.0", None]
+
+
+@st.composite
+def _settings_fields(draw):
+    """(preprocess fields, experiment fields, the name of the bad one or None).
+
+    Each field is drawn over its accepted range, bounded to keep the tiny
+    corpus cheap: a grid of at most 2x2 units, so it never outnumbers the 4
+    training actions' windows. One field may then take an out-of-range,
+    mistyped or non-finite value.
+    """
+    frames = draw(_integers(2, 30))
+    preprocess_fields = dict(
+        frames=frames, window=draw(_integers(1, int(frames) - 1)),
+        # Below ~1.05e-154 a sigma is refused as too small for the Gaussian.
+        smoothing_sigma=draw(st.floats(0.0, 1e308) | st.sampled_from([0.0, 1e-160, 1.06e-154])),
+        smoothing_radius=draw(_integers(0, 20)),
+        norm_epsilon=draw(st.floats(0.0, 1e308, exclude_min=True)),
+    )
+    experiment_fields = dict(rows=draw(_integers(1, 2)), cols=draw(_integers(1, 2)),
+                             runs=draw(_integers(1, 2**31)), seed=draw(_integers(0, 2**64)))
+    bad = draw(st.none() | st.sampled_from(sorted([*preprocess_fields, *experiment_fields])))
+    if bad is not None:
+        fields = preprocess_fields if bad in preprocess_fields else experiment_fields
+        fields[bad] = draw(st.sampled_from(
+            _BAD_INTEGERS if bad in _INTEGER_FIELDS else _BAD_FLOATS))
+    return preprocess_fields, experiment_fields, bad
+
+
+@pytest.fixture(scope="module")
+def tiny() -> Dataset:
+    """2 classes x 2 subjects x 2 instances: each cross-subject half holds 4 actions."""
+    return make_directional_dataset(classes=2, subjects=2, instances=2, raw_frames=12,
+                                    joints=2, seed=5)
+
+
+class TestSettingsAreRefusedOrRun:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(drawn=_settings_fields())
+    def test_refused_with_a_named_field_or_run_without_a_warning(self, tiny, drawn):
+        preprocess_fields, experiment_fields, bad = drawn
+        try:
+            cfg = ExperimentConfig(PreprocessParams(**preprocess_fields),
+                                   som=SomTrainParams(epochs=2), **experiment_fields)
+        except ValueError as error:
+            names = [*preprocess_fields, *experiment_fields]
+            assert any(name in str(error) for name in names), error
+            return
+        assert bad is None, f"{bad}={experiment_fields.get(bad, preprocess_fields.get(bad))!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compiled = _native.load("_preprocess.c") is not None
+            for action in tiny:
+                positions = np.asarray(action.frames, dtype=np.float64)
+                want = preprocess._numpy_windows(positions, cfg.preprocess)
+                if compiled:
+                    got = preprocess._compiled_windows(positions, cfg.preprocess)
+                    assert got is not None and got.tobytes() == want.tobytes()
+            # `runs` only sizes the protocol; one run shows the settings work.
+            result = cross_validate(tiny, replace(cfg, runs=1))
+        assert 0.0 <= result.mean_accuracy <= 1.0
 
 
 @pytest.fixture(scope="module")

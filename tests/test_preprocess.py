@@ -361,6 +361,45 @@ class TestPreprocessParams:
         with pytest.raises(ValueError):
             PreprocessParams(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("frames", 6.5),
+        ("frames", 6.0),
+        ("window", 2.0),
+        ("window", True),
+        ("smoothing_radius", 1.5),
+        ("smoothing_radius", True),
+        ("smoothing_radius", "2"),
+        ("smoothing_sigma", np.nan),
+        ("smoothing_sigma", np.inf),
+        ("smoothing_sigma", True),
+        ("smoothing_sigma", "1.0"),
+        ("norm_epsilon", np.inf),
+        ("norm_epsilon", np.nan),
+        ("norm_epsilon", None),
+    ])
+    def test_refusals_name_their_field(self, field, value):
+        # Each of these used to construct, then fail later naming no field
+        # (or, for a NaN sigma, preprocess to different bytes on the two paths;
+        # for an infinite norm_epsilon, to all-zero windows).
+        with pytest.raises(ValueError, match=field):
+            PreprocessParams(**{"frames": 8, "window": 2, field: value})
+
+    def test_numpy_numbers_are_accepted(self):
+        action = np.cumsum(np.random.default_rng(2).normal(size=(12, 2, 3)), axis=0)
+        numpy_params = PreprocessParams(frames=np.int64(8), window=np.int32(2),
+                                        smoothing_sigma=np.float64(1.5),
+                                        smoothing_radius=np.int64(3), norm_epsilon=np.float32(1e-8))
+        params = PreprocessParams(frames=8, window=2, smoothing_sigma=1.5, smoothing_radius=3,
+                                  norm_epsilon=float(np.float32(1e-8)))
+        assert numpy_params == params
+        assert {type(numpy_params.frames), type(numpy_params.smoothing_radius)} == {int}
+        got = preprocess_action(action, numpy_params)
+        assert got.tobytes() == preprocess_action(action, params).tobytes()
+
+    def test_a_nan_sigma_turns_smoothing_off_as_the_compiled_chain_does(self):
+        series = np.random.default_rng(5).normal(size=(9, 3))
+        assert_array_equal(smooth_joint(series, sigma=np.nan, radius=2), series)
+
     @pytest.mark.parametrize("sigma", [1e-170, 1e-155])
     def test_rejects_a_sigma_too_small_for_the_gaussian(self, sigma):
         # 2 sigma^2 is not a normal float: at 1e-170 it is 0, the kernel would

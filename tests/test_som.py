@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import _native, som
+from dam.dataset import split_cross_subject
 from dam.descriptor import histogram_bins
+from dam.evaluation import derive_seed
+from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import (
     _CHUNK_BUDGET,
     SomGrid,
@@ -25,6 +28,7 @@ from dam.som import (
     quantization_error,
     train_som,
 )
+from dam.synthetic import make_directional_dataset
 
 
 def _bmu_oracle(codebook, x):
@@ -49,7 +53,8 @@ def _two_clouds(rng, n=120, dim=5, gap=60.0):
 @st.composite
 def _train_fields(draw):
     """Epochs 1-3, rates from 1e-320 to 1 and radii from 1e-170 to 1e200, each pair
-    in order; one field may then take an out-of-range or non-finite value."""
+    in order; one field may then take an out-of-range, mistyped or non-finite
+    value."""
     def pair(low, high):
         return sorted(draw(st.lists(st.floats(low, high).map(lambda e: 10.0**e),
                                     min_size=2, max_size=2)), reverse=True)
@@ -59,7 +64,7 @@ def _train_fields(draw):
                   radius_end=radii[1])
     bad = draw(st.none() | st.sampled_from(sorted(fields)))
     if bad == "epochs":
-        fields[bad] = draw(st.integers(-1, 0))
+        fields[bad] = draw(st.integers(-1, 0) | st.sampled_from([1.5, 2.0, True]))
     elif bad is not None:
         fields[bad] = draw(st.sampled_from([0.0, -1.0, 2.0, np.nan, np.inf]))
     return fields
@@ -80,11 +85,24 @@ class TestParamsAndGrid:
             dict(radius_start=np.nan),
             dict(radius_start=np.inf),
             dict(seed=-1),
+            dict(epochs=1.5),
+            dict(epochs=2.0),
+            dict(epochs=True),
+            dict(seed=1.5),
+            dict(seed=np.float64(3.0)),
         ],
     )
     def test_rejects_bad_training_params(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SomTrainParams(**kwargs)
+
+    def test_numpy_integers_are_integers(self):
+        params = SomTrainParams(epochs=np.int64(2), seed=np.uint32(5))
+        assert {type(params.epochs), type(params.seed)} == {int}
+        samples = np.random.default_rng(3).normal(size=(12, 3))
+        grid = train_som(samples, 2, 2, params)
+        want = train_som(samples, 2, 2, SomTrainParams(epochs=2, seed=5))
+        assert grid.codebook.tobytes() == want.codebook.tobytes()
 
     def test_rejects_a_radius_ratio_that_is_not_a_normal_float(self):
         # The schedule's radius is radius_start * (radius_end / radius_start) ** frac;
@@ -512,6 +530,32 @@ def test_compiled_body_hands_undecided_steps_to_numpy(body, monkeypatch):
     got = train_som(samples, 3, 3, params, initial_codebook=start).codebook.tobytes()
     assert handed and set(handed) == {1}
     assert got == want
+
+
+def test_paper_shape_steps_stay_in_the_kernel(monkeypatch):
+    # Each step the kernel hands back runs the slower direct-form numpy step.
+    # A paper-shape training (the windows of half the paper corpus, a 25x25
+    # map, 2 epochs) hands back none, on the threads this machine gives it;
+    # a kernel change that sends more than 1% of them to numpy fails here
+    # rather than only slowing the benchmark.
+    if _native.load("_som_kernel.c") is None:
+        pytest.skip("the C kernel was not compiled here")
+    dataset = make_directional_dataset(classes=6, subjects=10, instances=10, raw_frames=45,
+                                       joints=20, seed=0)
+    train, _ = split_cross_subject(dataset, derive_seed(0, 0, 0))
+    params = PreprocessParams(frames=25, window=3)
+    samples = np.vstack([preprocess_action(a, params) for a in train])
+    assert samples.shape == (6600, 180)
+
+    numpy_block, handed = som._numpy_block, []
+
+    def counted(*args):
+        handed.append(len(args[4]))
+        numpy_block(*args)
+
+    monkeypatch.setattr(som, "_numpy_block", counted)
+    train_som(samples, 25, 25, SomTrainParams(epochs=2, seed=derive_seed(0, 0, 1)))
+    assert sum(handed) < 0.01 * 2 * len(samples)
 
 
 def test_two_threads_run_on_one_when_the_helper_cannot_start():
