@@ -39,7 +39,11 @@ def convert(hint, name: str, value):
     elif type(None) in args:  # X | None
         return None if value is None else convert(args[0], name, value)
     elif is_kind(value, hint):
-        return float(value) if hint is float else value
+        try:
+            return float(value) if hint is float else value
+        except OverflowError:  # an int beyond any float
+            raise ValueError(
+                f"{name} must be a finite number, got {reprlib.repr(value)}") from None
     else:
         kind = _KIND_NAMES[hint]
     raise ValueError(f"{name} must be a JSON {kind}, got {reprlib.repr(value)}")

@@ -39,9 +39,8 @@ from .evaluation import (
     CROSS_SUBJECT,
     LOSO,
     ExperimentConfig,
+    _evaluate,
     _sweep_axes,
-    cross_validate,
-    evaluate_loso,
     parameter_sweep,
     write_confusion_csv,
     write_per_subject_csv,
@@ -371,21 +370,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _evaluate_once(dataset, settings: dict, cfg: ExperimentConfig, out_dir: Path,
-                   suffix: str) -> None:
-    protocol = evaluate_loso if settings.get("protocol") == LOSO else cross_validate
-    agg = protocol(dataset, cfg, jobs=settings.get("jobs", _usable_cpus()))
-    write_results_csv(out_dir / f"results{suffix}.csv", agg, cfg)
-    write_confusion_csv(out_dir / f"confusion{suffix}.csv", agg)
-    write_prob_matrix_csv(out_dir / f"probmatrix{suffix}.csv", agg)
-    write_per_subject_csv(out_dir / f"per_subject{suffix}.csv", agg)
-    tag = " (exclusions ignored)" if suffix else ""
-    print(
-        f"{agg.protocol}{tag}: mean accuracy {agg.mean_accuracy:.4f} "
-        f"± {agg.std_accuracy:.4f} over {len(agg.run_results)} runs"
-    )
-
-
 def cmd_evaluate(args) -> int:
     settings, cfg = _settings(args, experiment_config)
     out_dir = Path(args.output_dir)
@@ -395,11 +379,22 @@ def cmd_evaluate(args) -> int:
     # "both" loads the directory once, exclusions ignored, and filters that.
     dataset = _load_dataset(args.data, args.format, args.layout,
                             apply_exclusions=mode == "apply")
+    passes = [(dataset, "")]
     if mode == "both" and has_exclusions:
-        _evaluate_once(drop_excluded(dataset, args.data), settings, cfg, out_dir, "")
-        _evaluate_once(dataset, settings, cfg, out_dir, "_noexcl")
-    else:
-        _evaluate_once(dataset, settings, cfg, out_dir, "")
+        passes = [(drop_excluded(dataset, args.data), ""), (dataset, "_noexcl")]
+    protocol = settings.get("protocol", CROSS_SUBJECT)
+    aggregates = _evaluate(dataset, [(protocol, subset, cfg) for subset, _ in passes],
+                           settings.get("jobs", _usable_cpus()))
+    for (_, suffix), agg in zip(passes, aggregates, strict=True):
+        write_results_csv(out_dir / f"results{suffix}.csv", agg, cfg)
+        write_confusion_csv(out_dir / f"confusion{suffix}.csv", agg)
+        write_prob_matrix_csv(out_dir / f"probmatrix{suffix}.csv", agg)
+        write_per_subject_csv(out_dir / f"per_subject{suffix}.csv", agg)
+        tag = " (exclusions ignored)" if suffix else ""
+        print(
+            f"{agg.protocol}{tag}: mean accuracy {agg.mean_accuracy:.4f} "
+            f"± {agg.std_accuracy:.4f} over {len(agg.run_results)} runs"
+        )
     return 0
 
 

@@ -2,20 +2,23 @@
 
 `run_single` is the core: train the codebook on the training half only,
 estimate class probabilities, score the held-out half with one
-`classifier.score_actions` call. `cross_validate`, `evaluate_loso` and
-`parameter_sweep` only list their runs as (config, train indices, test
-indices, SOM seed, run index) tasks, and make one `_run_tasks` call. That
-driver preprocesses each action once per distinct preprocessing config into
-WDFs (windowed direction frames), then runs every task in a loop or on one
-pool of worker processes. A sweep thus holds the WDFs of all its windows at
-once. Per-run seeds are derived deterministically from the master seed, so
-every result is reproducible bit-for-bit whatever the number of workers.
+`classifier.score_actions` call. `cross_validate`, `evaluate_loso`,
+`parameter_sweep` and `dam evaluate` each make one `_evaluate` call: it lists
+every run as a (config, train indices, test indices, SOM seed, run index)
+task and hands them all to one `_run_tasks` call, so `dam evaluate
+--exclusions both` runs with and without exclusions as one pass. That driver
+preprocesses each action once per distinct preprocessing config into WDFs
+(windowed direction frames), then runs every task in a loop or on one pool of
+worker processes; a sweep thus holds the WDFs of all its windows at once.
+Per-run seeds are derived from the master seed, so every result is
+reproducible bit-for-bit whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -222,12 +225,6 @@ def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
         yield from pool.map(_run_task, tasks)
 
 
-def _indices(dataset: Dataset, halves: tuple[Dataset, Dataset]) -> tuple[list, list]:
-    """Positions in `dataset` of the actions of a (train, test) pair."""
-    position = {a.id: i for i, a in enumerate(dataset)}
-    return tuple([position[a.id] for a in half] for half in halves)
-
-
 def _aggregate(protocol: str, results: list[RunResult]) -> AggregateResult:
     """Reduce runs to means; LOSO pools its accuracy over every held-out action."""
     classes = results[0].classes
@@ -255,37 +252,43 @@ def _aggregate(protocol: str, results: list[RunResult]) -> AggregateResult:
     )
 
 
-def _cross_subject_runs(subset: Dataset, cfg: ExperimentConfig, dataset: Dataset) -> list:
-    """Each run's (train_idx, test_idx, som_seed, run_index) on `subset`, indexed in `dataset`."""
-    return [
-        (*_indices(dataset, split_cross_subject(subset, derive_seed(cfg.seed, r, 0))),
-         derive_seed(cfg.seed, r, 1), r)
-        for r in range(cfg.runs)
-    ]
+def _tasks(protocol: str, subset: Dataset, cfg: ExperimentConfig, dataset: Dataset) -> list:
+    """Every run of `protocol` on `subset` as a (cfg, train_idx, test_idx, som_seed,
+    run_index) task, its indices positions in `dataset`."""
+    if protocol == LOSO:
+        splits = [(fold, derive_seed(cfg.seed, 0, k))
+                  for k, fold in enumerate(splits_loso(subset))]
+    else:
+        splits = [(split_cross_subject(subset, derive_seed(cfg.seed, r, 0)),
+                   derive_seed(cfg.seed, r, 1)) for r in range(cfg.runs)]
+    position = {a.id: i for i, a in enumerate(dataset)}
+    return [(cfg, *([position[a.id] for a in half] for half in halves), seed, r)
+            for r, (halves, seed) in enumerate(splits)]
+
+
+def _evaluate(dataset: Dataset, experiments: list, jobs: int):
+    """Yield the result of each (protocol, subset, cfg) experiment, in order, as
+    its last run ends; each subset is a subset of `dataset`.
+
+    The runs of all the experiments go through one `_run_tasks` call, whose
+    pool shuts down before the generator ends.
+    """
+    tasks = [_tasks(protocol, subset, cfg, dataset) for protocol, subset, cfg in experiments]
+    with closing(_run_tasks(dataset, [t for runs in tasks for t in runs], jobs)) as results:
+        for (protocol, *_), runs in zip(experiments, tasks):
+            yield _aggregate(protocol, list(islice(results, len(runs))))
 
 
 def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """cfg.runs repetitions of a fresh random cross-subject half split."""
-    tasks = [(cfg, *run) for run in _cross_subject_runs(dataset, cfg, dataset)]
-    return _aggregate(CROSS_SUBJECT, list(_run_tasks(dataset, tasks, jobs)))
+    [agg] = _evaluate(dataset, [(CROSS_SUBJECT, dataset, cfg)], jobs)
+    return agg
 
 
-def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1,
-                  repeats: int = 1) -> AggregateResult:
-    """Leave-one-subject-out; overall accuracy pools all held-out instances.
-
-    `repeats` > 1 re-runs every fold with fresh SOM seeds (the folds
-    themselves are deterministic) and averages.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    folds = [_indices(dataset, fold) for fold in splits_loso(dataset)]
-    tasks = [
-        (cfg, *fold, derive_seed(cfg.seed, rep, k), rep * len(folds) + k)
-        for rep in range(repeats)
-        for k, fold in enumerate(folds)
-    ]
-    return _aggregate(LOSO, list(_run_tasks(dataset, tasks, jobs)))
+def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
+    """Leave-one-subject-out; overall accuracy pools all held-out instances."""
+    [agg] = _evaluate(dataset, [(LOSO, dataset, cfg)], jobs)
+    return agg
 
 
 # --- Parameter sweep --------------------------------------------------------------
@@ -307,7 +310,7 @@ def _sweep_axes(windows, grids) -> tuple[list, list]:
     """The windows and (rows, cols) grids of a sweep, as lists; a ValueError when
     either is empty or lists an entry twice (it would train every task twice)."""
     windows = list(windows)
-    grids = [(int(r), int(c)) for r, c in grids]
+    grids = [(r, c) for r, c in grids]
     if not windows or not grids:
         raise ValueError("need at least one window and one grid")
     for name, items in (("windows", windows), ("grids", grids)):
@@ -344,22 +347,19 @@ def parameter_sweep(
     else:
         subsets = {"all": dataset}
     union = Dataset(list({a.id: a for sub in subsets.values() for a in sub}.values()))
-    runs = {name: _cross_subject_runs(sub, cfg, union) for name, sub in subsets.items()}
-    tasks = [(combo, *run) for combo in combos for name in subsets for run in runs[name]]
-    results = _run_tasks(union, tasks, jobs)
+    keys = [(combo, name) for combo in combos for name in subsets]
+    experiments = [(CROSS_SUBJECT, subsets[name], combo) for combo, name in keys]
+    last_subset = list(subsets)[-1]
 
     out: list[SweepRow] = []
-    for combo in combos:
+    for (combo, name), agg in zip(keys, _evaluate(union, experiments, jobs), strict=True):
         window = combo.preprocess.window
-        per_subset: list[SweepRow] = []
-        for name in subsets:
-            agg = _aggregate(CROSS_SUBJECT, list(islice(results, cfg.runs)))
-            per_subset.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
-                                       cfg.runs, agg.mean_accuracy, agg.std_accuracy))
-            logger.info("sweep %s W=%d %dx%d: %.4f +/- %.4f", name, window, combo.rows,
-                        combo.cols, agg.mean_accuracy, agg.std_accuracy)
-        out.extend(per_subset)
-        if action_sets:
+        out.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
+                            cfg.runs, agg.mean_accuracy, agg.std_accuracy))
+        logger.info("sweep %s W=%d %dx%d: %.4f +/- %.4f", name, window, combo.rows,
+                    combo.cols, agg.mean_accuracy, agg.std_accuracy)
+        if action_sets and name == last_subset:
+            per_subset = out[-len(subsets):]
             out.append(replace(
                 per_subset[0],
                 subset="mean",

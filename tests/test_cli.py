@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from dam.dataset import (
     write_canonical_dataset,
 )
 from dam.evaluation import ExperimentConfig
-from dam.preprocess import PreprocessParams
+from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import bmu_batch
 from dam.synthetic import make_directional_dataset
 
@@ -87,6 +88,8 @@ MALFORMED_MODEL_EDITS = {
         **p, "preprocess": {k: v for k, v in p["preprocess"].items() if k != "norm_epsilon"}
     },
     "'preprocess.speed'": lambda p: {**p, "preprocess": {**p["preprocess"], "speed": 1}},
+    "'preprocess.smoothing_sigma' must be a finite number": lambda p: {
+        **p, "preprocess": {**p["preprocess"], "smoothing_sigma": 10 ** 400}},
     "'joint_count'": lambda p: {**p, "joint_count": "3"},
     "'classes'": lambda p: {**p, "classes": 3},
     "'classes[0]' must be a JSON integer or string, got True":
@@ -392,6 +395,8 @@ class TestTrain:
         ("smoothing_sigma", float("inf")),
         ("norm_epsilon", float("nan")),
         ("norm_epsilon", float("inf")),
+        # A JSON integer no float holds.
+        pytest.param("smoothing_sigma", 10 ** 400, id="smoothing_sigma-401-digits"),
     ])
     def test_mistyped_config_value_named_in_error(self, capsys, tmp_path, canon_dir,
                                                   key, value):
@@ -749,13 +754,13 @@ class TestEvaluate:
         # Pinned to one CPU of a larger machine, the default starts one worker.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        started, protocol = [], cli.cross_validate
+        started, evaluate = [], cli._evaluate
 
-        def recorded(dataset, cfg, jobs):  # notes the count, runs on one process
+        def recorded(dataset, experiments, jobs):  # notes the count, runs on one process
             started.append(jobs)
-            return protocol(dataset, cfg, jobs=1)
+            return evaluate(dataset, experiments, 1)
 
-        monkeypatch.setattr(cli, "cross_validate", recorded)
+        monkeypatch.setattr(cli, "_evaluate", recorded)
         args = ["evaluate", str(canon_dir), *FAST, "--runs", "1", "--seed", "2"]
         assert run(capsys, *args, "--output-dir", str(tmp_path / "a"))[0] == 0
         assert run(capsys, *args, "--output-dir", str(tmp_path / "b"), "--jobs", "2")[0] == 0
@@ -782,39 +787,49 @@ class TestEvaluate:
         assert code != 0
         assert "runs" in stderr
 
-    def test_exclusion_modes(self, capsys, tmp_path, canon_dir, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("protocol", ["cross-subject", "loso"])
+    def test_exclusion_modes(self, capsys, tmp_path, canon_dir, monkeypatch, protocol, jobs):
         data = tmp_path / "data"
         shutil.copytree(canon_dir, data)
-        victim = sorted(p.stem for p in data.glob("*.txt"))[0]
-        (data / "exclude.txt").write_text(f"{victim}\n")
-        args = [*FAST, "--runs", "2", "--seed", "5", "--jobs", "1"]
-        parsed = []
+        victims = sorted(p.stem for p in data.glob("*.txt"))[:2]
+        (data / "exclude.txt").write_text("".join(f"{v}\n" for v in victims))
+        args = [*FAST, "--runs", "2", "--seed", "5", "--jobs", str(jobs),
+                "--protocol", protocol]
+        parsed, preprocessed, pools = [], [], []
         monkeypatch.setattr(dataset_module, "parse_action_file",
                             lambda text: parsed.append(1) or parse_action_file(text))
+        monkeypatch.setattr(evaluation, "preprocess_action",
+                            lambda action, params: preprocessed.append(action.id)
+                            or preprocess_action(action, params))
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *a, **kw):
+                pools.append(self)
+                super().__init__(*a, **kw)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Counted)
 
         both = tmp_path / "both"
         code, stdout, _ = run(capsys, "evaluate", str(data), "--output-dir", str(both), *args)
         assert code == 0
-        assert len(parsed) == len(list(canon_dir.glob("*.txt")))  # one load for both passes
-        assert (both / "results.csv").is_file()
-        assert (both / "results_noexcl.csv").is_file()
-        assert (both / "confusion_noexcl.csv").is_file()
+        ids = sorted(p.stem for p in canon_dir.glob("*.txt"))
+        assert len(parsed) == len(ids)  # one load for both passes
+        assert sorted(preprocessed) == ids  # one preprocessing for both passes
+        assert len(pools) == (jobs > 1)  # and at most one pool
         assert stdout.count("mean accuracy") == 2
+        names = ["results", "confusion", "probmatrix", "per_subject"]
+        assert sorted(tree_bytes(both)) == sorted(
+            f"{name}{suffix}.csv" for name in names for suffix in ("", "_noexcl"))
+        # The two passes differ, so a CSV written under the other's name shows.
+        assert tree_bytes(both)["confusion.csv"] != tree_bytes(both)["confusion_noexcl.csv"]
 
-        applied = tmp_path / "applied"
-        run(capsys, "evaluate", str(data), "--output-dir", str(applied), *args,
-            "--exclusions", "apply")
-        assert not (applied / "results_noexcl.csv").exists()
-        assert (applied / "results.csv").read_bytes() == (both / "results.csv").read_bytes()
-
-        ignored = tmp_path / "ignored"
-        run(capsys, "evaluate", str(data), "--output-dir", str(ignored), *args,
-            "--exclusions", "ignore")
-        assert not (ignored / "results_noexcl.csv").exists()
-        assert (
-            (ignored / "results.csv").read_bytes()
-            == (both / "results_noexcl.csv").read_bytes()
-        )
+        for mode, suffix in (("apply", ""), ("ignore", "_noexcl")):
+            single = tmp_path / mode
+            assert run(capsys, "evaluate", str(data), "--output-dir", str(single), *args,
+                       "--exclusions", mode)[0] == 0
+            assert tree_bytes(single) == {
+                f"{name}.csv": (both / f"{name}{suffix}.csv").read_bytes() for name in names}
 
     def test_no_exclusion_file_means_single_report(self, capsys, tmp_path, canon_dir):
         out = tmp_path / "plain"

@@ -437,17 +437,6 @@ class TestLoso:
         assert agg.mean_accuracy == sum(r.correct_count for r in agg.run_results) / sum(sizes)
         assert agg.mean_accuracy != np.mean([r.accuracy for r in agg.run_results])
 
-    def test_repeats_multiply_folds(self, directional):
-        cfg = small_config(runs=1, seed=3)
-        agg = evaluate_loso(directional, cfg, repeats=2)
-        assert len(agg.run_results) == 8
-        seeds = [r.seed for r in agg.run_results]
-        assert len(set(seeds)) == 8
-
-    def test_repeats_below_one_rejected(self, directional):
-        with pytest.raises(ValueError, match="repeats"):
-            evaluate_loso(directional, small_config(), repeats=0)
-
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, directional, monkeypatch, jobs):
         trained = []
@@ -462,8 +451,8 @@ class TestLoso:
 
     def test_parallel_equals_serial(self, directional):
         cfg = small_config(runs=1, seed=9)
-        serial = evaluate_loso(directional, cfg, jobs=1, repeats=2)
-        parallel = evaluate_loso(directional, cfg, jobs=2, repeats=2)
+        serial = evaluate_loso(directional, cfg, jobs=1)
+        parallel = evaluate_loso(directional, cfg, jobs=2)
         assert [r.accuracy for r in serial.run_results] == [
             r.accuracy for r in parallel.run_results
         ]
@@ -492,7 +481,7 @@ class TestPreprocessOnce:
         if protocol == "cross_validate":
             cross_validate(directional, cfg, jobs=jobs)
         else:
-            evaluate_loso(directional, cfg, jobs=jobs, repeats=2)
+            evaluate_loso(directional, cfg, jobs=jobs)
         assert sorted(calls) == sorted(a.id for a in directional)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -516,13 +505,18 @@ class TestPreprocessOnce:
 class TestOnePoolPerCall:
     @pytest.fixture
     def pools(self, monkeypatch) -> list:
-        """The pools `dam.evaluation` starts, one entry each."""
+        """The pools `dam.evaluation` starts, one entry each; `shut` is set on shutdown."""
         started = []
 
         class Counted(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(self)
+                self.shut = False
                 super().__init__(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                self.shut = True
 
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Counted)
         return started
@@ -537,6 +531,7 @@ class TestOnePoolPerCall:
         else:
             getattr(evaluation, protocol)(directional, cfg, jobs=jobs)
         assert len(pools) == expected
+        assert all(pool.shut for pool in pools)  # before the call returned
 
     def test_sweep_logs_each_combination_as_it_finishes(self, directional, monkeypatch, caplog):
         caplog.set_level(logging.INFO, logger="dam.evaluation")
@@ -615,12 +610,13 @@ class TestParameterSweep:
         "kwargs, match",
         [
             (dict(windows=[1, 2], grids=[(2, 2), (0, 3)]), "grid must be at least 1x1"),
+            (dict(windows=[2], grids=[(2, 2), (2.7, 1.9)]), "rows must be an integer, got 2.7"),
             (dict(windows=[2], grids=[(2, 2)], action_sets={"a": [0, 1], "z": [99]}),
              "no actions remain"),
             (dict(windows=[2, 10], grids=[(2, 2)]), r"window must be in .*, got 10"),
             (dict(windows=[0], grids=[(2, 2)]), r"window must be in .*, got 0"),
         ],
-        ids=["grid", "subset", "late-window", "window"],
+        ids=["grid", "float-grid", "subset", "late-window", "window"],
     )
     def test_bad_grid_or_subset_rejected_before_training(
         self, directional, monkeypatch, kwargs, match
