@@ -78,11 +78,16 @@ def check_fields(obj) -> None:
     for name, hint in field_types(type(obj)).items():
         value = getattr(obj, name)
         if hint is int:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
-            object.__setattr__(obj, name, int(value))
+            object.__setattr__(obj, name, integer(name, value))
         elif hint is float and not _finite(value):
             raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
+def integer(name: str, value) -> int:
+    """`value` as a Python int; `check_fields`' rule for a field `name` annotated `int`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
 
 
 def _finite(value) -> bool:

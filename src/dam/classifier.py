@@ -257,7 +257,7 @@ def _decode_model(payload: dict, raw: bytes) -> ClassModel:
             f"the codebook on line 2 holds {len(raw)} bytes, expected "
             f"rows * cols * dim * 8 = {rows * cols * dim * 8}"
         )
-    codebook = np.frombuffer(raw, dtype="<f8").reshape(rows * cols, dim).astype(np.float64)
+    codebook = np.frombuffer(raw, dtype="<f8").reshape(rows * cols, dim)
     grid = SomGrid(rows=rows, cols=cols, codebook=codebook)
     preprocess = field(payload, "preprocess", dict)
     params = build(PreprocessParams, preprocess, "preprocess.", defaults=False)

@@ -632,6 +632,7 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
     columns = None  # built once a table has passed the width check
 
     actions = []
+    dropped = False  # whether a sequence was skipped for its excluded instances
     for seq_path in seq_paths:
         stem = seq_path.name[: -len(layout.sequence_suffix)]
         ann_path = directory / f"{stem}{layout.annotation_suffix}"
@@ -640,6 +641,7 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
         markers = _parse_annotations(ann_path)
         ids = [f"{stem}_i{k:03d}" for k in range(1, len(markers) + 1)]
         if ids and excluded.issuperset(ids):  # every instance excluded: table unread
+            dropped = True
             continue
         text = seq_path.read_text().replace(",", " ")
         table = _read_file_table(seq_path, text, layout.values_per_frame)
@@ -692,7 +694,8 @@ def load_msrc12(directory, layout: Msrc12Layout | None = None,
                 )
             )
     if not actions:
-        raise ValueError(f"no action instances produced from {directory}")
+        raise ValueError(f"all actions in {directory} are excluded" if dropped
+                         else f"no action instances produced from {directory}")
     return Dataset(actions)
 
 

@@ -19,8 +19,11 @@ def histogram_bins(grid: SomGrid, wdf_sets) -> np.ndarray:
 
     Row i is set i's histogram: bins[i, l] = |{vectors of set i whose
     best-matching unit is l}| / n_i, so each row sums to 1 whatever the codebook.
+    No sets give a (0, units) table, without a winner search.
     """
     wdf_sets = [np.asarray(w, dtype=np.float64) for w in wdf_sets]
+    if not wdf_sets:
+        return np.zeros((0, grid.unit_count))
     for wdfs in wdf_sets:
         if wdfs.ndim != 2 or wdfs.shape[0] == 0:
             raise ValueError(f"wdfs must be a non-empty (n, dim) array, got {wdfs.shape}")

@@ -102,36 +102,48 @@ class SomTrainParams:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SomGrid:
     """A trained (or just assembled) codebook on a rows x cols grid.
 
     Unit l corresponds to grid cell (l // cols, l % cols) — row-major.
-    The nearest-unit search caches the codebook's squared row norms per
-    codebook array (see `squared_norms`): give a grid a new codebook by
-    assigning a new array, not by editing its array in place.
+    A grid is immutable: its codebook is a read-only float64 array (a
+    writeable input is copied first), and `norms` holds the squared row
+    norms ``||c||^2`` the nearest-unit search uses, made once here. To score
+    with another codebook, build a new grid, ``SomGrid(rows, cols, new)`` or
+    ``dataclasses.replace(grid, codebook=new)``.
     """
 
     rows: int
     cols: int
     codebook: np.ndarray  # (rows * cols, dim)
-    # (codebook array, its squared row norms), as `squared_norms` last made them.
-    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         codebook = np.asarray(self.codebook, dtype=np.float64)
-        self.codebook = codebook
+        if codebook.flags.writeable:
+            codebook = codebook.copy()
+            codebook.flags.writeable = False
         if codebook.ndim != 2:
             raise ValueError(f"codebook must be 2-dimensional, got shape {codebook.shape}")
+        if not np.isfinite(codebook).all():
+            raise ValueError("codebook contains non-finite values")
+        norms = np.einsum("ij,ij->i", codebook, codebook)
+        norms.flags.writeable = False
+        object.__setattr__(self, "codebook", codebook)
+        object.__setattr__(self, "norms", norms)
+        _jsonin.check_fields(self)
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if codebook.shape[0] != self.rows * self.cols:
             raise ValueError(
                 f"codebook has {codebook.shape[0]} rows, expected "
                 f"{self.rows} * {self.cols} = {self.rows * self.cols}"
             )
-        if not np.isfinite(codebook).all():
-            raise ValueError("codebook contains non-finite values")
+
+    def __reduce__(self):
+        """Unpickle through __init__, as numpy unpickles every array writeable."""
+        return SomGrid, (self.rows, self.cols, self.codebook)
 
     @property
     def unit_count(self) -> int:
@@ -140,16 +152,6 @@ class SomGrid:
     @property
     def dim(self) -> int:
         return self.codebook.shape[1]
-
-    def squared_norms(self) -> np.ndarray:
-        """``||c||^2`` of each codebook row, computed once per codebook array.
-
-        The norms are tied to the array they came from, so a grid whose
-        `codebook` was reassigned computes them again.
-        """
-        if self._norms is None or self._norms[0] is not self.codebook:
-            self._norms = (self.codebook, np.einsum("ij,ij->i", self.codebook, self.codebook))
-        return self._norms[1]
 
 
 def _check_width(name: str, sigma: float) -> None:
@@ -215,9 +217,8 @@ def _min_sqdist(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
     n, dim = xs.shape
     k = codebook.shape[0]
     chunk = max(1, _CHUNK_BUDGET // k)
-    c2 = grid.squared_norms()
-    half_c2 = 0.5 * c2
-    c2_max = c2.max()
+    half_c2 = 0.5 * grid.norms
+    c2_max = grid.norms.max()
     best = np.empty(n, dtype=np.int64)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
@@ -428,6 +429,7 @@ def train_som(
     initial codebook so large that the codebook overflows raise a ValueError.
     """
     params = params or SomTrainParams()
+    rows, cols = _jsonin.integer("rows", rows), _jsonin.integer("cols", cols)
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError(f"samples must be a non-empty (n, dim) array, got {samples.shape}")
@@ -435,7 +437,7 @@ def train_som(
         raise ValueError("samples contain non-finite values")
     n = samples.shape[0]
     units = rows * cols
-    if units < 1:
+    if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
     if n < units:
         warnings.warn(
@@ -475,4 +477,5 @@ def train_som(
     if not np.isfinite(codebook).all():
         raise ValueError("training overflowed: the samples or the initial codebook are too "
                          "large in magnitude")
+    codebook.flags.writeable = False  # so SomGrid takes it without a copy
     return SomGrid(rows, cols, codebook)

@@ -188,6 +188,11 @@ class TestScoreActions:
         assert [p.zero_evidence for p in posteriors] == [False] * 4 + [True]
         assert posteriors[-1].predicted == "a"
 
+    def test_no_sets_give_no_posteriors_without_a_search(self, monkeypatch):
+        model, _ = _toy_model()
+        monkeypatch.setattr(descriptor, "bmu_batch", lambda g, xs: pytest.fail("searched"))
+        assert score_actions(model, []) == []
+
 
 def _toy_model(seed=0, joints=2, frames=10, window=2, rows=2, cols=2):
     """End-to-end trained model on two well-separated synthetic classes."""
@@ -258,14 +263,14 @@ _SNIPPETS = ['"', "\\", " ", "\t", "\r", "\n", "0", "A", "g", ",", ":", "{", "}"
 
 def _load_outcome(path):
     """("model", the bytes save_model writes for the loaded model, whether its
-    codebook is writeable) or ("error", the error text)."""
+    codebook is read-only) or ("error", the error text)."""
     try:
         model = load_model(path)
     except ValueError as e:
         return "error", str(e)
     again = path.with_name("again.json")
     save_model(model, again)
-    return "model", again.read_bytes(), model.grid.codebook.flags.writeable
+    return "model", again.read_bytes(), not model.grid.codebook.flags.writeable
 
 
 def _two_line_model(path):
@@ -397,7 +402,7 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path).grid.codebook
         assert loaded.tobytes() == codebook.tobytes()
-        assert loaded.flags.writeable and loaded.flags.c_contiguous
+        assert not loaded.flags.writeable and loaded.flags.c_contiguous and loaded.flags.aligned
         assert loaded.dtype == np.float64
 
     @pytest.mark.parametrize("case", list(_LINE_2_CASES))

@@ -192,6 +192,25 @@ class TestConvert:
         ids = sorted(p.stem for p in out.glob("*.txt"))
         assert ids == ["gesture_p06_x1_i001", "gesture_p06_x1_i002"]
 
+    @pytest.mark.parametrize("fmt", ["msrc12", "action3d"])
+    def test_applying_an_exclusion_list_that_names_every_action_exits_1(
+        self, capsys, tmp_path, action3d_dir, fmt
+    ):
+        src = tmp_path / "src"
+        if fmt == "action3d":
+            shutil.copytree(action3d_dir, src)
+            ids = [p.stem for p in src.glob("a*_s*_e*")]
+        else:
+            src.mkdir()
+            table = np.random.default_rng(9).normal(size=(10, 81))
+            np.savetxt(src / "gesture_p06.csv", table, fmt="%.5f", delimiter=",")
+            (src / "gesture_p06.tags").write_text("4;1\n9;2\n")
+            ids = ["gesture_p06_i001", "gesture_p06_i002"]
+        (src / "exclude.txt").write_text("".join(f"{i}\n" for i in ids))
+        code, _, stderr = run(capsys, "convert", str(src), str(tmp_path / "out"),
+                              "--apply-exclusions", "--format", fmt)
+        assert (code, stderr) == (1, f"error: all actions in {src} are excluded\n")
+
     def test_msrc12_sequence_whose_ids_read_as_comments_is_not_converted(self, capsys,
                                                                           tmp_path):
         # `#g_p01_i001,...` would be a comment line, and the file unreadable.

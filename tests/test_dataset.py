@@ -467,6 +467,23 @@ class TestMsrc12Adapter:
         with pytest.raises(ValueError, match="^b_p02.csv: line 1: expected 9 values, got 3$"):
             load_msrc12(tmp_path, layout=SMALL_LAYOUT, apply_exclusions=False)
 
+    def test_every_instance_excluded_is_named_as_such(self, tmp_path):
+        _write_msrc12_sequence(tmp_path / "a_p01.csv", 50, SMALL_LAYOUT, seed=1)
+        (tmp_path / "a_p01.tags").write_text("20;wave\n40;wave\n")
+        _write_msrc12_sequence(tmp_path / "b_p02.csv", 50, SMALL_LAYOUT, seed=2)
+        (tmp_path / "b_p02.tags").write_text("20;wave\n")
+        (tmp_path / "exclude.txt").write_text("a_p01_i001\na_p01_i002\nb_p02_i001\n")
+        with pytest.raises(ValueError, match=r"^all actions in .* are excluded$"):
+            load_msrc12(tmp_path, layout=SMALL_LAYOUT)
+
+    def test_no_instances_without_exclusions_say_so(self, tmp_path):
+        _write_msrc12_sequence(tmp_path / "a_p01.csv", 50, SMALL_LAYOUT, seed=1)
+        (tmp_path / "a_p01.tags").write_text("")
+        (tmp_path / "exclude.txt").write_text("b_p02_i001\n")
+        with pytest.warns(UserWarning, match="a_p01"):
+            with pytest.raises(ValueError, match=r"^no action instances produced from "):
+                load_msrc12(tmp_path, layout=SMALL_LAYOUT)
+
     def test_partly_excluded_sequence_is_read_and_checked(self, tmp_path):
         (tmp_path / "b_p02.csv").write_text("1 2 3\n")
         (tmp_path / "b_p02.tags").write_text("20;wave\n40;wave\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dam import descriptor
 from dam.descriptor import histogram_bins
 from dam.som import SomGrid
 
@@ -53,6 +54,12 @@ class TestHistogramBins:
         grid = SomGrid(rows=1, cols=2, codebook=codebook)
         h = histogram_bins(grid, [np.random.default_rng(3).normal(size=(10, 2))])[0]
         assert_array_equal(h, [1.0, 0.0])
+
+    def test_no_sets_give_an_empty_table_without_a_search(self, monkeypatch):
+        grid = SomGrid(rows=2, cols=3, codebook=np.zeros((6, 4)))
+        monkeypatch.setattr(descriptor, "bmu_batch", lambda g, xs: pytest.fail("searched"))
+        bins = histogram_bins(grid, [])
+        assert bins.shape == (0, 6) and bins.dtype == np.float64
 
     def test_rejects_empty_and_mismatched(self):
         grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, 3)))

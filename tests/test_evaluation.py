@@ -406,6 +406,13 @@ class TestCrossValidate:
             r.accuracy for r in parallel.run_results
         ]
         assert_array_equal(serial.mean_confusion, parallel.mean_confusion)
+        # A model unpickled from a worker is as immutable as one made here.
+        for s, p in zip(serial.run_results, parallel.run_results, strict=True):
+            assert p.model.grid.codebook.tobytes() == s.model.grid.codebook.tobytes()
+            for grid in (s.model.grid, p.model.grid):
+                assert not grid.codebook.flags.writeable and not grid.norms.flags.writeable
+                assert_array_equal(grid.norms,
+                                   np.einsum("ij,ij->i", grid.codebook, grid.codebook))
 
 
 class TestLoso:

@@ -1,9 +1,11 @@
 """Tests for the online Kohonen self-organizing map."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +152,27 @@ class TestParamsAndGrid:
         assert_array_equal(som._gaussian(np.array([-0.0, -1.0, -32.0]), 1.06e-154),
                            [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("rows, cols, name", [
+        (2.5, 2, "rows"), (2.0, 2, "rows"), (True, 5, "rows"), (5, np.float64(1.0), "cols"),
+        ("5", 1, "rows"),
+    ])
+    def test_grid_shapes_must_be_integers(self, rows, cols, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            SomGrid(rows, cols, np.zeros((5, 6)))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            train_som(np.zeros((8, 3)), rows, cols)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (-1, -1)])
+    def test_grids_below_1x1_are_refused(self, rows, cols):
+        with pytest.raises(ValueError, match=f"^grid must be at least 1x1, got {rows}x{cols}$"):
+            train_som(np.zeros((8, 3)), rows, cols)
+
+    def test_numpy_integer_shapes_are_stored_as_ints(self):
+        grid = SomGrid(np.int64(2), np.uint8(3), np.zeros((6, 4)))
+        assert (type(grid.rows), type(grid.cols)) == (int, int)
+        trained = train_som(np.zeros((8, 3)), np.int32(2), np.uint8(2), SomTrainParams(epochs=1))
+        assert (type(trained.rows), type(trained.cols)) == (int, int)
+
     def test_grid_shape_must_match(self):
         with pytest.raises(ValueError):
             SomGrid(rows=2, cols=3, codebook=np.zeros((5, 4)))
@@ -158,6 +181,47 @@ class TestParamsAndGrid:
         grid = SomGrid(rows=2, cols=3, codebook=np.zeros((6, 4)))
         assert grid.unit_count == 6
         assert grid.dim == 4
+
+
+def _assert_frozen(grid):
+    """The grid's codebook and norms are read-only, and the norms are its codebook's."""
+    assert not grid.codebook.flags.writeable and not grid.norms.flags.writeable
+    assert grid.codebook.dtype == np.float64
+    assert_array_equal(grid.norms, np.einsum("ij,ij->i", grid.codebook, grid.codebook))
+
+
+class TestImmutableGrid:
+    def test_in_place_edits_and_reassignment_raise(self):
+        codebook = np.random.default_rng(11).normal(size=(6, 4))
+        grid = SomGrid(rows=2, cols=3, codebook=codebook)
+        before = grid.codebook.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            grid.codebook[:3] *= 4.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.norms[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.codebook = codebook * 4.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.rows = 3
+        # The caller's writeable array was copied, so editing it leaves the grid as it was.
+        codebook[:] = 0.0
+        assert grid.codebook.tobytes() == before.tobytes()
+        _assert_frozen(grid)
+
+    def test_a_read_only_codebook_is_taken_without_a_copy(self):
+        codebook = np.random.default_rng(1).normal(size=(4, 3))
+        codebook.flags.writeable = False
+        assert SomGrid(2, 2, codebook).codebook is codebook
+        grid = train_som(np.random.default_rng(2).normal(size=(12, 3)), 2, 2,
+                         SomTrainParams(epochs=1))
+        _assert_frozen(grid)
+
+    def test_a_pickled_grid_is_read_only_with_its_own_norms(self):
+        grid = SomGrid(2, 3, np.random.default_rng(4).normal(size=(6, 5)))
+        again = pickle.loads(pickle.dumps(grid))
+        assert (again.rows, again.cols) == (2, 3)
+        assert again.codebook.tobytes() == grid.codebook.tobytes()
+        _assert_frozen(again)
 
 
 class TestBmu:
@@ -188,15 +252,17 @@ class TestBmu:
         for i in range(0, 200, 17):
             assert batch[i] == bmu(grid, xs[i])
 
-    def test_a_reassigned_codebook_is_scored_with_its_own_norms(self):
+    def test_a_replaced_codebook_is_scored_with_its_own_norms(self):
         rng = np.random.default_rng(11)
         grid = SomGrid(rows=2, cols=3, codebook=rng.normal(size=(6, 4)))
         xs = rng.normal(size=(100, 4)) * 3.0
         assert_array_equal(bmu_batch(grid, xs), _direct_oracle(grid.codebook, xs))
         # The old norms would put a far unit first for most of these queries.
-        grid.codebook = np.concatenate([grid.codebook[:3] * 4.0, grid.codebook[3:] / 4.0])
+        new = dataclasses.replace(
+            grid, codebook=np.concatenate([grid.codebook[:3] * 4.0, grid.codebook[3:] / 4.0]))
+        assert_array_equal(bmu_batch(new, xs), _direct_oracle(new.codebook, xs))
+        assert_array_equal(new.norms, np.einsum("ij,ij->i", new.codebook, new.codebook))
         assert_array_equal(bmu_batch(grid, xs), _direct_oracle(grid.codebook, xs))
-        assert_allclose(grid.squared_norms(), (grid.codebook**2).sum(axis=1), rtol=1e-14)
 
     def test_dimension_mismatch_fails(self):
         grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, 3)))
