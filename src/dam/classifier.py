@@ -30,7 +30,7 @@ _MODEL_FIELDS = ("format_version", "joint_count", "preprocess", "grid", "classes
 _ROW_SUM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassModel:
     """Everything needed to classify a raw action: codebook, probabilities, knobs."""
 
@@ -69,7 +69,7 @@ class ClassModel:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
     """Raw (unnormalized) per-class scores for one action."""
 
@@ -108,10 +108,21 @@ def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
         probability matrix. Units that won no training WDF get all-zero rows.
     """
     wdf_sets = [np.asarray(w, dtype=np.float64) for w in wdf_sets]
+    table = np.concatenate([w for w in wdf_sets if len(w)] or [np.empty((0, grid.dim))])
+    return table_class_probabilities(grid, table, labels, [len(w) for w in wdf_sets], classes)
+
+
+def table_class_probabilities(grid, table, labels, sizes, classes=None, subset=None):
+    """`estimate_class_probabilities` of sets that are runs of rows of one table.
+
+    Set i, labelled labels[i], is the next sizes[i] rows of ``table[subset]``
+    (of the whole table when `subset` is None), which one winner search
+    reads in place.
+    """
     labels = list(labels)
-    if len(wdf_sets) != len(labels):
+    if len(sizes) != len(labels):
         raise ValueError(
-            f"{len(wdf_sets)} WDF sets but {len(labels)} labels"
+            f"{len(sizes)} WDF sets but {len(labels)} labels"
         )
     if classes is None:
         classes = class_order(labels)
@@ -121,12 +132,14 @@ def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
     if unknown:
         raise ValueError(f"label {unknown[0]!r} not in the class list {classes!r}")
 
-    sizes = [len(w) for w in wdf_sets]
-    if not any(sizes):
+    read = len(table) if subset is None else len(subset)
+    if sum(sizes) != read:
+        raise ValueError(f"set sizes sum to {sum(sizes)}, not to the {read} rows read")
+    if not read:
         raise ValueError("no training WDFs")
     # One winner search over every training WDF; winner l of a WDF of class c
     # counts in cell (l, c) of the (units, C) count table.
-    winners = bmu_batch(grid, np.concatenate([w for w in wdf_sets if len(w)]))
+    winners = bmu_batch(grid, table) if subset is None else bmu_batch(grid, table, subset=subset)
     class_index = np.repeat([index[label] for label in labels], sizes)
     counts = pair_counts(winners, class_index, (grid.unit_count, len(classes)))
     return classes, _per_row(counts, counts.sum(axis=1))
@@ -147,14 +160,18 @@ def fit_model(grid, wdf_sets, labels, params: PreprocessParams, joint_count: int
 
 
 def score_actions(model: ClassModel, wdf_sets) -> list[Posterior]:
-    """The posterior of each (n_i, dim) set, from one winner search over all of them.
+    """The posterior of each (n_i, dim) set, from one winner search over all of them."""
+    return posteriors(model, histogram_bins(model.grid, wdf_sets))
 
-    Class c scores sum_l P(c | l) * bins[l] over the set's `histogram_bins` row.
-    Each row is its own ``bins @ probs`` product; one (sets, units) @ (units,
-    classes) product may round differently, moving scores and their ties.
+
+def posteriors(model: ClassModel, bins: np.ndarray) -> list[Posterior]:
+    """The posterior of each row of a (sets, units) `histogram_bins` table.
+
+    Class c scores sum_l P(c | l) * bins[l] over the set's row. Each row is
+    its own ``bins @ probs`` product; one (sets, units) @ (units, classes)
+    product may round differently, moving scores and their ties.
     """
-    return [Posterior(tuple(model.classes), bins @ model.cluster_class_probs)
-            for bins in histogram_bins(model.grid, wdf_sets)]
+    return [Posterior(tuple(model.classes), row @ model.cluster_class_probs) for row in bins]
 
 
 def action_windows(model: ClassModel, action) -> np.ndarray:

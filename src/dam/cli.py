@@ -19,10 +19,15 @@ from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 
-import numpy as np
-
 from ._jsonin import build, convert, field_types, is_kind, read_object
-from .classifier import action_windows, fit_model, load_model, save_model, score_actions
+from .classifier import (
+    ClassModel,
+    action_windows,
+    load_model,
+    save_model,
+    score_actions,
+    table_class_probabilities,
+)
 from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
@@ -42,13 +47,14 @@ from .evaluation import (
     _evaluate,
     _sweep_axes,
     parameter_sweep,
+    window_table,
     write_confusion_csv,
     write_per_subject_csv,
     write_prob_matrix_csv,
     write_results_csv,
     write_sweep_csv,
 )
-from .preprocess import PreprocessParams, preprocess_action
+from .preprocess import PreprocessParams
 from .som import SomTrainParams, _usable_cpus, train_som
 
 logger = logging.getLogger(__name__)
@@ -305,11 +311,12 @@ def _settings(args, make) -> tuple:
 def cmd_train(args) -> int:
     _, cfg = _settings(args, experiment_config)
     dataset = _load_dataset(args.data, args.format, args.layout)
-    wdf_sets = [preprocess_action(a, cfg.preprocess) for a in dataset]
+    table = window_table(dataset, cfg.preprocess)
     rows, cols = cfg.rows, cfg.cols
-    grid = train_som(np.vstack(wdf_sets), rows, cols, replace(cfg.som, seed=cfg.seed))
-    model = fit_model(grid, wdf_sets, [a.label for a in dataset], cfg.preprocess,
-                      dataset.joint_count)
+    grid = train_som(table, rows, cols, replace(cfg.som, seed=cfg.seed))
+    classes, probs = table_class_probabilities(
+        grid, table, [a.label for a in dataset], [cfg.preprocess.wdf_count] * len(dataset))
+    model = ClassModel(grid, classes, probs, cfg.preprocess, dataset.joint_count)
     save_model(model, args.output)
     print(
         f"wrote {args.output}: {rows}x{cols} grid ({rows * cols} units), "

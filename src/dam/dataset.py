@@ -39,7 +39,7 @@ _ACTION3D_NAME = re.compile(r"^a(\d+)_s(\d+)_e(\d+)", re.IGNORECASE)
 # --- Core types --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Action:
     """One recorded action instance.
 

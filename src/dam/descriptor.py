@@ -27,7 +27,19 @@ def histogram_bins(grid: SomGrid, wdf_sets) -> np.ndarray:
     for wdfs in wdf_sets:
         if wdfs.ndim != 2 or wdfs.shape[0] == 0:
             raise ValueError(f"wdfs must be a non-empty (n, dim) array, got {wdfs.shape}")
-    sizes = np.array([len(w) for w in wdf_sets])
-    winners = bmu_batch(grid, np.concatenate(wdf_sets))
-    owners = np.repeat(np.arange(len(wdf_sets)), sizes)
-    return pair_counts(owners, winners, (len(wdf_sets), grid.unit_count)) / sizes[:, None]
+    return table_bins(grid, np.concatenate(wdf_sets), [len(w) for w in wdf_sets])
+
+
+def table_bins(grid: SomGrid, table: np.ndarray, sizes, subset=None) -> np.ndarray:
+    """`histogram_bins` of sets that are runs of rows of one (rows, dim) table.
+
+    Set i is the next sizes[i] rows of ``table[subset]`` (of the whole table
+    when `subset` is None), which one winner search reads in place.
+    """
+    read = len(table) if subset is None else len(subset)
+    if min(sizes, default=1) < 1 or sum(sizes) != read:
+        raise ValueError(f"set sizes must be >= 1 and sum to the {read} rows read")
+    winners = bmu_batch(grid, table) if subset is None else bmu_batch(grid, table, subset=subset)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    return pair_counts(owners, winners, (len(sizes), grid.unit_count)) / sizes[:, None]

@@ -1,17 +1,21 @@
 """Cross-validated experiment harness with CSV emission.
 
-`run_single` is the core: train the codebook on the training half only,
-estimate class probabilities, score the held-out half with one
-`classifier.score_actions` call. `cross_validate`, `evaluate_loso`,
-`parameter_sweep` and `dam evaluate` each make one `_evaluate` call: it lists
-every run as a (config, train indices, test indices, SOM seed, run index)
-task and hands them all to one `_run_tasks` call, so `dam evaluate
---exclusions both` runs with and without exclusions as one pass. That driver
-preprocesses each action once per distinct preprocessing config into WDFs
-(windowed direction frames), then runs every task in a loop or on one pool of
-worker processes; a sweep thus holds the WDFs of all its windows at once.
-Per-run seeds are derived from the master seed, so every result is
-reproducible bit-for-bit whatever the number of workers.
+A run trains the codebook on the training half only, estimates class
+probabilities, and scores the held-out half with one winner search.
+`cross_validate`, `evaluate_loso`, `parameter_sweep` and `dam evaluate` each
+make one `_evaluate` call: it lists every run as a (config, train indices,
+test indices, SOM seed, run index) task and hands them all to one
+`_run_tasks` call, so `dam evaluate --exclusions both` runs with and without
+exclusions as one pass. That driver preprocesses each action once per
+distinct preprocessing config into one window table (`window_table`: action
+i owns rows [i w, (i + 1) w), w = wdf_count, of WDFs, windowed direction
+frames), then runs every task in a loop or on one pool of worker processes.
+A run reads its halves in place, as arrays of row indices of that table:
+`train_som`, `table_class_probabilities` and `table_bins` gather one
+cache-sized block at a time, so no run copies its windows. A sweep holds the
+tables of all its windows at once. `run_single` is the same run for two
+datasets of the caller's. Per-run seeds are derived from the master seed, so
+every result is reproducible bit-for-bit whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _jsonin, _native
-from .classifier import ClassModel, _per_row, fit_model, score_actions
+from .classifier import ClassModel, _per_row, posteriors, table_class_probabilities
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
+from .descriptor import table_bins
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomTrainParams, train_som
 
@@ -69,7 +74,7 @@ class ExperimentConfig:
         return self.rows * self.cols
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Outcome of one train/test execution."""
 
@@ -93,7 +98,7 @@ class RunResult:
         return int(np.trace(self.confusion))
 
 
-@dataclass
+@dataclass(eq=False)
 class AggregateResult:
     """Runs of one protocol reduced to means; order of `run_results` is fixed."""
 
@@ -105,6 +110,25 @@ class AggregateResult:
     mean_confusion: np.ndarray
     mean_prob_matrix: np.ndarray
     subject_accuracy: dict
+
+
+def window_table(actions: Dataset, params: PreprocessParams, wdfs: dict | None = None
+                 ) -> np.ndarray:
+    """The WDFs of `actions` in one (len(actions) * w, dim) float64 table, w =
+    ``params.wdf_count``: action i owns rows [i w, (i + 1) w).
+
+    Each action's rows are filled with its `preprocess_action` output, or,
+    with `wdfs`, with ``wdfs[action.id]``, which must have that shape.
+    """
+    w = params.wdf_count
+    table = np.empty((len(actions) * w, params.feature_dim(actions.joint_count)))
+    for i, action in enumerate(actions):
+        windows = preprocess_action(action, params) if wdfs is None else wdfs[action.id]
+        if np.shape(windows) != (w, table.shape[1]):
+            raise ValueError(f"the WDFs of action {action.id!r} have shape "
+                             f"{np.shape(windows)}, expected {(w, table.shape[1])}")
+        table[i * w : (i + 1) * w] = windows
+    return table
 
 
 def run_single(
@@ -119,8 +143,19 @@ def run_single(
 
     `wdfs` optionally maps the id of every action in both halves to its
     preprocessed WDFs under `cfg.preprocess`; it is only read. Without it the
-    actions are preprocessed here.
+    actions are preprocessed here. Each half goes into a `window_table` of
+    its own, read whole by `_run`.
     """
+    train_table, test_table = (window_table(half, cfg.preprocess, wdfs) for half in (train, test))
+    return _run(train, test, cfg, som_seed, run_index, (train_table, None), (test_table, None))
+
+
+def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | None,
+         run_index: int, train_windows: tuple, test_windows: tuple) -> RunResult:
+    """One run. Each half's WDFs are a (table, rows) pair: `rows` is an int64 array
+    of row indices of `table`, or None for all of it, and the k-th action of the
+    half owns the k-th run of ``cfg.preprocess.wdf_count`` of those rows. The
+    rows are read in place."""
     overlap = set(train.subject_set) & set(test.subject_set)
     if overlap:
         raise ValueError(f"train and test share subjects {sorted(overlap)}")
@@ -133,18 +168,16 @@ def run_single(
         raise ValueError(
             f"training half covers {len(train.class_set)} class(es); need at least 2"
         )
-    if wdfs is None:
-        wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in (*train, *test)}
-
-    train_sets = [wdfs[a.id] for a in train]
+    w = cfg.preprocess.wdf_count
     som_params = replace(cfg.som, seed=cfg.som.seed if som_seed is None else int(som_seed))
-    grid = train_som(np.vstack(train_sets), cfg.rows, cfg.cols, som_params)
+    table, subset = train_windows
+    grid = train_som(table, cfg.rows, cfg.cols, som_params, subset=subset)
 
-    classes = class_order(set(train.class_set) | set(test.class_set))
-    model = fit_model(
-        grid, train_sets, [a.label for a in train], cfg.preprocess,
-        train.joint_count, classes=classes,
+    classes, probs = table_class_probabilities(
+        grid, table, [a.label for a in train], [w] * len(train),
+        class_order(set(train.class_set) | set(test.class_set)), subset,
     )
+    model = ClassModel(grid, classes, probs, cfg.preprocess, train.joint_count)
 
     index = {c: i for i, c in enumerate(classes)}
     n = len(classes)
@@ -152,7 +185,9 @@ def run_single(
     prob_sums = np.zeros((n, n))
     subject_hits: dict = {}
     zero_evidence = 0
-    for action, posterior in zip(test, score_actions(model, [wdfs[a.id] for a in test])):
+    table, subset = test_windows
+    bins = table_bins(grid, table, [w] * len(test), subset)
+    for action, posterior in zip(test, posteriors(model, bins)):
         zero_evidence += posterior.zero_evidence
         t = index[action.label]
         p = index[posterior.predicted]
@@ -182,46 +217,52 @@ def run_single(
 
 # --- Protocol drivers -----------------------------------------------------------
 
-# (dataset, wdfs) of the driver call a worker process serves; set by
+# (dataset, tables) of the driver call a worker process serves; set by
 # `_init_worker` in each worker, never in the calling process.
 _worker_state: tuple | None = None
 
 
-def _init_worker(dataset: Dataset, wdfs: dict) -> None:
+def _init_worker(dataset: Dataset, tables: dict) -> None:
     global _worker_state
-    _worker_state = (dataset, wdfs)
+    _worker_state = (dataset, tables)
 
 
 def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
-    """Run one (cfg, train_idx, test_idx, som_seed, run_index) task."""
-    dataset, wdfs = state or _worker_state
+    """Run one (cfg, train_idx, test_idx, som_seed, run_index) task on the window
+    table of its `cfg.preprocess`."""
+    dataset, tables = state or _worker_state
     cfg, train_idx, test_idx, som_seed, run_index = task
-    train = Dataset([dataset.actions[i] for i in train_idx])
-    test = Dataset([dataset.actions[i] for i in test_idx])
-    return run_single(train, test, cfg, som_seed, run_index, wdfs[cfg.preprocess])
+    table = tables[cfg.preprocess]
+    w = cfg.preprocess.wdf_count
+
+    def windows(idx):  # action i owns rows [i w, (i + 1) w) of the table
+        return table, (np.asarray(idx, dtype=np.int64)[:, None] * w + np.arange(w)).ravel()
+
+    train, test = (Dataset([dataset.actions[i] for i in idx]) for idx in (train_idx, test_idx))
+    return _run(train, test, cfg, som_seed, run_index, windows(train_idx), windows(test_idx))
 
 
 def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
     """Yield the result of each (cfg, train_idx, test_idx, som_seed, run_index) task, in order.
 
     The one place that preprocesses actions and starts workers. Indices are
-    positions in `dataset`. It preprocesses every action once per distinct
-    `cfg.preprocess` among the tasks, in the calling process, then runs the
-    tasks in a loop, or on one pool of `jobs` workers that each receive the
-    dataset and all the WDFs once.
+    positions in `dataset`. It makes one `window_table` of `dataset` per
+    distinct `cfg.preprocess` among the tasks, in the calling process, then
+    runs the tasks in a loop, or on one pool of `jobs` workers that each
+    receive the dataset and the tables once.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     params = dict.fromkeys(cfg.preprocess for cfg, *_ in tasks)
-    wdfs = {p: {a.id: preprocess_action(a, p) for a in dataset} for p in params}
+    tables = {p: window_table(dataset, p) for p in params}
     if jobs == 1 or len(tasks) <= 1:
-        yield from (_run_task(task, (dataset, wdfs)) for task in tasks)
+        yield from (_run_task(task, (dataset, tables)) for task in tasks)
         return
     # Forked workers inherit the loaded kernel; loaded in each worker instead,
     # a cold cache would compile it once per worker.
     _native.load("_som_kernel.c")
     with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_init_worker,
-                             initargs=(dataset, wdfs)) as pool:
+                             initargs=(dataset, tables)) as pool:
         yield from pool.map(_run_task, tasks)
 
 

@@ -26,10 +26,11 @@ DEFAULT_EPOCHS = 20
 DEFAULT_LEARNING_RATE = (0.5, 0.01)
 DEFAULT_FINAL_RADIUS = 0.5
 
-# Floats per (rows, K) score block of the nearest-unit search, and per
-# neighbourhood table of online training: 512 KiB, so a block stays
-# cache-sized, a bulk search (e.g. all of a fit's training WDFs) needs little
-# memory beyond its input, and no (rows, K, dim) buffer is made.
+# Floats per (rows, K) score block and per (rows, dim) query block of the
+# nearest-unit search, and per neighbourhood table of online training:
+# 512 KiB, so a block stays cache-sized, a bulk search (e.g. all of a fit's
+# training WDFs) needs little memory beyond its input, and no (rows, K, dim)
+# buffer is made.
 _CHUNK_BUDGET = 65_536
 # Below this ||x||^2 + max ||c||^2 neither a GEMM score nor a direct-form
 # distance (at most twice that sum) can overflow, so the rounding bound holds.
@@ -102,7 +103,7 @@ class SomTrainParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SomGrid:
     """A trained (or just assembled) codebook on a rows x cols grid.
 
@@ -117,7 +118,7 @@ class SomGrid:
     rows: int
     cols: int
     codebook: np.ndarray  # (rows * cols, dim)
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         codebook = np.asarray(self.codebook, dtype=np.float64)
@@ -178,17 +179,34 @@ def _gaussian(neg_sq: np.ndarray, sigma: float | np.ndarray, out: np.ndarray | N
 
 
 def _check_query(grid: SomGrid, vectors: np.ndarray) -> np.ndarray:
+    """`vectors` as float64; its rows are checked finite as `_min_sqdist` reads them."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.shape[-1] != grid.dim:
         raise ValueError(
             f"query dimension {vectors.shape[-1]} does not match codebook "
             f"dimension {grid.dim}"
         )
-    finite = np.isfinite(vectors).all(axis=-1)
-    if not finite.all():
-        row = int(np.argmin(finite.reshape(-1)))
-        raise ValueError(f"query row {row} contains non-finite values")
     return vectors
+
+
+def _check_subset(subset, n: int) -> np.ndarray:
+    """`subset` as an int64 array of row indices; a ValueError unless it is 1-D and
+    every entry is an integer in [0, n)."""
+    subset = np.asarray(subset)
+    if subset.ndim != 1 or (subset.size and subset.dtype.kind not in "iu"):
+        raise ValueError(f"subset must be a 1-D array of row indices, got {subset.dtype} "
+                         f"of shape {subset.shape}")
+    if subset.size and not 0 <= subset.min() <= subset.max() < n:
+        raise ValueError(f"subset holds a row outside [0, {n})")
+    return subset.astype(np.int64, copy=False)
+
+
+def _blocks(xs: np.ndarray, subset: np.ndarray | None, size: int):
+    """(lo, block) for each run of `size` rows of ``xs[subset]`` (of xs when `subset`
+    is None); each block is gathered on its own, so no copy of them all is made."""
+    n = len(xs) if subset is None else len(subset)
+    for lo in range(0, n, size):
+        yield lo, xs[lo : lo + size] if subset is None else xs[subset[lo : lo + size]]
 
 
 def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
@@ -197,10 +215,13 @@ def _direct_winner(codebook: np.ndarray, x: np.ndarray) -> int:
     return int(np.argmin((diff * diff).sum(axis=1)))
 
 
-def _min_sqdist(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
-    """Per-row argmin of squared distances to the rows of `grid`'s codebook.
+def _min_sqdist(grid: SomGrid, xs: np.ndarray, subset: np.ndarray | None = None) -> np.ndarray:
+    """Per-row argmin of squared distances to the rows of `grid`'s codebook,
+    over ``xs[subset]`` (all of xs when `subset` is None).
 
-    Scores blocks of `_CHUNK_BUDGET // K` rows with one GEMM: the score
+    Gathers blocks of `_CHUNK_BUDGET // max(K, dim)` rows, so neither a block
+    nor its scores exceed the budget, and raises a ValueError naming the
+    first non-finite row it reads. It scores each block with one GEMM: the score
     ``h_j = ||c_j||^2 / 2 - x.c_j`` is half of ``||c_j||^2 - 2 x.c_j`` and
     orders the units like the squared distance ``d_j = ||x||^2 + 2 h_j``.
     Rounding moves ``2 h_j`` and the direct form ``sum((c_j - x)**2)`` by at
@@ -214,16 +235,15 @@ def _min_sqdist(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
     the lowest index, whatever the BLAS threading.
     """
     codebook = grid.codebook
-    n, dim = xs.shape
-    k = codebook.shape[0]
-    chunk = max(1, _CHUNK_BUDGET // k)
+    k, dim = codebook.shape
     half_c2 = 0.5 * grid.norms
     c2_max = grid.norms.max()
-    best = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = xs[lo:hi]
-        rows = np.arange(hi - lo)
+    best = np.empty(len(xs) if subset is None else len(subset), dtype=np.int64)
+    for lo, block in _blocks(xs, subset, max(1, _CHUNK_BUDGET // max(k, dim))):
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"query row {lo + int(np.argmin(finite))} contains non-finite values")
+        rows = np.arange(len(block))
         scores = block @ codebook.T
         np.subtract(half_c2, scores, out=scores)
         winner = np.argmin(scores, axis=1)
@@ -234,20 +254,22 @@ def _min_sqdist(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
         sure = (second - first > _rounding_bound(dim, size)) & (size < _SIZE_LIMIT)
         for i in np.flatnonzero(~sure):
             winner[i] = _direct_winner(codebook, block[i])
-        best[lo:hi] = winner
+        best[lo : lo + len(block)] = winner
     return best
 
 
-def bmu_batch(grid: SomGrid, xs: np.ndarray) -> np.ndarray:
+def bmu_batch(grid: SomGrid, xs: np.ndarray, *, subset=None) -> np.ndarray:
     """Best-matching unit of each row of xs; exact ties go to the lowest index.
 
     The winner is always the argmin of the direct form ``sum((c - x)**2)``:
     the fast GEMM scores only decide rows whose margin beats their rounding
     bound, and every near-tie is rescored directly (see `_min_sqdist`).
-    Non-finite query rows are rejected with a ValueError.
+    Non-finite query rows are rejected with a ValueError. With `subset`, an
+    array of row indices of xs, it gives the winners of ``xs[subset]``,
+    reading those rows in place, a block at a time.
     """
     xs = _check_query(grid, np.atleast_2d(xs))
-    return _min_sqdist(grid, xs)
+    return _min_sqdist(grid, xs, None if subset is None else _check_subset(subset, len(xs)))
 
 
 def bmu(grid: SomGrid, x: np.ndarray) -> int:
@@ -392,6 +414,8 @@ def train_som(
     cols: int,
     params: SomTrainParams | None = None,
     initial_codebook: np.ndarray | None = None,
+    *,
+    subset=None,
 ) -> SomGrid:
     """Train a rows x cols map on (n, dim) samples with the online update rule.
 
@@ -401,6 +425,12 @@ def train_som(
     from their start to end values over all ``epochs * n`` steps. The codebook
     starts as a seeded draw of training vectors unless `initial_codebook` is
     given, and every epoch visits the samples in a fresh seeded order.
+
+    With `subset`, an array of row indices of `samples`, it trains on
+    ``samples[subset]`` and gives that call's bytes, but reads the rows in
+    place: the seeded draws are made over ``len(subset)`` positions, as for
+    the gathered array, and then mapped through `subset`. So one table of
+    windows serves every run that trains on some of its rows, without a copy.
 
     The steps run in chunks of as many steps as fit one weight table of
     `_CHUNK_BUDGET` floats (1 927 steps at 8x8, 240 at 25x25). Per chunk,
@@ -433,9 +463,18 @@ def train_som(
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError(f"samples must be a non-empty (n, dim) array, got {samples.shape}")
-    if not np.isfinite(samples).all():
+    if subset is None:
+        finite = np.isfinite(samples).all()
+        subset = np.arange(len(samples))
+    else:
+        subset = _check_subset(subset, len(samples))
+        if not len(subset):
+            raise ValueError("subset selects no rows")
+        size = max(1, _CHUNK_BUDGET // max(1, samples.shape[1]))
+        finite = all(np.isfinite(block).all() for _, block in _blocks(samples, subset, size))
+    if not finite:
         raise ValueError("samples contain non-finite values")
-    n = samples.shape[0]
+    n = len(subset)
     units = rows * cols
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
@@ -455,7 +494,7 @@ def train_som(
         if not np.isfinite(codebook).all():
             raise ValueError("initial_codebook contains non-finite values")
     else:
-        codebook = samples[rng.choice(n, size=units, replace=n < units)].copy()
+        codebook = samples[subset[rng.choice(n, size=units, replace=n < units)]]
 
     alpha0, alpha1 = params.learning_rate_start, params.learning_rate_end
     sigma0 = params.radius_start if params.radius_start is not None else max(rows, cols) / 2.0
@@ -463,7 +502,7 @@ def train_som(
     sigma1 = params.radius_end
 
     total = params.epochs * n
-    order = np.concatenate([rng.permutation(n) for _ in range(params.epochs)]).astype(np.int64)
+    order = subset[np.concatenate([rng.permutation(n) for _ in range(params.epochs)])]
     neg_k, index = _neighbour_index(rows, cols)
     run_block = _block_runner(units, samples.shape[1])
     schedule = _schedule()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -218,14 +219,13 @@ class TestRunSingle:
     ):
         cfg = small_config()
         train, test = split_cross_subject(directional, seed=0)
-        real_fit = evaluation.fit_model
+        real_fit = evaluation.table_class_probabilities
 
         def fit_without_evidence(*args, **kwargs):
-            model = real_fit(*args, **kwargs)
-            model.cluster_class_probs = np.zeros_like(model.cluster_class_probs)
-            return model
+            classes, probs = real_fit(*args, **kwargs)
+            return classes, np.zeros_like(probs)
 
-        monkeypatch.setattr(evaluation, "fit_model", fit_without_evidence)
+        monkeypatch.setattr(evaluation, "table_class_probabilities", fit_without_evidence)
         with caplog.at_level("WARNING", logger="dam.evaluation"):
             result = run_single(train, test, cfg, som_seed=1, run_index=4)
         [record] = caplog.records
@@ -467,6 +467,29 @@ class TestLoso:
             assert_array_equal(s.confusion, p.confusion)
         assert_array_equal(serial.mean_confusion, parallel.mean_confusion)
         assert_allclose(serial.mean_accuracy, parallel.mean_accuracy, rtol=0, atol=0)
+
+
+class TestRunsReadTheWindowTable:
+    def test_a_run_copies_no_half_of_the_windows(self):
+        # tracemalloc sees numpy's buffers. Above the window table, a run
+        # holds search and training blocks of at most `_CHUNK_BUDGET` floats
+        # and int64 row indices, but no copy of a half's windows.
+        dataset = make_directional_dataset(classes=4, subjects=8, instances=5, raw_frames=45,
+                                           joints=20, seed=0)
+        cfg = ExperimentConfig(preprocess=PreprocessParams(frames=25, window=3), rows=3,
+                               cols=3, som=SomTrainParams(epochs=1), runs=1, seed=0)
+        tracemalloc.start()
+        try:
+            [agg] = evaluation._evaluate(dataset, [(CROSS_SUBJECT, dataset, cfg)], jobs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        action_bytes = cfg.preprocess.wdf_count * cfg.preprocess.feature_dim(20) * 8
+        [run] = agg.run_results
+        half_bytes = min(run.test_count, len(dataset) - run.test_count) * action_bytes
+        # A half outweighs the blocks (about 1 MB here), so a copy of it shows.
+        assert half_bytes > 2**21
+        assert peak - len(dataset) * action_bytes < half_bytes
 
 
 class TestPreprocessOnce:

@@ -751,6 +751,120 @@ SCHEDULES = {
 }
 
 
+def _embed(rng, rows, extra, poison):
+    """A table holding `rows` at distinct shuffled positions among `extra` other
+    rows, and those positions; with `poison`, one other row is NaN or inf."""
+    table = rng.normal(size=(len(rows) + extra, rows.shape[1])) * 1e3
+    subset = rng.permutation(len(table))[: len(rows)]
+    table[subset] = rows
+    if poison and extra:
+        outside = np.setdiff1d(np.arange(len(table)), subset)
+        table[rng.choice(outside), rng.integers(rows.shape[1])] = rng.choice([np.nan, np.inf])
+    return table, subset
+
+
+@st.composite
+def _subset_training_cases(draw):
+    """A `_training_cases` case whose samples sit at a row subset of a larger table."""
+    samples, rows, cols, params, initial = draw(_training_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table, subset = _embed(rng, samples, draw(st.integers(0, 30)), draw(st.booleans()))
+    return table, subset, rows, cols, params, initial
+
+
+@pytest.mark.usefixtures("block_runner")
+@pytest.mark.filterwarnings("ignore:training set has fewer")
+class TestTrainingOnRowSubsets:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_subset_training_cases())
+    def test_a_subset_trains_the_bytes_of_its_gathered_rows(self, case):
+        # Non-finite rows outside the subset are never read.
+        table, subset, rows, cols, params, initial = case
+        grid = train_som(table, rows, cols, params, initial_codebook=initial, subset=subset)
+        want = train_som(table[subset], rows, cols, params, initial_codebook=initial)
+        assert grid.codebook.tobytes() == want.codebook.tobytes()
+
+    def test_near_tie_hand_backs_read_the_subset_rows(self):
+        # Every unit starts at one point and the rows repeat, so step 0 and
+        # the steps whose winner has duplicates at its grid distance are
+        # exact ties, which a compiled body hands to `_numpy_block`.
+        rng = np.random.default_rng(8)
+        samples = np.round(rng.normal(size=(30, 3)), 0)
+        samples[10:20] = samples[:10]
+        start = np.tile(rng.normal(size=3), (16, 1))
+        table, subset = _embed(rng, samples, 25, poison=True)
+        params = SomTrainParams(epochs=3, seed=4)
+        grid = train_som(table, 4, 4, params, initial_codebook=start, subset=subset)
+        want = _reference_train_som(samples, 4, 4, params, start)
+        assert grid.codebook.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_row_in_the_subset_is_refused(self, bad):
+        table = np.random.default_rng(2).normal(size=(40, 5))
+        table[17, 3] = bad
+        with pytest.raises(ValueError, match="^samples contain non-finite values$"):
+            train_som(table, 2, 2, subset=[3, 17, 30])
+        train_som(table, 2, 2, subset=[3, 16, 30])
+
+
+class TestSearchOnRowSubsets:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_near_tie_cases(), st.integers(0, 2**32 - 1), st.integers(0, 20), st.booleans())
+    def test_a_subset_finds_the_winners_of_its_gathered_rows(self, case, seed, extra, poison):
+        codebook, xs = case
+        table, subset = _embed(np.random.default_rng(seed), xs, extra, poison)
+        grid = SomGrid(rows=1, cols=codebook.shape[0], codebook=codebook)
+        winners = bmu_batch(grid, table, subset=subset)
+        assert_array_equal(winners, bmu_batch(grid, table[subset]))
+        assert_array_equal(winners, _direct_oracle(codebook, xs))
+
+    def test_subsets_spanning_several_row_blocks(self):
+        rng = np.random.default_rng(21)
+        k, dim = 625, 6
+        block = _CHUNK_BUDGET // k
+        codebook = rng.normal(size=(k, dim))
+        codebook[400:420] = codebook[:20]
+        xs = rng.normal(size=(2 * block + 50, dim))
+        for edge in (block, 2 * block):
+            xs[edge - 2 : edge + 2] = codebook[[400, 401, 402, 403]]
+            xs[edge + 2] = (codebook[0] + codebook[1]) / 2.0
+        table, subset = _embed(rng, xs, 300, poison=True)
+        grid = SomGrid(rows=25, cols=25, codebook=codebook)
+        want = _direct_oracle(codebook, xs)
+        assert_array_equal(bmu_batch(grid, table, subset=subset), want)
+        for edge in (block, 2 * block):
+            assert_array_equal(want[edge - 2 : edge + 2], [0, 1, 2, 3])
+
+    def test_a_non_finite_row_is_named_by_its_place_in_the_subset(self):
+        grid = SomGrid(rows=1, cols=3, codebook=np.eye(3))
+        table = np.zeros((500, 3))
+        table[7, 1] = np.nan
+        subset = np.arange(499, -1, -1)  # row 7 is query 492, in the last block
+        with pytest.raises(ValueError, match="^query row 492 contains non-finite values$"):
+            bmu_batch(grid, table, subset=subset)
+        assert_array_equal(bmu_batch(grid, table, subset=subset[:492]), np.zeros(492))
+
+    @pytest.mark.parametrize("subset, match", [
+        ([[0, 1]], "1-D array of row indices"),
+        ([0.0, 1.0], "1-D array of row indices"),
+        ([True, False], "1-D array of row indices"),
+        ([0, 5], r"outside \[0, 5\)"),
+        ([-1], r"outside \[0, 5\)"),
+    ])
+    def test_subsets_must_be_row_indices(self, subset, match):
+        grid = SomGrid(rows=1, cols=2, codebook=np.eye(2))
+        with pytest.raises(ValueError, match=match):
+            bmu_batch(grid, np.zeros((5, 2)), subset=subset)
+        with pytest.raises(ValueError, match=match):
+            train_som(np.zeros((5, 2)), 1, 2, subset=subset)
+
+    def test_an_empty_subset(self):
+        grid = SomGrid(rows=1, cols=2, codebook=np.eye(2))
+        assert bmu_batch(grid, np.zeros((5, 2)), subset=[]).shape == (0,)
+        with pytest.raises(ValueError, match="^subset selects no rows$"):
+            train_som(np.zeros((5, 2)), 1, 2, subset=[])
+
+
 class TestChunkedSchedule:
     @pytest.mark.parametrize("total", [1, 2, 3, 127, 128, 129, 14_784, 100_003])
     @pytest.mark.parametrize("case", list(SCHEDULES))
