@@ -16,7 +16,6 @@ from .classifier import (
     ClassModel,
     Posterior,
     classify_action,
-    estimate_class_probabilities,
     fit_model,
     load_model,
     save_model,
@@ -88,7 +87,6 @@ __all__ = [
     "cross_validate",
     "derive_seed",
     "direction_frames",
-    "estimate_class_probabilities",
     "evaluate_loso",
     "filter_action_set",
     "fit_model",

@@ -22,7 +22,8 @@ to try again; another compiler tries anew.
 types. Loading never raises: with no compiler, a failed build or a cached
 file that does not load, `load` and `function` return None and the caller
 keeps its Python path, which gives the same results. Either outcome is
-logged once per process at INFO.
+logged once per process at INFO. `blas_threads` reads and sets the threads
+of the OpenBLAS that numpy loaded, through ctypes too.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -147,3 +150,29 @@ def _typed(library: ctypes.CDLL, name: str, restype, *argtypes):
     typed = library[name]
     typed.restype, typed.argtypes = restype, argtypes
     return typed
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls() -> tuple | None:
+    """(get, set) of the thread calls of the OpenBLAS that numpy's extension module
+    links, under the names that scipy-openblas (numpy's wheels) or OpenBLAS export."""
+    core = getattr(np, "_core", None) or np.core  # numpy.core before numpy 2
+    with contextlib.suppress(OSError):
+        library = ctypes.CDLL(core._multiarray_umath.__file__)
+        for name in ("scipy_openblas_%s64_", "scipy_openblas_%s", "openblas_%s64_", "openblas_%s"):
+            with contextlib.suppress(AttributeError):
+                return (_typed(library, name % "get_num_threads", ctypes.c_int),
+                        _typed(library, name % "set_num_threads", None, ctypes.c_int))
+    logger.info("numpy's BLAS exports no OpenBLAS thread calls; its threads are left as set")
+    return None
+
+
+def blas_threads(count: int | None = None) -> int | None:
+    """The thread count of numpy's OpenBLAS, read before `count`, when given, is set;
+    None, with nothing set, when that BLAS exports no OpenBLAS thread calls."""
+    if (calls := _blas_thread_calls()) is None:
+        return None
+    current = calls[0]()
+    if count is not None:
+        calls[1](count)
+    return current

@@ -2,9 +2,10 @@
 
 A trained model couples the codebook with a (units x classes) matrix whose
 row l holds P(class | unit l), estimated from the training WDFs that unit l
-won. `score_actions`, the one path from WDFs to scores, scores class c by
-the histogram-weighted sum of those probabilities; the argmax wins, ties to
-the earliest class in the model's class order.
+won. `posteriors`, the one path from WDFs to scores, scores class c of a set
+of rows of a window table by the histogram-weighted sum of those
+probabilities; the argmax wins, ties to the earliest class in the model's
+class order. `fit_model` and `score_actions` stack a list of sets first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import class_order
-from .descriptor import histogram_bins, pair_counts
+from .descriptor import pair_counts, table_bins
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
@@ -94,36 +95,17 @@ class Posterior:
         return np.zeros_like(self.scores)
 
 
-def estimate_class_probabilities(grid, wdf_sets, labels, classes=None):
-    """Estimate P(class | unit) from labeled per-action WDF sets.
-
-    Args:
-        grid: trained codebook.
-        wdf_sets: sequence of (n_i, dim) arrays, one per training action.
-        labels: class label per entry of wdf_sets.
-        classes: optional explicit class order; defaults to the sorted labels.
-
-    Returns:
-        (classes, probs): the class order used and the (units, classes)
-        probability matrix. Units that won no training WDF get all-zero rows.
-    """
-    wdf_sets = [np.asarray(w, dtype=np.float64) for w in wdf_sets]
-    table = np.concatenate([w for w in wdf_sets if len(w)] or [np.empty((0, grid.dim))])
-    return table_class_probabilities(grid, table, labels, [len(w) for w in wdf_sets], classes)
-
-
 def table_class_probabilities(grid, table, labels, sizes, classes=None, subset=None):
-    """`estimate_class_probabilities` of sets that are runs of rows of one table.
+    """(classes, probs): P(class | unit) estimated from labeled sets of rows of one table.
 
     Set i, labelled labels[i], is the next sizes[i] rows of ``table[subset]``
-    (of the whole table when `subset` is None), which one winner search
-    reads in place.
+    (of the whole table when `subset` is None), which one winner search reads
+    in place. `classes` is the class order, by default the sorted labels; probs
+    is (units, classes), all-zero in the rows of units that won no training WDF.
     """
     labels = list(labels)
     if len(sizes) != len(labels):
-        raise ValueError(
-            f"{len(sizes)} WDF sets but {len(labels)} labels"
-        )
+        raise ValueError(f"{len(sizes)} WDF sets but {len(labels)} labels")
     if classes is None:
         classes = class_order(labels)
     classes = list(classes)
@@ -151,26 +133,37 @@ def _per_row(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
 
 
+def _stacked(grid: SomGrid, wdf_sets, allow_empty: bool) -> tuple[np.ndarray, list[int]]:
+    """The (n_i, dim) sets as one table, and their sizes; a ValueError names the first set
+    that is not 2-D of the codebook's dimension, or that is empty unless `allow_empty`."""
+    wdf_sets = [np.asarray(w, dtype=np.float64) for w in wdf_sets]
+    for i, wdfs in enumerate(wdf_sets):
+        if wdfs.ndim != 2 or wdfs.shape[1] != grid.dim or not (allow_empty or len(wdfs)):
+            raise ValueError(f"WDF set {i} has shape {wdfs.shape}, expected a "
+                             f"{'' if allow_empty else 'non-empty '}(n, {grid.dim}) array")
+    return np.concatenate([np.empty((0, grid.dim)), *wdf_sets]), [len(w) for w in wdf_sets]
+
+
 def fit_model(grid, wdf_sets, labels, params: PreprocessParams, joint_count: int,
               classes=None) -> ClassModel:
-    """estimate_class_probabilities + packaging into a ClassModel."""
-    classes, probs = estimate_class_probabilities(grid, wdf_sets, labels, classes)
-    return ClassModel(grid=grid, classes=classes, cluster_class_probs=probs, params=params,
-                      joint_count=joint_count)
+    """The ClassModel whose P(class | unit) `table_class_probabilities` estimates
+    from labeled (n_i, dim) WDF sets, one per training action, stacked once."""
+    table, sizes = _stacked(grid, wdf_sets, allow_empty=True)
+    classes, probs = table_class_probabilities(grid, table, labels, sizes, classes)
+    return ClassModel(grid, classes, probs, params, joint_count)
 
 
 def score_actions(model: ClassModel, wdf_sets) -> list[Posterior]:
-    """The posterior of each (n_i, dim) set, from one winner search over all of them."""
-    return posteriors(model, histogram_bins(model.grid, wdf_sets))
+    """The posterior of each non-empty (n_i, dim) set, from one winner search over all of them."""
+    return posteriors(model, *_stacked(model.grid, wdf_sets, allow_empty=False))
 
 
-def posteriors(model: ClassModel, bins: np.ndarray) -> list[Posterior]:
-    """The posterior of each row of a (sets, units) `histogram_bins` table.
-
-    Class c scores sum_l P(c | l) * bins[l] over the set's row. Each row is
-    its own ``bins @ probs`` product; one (sets, units) @ (units, classes)
-    product may round differently, moving scores and their ties.
-    """
+def posteriors(model: ClassModel, table: np.ndarray, sizes, subset=None) -> list[Posterior]:
+    """The posterior of each set of rows of a window table, sets as `table_bins` reads them:
+    class c scores sum_l P(c | l) * bins[l] over the set's bins row. Each row is its own
+    ``bins @ probs`` product, as one (sets, units) @ (units, classes) product may round
+    differently, moving scores and their ties."""
+    bins = table_bins(model.grid, table, sizes, subset)
     return [Posterior(tuple(model.classes), row @ model.cluster_class_probs) for row in bins]
 
 
@@ -192,7 +185,8 @@ def action_windows(model: ClassModel, action) -> np.ndarray:
 
 def classify_action(model: ClassModel, action) -> Posterior:
     """Preprocess a raw action with the model's own parameters and score it."""
-    return score_actions(model, [action_windows(model, action)])[0]
+    windows = action_windows(model, action)
+    return posteriors(model, windows, [len(windows)])[0]
 
 
 # --- Model files -----------------------------------------------------------------

@@ -19,13 +19,16 @@ from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 
+import numpy as np
+
+from . import _native
 from ._jsonin import build, convert, field_types, is_kind, read_object
 from .classifier import (
     ClassModel,
     action_windows,
     load_model,
+    posteriors,
     save_model,
-    score_actions,
     table_class_probabilities,
 )
 from .dataset import (
@@ -351,18 +354,21 @@ def cmd_classify(args) -> int:
     lines = ["id,predicted," + ",".join(f"score_{c}" for c in model.classes)]
     zero_evidence = 0
     files = _classify_inputs(args.inputs)
+    # Input i of a group owns rows [i w, (i + 1) w) of one window table.
+    w = model.params.wdf_count
+    table = np.empty((min(len(files), _CLASSIFY_GROUP) * w, model.grid.dim))
     for first in range(0, len(files), _CLASSIFY_GROUP):
-        ids, wdf_sets = [], []
-        for path in files[first:first + _CLASSIFY_GROUP]:
+        ids = []
+        for i, path in enumerate(files[first:first + _CLASSIFY_GROUP]):
             try:
                 action = parse_action_file(path.read_bytes())
-                wdf_sets.append(action_windows(model, action))
+                table[i * w:(i + 1) * w] = action_windows(model, action)
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
             ids.append(action.id)
         # Preprocessed windows are finite and of the model's dimension, so
         # scoring raises for no input.
-        for ident, posterior in zip(ids, score_actions(model, wdf_sets)):
+        for ident, posterior in zip(ids, posteriors(model, table[:len(ids) * w], [w] * len(ids))):
             zero_evidence += posterior.zero_evidence
             scores = ",".join(format(v, ".6g") for v in posterior.normalized())
             lines.append(f"{ident},{posterior.predicted},{scores}")
@@ -517,18 +523,20 @@ def _fail(e: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    # One BLAS thread beside the SOM kernel's: with one per CPU, the first
+    # winner search of a process now and then stalled for about a second.
+    caller_threads = _native.blas_threads(1)
     try:
         args = _parser().parse_args(argv)
+        return args.func(args)
     except CliError as e:
         return _fail(e, 2)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
-    except CliError as e:
-        return _fail(e, 2)
     except (ValueError, OSError) as e:
         return _fail(e, 1)
+    finally:
+        _native.blas_threads(caller_threads)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,13 @@ distinct preprocessing config into one window table (`window_table`: action
 i owns rows [i w, (i + 1) w), w = wdf_count, of WDFs, windowed direction
 frames), then runs every task in a loop or on one pool of worker processes.
 A run reads its halves in place, as arrays of row indices of that table:
-`train_som`, `table_class_probabilities` and `table_bins` gather one
-cache-sized block at a time, so no run copies its windows. A sweep holds the
-tables of all its windows at once. `run_single` is the same run for two
-datasets of the caller's. Per-run seeds are derived from the master seed, so
-every result is reproducible bit-for-bit whatever the number of workers.
+`train_som`, the fit (`table_class_probabilities`) and the scores
+(`posteriors`) gather one cache-sized block at a time, so no run copies its
+windows. A sweep holds the tables of all its windows at once. `run_single`
+is the same run for two datasets of the caller's, each preprocessed into a
+table of its own. Each worker runs OpenBLAS on its share of the usable CPUs.
+Per-run seeds are derived from the master seed, so every result is
+reproducible bit-for-bit whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ import numpy as np
 from . import _jsonin, _native
 from .classifier import ClassModel, _per_row, posteriors, table_class_probabilities
 from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
-from .descriptor import table_bins
 from .preprocess import PreprocessParams, preprocess_action
-from .som import SomTrainParams, train_som
+from .som import SomTrainParams, _usable_cpus, train_som
 
 logger = logging.getLogger(__name__)
 
@@ -112,41 +113,22 @@ class AggregateResult:
     subject_accuracy: dict
 
 
-def window_table(actions: Dataset, params: PreprocessParams, wdfs: dict | None = None
-                 ) -> np.ndarray:
+def window_table(actions: Dataset, params: PreprocessParams) -> np.ndarray:
     """The WDFs of `actions` in one (len(actions) * w, dim) float64 table, w =
-    ``params.wdf_count``: action i owns rows [i w, (i + 1) w).
-
-    Each action's rows are filled with its `preprocess_action` output, or,
-    with `wdfs`, with ``wdfs[action.id]``, which must have that shape.
-    """
+    ``params.wdf_count``: action i owns rows [i w, (i + 1) w), filled with its
+    `preprocess_action` output."""
     w = params.wdf_count
     table = np.empty((len(actions) * w, params.feature_dim(actions.joint_count)))
     for i, action in enumerate(actions):
-        windows = preprocess_action(action, params) if wdfs is None else wdfs[action.id]
-        if np.shape(windows) != (w, table.shape[1]):
-            raise ValueError(f"the WDFs of action {action.id!r} have shape "
-                             f"{np.shape(windows)}, expected {(w, table.shape[1])}")
-        table[i * w : (i + 1) * w] = windows
+        table[i * w : (i + 1) * w] = preprocess_action(action, params)
     return table
 
 
-def run_single(
-    train: Dataset,
-    test: Dataset,
-    cfg: ExperimentConfig,
-    som_seed: int | None = None,
-    run_index: int = 0,
-    wdfs: dict | None = None,
-) -> RunResult:
-    """Train on `train` only (no test leakage anywhere) and score `test`.
-
-    `wdfs` optionally maps the id of every action in both halves to its
-    preprocessed WDFs under `cfg.preprocess`; it is only read. Without it the
-    actions are preprocessed here. Each half goes into a `window_table` of
-    its own, read whole by `_run`.
-    """
-    train_table, test_table = (window_table(half, cfg.preprocess, wdfs) for half in (train, test))
+def run_single(train: Dataset, test: Dataset, cfg: ExperimentConfig,
+               som_seed: int | None = None, run_index: int = 0) -> RunResult:
+    """Train on `train` only (no test leakage anywhere) and score `test`; `_run`
+    reads each half whole from a `window_table` of its own."""
+    train_table, test_table = (window_table(half, cfg.preprocess) for half in (train, test))
     return _run(train, test, cfg, som_seed, run_index, (train_table, None), (test_table, None))
 
 
@@ -160,14 +142,10 @@ def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | N
     if overlap:
         raise ValueError(f"train and test share subjects {sorted(overlap)}")
     if train.joint_count != test.joint_count:
-        raise ValueError(
-            f"joint count mismatch: train has {train.joint_count}, "
-            f"test has {test.joint_count}"
-        )
+        raise ValueError(f"joint count mismatch: train has {train.joint_count}, "
+                         f"test has {test.joint_count}")
     if len(train.class_set) < 2:
-        raise ValueError(
-            f"training half covers {len(train.class_set)} class(es); need at least 2"
-        )
+        raise ValueError(f"training half covers {len(train.class_set)} class(es); need at least 2")
     w = cfg.preprocess.wdf_count
     som_params = replace(cfg.som, seed=cfg.som.seed if som_seed is None else int(som_seed))
     table, subset = train_windows
@@ -186,11 +164,9 @@ def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | N
     subject_hits: dict = {}
     zero_evidence = 0
     table, subset = test_windows
-    bins = table_bins(grid, table, [w] * len(test), subset)
-    for action, posterior in zip(test, posteriors(model, bins)):
+    for action, posterior in zip(test, posteriors(model, table, [w] * len(test), subset)):
         zero_evidence += posterior.zero_evidence
-        t = index[action.label]
-        p = index[posterior.predicted]
+        t, p = index[action.label], index[posterior.predicted]
         confusion[t, p] += 1
         prob_sums[t] += posterior.normalized()
         subject_hits.setdefault(action.subject, []).append(t == p)
@@ -222,9 +198,10 @@ def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | N
 _worker_state: tuple | None = None
 
 
-def _init_worker(dataset: Dataset, tables: dict) -> None:
+def _init_worker(dataset: Dataset, tables: dict, blas_threads: int) -> None:
     global _worker_state
     _worker_state = (dataset, tables)
+    _native.blas_threads(blas_threads)
 
 
 def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
@@ -249,7 +226,8 @@ def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
     positions in `dataset`. It makes one `window_table` of `dataset` per
     distinct `cfg.preprocess` among the tasks, in the calling process, then
     runs the tasks in a loop, or on one pool of `jobs` workers that each
-    receive the dataset and the tables once.
+    receive the dataset and the tables once, and split the usable CPUs among
+    their OpenBLAS threads.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -261,8 +239,10 @@ def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
     # Forked workers inherit the loaded kernel; loaded in each worker instead,
     # a cold cache would compile it once per worker.
     _native.load("_som_kernel.c")
-    with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_init_worker,
-                             initargs=(dataset, tables)) as pool:
+    workers = min(jobs, len(tasks))
+    blas_threads = max(1, _usable_cpus() // workers)
+    with ProcessPoolExecutor(workers, initializer=_init_worker,
+                             initargs=(dataset, tables, blas_threads)) as pool:
         yield from pool.map(_run_task, tasks)
 
 

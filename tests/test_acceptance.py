@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dam import cli
 from dam.classifier import ClassModel, fit_model, score_actions
 from dam.dataset import load_msr_action3d, load_msrc12, write_canonical_dataset
-from dam.descriptor import histogram_bins
+from dam.descriptor import table_bins
 from dam.evaluation import ExperimentConfig, cross_validate, parameter_sweep
 from dam.preprocess import (
     PreprocessParams,
@@ -58,6 +58,11 @@ def _posterior_oracle(bins: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _bins(grid: SomGrid, wdfs: np.ndarray) -> np.ndarray:
+    """The histogram of one action's (n, dim) windows, from the bins core."""
+    return table_bins(grid, wdfs, [len(wdfs)])[0]
+
+
 @pytest.mark.acceptance("1 oracle equivalence")
 def test_randomized_instances_match_brute_force_oracles():
     rng = np.random.default_rng(2024)
@@ -74,7 +79,7 @@ def test_randomized_instances_match_brute_force_oracles():
         grid = SomGrid(rows, cols, rng.normal(size=(rows * cols, dim)))
         wdfs = rng.normal(size=(int(rng.integers(1, 12)), dim))
         assert_array_equal(
-            histogram_bins(grid, [wdfs])[0], _histogram_oracle(grid.codebook, wdfs)
+            _bins(grid, wdfs), _histogram_oracle(grid.codebook, wdfs)
         )
 
     for _ in range(1000):
@@ -138,8 +143,8 @@ def test_translation_exact_scale_close_histograms_unit_mass():
     )
     for positions in lattice_actions:
         offset = rng.integers(-(2**12), 2**12, size=3).astype(np.float64) * 2.0**-6
-        base = histogram_bins(grid, [preprocess_action(positions, params)])[0]
-        moved = histogram_bins(grid, [preprocess_action(positions + offset, params)])[0]
+        base = _bins(grid, preprocess_action(positions, params))
+        moved = _bins(grid, preprocess_action(positions + offset, params))
         assert_array_equal(moved, base)
 
     # Scale invariance within 1e-9 per bin for x10 and x0.1.
@@ -148,11 +153,9 @@ def test_translation_exact_scale_close_histograms_unit_mass():
     )
     float_grid = _sample_codebook(list(corpus), params, 16, seed=5)
     for action in corpus:
-        base = histogram_bins(float_grid, [preprocess_action(action, params)])[0]
+        base = _bins(float_grid, preprocess_action(action, params))
         for factor in (10.0, 0.1):
-            scaled = histogram_bins(
-                float_grid, [preprocess_action(action.frames * factor, params)]
-            )[0]
+            scaled = _bins(float_grid, preprocess_action(action.frames * factor, params))
             assert_allclose(scaled, base, rtol=0, atol=1e-9)
 
     # Unit mass on every action of every test corpus.
@@ -165,7 +168,7 @@ def test_translation_exact_scale_close_histograms_unit_mass():
         (lattice_actions, grid),
     ):
         for action in corpus_actions:
-            histogram = histogram_bins(codebook, [preprocess_action(action, params)])[0]
+            histogram = _bins(codebook, preprocess_action(action, params))
             assert abs(histogram.sum() - 1.0) <= 1e-9
 
 

@@ -18,11 +18,11 @@ from dam.classifier import (
     ClassModel,
     Posterior,
     classify_action,
-    estimate_class_probabilities,
     fit_model,
     load_model,
     save_model,
     score_actions,
+    table_class_probabilities,
 )
 from dam.dataset import Action
 from dam.preprocess import PreprocessParams, preprocess_action
@@ -42,20 +42,22 @@ class TestEstimate:
     def test_hand_worked_tiny_case(self):
         """Unit 0 sees two 'a' vectors, unit 1 sees one 'b' vector."""
         grid = SomGrid(rows=1, cols=2, codebook=np.array([[0.0], [10.0]]))
-        classes, probs = estimate_class_probabilities(
+        classes, probs = table_class_probabilities(
             grid,
-            [np.array([[0.1], [0.2]]), np.array([[9.9]])],
+            np.array([[0.1], [0.2], [9.9]]),
             ["a", "b"],
+            [2, 1],
         )
         assert classes == ["a", "b"]
         assert_array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_mixed_cluster_proportions(self):
         grid = SomGrid(rows=1, cols=2, codebook=np.array([[0.0], [10.0]]))
-        classes, probs = estimate_class_probabilities(
+        classes, probs = table_class_probabilities(
             grid,
-            [np.array([[0.1], [0.2], [0.3]]), np.array([[0.4]])],
+            np.array([[0.1], [0.2], [0.3], [0.4]]),
             ["a", "b"],
+            [3, 1],
         )
         assert_allclose(probs[0], [0.75, 0.25])
         assert_array_equal(probs[1], [0.0, 0.0])  # unit 1 never wins -> all zero
@@ -69,19 +71,20 @@ class TestEstimate:
             for label in range(int(rng.integers(2, 5))):
                 sets.append(rng.normal(size=(int(rng.integers(1, 8)), 3)))
                 labels.append(label)
-            _, probs = estimate_class_probabilities(grid, sets, labels)
+            _, probs = table_class_probabilities(grid, np.concatenate(sets), labels,
+                                                 [len(s) for s in sets])
             sums = probs.sum(axis=1)
             assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
 
     def test_explicit_class_order_and_unknown_label(self):
         grid = SomGrid(rows=1, cols=1, codebook=np.zeros((1, 1)))
-        classes, probs = estimate_class_probabilities(
-            grid, [np.array([[0.0]])], ["b"], classes=["a", "b"]
+        classes, probs = table_class_probabilities(
+            grid, np.array([[0.0]]), ["b"], [1], classes=["a", "b"]
         )
         assert classes == ["a", "b"]
         assert_array_equal(probs, [[0.0, 1.0]])
         with pytest.raises(ValueError):
-            estimate_class_probabilities(grid, [np.array([[0.0]])], ["c"], classes=["a"])
+            table_class_probabilities(grid, np.array([[0.0]]), ["c"], [1], classes=["a"])
 
     def test_one_winner_search_gives_the_per_vector_counts(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -95,7 +98,8 @@ class TestEstimate:
         calls = []
         monkeypatch.setattr(classifier_module, "bmu_batch",
                             lambda g, xs: calls.append(len(xs)) or bmu_batch(g, xs))
-        classes, probs = estimate_class_probabilities(grid, sets, labels)
+        classes, probs = table_class_probabilities(grid, np.concatenate(sets), labels,
+                                                   [len(s) for s in sets])
         assert calls == [sum(map(len, sets))]
         sums = counts.sum(axis=1, keepdims=True)
         want = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
@@ -105,7 +109,7 @@ class TestEstimate:
     def test_requires_training_vectors(self):
         grid = SomGrid(rows=1, cols=1, codebook=np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            estimate_class_probabilities(grid, [], [])
+            table_class_probabilities(grid, np.zeros((0, 2)), [], [])
 
 
 def _units_on_a_line(units, dim):
@@ -192,6 +196,40 @@ class TestScoreActions:
         model, _ = _toy_model()
         monkeypatch.setattr(descriptor, "bmu_batch", lambda g, xs: pytest.fail("searched"))
         assert score_actions(model, []) == []
+
+
+# Malformed per-action WDF sets for a codebook of dimension 6.
+_MALFORMED_SETS = {
+    "1-D": np.zeros(6),
+    "3-D": np.zeros((2, 3, 6)),
+    "wrong dimension": np.zeros((4, 5)),
+}
+
+
+class TestListsOfSets:
+    @pytest.mark.parametrize("bad", list(_MALFORMED_SETS))
+    @pytest.mark.parametrize("entry", ["fit_model", "score_actions"])
+    def test_a_malformed_set_is_refused_by_its_index(self, entry, bad):
+        params = PreprocessParams(frames=8, window=2)
+        grid = SomGrid(rows=1, cols=2, codebook=_units_on_a_line(2, params.feature_dim(1)))
+        sets = [grid.codebook, _MALFORMED_SETS[bad], grid.codebook]
+        shape = re.escape(str(_MALFORMED_SETS[bad].shape))
+        with pytest.raises(ValueError, match=rf"^WDF set 1 has shape {shape}, expected a "
+                                             rf"(non-empty )?\(n, 6\) array$"):
+            if entry == "fit_model":
+                fit_model(grid, sets, ["a", "b", "a"], params, joint_count=1)
+            else:
+                score_actions(ClassModel(grid, ["a", "b"], np.eye(2), params, 1), sets)
+
+    def test_an_empty_set_is_fitted_but_not_scored(self):
+        params = PreprocessParams(frames=8, window=2)
+        grid = SomGrid(rows=1, cols=2, codebook=_units_on_a_line(2, params.feature_dim(1)))
+        sets = [grid.codebook, np.zeros((0, 6))]
+        model = fit_model(grid, sets, ["a", "b"], params, joint_count=1)
+        assert_array_equal(model.cluster_class_probs, [[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^WDF set 1 has shape \(0, 6\), expected a "
+                                             r"non-empty \(n, 6\) array$"):
+            score_actions(model, sets)
 
 
 def _toy_model(seed=0, joints=2, frames=10, window=2, rows=2, cols=2):

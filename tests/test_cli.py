@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dam import cli, evaluation
+from dam import _native, cli, evaluation
 from dam import dataset as dataset_module
 from dam.classifier import action_windows, load_model, save_model
 from dam.dataset import (
@@ -992,6 +992,52 @@ class TestTopLevel:
         code, _, stderr = run(capsys, "frobnicate")
         assert code == 2
         assert stderr.startswith("error: ")
+
+
+class _BlasProbe(ProcessPoolExecutor):
+    """A pool whose `map` returns, per task, its worker's OpenBLAS thread count."""
+
+    def map(self, fn, tasks):
+        return [self.submit(_native.blas_threads).result() for _ in tasks]
+
+
+@pytest.mark.skipif(_native.blas_threads() is None,
+                    reason="numpy's BLAS exports no OpenBLAS thread calls")
+@pytest.mark.parametrize("case", ["main returns", "main exits 1", "main raises",
+                                  "jobs=2 worker"])
+def test_dam_sets_its_own_blas_threads(capsys, monkeypatch, tmp_path, case):
+    # `main` runs on one thread and gives the caller back its count however
+    # it ends; a pool of 2 workers on 6 usable CPUs runs each on 3.
+    dataset = make_directional_dataset(classes=2, subjects=4, instances=1, raw_frames=12,
+                                       joints=2, seed=0)
+    seen = []
+
+    def load(directory, apply_exclusions):
+        seen.append(_native.blas_threads())
+        if case != "main returns":
+            raise (ValueError if case == "main exits 1" else RuntimeError)("unreadable")
+        return dataset
+
+    caller = _native.blas_threads(2)
+    try:
+        if case == "jobs=2 worker":
+            monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _BlasProbe)
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 6)
+            cfg = ExperimentConfig(PreprocessParams(frames=10, window=2), 2, 2, runs=2)
+            tasks = evaluation._tasks(evaluation.CROSS_SUBJECT, dataset, cfg, dataset)
+            assert list(evaluation._run_tasks(dataset, tasks, jobs=2)) == [3, 3]
+        else:
+            monkeypatch.setattr(cli, "load_canonical_dataset", load)
+            argv = ["convert", str(tmp_path / "in"), str(tmp_path / "out")]
+            if case == "main raises":
+                with pytest.raises(RuntimeError):
+                    cli.main(argv)
+            else:
+                assert run(capsys, *argv)[0] == (0 if case == "main returns" else 1)
+            assert seen == [1]
+            assert _native.blas_threads() == 2
+    finally:
+        _native.blas_threads(caller)
 
 
 def resolve(config: dict) -> dict:

@@ -1,11 +1,11 @@
-"""Tests for cluster-occupancy histograms: `histogram_bins` of one set."""
+"""Tests for cluster-occupancy histograms: `table_bins` of one set."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import descriptor
-from dam.descriptor import histogram_bins
+from dam.descriptor import table_bins
 from dam.som import SomGrid
 
 
@@ -32,38 +32,38 @@ class TestHistogramBins:
             codebook = rng.normal(size=(k, dim))
             wdfs = rng.normal(size=(n, dim))
             grid = SomGrid(rows=1, cols=k, codebook=codebook)
-            got = histogram_bins(grid, [wdfs])[0]
+            got = table_bins(grid, wdfs, [n])[0]
             assert_array_equal(got, _histogram_oracle(codebook, wdfs))
 
     def test_bins_sum_to_one(self):
         rng = np.random.default_rng(1)
         grid = SomGrid(rows=2, cols=3, codebook=rng.normal(size=(6, 4)))
-        h = histogram_bins(grid, [rng.normal(size=(37, 4))])[0]
+        h = table_bins(grid, rng.normal(size=(37, 4)), [37])[0]
         assert abs(h.sum() - 1.0) < 1e-12
 
     def test_order_of_wdfs_is_irrelevant(self):
         rng = np.random.default_rng(2)
         grid = SomGrid(rows=2, cols=2, codebook=rng.normal(size=(4, 5)))
         wdfs = rng.normal(size=(25, 5))
-        h1 = histogram_bins(grid, [wdfs])[0]
-        h2 = histogram_bins(grid, [wdfs[::-1]])[0]
+        h1 = table_bins(grid, wdfs, [25])[0]
+        h2 = table_bins(grid, wdfs[::-1], [25])[0]
         assert_array_equal(h1, h2)
 
     def test_all_mass_lands_on_single_near_unit(self):
         codebook = np.array([[0.0, 0.0], [100.0, 100.0]])
         grid = SomGrid(rows=1, cols=2, codebook=codebook)
-        h = histogram_bins(grid, [np.random.default_rng(3).normal(size=(10, 2))])[0]
+        h = table_bins(grid, np.random.default_rng(3).normal(size=(10, 2)), [10])[0]
         assert_array_equal(h, [1.0, 0.0])
 
     def test_no_sets_give_an_empty_table_without_a_search(self, monkeypatch):
         grid = SomGrid(rows=2, cols=3, codebook=np.zeros((6, 4)))
         monkeypatch.setattr(descriptor, "bmu_batch", lambda g, xs: pytest.fail("searched"))
-        bins = histogram_bins(grid, [])
+        bins = table_bins(grid, np.zeros((0, 4)), [])
         assert bins.shape == (0, 6) and bins.dtype == np.float64
 
     def test_rejects_empty_and_mismatched(self):
         grid = SomGrid(rows=1, cols=2, codebook=np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            histogram_bins(grid, [np.zeros((0, 3))])
+            table_bins(grid, np.zeros((0, 3)), [0])
         with pytest.raises(ValueError):
-            histogram_bins(grid, [np.zeros((4, 2))])
+            table_bins(grid, np.zeros((4, 2)), [4])

@@ -207,7 +207,7 @@ class TestRunSingle:
         cfg = small_config()
         train, test = split_cross_subject(directional, seed=0)
         wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in directional}
-        given = run_single(train, test, cfg, som_seed=1, wdfs=wdfs)
+        given = _run_on_tables(train, test, cfg, wdfs, som_seed=1)
         computed = run_single(train, test, cfg, som_seed=1)
         assert given.accuracy == computed.accuracy
         assert_array_equal(given.confusion, computed.confusion)
@@ -257,6 +257,13 @@ def paper_half():
     return train, test, cfg, wdfs
 
 
+def _run_on_tables(train, test, cfg, wdfs, som_seed):
+    """The run of `run_single`, on window tables stacked from the precomputed
+    `wdfs` (action id -> WDFs) of each half."""
+    tables = [(np.vstack([wdfs[a.id] for a in half]), None) for half in (train, test)]
+    return evaluation._run(train, test, cfg, som_seed, 0, *tables)
+
+
 def _scored_per_action(model, test, wdfs):
     """(confusion, prob_matrix, subject accuracy, zero-evidence count) with one
     winner search and one posterior per test action."""
@@ -302,7 +309,7 @@ class TestOneSearchPerTestHalf:
                             lambda c, x, winner=som._direct_winner:
                             rescored.append(1) or winner(c, x))
         with caplog.at_level("WARNING", logger="dam.evaluation"):
-            result = run_single(train, test, cfg, som_seed=derive_seed(0, 0, 1), wdfs=wdfs)
+            result = _run_on_tables(train, test, cfg, wdfs, som_seed=derive_seed(0, 0, 1))
         sizes = [sum(len(wdfs[a.id]) for a in half) for half in (train, test)]
         assert searches == sizes
         assert bool(rescored) == duplicated

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from dam import _native, som
 from dam.dataset import split_cross_subject
-from dam.descriptor import histogram_bins
+from dam.descriptor import table_bins
 from dam.evaluation import derive_seed
 from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import (
@@ -277,7 +277,7 @@ class TestBmu:
         with pytest.raises(ValueError, match="query row 2"):
             bmu_batch(grid, xs)
         with pytest.raises(ValueError, match="non-finite"):
-            histogram_bins(grid, [xs])
+            table_bins(grid, xs, [len(xs)])
         with pytest.raises(ValueError, match="non-finite"):
             bmu(grid, xs[2])
 
