@@ -35,11 +35,11 @@ from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
     Msrc12Layout,
+    _action3d_actions,
+    _canonical_actions,
     _canonical_files,
+    _msrc12_actions,
     drop_excluded,
-    load_canonical_dataset,
-    load_msr_action3d,
-    load_msrc12,
     parse_action_file,
     write_canonical_dataset,
 )
@@ -48,8 +48,8 @@ from .evaluation import (
     LOSO,
     ExperimentConfig,
     _evaluate,
+    _sweep,
     _sweep_axes,
-    parameter_sweep,
     window_table,
     write_confusion_csv,
     write_per_subject_csv,
@@ -263,14 +263,16 @@ def _load_layout(path) -> Msrc12Layout:
         raise CliError(f"layout {path}: {e}") from None
 
 
-def _load_dataset(directory, fmt: str, layout_path=None, apply_exclusions: bool = True) -> Dataset:
+def _load_dataset(directory, fmt: str, layout_path=None, apply_exclusions: bool = True):
+    """The (count, (file name, action) pairs) stream of `directory`, which
+    `window_table` reads one action at a time."""
     if fmt == "canonical":
-        return load_canonical_dataset(directory, apply_exclusions=apply_exclusions)
+        return _canonical_actions(directory, apply_exclusions=apply_exclusions)
     if fmt == "action3d":
-        return load_msr_action3d(directory, apply_exclusions=apply_exclusions)
+        return _action3d_actions(directory, apply_exclusions=apply_exclusions)
     if fmt == "msrc12":
         layout = _load_layout(layout_path) if layout_path else None
-        return load_msrc12(directory, layout=layout, apply_exclusions=apply_exclusions)
+        return _msrc12_actions(directory, layout=layout, apply_exclusions=apply_exclusions)
     raise CliError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
 
 
@@ -280,10 +282,9 @@ def _load_dataset(directory, fmt: str, layout_path=None, apply_exclusions: bool 
 def cmd_convert(args) -> int:
     out_dir = Path(args.output)
     try:
-        dataset = _load_dataset(
-            args.data, args.format, args.layout,
-            apply_exclusions=args.apply_exclusions,
-        )
+        _, actions = _load_dataset(args.data, args.format, args.layout,
+                                   apply_exclusions=args.apply_exclusions)
+        dataset = Dataset([action for _, action in actions])
     except ValueError as e:
         if str(e).startswith("no "):
             raise CliError(f"no input files: {e}") from None
@@ -313,8 +314,9 @@ def _settings(args, make) -> tuple:
 
 def cmd_train(args) -> int:
     _, cfg = _settings(args, experiment_config)
-    dataset = _load_dataset(args.data, args.format, args.layout)
-    table = window_table(dataset, cfg.preprocess)
+    dataset, tables = window_table(
+        _load_dataset(args.data, args.format, args.layout), [cfg.preprocess])
+    table = tables[cfg.preprocess]
     rows, cols = cfg.rows, cfg.cols
     grid = train_som(table, rows, cols, replace(cfg.som, seed=cfg.seed))
     classes, probs = table_class_probabilities(
@@ -389,14 +391,15 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     has_exclusions = (Path(args.data) / EXCLUDE_FILENAME).is_file()
     mode = args.exclusions or ("both" if has_exclusions else "apply")
-    # "both" loads the directory once, exclusions ignored, and filters that.
-    dataset = _load_dataset(args.data, args.format, args.layout,
-                            apply_exclusions=mode == "apply")
+    # "both" reads the directory once, exclusions ignored, and filters the records.
+    dataset, tables = window_table(
+        _load_dataset(args.data, args.format, args.layout, apply_exclusions=mode == "apply"),
+        [cfg.preprocess])
     passes = [(dataset, "")]
     if mode == "both" and has_exclusions:
         passes = [(drop_excluded(dataset, args.data), ""), (dataset, "_noexcl")]
     protocol = settings.get("protocol", CROSS_SUBJECT)
-    aggregates = _evaluate(dataset, [(protocol, subset, cfg) for subset, _ in passes],
+    aggregates = _evaluate((dataset, tables), [(protocol, subset, cfg) for subset, _ in passes],
                            settings.get("jobs", _usable_cpus()))
     for (_, suffix), agg in zip(passes, aggregates, strict=True):
         write_results_csv(out_dir / f"results{suffix}.csv", agg, cfg)
@@ -421,10 +424,10 @@ def _sweep_base(settings: dict) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     settings, base = _settings(args, _sweep_base)
-    dataset = _load_dataset(args.data, args.format, args.layout,
+    actions = _load_dataset(args.data, args.format, args.layout,
                             apply_exclusions=args.exclusions != "ignore")
-    rows = parameter_sweep(dataset, base, settings["windows"], settings["grids"],
-                           settings.get("action_sets"), settings.get("jobs", _usable_cpus()))
+    rows = _sweep(actions, base, settings["windows"], settings["grids"],
+                  settings.get("action_sets"), settings.get("jobs", _usable_cpus()))
     write_sweep_csv(args.output, rows)
     print(f"wrote {args.output} ({len(rows)} rows)")
     return 0

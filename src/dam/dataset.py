@@ -9,7 +9,9 @@ The canonical on-disk form is one text file per action instance::
 A dataset is a directory of such files plus an optional ``exclude.txt``
 (instance ids to drop, one per line). Adapters for the two supported raw
 corpora (MSR-Action3D skeleton dumps, MSRC-12 sequence+annotation pairs)
-produce the same in-memory types.
+produce the same in-memory types. Each format is read by a private generator,
+one file (one MSRC-12 sequence) at a time, which `dam.evaluation.window_table`
+consumes as it goes; the public loaders hold its actions in a Dataset.
 """
 
 from __future__ import annotations
@@ -464,18 +466,38 @@ def _canonical_files(directory: Path) -> list[Path]:
     return paths
 
 
-def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
-    """Load every canonical ``*.txt`` action file under `directory`."""
+def _dataset_directory(directory) -> Path:
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"dataset directory not found: {directory}")
-    actions = []
-    for path in _canonical_files(directory):
-        try:
-            actions.append(parse_action_file(path.read_bytes()))
-        except ValueError as e:
-            raise ValueError(f"{path.name}: {e}") from None
-    return drop_excluded(actions, directory) if apply_exclusions else Dataset(actions)
+    return directory
+
+
+def _canonical_actions(directory, apply_exclusions: bool = True) -> tuple:
+    """(file count, generator of (file name, action) pairs) of the canonical
+    files under `directory`, parsed one at a time; excluded ids are skipped."""
+    directory = _dataset_directory(directory)
+    paths = _canonical_files(directory)
+    excluded = _exclusions_for(directory, apply_exclusions)
+
+    def actions():
+        kept = False
+        for path in paths:
+            try:
+                action = parse_action_file(path.read_bytes())
+            except ValueError as e:
+                raise ValueError(f"{path.name}: {e}") from None
+            if action.id not in excluded:
+                kept = True
+                yield path.name, action
+        if not kept:
+            raise ValueError(f"all actions in {directory} are excluded")
+    return len(paths), actions()
+
+
+def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:
+    """Load every canonical ``*.txt`` action file under `directory` (`_canonical_actions`)."""
+    return Dataset([action for _, action in _canonical_actions(directory, apply_exclusions)[1]])
 
 
 def write_canonical_dataset(dataset: Dataset, directory) -> list[Path]:
@@ -504,43 +526,39 @@ def write_canonical_dataset(dataset: Dataset, directory) -> list[Path]:
 # --- MSR-Action3D adapter ------------------------------------------------------
 
 
-def load_msr_action3d(directory, apply_exclusions: bool = True) -> Dataset:
-    """Load raw MSR-Action3D skeleton dumps.
-
-    Files are named ``a{class}_s{subject}_e{episode}*``; each line is one
-    joint record ``x y z confidence`` and every 20 consecutive records form
-    one frame. The confidence column is dropped.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise ValueError(f"dataset directory not found: {directory}")
+def _action3d_actions(directory, apply_exclusions: bool = True) -> tuple:
+    """(file count, generator of (file name, action) pairs) of the MSR-Action3D
+    files under `directory` bar excluded ones, read one at a time."""
+    directory = _dataset_directory(directory)
     paths = [p for p in sorted(directory.iterdir())
              if p.is_file() and _ACTION3D_NAME.match(p.name)]
     if not paths:
         raise ValueError(f"no MSR-Action3D files (a*_s*_e*) found in {directory}")
     excluded = _exclusions_for(directory, apply_exclusions)
-    actions = []
-    for path in paths:
-        if path.stem in excluded:
-            continue
-        records = _read_file_table(path, path.read_text(), 4)
-        if records.shape[0] % MSR_ACTION3D_JOINTS != 0:
-            raise ValueError(
-                f"{path.name}: {records.shape[0]} records is not a multiple of "
-                f"{MSR_ACTION3D_JOINTS} joints"
-            )
-        label, subject = _ACTION3D_NAME.match(path.name).group(1, 2)
-        actions.append(
-            Action(
-                id=path.stem,
-                subject=int(subject),
-                label=int(label),
-                frames=records[:, :3].reshape(-1, MSR_ACTION3D_JOINTS, 3),
-            )
-        )
-    if not actions:
+    paths = [p for p in paths if p.stem not in excluded]
+    if not paths:
         raise ValueError(f"all actions in {directory} are excluded")
-    return Dataset(actions)
+
+    def actions():
+        for path in paths:
+            records = _read_file_table(path, path.read_text(), 4)
+            if records.shape[0] % MSR_ACTION3D_JOINTS != 0:
+                raise ValueError(f"{path.name}: {records.shape[0]} records is not a multiple "
+                                 f"of {MSR_ACTION3D_JOINTS} joints")
+            label, subject = _ACTION3D_NAME.match(path.name).group(1, 2)
+            yield path.name, Action(path.stem, int(subject), int(label),
+                                    records[:, :3].reshape(-1, MSR_ACTION3D_JOINTS, 3))
+    return len(paths), actions()
+
+
+def load_msr_action3d(directory, apply_exclusions: bool = True) -> Dataset:
+    """Load raw MSR-Action3D skeleton dumps (`_action3d_actions`).
+
+    Files are named ``a{class}_s{subject}_e{episode}*``; each line is one
+    joint record ``x y z confidence`` and every 20 consecutive records form
+    one frame. The confidence column is dropped.
+    """
+    return Dataset([action for _, action in _action3d_actions(directory, apply_exclusions)[1]])
 
 
 # --- MSRC-12 adapter ------------------------------------------------------------
@@ -615,88 +633,82 @@ def _parse_annotations(path: Path) -> list[tuple[int, object]]:
     return sorted(markers, key=lambda marker: (marker[0], _label_key(marker[1])))
 
 
+def _msrc12_actions(directory, layout: Msrc12Layout | None = None,
+                    apply_exclusions: bool = True) -> tuple:
+    """(sequence count, generator of (sequence file name, action) pairs) of the
+    MSRC-12 style corpus under `directory`: one sequence read at a time, its
+    excluded instances skipped."""
+    layout = layout or Msrc12Layout()
+    directory = _dataset_directory(directory)
+    seq_paths = sorted(p for p in directory.glob(f"*{layout.sequence_suffix}") if p.is_file())
+    if not seq_paths:
+        raise ValueError(f"no sequence files (*{layout.sequence_suffix}) found in {directory}")
+    excluded = _exclusions_for(directory, apply_exclusions)
+    subject_re = re.compile(layout.subject_pattern)
+
+    def actions():
+        columns = None  # built once a table has passed the width check
+        # Whether an action was yielded, and a sequence skipped for its excluded instances.
+        produced = dropped = False
+        for seq_path in seq_paths:
+            stem = seq_path.name[: -len(layout.sequence_suffix)]
+            ann_path = directory / f"{stem}{layout.annotation_suffix}"
+            if not ann_path.is_file():
+                raise ValueError(f"{seq_path.name}: missing annotation file {ann_path.name}")
+            markers = _parse_annotations(ann_path)
+            ids = [f"{stem}_i{k:03d}" for k in range(1, len(markers) + 1)]
+            if ids and excluded.issuperset(ids):  # every instance excluded: table unread
+                dropped = True
+                continue
+            text = seq_path.read_text().replace(",", " ")
+            table = _read_file_table(seq_path, text, layout.values_per_frame)
+            if columns is None:
+                columns = (
+                    layout.first_joint_column
+                    + np.arange(layout.joint_count)[:, None] * layout.joint_stride
+                    + np.asarray(layout.coord_offsets)[None, :]
+                )
+            positions = table[:, columns]  # (frames, joints, 3)
+            total = positions.shape[0]
+
+            if not markers:
+                warnings.warn(f"{ann_path.name}: empty annotation file, sequence skipped")
+                continue
+            m = subject_re.search(stem)
+            if m is None:
+                raise ValueError(f"{seq_path.name}: cannot find subject field matching "
+                                 f"{layout.subject_pattern!r}")
+            subject = int(m.group(1))
+
+            previous = -1
+            for ident, (frame, label) in zip(ids, markers):
+                if not 0 <= frame < total:
+                    raise ValueError(f"{ann_path.name}: annotation frame {frame} outside "
+                                     f"sequence of {total} frames")
+                if layout.extent == "span":
+                    start, stop = previous + 1, frame + 1
+                    previous = frame
+                else:
+                    start = max(0, frame - layout.window_radius)
+                    stop = min(total, frame + layout.window_radius + 1)
+                if stop - start < 2:
+                    raise ValueError(f"{ann_path.name}: annotation at frame {frame} yields "
+                                     f"an instance with fewer than 2 frames")
+                if ident in excluded:
+                    continue
+                produced = True
+                yield seq_path.name, Action(ident, subject, label, positions[start:stop].copy())
+        if not produced:
+            raise ValueError(f"all actions in {directory} are excluded" if dropped
+                             else f"no action instances produced from {directory}")
+    return len(seq_paths), actions()
+
+
 def load_msrc12(directory, layout: Msrc12Layout | None = None,
                 apply_exclusions: bool = True) -> Dataset:
     """Load an MSRC-12 style corpus: numeric sequences segmented by annotations."""
-    layout = layout or Msrc12Layout()
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise ValueError(f"dataset directory not found: {directory}")
-    seq_paths = sorted(p for p in directory.glob(f"*{layout.sequence_suffix}") if p.is_file())
-    if not seq_paths:
-        raise ValueError(
-            f"no sequence files (*{layout.sequence_suffix}) found in {directory}"
-        )
-    excluded = _exclusions_for(directory, apply_exclusions)
-    subject_re = re.compile(layout.subject_pattern)
-    columns = None  # built once a table has passed the width check
-
-    actions = []
-    dropped = False  # whether a sequence was skipped for its excluded instances
-    for seq_path in seq_paths:
-        stem = seq_path.name[: -len(layout.sequence_suffix)]
-        ann_path = directory / f"{stem}{layout.annotation_suffix}"
-        if not ann_path.is_file():
-            raise ValueError(f"{seq_path.name}: missing annotation file {ann_path.name}")
-        markers = _parse_annotations(ann_path)
-        ids = [f"{stem}_i{k:03d}" for k in range(1, len(markers) + 1)]
-        if ids and excluded.issuperset(ids):  # every instance excluded: table unread
-            dropped = True
-            continue
-        text = seq_path.read_text().replace(",", " ")
-        table = _read_file_table(seq_path, text, layout.values_per_frame)
-        if columns is None:
-            columns = (
-                layout.first_joint_column
-                + np.arange(layout.joint_count)[:, None] * layout.joint_stride
-                + np.asarray(layout.coord_offsets)[None, :]
-            )
-        positions = table[:, columns]  # (frames, joints, 3)
-        total = positions.shape[0]
-
-        if not markers:
-            warnings.warn(f"{ann_path.name}: empty annotation file, sequence skipped")
-            continue
-        m = subject_re.search(stem)
-        if m is None:
-            raise ValueError(
-                f"{seq_path.name}: cannot find subject field matching "
-                f"{layout.subject_pattern!r}"
-            )
-        subject = int(m.group(1))
-
-        previous = -1
-        for ident, (frame, label) in zip(ids, markers):
-            if not 0 <= frame < total:
-                raise ValueError(
-                    f"{ann_path.name}: annotation frame {frame} outside sequence "
-                    f"of {total} frames"
-                )
-            if layout.extent == "span":
-                start, stop = previous + 1, frame + 1
-                previous = frame
-            else:
-                start = max(0, frame - layout.window_radius)
-                stop = min(total, frame + layout.window_radius + 1)
-            if stop - start < 2:
-                raise ValueError(
-                    f"{ann_path.name}: annotation at frame {frame} yields an "
-                    f"instance with fewer than 2 frames"
-                )
-            if ident in excluded:
-                continue
-            actions.append(
-                Action(
-                    id=ident,
-                    subject=subject,
-                    label=label,
-                    frames=positions[start:stop].copy(),
-                )
-            )
-    if not actions:
-        raise ValueError(f"all actions in {directory} are excluded" if dropped
-                         else f"no action instances produced from {directory}")
-    return Dataset(actions)
+    return Dataset([action for _, action in _msrc12_actions(directory, layout,
+                                                            apply_exclusions)[1]])
 
 
 # --- Filters and splits ---------------------------------------------------------

@@ -6,23 +6,26 @@ probabilities, and scores the held-out half with one winner search.
 make one `_evaluate` call: it lists every run as a (config, train indices,
 test indices, SOM seed, run index) task and hands them all to one
 `_run_tasks` call, so `dam evaluate --exclusions both` runs with and without
-exclusions as one pass. That driver preprocesses each action once per
-distinct preprocessing config into one window table (`window_table`: action
-i owns rows [i w, (i + 1) w), w = wdf_count, of WDFs, windowed direction
-frames), then runs every task in a loop or on one pool of worker processes.
-A run reads its halves in place, as arrays of row indices of that table:
-`train_som`, the fit (`table_class_probabilities`) and the scores
+exclusions as one pass. The runs read one window table per distinct
+preprocessing config (`window_table`: action i owns rows [i w, (i + 1) w),
+w = wdf_count, of WDFs, windowed direction frames), which one pass over a
+stream of actions fills: each action is preprocessed into its rows of every
+table as it arrives, and only a frame-free record of it (id, subject, label,
+joint count) is kept. The CLI streams each file from the loader, so it holds
+one action's frames at a time; the library functions stream the caller's
+Dataset. A run reads its halves in place, as arrays of row indices of a
+table: `train_som`, the fit (`table_class_probabilities`) and the scores
 (`posteriors`) gather one cache-sized block at a time, so no run copies its
-windows. A sweep holds the tables of all its windows at once. `run_single`
-is the same run for two datasets of the caller's, each preprocessed into a
-table of its own. Each worker runs OpenBLAS on its share of the usable CPUs.
-Per-run seeds are derived from the master seed, so every result is
-reproducible bit-for-bit whatever the number of workers.
+windows. A sweep holds the tables of all its windows at once. Tasks run in a
+loop or on one pool of worker processes, each running OpenBLAS on its share
+of the usable CPUs. Per-run seeds are derived from the master seed, so every
+result is reproducible bit-for-bit whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -113,23 +116,55 @@ class AggregateResult:
     subject_accuracy: dict
 
 
-def window_table(actions: Dataset, params: PreprocessParams) -> np.ndarray:
-    """The WDFs of `actions` in one (len(actions) * w, dim) float64 table, w =
-    ``params.wdf_count``: action i owns rows [i w, (i + 1) w), filled with its
-    `preprocess_action` output."""
-    w = params.wdf_count
-    table = np.empty((len(actions) * w, params.feature_dim(actions.joint_count)))
-    for i, action in enumerate(actions):
-        table[i * w : (i + 1) * w] = preprocess_action(action, params)
-    return table
+# An action less its frames: all that splits, filters and runs read of it.
+_Record = namedtuple("_Record", "id subject label num_joints")
+
+
+def window_table(actions: tuple, params) -> tuple[Dataset, dict]:
+    """One pass over the (count, (name, action) pairs) stream `actions`: the
+    Dataset of their frame-free records, and a float64 table per distinct
+    PreprocessParams p of `params`, where action i owns rows [i w, (i + 1) w),
+    w = ``p.wdf_count``, of its `preprocess_action` output. Each table holds
+    `count` actions from the first, grows in place by a quarter when more come,
+    and is cut to the rows written, so an action's frames can go once its rows
+    are written.
+    An error names the action: one whose joint count is not the first's, or
+    that preprocessing refuses."""
+    count, actions = actions
+    records, tables = [], {}
+    for name, action in actions:
+        if not records:
+            joints = action.num_joints
+            tables = {p: np.empty((count * p.wdf_count, p.feature_dim(joints))) for p in params}
+        try:
+            if action.num_joints != joints:
+                raise ValueError(f"{action.num_joints} joints, the first action has {joints}")
+            for p, table in tables.items():
+                rows = slice(len(records) * p.wdf_count, (len(records) + 1) * p.wdf_count)
+                if rows.stop > len(table):
+                    table.resize((rows.stop * 5 // 4, table.shape[1]), refcheck=False)
+                table[rows] = preprocess_action(action, p)
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+        records.append(_Record(action.id, action.subject, action.label, action.num_joints))
+    for p, table in tables.items():
+        table.resize((len(records) * p.wdf_count, table.shape[1]), refcheck=False)
+    return Dataset(records), tables
+
+
+def _named(dataset: Dataset) -> tuple:
+    """A caller's dataset as `window_table` reads it, each action named by its id."""
+    return len(dataset), ((f"action {a.id!r}", a) for a in dataset)
 
 
 def run_single(train: Dataset, test: Dataset, cfg: ExperimentConfig,
                som_seed: int | None = None, run_index: int = 0) -> RunResult:
     """Train on `train` only (no test leakage anywhere) and score `test`; `_run`
     reads each half whole from a `window_table` of its own."""
-    train_table, test_table = (window_table(half, cfg.preprocess) for half in (train, test))
-    return _run(train, test, cfg, som_seed, run_index, (train_table, None), (test_table, None))
+    (train, train_tables), (test, test_tables) = (
+        window_table(_named(half), [cfg.preprocess]) for half in (train, test))
+    return _run(train, test, cfg, som_seed, run_index, (train_tables[cfg.preprocess], None),
+                (test_tables[cfg.preprocess], None))
 
 
 def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | None,
@@ -193,21 +228,21 @@ def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | N
 
 # --- Protocol drivers -----------------------------------------------------------
 
-# (dataset, tables) of the driver call a worker process serves; set by
+# (records, tables) of the driver call a worker process serves; set by
 # `_init_worker` in each worker, never in the calling process.
 _worker_state: tuple | None = None
 
 
-def _init_worker(dataset: Dataset, tables: dict, blas_threads: int) -> None:
+def _init_worker(windows: tuple, blas_threads: int) -> None:
     global _worker_state
-    _worker_state = (dataset, tables)
+    _worker_state = windows
     _native.blas_threads(blas_threads)
 
 
 def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
     """Run one (cfg, train_idx, test_idx, som_seed, run_index) task on the window
     table of its `cfg.preprocess`."""
-    dataset, tables = state or _worker_state
+    records, tables = state or _worker_state
     cfg, train_idx, test_idx, som_seed, run_index = task
     table = tables[cfg.preprocess]
     w = cfg.preprocess.wdf_count
@@ -215,26 +250,23 @@ def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
     def windows(idx):  # action i owns rows [i w, (i + 1) w) of the table
         return table, (np.asarray(idx, dtype=np.int64)[:, None] * w + np.arange(w)).ravel()
 
-    train, test = (Dataset([dataset.actions[i] for i in idx]) for idx in (train_idx, test_idx))
+    train, test = (Dataset([records.actions[i] for i in idx]) for idx in (train_idx, test_idx))
     return _run(train, test, cfg, som_seed, run_index, windows(train_idx), windows(test_idx))
 
 
-def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
+def _run_tasks(windows, tasks: list, jobs: int):
     """Yield the result of each (cfg, train_idx, test_idx, som_seed, run_index) task, in order.
 
-    The one place that preprocesses actions and starts workers. Indices are
-    positions in `dataset`. It makes one `window_table` of `dataset` per
-    distinct `cfg.preprocess` among the tasks, in the calling process, then
-    runs the tasks in a loop, or on one pool of `jobs` workers that each
-    receive the dataset and the tables once, and split the usable CPUs among
-    their OpenBLAS threads.
+    The one place that starts workers. `windows` is the (records, tables) pair
+    of `window_table`, with a table for each `cfg.preprocess` among the tasks;
+    indices are positions in the records. It runs the tasks in a loop, or on
+    one pool of `jobs` workers that each receive the records and the tables
+    once, and split the usable CPUs among their OpenBLAS threads.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    params = dict.fromkeys(cfg.preprocess for cfg, *_ in tasks)
-    tables = {p: window_table(dataset, p) for p in params}
     if jobs == 1 or len(tasks) <= 1:
-        yield from (_run_task(task, (dataset, tables)) for task in tasks)
+        yield from (_run_task(task, windows) for task in tasks)
         return
     # Forked workers inherit the loaded kernel; loaded in each worker instead,
     # a cold cache would compile it once per worker.
@@ -242,7 +274,7 @@ def _run_tasks(dataset: Dataset, tasks: list, jobs: int):
     workers = min(jobs, len(tasks))
     blas_threads = max(1, _usable_cpus() // workers)
     with ProcessPoolExecutor(workers, initializer=_init_worker,
-                             initargs=(dataset, tables, blas_threads)) as pool:
+                             initargs=(windows, blas_threads)) as pool:
         yield from pool.map(_run_task, tasks)
 
 
@@ -287,15 +319,19 @@ def _tasks(protocol: str, subset: Dataset, cfg: ExperimentConfig, dataset: Datas
             for r, (halves, seed) in enumerate(splits)]
 
 
-def _evaluate(dataset: Dataset, experiments: list, jobs: int):
+def _evaluate(windows, experiments: list, jobs: int):
     """Yield the result of each (protocol, subset, cfg) experiment, in order, as
-    its last run ends; each subset is a subset of `dataset`.
+    its last run ends. `windows` is the `window_table` pair that `_run_tasks`
+    takes, or a caller's Dataset, preprocessed here into that pair; each
+    subset is a subset of its records, or of that Dataset.
 
     The runs of all the experiments go through one `_run_tasks` call, whose
     pool shuts down before the generator ends.
     """
-    tasks = [_tasks(protocol, subset, cfg, dataset) for protocol, subset, cfg in experiments]
-    with closing(_run_tasks(dataset, [t for runs in tasks for t in runs], jobs)) as results:
+    if isinstance(windows, Dataset):
+        windows = window_table(_named(windows), [cfg.preprocess for *_, cfg in experiments])
+    tasks = [_tasks(protocol, subset, cfg, windows[0]) for protocol, subset, cfg in experiments]
+    with closing(_run_tasks(windows, [t for runs in tasks for t in runs], jobs)) as results:
         for (protocol, *_), runs in zip(experiments, tasks):
             yield _aggregate(protocol, list(islice(results, len(runs))))
 
@@ -341,14 +377,8 @@ def _sweep_axes(windows, grids) -> tuple[list, list]:
     return windows, grids
 
 
-def parameter_sweep(
-    dataset: Dataset,
-    cfg: ExperimentConfig,
-    windows,
-    grids,
-    action_sets: dict | None = None,
-    jobs: int = 1,
-) -> list[SweepRow]:
+def parameter_sweep(dataset: Dataset, cfg: ExperimentConfig, windows, grids,
+                    action_sets: dict | None = None, jobs: int = 1) -> list[SweepRow]:
     """Cross-validate every window x grid combination.
 
     `grids` is a list of (rows, cols). With `action_sets` (name -> class
@@ -359,21 +389,31 @@ def parameter_sweep(
     before the first codebook is trained, and none may be listed twice
     (`_sweep_axes`).
     """
+    return _sweep(_named(dataset), cfg, windows, grids, action_sets, jobs)
+
+
+def _sweep(actions: tuple, cfg: ExperimentConfig, windows, grids, action_sets, jobs):
+    """`parameter_sweep` of the `window_table` stream `actions`, of which it
+    preprocesses, once per window, the actions of the subsets' classes."""
     windows, grids = _sweep_axes(windows, grids)
     combos = [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
               for w in windows for r, c in grids]
     if action_sets:
-        subsets = {name: filter_action_set(dataset, action_sets[name])
+        wanted = {label for labels in action_sets.values() for label in labels}
+        actions = actions[0], ((name, a) for name, a in actions[1] if a.label in wanted)
+    records, tables = window_table(actions, [combo.preprocess for combo in combos])
+    if action_sets:
+        subsets = {name: filter_action_set(records, action_sets[name])
                    for name in sorted(action_sets)}
     else:
-        subsets = {"all": dataset}
-    union = Dataset(list({a.id: a for sub in subsets.values() for a in sub}.values()))
+        subsets = {"all": records}
     keys = [(combo, name) for combo in combos for name in subsets]
     experiments = [(CROSS_SUBJECT, subsets[name], combo) for combo, name in keys]
     last_subset = list(subsets)[-1]
 
     out: list[SweepRow] = []
-    for (combo, name), agg in zip(keys, _evaluate(union, experiments, jobs), strict=True):
+    for (combo, name), agg in zip(keys, _evaluate((records, tables), experiments, jobs),
+                                  strict=True):
         window = combo.preprocess.window
         out.append(SweepRow(name, window, combo.rows, combo.cols, combo.clusters,
                             cfg.runs, agg.mean_accuracy, agg.std_accuracy))

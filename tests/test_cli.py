@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from dam import _native, cli, evaluation
 from dam import dataset as dataset_module
 from dam.classifier import action_windows, load_model, save_model
 from dam.dataset import (
+    Action,
+    Dataset,
     load_canonical_dataset,
     load_msr_action3d,
     parse_action_file,
@@ -976,6 +979,109 @@ class TestSweep:
         assert key in stderr
 
 
+# Each command that reads a dataset directory, as run by the streaming tests;
+# "evaluate-<mode>-<jobs>" runs `dam evaluate --exclusions <mode> --jobs <jobs>`.
+STREAMING_COMMANDS = ["train", "sweep", *(f"evaluate-{mode}-{jobs}" for mode in
+                                         ("apply", "ignore", "both") for jobs in (1, 2))]
+
+
+def _streaming_argv(command: str, data: Path, out: Path) -> list:
+    out.mkdir()
+    if command == "train":
+        return ["train", str(data), *FAST, "--seed", "1", "-o", str(out / "model.json")]
+    if command == "sweep":
+        return ["sweep", str(data), "--frames", "10", "--epochs", "2", "--windows", "1,2",
+                "--grids", "2x2", "--runs", "1", "--seed", "1", "--jobs", "1",
+                "-o", str(out / "sweep.csv")]
+    _, mode, jobs = command.split("-")
+    return ["evaluate", str(data), *FAST, "--runs", "1", "--seed", "1", "--jobs", jobs,
+            "--exclusions", mode, "--output-dir", str(out)]
+
+
+# Finite coordinates near 1e103, which preprocessing refuses.
+REFUSED_FRAMES = np.cumsum(np.random.default_rng(0).normal(size=(30, 3, 3)), axis=0) * 1e103
+
+
+def _bad_actions(tmp_path: Path, bad: dict) -> Path:
+    """The `canon_dir` corpus, with the action of each id in `bad` given the
+    frames it maps to; returns the directory."""
+    data = tmp_path / "data"
+    for a in make_directional_dataset(classes=3, subjects=4, instances=2, raw_frames=20,
+                                      joints=3, seed=11):
+        # One Dataset each, so that joint counts may differ.
+        action = Action(a.id, a.subject, a.label, bad.get(a.id, a.frames))
+        write_canonical_dataset(Dataset([action]), data)
+    return data
+
+
+class TestStreamedActions:
+    """`dam train`, `evaluate` and `sweep` read each action into the window
+    table as it is parsed, so the corpus's frames are never all held."""
+
+    @pytest.mark.parametrize("fmt", ["canonical", "action3d"])
+    @pytest.mark.parametrize("command", STREAMING_COMMANDS)
+    def test_at_most_one_action_is_alive(self, capsys, tmp_path, canon_dir, action3d_dir,
+                                         monkeypatch, fmt, command):
+        data = tmp_path / "data"
+        shutil.copytree(canon_dir if fmt == "canonical" else action3d_dir, data)
+        victim = sorted(p.stem for p in data.glob("*.txt"))[0]
+        (data / "exclude.txt").write_text(f"{victim}\n")
+        alive, most = [0], [0]
+        make = dataset_module.Action
+
+        def gone():
+            alive[0] -= 1
+
+        def tracked(*args, **kwargs):  # every Action a loader makes
+            action = make(*args, **kwargs)
+            weakref.finalize(action, gone)
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            return action
+
+        monkeypatch.setattr(dataset_module, "Action", tracked)
+        argv = _streaming_argv(command, data, tmp_path / "out")
+        code, _, stderr = run(capsys, *argv, "--format", fmt)
+        assert (code, stderr) == (0, "")
+        # The action whose rows are being written, and the next one parsed.
+        assert 0 < most[0] <= 2
+        assert alive[0] == 0
+
+    @pytest.mark.parametrize("command", ["train", "evaluate-apply-1", "sweep"])
+    def test_a_preprocessing_error_names_its_file(self, capsys, tmp_path, command):
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as refused:
+            preprocess_action(REFUSED_FRAMES, PreprocessParams(frames=10, window=2))
+        data = _bad_actions(tmp_path, {"c1_s02_i00": REFUSED_FRAMES})
+        with np.errstate(all="ignore"):  # the numpy chain overflows on its way to the error
+            code, stdout, stderr = run(capsys, *_streaming_argv(command, data, tmp_path / "out"))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: c1_s02_i00.txt: {refused.value}\n"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate-apply-1", "sweep"])
+    def test_the_first_bad_file_is_reported(self, capsys, tmp_path, command):
+        # A later file that does not parse is not reached.
+        data = _bad_actions(tmp_path, {"c0_s00_i01": REFUSED_FRAMES})
+        (data / "c2_s03_i01.txt").write_text("not a header\n")
+        with np.errstate(all="ignore"):
+            code, _, stderr = run(capsys, *_streaming_argv(command, data, tmp_path / "out"))
+        assert code == 1
+        assert stderr.startswith("error: c0_s00_i01.txt: ")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate-apply-1", "sweep"])
+    def test_an_action_of_another_joint_count_is_refused_by_name(self, capsys, tmp_path,
+                                                                 monkeypatch, command):
+        frames = np.random.default_rng(1).normal(size=(20, 2, 3))
+        data = _bad_actions(tmp_path, {"c1_s02_i00": frames})
+        preprocessed = []
+        monkeypatch.setattr(evaluation, "preprocess_action",
+                            lambda action, params: preprocessed.append(action.id)
+                            or preprocess_action(action, params))
+        code, stdout, stderr = run(capsys, *_streaming_argv(command, data, tmp_path / "out"))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: c1_s02_i00.txt: 2 joints, the first action has 3\n"
+        assert preprocessed and "c1_s02_i00" not in preprocessed
+
+
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "--help")
@@ -1016,7 +1122,7 @@ def test_dam_sets_its_own_blas_threads(capsys, monkeypatch, tmp_path, case):
         seen.append(_native.blas_threads())
         if case != "main returns":
             raise (ValueError if case == "main exits 1" else RuntimeError)("unreadable")
-        return dataset
+        return len(dataset), ((a.id, a) for a in dataset)
 
     caller = _native.blas_threads(2)
     try:
@@ -1027,7 +1133,7 @@ def test_dam_sets_its_own_blas_threads(capsys, monkeypatch, tmp_path, case):
             tasks = evaluation._tasks(evaluation.CROSS_SUBJECT, dataset, cfg, dataset)
             assert list(evaluation._run_tasks(dataset, tasks, jobs=2)) == [3, 3]
         else:
-            monkeypatch.setattr(cli, "load_canonical_dataset", load)
+            monkeypatch.setattr(cli, "_canonical_actions", load)
             argv = ["convert", str(tmp_path / "in"), str(tmp_path / "out")]
             if case == "main raises":
                 with pytest.raises(RuntimeError):

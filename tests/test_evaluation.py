@@ -476,6 +476,22 @@ class TestLoso:
         assert_allclose(serial.mean_accuracy, parallel.mean_accuracy, rtol=0, atol=0)
 
 
+class TestWindowTable:
+    @pytest.mark.parametrize("count", [1, 3, 24, 40], ids=lambda c: f"count={c}")
+    def test_rows_are_the_stacked_windows_whatever_the_count(self, directional, count):
+        # 24 actions: a table allocated for fewer grows, one for more is cut.
+        params = [PreprocessParams(frames=10, window=w) for w in (1, 2, 1)]
+        records, tables = evaluation.window_table(
+            (count, ((a.id, a) for a in directional)), params)
+        assert [(r.id, r.subject, r.label, r.num_joints) for r in records] == [
+            (a.id, a.subject, a.label, a.num_joints) for a in directional]
+        assert not hasattr(records.actions[0], "frames")
+        assert list(tables) == params[:2]
+        for p, table in tables.items():
+            assert table.flags.c_contiguous and table.flags.owndata
+            assert_array_equal(table, np.vstack([preprocess_action(a, p) for a in directional]))
+
+
 class TestRunsReadTheWindowTable:
     def test_a_run_copies_no_half_of_the_windows(self):
         # tracemalloc sees numpy's buffers. Above the window table, a run
