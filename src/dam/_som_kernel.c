@@ -19,7 +19,31 @@
  *   (`som.train_som` states why); otherwise the kernel stops before that
  *   step and numpy makes it with the direct form. The bound holds for any
  *   summation order, so the lanes a body splits the sum into decide only
- *   how often numpy makes a step, never a winner.
+ *   how often numpy makes a step, never a winner;
+ * - a unit whose move provably leaves its bytes unchanged stays: only its
+ *   distance to the next sample is summed, in any order (see above). Let m
+ *   and M be the smallest and largest |coordinate| of the unit, X the largest
+ *   |coordinate| of a training row (`size`, from `som.train_som`), u = 2^-53,
+ *   S = fl(M + X) and q = 2^-56 m / S. The unit stays when m >= 2^-900 and
+ *   |h| < tau = fl(q). The numerator of q is then exact, so |h| < q (1 + u):
+ *   tau rounds q up by at most that factor or, below 2^-1022, by at most
+ *   2^-1075, less than the 2^-1074 step from tau down to |h| there. As
+ *   |c - x| <= M + X and rounding is monotone, |fl(c - x)| <= S; a product
+ *   rounds up by at most a factor 1 + u plus 2^-1075, so |t| = |fl(fl(c - x)
+ *   h)| < 2^-56 m (1 + u)^2 + 2^-1075 < 2^-55 |c|, as m <= |c| and 2^-56 m
+ *   >= 2^-956. For 2^e <= |c| < 2^(e+1) the doubles next to c are at least
+ *   2^(e-53) away and |t| < 2^(e-54), so fl(c - t) = c, sign included, also
+ *   for h = 0 and subnormal h. A zero, -0.0, subnormal or NaN coordinate
+ *   makes m < 2^-900 or the sum NaN, and an infinite one makes tau 0: such a
+ *   unit always moves. As m <= M <= S, tau <= 2^-56, and a unit at |h| >=
+ *   2^-56 moves after one compare. A buffer of the call keeps each unit's
+ *   tau, made with its distance, or, once the unit moved, its last tau
+ *   negated, which is made anew only when |h| drops below it. Units stay
+ *   only at steps where the unit half the map's longer side from the winner
+ *   has |h| < 2^-56; before, too few would stay to pay for the bookkeeping.
+ *   So 25% of the unit-steps of a paper-shape (25x25) training stay, all in
+ *   its last 40%, and none of an 8x8 one (31% and 7% if every step were
+ *   open). When the buffer cannot be allocated, every unit moves.
  *
  * A block runs on one thread or on two. With two, each thread owns a
  * contiguous half of the units: it moves them and finds their nearest two
@@ -53,6 +77,7 @@
 #include <signal.h>
 #include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* The nearest units of one half of the map to one sample. */
 struct nearest {
@@ -128,8 +153,9 @@ static void publish(struct lane *lane, int64_t steps, const struct nearest *near
 #define BLOCK_PARAMS                                                                   \
     double *codebook, int64_t rows, int64_t cols, int64_t dim, const double *samples, \
         const int64_t *order, int64_t steps, const double *table, int64_t stride,     \
-        const int64_t *index, int64_t threads
-#define BLOCK_ARGS codebook, rows, cols, dim, samples, order, steps, table, stride, index, threads
+        const int64_t *index, int64_t threads, double size
+#define BLOCK_ARGS \
+    codebook, rows, cols, dim, samples, order, steps, table, stride, index, threads, size
 
 /* One call's arguments and its threads' meeting point. */
 struct block {
@@ -142,6 +168,8 @@ struct block {
     int64_t stride;
     const int64_t *index;
     int64_t threads; /* 1 or 2 */
+    double size;     /* X, the largest |coordinate| of a training row */
+    double *tau;     /* each unit's tau, or minus its last; NULL: every unit moves */
     struct lane lane[2];
 };
 
@@ -166,11 +194,12 @@ static void place_helper(pthread_attr_t *attr)
  * and the helper starts, `helper` on another; returns once both are done. */
 static int64_t run(BLOCK_PARAMS, int64_t (*body)(struct block *, int), void *(*helper)(void *))
 {
-    struct block block = {codebook, rows, cols, dim, samples, order, steps, table, stride, index,
-                          threads > 1 ? 2 : 1, {{0, {NONE, NONE}}, {0, {NONE, NONE}}}};
-    pthread_t thread;
     if (steps <= 0)
         return steps;
+    struct block block = {codebook, rows, cols, dim, samples, order, steps, table, stride, index,
+                          threads > 1 ? 2 : 1, size, malloc(rows * cols * sizeof(double)),
+                          {{0, {NONE, NONE}}, {0, {NONE, NONE}}}};
+    pthread_t thread;
     if (block.threads > 1) {
         sigset_t all, old;
         sigfillset(&all);
@@ -186,6 +215,7 @@ static int64_t run(BLOCK_PARAMS, int64_t (*body)(struct block *, int), void *(*h
     int64_t done = body(&block, 0);
     if (block.threads > 1)
         pthread_join(thread, NULL);
+    free(block.tau);
     return done;
 }
 
@@ -257,29 +287,69 @@ void dam_som_schedule(double alpha0, double alpha1, double sigma0, double sigma1
 #else /* The block body on VEC, a vector of LANES doubles, built with TARGET. */
 
 #define AT(p) (*(VEC *)(p))
+/* Lane-wise a < b ? a : b and a > b ? a : b, so b where a is NaN, as x86's min and max. */
+#if LANES == 4
+#define LESSER __builtin_ia32_minpd256
+#define GREATER __builtin_ia32_maxpd256
+#elif defined(__SSE2__)
+#define LESSER __builtin_ia32_minpd
+#define GREATER __builtin_ia32_maxpd
+#else
+#define PICK(a, b, mask) \
+    ((VEC)(((__typeof__(mask))(a) & (mask)) | ((__typeof__(mask))(b) & ~(mask))))
+#define LESSER(a, b) PICK(a, b, (a) < (b))
+#define GREATER(a, b) PICK(a, b, (a) > (b))
+#endif
 
-TARGET static double NAME(sq_dist)(const double *c, const double *x, int64_t dim)
+/* Adds (c - x)^2 to *acc lane by lane and, when `bound`, takes |c| into *lo and *hi. */
+TARGET __attribute__((always_inline)) static inline void NAME(take)(VEC c, VEC x, int bound,
+                                                                    VEC *acc, VEC *lo, VEC *hi)
 {
-    VEC acc0 = {0.0}, acc1 = {0.0};
+    VEC e = c - x;
+    *acc += e * e;
+    if (bound) {
+        c = GREATER(c, -c);
+        *lo = LESSER(c, *lo);
+        *hi = GREATER(c, *hi);
+    }
+}
+
+/* The squared distance from c to x; when `bound`, *tau is also set to the
+ * unit's tau, 2^-56 m / (M + size) (see the header), or to 0 when m < 2^-900
+ * or a coordinate is NaN (the sum is NaN). */
+TARGET __attribute__((always_inline)) static inline double NAME(sq_dist)(
+    const double *c, const double *x, int64_t dim, int bound, double size, double *tau)
+{
+    VEC acc0 = {0.0}, acc1 = {0.0}, acc2 = {0.0}, acc3 = {0.0};
+    VEC lo0 = (VEC){0.0} + INFINITY, lo1 = lo0, hi0 = {0.0}, hi1 = hi0;
     int64_t j = 0;
-    for (; j + 2 * LANES <= dim; j += 2 * LANES) {
-        VEC e0 = AT(c + j) - AT(x + j), e1 = AT(c + j + LANES) - AT(x + j + LANES);
-        acc0 += e0 * e0;
-        acc1 += e1 * e1;
+    for (; j + 4 * LANES <= dim; j += 4 * LANES) {
+        NAME(take)(AT(c + j), AT(x + j), bound, &acc0, &lo0, &hi0);
+        NAME(take)(AT(c + j + LANES), AT(x + j + LANES), bound, &acc1, &lo1, &hi1);
+        NAME(take)(AT(c + j + 2 * LANES), AT(x + j + 2 * LANES), bound, &acc2, &lo0, &hi0);
+        NAME(take)(AT(c + j + 3 * LANES), AT(x + j + 3 * LANES), bound, &acc3, &lo1, &hi1);
     }
-    if (j + LANES <= dim) {
-        VEC e0 = AT(c + j) - AT(x + j);
-        acc0 += e0 * e0;
-        j += LANES;
-    }
+    for (; j + LANES <= dim; j += LANES)
+        NAME(take)(AT(c + j), AT(x + j), bound, &acc0, &lo0, &hi0);
     acc0 += acc1;
-    double sum = acc0[0];
-    for (int l = 1; l < LANES; ++l)
+    acc2 += acc3;
+    acc0 += acc2;
+    lo0 = LESSER(lo1, lo0);
+    hi0 = GREATER(hi1, hi0);
+    double sum = acc0[0], m = lo0[0], top = hi0[0];
+    for (int l = 1; l < LANES; ++l) {
         sum += acc0[l];
-    for (; j < dim; ++j) {
-        double e = c[j] - x[j];
-        sum += e * e;
+        m = lo0[l] < m ? lo0[l] : m;
+        top = hi0[l] > top ? hi0[l] : top;
     }
+    for (; j < dim; ++j) {
+        double e = c[j] - x[j], a = fabs(c[j]);
+        sum += e * e;
+        m = a < m ? a : m;
+        top = a > top ? a : top;
+    }
+    if (bound)
+        *tau = m >= 0x1p-900 && sum == sum ? 0x1p-56 * m / (top + size) : 0.0;
     return sum;
 }
 
@@ -339,13 +409,23 @@ TARGET static int64_t NAME(block)(struct block *b, int t)
     const int64_t *order = b->order, *index = b->index;
     const int64_t rows = b->rows, cols = b->cols, dim = b->dim, steps = b->steps;
     const int64_t stride = b->stride, threads = b->threads;
+    const double size = b->size;
+    double *tau = b->tau;
     const int64_t units = rows * cols, split = threads > 1 ? units / 2 : units;
     const int64_t lo = t ? split : 0, hi = t ? units : split;
     struct lane *own = &b->lane[t], *other = &b->lane[1 - t];
     struct nearest near = NONE;
+    double unknown = -1.0;
     for (int64_t u = lo; u < hi; ++u)
-        see(&near, NAME(sq_dist)(codebook + u * dim, samples + order[0] * dim, dim), u);
+        see(&near, NAME(sq_dist)(codebook + u * dim, samples + order[0] * dim, dim, 1, size,
+                                 tau ? tau + u : &unknown), u);
     publish(own, 1, &near);
+    /* The table column of a unit half the map's longer side from the winner;
+     * a step at which its weight is 2^-56 or more moves every unit and forgets
+     * no tau, leaving them all stale. */
+    const int64_t half = rows >= cols ? index[(rows - 1 + rows / 2) * (2 * cols - 1) + cols - 1]
+                                      : index[(rows - 1) * (2 * cols - 1) + cols - 1 + cols / 2];
+    int stale = 0;
     for (int64_t s = 0; s < steps; ++s) {
         if (threads > 1)
             wait_for(other, s + 1);
@@ -359,9 +439,34 @@ TARGET static int64_t NAME(block)(struct block *b, int t)
         /* Unit u in grid cell (r, c) takes the weight of table column column[c]. */
         const int64_t *column = index + (rows - 1 + lo / cols - winner / cols) * (2 * cols - 1)
                                 + cols - 1 - winner % cols;
+        /* Every unit moves unless units may stay at this step. */
+        const int settle = tau && fabs(weights[half]) < 0x1p-56;
+        for (int64_t u = lo; settle && stale && u < hi; ++u)
+            tau[u] = -fabs(tau[u]);
+        stale = !settle;
         near = NONE;
-        for (int64_t u = lo, c = lo % cols; u < hi; ++u) {
-            double d = NAME(move_unit)(codebook + u * dim, x, next, weights[column[c]], dim);
+        for (int64_t u = lo, c = lo % cols; u < hi && !settle; ++u) {
+            see(&near, NAME(move_unit)(codebook + u * dim, x, next, weights[column[c]], dim), u);
+            if (++c == cols) {
+                c = 0;
+                column += 2 * cols - 1;
+            }
+        }
+        for (int64_t u = lo, c = lo % cols; u < hi && settle; ++u) {
+            double *unit = codebook + u * dim, w = weights[column[c]], h = fabs(w);
+            double d = -1.0; /* -1 while the unit is to move */
+            if (h < 0x1p-56) {
+                if (h < tau[u]) {
+                    d = NAME(sq_dist)(unit, next, dim, 0, size, tau + u);
+                } else if (tau[u] <= 0.0 && h < -tau[u]) {
+                    double e = NAME(sq_dist)(unit, next, dim, 1, size, tau + u);
+                    d = h < tau[u] ? e : -1.0;
+                }
+            }
+            if (d < 0.0) {
+                d = NAME(move_unit)(unit, x, next, w, dim);
+                tau[u] = -fabs(tau[u]);
+            }
             see(&near, d, u);
             if (++c == cols) {
                 c = 0;
@@ -380,5 +485,8 @@ TARGET static void *NAME(helper)(void *block)
 }
 
 #undef AT
+#undef PICK
+#undef LESSER
+#undef GREATER
 
 #endif

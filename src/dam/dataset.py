@@ -635,9 +635,11 @@ def _parse_annotations(path: Path) -> list[tuple[int, object]]:
 
 def _msrc12_actions(directory, layout: Msrc12Layout | None = None,
                     apply_exclusions: bool = True) -> tuple:
-    """(sequence count, generator of (sequence file name, action) pairs) of the
-    MSRC-12 style corpus under `directory`: one sequence read at a time, its
-    excluded instances skipped."""
+    """(count, generator of (sequence file name, action) pairs) of the MSRC-12
+    style corpus under `directory`: one sequence read at a time, its excluded
+    instances skipped. The annotations are read first, so `count` is that of
+    the instances kept; an annotation file that fails is reported when the
+    generator reaches its sequence, so the first bad file in sorted order is."""
     layout = layout or Msrc12Layout()
     directory = _dataset_directory(directory)
     seq_paths = sorted(p for p in directory.glob(f"*{layout.sequence_suffix}") if p.is_file())
@@ -645,17 +647,25 @@ def _msrc12_actions(directory, layout: Msrc12Layout | None = None,
         raise ValueError(f"no sequence files (*{layout.sequence_suffix}) found in {directory}")
     excluded = _exclusions_for(directory, apply_exclusions)
     subject_re = re.compile(layout.subject_pattern)
+    sequences, failure = [], None  # (path, stem, annotation path, markers) up to a failure
+    for seq_path in seq_paths:
+        stem = seq_path.name[: -len(layout.sequence_suffix)]
+        ann_path = directory / f"{stem}{layout.annotation_suffix}"
+        try:
+            if not ann_path.is_file():
+                raise ValueError(f"{seq_path.name}: missing annotation file {ann_path.name}")
+            sequences.append((seq_path, stem, ann_path, _parse_annotations(ann_path)))
+        except (OSError, ValueError) as e:
+            failure = e
+            break
+    count = sum(f"{stem}_i{k:03d}" not in excluded
+                for _, stem, _, markers in sequences for k in range(1, len(markers) + 1))
 
     def actions():
         columns = None  # built once a table has passed the width check
         # Whether an action was yielded, and a sequence skipped for its excluded instances.
         produced = dropped = False
-        for seq_path in seq_paths:
-            stem = seq_path.name[: -len(layout.sequence_suffix)]
-            ann_path = directory / f"{stem}{layout.annotation_suffix}"
-            if not ann_path.is_file():
-                raise ValueError(f"{seq_path.name}: missing annotation file {ann_path.name}")
-            markers = _parse_annotations(ann_path)
+        for seq_path, stem, ann_path, markers in sequences:
             ids = [f"{stem}_i{k:03d}" for k in range(1, len(markers) + 1)]
             if ids and excluded.issuperset(ids):  # every instance excluded: table unread
                 dropped = True
@@ -698,10 +708,12 @@ def _msrc12_actions(directory, layout: Msrc12Layout | None = None,
                     continue
                 produced = True
                 yield seq_path.name, Action(ident, subject, label, positions[start:stop].copy())
+        if failure is not None:
+            raise failure
         if not produced:
             raise ValueError(f"all actions in {directory} are excluded" if dropped
                              else f"no action instances produced from {directory}")
-    return len(seq_paths), actions()
+    return count, actions()
 
 
 def load_msrc12(directory, layout: Msrc12Layout | None = None,

@@ -32,6 +32,8 @@ from dam.dataset import (
     splits_loso,
     write_canonical_dataset,
 )
+from dam.evaluation import window_table
+from dam.preprocess import PreprocessParams, preprocess_action
 from dam.synthetic import make_directional_dataset, make_ordered_dataset
 
 # SHA-256 over (file name, NUL, bytes) of each file `write_canonical_dataset`
@@ -519,6 +521,44 @@ class TestMsrc12Adapter:
         # A negative column would index each row from its end.
         with pytest.raises(ValueError, match=f"^{message}$"):
             Msrc12Layout(**fields)
+
+    def test_the_window_table_is_sized_once_from_the_kept_instances(self, tmp_path):
+        # Three sequences with 7 instances, 2 of them excluded, and one sequence
+        # with an empty annotation file: the count is the 5 kept instances, so
+        # `window_table` allocates each table for exactly its rows and never
+        # grows it, and the rows are those of the loaded actions.
+        for seed, (stem, tags) in enumerate([("a_p01", "20;wave\n45;punch\n70;wave\n"),
+                                             ("b_p02", "30;punch\n60;wave\n"),
+                                             ("c_p03", ""), ("d_p04", "25;wave\n50;wave\n")]):
+            _write_msrc12_sequence(tmp_path / f"{stem}.csv", 80, SMALL_LAYOUT, seed=seed)
+            (tmp_path / f"{stem}.tags").write_text(tags)
+        (tmp_path / "exclude.txt").write_text("a_p01_i002\nd_p04_i001\n")
+        params = [PreprocessParams(frames=10, window=w) for w in (1, 3)]
+        with pytest.warns(UserWarning, match="c_p03"):
+            actions = load_msrc12(tmp_path, layout=SMALL_LAYOUT).actions
+            count, stream = dataset._msrc12_actions(tmp_path, layout=SMALL_LAYOUT)
+            records, tables = window_table((count, stream), params)
+        assert count == len(actions) == len(records) == 5
+        for p, table in tables.items():
+            assert table.shape[0] == count * p.wdf_count
+            assert_array_equal(table, np.vstack([preprocess_action(a, p) for a in actions]))
+
+    @pytest.mark.parametrize("first_bad", ["table", "annotations"])
+    def test_the_first_bad_file_in_sorted_order_is_reported(self, tmp_path, first_bad):
+        # The annotations are all read before any sequence, yet a bad
+        # annotation file is reported only when its sequence's turn comes.
+        for stem, bad in (("a_p01", first_bad), ("b_p02", {"table": "annotations",
+                                                            "annotations": "table"}[first_bad])):
+            if bad == "table":
+                (tmp_path / f"{stem}.csv").write_text("1 2 3\n")
+                (tmp_path / f"{stem}.tags").write_text("0;wave\n")
+            else:
+                _write_msrc12_sequence(tmp_path / f"{stem}.csv", 50, SMALL_LAYOUT)
+                (tmp_path / f"{stem}.tags").write_text("20;wave\nx\n")
+        message = {"table": "^a_p01.csv: line 1: expected 9 values, got 3$",
+                   "annotations": "^a_p01.tags: line 2: expected 'frame;label'"}[first_bad]
+        with pytest.raises(ValueError, match=message):
+            load_msrc12(tmp_path, layout=SMALL_LAYOUT)
 
     def test_subject_pattern_must_match(self, tmp_path):
         _write_msrc12_sequence(tmp_path / "nosubject.csv", 50, SMALL_LAYOUT)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -659,6 +659,56 @@ except RuntimeError:
     assert run.stdout == "no thread starts True\n"
 
 
+def test_units_move_when_the_stay_buffer_cannot_be_allocated():
+    # Under an address-space limit 2 MB above the process's size, neither a
+    # thread stack nor the kernel's 4 MB buffer of taus for a 1 x 2^19 map can
+    # be mapped (glibc's mmap threshold is pinned, so that a large block is
+    # never taken from freed heap): every unit then moves, on the caller's
+    # thread, to the numpy runner's bytes. A 25x25 map's buffer still fits, so
+    # its units stay, on the caller's thread alone. In both blocks every
+    # weight but the winner's is 0, and units could stay at every step.
+    _compiled_runner("baseline")  # skips unless the kernel is compiled
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status")
+    code = """
+import ctypes, functools, resource
+import numpy as np
+from dam import som
+
+def block(rows, cols, dim):
+    rng = np.random.default_rng(rows)
+    codebook = rng.normal(size=(rows * cols, dim))
+    samples = rng.normal(size=(4, dim))
+    neg_k, index = som._neighbour_index(rows, cols)
+    table = np.zeros((4, len(neg_k)))
+    table[:, 0] = 0.5
+    args = samples, rows, cols, np.arange(4), table, index
+    want = codebook.copy()
+    som._numpy_block(want, *args)
+    return codebook, args, float(np.abs(samples).max()), want
+
+runner = functools.partial(som._compiled_block, som._kernel("dam_som_block"), 2)
+blocks = [block(1, 1 << 19, 1), block(25, 25, 6)]
+got = [codebook.copy() for codebook, *_ in blocks]
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + (2 << 20), resource.RLIM_INFINITY))
+no_buffer = libc.malloc(1 << 22) is None
+for codebook, (_, args, bound, _) in zip(got, blocks):
+    runner(codebook, *args, size=bound)
+resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+print("no buffer", no_buffer, [g.tobytes() == b[3].tobytes() for g, b in zip(got, blocks)])
+"""
+    src = Path(som.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(src),
+                                           "MALLOC_MMAP_THRESHOLD_": "131072"})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "no buffer True [True, True]\n"
+
+
 @pytest.mark.parametrize("body", ["avx2-2", "baseline-2"])
 def test_concurrent_two_thread_trainings_keep_their_bytes(body, monkeypatch):
     # Four trainings at once, each on two kernel threads, oversubscribe the
@@ -736,6 +786,145 @@ def test_exact_ties_across_the_split_go_to_the_lower_unit(body, monkeypatch):
     assert grid.codebook.tobytes() == want.tobytes()
     moved = np.linalg.norm(grid.codebook - start, axis=1)
     assert moved[1] > 1000 * moved[6] > 0.0
+
+
+def _stay_bound(codebook, size):
+    """Each unit's tau as `_som_kernel.c` makes it, 2^-56 m / (M + size) with m and M
+    the smallest and largest |coordinate| of the unit, or 0 when m < 2^-900 (or NaN)."""
+    magnitude = np.abs(codebook)
+    m = magnitude.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = 2.0**-56 * m / (magnitude.max(axis=1) + size)
+    return np.where(m >= 2.0**-900, tau, 0.0)
+
+
+@st.composite
+def _stay_rule_cases(draw):
+    """A unit c whose every |coordinate| is at least 2^-900, a sample x, X >= max |x|
+    and a weight h with |h| < tau(c, X). In a tight case every |c_j| is one power of
+    two, 2^-900 or a neighbour of one, and x_j = -sign(c_j) X, so that |c_j - x_j|
+    is largest; otherwise the magnitudes range from 2^-900 to 2^1000."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    signs = rng.choice([-1.0, 1.0], size=dim)
+    if draw(st.booleans()):
+        power = 2.0 ** draw(st.integers(-900, 1000))
+        c = signs * draw(st.sampled_from([power, np.nextafter(power, 0.0),
+                                          np.nextafter(power, np.inf)]))
+        x = -signs * 2.0 ** draw(st.integers(-900, 1000))
+        size = np.abs(x).max()
+    else:
+        c = signs * np.ldexp(rng.uniform(1.0, 2.0, size=dim), rng.integers(-900, 1000, size=dim))
+        c[rng.random(dim) < 0.3] = signs[0] * draw(st.sampled_from(
+            [2.0**-900, np.nextafter(2.0**-900, 1.0), 1.0, 2.0**1000]))
+        x = rng.choice([-1.0, 1.0], size=dim) * np.ldexp(rng.uniform(0.0, 2.0, size=dim),
+                                                         rng.integers(-1074, 1000, size=dim))
+        x[rng.random(dim) < 0.3] = draw(st.sampled_from([0.0, -0.0, 5e-324]))
+        size = np.abs(x).max() * draw(st.sampled_from([1.0, 2.0, 2.0**20]))
+    [tau] = _stay_bound(c[None], size)
+    assume(tau > 0.0)
+    h = draw(st.sampled_from([0.0, -0.0, 5e-324, np.nextafter(tau, 0.0), tau * 0.75, tau / 2**40,
+                              -np.nextafter(tau, 0.0)]))
+    assume(abs(h) < tau)
+    return c, x, size, h
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_stay_rule_cases())
+def test_a_move_below_the_stay_bound_keeps_every_bit(case):
+    # The rule `_som_kernel.c` skips moves by, checked with numpy's arithmetic
+    # alone: t = c - x; t *= h; c -= t gives c's bytes back.
+    c, x, size, h = case
+    assert size >= np.abs(x).max()
+    assert (c - (c - x) * h).tobytes() == c.tobytes()
+
+
+def _half_column(index, rows, cols):
+    """The table column of a unit half the map's longer side from the winner: the
+    kernel lets units stay only at steps where its weight is below 2^-56."""
+    return index[rows - 1 + rows // 2, cols - 1] if rows >= cols else index[rows - 1, cols - 1 + cols // 2]
+
+
+# Coordinates at and around the edges of the stay rule: zeros of both signs,
+# subnormals, 2^-900 and its neighbours, and magnitudes near `_SIZE_LIMIT`.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.0**-1022 / 3, np.nextafter(2.0**-900, 0.0),
+               2.0**-900, -np.nextafter(2.0**-900, 1.0), som._SIZE_LIMIT,
+               -np.nextafter(som._SIZE_LIMIT, 0.0) / 3]
+
+
+@st.composite
+def _stay_blocks(draw):
+    """A codebook with edge-case coordinates, samples, and a block of steps whose
+    weights are built against the numpy runner's codebook before each step.
+
+    Most steps are open to stays (the half column's weight is below 2^-56);
+    at the others every unit moves by a quarter to all of its way. The weights of units other than the winner are 0, subnormal, tiny normals,
+    2^-56 or a neighbour, one ulp below, at or above some unit's tau, or just
+    below a tau the unit had at an earlier step. The steps run in two calls,
+    so the second starts with a fresh tau for every unit.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols, dim = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 11))
+    units = rows * cols
+    codebook = rng.normal(size=(units, dim)) * 2.0 ** rng.integers(-30, 30, size=(units, 1))
+    if draw(st.booleans()):  # every |coordinate| of a unit alike, the tightest case
+        codebook = np.sign(codebook) * 2.0 ** rng.integers(-60, 60, size=(units, 1))
+    for u in np.flatnonzero(rng.random(units) < 0.4):
+        codebook[u, rng.integers(dim, size=rng.integers(1, 3))] = rng.choice(EDGE_VALUES)
+    if units > 1 and draw(st.booleans()):  # a duplicated unit: tied steps go to numpy
+        codebook[rng.integers(units)] = codebook[rng.integers(units)]
+    n = draw(st.integers(1, 6))
+    samples = rng.normal(size=(n, dim)) * 2.0 ** rng.integers(-20, 20)
+    samples[rng.random((n, dim)) < 0.15] = rng.choice(EDGE_VALUES[:5])
+    if draw(st.booleans()):
+        samples = -np.sign(codebook[rng.integers(units, size=n)]) * np.abs(samples).max()
+    size = float(np.abs(samples).max())
+    steps = draw(st.integers(1, 12))
+    order = rng.integers(n, size=steps)
+    neg_k, index = som._neighbour_index(rows, cols)
+    half = _half_column(index, rows, cols)
+    pool = [0.0, 5e-324, 3e-310, 1e-300, 1e-30, 2.0**-56, np.nextafter(2.0**-56, 0.0)]
+    table = np.empty((steps, len(neg_k)))
+    reference, taus = codebook.copy(), []
+    with np.errstate(all="ignore"):
+        for s in range(steps):
+            diff = reference - samples[order[s]]
+            r, c = divmod(int(np.argmin((diff * diff).sum(axis=1))), cols)
+            columns = index[rows - 1 - r : 2 * rows - 1 - r, cols - 1 - c : 2 * cols - 1 - c]
+            row = rng.choice(pool, size=len(neg_k))
+            row[0] = rng.choice([1.0, 0.5, 1e-3, 0.0])  # at 1 the winner jumps to the sample
+            taus.append(_stay_bound(reference, size))
+            for u in rng.integers(units, size=rng.integers(1, units + 1)):
+                # Around the unit's tau now, or just below one it had before: a
+                # kernel that kept a tau after the unit moved would then skip.
+                tau, old = taus[-1][u], taus[rng.integers(len(taus))][u]
+                row[columns.flat[u]] = rng.choice(
+                    [np.nextafter(tau, 0.0), tau, np.nextafter(tau, np.inf), np.nextafter(old, 0.0)])
+            if draw(st.integers(0, 4)) == 0:  # a step closed to stays: every unit moves
+                row = rng.choice([1.0, 0.5, 0.25], size=len(neg_k))
+            elif row[half] >= 2.0**-56:
+                row[half] = 0.0
+            table[s] = row
+            som._numpy_block(reference, samples, rows, cols, order[s : s + 1], table[s : s + 1],
+                             index)
+    first = draw(st.integers(0, steps))
+    return codebook, samples, rows, cols, order, table, index, size, first, reference
+
+
+@pytest.mark.usefixtures("block_runner")
+class TestStaysKeepTheBytes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_stay_blocks())
+    def test_every_runner_gives_the_numpy_bytes(self, case):
+        codebook, samples, rows, cols, order, table, index, size, first, want = case
+        run_block = som._block_runner(rows * cols, samples.shape[1])
+        bound = {"size": size} if getattr(run_block, "func", None) is som._compiled_block else {}
+        got = codebook.copy()
+        with np.errstate(all="ignore"):
+            for part in (slice(0, first), slice(first, len(order))):
+                if part.stop > part.start:
+                    run_block(got, samples, rows, cols, order[part], table[part], index, **bound)
+        assert got.tobytes() == want.tobytes()
 
 
 # (alpha0, alpha1, sigma0, sigma1) of each schedule.
