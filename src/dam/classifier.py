@@ -121,7 +121,7 @@ def table_class_probabilities(grid, table, labels, sizes, classes=None, subset=N
         raise ValueError("no training WDFs")
     # One winner search over every training WDF; winner l of a WDF of class c
     # counts in cell (l, c) of the (units, C) count table.
-    winners = bmu_batch(grid, table) if subset is None else bmu_batch(grid, table, subset=subset)
+    winners = bmu_batch(grid, table, subset=subset)
     class_index = np.repeat([index[label] for label in labels], sizes)
     counts = pair_counts(winners, class_index, (grid.unit_count, len(classes)))
     return classes, _per_row(counts, counts.sum(axis=1))

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import _native
 from ._jsonin import build, convert, field_types, is_kind, read_object
-from .classifier import (
-    ClassModel,
-    action_windows,
-    load_model,
-    posteriors,
-    save_model,
-    table_class_probabilities,
-)
+from .classifier import action_windows, load_model, posteriors, save_model
 from .dataset import (
     EXCLUDE_FILENAME,
     Dataset,
@@ -48,6 +41,7 @@ from .evaluation import (
     LOSO,
     ExperimentConfig,
     _evaluate,
+    _fit,
     _sweep,
     _sweep_axes,
     window_table,
@@ -58,7 +52,7 @@ from .evaluation import (
     write_sweep_csv,
 )
 from .preprocess import PreprocessParams
-from .som import SomTrainParams, _usable_cpus, train_som
+from .som import SomTrainParams, _usable_cpus
 
 logger = logging.getLogger(__name__)
 
@@ -316,17 +310,10 @@ def cmd_train(args) -> int:
     _, cfg = _settings(args, experiment_config)
     dataset, tables = window_table(
         _load_dataset(args.data, args.format, args.layout), [cfg.preprocess])
-    table = tables[cfg.preprocess]
-    rows, cols = cfg.rows, cfg.cols
-    grid = train_som(table, rows, cols, replace(cfg.som, seed=cfg.seed))
-    classes, probs = table_class_probabilities(
-        grid, table, [a.label for a in dataset], [cfg.preprocess.wdf_count] * len(dataset))
-    model = ClassModel(grid, classes, probs, cfg.preprocess, dataset.joint_count)
+    model = _fit(cfg, replace(cfg.som, seed=cfg.seed), dataset, tables[cfg.preprocess])
     save_model(model, args.output)
-    print(
-        f"wrote {args.output}: {rows}x{cols} grid ({rows * cols} units), "
-        f"{len(model.classes)} classes, {len(dataset)} actions"
-    )
+    print(f"wrote {args.output}: {cfg.rows}x{cfg.cols} grid ({cfg.clusters} units), "
+          f"{len(model.classes)} classes, {len(dataset)} actions")
     return 0
 
 

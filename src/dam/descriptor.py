@@ -28,7 +28,7 @@ def table_bins(grid: SomGrid, table: np.ndarray, sizes, subset=None) -> np.ndarr
         raise ValueError(f"set sizes must be >= 1 and sum to the {read} rows read")
     if not read:
         return np.zeros((0, grid.unit_count))
-    winners = bmu_batch(grid, table) if subset is None else bmu_batch(grid, table, subset=subset)
+    winners = bmu_batch(grid, table, subset=subset)
     sizes = np.asarray(sizes, dtype=np.int64)
     owners = np.repeat(np.arange(len(sizes)), sizes)
     return pair_counts(owners, winners, (len(sizes), grid.unit_count)) / sizes[:, None]

@@ -1,25 +1,27 @@
 """Cross-validated experiment harness with CSV emission.
 
 A run trains the codebook on the training half only, estimates class
-probabilities, and scores the held-out half with one winner search.
-`cross_validate`, `evaluate_loso`, `parameter_sweep` and `dam evaluate` each
-make one `_evaluate` call: it lists every run as a (config, train indices,
-test indices, SOM seed, run index) task and hands them all to one
-`_run_tasks` call, so `dam evaluate --exclusions both` runs with and without
-exclusions as one pass. The runs read one window table per distinct
-preprocessing config (`window_table`: action i owns rows [i w, (i + 1) w),
-w = wdf_count, of WDFs, windowed direction frames), which one pass over a
-stream of actions fills: each action is preprocessed into its rows of every
-table as it arrives, and only a frame-free record of it (id, subject, label,
-joint count) is kept. The CLI streams each file from the loader, so it holds
-one action's frames at a time; the library functions stream the caller's
-Dataset. A run reads its halves in place, as arrays of row indices of a
-table: `train_som`, the fit (`table_class_probabilities`) and the scores
-(`posteriors`) gather one cache-sized block at a time, so no run copies its
-windows. A sweep holds the tables of all its windows at once. Tasks run in a
-loop or on one pool of worker processes, each running OpenBLAS on its share
-of the usable CPUs. Per-run seeds are derived from the master seed, so every
-result is reproducible bit-for-bit whatever the number of workers.
+probabilities (`_fit`, which also fits `dam train`'s model), and scores the
+held-out half with one winner search. `_run` runs it as a (config, train
+indices, test indices, SOM seed, run index) task on a window table:
+`run_single` on one table of its two halves, and `cross_validate`,
+`evaluate_loso`, `parameter_sweep` and `dam evaluate` through one `_evaluate`
+call each, which hands all their runs to one `_run_tasks` call, so `dam
+evaluate --exclusions both` runs with and without exclusions as one pass.
+There is one window table per distinct preprocessing config (`window_table`:
+action i owns rows [i w, (i + 1) w), w = wdf_count, of WDFs, windowed
+direction frames), which one pass over a stream of actions fills: each
+action is preprocessed into its rows of every table as it arrives, and only
+a frame-free record of it (id, subject, label, joint count) is kept. The CLI
+streams each file from the loader, so it holds one action's frames at a
+time; the library functions stream the caller's Dataset. A run reads its
+halves in place, as arrays of row indices of a table: `train_som`, the fit
+(`table_class_probabilities`) and the scores (`posteriors`) gather one
+cache-sized block at a time, so no run copies its windows. A sweep holds the
+tables of all its windows at once. Tasks run in a loop or on one pool of
+worker processes, each running OpenBLAS on its share of the usable CPUs.
+Per-run seeds are derived from the master seed, so every result is
+reproducible bit-for-bit whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -159,47 +161,56 @@ def _named(dataset: Dataset) -> tuple:
 
 def run_single(train: Dataset, test: Dataset, cfg: ExperimentConfig,
                som_seed: int | None = None, run_index: int = 0) -> RunResult:
-    """Train on `train` only (no test leakage anywhere) and score `test`; `_run`
-    reads each half whole from a `window_table` of its own."""
-    (train, train_tables), (test, test_tables) = (
-        window_table(_named(half), [cfg.preprocess]) for half in (train, test))
-    return _run(train, test, cfg, som_seed, run_index, (train_tables[cfg.preprocess], None),
-                (test_tables[cfg.preprocess], None))
-
-
-def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | None,
-         run_index: int, train_windows: tuple, test_windows: tuple) -> RunResult:
-    """One run. Each half's WDFs are a (table, rows) pair: `rows` is an int64 array
-    of row indices of `table`, or None for all of it, and the k-th action of the
-    half owns the k-th run of ``cfg.preprocess.wdf_count`` of those rows. The
-    rows are read in place."""
+    """Train on `train` only (no test leakage anywhere) and score `test`: one
+    `window_table` holds both halves, train's actions first, and `_run` reads
+    each half's rows of it in place. An action id in both halves is refused."""
     overlap = set(train.subject_set) & set(test.subject_set)
     if overlap:
         raise ValueError(f"train and test share subjects {sorted(overlap)}")
     if train.joint_count != test.joint_count:
         raise ValueError(f"joint count mismatch: train has {train.joint_count}, "
                          f"test has {test.joint_count}")
+    n = len(train)
+    return _run((cfg, range(n), range(n, n + len(test)), som_seed, run_index),
+                window_table(_named(Dataset([*train, *test])), [cfg.preprocess]))
+
+
+def _fit(cfg: ExperimentConfig, som_params: SomTrainParams, records: Dataset,
+         table: np.ndarray, rows=None, classes=None) -> ClassModel:
+    """The ClassModel of a map trained with `som_params` on the WDFs of `records`,
+    the int64 `rows` of `table` (all of it when None), of which the k-th record
+    owns the k-th run of ``cfg.preprocess.wdf_count``; `classes` is the class order."""
+    grid = train_som(table, cfg.rows, cfg.cols, som_params, subset=rows)
+    classes, probs = table_class_probabilities(
+        grid, table, [a.label for a in records], [cfg.preprocess.wdf_count] * len(records),
+        classes, rows)
+    return ClassModel(grid, classes, probs, cfg.preprocess, records.joint_count)
+
+
+def _run(task: tuple, state: tuple | None = None) -> RunResult:
+    """One (cfg, train_idx, test_idx, som_seed, run_index) task on `state`, the
+    `window_table` pair (`_worker_state` in a worker) whose records the indices
+    index. Action i owns rows [i w, (i + 1) w), w = ``cfg.preprocess.wdf_count``,
+    of the table of `cfg.preprocess`, and both halves are read there in place."""
+    records, tables = state or _worker_state
+    cfg, train_idx, test_idx, som_seed, run_index = task
+    train, test = (Dataset([records.actions[i] for i in idx]) for idx in (train_idx, test_idx))
     if len(train.class_set) < 2:
         raise ValueError(f"training half covers {len(train.class_set)} class(es); need at least 2")
-    w = cfg.preprocess.wdf_count
+    table, w = tables[cfg.preprocess], cfg.preprocess.wdf_count
+    train_rows, test_rows = ((np.asarray(idx, dtype=np.int64)[:, None] * w + np.arange(w)).ravel()
+                             for idx in (train_idx, test_idx))
     som_params = replace(cfg.som, seed=cfg.som.seed if som_seed is None else int(som_seed))
-    table, subset = train_windows
-    grid = train_som(table, cfg.rows, cfg.cols, som_params, subset=subset)
+    model = _fit(cfg, som_params, train, table, train_rows,
+                 class_order(set(train.class_set) | set(test.class_set)))
 
-    classes, probs = table_class_probabilities(
-        grid, table, [a.label for a in train], [w] * len(train),
-        class_order(set(train.class_set) | set(test.class_set)), subset,
-    )
-    model = ClassModel(grid, classes, probs, cfg.preprocess, train.joint_count)
-
-    index = {c: i for i, c in enumerate(classes)}
-    n = len(classes)
+    index = {c: i for i, c in enumerate(model.classes)}
+    n = len(model.classes)
     confusion = np.zeros((n, n), dtype=np.int64)
     prob_sums = np.zeros((n, n))
     subject_hits: dict = {}
     zero_evidence = 0
-    table, subset = test_windows
-    for action, posterior in zip(test, posteriors(model, table, [w] * len(test), subset)):
+    for action, posterior in zip(test, posteriors(model, table, [w] * len(test), test_rows)):
         zero_evidence += posterior.zero_evidence
         t, p = index[action.label], index[posterior.predicted]
         confusion[t, p] += 1
@@ -210,12 +221,12 @@ def _run(train: Dataset, test: Dataset, cfg: ExperimentConfig, som_seed: int | N
         logger.warning(
             "run %d: %d of %d test actions had zero evidence (every window on a "
             "unit no training window won) and were predicted as %r",
-            run_index, zero_evidence, len(test), classes[0],
+            run_index, zero_evidence, len(test), model.classes[0],
         )
     return RunResult(
         run_index=run_index,
         seed=som_params.seed,
-        classes=tuple(classes),
+        classes=tuple(model.classes),
         accuracy=float(np.trace(confusion) / confusion.sum()),
         confusion=confusion,
         prob_matrix=_per_row(prob_sums, confusion.sum(axis=1)),
@@ -239,21 +250,6 @@ def _init_worker(windows: tuple, blas_threads: int) -> None:
     _native.blas_threads(blas_threads)
 
 
-def _run_task(task: tuple, state: tuple | None = None) -> RunResult:
-    """Run one (cfg, train_idx, test_idx, som_seed, run_index) task on the window
-    table of its `cfg.preprocess`."""
-    records, tables = state or _worker_state
-    cfg, train_idx, test_idx, som_seed, run_index = task
-    table = tables[cfg.preprocess]
-    w = cfg.preprocess.wdf_count
-
-    def windows(idx):  # action i owns rows [i w, (i + 1) w) of the table
-        return table, (np.asarray(idx, dtype=np.int64)[:, None] * w + np.arange(w)).ravel()
-
-    train, test = (Dataset([records.actions[i] for i in idx]) for idx in (train_idx, test_idx))
-    return _run(train, test, cfg, som_seed, run_index, windows(train_idx), windows(test_idx))
-
-
 def _run_tasks(windows, tasks: list, jobs: int):
     """Yield the result of each (cfg, train_idx, test_idx, som_seed, run_index) task, in order.
 
@@ -266,7 +262,7 @@ def _run_tasks(windows, tasks: list, jobs: int):
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) <= 1:
-        yield from (_run_task(task, windows) for task in tasks)
+        yield from (_run(task, windows) for task in tasks)
         return
     # Forked workers inherit the loaded kernel; loaded in each worker instead,
     # a cold cache would compile it once per worker.
@@ -275,7 +271,7 @@ def _run_tasks(windows, tasks: list, jobs: int):
     blas_threads = max(1, _usable_cpus() // workers)
     with ProcessPoolExecutor(workers, initializer=_init_worker,
                              initargs=(windows, blas_threads)) as pool:
-        yield from pool.map(_run_task, tasks)
+        yield from pool.map(_run, tasks)
 
 
 def _aggregate(protocol: str, results: list[RunResult]) -> AggregateResult:
@@ -321,15 +317,9 @@ def _tasks(protocol: str, subset: Dataset, cfg: ExperimentConfig, dataset: Datas
 
 def _evaluate(windows, experiments: list, jobs: int):
     """Yield the result of each (protocol, subset, cfg) experiment, in order, as
-    its last run ends. `windows` is the `window_table` pair that `_run_tasks`
-    takes, or a caller's Dataset, preprocessed here into that pair; each
-    subset is a subset of its records, or of that Dataset.
-
-    The runs of all the experiments go through one `_run_tasks` call, whose
-    pool shuts down before the generator ends.
-    """
-    if isinstance(windows, Dataset):
-        windows = window_table(_named(windows), [cfg.preprocess for *_, cfg in experiments])
+    its last run ends: `windows` is the `window_table` pair, and each subset is a
+    subset of its records. All the runs go through one `_run_tasks` call, whose
+    pool shuts down before the generator ends."""
     tasks = [_tasks(protocol, subset, cfg, windows[0]) for protocol, subset, cfg in experiments]
     with closing(_run_tasks(windows, [t for runs in tasks for t in runs], jobs)) as results:
         for (protocol, *_), runs in zip(experiments, tasks):
@@ -338,13 +328,15 @@ def _evaluate(windows, experiments: list, jobs: int):
 
 def cross_validate(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """cfg.runs repetitions of a fresh random cross-subject half split."""
-    [agg] = _evaluate(dataset, [(CROSS_SUBJECT, dataset, cfg)], jobs)
+    windows = window_table(_named(dataset), [cfg.preprocess])
+    [agg] = _evaluate(windows, [(CROSS_SUBJECT, windows[0], cfg)], jobs)
     return agg
 
 
 def evaluate_loso(dataset: Dataset, cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """Leave-one-subject-out; overall accuracy pools all held-out instances."""
-    [agg] = _evaluate(dataset, [(LOSO, dataset, cfg)], jobs)
+    windows = window_table(_named(dataset), [cfg.preprocess])
+    [agg] = _evaluate(windows, [(LOSO, windows[0], cfg)], jobs)
     return agg
 
 
@@ -400,7 +392,15 @@ def _sweep(actions: tuple, cfg: ExperimentConfig, windows, grids, action_sets, j
               for w in windows for r, c in grids]
     if action_sets:
         wanted = {label for labels in action_sets.values() for label in labels}
-        actions = actions[0], ((name, a) for name, a in actions[1] if a.label in wanted)
+        count, stream = actions
+        skipped = []  # records of the actions before the first of a listed class
+        for name, a in stream:
+            if a.label in wanted:
+                break
+            skipped.append(_Record(a.id, a.subject, a.label, a.num_joints))
+        else:  # none is of a listed class: refused as filtering to the first subset refuses it
+            filter_action_set(Dataset(skipped), action_sets[min(action_sets)])
+        actions = count, chain([(name, a)], ((n, b) for n, b in stream if b.label in wanted))
     records, tables = window_table(actions, [combo.preprocess for combo in combos])
     if action_sets:
         subsets = {name: filter_action_set(records, action_sets[name])

@@ -301,12 +301,12 @@ def _neighbour_index(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return -distinct.astype(np.float64), index.reshape(2 * rows - 1, 2 * cols - 1).astype(np.int64)
 
 
-def _numpy_block(codebook, samples, rows, cols, order, table, index):
+def _numpy_block(codebook, samples, rows, cols, order, table, index, size=np.inf):
     """Run one block of online steps with numpy; the reference block runner.
 
     Step s visits ``samples[order[s]]`` with the weights ``table[s]``, the
-    learning rate included; `index` is `_neighbour_index`'s. Its winner is
-    the direct form's argmin, ties to the lowest index.
+    learning rate included; `index` is `_neighbour_index`'s. Its winner is the
+    direct form's argmin, ties to the lowest index. It ignores `size`: it makes every move.
     """
     diff = np.empty_like(codebook)
     influence_grid = np.empty((rows, cols))
@@ -526,8 +526,6 @@ def train_som(
     order = subset[np.concatenate([rng.permutation(n) for _ in range(params.epochs)])]
     neg_k, index = _neighbour_index(rows, cols)
     run_block = _block_runner(units, samples.shape[1])
-    if getattr(run_block, "func", None) is _compiled_block:  # the C kernel's, which takes X
-        run_block = functools.partial(run_block, size=float(bound))
     schedule = _schedule()
     chunk = max(1, _CHUNK_BUDGET // len(neg_k))
     for lo in range(0, total, chunk):
@@ -535,7 +533,7 @@ def train_som(
         alphas, sigmas = schedule(alpha0, alpha1, sigma0, sigma1, total, lo, hi - lo)
         table = _gaussian(neg_k, sigmas[:, None], out=np.empty((hi - lo, len(neg_k))))
         table *= alphas[:, None]
-        run_block(codebook, samples, rows, cols, order[lo:hi], table, index)
+        run_block(codebook, samples, rows, cols, order[lo:hi], table, index, size=float(bound))
     if not np.isfinite(codebook).all():
         raise ValueError("training overflowed: the samples or the initial codebook are too "
                          "large in magnitude")

@@ -97,7 +97,9 @@ class TestEstimate:
                 counts[bmu(grid, x), label] += 1
         calls = []
         monkeypatch.setattr(classifier_module, "bmu_batch",
-                            lambda g, xs: calls.append(len(xs)) or bmu_batch(g, xs))
+                            lambda g, xs, subset=None: calls.append(
+                                len(xs) if subset is None else len(subset))
+                            or bmu_batch(g, xs, subset=subset))
         classes, probs = table_class_probabilities(grid, np.concatenate(sets), labels,
                                                    [len(s) for s in sets])
         assert calls == [sum(map(len, sets))]
@@ -180,7 +182,9 @@ class TestScoreActions:
         sets.append(codebook[7] + 1e-3 * rng.normal(size=(6, dim)))
         searches = []
         monkeypatch.setattr(descriptor, "bmu_batch",
-                            lambda g, xs: searches.append(len(xs)) or bmu_batch(g, xs))
+                            lambda g, xs, subset=None: searches.append(
+                                len(xs) if subset is None else len(subset))
+                            or bmu_batch(g, xs, subset=subset))
         posteriors = score_actions(model, sets)
         assert searches == [sum(map(len, sets))]
         monkeypatch.undo()
@@ -194,7 +198,8 @@ class TestScoreActions:
 
     def test_no_sets_give_no_posteriors_without_a_search(self, monkeypatch):
         model, _ = _toy_model()
-        monkeypatch.setattr(descriptor, "bmu_batch", lambda g, xs: pytest.fail("searched"))
+        monkeypatch.setattr(descriptor, "bmu_batch",
+                            lambda g, xs, subset=None: pytest.fail("searched"))
         assert score_actions(model, []) == []
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -968,6 +969,19 @@ class TestSweep:
         assert code == 2
         assert stderr == "error: grids lists (2, 2) twice\n"
 
+    def test_action_sets_of_absent_classes_report_the_filter(self, capsys, tmp_path,
+                                                               canon_dir):
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps({"typo": [7]}))
+        out = tmp_path / "s.csv"
+        with pytest.warns(UserWarning, match="^class 7 not present in dataset, ignoring$"):
+            code, stdout, stderr = run(
+                capsys, "sweep", str(canon_dir), "-o", str(out), "--frames", "10",
+                "--windows", "2", "--grids", "2x2", "--action-sets", str(sets_path))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: no actions remain after filtering to classes [7]\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["windows", "grids"])
     def test_empty_axis_rejected(self, capsys, tmp_path, canon_dir, key):
         config = tmp_path / "sweep_config.json"
@@ -977,6 +991,56 @@ class TestSweep:
         assert code == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert key in stderr
+
+
+# SHA-256 of each file `dam evaluate` writes on `pinned_dir`, by protocol.
+EVALUATE_DIGESTS = {
+    "cross-subject": {
+        "confusion.csv": "953e828959ff4998e244922dc33ddc4969a729b3f884f99a163c2fad6ebc8da1",
+        "per_subject.csv": "dc6568a3acb52223bbb01edf0ef051ee936fbf3ab9bec699c1ae7beb01f18da8",
+        "probmatrix.csv": "465bbf117bb34fa21c37bf4824b294290aa8f6b6761988580b0dcdc787d788d9",
+        "results.csv": "e0111192d7934528896bcfac8b05c2cde9d4e939f5f432d4bd4ef9f422f28f05",
+    },
+    "loso": {
+        "confusion.csv": "212d03534574faa575d3121cd63963a70bc2b15829e383b23ac72f495a145fe0",
+        "per_subject.csv": "14962b28cef7539644b2e423646b46fd960bff5a6f35194003b3704a56b56391",
+        "probmatrix.csv": "465bbf117bb34fa21c37bf4824b294290aa8f6b6761988580b0dcdc787d788d9",
+        "results.csv": "f678ad79f2eb1b0804978a45bcd696468cee7cb99e51035e7f3449efda84f703",
+    },
+}
+PINNED_ARGS = ["--frames", "12", "--window", "3", "--grid", "5x5", "--epochs", "2",
+               "--seed", "4"]
+
+
+@pytest.fixture(scope="module")
+def pinned_dir(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("pinned_data")
+    write_canonical_dataset(make_directional_dataset(
+        classes=4, subjects=6, instances=4, raw_frames=30, joints=5, seed=3), d)
+    return d
+
+
+class TestPinnedBytes:
+    """`dam evaluate` and `dam train` write the bytes they wrote when each run
+    went through a window table pair of its own and `dam train` fitted its
+    model itself. The model's codebook is bound to numpy's AVX-512 exp, as
+    `TestPinnedDigests` in test_som.py is (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("protocol", sorted(EVALUATE_DIGESTS))
+    def test_evaluate_csvs(self, capsys, tmp_path, pinned_dir, protocol, jobs):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "evaluate", str(pinned_dir), *PINNED_ARGS, "--runs", "3",
+                         "--protocol", protocol, "--jobs", jobs, "--output-dir", str(out))
+        assert code == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(out).items()} == EVALUATE_DIGESTS[protocol]
+
+    def test_train_model_file(self, capsys, tmp_path, pinned_dir):
+        path = tmp_path / "model.json"
+        assert run(capsys, "train", str(pinned_dir), *PINNED_ARGS, "-o", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9a3419d38de33e587c32b68787dcbd7b0e9f1687a4371f94f5e0aa2d9b5f5a6e")
 
 
 # Each command that reads a dataset directory, as run by the streaming tests;

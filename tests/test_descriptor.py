@@ -57,7 +57,8 @@ class TestHistogramBins:
 
     def test_no_sets_give_an_empty_table_without_a_search(self, monkeypatch):
         grid = SomGrid(rows=2, cols=3, codebook=np.zeros((6, 4)))
-        monkeypatch.setattr(descriptor, "bmu_batch", lambda g, xs: pytest.fail("searched"))
+        monkeypatch.setattr(descriptor, "bmu_batch",
+                            lambda g, xs, subset=None: pytest.fail("searched"))
         bins = table_bins(grid, np.zeros((0, 4)), [])
         assert bins.shape == (0, 6) and bins.dtype == np.float64
 

@@ -207,7 +207,7 @@ class TestRunSingle:
         cfg = small_config()
         train, test = split_cross_subject(directional, seed=0)
         wdfs = {a.id: preprocess_action(a, cfg.preprocess) for a in directional}
-        given = _run_on_tables(train, test, cfg, wdfs, som_seed=1)
+        given = _run_on_table(train, test, cfg, wdfs, som_seed=1)
         computed = run_single(train, test, cfg, som_seed=1)
         assert given.accuracy == computed.accuracy
         assert_array_equal(given.confusion, computed.confusion)
@@ -242,6 +242,40 @@ class TestRunSingle:
             run_single(train, test, small_config(), som_seed=1)
         assert caplog.records == []
 
+    def test_an_action_in_both_halves_is_refused(self, directional):
+        # One window table holds both halves, so an action id may occur once.
+        train, test = split_cross_subject(directional, seed=0)
+        test = Dataset([replace(test.actions[0], id=train.actions[0].id), *test.actions[1:]])
+        with pytest.raises(ValueError, match=f"^duplicate action id {train.actions[0].id!r}$"):
+            run_single(train, test, small_config())
+
+
+class TestPinnedRunBytes:
+    # Bound to numpy's AVX-512 exp, as `TestPinnedDigests` in test_som.py is
+    # (see ROADMAP item 2), so the CI step that disables it leaves them out.
+    @pytest.mark.parametrize("split", [0, 1, 2])
+    def test_run_single_bytes_are_pinned(self, split):
+        # The digests were taken when each half had a window table of its
+        # own; one table for both halves gives the same bytes.
+        ds = make_directional_dataset(classes=4, subjects=6, instances=4, raw_frames=30,
+                                      joints=5, seed=3)
+        cfg = ExperimentConfig(PreprocessParams(frames=12, window=3), 5, 5,
+                               som=SomTrainParams(epochs=2))
+        train, test = split_cross_subject(ds, split)
+        result = run_single(train, test, cfg, som_seed=split + 10, run_index=split)
+        digest = hashlib.sha256()
+        for array in (result.confusion, result.prob_matrix, result.model.grid.codebook,
+                      result.model.cluster_class_probs):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == RUN_SINGLE_DIGESTS[split]
+
+
+RUN_SINGLE_DIGESTS = [
+    "abe2afaa2c87d60b87524bea229c866ab911e8d2ccb95dc2781158c644eb4060",
+    "5d22392de2c8843eea6d7db0857529dcf232433f569734fe7c590695d0fccfcd",
+    "ab6b592b6956acd155746234466bc832613511e916cd95368c94077a241d2ca8",
+]
+
 
 @pytest.fixture(scope="module")
 def paper_half():
@@ -257,11 +291,13 @@ def paper_half():
     return train, test, cfg, wdfs
 
 
-def _run_on_tables(train, test, cfg, wdfs, som_seed):
-    """The run of `run_single`, on window tables stacked from the precomputed
-    `wdfs` (action id -> WDFs) of each half."""
-    tables = [(np.vstack([wdfs[a.id] for a in half]), None) for half in (train, test)]
-    return evaluation._run(train, test, cfg, som_seed, 0, *tables)
+def _run_on_table(train, test, cfg, wdfs, som_seed):
+    """The run of `run_single`, on a window table stacked from the precomputed
+    `wdfs` (action id -> WDFs) of both halves, train's first."""
+    records = Dataset([*train, *test])
+    state = records, {cfg.preprocess: np.vstack([wdfs[a.id] for a in records])}
+    halves = range(len(train)), range(len(train), len(records))
+    return evaluation._run((cfg, *halves, som_seed, 0), state)
 
 
 def _scored_per_action(model, test, wdfs):
@@ -303,13 +339,14 @@ class TestOneSearchPerTestHalf:
         searches, rescored = [], []
         for module in (descriptor, classifier):
             monkeypatch.setattr(module, "bmu_batch",
-                                lambda g, xs, search=module.bmu_batch:
-                                searches.append(len(xs)) or search(g, xs))
+                                lambda g, xs, subset=None, search=module.bmu_batch:
+                                searches.append(len(xs) if subset is None else len(subset))
+                                or search(g, xs, subset=subset))
         monkeypatch.setattr(som, "_direct_winner",
                             lambda c, x, winner=som._direct_winner:
                             rescored.append(1) or winner(c, x))
         with caplog.at_level("WARNING", logger="dam.evaluation"):
-            result = _run_on_tables(train, test, cfg, wdfs, som_seed=derive_seed(0, 0, 1))
+            result = _run_on_table(train, test, cfg, wdfs, som_seed=derive_seed(0, 0, 1))
         sizes = [sum(len(wdfs[a.id]) for a in half) for half in (train, test)]
         assert searches == sizes
         assert bool(rescored) == duplicated
@@ -503,7 +540,8 @@ class TestRunsReadTheWindowTable:
                                cols=3, som=SomTrainParams(epochs=1), runs=1, seed=0)
         tracemalloc.start()
         try:
-            [agg] = evaluation._evaluate(dataset, [(CROSS_SUBJECT, dataset, cfg)], jobs=1)
+            windows = evaluation.window_table(evaluation._named(dataset), [cfg.preprocess])
+            [agg] = evaluation._evaluate(windows, [(CROSS_SUBJECT, windows[0], cfg)], jobs=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -684,6 +722,23 @@ class TestParameterSweep:
         with pytest.raises(ValueError, match=match):
             parameter_sweep(directional, small_config(runs=2), **kwargs)
         assert trained == []
+
+    def test_subsets_of_absent_classes_are_refused_as_filtering_refuses_them(
+        self, directional, monkeypatch
+    ):
+        # No action is of a listed class: filtering reports each absent class
+        # and refuses the subset, before any action is preprocessed.
+        preprocessed = []
+        monkeypatch.setattr(evaluation, "preprocess_action",
+                            lambda action, params: preprocessed.append(action))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError,
+                               match=r"^no actions remain after filtering to classes \[7\]$"):
+                parameter_sweep(directional, small_config(runs=1), windows=[2], grids=[(2, 2)],
+                                action_sets={"typo": [7]})
+        assert [str(w.message) for w in caught] == ["class 7 not present in dataset, ignoring"]
+        assert preprocessed == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_csv_bytes_are_pinned(self, tmp_path, jobs):

@@ -624,6 +624,27 @@ def test_paper_shape_steps_stay_in_the_kernel(monkeypatch):
     assert sum(handed) < 0.01 * 2 * len(samples)
 
 
+def test_a_wrapped_runner_receives_the_bound_of_the_training_rows(monkeypatch):
+    # Whatever `_block_runner` returns, a plain function around a runner
+    # included, is handed X = max |coordinate| of the rows trained on, so the
+    # C kernel's stays do not depend on the runner's type.
+    samples = np.random.default_rng(5).normal(size=(60, 6))
+    samples[16, 2], samples[17, 3] = -9.5, 100.0  # row 17 is not trained on
+    subset = np.arange(0, 60, 2)
+    params = SomTrainParams(epochs=2, seed=1)
+    want = train_som(samples, 4, 4, params, subset=subset).codebook.tobytes()
+    runner, sizes = som._block_runner(16, 6), []
+
+    def wrapped(*args, **kwargs):
+        sizes.append(kwargs.get("size"))
+        runner(*args, **kwargs)
+
+    monkeypatch.setattr(som, "_block_runner", lambda units, dim: wrapped)
+    got = train_som(samples, 4, 4, params, subset=subset).codebook.tobytes()
+    assert sizes and set(sizes) == {9.5}
+    assert got == want
+
+
 def test_two_threads_run_on_one_when_the_helper_cannot_start():
     # Under an address-space limit just above the process's size no thread
     # stack can be mapped, so the kernel's helper does not start: the caller's
@@ -918,12 +939,11 @@ class TestStaysKeepTheBytes:
     def test_every_runner_gives_the_numpy_bytes(self, case):
         codebook, samples, rows, cols, order, table, index, size, first, want = case
         run_block = som._block_runner(rows * cols, samples.shape[1])
-        bound = {"size": size} if getattr(run_block, "func", None) is som._compiled_block else {}
         got = codebook.copy()
         with np.errstate(all="ignore"):
             for part in (slice(0, first), slice(first, len(order))):
                 if part.stop > part.start:
-                    run_block(got, samples, rows, cols, order[part], table[part], index, **bound)
+                    run_block(got, samples, rows, cols, order[part], table[part], index, size=size)
         assert got.tobytes() == want.tobytes()
 
 
@@ -1084,10 +1104,10 @@ class TestChunkedSchedule:
         def counting(units, dim):
             run_block = block_runner(units, dim)
 
-            def counted(codebook, samples, rows, cols, order, table, index):
+            def counted(codebook, samples, rows, cols, order, table, index, size):
                 calls.append(len(order))
                 assert table.shape == (len(order), columns)
-                run_block(codebook, samples, rows, cols, order, table, index)
+                run_block(codebook, samples, rows, cols, order, table, index, size=size)
             return counted
 
         monkeypatch.setattr(som, "_block_runner", counting)
