@@ -11,6 +11,8 @@ class order. `fit_model` and `score_actions` stack a list of sets first.
 from __future__ import annotations
 
 import binascii
+import ctypes
+import itertools
 import json
 import reprlib
 from dataclasses import asdict, dataclass
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonin import build, field, is_kind, reject_unknown
+from . import _native
+from ._jsonin import build, convert, field, is_kind, reject_unknown
 from .dataset import class_order
 from .descriptor import pair_counts, table_bins
 from .preprocess import PreprocessParams, preprocess_action
@@ -216,7 +219,9 @@ def load_model(path) -> ClassModel:
     """Parse and fully validate a model file written by save_model.
 
     Every error, a malformed structure included, is a ValueError that names
-    the file. Line 2's hex is decoded where it lies in the file's bytes.
+    the file. Line 2's hex is decoded where it lies in the file's bytes: by
+    the compiled `dam_read_hex` when it loads, else, or when it declines the
+    hex, by `binascii.unhexlify`, which also words the error.
     """
     data = Path(path).read_bytes()
     try:
@@ -225,7 +230,29 @@ def load_model(path) -> ClassModel:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _model_lines(data: bytes) -> tuple[dict, bytes]:
+def _hex_reader():
+    """The compiled hex decoder when `_table_reader.c` is compiled and loads, else None."""
+    return _native.function("_table_reader.c", "dam_read_hex", ctypes.c_int64,
+                            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+
+
+def _unhex(hex_: memoryview) -> np.ndarray | bytes:
+    """The bytes `hex_` spells, in a read-only uint8 array or a bytes object,
+    as `binascii.unhexlify` reads them; a ValueError when it is not hex."""
+    reader = _hex_reader()
+    if reader is not None:
+        digits = np.frombuffer(hex_, dtype=np.uint8)
+        raw = np.empty(len(digits) // 2, dtype=np.uint8)
+        if reader(digits.ctypes.data, len(digits), raw.ctypes.data) >= 0:
+            raw.flags.writeable = False
+            return raw
+    try:
+        return binascii.unhexlify(hex_)
+    except binascii.Error as e:
+        raise ValueError(f"the codebook on line 2 is not hex: {e}") from None
+
+
+def _model_lines(data: bytes) -> tuple[dict, bytes | np.ndarray]:
     """(line 1's payload, line 2's decoded codebook) of a model file's bytes."""
     end = data.find(b"\n")
     end = len(data) if end < 0 else end
@@ -246,13 +273,10 @@ def _model_lines(data: bytes) -> tuple[dict, bytes]:
     if data[start:start + 1] != b'"' or close < 0 or data[close + 1:].strip(b" \t\r\n"):
         raise ValueError("line 2 must be the last line and hold the codebook as one "
                          "quoted hex string")
-    try:
-        return payload, binascii.unhexlify(memoryview(data)[start + 1:close])
-    except binascii.Error as e:
-        raise ValueError(f"the codebook on line 2 is not hex: {e}") from None
+    return payload, _unhex(memoryview(data)[start + 1:close])
 
 
-def _decode_model(payload: dict, raw: bytes) -> ClassModel:
+def _decode_model(payload: dict, raw: bytes | np.ndarray) -> ClassModel:
     """The model that line 1's `payload` and the decoded codebook `raw` hold."""
     reject_unknown(payload, _MODEL_FIELDS)
     grid_data = field(payload, "grid", dict)
@@ -278,18 +302,28 @@ def _decode_model(payload: dict, raw: bytes) -> ClassModel:
             raise ValueError(f"field 'classes[{i}]' must be a JSON integer or string, "
                              f"got {reprlib.repr(label)}")
     probs = field(payload, "cluster_class_probs", list)
-    # numpy would take a JSON true or false as 1.0 or 0.0: check one set of item types.
-    kinds = {type(row) for row in probs}
+    # numpy would take a JSON true or false as 1.0 or 0.0: check one set of item
+    # types, over the entries of one flat list when every row is a list.
+    entries, shape = probs, (len(probs),)
+    kinds = set(map(type, probs))
     if kinds == {list}:
-        kinds = {type(p) for row in probs for p in row}
         for i, row in enumerate(probs):
             if len(row) != len(classes):
                 raise ValueError(f"field 'cluster_class_probs' row {i} has {len(row)} "
                                  f"entries, expected one per class, {len(classes)}")
+        entries = list(itertools.chain.from_iterable(probs))
+        shape = (len(probs), len(classes))
+        kinds = set(map(type, entries))
     if not kinds <= {int, float}:
         raise ValueError("field 'cluster_class_probs' must be an array of arrays of "
                          "JSON numbers")
-    probs = np.asarray(probs, dtype=np.float64)
+    try:
+        probs = np.array(entries, dtype=np.float64).reshape(shape)
+    except OverflowError:  # an int beyond any float, which `convert` names
+        for i, entry in enumerate(entries):
+            at = "][".join(map(str, np.unravel_index(i, shape)))
+            convert(float, f"field 'cluster_class_probs[{at}]'", entry)
+        raise
     return ClassModel(
         grid=grid,
         classes=classes,

@@ -1,5 +1,6 @@
 """Tests for per-cluster class probabilities, posterior scoring, and model files."""
 
+import binascii
 import hashlib
 import json
 import re
@@ -271,6 +272,20 @@ def _first_line(text):
     return text.split("\n", 1)[0]
 
 
+def _edit_line_1(edit):
+    """An edit of a model file's text that rewrites line 1's payload."""
+    def apply(text):
+        header, rest = text.split("\n", 1)
+        return f"{json.dumps(edit(json.loads(header)))}\n{rest}"
+    return apply
+
+
+def _beyond_any_float(payload):
+    """`payload` with its first class probability an integer no float holds."""
+    probs = payload["cluster_class_probs"]
+    return {**payload, "cluster_class_probs": [[10 ** 400, *probs[0][1:]], *probs[1:]]}
+
+
 _NOT_LINE_2 = "line 2 must be the last line and hold the codebook as one quoted hex string"
 _NOT_HEX = "the codebook on line 2 is not hex"
 _WRONG_SIZE = r"the codebook on line 2 holds \d+ bytes, expected rows \* cols \* dim \* 8 = 384"
@@ -284,6 +299,9 @@ _LINE_2_CASES = {
     "uppercase hex": (_edit_line_2(str.upper), None),
     "line 1 cut short": (lambda text: text[:20] + text[text.index("\n"):],
                          "line 1 is not valid JSON"),
+    "probability beyond any float": (
+        _edit_line_1(_beyond_any_float),
+        r"field 'cluster_class_probs\[0\]\[0\]' must be a finite number, got 10000"),
     "no line 2": (_first_line, _NOT_LINE_2),
     "empty line 2": (lambda text: _first_line(text) + "\n", _NOT_LINE_2),
     "line 2 not quoted": (
@@ -331,6 +349,70 @@ def _two_line_model(path):
     again = path.with_name("oracle.json")
     save_model(model, again)
     return again.read_bytes()
+
+
+def _hex_outcome(hex_: bytes):
+    """The decoded bytes, or the error, of `hex_` as line 2 of a model file."""
+    try:
+        return bytes(classifier_module._unhex(memoryview(hex_)))
+    except ValueError as e:
+        return str(e)
+
+
+def _unhexlify_outcome(hex_: bytes):
+    try:
+        return binascii.unhexlify(hex_)
+    except binascii.Error as e:
+        return f"the codebook on line 2 is not hex: {e}"
+
+
+def _compiled_hex(hex_: bytes):
+    """(what `dam_read_hex` returns, the bytes it wrote) for `hex_`."""
+    out = np.zeros(len(hex_) // 2, dtype=np.uint8)
+    return classifier_module._hex_reader()(hex_, len(hex_), out.ctypes.data), out.tobytes()
+
+
+@pytest.fixture(scope="module")
+def compiled_hex():
+    if classifier_module._hex_reader() is None:
+        pytest.skip("the hex decoder was not compiled here")
+
+
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+@pytest.mark.usefixtures("compiled_hex")
+class TestHexDecoder:
+    """Line 2's hex is decoded as `binascii.unhexlify` decodes it, whether the compiled
+    decoder reads it or declines it, in 16-digit blocks and in the tail after them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(raw=st.binary(max_size=20), case=st.sampled_from(["lower", "upper", "mixed"]),
+           flips=st.randoms(use_true_random=False))
+    def test_hex_decodes_as_unhexlify_does(self, raw, case, flips):
+        hex_ = raw.hex().encode()
+        if case == "upper":
+            hex_ = hex_.upper()
+        elif case == "mixed":
+            hex_ = bytes(c ^ 0x20 if c > 0x60 and flips.random() < 0.5 else c for c in hex_)
+        assert _compiled_hex(hex_) == (len(raw), raw)
+        assert _hex_outcome(hex_) == raw == binascii.unhexlify(hex_)
+
+    def test_a_byte_that_is_no_hex_digit_is_declined_anywhere(self):
+        # 40 digits: two 16-digit blocks, then a tail of 8.
+        for byte in set(range(256)) - set(_HEX_DIGITS):
+            for at in range(40):
+                hex_ = bytearray(b"0123456789abcdefABCDEF0123456789abcdef01")
+                hex_[at] = byte
+                hex_ = bytes(hex_)
+                assert _compiled_hex(hex_)[0] == -1, (byte, at)
+                assert _hex_outcome(hex_) == _unhexlify_outcome(hex_), (byte, at)
+
+    @pytest.mark.parametrize("length", range(1, 42, 2))
+    def test_an_odd_length_is_declined(self, length):
+        hex_ = (b"0123456789abcdef" * 3)[:length]
+        assert _compiled_hex(hex_)[0] == -1
+        assert _hex_outcome(hex_) == _unhexlify_outcome(hex_)
 
 
 class TestClassifyAction:

@@ -105,6 +105,9 @@ MALFORMED_MODEL_EDITS = {
     "'cluster_class_probs'": lambda p: {**p, "cluster_class_probs": [[{}]]},
     "'cluster_class_probs' row 0 has 1 entries, expected one per class, 3": lambda p: {
         **p, "cluster_class_probs": [[1.0], *p["cluster_class_probs"][1:]]},
+    "'cluster_class_probs[1][2]' must be a finite number": lambda p: {
+        **p, "cluster_class_probs": [p["cluster_class_probs"][0], [0, 0, 10 ** 400],
+                                     *p["cluster_class_probs"][2:]]},
 }
 
 
@@ -1041,6 +1044,66 @@ class TestPinnedBytes:
         assert run(capsys, "train", str(pinned_dir), *PINNED_ARGS, "-o", str(path))[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9a3419d38de33e587c32b68787dcbd7b0e9f1687a4371f94f5e0aa2d9b5f5a6e")
+
+
+# SHA-256 of each file `dam evaluate --protocol cross-subject` writes on `noisy_dir`.
+NOISY_EVALUATE_DIGESTS = {
+    "confusion.csv": "1a0f6855df410b93101bac27e78912395f2433c6683a6005a833f29a9dc8923a",
+    "per_subject.csv": "6b60d05511c69c53a2514eeb420faf51fbbd92aac4e5faf8da81edce2653340f",
+    "probmatrix.csv": "3f48abadfeb6d59bb3888ca46edeec4087679fab7d05385f0ca6b1ce0cc4722c",
+    "results.csv": "df5e36eef4096969cd27a42ba3e5057f9b4b4742e6c3195fc59f58e260776de3",
+}
+
+
+@pytest.fixture(scope="module")
+def noisy_dir(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("noisy_data")
+    write_canonical_dataset(make_directional_dataset(
+        classes=4, subjects=6, instances=4, raw_frames=30, joints=5, seed=1, noise=0.3,
+        direction_jitter=2.0), d)
+    return d
+
+
+@pytest.fixture(scope="module")
+def noisy_model(tmp_path_factory, noisy_dir) -> Path:
+    path = tmp_path_factory.mktemp("noisy_model") / "model.json"
+    assert cli.main(["train", str(noisy_dir), *PINNED_ARGS, "-o", str(path)]) == 0
+    return path
+
+
+class TestPinnedScores:
+    """Pins whose corpus no run classifies perfectly, so that they see the score
+    arithmetic, not just the argmax: `dam classify`'s printed scores, the
+    model file's decoded codebook and probabilities, and `dam evaluate`'s
+    CSVs. The codebook is bound to numpy's AVX-512 exp, as `TestPinnedDigests`
+    in test_som.py is, and the scores to the OpenBLAS core (ROADMAP item 2)."""
+
+    def test_classify_output(self, capsys, noisy_dir, noisy_model):
+        code, out, _ = run(capsys, "classify", "--model", str(noisy_model), str(noisy_dir))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "37de7aeed19c12352ae2e69605b3e354fe6da12e9db5d844e5a5d55fea929dc8")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert any(max(map(float, row[2:])) < 0.5 for row in rows)
+
+    def test_loaded_model_bytes(self, noisy_model):
+        model = load_model(noisy_model)
+        assert hashlib.sha256(model.grid.codebook.tobytes()).hexdigest() == (
+            "2b72f837dcc9f1e8fab1767807dc1bc14b661845f70427ed7fad159615415983")
+        assert hashlib.sha256(model.cluster_class_probs.tobytes()).hexdigest() == (
+            "b0ab82f05212011e6b5dd50d8f8125f7a83b91dcb1bc830cd9083198d53bc8b6")
+
+    def test_evaluate_csvs(self, capsys, tmp_path, noisy_dir):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "evaluate", str(noisy_dir), *PINNED_ARGS, "--runs", "3",
+                         "--protocol", "cross-subject", "--jobs", "1", "--output-dir", str(out))
+        assert code == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(out).items()} == NOISY_EVALUATE_DIGESTS
+        # No run scores 1, so the digests pin scores and not only predictions.
+        accuracies = [float(line.split(",")[-1])
+                      for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert len(accuracies) == 3 and max(accuracies) < 1
 
 
 # Each command that reads a dataset directory, as run by the streaming tests;

@@ -1136,6 +1136,44 @@ class TestCompiledWriter:
         assert dataset._frame_lines(table) == b"1.0 inf\nnan -inf\n"
 
 
+@st.composite
+def _digit_strings(draw):
+    """1-25 digits, up to all of them leading zeros, with or without a sign, a
+    point and an exponent of up to 400."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    digits = "0" * draw(st.integers(0, 25 - len(digits))) + digits
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is not None:
+        digits = f"{digits[:point]}.{digits[point:]}"
+    exponent = draw(st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                            st.sampled_from(["", "+", "-"]),
+                                            st.integers(0, 400)))
+    return draw(st.sampled_from(["", "-", "+"])) + digits + exponent
+
+
+@pytest.mark.usefixtures("compiled_reader")
+class TestDigitRuns:
+    """The compiled reader takes digits eight at a time where eight bytes remain;
+    a token reads as `_convert_lines` reads it, or is declined, wherever it ends."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(token=_finite_doubles().map(repr) | _digit_strings())
+    @example(token="1234567890123456789")
+    @example(token="-00000000000000000000001.5e-7")
+    def test_a_token_reads_as_float_wherever_it_ends(self, token):
+        # The token ends at every offset mod 8: at the very end of the bytes,
+        # before a blank there, and before another line of eight bytes.
+        for pad in range(8):
+            for tail in ("", " ", "\n12345678"):
+                text = " " * pad + token + tail
+                compiled = dataset._compiled_table(text, 1, 0, None)
+                want = dataset._convert_lines(dataset._content_lines(text), 1)
+                if compiled is None:
+                    assert not _in_normal_range(token, float(token)), text
+                else:
+                    assert compiled.tobytes() == want.tobytes(), text
+
+
 def _subject_dataset(subjects, per_subject=3, joints=2, seed=0):
     rng = np.random.default_rng(seed)
     actions = []
