@@ -169,10 +169,12 @@ def _blas_thread_calls() -> tuple | None:
 
 def blas_threads(count: int | None = None) -> int | None:
     """The thread count of numpy's OpenBLAS, read before `count`, when given, is set;
-    None, with nothing set, when that BLAS exports no OpenBLAS thread calls."""
+    None, with nothing set, when that BLAS exports no OpenBLAS thread calls. A
+    count that is already set is not set again: in a forked process that
+    call would rebuild OpenBLAS's thread pool, and start a helper thread."""
     if (calls := _blas_thread_calls()) is None:
         return None
     current = calls[0]()
-    if count is not None:
+    if count is not None and count != current:
         calls[1](count)
     return current

@@ -1,9 +1,7 @@
 /* Number tables read straight from file text and written as Python writes
- * them, and hex decoded as binascii.unhexlify decodes it; compiled on first
- * use by dam._native.
+ * them; compiled on first use by dam._native.
  *
- * Plain C with no Python headers; `dam.dataset` and `dam.classifier` call it
- * through ctypes.
+ * Plain C with no Python headers; `dam.dataset` calls it through ctypes.
  *
  * `dam_read_table` stores for each value the bytes Python's float() gives
  * the token. Whatever it cannot read that way it declines, and the caller
@@ -31,10 +29,6 @@
  * from the same paper), which gives the same digits, counts and values as
  * reading them one at a time.
  *
- * `dam_read_hex` decodes line 2 of a model file. It accepts exactly the
- * bytes unhexlify accepts, [0-9a-fA-F] in pairs, and declines anything
- * else, which the caller then hands to unhexlify to word the error.
- *
  * `dam_write_table` writes each value with the bytes of Python's
  * repr(float): the shortest digits that read back as the value, the one
  * nearest the value when several are as short (ties to an even last
@@ -48,9 +42,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 
 /* The powers of five table covers 5^q for q in [MIN_Q, MAX_Q]. */
 #define MIN_Q (-342)
@@ -294,64 +285,6 @@ int64_t dam_read_table(const uint64_t *powers, const char *text, int64_t length,
         ++rows;
     }
     return rows;
-}
-
-
-/* --- Hex ----------------------------------------------------------------- */
-
-/* The value of the hex digit c, in either case, or -1. */
-static int hex_value(unsigned char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    c |= 0x20;
-    return c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
-}
-
-/* Decodes the `length` hex digits at `text` into length / 2 bytes at `out`,
- * the first digit of each pair its high four bits, as binascii.unhexlify
- * does. Returns length / 2, or -1, with `out` partly written, when `length`
- * is odd or a byte is not one of [0-9a-fA-F].
- *
- * With SSE2, which every x86-64 CPU has, each step turns 16 digits into 8
- * bytes; the rest, or all on other machines, go one pair at a time.
- */
-int64_t dam_read_hex(const char *text, int64_t length, unsigned char *out)
-{
-    if (length < 0 || length % 2 != 0)
-        return -1;
-    const unsigned char *p = (const unsigned char *)text, *end = p + length;
-    unsigned char *q = out;
-#ifdef __SSE2__
-    /* Signed byte compares: a byte of 0x80 or above is below them all. */
-    const __m128i below_0 = _mm_set1_epi8('0' - 1), above_9 = _mm_set1_epi8('9' + 1);
-    const __m128i below_a = _mm_set1_epi8('a' - 1), above_f = _mm_set1_epi8('f' + 1);
-    const __m128i case_bit = _mm_set1_epi8(0x20), low_bytes = _mm_set1_epi16(0x00ff);
-    for (; end - p >= 16; p += 16, q += 8) {
-        __m128i v = _mm_loadu_si128((const __m128i *)p);
-        __m128i digit = _mm_and_si128(_mm_cmpgt_epi8(v, below_0), _mm_cmplt_epi8(v, above_9));
-        /* Only 'A'-'F' and 'a'-'f' are letters once the case bit is set. */
-        __m128i lower = _mm_or_si128(v, case_bit);
-        __m128i letter = _mm_and_si128(_mm_cmpgt_epi8(lower, below_a),
-                                       _mm_cmplt_epi8(lower, above_f));
-        if (_mm_movemask_epi8(_mm_or_si128(digit, letter)) != 0xffff)
-            return -1;
-        __m128i nibbles = _mm_or_si128(
-            _mm_and_si128(digit, _mm_sub_epi8(v, _mm_set1_epi8('0'))),
-            _mm_andnot_si128(digit, _mm_sub_epi8(lower, _mm_set1_epi8('a' - 10))));
-        /* Each 16-bit lane holds a pair: its high digit in the low byte. */
-        __m128i pairs = _mm_or_si128(_mm_slli_epi16(_mm_and_si128(nibbles, low_bytes), 4),
-                                     _mm_srli_epi16(nibbles, 8));
-        _mm_storel_epi64((__m128i *)q, _mm_packus_epi16(pairs, pairs));
-    }
-#endif
-    for (; p < end; p += 2, ++q) {
-        int high = hex_value(p[0]), low = hex_value(p[1]);
-        if (high < 0 || low < 0)
-            return -1;
-        *q = (unsigned char)(high << 4 | low);
-    }
-    return length / 2;
 }
 
 

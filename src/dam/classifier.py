@@ -10,9 +10,6 @@ class order. `fit_model` and `score_actions` stack a list of sets first.
 
 from __future__ import annotations
 
-import binascii
-import ctypes
-import itertools
 import json
 import reprlib
 from dataclasses import asdict, dataclass
@@ -20,16 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _native
-from ._jsonin import build, convert, field, is_kind, reject_unknown
+from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import class_order
 from .descriptor import pair_counts, table_bins
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid, bmu_batch
 
-MODEL_FORMAT_VERSION = "3"
-_MODEL_FIELDS = ("format_version", "joint_count", "preprocess", "grid", "classes",
-                 "cluster_class_probs")
+MODEL_FORMAT_VERSION = "4"
+_MODEL_FIELDS = ("format_version", "joint_count", "preprocess", "grid", "classes")
 
 _ROW_SUM_TOL = 1e-9
 
@@ -195,12 +190,14 @@ def classify_action(model: ClassModel, action) -> Posterior:
 # --- Model files -----------------------------------------------------------------
 
 def save_model(model: ClassModel, path) -> None:
-    """Write the model as two canonical JSON lines (model format 3).
+    """Write the model as one JSON header line and the raw bytes of its two arrays
+    (model format 4).
 
-    Line 1 is ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
-    of every field but the codebook, whose floats round-trip as JSON numbers.
-    Line 2 is the codebook as a JSON string: the lowercase hex of its
-    row-major, little-endian float64 bytes, which round-trip bit for bit.
+    Line 1 is ``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` of
+    every field but the codebook and `cluster_class_probs`, right-padded with
+    spaces so that its newline ends on a multiple of 8 bytes. The codebook
+    (units, dim) and then `cluster_class_probs` (units, classes) follow as
+    row-major, little-endian float64, which round-trip bit for bit.
     """
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -208,52 +205,31 @@ def save_model(model: ClassModel, path) -> None:
         "preprocess": asdict(model.params),
         "grid": {"rows": model.grid.rows, "cols": model.grid.cols, "dim": model.grid.dim},
         "classes": list(model.classes),
-        "cluster_class_probs": model.cluster_class_probs.tolist(),
     }
     header = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    codebook = model.grid.codebook.astype("<f8", copy=False).tobytes().hex()
-    Path(path).write_text(f'{header}\n"{codebook}"\n')
+    header += " " * (-(len(header) + 1) % 8) + "\n"
+    Path(path).write_bytes(b"".join([header.encode(), *(
+        array.astype("<f8", copy=False).tobytes()
+        for array in (model.grid.codebook, model.cluster_class_probs))]))
 
 
 def load_model(path) -> ClassModel:
     """Parse and fully validate a model file written by save_model.
 
     Every error, a malformed structure included, is a ValueError that names
-    the file. Line 2's hex is decoded where it lies in the file's bytes: by
-    the compiled `dam_read_hex` when it loads, else, or when it declines the
-    hex, by `binascii.unhexlify`, which also words the error.
+    the file. The codebook is a read-only view of the file's bytes, copied
+    only when they are not 8-byte aligned; `cluster_class_probs` is a
+    writeable copy.
     """
     data = Path(path).read_bytes()
     try:
-        return _decode_model(*_model_lines(data))
+        return _decode_model(data)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _hex_reader():
-    """The compiled hex decoder when `_table_reader.c` is compiled and loads, else None."""
-    return _native.function("_table_reader.c", "dam_read_hex", ctypes.c_int64,
-                            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-
-
-def _unhex(hex_: memoryview) -> np.ndarray | bytes:
-    """The bytes `hex_` spells, in a read-only uint8 array or a bytes object,
-    as `binascii.unhexlify` reads them; a ValueError when it is not hex."""
-    reader = _hex_reader()
-    if reader is not None:
-        digits = np.frombuffer(hex_, dtype=np.uint8)
-        raw = np.empty(len(digits) // 2, dtype=np.uint8)
-        if reader(digits.ctypes.data, len(digits), raw.ctypes.data) >= 0:
-            raw.flags.writeable = False
-            return raw
-    try:
-        return binascii.unhexlify(hex_)
-    except binascii.Error as e:
-        raise ValueError(f"the codebook on line 2 is not hex: {e}") from None
-
-
-def _model_lines(data: bytes) -> tuple[dict, bytes | np.ndarray]:
-    """(line 1's payload, line 2's decoded codebook) of a model file's bytes."""
+def _decode_model(data: bytes) -> ClassModel:
+    """The model that a model file's bytes hold."""
     end = data.find(b"\n")
     end = len(data) if end < 0 else end
     try:
@@ -268,16 +244,6 @@ def _model_lines(data: bytes) -> tuple[dict, bytes | np.ndarray]:
             f"unsupported model format version {version!r} "
             f"(this build reads {MODEL_FORMAT_VERSION!r}); re-create it with `dam train`"
         )
-    start = end + 1
-    close = data.find(b'"', start + 1)
-    if data[start:start + 1] != b'"' or close < 0 or data[close + 1:].strip(b" \t\r\n"):
-        raise ValueError("line 2 must be the last line and hold the codebook as one "
-                         "quoted hex string")
-    return payload, _unhex(memoryview(data)[start + 1:close])
-
-
-def _decode_model(payload: dict, raw: bytes | np.ndarray) -> ClassModel:
-    """The model that line 1's `payload` and the decoded codebook `raw` hold."""
     reject_unknown(payload, _MODEL_FIELDS)
     grid_data = field(payload, "grid", dict)
     reject_unknown(grid_data, ("rows", "cols", "dim"), "grid.")
@@ -287,13 +253,6 @@ def _decode_model(payload: dict, raw: bytes | np.ndarray) -> ClassModel:
             f"fields 'grid.rows', 'grid.cols', 'grid.dim' must be >= 1, "
             f"got {rows}, {cols}, {dim}"
         )
-    if len(raw) != rows * cols * dim * 8:
-        raise ValueError(
-            f"the codebook on line 2 holds {len(raw)} bytes, expected "
-            f"rows * cols * dim * 8 = {rows * cols * dim * 8}"
-        )
-    codebook = np.frombuffer(raw, dtype="<f8").reshape(rows * cols, dim)
-    grid = SomGrid(rows=rows, cols=cols, codebook=codebook)
     preprocess = field(payload, "preprocess", dict)
     params = build(PreprocessParams, preprocess, "preprocess.", defaults=False)
     classes = field(payload, "classes", list)
@@ -301,33 +260,20 @@ def _decode_model(payload: dict, raw: bytes | np.ndarray) -> ClassModel:
         if not (is_kind(label, int) or is_kind(label, str)):
             raise ValueError(f"field 'classes[{i}]' must be a JSON integer or string, "
                              f"got {reprlib.repr(label)}")
-    probs = field(payload, "cluster_class_probs", list)
-    # numpy would take a JSON true or false as 1.0 or 0.0: check one set of item
-    # types, over the entries of one flat list when every row is a list.
-    entries, shape = probs, (len(probs),)
-    kinds = set(map(type, probs))
-    if kinds == {list}:
-        for i, row in enumerate(probs):
-            if len(row) != len(classes):
-                raise ValueError(f"field 'cluster_class_probs' row {i} has {len(row)} "
-                                 f"entries, expected one per class, {len(classes)}")
-        entries = list(itertools.chain.from_iterable(probs))
-        shape = (len(probs), len(classes))
-        kinds = set(map(type, entries))
-    if not kinds <= {int, float}:
-        raise ValueError("field 'cluster_class_probs' must be an array of arrays of "
-                         "JSON numbers")
-    try:
-        probs = np.array(entries, dtype=np.float64).reshape(shape)
-    except OverflowError:  # an int beyond any float, which `convert` names
-        for i, entry in enumerate(entries):
-            at = "][".join(map(str, np.unravel_index(i, shape)))
-            convert(float, f"field 'cluster_class_probs[{at}]'", entry)
-        raise
+    units, size = rows * cols, max(len(data) - end - 1, 0)
+    if size != 8 * units * (dim + len(classes)):
+        raise ValueError(
+            f"the arrays after line 1 hold {size} bytes, expected 8 * units * "
+            f"(dim + classes) = {8 * units * (dim + len(classes))}"
+        )
+    values = np.frombuffer(data, dtype="<f8", offset=end + 1)
+    if not values.flags.aligned:  # off BLAS's fast paths: copy
+        values = values.copy()
+        values.flags.writeable = False
     return ClassModel(
-        grid=grid,
+        grid=SomGrid(rows=rows, cols=cols, codebook=values[:units * dim].reshape(units, dim)),
         classes=classes,
-        cluster_class_probs=probs,
+        cluster_class_probs=values[units * dim:].reshape(units, len(classes)).copy(),
         params=params,
         joint_count=field(payload, "joint_count", int),
     )

@@ -257,7 +257,9 @@ def _run_tasks(windows, tasks: list, jobs: int):
     of `window_table`, with a table for each `cfg.preprocess` among the tasks;
     indices are positions in the records. It runs the tasks in a loop, or on
     one pool of `jobs` workers that each receive the records and the tables
-    once, and split the usable CPUs among their OpenBLAS threads.
+    once, and split the usable CPUs among their OpenBLAS threads. The caller
+    runs on a worker's count while the pool lives, so that a forked worker
+    inherits it and sets nothing (see `_native.blas_threads`).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -269,9 +271,13 @@ def _run_tasks(windows, tasks: list, jobs: int):
     _native.load("_som_kernel.c")
     workers = min(jobs, len(tasks))
     blas_threads = max(1, _usable_cpus() // workers)
-    with ProcessPoolExecutor(workers, initializer=_init_worker,
-                             initargs=(windows, blas_threads)) as pool:
-        yield from pool.map(_run, tasks)
+    caller = _native.blas_threads(blas_threads)
+    try:
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(windows, blas_threads)) as pool:
+            yield from pool.map(_run, tasks)
+    finally:
+        _native.blas_threads(caller)
 
 
 def _aggregate(protocol: str, results: list[RunResult]) -> AggregateResult:

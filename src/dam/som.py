@@ -8,6 +8,7 @@ neighborhood radius) must be reproducible bit-for-bit for a given seed.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import logging
@@ -232,7 +233,10 @@ def _min_sqdist(grid: SomGrid, xs: np.ndarray, subset: np.ndarray | None = None)
     ties and duplicated units included, and rows too large for the bound,
     see `_SIZE_LIMIT`) is rescored over all K units with the direct form and
     `np.argmin`. The winner is therefore the direct form's argmin, ties to
-    the lowest index, whatever the BLAS threading.
+    the lowest index, whatever the BLAS threading. A block that holds such a
+    large row is scored with overflow warnings off: that row's GEMM scores
+    are not used, and a direct-form distance that overflows is inf, after
+    every finite one.
     """
     codebook = grid.codebook
     k, dim = codebook.shape
@@ -243,17 +247,19 @@ def _min_sqdist(grid: SomGrid, xs: np.ndarray, subset: np.ndarray | None = None)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise ValueError(f"query row {lo + int(np.argmin(finite))} contains non-finite values")
-        rows = np.arange(len(block))
-        scores = block @ codebook.T
-        np.subtract(half_c2, scores, out=scores)
-        winner = np.argmin(scores, axis=1)
-        first = scores[rows, winner]
-        scores[rows, winner] = np.inf
-        second = scores.min(axis=1)
         size = np.einsum("ij,ij->i", block, block) + c2_max
-        sure = (second - first > _rounding_bound(dim, size)) & (size < _SIZE_LIMIT)
-        for i in np.flatnonzero(~sure):
-            winner[i] = _direct_winner(codebook, block[i])
+        with (np.errstate(over="ignore", invalid="ignore") if size.max() >= _SIZE_LIMIT
+              else contextlib.nullcontext()):
+            rows = np.arange(len(block))
+            scores = block @ codebook.T
+            np.subtract(half_c2, scores, out=scores)
+            winner = np.argmin(scores, axis=1)
+            first = scores[rows, winner]
+            scores[rows, winner] = np.inf
+            second = scores.min(axis=1)
+            sure = (second - first > _rounding_bound(dim, size)) & (size < _SIZE_LIMIT)
+            for i in np.flatnonzero(~sure):
+                winner[i] = _direct_winner(codebook, block[i])
         best[lo : lo + len(block)] = winner
     return best
 

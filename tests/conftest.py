@@ -35,11 +35,11 @@ def _kernel_cache(tmp_path_factory):
 @pytest.fixture
 def rewrite_model_payload():
     """``rewrite(src, edit, dst=None)``: write to `dst` (default `src`) the
-    model file `src` with line 1's payload replaced by ``edit(payload)``;
-    line 2, the codebook, is kept as it is."""
+    model file `src` with line 1's payload replaced by ``edit(payload)``,
+    unpadded; the raw float64 bytes after line 1 are kept as they are."""
     def rewrite(src, edit, dst=None):
-        header, codebook = Path(src).read_text().split("\n", 1)
-        Path(dst or src).write_text(json.dumps(edit(json.loads(header))) + "\n" + codebook)
+        header, body = Path(src).read_bytes().split(b"\n", 1)
+        Path(dst or src).write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + body)
     return rewrite
 
 

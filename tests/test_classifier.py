@@ -1,6 +1,5 @@
 """Tests for per-cluster class probabilities, posterior scoring, and model files."""
 
-import binascii
 import hashlib
 import json
 import re
@@ -259,67 +258,66 @@ def _toy_model(seed=0, joints=2, frames=10, window=2, rows=2, cols=2):
     return model, actions
 
 
-def _edit_line_2(edit):
-    """An edit of a model file's text that rewrites the hex between line 2's quotes."""
-    def apply(text):
-        header, codebook = text.split("\n", 1)
-        hex_ = codebook[1:codebook.index('"', 1)]
-        return f'{header}\n"{edit(hex_)}"\n'
+def _header_end(data: bytes) -> int:
+    """The length of a model file's line 1, its newline included."""
+    return data.index(b"\n") + 1
+
+
+def _with_values(data: bytes, at: int, values) -> bytes:
+    """Model file bytes with the float64 values from the `at`-th of its body on replaced."""
+    start = _header_end(data) + 8 * at
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return data[:start] + raw + data[start + len(raw):]
+
+
+_WRONG_SIZE = (r"the arrays after line 1 hold \d+ bytes, "
+               r"expected 8 \* units \* \(dim \+ classes\) = 448")
+
+
+def _header_edit(edit):
+    """An edit of a model file's bytes that replaces line 1's payload by
+    ``edit(payload)``, unpadded, and keeps the bytes after it."""
+    def apply(data):
+        header, body = data.split(b"\n", 1)
+        return json.dumps(edit(json.loads(header))).encode() + b"\n" + body
     return apply
 
 
-def _first_line(text):
-    return text.split("\n", 1)[0]
+def _grid_edit(**change):
+    """A `_header_edit` that sets the fields of the grid in `change`."""
+    return _header_edit(lambda p: {**p, "grid": {**p["grid"], **change}})
 
 
-def _edit_line_1(edit):
-    """An edit of a model file's text that rewrites line 1's payload."""
-    def apply(text):
-        header, rest = text.split("\n", 1)
-        return f"{json.dumps(edit(json.loads(header)))}\n{rest}"
-    return apply
-
-
-def _beyond_any_float(payload):
-    """`payload` with its first class probability an integer no float holds."""
-    probs = payload["cluster_class_probs"]
-    return {**payload, "cluster_class_probs": [[10 ** 400, *probs[0][1:]], *probs[1:]]}
-
-
-_NOT_LINE_2 = "line 2 must be the last line and hold the codebook as one quoted hex string"
-_NOT_HEX = "the codebook on line 2 is not hex"
-_WRONG_SIZE = r"the codebook on line 2 holds \d+ bytes, expected rows \* cols \* dim \* 8 = 384"
-
-# Edits of a saved model file's text, and the error each gives (None: the
-# file loads as the saved model).
-_LINE_2_CASES = {
-    "CRLF copy": (lambda text: text.replace("\n", "\r\n"), None),
-    "no final newline": (lambda text: text[:-1], None),
-    "trailing whitespace": (lambda text: text + " \t\r\n\n", None),
-    "uppercase hex": (_edit_line_2(str.upper), None),
-    "line 1 cut short": (lambda text: text[:20] + text[text.index("\n"):],
+# Edits of a saved 2x2, 2-class model file's bytes whose error names the file.
+_FILE_CASES = {
+    "empty file": (lambda data: b"", "line 1 is not valid JSON"),
+    "line 1 cut short": (lambda data: data[:20] + data[data.index(b"\n"):],
                          "line 1 is not valid JSON"),
-    "probability beyond any float": (
-        _edit_line_1(_beyond_any_float),
-        r"field 'cluster_class_probs\[0\]\[0\]' must be a finite number, got 10000"),
-    "no line 2": (_first_line, _NOT_LINE_2),
-    "empty line 2": (lambda text: _first_line(text) + "\n", _NOT_LINE_2),
-    "line 2 not quoted": (
-        lambda text: text.replace('\n"', "\n").replace('"\n', "\n"), _NOT_LINE_2),
-    "line 2 not closed": (lambda text: text.replace('"\n', "\n"), _NOT_LINE_2),
-    "space before line 2": (lambda text: text.replace('\n"', '\n "'), _NOT_LINE_2),
-    "a third line": (lambda text: text + '"00"\n', _NOT_LINE_2),
-    "odd-length hex": (_edit_line_2(lambda h: h[:-1]), _NOT_HEX),
-    "not hex": (_edit_line_2(lambda h: "g" + h[1:]), _NOT_HEX),
-    "hex with a space": (_edit_line_2(lambda h: h[:16] + " " + h[16:]), _NOT_HEX),
-    "escaped digit": (_edit_line_2(lambda h: h.replace("0", "\\u0030", 1)), _NOT_HEX),
-    "truncated by one value": (_edit_line_2(lambda h: h[:-16]), _WRONG_SIZE),
-    "one value too many": (_edit_line_2(lambda h: h + "00" * 8), _WRONG_SIZE),
+    "line 1 not UTF-8": (lambda data: b"\xff" + data, "line 1 is not valid JSON"),
+    "no body": (lambda data: data[:_header_end(data)], _WRONG_SIZE),
+    "no newline": (lambda data: data[:_header_end(data) - 1], _WRONG_SIZE),
+    "space before the body": (lambda data: data[:_header_end(data)] + b" "
+                              + data[_header_end(data):], _WRONG_SIZE),
+    "a second header": (lambda data: data + data[:_header_end(data)], _WRONG_SIZE),
+    "zero rows": (_grid_edit(rows=0), r"fields 'grid.rows', 'grid.cols', 'grid.dim' "
+                                      r"must be >= 1, got 0, 2, 12$"),
+    "negative cols": (_grid_edit(cols=-2), r"fields 'grid.rows', 'grid.cols', 'grid.dim' "
+                                           r"must be >= 1, got 2, -2, 12$"),
+    "zero dim": (_grid_edit(dim=0), r"fields 'grid.rows', 'grid.cols', 'grid.dim' "
+                                    r"must be >= 1, got 2, 2, 0$"),
+    "no class": (lambda data: _header_edit(lambda p: {**p, "classes": []})(data)[:-64],
+                 "model needs at least one class$"),
+    "a class twice": (_header_edit(lambda p: {**p, "classes": p["classes"][:1] * 2}),
+                      "duplicate class labels$"),
+    "joint count off by one": (_header_edit(lambda p: {**p, "joint_count": 3}),
+                               r"codebook dimension 12 does not match "
+                               r"joint_count \* 3 \* window = 18$"),
 }
 
-# Text the property test inserts into a model file.
-_SNIPPETS = ['"', "\\", " ", "\t", "\r", "\n", "0", "A", "g", ",", ":", "{", "}", "[", "]",
-             "NaN", "Infinity", "true", "\\u0030", '"codebook":"00",', '"grid":{', '"",']
+# Bytes the property test inserts into a model file.
+_SNIPPETS = [b'"', b"\\", b" ", b"\t", b"\r", b"\n", b"0", b"A", b"g", b",", b":", b"{",
+             b"}", b"[", b"]", b"NaN", b"Infinity", b"true", b"\\u0030", b'"probs":[],',
+             b'"grid":{', b'"",', bytes(8), b"\xff" * 8]
 
 
 def _load_outcome(path):
@@ -334,85 +332,50 @@ def _load_outcome(path):
     return "model", again.read_bytes(), not model.grid.codebook.flags.writeable
 
 
-def _two_line_model(path):
-    """The bytes save_model writes for the model in `path` when its first line
-    and the rest of the file are each read by `json.loads`; None when that
+def _oracle_model(path):
+    """The bytes save_model writes for the model in `path` when its first line is
+    read by `json.loads` and the rest by `np.frombuffer`; None when that
     reading gives no model."""
-    header, _, codebook = path.read_bytes().partition(b"\n")
+    header, _, body = path.read_bytes().partition(b"\n")
     try:
         payload = json.loads(header)
-        if payload["format_version"] != MODEL_FORMAT_VERSION:
+        if payload.pop("format_version") != MODEL_FORMAT_VERSION:
             return None
-        model = classifier_module._decode_model(payload, bytes.fromhex(json.loads(codebook)))
-    except (ValueError, TypeError, KeyError):
+        grid, classes = payload.pop("grid"), payload.pop("classes")
+        units = grid["rows"] * grid["cols"]
+        values = np.frombuffer(body, dtype="<f8")
+        codebook = values[:units * grid["dim"]].reshape(units, grid["dim"])
+        probs = values[units * grid["dim"]:].reshape(units, len(classes))
+        model = ClassModel(SomGrid(grid["rows"], grid["cols"], codebook), classes, probs,
+                           PreprocessParams(**payload.pop("preprocess")),
+                           payload.pop("joint_count"))
+        if payload or set(grid) != {"rows", "cols", "dim"}:
+            return None
+    except (ValueError, TypeError, KeyError, AttributeError):
         return None
     again = path.with_name("oracle.json")
     save_model(model, again)
     return again.read_bytes()
 
 
-def _hex_outcome(hex_: bytes):
-    """The decoded bytes, or the error, of `hex_` as line 2 of a model file."""
-    try:
-        return bytes(classifier_module._unhex(memoryview(hex_)))
-    except ValueError as e:
-        return str(e)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LABEL = st.one_of(st.integers(-2**31, 2**31), st.text(max_size=6))
 
 
-def _unhexlify_outcome(hex_: bytes):
-    try:
-        return binascii.unhexlify(hex_)
-    except binascii.Error as e:
-        return f"the codebook on line 2 is not hex: {e}"
-
-
-def _compiled_hex(hex_: bytes):
-    """(what `dam_read_hex` returns, the bytes it wrote) for `hex_`."""
-    out = np.zeros(len(hex_) // 2, dtype=np.uint8)
-    return classifier_module._hex_reader()(hex_, len(hex_), out.ctypes.data), out.tobytes()
-
-
-@pytest.fixture(scope="module")
-def compiled_hex():
-    if classifier_module._hex_reader() is None:
-        pytest.skip("the hex decoder was not compiled here")
-
-
-_HEX_DIGITS = b"0123456789abcdefABCDEF"
-
-
-@pytest.mark.usefixtures("compiled_hex")
-class TestHexDecoder:
-    """Line 2's hex is decoded as `binascii.unhexlify` decodes it, whether the compiled
-    decoder reads it or declines it, in 16-digit blocks and in the tail after them."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(raw=st.binary(max_size=20), case=st.sampled_from(["lower", "upper", "mixed"]),
-           flips=st.randoms(use_true_random=False))
-    def test_hex_decodes_as_unhexlify_does(self, raw, case, flips):
-        hex_ = raw.hex().encode()
-        if case == "upper":
-            hex_ = hex_.upper()
-        elif case == "mixed":
-            hex_ = bytes(c ^ 0x20 if c > 0x60 and flips.random() < 0.5 else c for c in hex_)
-        assert _compiled_hex(hex_) == (len(raw), raw)
-        assert _hex_outcome(hex_) == raw == binascii.unhexlify(hex_)
-
-    def test_a_byte_that_is_no_hex_digit_is_declined_anywhere(self):
-        # 40 digits: two 16-digit blocks, then a tail of 8.
-        for byte in set(range(256)) - set(_HEX_DIGITS):
-            for at in range(40):
-                hex_ = bytearray(b"0123456789abcdefABCDEF0123456789abcdef01")
-                hex_[at] = byte
-                hex_ = bytes(hex_)
-                assert _compiled_hex(hex_)[0] == -1, (byte, at)
-                assert _hex_outcome(hex_) == _unhexlify_outcome(hex_), (byte, at)
-
-    @pytest.mark.parametrize("length", range(1, 42, 2))
-    def test_an_odd_length_is_declined(self, length):
-        hex_ = (b"0123456789abcdef" * 3)[:length]
-        assert _compiled_hex(hex_)[0] == -1
-        assert _hex_outcome(hex_) == _unhexlify_outcome(hex_)
+@st.composite
+def _models(draw):
+    """A model of a random grid, joint count and class list, whose codebook takes
+    any finite float64 and whose probability rows sum to 1 or are all zero."""
+    rows, cols, joints = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    params = PreprocessParams(frames=4, window=draw(st.integers(1, 3)))
+    units, dim = rows * cols, params.feature_dim(joints)
+    codebook = draw(hnp.arrays(np.float64, (units, dim), elements=_FINITE))
+    classes = draw(st.lists(_LABEL, min_size=1, max_size=4, unique_by=repr))
+    weights = draw(hnp.arrays(np.float64, (units, len(classes)),
+                              elements=st.floats(0.0, 1.0) | st.just(-0.0)))
+    sums = weights.sum(axis=1, keepdims=True)
+    probs = np.divide(weights, sums, out=weights.copy(), where=sums > 0)
+    return ClassModel(SomGrid(rows, cols, codebook), classes, probs, params, joints)
 
 
 class TestClassifyAction:
@@ -463,20 +426,26 @@ class TestModelFile:
         save_model(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_file_is_two_canonical_json_lines(self, tmp_path):
-        # Line 1 is json.dumps of every field but the codebook, quotes and
-        # non-ASCII included; line 2 is the codebook's hex as a JSON string.
+    def test_file_is_a_padded_json_line_then_raw_float64(self, tmp_path):
+        # Line 1 is json.dumps of every field but the two arrays, quotes and
+        # non-ASCII included, padded with spaces to end on a multiple of 8
+        # bytes; the codebook and the probabilities follow as little-endian
+        # float64.
         model, _ = _toy_model(seed=5, rows=3, cols=4)
         model.classes = ['say "hi"', "caf\u00e9"]
         path = tmp_path / "m.json"
         save_model(model, path)
-        header, codebook, end = path.read_text().split("\n")
+        data = path.read_bytes()
+        end = _header_end(data)
+        header = data[:end - 1].rstrip(b" ")
+        assert end % 8 == 0 and end - len(header) <= 8
         payload = json.loads(header)
         assert payload["classes"] == model.classes
         assert payload["grid"] == {"rows": 3, "cols": 4, "dim": model.grid.dim}
-        assert header == json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert codebook == json.dumps(model.grid.codebook.tobytes().hex())
-        assert end == ""
+        assert "cluster_class_probs" not in payload
+        assert header == json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        assert data[end:] == (model.grid.codebook.astype("<f8").tobytes()
+                              + model.cluster_class_probs.astype("<f8").tobytes())
 
     def test_integer_and_string_labels_survive(self, tmp_path):
         params = PreprocessParams(frames=8, window=2)
@@ -495,80 +464,138 @@ class TestModelFile:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", ["1", "2"])
+    @pytest.mark.parametrize("version", ["1", "2", "3"])
     def test_format_1_file_names_both_versions(self, tmp_path, version):
         # Format 1 held the codebook as decimals and format 2 as hex, both in
-        # one JSON object on one line; either is refused by its version.
+        # one JSON object on one line; format 3 held the probabilities on
+        # line 1 and the codebook's hex on line 2. Each is refused by its
+        # version.
         model, _ = _toy_model()
         path = tmp_path / "m.json"
         save_model(model, path)
-        payload = json.loads(path.read_text().split("\n")[0])
+        payload = json.loads(path.read_bytes().split(b"\n")[0])
         payload["format_version"] = version
-        payload["grid"]["codebook"] = (model.grid.codebook.tolist() if version == "1"
-                                       else model.grid.codebook.tobytes().hex())
-        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        payload["cluster_class_probs"] = model.cluster_class_probs.tolist()
+        hex_ = model.grid.codebook.tobytes().hex()
+        if version != "3":
+            payload["grid"]["codebook"] = model.grid.codebook.tolist() if version == "1" else hex_
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        path.write_text(text + f'"{hex_}"\n' * (version == "3"))
         with pytest.raises(ValueError, match=(
                 rf"^{re.escape(str(path))}: unsupported model format version '{version}' "
-                r"\(this build reads '3'\); re-create it with `dam train`$")):
+                r"\(this build reads '4'\); re-create it with `dam train`$")):
             load_model(path)
 
-    @settings(max_examples=100, deadline=None,
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(codebook=st.integers(1, 3).flatmap(lambda units: hnp.arrays(
-        np.float64, (units, 3), elements=st.floats(allow_nan=False, allow_infinity=False))))
-    @example(codebook=np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
-                                [1.7976931348623157e308, -1.7976931348623157e308, 0.0]]))
-    def test_codebook_bits_round_trip(self, tmp_path, codebook):
-        params = PreprocessParams(frames=4, window=1)
-        units = codebook.shape[0]
-        model = ClassModel(SomGrid(rows=1, cols=units, codebook=codebook), ["a"],
-                           np.ones((units, 1)), params, joint_count=1)
+    @given(model=_models())
+    @example(model=ClassModel(
+        SomGrid(1, 2, np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                                [1.7976931348623157e308, -1.7976931348623157e308, 0.0]])),
+        [0, "\u00e9\U0001f600"], np.array([[-0.0, 1.0], [5e-324, 1.0]]),
+        PreprocessParams(frames=4, window=1), 1))
+    def test_every_model_round_trips_bit_for_bit(self, tmp_path, model):
+        path, again = tmp_path / "m.json", tmp_path / "again.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        save_model(model, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert loaded.grid.codebook.tobytes() == model.grid.codebook.tobytes()
+        assert loaded.cluster_class_probs.tobytes() == model.cluster_class_probs.tobytes()
+        assert (loaded.classes, loaded.params, loaded.joint_count) == (
+            model.classes, model.params, model.joint_count)
+        assert (loaded.grid.rows, loaded.grid.cols) == (model.grid.rows, model.grid.cols)
+        codebook, probs = loaded.grid.codebook, loaded.cluster_class_probs
+        assert codebook.dtype == probs.dtype == np.float64
+        assert not codebook.flags.writeable and codebook.flags.c_contiguous
+        assert codebook.flags.aligned and probs.flags.writeable
+
+    @pytest.mark.parametrize("change", [*range(-16, 0), *range(1, 17)])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model=_models())
+    def test_a_body_cut_or_extended_by_any_byte_count_is_refused(self, tmp_path, model,
+                                                                 change):
         path = tmp_path / "m.json"
         save_model(model, path)
-        loaded = load_model(path).grid.codebook
-        assert loaded.tobytes() == codebook.tobytes()
-        assert not loaded.flags.writeable and loaded.flags.c_contiguous and loaded.flags.aligned
-        assert loaded.dtype == np.float64
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + b"\x00" * change)
+        units, width = model.grid.unit_count, model.grid.dim + len(model.classes)
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: the arrays after line 1 hold "
+                rf"{len(data) - _header_end(data) + change} bytes, expected 8 \* units \* "
+                rf"\(dim \+ classes\) = {8 * units * width}$")):
+            load_model(path)
 
-    @pytest.mark.parametrize("case", list(_LINE_2_CASES))
-    def test_line_2_holds_the_codebook_or_the_file_is_refused(self, tmp_path, case):
-        edit, error = _LINE_2_CASES[case]
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 5, -1])
+    def test_a_codebook_value_that_is_not_finite_is_refused(self, tmp_path, value, at):
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        path.write_bytes(_with_values(path.read_bytes(), at % model.grid.codebook.size, [value]))
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: codebook contains non-finite values$")):
+            load_model(path)
+
+    def test_a_negative_probability_is_refused(self, tmp_path):
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        path.write_bytes(_with_values(path.read_bytes(), model.grid.codebook.size, [-0.5, 1.5]))
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: cluster_class_probs contains negative entries$")):
+            load_model(path)
+
+    def test_an_unaligned_body_is_read_into_an_aligned_codebook(self, tmp_path,
+                                                                rewrite_model_payload):
+        # rewrite_model_payload writes line 1 unpadded, so the body after it
+        # starts off a multiple of 8 bytes.
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        saved = path.read_bytes()
+        rewrite_model_payload(path, lambda p: p)
+        assert _header_end(path.read_bytes()) % 8
+        assert _load_outcome(path) == ("model", saved, True)
+        assert load_model(path).grid.codebook.flags.aligned
+
+    @pytest.mark.parametrize("case", list(_FILE_CASES))
+    def test_a_damaged_file_is_refused_by_name(self, tmp_path, case):
+        edit, error = _FILE_CASES[case]
         model, _ = _toy_model()
         saved = tmp_path / "saved.json"
         save_model(model, saved)
         path = tmp_path / "m.json"
-        path.write_bytes(edit(saved.read_text()).encode())
-        if error is None:
-            assert _load_outcome(path) == ("model", saved.read_bytes(), True)
-        else:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
-                load_model(path)
+        path.write_bytes(edit(saved.read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+            load_model(path)
 
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_an_edited_file_gives_its_two_line_model_or_an_error_naming_it(self, tmp_path,
-                                                                          data):
-        # One snippet inserted anywhere in a saved file, or one character
-        # deleted: the loaded model is the one json.loads reads from the two
-        # lines, or the error names the file.
+    def test_an_edited_file_gives_its_oracle_model_or_an_error_naming_it(self, tmp_path, data):
+        # One snippet inserted anywhere in a saved file, or as many bytes
+        # overwritten: the loaded model is the one json.loads and
+        # np.frombuffer read from the file's two parts, or the error names
+        # the file.
         model, _ = _toy_model(rows=1, cols=2)
         path = tmp_path / "m.json"
         save_model(model, path)
-        text = path.read_text()
-        at = data.draw(st.integers(0, len(text)))
+        saved = path.read_bytes()
+        at = data.draw(st.integers(0, len(saved)))
         snippet = data.draw(st.sampled_from(_SNIPPETS))
-        cut = data.draw(st.integers(0, 1))
-        path.write_bytes((text[:at] + snippet + text[at + cut:]).encode())
+        cut = data.draw(st.sampled_from([0, len(snippet)]))
+        path.write_bytes(saved[:at] + snippet + saved[at + cut:])
         outcome = _load_outcome(path)
         if outcome[0] == "model":
-            assert outcome[1:] == (_two_line_model(path), True)
+            assert outcome[1:] == (_oracle_model(path), True)
         else:
             assert outcome[1].startswith(f"{path}: ")
 
     def test_file_bytes_match_the_pinned_digest(self, tmp_path):
-        # Fails on any change of key order, separators, codebook byte order
-        # or float formatting; bump MODEL_FORMAT_VERSION with such a change.
+        # Fails on any change of key order, separators, padding, array order
+        # or byte order; bump MODEL_FORMAT_VERSION with such a change.
         params = PreprocessParams(frames=4, window=1)
         codebook = np.array([[0.1, -0.0, 5e-324], [1e300, -2.5, 3.0]])
         model = ClassModel(SomGrid(rows=1, cols=2, codebook=codebook), [0, "b"],
@@ -576,44 +603,14 @@ class TestModelFile:
         path = tmp_path / "m.json"
         save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "96cb610445337cb35f41e6ec4364413bb5a8450daf2e00f7664055f9e55673c2"
+        assert digest == "29232bb6f23b1c6c891f32771b50eaa3b715f1be6e6ab194458d6065230bb86b"
 
-    def test_corrupted_probability_rows_fail_validation(self, tmp_path, rewrite_model_payload):
+    def test_corrupted_probability_rows_fail_validation(self, tmp_path):
         model, _ = _toy_model()
         path = tmp_path / "m.json"
         save_model(model, path)
-        rewrite_model_payload(path, lambda p: {
-            **p, "cluster_class_probs": [[0.4, 0.4], *p["cluster_class_probs"][1:]]})
-        with pytest.raises(ValueError, match="row"):
-            load_model(path)
-
-    def test_a_ragged_probability_row_names_the_field_and_its_width(self, tmp_path,
-                                                                    rewrite_model_payload):
-        # numpy would refuse the ragged table as an "inhomogeneous shape",
-        # naming no field.
-        model, _ = _toy_model()
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        rewrite_model_payload(path, lambda p: {
-            **p, "cluster_class_probs": [*p["cluster_class_probs"][:-1], [1.0]]})
-        last = model.grid.unit_count - 1
-        with pytest.raises(ValueError, match=(
-                rf"^{re.escape(str(path))}: field 'cluster_class_probs' row {last} has 1 "
-                rf"entries, expected one per class, {len(model.classes)}$")):
-            load_model(path)
-
-    @pytest.mark.parametrize("probs", [[True, False], [1, False], ["1.0", "0"]],
-                             ids=["bools", "int-and-bool", "strings"])
-    def test_probabilities_must_be_json_numbers(self, tmp_path, rewrite_model_payload, probs):
-        # numpy reads true/false as 1.0/0.0 and a numeric string as its value;
-        # every row here would sum to 1.
-        model, _ = _toy_model()
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        rewrite_model_payload(path, lambda p: {
-            **p, "cluster_class_probs": [probs] * len(p["cluster_class_probs"])})
-        with pytest.raises(ValueError, match=(
-                "field 'cluster_class_probs' must be an array of arrays of JSON numbers")):
+        path.write_bytes(_with_values(path.read_bytes(), model.grid.codebook.size, [0.4, 0.4]))
+        with pytest.raises(ValueError, match="row 0 sums to"):
             load_model(path)
 
     def test_model_validation_catches_shape_drift(self):

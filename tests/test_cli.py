@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import warnings
@@ -102,12 +103,20 @@ MALFORMED_MODEL_EDITS = {
         lambda p: {**p, "classes": [[0], 1, 2]},
     "unknown field 'extra'": lambda p: {**p, "extra": 1},
     "unknown field 'grid.extra'": lambda p: {**p, "grid": {**p["grid"], "extra": 1}},
-    "'cluster_class_probs'": lambda p: {**p, "cluster_class_probs": [[{}]]},
-    "'cluster_class_probs' row 0 has 1 entries, expected one per class, 3": lambda p: {
-        **p, "cluster_class_probs": [[1.0], *p["cluster_class_probs"][1:]]},
-    "'cluster_class_probs[1][2]' must be a finite number": lambda p: {
-        **p, "cluster_class_probs": [p["cluster_class_probs"][0], [0, 0, 10 ** 400],
-                                     *p["cluster_class_probs"][2:]]},
+    "unknown field 'cluster_class_probs'": lambda p: {**p, "cluster_class_probs": [[1.0]]},
+    "the arrays after line 1 hold": lambda p: {**p, "classes": [*p["classes"], 3]},
+}
+
+# Each edit of the float64 values after a valid model file's line 1, given the
+# offset of the first probability and the class count, keyed by its error.
+MODEL_BODY_EDITS = {
+    "the arrays after line 1 hold": lambda data, at, classes: data[:-1],
+    "codebook contains non-finite values": lambda data, at, classes: (
+        data[:at - 8] + np.array([np.inf], "<f8").tobytes() + data[at:]),
+    "cluster_class_probs contains negative entries": lambda data, at, classes: (
+        data[:at] + np.array([-0.5], "<f8").tobytes() + data[at + 8:]),
+    "cluster_class_probs row 0 sums to": lambda data, at, classes: (
+        data[:at] + np.full(classes, 0.4, "<f8").tobytes() + data[at + 8 * classes:]),
 }
 
 
@@ -536,21 +545,36 @@ class TestClassify:
         assert line.startswith(prefix)
         assert field in line[len(prefix):]
 
-    def test_format_2_model_file_gives_one_error_line(self, capsys, tmp_path, canon_dir,
+    @pytest.mark.parametrize("error", list(MODEL_BODY_EDITS))
+    def test_damaged_model_body_gives_one_error_line(self, capsys, tmp_path, canon_dir,
+                                                     model_path, error):
+        model = load_model(model_path)
+        data = model_path.read_bytes()
+        at = data.index(b"\n") + 1 + 8 * model.grid.codebook.size
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MODEL_BODY_EDITS[error](data, at, len(model.classes)))
+        code, stdout, stderr = run(capsys, "classify", "--model", str(bad),
+                                   str(canon_dir / "c0_s01_i00.txt"))
+        assert (code, stdout) == (1, "")
+        [line] = stderr.splitlines()
+        assert line.startswith(f"error: {bad}: {error}")
+
+    def test_format_3_model_file_gives_one_error_line(self, capsys, tmp_path, canon_dir,
                                                       model_path):
-        # A format-2 file is one JSON object on one line, its codebook's hex
-        # inside `grid`.
-        header, codebook, _ = model_path.read_text().split("\n")
-        payload = json.loads(header)
-        payload["format_version"] = "2"
-        payload["grid"]["codebook"] = json.loads(codebook)
+        # A format-3 file held the probabilities on line 1 and its codebook's
+        # hex as a JSON string on line 2.
+        model = load_model(model_path)
+        payload = json.loads(model_path.read_bytes().split(b"\n")[0])
+        payload["format_version"] = "3"
+        payload["cluster_class_probs"] = model.cluster_class_probs.tolist()
         old = tmp_path / "old.json"
-        old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        old.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+                       + f'"{model.grid.codebook.tobytes().hex()}"\n')
         code, stdout, stderr = run(capsys, "classify", "--model", str(old),
                                    str(canon_dir / "c0_s01_i00.txt"))
         assert (code, stdout) == (1, "")
-        assert stderr == (f"error: {old}: unsupported model format version '2' (this build "
-                          "reads '3'); re-create it with `dam train`\n")
+        assert stderr == (f"error: {old}: unsupported model format version '3' (this build "
+                          "reads '4'); re-create it with `dam train`\n")
 
     @pytest.mark.parametrize("group", [2, cli._CLASSIFY_GROUP], ids=["groups-of-2", "one-group"])
     def test_one_call_prints_what_one_file_calls_print(self, capsys, monkeypatch, tmp_path,
@@ -638,7 +662,9 @@ _EDITS = st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 12), st.sampled_
                   min_size=1, max_size=3)
 
 
-def _edited(text: str, edits) -> bytes:
+def _edited(text: str | bytes, edits) -> bytes:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", "surrogateescape")
     for where, cut, insert in edits:
         at = int(where * len(text))
         text = text[:at] + insert + text[at + cut:]
@@ -656,7 +682,7 @@ def _no_content_line(data: bytes) -> bool:
 
 @pytest.fixture(scope="module")
 def contract_inputs(canon_dir, model_path) -> dict:
-    """Input kind -> (valid files by name, the file edits hit, `dam` argv).
+    """Input kind -> (valid files' text or bytes by name, the file edits hit, `dam` argv).
 
     In the argv, "{d}" stands for the directory that holds the files.
     """
@@ -677,7 +703,7 @@ def contract_inputs(canon_dir, model_path) -> dict:
             {"c.txt": canonical}, "c.txt", ["classify", "--model", str(model_path), "{d}"]),
         "canonical file (convert)": ({"c.txt": canonical}, "c.txt", ["convert", "{d}", "{d}/out"]),
         "model file": (
-            {"c.txt": canonical, "model.json": model_path.read_text()}, "model.json",
+            {"c.txt": canonical, "model.json": model_path.read_bytes()}, "model.json",
             ["classify", "--model", "{d}/model.json", "{d}/c.txt"]),
         "MSR-Action3D dump": (
             {"a01_s01_e01_skeleton.txt": dump + "\n"}, "a01_s01_e01_skeleton.txt",
@@ -707,7 +733,7 @@ class TestInputContract:
         files, target, argv = contract_inputs[kind]
         d = tmp_path_factory.mktemp("edited")
         for name, text in files.items():
-            (d / name).write_text(text)
+            (d / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         edited = _edited(files[target], edits)
         (d / target).write_bytes(edited)
         # An exception out of main would be a traceback from the console script.
@@ -1043,15 +1069,23 @@ class TestPinnedBytes:
         path = tmp_path / "model.json"
         assert run(capsys, "train", str(pinned_dir), *PINNED_ARGS, "-o", str(path))[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9a3419d38de33e587c32b68787dcbd7b0e9f1687a4371f94f5e0aa2d9b5f5a6e")
+            "6af96d02dafb2b84ec03af0084512e716485cec750150ea9bf9c04ebfe83dcde")
 
 
-# SHA-256 of each file `dam evaluate --protocol cross-subject` writes on `noisy_dir`.
+# SHA-256 of each file `dam evaluate` writes on `noisy_dir`, by protocol.
 NOISY_EVALUATE_DIGESTS = {
-    "confusion.csv": "1a0f6855df410b93101bac27e78912395f2433c6683a6005a833f29a9dc8923a",
-    "per_subject.csv": "6b60d05511c69c53a2514eeb420faf51fbbd92aac4e5faf8da81edce2653340f",
-    "probmatrix.csv": "3f48abadfeb6d59bb3888ca46edeec4087679fab7d05385f0ca6b1ce0cc4722c",
-    "results.csv": "df5e36eef4096969cd27a42ba3e5057f9b4b4742e6c3195fc59f58e260776de3",
+    "cross-subject": {
+        "confusion.csv": "1a0f6855df410b93101bac27e78912395f2433c6683a6005a833f29a9dc8923a",
+        "per_subject.csv": "6b60d05511c69c53a2514eeb420faf51fbbd92aac4e5faf8da81edce2653340f",
+        "probmatrix.csv": "3f48abadfeb6d59bb3888ca46edeec4087679fab7d05385f0ca6b1ce0cc4722c",
+        "results.csv": "df5e36eef4096969cd27a42ba3e5057f9b4b4742e6c3195fc59f58e260776de3",
+    },
+    "loso": {
+        "confusion.csv": "6e425eb35b78fc90c54a40352dc9f2143483ee18c7bbec2634fd30d8d99db28f",
+        "per_subject.csv": "00f6ea9f3abffd28b957f5386604707b8aac4bd572c3f79e0f9ff6bb5a66a6aa",
+        "probmatrix.csv": "318f3e16b57d2cd36cc5630683cfae5fbdacf6274a6923466d373efeb9bc09d0",
+        "results.csv": "e7d829519607f5841b0f21dee9138b10c7f2e76802523115408a411d9baeee9a",
+    },
 }
 
 
@@ -1093,17 +1127,21 @@ class TestPinnedScores:
         assert hashlib.sha256(model.cluster_class_probs.tobytes()).hexdigest() == (
             "b0ab82f05212011e6b5dd50d8f8125f7a83b91dcb1bc830cd9083198d53bc8b6")
 
-    def test_evaluate_csvs(self, capsys, tmp_path, noisy_dir):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("protocol", sorted(NOISY_EVALUATE_DIGESTS))
+    def test_evaluate_csvs(self, capsys, tmp_path, noisy_dir, protocol, jobs):
         out = tmp_path / "out"
         code, _, _ = run(capsys, "evaluate", str(noisy_dir), *PINNED_ARGS, "--runs", "3",
-                         "--protocol", "cross-subject", "--jobs", "1", "--output-dir", str(out))
+                         "--protocol", protocol, "--jobs", jobs, "--output-dir", str(out))
         assert code == 0
         assert {name: hashlib.sha256(data).hexdigest()
-                for name, data in tree_bytes(out).items()} == NOISY_EVALUATE_DIGESTS
-        # No run scores 1, so the digests pin scores and not only predictions.
+                for name, data in tree_bytes(out).items()} == NOISY_EVALUATE_DIGESTS[protocol]
+        # No run (no LOSO fold) scores 1, so the digests pin scores and not
+        # only predictions.
         accuracies = [float(line.split(",")[-1])
                       for line in (out / "results.csv").read_text().splitlines()[1:]]
-        assert len(accuracies) == 3 and max(accuracies) < 1
+        assert len(accuracies) == {"cross-subject": 3, "loso": 6}[protocol]
+        assert max(accuracies) < 1
 
 
 # Each command that reads a dataset directory, as run by the streaming tests;
@@ -1232,6 +1270,46 @@ class _BlasProbe(ProcessPoolExecutor):
 
     def map(self, fn, tasks):
         return [self.submit(_native.blas_threads).result() for _ in tasks]
+
+
+def _worker_threads() -> int:
+    """This process's thread count after a product large enough for OpenBLAS to thread."""
+    a = np.ones((256, 256))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
+
+
+class _ForkedThreadProbe(ProcessPoolExecutor):
+    """A forked pool whose `map` returns, per task, its worker's thread count."""
+
+    def __init__(self, workers, **kwargs):
+        super().__init__(workers, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+    def map(self, fn, tasks):
+        return [self.submit(_worker_threads).result() for _ in tasks]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or _native.blas_threads() is None,
+                    reason="needs Linux's /proc and OpenBLAS's thread calls")
+@pytest.mark.skipif(os.cpu_count() == 1 or "1" in map(os.environ.get, (
+                        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")),
+                    reason="OpenBLAS was loaded with one thread")
+def test_a_worker_forked_from_a_one_thread_parent_runs_on_one_thread(monkeypatch):
+    # Setting OpenBLAS's thread count in a forked worker rebuilds its pool,
+    # whose new helper thread spins beside the worker's first task; a
+    # worker that inherits the count it needs sets nothing.
+    dataset = make_directional_dataset(classes=2, subjects=4, instances=1, raw_frames=12,
+                                       joints=2, seed=0)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _ForkedThreadProbe)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(PreprocessParams(frames=10, window=2), 2, 2, runs=2)
+    tasks = evaluation._tasks(evaluation.CROSS_SUBJECT, dataset, cfg, dataset)
+    caller = _native.blas_threads(1)
+    try:
+        assert list(evaluation._run_tasks(dataset, tasks, jobs=2)) == [1, 1]
+        assert _native.blas_threads() == 1
+    finally:
+        _native.blas_threads(caller)
 
 
 @pytest.mark.skipif(_native.blas_threads() is None,

@@ -277,6 +277,30 @@ RUN_SINGLE_DIGESTS = [
 ]
 
 
+class TestPinnedRunScores:
+    # A corpus no split classifies perfectly, so that no prob matrix row is
+    # one-hot and the digest sees the score arithmetic, not just the argmax.
+    @pytest.mark.parametrize("split", [0, 1, 2])
+    def test_run_single_prob_matrix_is_pinned(self, split):
+        ds = make_directional_dataset(classes=4, subjects=6, instances=4, raw_frames=30,
+                                      joints=5, seed=1, noise=0.3, direction_jitter=2.0)
+        cfg = ExperimentConfig(PreprocessParams(frames=12, window=3), 5, 5,
+                               som=SomTrainParams(epochs=2))
+        train, test = split_cross_subject(ds, split)
+        result = run_single(train, test, cfg, som_seed=split + 10, run_index=split)
+        assert result.accuracy < 1
+        assert np.all(result.prob_matrix.max(axis=1) < 1)
+        assert (hashlib.sha256(result.prob_matrix.tobytes()).hexdigest()
+                == NOISY_PROB_MATRIX_DIGESTS[split])
+
+
+NOISY_PROB_MATRIX_DIGESTS = [
+    "f6ad0dfc67894856326b0587cf32c421ea5ff1ef3d0ebe66046603d518200617",
+    "3fe80ae11a48bf8541648c8d452cb9ba3615794e88b9102c5047df62afb422fb",
+    "df25c609df0081ef9eedbc68da1beebf03f90fcda3b071dc04cef9f52df195b6",
+]
+
+
 @pytest.fixture(scope="module")
 def paper_half():
     """The seed-0 paper-scale corpus (6 classes, 10 subjects, 10 instances, 20

@@ -336,6 +336,20 @@ class TestBmuProperties:
         with np.errstate(over="ignore"):
             assert bmu(grid, np.array([1.3e154])) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_unit_too_large_to_square_is_searched_without_a_warning(self):
+        # Any finite codebook is a valid grid, as a model file may hold one:
+        # its overflowing scores and distances warn of nothing, and the
+        # winners stay the direct form's.
+        big = np.finfo(np.float64).max
+        codebook = np.array([[big, -big, 0.0], [1.0, 0.0, 0.0], [-1e200, 0.0, 0.0],
+                             [0.0, 1.0, 0.0]])
+        grid = SomGrid(rows=2, cols=2, codebook=codebook)
+        xs = np.random.default_rng(9).normal(size=(50, 3))
+        with np.errstate(over="ignore"):
+            expected = _direct_oracle(codebook, xs)
+        assert_array_equal(bmu_batch(grid, xs), expected)
+
     def test_subnormal_distances_follow_the_direct_form(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
