@@ -11,9 +11,9 @@ class order. `fit_model` and `score_actions` stack a list of sets first.
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -208,32 +208,32 @@ def save_model(model: ClassModel, path) -> None:
     }
     header = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     header += " " * (-(len(header) + 1) % 8) + "\n"
-    Path(path).write_bytes(b"".join([header.encode(), *(
-        array.astype("<f8", copy=False).tobytes()
-        for array in (model.grid.codebook, model.cluster_class_probs))]))
+    with open(path, "wb") as f:
+        f.write(header.encode())
+        for array in (model.grid.codebook, model.cluster_class_probs):
+            f.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def load_model(path) -> ClassModel:
     """Parse and fully validate a model file written by save_model.
 
-    Every error, a malformed structure included, is a ValueError that names
-    the file. The codebook is a read-only view of the file's bytes, copied
-    only when they are not 8-byte aligned; `cluster_class_probs` is a
-    writeable copy.
+    Line 1 is read and checked, then the size of the rest against the file's
+    (so it must be a regular file) before any array is allocated; each array is
+    then read in place, the codebook into a read-only one that `SomGrid` keeps.
+    Every error, a malformed structure included, is a ValueError naming the file.
     """
-    data = Path(path).read_bytes()
-    try:
-        return _decode_model(data)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    with open(path, "rb") as f:
+        try:
+            return _read_model(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
-def _decode_model(data: bytes) -> ClassModel:
-    """The model that a model file's bytes hold."""
-    end = data.find(b"\n")
-    end = len(data) if end < 0 else end
+def _read_model(f) -> ClassModel:
+    """The model that the binary file `f`, at its start, holds."""
+    line = f.readline()
     try:
-        payload = json.loads(data[:end])
+        payload = json.loads(line.removesuffix(b"\n"))
     except ValueError as e:
         raise ValueError(f"line 1 is not valid JSON: {e}") from None
     if not isinstance(payload, dict):
@@ -260,20 +260,20 @@ def _decode_model(data: bytes) -> ClassModel:
         if not (is_kind(label, int) or is_kind(label, str)):
             raise ValueError(f"field 'classes[{i}]' must be a JSON integer or string, "
                              f"got {reprlib.repr(label)}")
-    units, size = rows * cols, max(len(data) - end - 1, 0)
-    if size != 8 * units * (dim + len(classes)):
-        raise ValueError(
-            f"the arrays after line 1 hold {size} bytes, expected 8 * units * "
-            f"(dim + classes) = {8 * units * (dim + len(classes))}"
-        )
-    values = np.frombuffer(data, dtype="<f8", offset=end + 1)
-    if not values.flags.aligned:  # off BLAS's fast paths: copy
-        values = values.copy()
-        values.flags.writeable = False
+    units, size = rows * cols, os.fstat(f.fileno()).st_size - len(line)
+    expected = 8 * units * (dim + len(classes))
+    if size != expected:
+        raise ValueError(f"the arrays after line 1 hold {size} bytes, expected 8 * units * "
+                         f"(dim + classes) = {expected}")
+    codebook, probs = np.empty((units, dim), "<f8"), np.empty((units, len(classes)), "<f8")
+    if f.readinto(codebook) + f.readinto(probs) + len(f.read(1)) != expected:
+        raise ValueError(f"the file changed size while it was read: the arrays after "
+                         f"line 1 no longer hold the {expected} bytes it had")
+    codebook.flags.writeable = False
     return ClassModel(
-        grid=SomGrid(rows=rows, cols=cols, codebook=values[:units * dim].reshape(units, dim)),
+        grid=SomGrid(rows=rows, cols=cols, codebook=codebook),
         classes=classes,
-        cluster_class_probs=values[units * dim:].reshape(units, len(classes)).copy(),
+        cluster_class_probs=probs,
         params=params,
         joint_count=field(payload, "joint_count", int),
     )

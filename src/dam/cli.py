@@ -43,7 +43,7 @@ from .evaluation import (
     _evaluate,
     _fit,
     _sweep,
-    _sweep_axes,
+    _sweep_combos,
     window_table,
     write_confusion_csv,
     write_per_subject_csv,
@@ -213,9 +213,12 @@ def som_params(settings: dict) -> SomTrainParams:
     fields = _given(settings, "epochs")
     if "learning_rate" in settings:
         fields["learning_rate_start"], fields["learning_rate_end"] = settings["learning_rate"]
-    if "som_radius" in settings:
-        fields["radius_start"], fields["radius_end"] = settings["som_radius"]
-    return SomTrainParams(**fields)
+    params = SomTrainParams(**fields)
+    try:  # SomTrainParams names radius_start and radius_end, which no flag or file holds
+        return replace(params, **dict(zip(("radius_start", "radius_end"),
+                                          settings.get("som_radius", ()))))
+    except ValueError as e:
+        raise ValueError(f"som_radius: {e}") from None
 
 
 def experiment_config(settings: dict) -> ExperimentConfig:
@@ -403,10 +406,9 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_base(settings: dict) -> ExperimentConfig:
     _require(settings, "frames", "windows", "grids")
-    _sweep_axes(settings["windows"], settings["grids"])
-    return experiment_config(
-        {**settings, "window": settings["windows"][0], "grid": settings["grids"][0]}
-    )
+    # A 1-window, 1x1 config holds whenever the other settings do.
+    base = experiment_config({**settings, "window": 1, "grid": (1, 1)})
+    return _sweep_combos(base, settings["windows"], settings["grids"])[0]
 
 
 def cmd_sweep(args) -> int:
@@ -523,7 +525,7 @@ def main(argv=None) -> int:
         return _fail(e, 2)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         return _fail(e, 1)
     finally:
         _native.blas_threads(caller_threads)

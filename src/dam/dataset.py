@@ -253,46 +253,29 @@ def _frame_lines(frames: np.ndarray) -> bytes:
     return "".join([" ".join(map(repr, row)) + "\n" for row in table.tolist()]).encode("ascii")
 
 
-def _compiled_table(text: str | bytes, width: int, skip: int,
-                    rows: int | None, reader=None) -> np.ndarray | None:
-    """The (n, width) table of `text`'s content lines after the first `skip`,
-    from the compiled reader, or None when it cannot give it.
+def _compiled_table(data: bytes, width: int, skip: int, rows: int | None,
+                    reader) -> np.ndarray | None:
+    """The (n, width) table of the content lines of a file's bytes `data` after
+    the first `skip`, from `reader`, the compiled reader (`_table_reader()`), or
+    None when it is None or cannot give the table.
 
-    `text` is a file's text or its bytes; the reader declines every byte
-    outside ASCII. `rows`, when given, is the number of rows it must have.
-    `reader` is `_table_reader()`, looked up when not given.
+    The reader declines every byte outside ASCII. `rows`, when given, is the
+    number of rows it must have.
     """
     if reader is None:
-        reader = _table_reader()
-    if reader is None:
         return None
-    if isinstance(text, str):
-        if not text.isascii():
-            return None
-        text = text.encode("ascii")
     # A row takes at least 2 * width - 1 bytes and a line break, which bounds
-    # the rows the text can hold.
-    capacity = (len(text) + 1) // (2 * width) if width > 0 else 0
+    # the rows the bytes can hold.
+    capacity = (len(data) + 1) // (2 * width) if width > 0 else 0
     if rows is not None:
         capacity = rows if 0 <= rows <= capacity else 0
     if capacity == 0:
         return None
     table = np.empty((capacity, width))
-    count = reader(text, len(text), skip, width, capacity, table.ctypes.data)
+    count = reader(data, len(data), skip, width, capacity, table.ctypes.data)
     if count < 0 or (rows is not None and count != rows):
         return None
     return table if count == capacity else table[:count].copy()
-
-
-def _read_table(text: str, width: int) -> np.ndarray:
-    """The (n, width) float64 table of `text`'s content lines.
-
-    The compiled reader reads the table when it loads and accepts the text;
-    any other text goes to `_content_lines`, which gives the same values, as
-    float() parses them, or the error naming the first bad line.
-    """
-    table = _compiled_table(text, width, 0, None)
-    return _convert_lines(_content_lines(text), width) if table is None else table
 
 
 # One line of a file's bytes and its end: \n, \r\n, \r or the end of the bytes.
@@ -424,10 +407,19 @@ def serialize_action(action: Action) -> str:
     return _header(action) + _frame_lines(action.frames).decode("ascii")
 
 
-def _read_file_table(path: Path, text: str, width: int) -> np.ndarray:
-    """`_read_table` of `path`'s `text`, which must have a row; errors name the file."""
+def _read_file_table(path: Path, data: bytes, width: int) -> np.ndarray:
+    """The (n, width) float64 table of the content lines of `path`'s bytes
+    `data`, which must have a row; errors name the file.
+
+    The compiled reader reads the table when it loads and accepts the bytes;
+    any others are decoded as `Path.read_text` decodes a file and go to
+    `_content_lines`, which gives the same values, as float() parses them,
+    or the error naming the first bad line.
+    """
+    table = _compiled_table(data, width, 0, None, _table_reader())
     try:
-        table = _read_table(text, width)
+        if table is None:
+            table = _convert_lines(_content_lines(_file_text(data)), width)
     except ValueError as e:
         raise ValueError(f"{path.name}: {e}") from None
     if not len(table):
@@ -541,7 +533,7 @@ def _action3d_actions(directory, apply_exclusions: bool = True) -> tuple:
 
     def actions():
         for path in paths:
-            records = _read_file_table(path, path.read_text(), 4)
+            records = _read_file_table(path, path.read_bytes(), 4)
             if records.shape[0] % MSR_ACTION3D_JOINTS != 0:
                 raise ValueError(f"{path.name}: {records.shape[0]} records is not a multiple "
                                  f"of {MSR_ACTION3D_JOINTS} joints")
@@ -670,8 +662,8 @@ def _msrc12_actions(directory, layout: Msrc12Layout | None = None,
             if ids and excluded.issuperset(ids):  # every instance excluded: table unread
                 dropped = True
                 continue
-            text = seq_path.read_text().replace(",", " ")
-            table = _read_file_table(seq_path, text, layout.values_per_frame)
+            data = seq_path.read_bytes().replace(b",", b" ")
+            table = _read_file_table(seq_path, data, layout.values_per_frame)
             if columns is None:
                 columns = (
                     layout.first_joint_column

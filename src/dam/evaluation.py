@@ -126,12 +126,12 @@ def window_table(actions: tuple, params) -> tuple[Dataset, dict]:
     """One pass over the (count, (name, action) pairs) stream `actions`: the
     Dataset of their frame-free records, and a float64 table per distinct
     PreprocessParams p of `params`, where action i owns rows [i w, (i + 1) w),
-    w = ``p.wdf_count``, of its `preprocess_action` output. Each table holds
-    `count` actions from the first, grows in place by a quarter when more come,
-    and is cut to the rows written, so an action's frames can go once its rows
-    are written.
-    An error names the action: one whose joint count is not the first's, or
-    that preprocessing refuses."""
+    w = ``p.wdf_count``, of its `preprocess_action` output. Each table is
+    allocated once for `count` actions, an upper bound on those the stream
+    yields, and cut to the rows written, so an action's frames can go once
+    its rows are written.
+    An error names the action: one beyond `count`, one whose joint count is
+    not the first's, or one that preprocessing refuses."""
     count, actions = actions
     records, tables = [], {}
     for name, action in actions:
@@ -139,13 +139,13 @@ def window_table(actions: tuple, params) -> tuple[Dataset, dict]:
             joints = action.num_joints
             tables = {p: np.empty((count * p.wdf_count, p.feature_dim(joints))) for p in params}
         try:
+            if len(records) == count:
+                raise ValueError(f"the stream yields more than the {count} actions it counted")
             if action.num_joints != joints:
                 raise ValueError(f"{action.num_joints} joints, the first action has {joints}")
             for p, table in tables.items():
-                rows = slice(len(records) * p.wdf_count, (len(records) + 1) * p.wdf_count)
-                if rows.stop > len(table):
-                    table.resize((rows.stop * 5 // 4, table.shape[1]), refcheck=False)
-                table[rows] = preprocess_action(action, p)
+                first = len(records) * p.wdf_count
+                table[first:first + p.wdf_count] = preprocess_action(action, p)
         except ValueError as e:
             raise ValueError(f"{name}: {e}") from None
         records.append(_Record(action.id, action.subject, action.label, action.num_joints))
@@ -361,18 +361,25 @@ class SweepRow:
     std_accuracy: float
 
 
-def _sweep_axes(windows, grids) -> tuple[list, list]:
-    """The windows and (rows, cols) grids of a sweep, as lists; a ValueError when
-    either is empty or lists an entry twice (it would train every task twice)."""
+def _sweep_combos(cfg: ExperimentConfig, windows, grids) -> list:
+    """The config of each window x (rows, cols) grid combination from `cfg`, windows
+    outer; a ValueError when an axis is empty or lists an entry twice (every task
+    would train twice), or names the index of an entry `cfg` cannot take."""
     windows = list(windows)
     grids = [(r, c) for r, c in grids]
     if not windows or not grids:
         raise ValueError("need at least one window and one grid")
-    for name, items in (("windows", windows), ("grids", grids)):
+    for name, items, make in (("windows", windows, lambda w: replace(cfg.preprocess, window=w)),
+                              ("grids", grids, lambda g: replace(cfg, rows=g[0], cols=g[1]))):
         for i, item in enumerate(items):
             if item in items[:i]:
                 raise ValueError(f"{name} lists {item!r} twice")
-    return windows, grids
+            try:
+                make(item)
+            except ValueError as e:
+                raise ValueError(f"{name}[{i}]: {e}") from None
+    return [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
+            for w in windows for r, c in grids]
 
 
 def parameter_sweep(dataset: Dataset, cfg: ExperimentConfig, windows, grids,
@@ -385,7 +392,7 @@ def parameter_sweep(dataset: Dataset, cfg: ExperimentConfig, windows, grids,
     usually reported. All combinations share the master seed, so their
     underlying splits are paired. Every window, grid and subset is checked
     before the first codebook is trained, and none may be listed twice
-    (`_sweep_axes`).
+    (`_sweep_combos`).
     """
     return _sweep(_named(dataset), cfg, windows, grids, action_sets, jobs)
 
@@ -393,9 +400,7 @@ def parameter_sweep(dataset: Dataset, cfg: ExperimentConfig, windows, grids,
 def _sweep(actions: tuple, cfg: ExperimentConfig, windows, grids, action_sets, jobs):
     """`parameter_sweep` of the `window_table` stream `actions`, of which it
     preprocesses, once per window, the actions of the subsets' classes."""
-    windows, grids = _sweep_axes(windows, grids)
-    combos = [replace(cfg, preprocess=replace(cfg.preprocess, window=w), rows=r, cols=c)
-              for w in windows for r, c in grids]
+    combos = _sweep_combos(cfg, windows, grids)
     if action_sets:
         wanted = {label for labels in action_sets.values() for label in labels}
         count, stream = actions

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -559,6 +562,72 @@ class TestModelFile:
         assert _header_end(path.read_bytes()) % 8
         assert _load_outcome(path) == ("model", saved, True)
         assert load_model(path).grid.codebook.flags.aligned
+
+    def test_a_claimed_size_is_checked_before_any_array_is_allocated(self, tmp_path):
+        # Line 1 claims a 10^6 x 10^3 grid, 96 TB of arrays, in a file of a
+        # few hundred bytes: refused by length, with no allocation near that.
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        data = path.read_bytes()
+        header = json.loads(data[:_header_end(data)])
+        header["grid"].update(rows=10**6, cols=10**3)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    rf"^{re.escape(str(path))}: the arrays after line 1 hold 64 bytes, "
+                    rf"expected 8 \* units \* \(dim \+ classes\) = {8 * 10**9 * 14}$")):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path.read_bytes()) < 400 and peak < 2**20
+
+    def test_each_array_is_read_in_place_and_the_body_is_not_copied(self, tmp_path):
+        # A 64x64 map with 32 classes: 384 KB of codebook and 1 MB of
+        # probabilities. Loading holds the two arrays it read into and little
+        # more; a copy of the probabilities, or the body as bytes beside
+        # them, would add at least 1 MB.
+        rng = np.random.default_rng(0)
+        params = PreprocessParams(frames=4, window=1)
+        probs = rng.dirichlet(np.ones(32), size=64 * 64)
+        model = ClassModel(SomGrid(64, 64, rng.normal(size=(64 * 64, 12))), list(range(32)),
+                           probs, params, joint_count=4)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        body = len(path.read_bytes()) - _header_end(path.read_bytes())
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < body + probs.nbytes // 2
+        codebook = loaded.grid.codebook
+        assert not codebook.flags.writeable
+        assert codebook.base is None and codebook.flags.owndata
+        assert loaded.cluster_class_probs.base is None
+        assert codebook.nbytes + loaded.cluster_class_probs.nbytes == body
+        assert codebook.tobytes() == model.grid.codebook.tobytes()
+        assert loaded.cluster_class_probs.tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("change", [-9, -1, 1, 8])
+    def test_a_file_that_changes_size_while_read_is_refused(self, tmp_path, monkeypatch,
+                                                            change):
+        # os.fstat reports the size the file had when it was saved; the bytes
+        # then read run short, or on past the two arrays.
+        model, _ = _toy_model()
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(data)))
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(str(path))}: the file changed size while it was read: the "
+                rf"arrays after line 1 no longer hold the {len(data) - _header_end(data)} "
+                rf"bytes it had$")):
+            load_model(path)
 
     @pytest.mark.parametrize("case", list(_FILE_CASES))
     def test_a_damaged_file_is_refused_by_name(self, tmp_path, case):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import logging
 import multiprocessing
 import os
 import shutil
+import tempfile
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -964,16 +968,17 @@ class TestSweep:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "AS1" in stderr
 
-    @pytest.mark.parametrize("windows, code", [("2,10", 1), ("0", 2)])
+    @pytest.mark.parametrize("windows, entry", [("2,10", "windows[1]"), ("0", "windows[0]")])
     def test_bad_window_rejected_before_training(self, capsys, tmp_path, canon_dir,
-                                                 monkeypatch, windows, code):
+                                                 monkeypatch, windows, entry):
         trained = []
         monkeypatch.setattr(evaluation, "train_som", lambda *a, **kw: trained.append(a))
         out = tmp_path / "s.csv"
         got, _, stderr = run(capsys, "sweep", str(canon_dir), "-o", str(out),
                              "--frames", "10", "--windows", windows, "--grids", "2x2")
-        assert got == code
-        assert stderr.startswith("error: window must be in") and stderr.count("\n") == 1
+        assert got == 2
+        assert stderr.startswith(f"error: {entry}: window must be in")
+        assert stderr.count("\n") == 1
         assert trained == [] and not out.exists()
 
     @pytest.mark.parametrize("axes, message", [
@@ -1264,6 +1269,20 @@ class TestTopLevel:
         assert code == 2
         assert stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.57 TiB"),
+                                       MemoryError()], ids=["message", "bare"])
+    def test_a_setting_too_large_for_memory_is_one_error_line(self, capsys, monkeypatch,
+                                                             canon_dir, tmp_path, error):
+        # `--frames 1000000000` passes the settings, and on a small machine its
+        # first table allocation fails.
+        def window_table(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "window_table", window_table)
+        code, _, stderr = run(capsys, "train", str(canon_dir), *FAST, "-o",
+                              str(tmp_path / "m.json"))
+        assert (code, stderr) == (1, f"error: {str(error) or 'MemoryError'}\n")
+
 
 class _BlasProbe(ProcessPoolExecutor):
     """A pool whose `map` returns, per task, its worker's OpenBLAS thread count."""
@@ -1389,3 +1408,170 @@ class TestShippedConfigs:
         path = Path(dam.__file__).parent / "configs" / "msrc12_layout.json"
         layout = cli._load_layout(path)
         assert layout == Msrc12Layout()
+
+
+# What a `dam` command may give each setting, as a flag and in a config file:
+# (values accepted on their own, values refused on their own). A setting
+# absent from the flag table is given in the config file only.
+_INF, _NAN = float("inf"), float("nan")
+_FLAG_VALUES = {
+    "frames": (["4", "12"], ["1", "0", "-3", "2.5", "x", ""]),
+    "window": (["1", "3"], ["0", "-1", "1.5"]),
+    "grid": (["2x2", "3X2", "1x3"], ["2", "0x2", "2x", "axb", "-1x2", "2x2x2"]),
+    "epochs": (["1", "2"], ["0", "-1", "1.5"]),
+    "seed": (["0", "7", str(2**64)], ["-1", "1.5"]),
+    "runs": (["1", "2"], ["0", "-2"]),
+    "jobs": (["1"], ["0", "-1"]),
+    "protocol": (["loso", "cross-subject", "LOSO"], ["xyz", ""]),
+    "windows": (["1,2", "3"], ["", "1,,2", "0", "1,1", "a", "1,0", "2,40"]),
+    "grids": (["2x2,1x3", "3x3"], ["", "2x2,2x2", "0x1", "2", "2x2,0x1"]),
+    "action_sets": ([{"a": [0, 1]}, {"a": [0, 1], "b": [1, 2]}],
+                    [{}, {"a": []}, {"a": [True]}, [0, 1], "not JSON"]),
+}
+_CONFIG_VALUES = {
+    "frames": ([4, 12], [1, 0, 2.5, "7", True, None]),
+    "window": ([1, 3], [0, 1.5, "2", False]),
+    "grid": (["2x2", [3, 2]], ["2", [2], [2.5, 2], [0, 2], [True, 2], {}]),
+    "epochs": ([1, 2], [0, 1.5, "1"]),
+    "seed": ([0, 7, 2**64], [-1, 1.5, "3"]),
+    "runs": ([1, 2], [0, 1.5]),
+    "jobs": ([1], [0, 1.5, "1"]),
+    "protocol": (["loso", "cross_subject_half"], ["x", 3]),
+    "learning_rate": ([[0.5, 0.01], [0.1, 0.1], [1, 1e-300]],
+                      [[0.5], [-1, 0.1], [0.5, "a"], [_INF, 0.1], [_NAN, 0.1], 0.5, [0, 0.1]]),
+    "som_radius": ([[None, 1.0], [2.0, 0.5], [1e150, 1.06e-154]],
+                   [[0, 1], [1.0], [None, 0], [1e200, 1.06e-154], [_NAN, 1]]),
+    "smoothing_sigma": ([0, 1.5, 1e-150], [-1, "1", _INF, _NAN, 10**400, 1e-300]),
+    "smoothing_radius": ([0, 3], [-1, 1.5]),
+    "norm_epsilon": ([1e-9, 1.0], [0, -1, _NAN, _INF]),
+    "windows": ([[1, 2], "1,2"], [[], [0], [1, 1], [1.5], "1,,2", [1, 0], [2, 40]]),
+    "grids": ([["2x2", [1, 3]]], [[], ["2x2", [2, 2]], [[0, 1]], ["2x2", [1, 0]]]),
+    "action_sets": ([{"a": [0, 1]}], [{}, {"a": []}, {"a": [0.5]}, [0, 1]]),
+}
+# The settings each command must be given, and the others it reads.
+_COMMAND_KEYS = {
+    "train": (("frames", "window", "grid"), ("epochs", "seed")),
+    "evaluate": (("frames", "window", "grid"), ("epochs", "seed", "runs", "jobs", "protocol")),
+    "sweep": (("frames", "windows", "grids"), ("epochs", "seed", "runs", "jobs",
+                                                "action_sets")),
+}
+_CONFIG_ONLY = ("learning_rate", "som_radius", "smoothing_sigma", "smoothing_radius",
+                "norm_epsilon")
+
+
+def _dam(command: str, data: Path, drawn: dict) -> tuple:
+    """(exit code, stderr lines, logged warnings) of `dam command data` given
+    each (where, value) of `drawn` as a flag or a config entry; a Python
+    warning raises."""
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        argv, config = [command, str(data)], {}
+        for key, (where, value) in drawn.items():
+            if where == "config":
+                config[key] = value
+            elif key == "action_sets":
+                path = scratch / "sets.json"
+                path.write_text(value if isinstance(value, str) else json.dumps(value))
+                argv += ["--action-sets", str(path)]
+            else:
+                argv += [f"--{key}", value]
+        if config:
+            (scratch / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(scratch / "config.json")]
+        argv += {"train": ["-o", str(scratch / "m.json")],
+                 "evaluate": ["--output-dir", str(scratch / "out")],
+                 "sweep": ["-o", str(scratch / "sweep.csv")]}[command]
+        err, records = io.StringIO(), []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logging.getLogger().addHandler(handler)
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+        finally:
+            logging.getLogger().removeHandler(handler)
+    return code, err.getvalue().splitlines(), [r.getMessage() for r in records]
+
+
+def _names(keys) -> list:
+    """The ways an error may name each setting: as a config key, a flag or words."""
+    return [name for key in keys for name in (key, key.replace("_", "-"), key.replace("_", " "))]
+
+
+def _refusals() -> list:
+    """(command, setting, where, value) of each value refused on its own."""
+    cases = []
+    for command, (needed, optional) in _COMMAND_KEYS.items():
+        for key in (*needed, *optional, *_CONFIG_ONLY):
+            for where, table in (("flag", _FLAG_VALUES), ("config", _CONFIG_VALUES)):
+                if key in table and not (where == "flag" and key in _CONFIG_ONLY):
+                    cases += [(command, key, where, value) for value in table[key][1]]
+    return cases
+
+
+@st.composite
+def _command_lines(draw):
+    """(command, {setting: (where, value)}, refused settings): each setting the
+    command must be given and some others, each a flag or a config entry; in
+    about one command of three, one setting takes a refused value."""
+    command = draw(st.sampled_from(sorted(_COMMAND_KEYS)))
+    needed, optional = _COMMAND_KEYS[command]
+    keys = [*needed, *draw(st.lists(st.sampled_from([*optional, *_CONFIG_ONLY]),
+                                    unique=True, max_size=3))]
+    wrong = draw(st.sampled_from(keys)) if draw(st.integers(0, 2)) == 0 else None
+    drawn = {}
+    for key in keys:
+        flag = key in _FLAG_VALUES and key not in _CONFIG_ONLY and draw(st.booleans())
+        good, refused = (_FLAG_VALUES if flag else _CONFIG_VALUES)[key]
+        drawn[key] = ("flag" if flag else "config",
+                      draw(st.sampled_from(refused if key == wrong else good)))
+    return command, drawn, {wrong} - {None}
+
+
+class TestDrawnSettings:
+    """Every setting the command line and config files accept trains, fits and
+    scores; anything else exits 2 with one `error:` line that names it."""
+
+    @pytest.mark.parametrize("command, key, where, value", _refusals(), ids=repr)
+    def test_each_refused_value_exits_2_naming_its_setting(self, canon_dir, monkeypatch,
+                                                           command, key, where, value):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        needed = _COMMAND_KEYS[command][0]
+        drawn = {k: ("config", _CONFIG_VALUES[k][0][0]) for k in needed}
+        drawn[key] = (where, value)
+        code, lines, _ = _dam(command, canon_dir, drawn)
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert any(name in lines[0] for name in _names([key])), lines
+
+    @settings(max_examples=90, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_command_lines())
+    def test_refused_by_name_or_run_without_a_warning(self, canon_dir, monkeypatch, case):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        command, drawn, refused = case
+        code, lines, logged = _dam(command, canon_dir, drawn)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert any(name in lines[0] for name in _names(drawn)), (drawn, lines)
+        else:
+            assert not refused, f"{refused} accepted: {drawn}"
+            assert (code, lines, logged) == (0, [], []), drawn
+
+    def test_a_sweep_grid_after_the_first_is_refused_as_a_setting(self, canon_dir):
+        # Only the first window and grid were checked with the settings; a
+        # later one failed once the sweep ran, exiting 1.
+        code, lines, _ = _dam("sweep", canon_dir, {
+            "frames": ("config", 4), "windows": ("config", [1]), "grids": ("flag", "2x2,0x1")})
+        assert (code, lines) == (2, ["error: grids[1]: grid must be at least 1x1 in rows x "
+                                     "cols, got 0x1"])
+
+    def test_a_refused_som_radius_is_named(self, canon_dir):
+        # SomTrainParams names its fields radius_start and radius_end, which
+        # no config file holds.
+        code, lines, _ = _dam("train", canon_dir, {
+            "frames": ("config", 4), "window": ("config", 1), "grid": ("config", "2x2"),
+            "som_radius": ("config", [0, 1])})
+        assert (code, lines) == (2, ["error: som_radius: radius_start (0.0) must be finite "
+                                     "and >= radius_end (1.0)"])

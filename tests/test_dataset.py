@@ -718,6 +718,16 @@ def _on_both_readers(read) -> tuple:
         return compiled, _outcome(read)
 
 
+def _compiled(data: bytes, width: int, skip: int, rows: int | None):
+    """`_compiled_table` of a file's bytes `data` on the compiled reader."""
+    return dataset._compiled_table(data, width, skip, rows, dataset._table_reader())
+
+
+def _read(data: bytes, width: int) -> np.ndarray:
+    """The table `_read_file_table` reads from a file's bytes `data`."""
+    return dataset._read_file_table(Path("t.csv"), data, width)
+
+
 @pytest.fixture(scope="module")
 def compiled_reader():
     if dataset._table_reader() is None:
@@ -807,7 +817,7 @@ class TestCompiledReader:
     def test_raw_table_reads_the_same_on_both_readers(self, case):
         width, text = case
         compiled, python = _on_both_readers(
-            lambda: dataset._read_file_table(Path("t.csv"), text, width))
+            lambda: dataset._read_file_table(Path("t.csv"), text.encode(), width))
         assert compiled == python
 
     def test_a_million_tokens_match_float_bit_for_bit(self):
@@ -818,20 +828,20 @@ class TestCompiledReader:
         assert len(normal) > 1_000_000
         # The zeros, subnormals and infinities each go through both readers.
         for i in np.flatnonzero((magnitude < 2 * DBL_MIN) | (magnitude == np.inf)).tolist():
-            compiled = dataset._compiled_table(tokens[i], 1, 0, None)
+            compiled = _compiled(tokens[i].encode(), 1, 0, None)
             if compiled is not None:
                 assert compiled.tobytes() == values[i].tobytes(), tokens[i]
-            assert dataset._read_table(tokens[i], 1).tobytes() == values[i].tobytes()
+            assert _read(tokens[i].encode(), 1).tobytes() == values[i].tobytes()
         # The compiled reader reads the normal tokens of at most 19 significant
         # digits; the Python one reads the longer ones, which the compiled one
         # declines.
         long = np.array([_significant_digits(tokens[i]) > 19 for i in normal.tolist()])
         assert long.sum() > 150_000
         for i in normal[long][::4001].tolist():
-            assert dataset._compiled_table(tokens[i], 1, 0, None) is None, tokens[i]
-        for part, read in ((normal[~long], lambda text: dataset._compiled_table(text, 1, 0, None)),
-                           (normal[long], lambda text: dataset._read_table(text, 1))):
-            table = read("\n".join([tokens[i] for i in part.tolist()]))
+            assert _compiled(tokens[i].encode(), 1, 0, None) is None, tokens[i]
+        for part, read in ((normal[~long], lambda text: _compiled(text, 1, 0, None)),
+                           (normal[long], lambda text: _read(text, 1))):
+            table = read("\n".join([tokens[i] for i in part.tolist()]).encode())
             assert table is not None and table.shape == (len(part), 1)
             wrong = np.flatnonzero(table.reshape(-1).view(np.uint64)
                                    != values[part].view(np.uint64))
@@ -841,14 +851,14 @@ class TestCompiledReader:
     def test_hard_cases_match_float_or_are_declined(self, token):
         value = float(token)
         want = np.float64(value).tobytes()
-        compiled = dataset._compiled_table(token, 1, 0, None)
+        compiled = _compiled(token.encode(), 1, 0, None)
         if _in_normal_range(token, value):
             assert compiled is not None
         if _out_of_range(token, value):
             assert compiled is None
         if compiled is not None:
             assert compiled.tobytes() == want
-        assert dataset._read_table(token, 1).tobytes() == want
+        assert _read(token.encode(), 1).tobytes() == want
 
     @pytest.mark.parametrize("text", [
         "1 2\n3 4\x0b\n", "1 2\n\x1f\n", "1\xa02\n", "1 2\n3 4 5\n", "1 2\n3\n",
@@ -856,9 +866,9 @@ class TestCompiledReader:
         *(f"# a{byte}1 2\n1 2\n" for byte in "\x0b\x0c\x1c\x1d\x1e\x1f"),
     ], ids=repr)
     def test_declined_tables_are_left_to_python(self, text):
-        assert dataset._compiled_table(text, 2, 0, None) is None
+        assert _compiled(text.encode(), 2, 0, None) is None
         # The same byte in a skipped header line.
-        assert dataset._compiled_table("h\n" + text, 2, 1, None) is None
+        assert _compiled(("h\n" + text).encode(), 2, 1, None) is None
 
     def test_tokens_of_more_than_19_significant_digits_are_left_to_python(self):
         # Eisel-Lemire is exact up to 19 significant digits; a longer token
@@ -868,10 +878,10 @@ class TestCompiledReader:
                 for row in values.tolist()]
         text = "\n".join(rows)
         for token in text.split():
-            assert dataset._compiled_table(token, 1, 0, None) is None, token
-        assert dataset._compiled_table(text, 6, 0, None) is None
+            assert _compiled(token.encode(), 1, 0, None) is None, token
+        assert _compiled(text.encode(), 6, 0, None) is None
         want = np.array([[float(t) for t in row.split()] for row in rows])
-        assert dataset._read_table(text, 6).tobytes() == want.tobytes()
+        assert _read(text.encode(), 6).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("zeros", [0, 123_200])
     @pytest.mark.parametrize("exponent", ["1234567", "100000", "-100000", "+0100000"])
@@ -880,8 +890,9 @@ class TestCompiledReader:
         # 123456, 1234567 behind 123 200 fraction zeros lands back in range
         # and reads as a finite 1e255, where float() gives inf.
         token = f"0.{'0' * zeros}1e{exponent}"
-        assert dataset._compiled_table(token, 1, 0, None) is None
-        assert dataset._read_table(token, 1).tobytes() == np.float64(float(token)).tobytes()
+        data = token.encode()
+        assert _compiled(data, 1, 0, None) is None
+        assert _read(data, 1).tobytes() == np.float64(float(token)).tobytes()
 
     def test_powers_of_five_match_the_published_table(self):
         # Entries of the table in fast_float (q = -342, -1, 0), which the
@@ -910,11 +921,11 @@ class TestCompiledReader:
                 pytest.skip("no locale with a comma decimal point here")
         try:
             assert locale.localeconv()["decimal_point"] == ","
-            assert dataset._compiled_table(token, 1, 0, None) is None
-            assert dataset._compiled_table("1.5", 1, 0, None)[0, 0] == 1.5
+            assert _compiled(token.encode(), 1, 0, None) is None
+            assert _compiled(b"1.5", 1, 0, None)[0, 0] == 1.5
         finally:
             locale.setlocale(locale.LC_NUMERIC, before)
-        assert dataset._read_table(token, 1)[0, 0] == float(token)
+        assert _read(token.encode(), 1)[0, 0] == float(token)
 
 
 def _set_numeric_locale(name: str) -> bool:
@@ -1166,7 +1177,7 @@ class TestDigitRuns:
         for pad in range(8):
             for tail in ("", " ", "\n12345678"):
                 text = " " * pad + token + tail
-                compiled = dataset._compiled_table(text, 1, 0, None)
+                compiled = _compiled(text.encode(), 1, 0, None)
                 want = dataset._convert_lines(dataset._content_lines(text), 1)
                 if compiled is None:
                     assert not _in_normal_range(token, float(token)), text

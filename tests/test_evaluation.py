@@ -538,9 +538,9 @@ class TestLoso:
 
 
 class TestWindowTable:
-    @pytest.mark.parametrize("count", [1, 3, 24, 40], ids=lambda c: f"count={c}")
+    @pytest.mark.parametrize("count", [24, 40], ids=lambda c: f"count={c}")
     def test_rows_are_the_stacked_windows_whatever_the_count(self, directional, count):
-        # 24 actions: a table allocated for fewer grows, one for more is cut.
+        # 24 actions: a table allocated for more is cut.
         params = [PreprocessParams(frames=10, window=w) for w in (1, 2, 1)]
         records, tables = evaluation.window_table(
             (count, ((a.id, a) for a in directional)), params)
@@ -551,6 +551,17 @@ class TestWindowTable:
         for p, table in tables.items():
             assert table.flags.c_contiguous and table.flags.owndata
             assert_array_equal(table, np.vstack([preprocess_action(a, p) for a in directional]))
+
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 23], ids=lambda c: f"count={c}")
+    def test_a_stream_longer_than_its_count_is_refused(self, directional, count):
+        # The count sizes each table once, so it must bound the actions; the
+        # first action beyond it is named.
+        ident = directional.actions[count].id
+        with pytest.raises(ValueError, match=(
+                f"^{ident}: the stream yields more than the {count} actions it counted$")):
+            evaluation.window_table((count, ((a.id, a) for a in directional)),
+                                    [PreprocessParams(frames=10, window=1)])
 
 
 class TestRunsReadTheWindowTable:
