@@ -19,9 +19,9 @@ import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import class_order
-from .descriptor import pair_counts, table_bins
+from .descriptor import _set_winners, pair_counts, table_bins
 from .preprocess import PreprocessParams, preprocess_action
-from .som import SomGrid, bmu_batch
+from .som import SomGrid
 
 MODEL_FORMAT_VERSION = "4"
 _MODEL_FIELDS = ("format_version", "joint_count", "preprocess", "grid", "classes")
@@ -96,10 +96,9 @@ class Posterior:
 def table_class_probabilities(grid, table, labels, sizes, classes=None, subset=None):
     """(classes, probs): P(class | unit) estimated from labeled sets of rows of one table.
 
-    Set i, labelled labels[i], is the next sizes[i] rows of ``table[subset]``
-    (of the whole table when `subset` is None), which one winner search reads
-    in place. `classes` is the class order, by default the sorted labels; probs
-    is (units, classes), all-zero in the rows of units that won no training WDF.
+    Set i, labelled labels[i], is read as `dam.descriptor._set_winners` reads it. `classes`
+    is the class order, by default the sorted labels; probs is (units, classes), all-zero
+    in the rows of units that won no training WDF.
     """
     labels = list(labels)
     if len(sizes) != len(labels):
@@ -112,16 +111,12 @@ def table_class_probabilities(grid, table, labels, sizes, classes=None, subset=N
     if unknown:
         raise ValueError(f"label {unknown[0]!r} not in the class list {classes!r}")
 
-    read = len(table) if subset is None else len(subset)
-    if sum(sizes) != read:
-        raise ValueError(f"set sizes sum to {sum(sizes)}, not to the {read} rows read")
-    if not read:
+    owners, winners = _set_winners(grid, table, sizes, subset)
+    if not len(winners):
         raise ValueError("no training WDFs")
-    # One winner search over every training WDF; winner l of a WDF of class c
-    # counts in cell (l, c) of the (units, C) count table.
-    winners = bmu_batch(grid, table, subset=subset)
-    class_index = np.repeat([index[label] for label in labels], sizes)
-    counts = pair_counts(winners, class_index, (grid.unit_count, len(classes)))
+    # Winner l of a WDF of class c counts in cell (l, c) of the (units, C) table.
+    class_of_set = np.array([index[label] for label in labels], dtype=np.int64)
+    counts = pair_counts(winners, class_of_set[owners], (grid.unit_count, len(classes)))
     return classes, _per_row(counts, counts.sum(axis=1))
 
 

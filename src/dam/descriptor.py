@@ -14,21 +14,24 @@ def pair_counts(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> n
     return flat.reshape(shape).astype(np.float64)
 
 
-def table_bins(grid: SomGrid, table: np.ndarray, sizes, subset=None) -> np.ndarray:
-    """The (sets, units) bins of sets that are runs of rows of one (rows, dim) table.
+def _set_winners(grid: SomGrid, table: np.ndarray, sizes, subset=None):
+    """(owners, winners): the set index and the best-matching unit of each row read.
 
-    Set i is the next sizes[i] rows of ``table[subset]`` (of the whole table
-    when `subset` is None), which one winner search reads in place. Row i is
-    set i's histogram: bins[i, l] = |{rows of set i whose best-matching unit
-    is l}| / sizes[i], so each row sums to 1 whatever the codebook. No sets
-    give a (0, units) table, without a winner search.
+    Set i is the next sizes[i] rows of ``table[subset]`` (of the whole table when
+    `subset` is None), which one winner search reads in place; no rows read, no search.
     """
     read = len(table) if subset is None else len(subset)
-    if min(sizes, default=1) < 1 or sum(sizes) != read:
-        raise ValueError(f"set sizes must be >= 1 and sum to the {read} rows read")
-    if not read:
-        return np.zeros((0, grid.unit_count))
-    winners = bmu_batch(grid, table, subset=subset)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    owners = np.repeat(np.arange(len(sizes)), sizes)
-    return pair_counts(owners, winners, (len(sizes), grid.unit_count)) / sizes[:, None]
+    if min(sizes, default=0) < 0 or sum(sizes) != read:
+        raise ValueError(f"set sizes must be >= 0 and sum to the {read} rows read")
+    winners = bmu_batch(grid, table, subset=subset) if read else np.zeros(0, np.int64)
+    return np.repeat(np.arange(len(sizes)), sizes), winners
+
+
+def table_bins(grid: SomGrid, table: np.ndarray, sizes, subset=None) -> np.ndarray:
+    """The (sets, units) bins of sets of table rows, read as `_set_winners` reads them:
+    bins[i, l] = |{rows of set i whose best-matching unit is l}| / sizes[i], so each row
+    sums to 1 whatever the codebook. Each set needs a row; no sets give (0, units) bins."""
+    if min(sizes, default=1) < 1:
+        raise ValueError("every set needs at least one row")
+    owners, winners = _set_winners(grid, table, sizes, subset)
+    return pair_counts(owners, winners, (len(sizes), grid.unit_count)) / np.reshape(sizes, (-1, 1))

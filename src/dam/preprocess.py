@@ -83,7 +83,7 @@ def smooth_joint(
     Weights are exp(-k^2 / (2 sigma^2)) for offsets k in [-radius, radius];
     near the boundaries the kernel is truncated to valid samples and
     renormalized. A sigma that is not > 0 (NaN too) or radius <= 0 returns
-    the input unchanged.
+    the input unchanged; a radius of T or more smooths as radius T - 1.
 
     The sums run in one fixed order, whatever the CPU or the length: sample
     t is ``(((0.0 + w[-r] x[t-r]) + w[-r+1] x[t-r+1]) + ...) / (((0.0 +
@@ -94,6 +94,7 @@ def smooth_joint(
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ValueError(f"series must be 2-dimensional (T, d), got shape {series.shape}")
+    radius = min(radius, len(series) - 1)  # offsets past either end weigh nothing
     if not sigma > 0 or radius <= 0:
         return series.copy()
     n = series.shape[0]
@@ -322,7 +323,7 @@ def _compiled_windows(positions: np.ndarray, params: PreprocessParams) -> np.nda
         return None
     positions = np.ascontiguousarray(positions)
     steps, joints = positions.shape[:2]
-    radius = params.smoothing_radius if params.smoothing_sigma > 0 else 0
+    radius = min(params.smoothing_radius, steps - 1) if params.smoothing_sigma > 0 else 0
     kernel = _smoothing_kernel(params.smoothing_sigma, radius) if radius > 0 else None
     out = np.empty((params.wdf_count, params.feature_dim(joints)))
     status = chain(

@@ -99,7 +99,8 @@ class TestEstimate:
             for x in wdfs:
                 counts[bmu(grid, x), label] += 1
         calls = []
-        monkeypatch.setattr(classifier_module, "bmu_batch",
+        assert not hasattr(classifier_module, "bmu_batch")  # the search is dam.descriptor's
+        monkeypatch.setattr(descriptor, "bmu_batch",
                             lambda g, xs, subset=None: calls.append(
                                 len(xs) if subset is None else len(subset))
                             or bmu_batch(g, xs, subset=subset))

@@ -1,4 +1,4 @@
-"""Tests for cluster-occupancy histograms: `table_bins` of one set."""
+"""Tests for cluster-occupancy histograms: `table_bins` and the winners it reads."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,21 @@ from dam.descriptor import table_bins
 from dam.som import SomGrid
 
 
+def _winner_oracle(codebook, x):
+    """The best-matching unit of x by a plain loop over the units, ties to the lowest."""
+    best, best_d = 0, None
+    for idx, unit in enumerate(codebook):
+        d = float(((unit - x) ** 2).sum())
+        if best_d is None or d < best_d:
+            best, best_d = idx, d
+    return best
+
+
 def _histogram_oracle(codebook, wdfs):
     """Tally best-matching units with plain loops, then normalize."""
     bins = [0] * codebook.shape[0]
     for x in wdfs:
-        best, best_d = 0, None
-        for idx, unit in enumerate(codebook):
-            d = float(((unit - x) ** 2).sum())
-            if best_d is None or d < best_d:
-                best, best_d = idx, d
-        bins[best] += 1
+        bins[_winner_oracle(codebook, x)] += 1
     return np.array(bins, dtype=float) / len(wdfs)
 
 
@@ -34,6 +39,27 @@ class TestHistogramBins:
             grid = SomGrid(rows=1, cols=k, codebook=codebook)
             got = table_bins(grid, wdfs, [n])[0]
             assert_array_equal(got, _histogram_oracle(codebook, wdfs))
+
+            # Several sets of rows of `wdfs[subset]`, rows repeated and out of order.
+            sizes = [int(s) for s in rng.integers(1, 6, size=int(rng.integers(1, 5)))]
+            subset = rng.integers(0, n, size=sum(sizes))
+            rows = wdfs[subset]
+            owners, winners = descriptor._set_winners(grid, wdfs, sizes, subset)
+            assert_array_equal(owners, [i for i, s in enumerate(sizes) for _ in range(s)])
+            assert_array_equal(winners, [_winner_oracle(codebook, x) for x in rows])
+            bins = table_bins(grid, wdfs, sizes, subset)
+            ends = np.cumsum(sizes)
+            for i, end in enumerate(ends):
+                assert_array_equal(bins[i], _histogram_oracle(codebook, rows[end - sizes[i]:end]))
+
+            # A set of no rows is the core's to accept and the bins' to refuse.
+            at = int(rng.integers(0, len(sizes) + 1))
+            zeroed = sizes[:at] + [0] + sizes[at:]
+            owners, zeroed_winners = descriptor._set_winners(grid, wdfs, zeroed, subset)
+            assert_array_equal(owners, [i for i, s in enumerate(zeroed) for _ in range(s)])
+            assert_array_equal(zeroed_winners, winners)
+            with pytest.raises(ValueError, match="at least one row"):
+                table_bins(grid, wdfs, zeroed, subset)
 
     def test_bins_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -68,3 +94,6 @@ class TestHistogramBins:
             table_bins(grid, np.zeros((0, 3)), [0])
         with pytest.raises(ValueError):
             table_bins(grid, np.zeros((4, 2)), [4])
+        for sizes in ([2], [-1, 2], [1, 1, 1]):
+            with pytest.raises(ValueError, match="sum to the 1 rows read"):
+                descriptor._set_winners(grid, np.zeros((1, 3)), sizes)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam import _native, classifier, descriptor, evaluation, preprocess, som
+from dam import _native, descriptor, evaluation, preprocess, som
 from dam.classifier import _per_row, score_actions
 from dam.dataset import Dataset, split_cross_subject
 from dam.evaluation import (
@@ -361,11 +361,10 @@ class TestOneSearchPerTestHalf:
 
             monkeypatch.setattr(evaluation, "train_som", train_duplicated)
         searches, rescored = [], []
-        for module in (descriptor, classifier):
-            monkeypatch.setattr(module, "bmu_batch",
-                                lambda g, xs, subset=None, search=module.bmu_batch:
-                                searches.append(len(xs) if subset is None else len(subset))
-                                or search(g, xs, subset=subset))
+        monkeypatch.setattr(descriptor, "bmu_batch",
+                            lambda g, xs, subset=None, search=descriptor.bmu_batch:
+                            searches.append(len(xs) if subset is None else len(subset))
+                            or search(g, xs, subset=subset))
         monkeypatch.setattr(som, "_direct_winner",
                             lambda c, x, winner=som._direct_winner:
                             rescored.append(1) or winner(c, x))

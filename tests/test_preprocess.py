@@ -98,6 +98,23 @@ class TestSmoothing:
         want = 3.0 / (1.0 + math.exp(-0.5) + math.exp(-2.0))
         assert out[0, 0] == pytest.approx(want, rel=1e-12)
 
+    def test_a_radius_past_the_series_smooths_as_its_length_less_one(self, chain_path):
+        # A wide sigma, so that every offset up to the series' length weighs.
+        frames = np.cumsum(np.random.default_rng(5).normal(size=(30, 4, 3)), axis=0)
+        series = frames.reshape(30, 12)
+
+        def windows(radius):
+            params = PreprocessParams(frames=20, window=3, smoothing_sigma=8.0,
+                                      smoothing_radius=radius)
+            if chain_path == "compiled":
+                assert preprocess._compiled_windows(frames, params) is not None
+            return preprocess_action(frames, params).tobytes()
+
+        want = smooth_joint(series, sigma=8.0, radius=29).tobytes()
+        for radius in (30, 100, 10 ** 5, 10 ** 30):
+            assert smooth_joint(series, sigma=8.0, radius=radius).tobytes() == want
+            assert windows(radius) == windows(29)
+
     def test_input_not_mutated(self):
         series = np.arange(15.0).reshape(5, 3)
         copy = series.copy()
