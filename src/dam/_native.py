@@ -170,8 +170,9 @@ def _blas_thread_calls() -> tuple | None:
 def blas_threads(count: int | None = None) -> int | None:
     """The thread count of numpy's OpenBLAS, read before `count`, when given, is set;
     None, with nothing set, when that BLAS exports no OpenBLAS thread calls. A
-    count that is already set is not set again: in a forked process that
-    call would rebuild OpenBLAS's thread pool, and start a helper thread."""
+    count that is already set is not set again: in a process forked from one
+    that ran OpenBLAS's threads (a worker of the caller's own process pool),
+    that call would rebuild their pool, and start a helper thread."""
     if (calls := _blas_thread_calls()) is None:
         return None
     current = calls[0]()

@@ -475,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=int, default=None,
                    help=f"cross-subject repetitions (default {ExperimentConfig.runs})")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: the CPUs this process may use)")
+                   help="most runs trained at once (default: the CPUs this process may use)")
     p.add_argument("--exclusions", choices=("apply", "ignore", "both"), default=None,
                    help="exclusion-list handling (default: both when an exclusion "
                         "file is present, else apply)")
@@ -494,7 +494,7 @@ def build_parser() -> _Parser:
                    help=f"cross-subject repetitions per combination "
                         f"(default {ExperimentConfig.runs})")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: the CPUs this process may use)")
+                   help="most runs trained at once (default: the CPUs this process may use)")
     p.add_argument("--exclusions", choices=("apply", "ignore"), default="apply",
                    help="exclusion-list handling (default: apply)")
     p.add_argument("--output", "-o", required=True, help="sweep CSV file to write")

@@ -19,16 +19,17 @@ halves in place, as arrays of row indices of a table: `train_som`, the fit
 (`table_class_probabilities`) and the scores (`posteriors`) gather one
 cache-sized block at a time, so no run copies its windows. A sweep holds the
 tables of all its windows at once. Tasks run in a loop or on one pool of
-worker processes, each running OpenBLAS on its share of the usable CPUs.
-Per-run seeds are derived from the master seed, so every result is
-reproducible bit-for-bit whatever the number of workers.
+threads in the calling process, which read the tables in place; the SOM
+kernel and OpenBLAS's products run without the GIL. Per-run seeds are
+derived from the master seed, so every result is reproducible bit-for-bit
+whatever the number of threads.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -187,12 +188,12 @@ def _fit(cfg: ExperimentConfig, som_params: SomTrainParams, records: Dataset,
     return ClassModel(grid, classes, probs, cfg.preprocess, records.joint_count)
 
 
-def _run(task: tuple, state: tuple | None = None) -> RunResult:
-    """One (cfg, train_idx, test_idx, som_seed, run_index) task on `state`, the
-    `window_table` pair (`_worker_state` in a worker) whose records the indices
-    index. Action i owns rows [i w, (i + 1) w), w = ``cfg.preprocess.wdf_count``,
-    of the table of `cfg.preprocess`, and both halves are read there in place."""
-    records, tables = state or _worker_state
+def _run(task: tuple, windows: tuple) -> RunResult:
+    """One (cfg, train_idx, test_idx, som_seed, run_index) task on `windows`, the
+    `window_table` pair whose records the indices index. Action i owns rows
+    [i w, (i + 1) w), w = ``cfg.preprocess.wdf_count``, of the table of
+    `cfg.preprocess`, and both halves are read there in place."""
+    records, tables = windows
     cfg, train_idx, test_idx, som_seed, run_index = task
     train, test = (Dataset([records.actions[i] for i in idx]) for idx in (train_idx, test_idx))
     if len(train.class_set) < 2:
@@ -239,43 +240,30 @@ def _run(task: tuple, state: tuple | None = None) -> RunResult:
 
 # --- Protocol drivers -----------------------------------------------------------
 
-# (records, tables) of the driver call a worker process serves; set by
-# `_init_worker` in each worker, never in the calling process.
-_worker_state: tuple | None = None
-
-
-def _init_worker(windows: tuple, blas_threads: int) -> None:
-    global _worker_state
-    _worker_state = windows
-    _native.blas_threads(blas_threads)
-
 
 def _run_tasks(windows, tasks: list, jobs: int):
     """Yield the result of each (cfg, train_idx, test_idx, som_seed, run_index) task, in order.
 
-    The one place that starts workers. `windows` is the (records, tables) pair
-    of `window_table`, with a table for each `cfg.preprocess` among the tasks;
-    indices are positions in the records. It runs the tasks in a loop, or on
-    one pool of `jobs` workers that each receive the records and the tables
-    once, and split the usable CPUs among their OpenBLAS threads. The caller
-    runs on a worker's count while the pool lives, so that a forked worker
-    inherits it and sets nothing (see `_native.blas_threads`).
+    The one place that runs tasks at once. `windows` is the (records, tables)
+    pair of `window_table`, with a table for each `cfg.preprocess` among the
+    tasks; indices are positions in the records. It runs the tasks in a loop,
+    or on one pool of threads, at most `jobs` and the usable CPUs, which read
+    `windows` in place. OpenBLAS runs on one thread while the pool lives: its
+    threads belong to the process, so the tasks would contend for them, and
+    the pool's width is the parallelism.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(tasks) <= 1:
         yield from (_run(task, windows) for task in tasks)
         return
-    # Forked workers inherit the loaded kernel; loaded in each worker instead,
-    # a cold cache would compile it once per worker.
+    # Loaded before the pool starts: on a cold cache, the first trainings of
+    # two tasks would otherwise each build the kernel.
     _native.load("_som_kernel.c")
-    workers = min(jobs, len(tasks))
-    blas_threads = max(1, _usable_cpus() // workers)
-    caller = _native.blas_threads(blas_threads)
+    caller = _native.blas_threads(1)
     try:
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=(windows, blas_threads)) as pool:
-            yield from pool.map(_run, tasks)
+        with ThreadPoolExecutor(min(jobs, len(tasks), _usable_cpus())) as pool:
+            yield from pool.map(lambda task: _run(task, windows), tasks)
     finally:
         _native.blas_threads(caller)
 

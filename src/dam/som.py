@@ -14,6 +14,7 @@ import functools
 import logging
 import multiprocessing
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -144,7 +145,8 @@ class SomGrid:
             )
 
     def __reduce__(self):
-        """Unpickle through __init__, as numpy unpickles every array writeable."""
+        """Unpickle through __init__, so a pickled grid's codebook is read-only
+        again: numpy unpickles every array writeable."""
         return SomGrid, (self.rows, self.cols, self.codebook)
 
     @property
@@ -386,11 +388,12 @@ def _kernel(name):
 def _thread_count(units: int, dim: int) -> int:
     """Threads the kernel trains a map of `units` units of dimension `dim` on: 1 or 2.
 
-    Two only for a map of at least `_THREAD_MIN_WORK` values, when this
-    process may run on two CPUs and is no worker of another (a pool of
-    workers already keeps the CPUs busy).
+    Two only for a map of at least `_THREAD_MIN_WORK` values, called on the
+    main thread of a process that is no worker of another, when that process
+    may run on two CPUs: a pool of threads or of workers keeps them busy.
     """
-    if units * dim < _THREAD_MIN_WORK or multiprocessing.parent_process() is not None:
+    if (units * dim < _THREAD_MIN_WORK or multiprocessing.parent_process() is not None
+            or threading.current_thread() is not threading.main_thread()):
         return 1
     return min(2, _usable_cpus())
 

@@ -8,13 +8,12 @@ import hashlib
 import io
 import json
 import logging
-import multiprocessing
 import os
 import shutil
 import tempfile
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -859,12 +858,12 @@ class TestEvaluate:
                             lambda action, params: preprocessed.append(action.id)
                             or preprocess_action(action, params))
 
-        class Counted(ProcessPoolExecutor):
+        class Counted(ThreadPoolExecutor):
             def __init__(self, *a, **kw):
                 pools.append(self)
                 super().__init__(*a, **kw)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Counted)
 
         both = tmp_path / "both"
         code, stdout, _ = run(capsys, "evaluate", str(data), "--output-dir", str(both), *args)
@@ -1284,51 +1283,11 @@ class TestTopLevel:
         assert (code, stderr) == (1, f"error: {str(error) or 'MemoryError'}\n")
 
 
-class _BlasProbe(ProcessPoolExecutor):
-    """A pool whose `map` returns, per task, its worker's OpenBLAS thread count."""
+class _BlasProbe(ThreadPoolExecutor):
+    """A pool whose `map` returns, per task, the OpenBLAS thread count its thread sees."""
 
     def map(self, fn, tasks):
         return [self.submit(_native.blas_threads).result() for _ in tasks]
-
-
-def _worker_threads() -> int:
-    """This process's thread count after a product large enough for OpenBLAS to thread."""
-    a = np.ones((256, 256))
-    a @ a
-    return len(os.listdir("/proc/self/task"))
-
-
-class _ForkedThreadProbe(ProcessPoolExecutor):
-    """A forked pool whose `map` returns, per task, its worker's thread count."""
-
-    def __init__(self, workers, **kwargs):
-        super().__init__(workers, mp_context=multiprocessing.get_context("fork"), **kwargs)
-
-    def map(self, fn, tasks):
-        return [self.submit(_worker_threads).result() for _ in tasks]
-
-
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or _native.blas_threads() is None,
-                    reason="needs Linux's /proc and OpenBLAS's thread calls")
-@pytest.mark.skipif(os.cpu_count() == 1 or "1" in map(os.environ.get, (
-                        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")),
-                    reason="OpenBLAS was loaded with one thread")
-def test_a_worker_forked_from_a_one_thread_parent_runs_on_one_thread(monkeypatch):
-    # Setting OpenBLAS's thread count in a forked worker rebuilds its pool,
-    # whose new helper thread spins beside the worker's first task; a
-    # worker that inherits the count it needs sets nothing.
-    dataset = make_directional_dataset(classes=2, subjects=4, instances=1, raw_frames=12,
-                                       joints=2, seed=0)
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _ForkedThreadProbe)
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
-    cfg = ExperimentConfig(PreprocessParams(frames=10, window=2), 2, 2, runs=2)
-    tasks = evaluation._tasks(evaluation.CROSS_SUBJECT, dataset, cfg, dataset)
-    caller = _native.blas_threads(1)
-    try:
-        assert list(evaluation._run_tasks(dataset, tasks, jobs=2)) == [1, 1]
-        assert _native.blas_threads() == 1
-    finally:
-        _native.blas_threads(caller)
 
 
 @pytest.mark.skipif(_native.blas_threads() is None,
@@ -1337,7 +1296,7 @@ def test_a_worker_forked_from_a_one_thread_parent_runs_on_one_thread(monkeypatch
                                   "jobs=2 worker"])
 def test_dam_sets_its_own_blas_threads(capsys, monkeypatch, tmp_path, case):
     # `main` runs on one thread and gives the caller back its count however
-    # it ends; a pool of 2 workers on 6 usable CPUs runs each on 3.
+    # it ends; so does a pool of 2 threads, even on 6 usable CPUs.
     dataset = make_directional_dataset(classes=2, subjects=4, instances=1, raw_frames=12,
                                        joints=2, seed=0)
     seen = []
@@ -1351,11 +1310,12 @@ def test_dam_sets_its_own_blas_threads(capsys, monkeypatch, tmp_path, case):
     caller = _native.blas_threads(2)
     try:
         if case == "jobs=2 worker":
-            monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _BlasProbe)
+            monkeypatch.setattr(evaluation, "ThreadPoolExecutor", _BlasProbe)
             monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 6)
             cfg = ExperimentConfig(PreprocessParams(frames=10, window=2), 2, 2, runs=2)
             tasks = evaluation._tasks(evaluation.CROSS_SUBJECT, dataset, cfg, dataset)
-            assert list(evaluation._run_tasks(dataset, tasks, jobs=2)) == [3, 3]
+            assert list(evaluation._run_tasks(dataset, tasks, jobs=2)) == [1, 1]
+            assert _native.blas_threads() == 2
         else:
             monkeypatch.setattr(cli, "_canonical_actions", load)
             argv = ["convert", str(tmp_path / "in"), str(tmp_path / "out")]

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -473,13 +474,31 @@ class TestCrossValidate:
             r.accuracy for r in parallel.run_results
         ]
         assert_array_equal(serial.mean_confusion, parallel.mean_confusion)
-        # A model unpickled from a worker is as immutable as one made here.
+        # A model made on a pool thread is as immutable as one made here.
         for s, p in zip(serial.run_results, parallel.run_results, strict=True):
             assert p.model.grid.codebook.tobytes() == s.model.grid.codebook.tobytes()
             for grid in (s.model.grid, p.model.grid):
                 assert not grid.codebook.flags.writeable and not grid.norms.flags.writeable
                 assert_array_equal(grid.norms,
                                    np.einsum("ij,ij->i", grid.codebook, grid.codebook))
+
+    def test_more_threads_than_cores_equal_serial(self, directional, monkeypatch):
+        # The pool's threads share the window table and the kernel's caches;
+        # switched every microsecond, 8 of them on this machine's cores must
+        # still give each run the codebook and the scores of a serial run.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        cfg = small_config(runs=8, seed=21)
+        serial = cross_validate(directional, cfg, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = cross_validate(directional, cfg, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for s, p in zip(serial.run_results, parallel.run_results, strict=True):
+            assert p.model.grid.codebook.tobytes() == s.model.grid.codebook.tobytes()
+            assert_array_equal(p.confusion, s.confusion)
+            assert p.prob_matrix.tobytes() == s.prob_matrix.tobytes()
 
 
 class TestLoso:
@@ -633,7 +652,7 @@ class TestOnePoolPerCall:
         """The pools `dam.evaluation` starts, one entry each; `shut` is set on shutdown."""
         started = []
 
-        class Counted(ProcessPoolExecutor):
+        class Counted(ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(self)
                 self.shut = False
@@ -643,7 +662,7 @@ class TestOnePoolPerCall:
                 super().shutdown(*args, **kwargs)
                 self.shut = True
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Counted)
         return started
 
     @pytest.mark.parametrize("jobs, expected", [(1, 0), (2, 1)])
@@ -657,6 +676,13 @@ class TestOnePoolPerCall:
             getattr(evaluation, protocol)(directional, cfg, jobs=jobs)
         assert len(pools) == expected
         assert all(pool.shut for pool in pools)  # before the call returned
+
+    def test_no_more_threads_than_usable_cpus(self, directional, pools, monkeypatch):
+        # --jobs 64 on a 2-CPU machine starts 2 threads, not one per task.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        cross_validate(directional, small_config(runs=4, seed=3), jobs=64)
+        assert [pool._max_workers for pool in pools] == [2]
+        assert len(pools[0]._threads) <= 2
 
     def test_sweep_logs_each_combination_as_it_finishes(self, directional, monkeypatch, caplog):
         caplog.set_level(logging.INFO, logger="dam.evaluation")
@@ -705,7 +731,7 @@ class TestParameterSweep:
 
     def test_subset_row_matches_direct_cross_validation(self):
         # Every combination's rows come from runs of its own config on its
-        # own subset, though all of them share one pool of workers. The
+        # own subset, though all of them share one pool of threads. The
         # accuracies are below 1.0 and differ between rows, so a result given
         # to the wrong combination changes a row.
         from dam.dataset import filter_action_set

@@ -1145,9 +1145,16 @@ class TestThreadCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
         assert som._thread_count(625, 180) == 1
 
+    def test_threads_other_than_the_main_one_take_one(self, monkeypatch):
+        # The threads of `--jobs N` already keep the CPUs busy.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(som._thread_count, 625, 180).result(timeout=60) == 1
+        assert som._thread_count(625, 180) == 2
+
     def test_pool_workers_take_one(self):
-        # Workers of `--jobs N`, made by the same default pool, already keep
-        # the CPUs busy.
+        # The workers of a caller's own process pool already keep the CPUs
+        # busy.
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
             assert pool.submit(som._thread_count, 625, 180).result(timeout=60) == 1
 
