@@ -3,9 +3,9 @@
 A trained model couples the codebook with a (units x classes) matrix whose
 row l holds P(class | unit l), estimated from the training WDFs that unit l
 won. `posteriors`, the one path from WDFs to scores, scores class c of a set
-of rows of a window table by the histogram-weighted sum of those
-probabilities; the argmax wins, ties to the earliest class in the model's
-class order. `fit_model` and `score_actions` stack a list of sets first.
+of rows of a window table by the mean of P(c | winner) over its rows, the
+paper's histogram-weighted sum; the argmax wins, ties to the earliest class in
+the model's class order. `fit_model` and `score_actions` stack a list of sets first.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._jsonin import build, field, is_kind, reject_unknown
 from .dataset import class_order
-from .descriptor import _set_winners, pair_counts, table_bins
+from .descriptor import _set_winners, pair_counts
 from .preprocess import PreprocessParams, preprocess_action
 from .som import SomGrid
 
@@ -152,12 +152,12 @@ def score_actions(model: ClassModel, wdf_sets) -> list[Posterior]:
 
 
 def posteriors(model: ClassModel, table: np.ndarray, sizes, subset=None) -> list[Posterior]:
-    """The posterior of each set of rows of a window table, sets as `table_bins` reads them:
-    class c scores sum_l P(c | l) * bins[l] over the set's bins row. Each row is its own
-    ``bins @ probs`` product, as one (sets, units) @ (units, classes) product may round
-    differently, moving scores and their ties."""
-    bins = table_bins(model.grid, table, sizes, subset)
-    return [Posterior(tuple(model.classes), row @ model.cluster_class_probs) for row in bins]
+    """The posterior of each set of `table` rows, read as `_set_winners` reads them: the
+    row-order sum of P(c | winner) (unbuffered ``np.add.at``, no BLAS) over the set's size."""
+    owners, winners = _set_winners(model.grid, table, sizes, subset)
+    sums = np.zeros((len(sizes), len(model.classes)))
+    np.add.at(sums, owners, model.cluster_class_probs[winners])
+    return [Posterior(tuple(model.classes), row) for row in _per_row(sums, np.asarray(sizes))]
 
 
 def action_windows(model: ClassModel, action) -> np.ndarray:

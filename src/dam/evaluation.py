@@ -130,15 +130,21 @@ def window_table(actions: tuple, params) -> tuple[Dataset, dict]:
     w = ``p.wdf_count``, of its `preprocess_action` output. Each table is
     allocated once for `count` actions, an upper bound on those the stream
     yields, and cut to the rows written, so an action's frames can go once
-    its rows are written.
-    An error names the action: one beyond `count`, one whose joint count is
-    not the first's, or one that preprocessing refuses."""
+    its rows are written. A table that cannot be allocated is refused by its
+    settings and shape; any other error names the action: one beyond `count`,
+    one whose joint count is not the first's, or one that preprocessing refuses."""
     count, actions = actions
     records, tables = [], {}
     for name, action in actions:
         if not records:
             joints = action.num_joints
-            tables = {p: np.empty((count * p.wdf_count, p.feature_dim(joints))) for p in params}
+            for p in params:
+                shape = (count * p.wdf_count, p.feature_dim(joints))
+                try:
+                    tables[p] = np.empty(shape)
+                except (ValueError, MemoryError) as e:
+                    raise ValueError(f"frames={p.frames} and window={p.window} need a window "
+                                     f"table of shape {shape}: {e}") from None
         try:
             if len(records) == count:
                 raise ValueError(f"the stream yields more than the {count} actions it counted")

@@ -23,11 +23,13 @@ from dam.classifier import (
     classify_action,
     fit_model,
     load_model,
+    posteriors,
     save_model,
     score_actions,
     table_class_probabilities,
 )
 from dam.dataset import Action
+from dam.descriptor import table_bins
 from dam.preprocess import PreprocessParams, preprocess_action
 from dam.som import SomGrid, SomTrainParams, bmu, bmu_batch, train_som
 
@@ -126,6 +128,9 @@ def _units_on_a_line(units, dim):
 
 class TestPosterior:
     def test_matches_double_sum_oracle(self):
+        # Several sets of shuffled rows, half the time read through a row subset
+        # of a table that holds rows of no set: each score is the row-order sum
+        # of P(c | winner) over its set, then divided by the set's size.
         rng = np.random.default_rng(7)
         params = PreprocessParams(frames=8, window=2)
         for _ in range(300):
@@ -136,10 +141,8 @@ class TestPosterior:
             probs = np.divide(
                 counts, totals[:, None], out=np.zeros_like(counts), where=totals[:, None] > 0
             )
-            hits = rng.integers(0, 4, size=k)
-            if hits.sum() == 0:
-                hits[0] = 1
-            bins = hits / hits.sum()
+            hits = rng.integers(0, 4, size=(int(rng.integers(1, 5)), k))
+            hits[hits.sum(axis=1) == 0, 0] = 1
             codebook = _units_on_a_line(k, params.feature_dim(1))
             grid = SomGrid(rows=1, cols=k, codebook=codebook)
             model = ClassModel(
@@ -149,11 +152,27 @@ class TestPosterior:
                 params=params,
                 joint_count=1,
             )
-            post = score_actions(model, [np.repeat(codebook, hits, axis=0)])[0]
-            want = _posterior_oracle(probs, bins)
-            assert np.abs(post.scores - want).max() <= 1e-12
-            assert post.scores.min() >= 0.0
-            assert post.scores.sum() <= 1.0 + 1e-9
+            winners = [rng.permutation(np.repeat(np.arange(k), row)) for row in hits]
+            rows = codebook[np.concatenate(winners)]
+            table = np.vstack([rows, rng.normal(size=(int(rng.integers(1, 4)), rows.shape[1]))])
+            order = rng.permutation(len(table))
+            table, subset = table[order], np.argsort(order)[:len(rows)]
+            if rng.random() < 0.5:
+                table, subset = rows, None
+            sizes = hits.sum(axis=1)
+            posts = posteriors(model, table, sizes, subset)
+            by_bins = table_bins(grid, table, sizes, subset) @ probs
+            for post, row, set_winners, bins_row in zip(posts, hits, winners, by_bins,
+                                                        strict=True):
+                want = _posterior_oracle(probs, row / row.sum())
+                assert np.abs(post.scores - want).max() <= 1e-12
+                assert post.scores.min() >= 0.0
+                assert post.scores.sum() <= 1.0 + 1e-9
+                acc = np.zeros(c)
+                for w in set_winners:
+                    acc = acc + probs[w]
+                assert post.scores.tobytes() == (acc / len(set_winners)).tobytes()
+                assert np.abs(post.scores - bins_row).max() <= 1e-12
 
     def test_tie_goes_to_first_class_in_order(self):
         params = PreprocessParams(frames=8, window=2)

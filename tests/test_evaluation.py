@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import re
 import sys
 import tracemalloc
 import warnings
@@ -296,9 +297,9 @@ class TestPinnedRunScores:
 
 
 NOISY_PROB_MATRIX_DIGESTS = [
-    "f6ad0dfc67894856326b0587cf32c421ea5ff1ef3d0ebe66046603d518200617",
-    "3fe80ae11a48bf8541648c8d452cb9ba3615794e88b9102c5047df62afb422fb",
-    "df25c609df0081ef9eedbc68da1beebf03f90fcda3b071dc04cef9f52df195b6",
+    "b6772e903c16c1d5646fbe61e5c4008e6f0fe9b78413736d3c6aaf700ad9de0f",
+    "168064bdb164283705af11099efdf93b0379f2a6871f2e0a305b4c23ac1c54d0",
+    "ab7b41be81a53df436b1d666695845a8f32eefc5601da60b661653502df602fc",
 ]
 
 
@@ -570,6 +571,15 @@ class TestWindowTable:
             assert table.flags.c_contiguous and table.flags.owndata
             assert_array_equal(table, np.vstack([preprocess_action(a, p) for a in directional]))
 
+    @pytest.mark.parametrize("frames", [10**13, 10**30], ids=["out-of-memory", "too-many-rows"])
+    def test_a_table_too_large_to_allocate_names_its_settings(self, directional, frames):
+        # The table is allocated before the first action is preprocessed, so
+        # numpy's allocation error alone would name no setting.
+        p = PreprocessParams(frames=frames, window=3)
+        shape = (len(directional) * p.wdf_count, p.feature_dim(directional.joint_count))
+        with pytest.raises(ValueError, match=re.escape(
+                f"frames={frames} and window=3 need a window table of shape {shape}: ")):
+            evaluation.window_table(evaluation._named(directional), [p])
 
     @pytest.mark.parametrize("count", [0, 1, 3, 23], ids=lambda c: f"count={c}")
     def test_a_stream_longer_than_its_count_is_refused(self, directional, count):
