@@ -19,13 +19,12 @@ from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 
-import numpy as np
-
 from . import _native
 from ._jsonin import build, convert, field_types, is_kind, read_object
-from .classifier import action_windows, load_model, posteriors, save_model
+from .classifier import load_model, posteriors, save_model
 from .dataset import (
     EXCLUDE_FILENAME,
+    CanonicalFiles,
     Dataset,
     Msrc12Layout,
     _action3d_actions,
@@ -33,7 +32,6 @@ from .dataset import (
     _canonical_files,
     _msrc12_actions,
     drop_excluded,
-    parse_action_file,
     write_canonical_dataset,
 )
 from .evaluation import (
@@ -44,6 +42,8 @@ from .evaluation import (
     _fit,
     _sweep,
     _sweep_combos,
+    _TableTooLarge,
+    _window_rows,
     window_table,
     write_confusion_csv,
     write_per_subject_csv,
@@ -336,8 +336,8 @@ def _classify_inputs(paths) -> list[Path]:
     return files
 
 
-# Inputs `dam classify` scores with one winner search; it bounds the windows
-# held at once for a large directory.
+# Inputs `dam classify` reads into one window table and scores with one
+# winner search; it bounds the windows held at once for a large directory.
 _CLASSIFY_GROUP = 256
 
 
@@ -346,24 +346,22 @@ def cmd_classify(args) -> int:
     lines = ["id,predicted," + ",".join(f"score_{c}" for c in model.classes)]
     zero_evidence = 0
     files = _classify_inputs(args.inputs)
-    # Input i of a group owns rows [i w, (i + 1) w) of one window table.
     w = model.params.wdf_count
-    table = np.empty((min(len(files), _CLASSIFY_GROUP) * w, model.grid.dim))
     for first in range(0, len(files), _CLASSIFY_GROUP):
-        ids = []
-        for i, path in enumerate(files[first:first + _CLASSIFY_GROUP]):
-            try:
-                action = parse_action_file(path.read_bytes())
-                table[i * w:(i + 1) * w] = action_windows(model, action)
-            except ValueError as e:
-                raise ValueError(f"{path}: {e}") from None
-            ids.append(action.id)
+        group = files[first:first + _CLASSIFY_GROUP]
+        try:
+            records, tables = _window_rows(
+                (len(group), CanonicalFiles(tuple((str(path), path) for path in group))),
+                [model.params], model.joint_count)
+        except _TableTooLarge as e:
+            raise ValueError(f"{args.model}: {e}") from None
         # Preprocessed windows are finite and of the model's dimension, so
         # scoring raises for no input.
-        for ident, posterior in zip(ids, posteriors(model, table[:len(ids) * w], [w] * len(ids))):
+        for record, posterior in zip(records, posteriors(model, tables[model.params],
+                                                         [w] * len(records))):
             zero_evidence += posterior.zero_evidence
             scores = ",".join(format(v, ".6g") for v in posterior.normalized())
-            lines.append(f"{ident},{posterior.predicted},{scores}")
+            lines.append(f"{record.id},{posterior.predicted},{scores}")
     print("\n".join(lines))
     if zero_evidence:
         print(

@@ -9,9 +9,11 @@ The canonical on-disk form is one text file per action instance::
 A dataset is a directory of such files plus an optional ``exclude.txt``
 (instance ids to drop, one per line). Adapters for the two supported raw
 corpora (MSR-Action3D skeleton dumps, MSRC-12 sequence+annotation pairs)
-produce the same in-memory types. Each format is read by a private generator,
-one file (one MSRC-12 sequence) at a time, which `dam.evaluation.window_table`
-consumes as it goes; the public loaders hold its actions in a Dataset.
+produce the same in-memory types. Each raw format is read by a private
+generator, one file (one MSRC-12 sequence) at a time, which
+`dam.evaluation.window_table` consumes as it goes; canonical files are listed
+(`CanonicalFiles`), and `window_table` reads them through the compiled pass
+straight into window rows. The public loaders hold the actions in a Dataset.
 """
 
 from __future__ import annotations
@@ -196,9 +198,9 @@ def _powers_of_five() -> np.ndarray:
 
 
 def _table_reader():
-    """The compiled table reader when `_table_reader.c` is compiled and loads, else None."""
+    """The compiled table reader when `_preprocess.c` is compiled and loads, else None."""
     size = ctypes.c_int64
-    reader = _native.function("_table_reader.c", "dam_read_table", size, ctypes.c_void_p,
+    reader = _native.function("_preprocess.c", "dam_read_table", size, ctypes.c_void_p,
                               ctypes.c_char_p, size, size, size, size, ctypes.c_void_p)
     return None if reader is None else functools.partial(reader, _powers_of_five().ctypes.data)
 
@@ -228,9 +230,9 @@ _VALUE_BYTES = 25
 
 
 def _table_writer():
-    """The compiled table writer when `_table_reader.c` is compiled and loads, else None."""
+    """The compiled table writer when `_preprocess.c` is compiled and loads, else None."""
     size = ctypes.c_int64
-    writer = _native.function("_table_reader.c", "dam_write_table", size, ctypes.c_void_p,
+    writer = _native.function("_preprocess.c", "dam_write_table", size, ctypes.c_void_p,
                               ctypes.c_void_p, size, size, ctypes.c_void_p)
     return None if writer is None else functools.partial(writer, _ryu_tables().ctypes.data)
 
@@ -465,26 +467,60 @@ def _dataset_directory(directory) -> Path:
     return directory
 
 
+@dataclass(frozen=True)
+class CanonicalFiles:
+    """Canonical action files to read in order: (name, path) pairs, each name
+    heading the errors about its file, and the ids of actions dropped once read.
+
+    `dam.evaluation.window_table` reads them through the compiled pass.
+    Iterating gives the (name, action) pair of each action kept, each file
+    parsed on its own (`read`); when every action is dropped, it raises once
+    the files are read.
+    """
+
+    files: tuple
+    excluded: frozenset = frozenset()
+    directory: Path | None = None
+
+    def __iter__(self):
+        kept = False
+        for name, path in self.files:
+            action = self.read(name, path)
+            if action.id not in self.excluded:
+                kept = True
+                yield name, action
+        if not kept:
+            raise self.all_excluded()
+
+    @staticmethod
+    def read(name: str, path: Path) -> Action:
+        """The action of the file at `path`; a ValueError names it `name`."""
+        try:
+            return parse_action_file(path.read_bytes())
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+
+    @staticmethod
+    def joints(path: Path) -> int | None:
+        """num_joints of the header of the file at `path`, as `parse_action_file`
+        reads the header on the file's bytes, or None when it cannot."""
+        try:
+            found = _header_line(path.read_bytes())
+            return None if found is None else _header_fields(*found)[4]
+        except (OSError, ValueError):
+            return None
+
+    def all_excluded(self) -> ValueError:
+        return ValueError(f"all actions in {self.directory} are excluded")
+
+
 def _canonical_actions(directory, apply_exclusions: bool = True) -> tuple:
-    """(file count, generator of (file name, action) pairs) of the canonical
-    files under `directory`, parsed one at a time; excluded ids are skipped."""
+    """(file count, CanonicalFiles) of the canonical files under `directory`,
+    whose excluded ids are dropped."""
     directory = _dataset_directory(directory)
     paths = _canonical_files(directory)
-    excluded = _exclusions_for(directory, apply_exclusions)
-
-    def actions():
-        kept = False
-        for path in paths:
-            try:
-                action = parse_action_file(path.read_bytes())
-            except ValueError as e:
-                raise ValueError(f"{path.name}: {e}") from None
-            if action.id not in excluded:
-                kept = True
-                yield path.name, action
-        if not kept:
-            raise ValueError(f"all actions in {directory} are excluded")
-    return len(paths), actions()
+    excluded = frozenset(_exclusions_for(directory, apply_exclusions))
+    return len(paths), CanonicalFiles(tuple((p.name, p) for p in paths), excluded, directory)
 
 
 def load_canonical_dataset(directory, apply_exclusions: bool = True) -> Dataset:

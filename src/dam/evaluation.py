@@ -32,16 +32,24 @@ from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import _jsonin, _native
 from .classifier import ClassModel, _per_row, posteriors, table_class_probabilities
-from .dataset import Dataset, class_order, filter_action_set, split_cross_subject, splits_loso
-from .preprocess import PreprocessParams, preprocess_action
-from .som import SomTrainParams, _usable_cpus, train_som
+from .dataset import (
+    CanonicalFiles,
+    Dataset,
+    _header_fields,
+    class_order,
+    filter_action_set,
+    split_cross_subject,
+    splits_loso,
+)
+from .preprocess import _HEADER_BYTES, PreprocessParams, _compiled_rows, preprocess_action
+from .som import SomTrainParams, _thread_count, _usable_cpus, train_som
 
 logger = logging.getLogger(__name__)
 
@@ -123,42 +131,174 @@ class AggregateResult:
 _Record = namedtuple("_Record", "id subject label num_joints")
 
 
-def window_table(actions: tuple, params) -> tuple[Dataset, dict]:
+class _NothingKept(ValueError):
+    """Every action of a `window_table` stream was dropped by its `keep`."""
+
+
+class _TableTooLarge(ValueError):
+    """A window table that cannot be allocated, named by its settings and shape."""
+
+
+# The canonical files one call of the compiled pass reads: it bounds the
+# header lines held at once.
+_FILE_GROUP = 256
+
+
+def window_table(actions: tuple, params, *, keep=None) -> tuple[Dataset, dict]:
     """One pass over the (count, (name, action) pairs) stream `actions`: the
     Dataset of their frame-free records, and a float64 table per distinct
     PreprocessParams p of `params`, where action i owns rows [i w, (i + 1) w),
     w = ``p.wdf_count``, of its `preprocess_action` output. Each table is
     allocated once for `count` actions, an upper bound on those the stream
     yields, and cut to the rows written, so an action's frames can go once
-    its rows are written. A table that cannot be allocated is refused by its
-    settings and shape; any other error names the action: one beyond `count`,
-    one whose joint count is not the first's, or one that preprocessing refuses."""
-    count, actions = actions
-    records, tables = [], {}
-    for name, action in actions:
-        if not records:
-            joints = action.num_joints
-            for p in params:
-                shape = (count * p.wdf_count, p.feature_dim(joints))
-                try:
-                    tables[p] = np.empty(shape)
-                except (ValueError, MemoryError) as e:
-                    raise ValueError(f"frames={p.frames} and window={p.window} need a window "
+    its rows are written.
+
+    When the pairs are `CanonicalFiles`, the compiled pass reads, parses,
+    preprocesses and normalizes the files straight into their rows, on two
+    threads where `som._thread_count` allows, `_FILE_GROUP` files per call;
+    only a file the pass declines, or every file without a compiler, is
+    parsed and preprocessed on its own, which gives the same rows or raises
+    the same error. The first file's header gives the joint count the pass
+    reads.
+
+    `keep`, when given, is called with each record, and the actions it
+    refuses are dropped before they are preprocessed; when it refuses them
+    all, `_NothingKept` is raised. A table that cannot be allocated is
+    refused by its settings and shape (`_TableTooLarge`); any other error
+    names the action: one beyond `count`, one whose joint count is not the
+    first's, or one that parsing or preprocessing refuses."""
+    records, tables = _window_rows(actions, params, keep=keep)
+    return Dataset(records), tables
+
+
+def _window_rows(actions: tuple, params, joints: int | None = None, keep=None) -> tuple:
+    """`window_table`'s records as a list, which may repeat an id, and its
+    tables. `joints`, when given, is the joint count of a model, which every
+    action must have, and the tables are allocated before the first action."""
+    count, pairs = actions
+    tables = _Tables(count, params, joints, keep)
+    if isinstance(pairs, CanonicalFiles):
+        tables.read(pairs)
+    else:
+        for name, action in pairs:
+            tables.add(name, _record(action), action)
+    return tables.done()
+
+
+def _record(action) -> _Record:
+    return _Record(action.id, action.subject, action.label, action.num_joints)
+
+
+class _Tables:
+    """The state of one `window_table` call."""
+
+    def __init__(self, count: int, params, joints: int | None, keep):
+        self.count, self.model_joints, self.keep = count, joints, keep
+        self.params = list(dict.fromkeys(params))
+        self.records, self.tables, self.joints = [], {}, None
+        self.dropped = False  # whether `keep` refused an action
+        if joints is not None:
+            self.allocate(joints)
+
+    def allocate(self, joints: int) -> None:
+        self.tables, self.joints = {}, joints
+        for p in self.params:
+            shape = (self.count * p.wdf_count, p.feature_dim(joints))
+            try:
+                self.tables[p] = np.empty(shape)
+            except (ValueError, MemoryError) as e:
+                raise _TableTooLarge(f"frames={p.frames} and window={p.window} need a window "
                                      f"table of shape {shape}: {e}") from None
+
+    def add(self, name: str, record: _Record, action=None, slot: int | None = None) -> None:
+        """Appends `record` and its rows: those of `action`, preprocessed, or
+        those the pass wrote for action `slot`, at or after the record's own."""
+        if self.keep is not None and not self.keep(record):
+            self.dropped = True
+            return
+        if not self.records and self.model_joints is None and record.num_joints != self.joints:
+            self.allocate(record.num_joints)
+        n = len(self.records)
         try:
-            if len(records) == count:
-                raise ValueError(f"the stream yields more than the {count} actions it counted")
-            if action.num_joints != joints:
-                raise ValueError(f"{action.num_joints} joints, the first action has {joints}")
-            for p, table in tables.items():
-                first = len(records) * p.wdf_count
-                table[first:first + p.wdf_count] = preprocess_action(action, p)
+            if n == self.count:
+                raise ValueError(f"the stream yields more than the {self.count} actions it "
+                                 "counted")
+            if self.model_joints is not None and record.num_joints != self.model_joints:
+                raise ValueError(f"action has {record.num_joints} joints but the model was "
+                                 f"trained with {self.model_joints}")
+            if record.num_joints != self.joints:
+                raise ValueError(f"{record.num_joints} joints, the first action has "
+                                 f"{self.joints}")
+            for p, table in self.tables.items():
+                rows = slice(n * p.wdf_count, (n + 1) * p.wdf_count)
+                if action is not None:
+                    table[rows] = preprocess_action(action, p)
+                elif slot != n:
+                    table[rows] = table[slot * p.wdf_count:(slot + 1) * p.wdf_count]
         except ValueError as e:
             raise ValueError(f"{name}: {e}") from None
-        records.append(_Record(action.id, action.subject, action.label, action.num_joints))
-    for p, table in tables.items():
-        table.resize((len(records) * p.wdf_count, table.shape[1]), refcheck=False)
-    return Dataset(records), tables
+        self.records.append(record)
+
+    def read(self, files: CanonicalFiles) -> None:
+        """Adds the actions of `files` bar the excluded ones, through the compiled pass."""
+        pairs = files.files
+        first = 0
+        while first < len(pairs):
+            if self.joints is None:
+                joints = files.joints(pairs[first][1])
+                if joints is None:  # a header the pass cannot use either
+                    self.add_file(files, *pairs[first])
+                    first += 1
+                    continue
+                self.allocate(joints)
+            # The pass writes the group's rows from the next record's on, and
+            # the tables have room for `count` records.
+            base = len(self.records)
+            group = pairs[first:first + min(_FILE_GROUP, self.count - base)]
+            if not group:
+                self.add_file(files, *pairs[first])
+                first += 1
+                continue
+            headers = np.zeros((len(group), _HEADER_BYTES), dtype=np.uint8)
+            outs = [table[base * p.wdf_count:] for p, table in self.tables.items()]
+            results = _compiled_rows([path for _, path in group], self.joints, list(self.tables),
+                                     outs, _thread_count(len(group), 1, min_work=2), headers)
+            for k, (name, path) in enumerate(group):
+                record = None
+                if results is not None and results[k, 0] == 0:
+                    record = self.header_record(headers[k], results[k, 1])
+                if record is None:
+                    self.add_file(files, name, path)
+                elif record.id not in files.excluded:
+                    self.add(name, record, slot=base + k)
+            first += len(group)
+        if not self.records and not self.dropped:
+            raise files.all_excluded()
+
+    def header_record(self, header: np.ndarray, frames: int) -> _Record | None:
+        """The record of a header line the pass copied, or None when
+        `_header_fields` refuses it or reads other counts than the pass."""
+        line = header.tobytes().partition(b"\0")[0].decode("ascii")
+        try:
+            ident, subject, label, num_frames, num_joints = _header_fields(0, line)
+        except ValueError:
+            return None
+        if (num_frames, num_joints) != (frames, self.joints):
+            return None
+        return _Record(ident, subject, label, num_joints)
+
+    def add_file(self, files: CanonicalFiles, name: str, path) -> None:
+        """Adds the action of one file parsed and preprocessed on its own."""
+        action = files.read(name, path)
+        if action.id not in files.excluded:
+            self.add(name, _record(action), action)
+
+    def done(self) -> tuple[list, dict]:
+        if not self.records and self.dropped:
+            raise _NothingKept("no action is kept")
+        for p, table in self.tables.items():
+            table.resize((len(self.records) * p.wdf_count, table.shape[1]), refcheck=False)
+        return self.records, self.tables
 
 
 def _named(dataset: Dataset) -> tuple:
@@ -395,18 +535,19 @@ def _sweep(actions: tuple, cfg: ExperimentConfig, windows, grids, action_sets, j
     """`parameter_sweep` of the `window_table` stream `actions`, of which it
     preprocesses, once per window, the actions of the subsets' classes."""
     combos = _sweep_combos(cfg, windows, grids)
+    keep, dropped = None, []  # the records of the actions of no listed class
     if action_sets:
         wanted = {label for labels in action_sets.values() for label in labels}
-        count, stream = actions
-        skipped = []  # records of the actions before the first of a listed class
-        for name, a in stream:
-            if a.label in wanted:
-                break
-            skipped.append(_Record(a.id, a.subject, a.label, a.num_joints))
-        else:  # none is of a listed class: refused as filtering to the first subset refuses it
-            filter_action_set(Dataset(skipped), action_sets[min(action_sets)])
-        actions = count, chain([(name, a)], ((n, b) for n, b in stream if b.label in wanted))
-    records, tables = window_table(actions, [combo.preprocess for combo in combos])
+
+        def keep(record):
+            if record.label not in wanted:
+                dropped.append(record)
+            return record.label in wanted
+    try:
+        records, tables = window_table(actions, [combo.preprocess for combo in combos], keep=keep)
+    except _NothingKept:  # refused as filtering to the first subset refuses it
+        filter_action_set(Dataset(dropped), action_sets[min(action_sets)])
+        raise
     if action_sets:
         subsets = {name: filter_action_set(records, action_sets[name])
                    for name in sorted(action_sets)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,26 +269,27 @@ def preprocess_action(action, params: PreprocessParams) -> np.ndarray:
     smoothing, per-joint arc-length resampling to `params.frames` positions,
     frame-to-frame differencing, windowing, unit normalization.
 
-    Everything up to the normalization runs in one call of the compiled
-    `_preprocess.c` (`dam._native` builds it on first use), which gives the
-    numpy path's bytes. Without a compiler, or for an action it declines,
-    the numpy path runs; it checks the coordinates are finite (the compiled
-    chain declines any that are not) and raises for an action it cannot
-    resample. On both paths, a window whose norm is not finite (coordinates
-    near 1e103 and beyond overflow the spline's cubic term) raises
-    ValueError.
+    The whole chain runs in one one-action call of the compiled pass
+    (`_compiled_rows`), which gives the numpy path's bytes. Without a
+    compiler, or for an action it declines, the numpy path runs; it checks
+    the coordinates are finite (the compiled chain declines any that are
+    not) and raises for an action it cannot resample. On both paths, a
+    window whose norm is not finite (coordinates near 1e103 and beyond
+    overflow the spline's cubic term) raises ValueError.
     """
     positions = np.asarray(getattr(action, "frames", action), dtype=np.float64)
     if positions.ndim != 3 or positions.shape[2] != 3:
         raise ValueError(f"action must have shape (F, J, 3), got {positions.shape}")
     if positions.shape[0] < 2:
         raise ValueError(f"action needs at least 2 frames, got {positions.shape[0]}")
-    wdfs = _compiled_windows(positions, params)
-    if wdfs is None:
-        if not np.isfinite(positions).all():
-            raise ValueError("action contains non-finite coordinates")
-        wdfs = _numpy_windows(positions, params)
-    return _normalize_in_place(wdfs, params.norm_epsilon)
+    positions = np.ascontiguousarray(positions)
+    out = np.empty((params.wdf_count, params.feature_dim(positions.shape[1])))
+    status = _compiled_rows([positions], positions.shape[1], [params], [out])
+    if status is not None and status[0, 0] == 0:
+        return out
+    if not np.isfinite(positions).all():
+        raise ValueError("action contains non-finite coordinates")
+    return _normalize_in_place(_numpy_windows(positions, params), params.norm_epsilon)
 
 
 def _numpy_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarray:
@@ -311,23 +313,87 @@ def _numpy_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarra
     return windowed_direction_frames(direction_frames(resampled), params.window)
 
 
-def _compiled_windows(positions: np.ndarray, params: PreprocessParams) -> np.ndarray | None:
-    """`_numpy_windows` from `_preprocess.c`, or None when it is not compiled or declines.
+# --- The compiled pass ------------------------------------------------------------
 
-    `positions` is a float64 (steps >= 2, joints, 3) array.
-    """
+# The most bytes of a file's header line the pass hands back; a file with a
+# longer one is declined.
+_HEADER_BYTES = 512
+# The most smoothing radii the pass is handed weights for. An action of F
+# frames is smoothed with radius min(smoothing_radius, F - 1), and declined
+# when that is above this many.
+_KERNEL_ROWS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_rows(sigma: float, radius: int) -> np.ndarray:
+    """The (m, 2 m + 1) weights the pass smooths with, m = min(radius, `_KERNEL_ROWS`):
+    row r - 1 starts with ``_smoothing_kernel(sigma, r)``; (0, 1) when nothing is smoothed."""
+    rows = min(radius, _KERNEL_ROWS) if sigma > 0 else 0
+    table = np.zeros((rows, 2 * rows + 1))
+    for r in range(1, rows + 1):
+        table[r - 1, :2 * r + 1] = _smoothing_kernel(sigma, r)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _table_settings(params: tuple) -> tuple:
+    """The addresses of the pass's per-table arrays of the PreprocessParams
+    `params`: settings, norm epsilons and kernel addresses; then the arrays,
+    which must outlive a call."""
+    kernels = [_kernel_rows(p.smoothing_sigma, p.smoothing_radius) for p in params]
+    settings = np.array([(p.frames, p.window, min(p.smoothing_radius, 2**62) if len(k) else 0,
+                          len(k)) for p, k in zip(params, kernels)], dtype=np.int64)
+    epsilons = np.array([p.norm_epsilon for p in params], dtype=np.float64)
+    addresses = np.array([k.ctypes.data for k in kernels], dtype=np.uintp)
+    arrays = (settings, epsilons, addresses, kernels)
+    return settings.ctypes.data, epsilons.ctypes.data, addresses.ctypes.data, arrays
+
+
+def _pass():
+    """The compiled pass, `dam_windows`, typed, or None when `_preprocess.c` is not compiled."""
     pointer, size = ctypes.c_void_p, ctypes.c_int64
-    chain = _native.function("_preprocess.c", "dam_preprocess", size, pointer, size, size,
-                             pointer, size, size, size, ctypes.c_double, pointer)
-    if chain is None:
+    return _native.function("_preprocess.c", "dam_windows", None, pointer, pointer, pointer,
+                            size, size, size, pointer, pointer, pointer, pointer, pointer, size,
+                            pointer, size)
+
+
+@functools.lru_cache(maxsize=None)
+def _powers_address() -> int:
+    """The address of the reader's table, which the cache keeps alive."""
+    from .dataset import _powers_of_five
+
+    return _powers_of_five().ctypes.data
+
+
+def _compiled_rows(inputs: list, joints: int, params: list, outs: list, threads: int = 1,
+                   headers: np.ndarray | None = None) -> np.ndarray | None:
+    """One call of the compiled pass: each input's normalized windows into its
+    rows of each of `outs`, or None when the pass is not compiled.
+
+    Input i is a canonical file's Path, or a C-contiguous float64 (steps >= 2,
+    joints, 3) array, and owns rows [i w, (i + 1) w), w = ``p.wdf_count``, of
+    the C-contiguous float64 array ``outs[k]`` of ``params[k]``. A file must
+    have `joints` joints. Returns the (inputs, 2) int64 results: per input 0
+    when its rows are written, else the reason it was declined, and its
+    frame count, which for a file is its header's num_frames once that is
+    read. Each file's header line, less the blanks around it, goes to its
+    row of `headers`, (inputs, `_HEADER_BYTES`) uint8, ended by a zero byte.
+    The pass runs on `threads` threads (1 or 2).
+    """
+    run = _pass()
+    if run is None:
         return None
-    positions = np.ascontiguousarray(positions)
-    steps, joints = positions.shape[:2]
-    radius = min(params.smoothing_radius, steps - 1) if params.smoothing_sigma > 0 else 0
-    kernel = _smoothing_kernel(params.smoothing_sigma, radius) if radius > 0 else None
-    out = np.empty((params.wdf_count, params.feature_dim(joints)))
-    status = chain(
-        positions.ctypes.data, steps, joints, None if kernel is None else kernel.ctypes.data,
-        radius, params.frames, params.window, params.norm_epsilon, out.ctypes.data,
-    )
-    return out if status == 0 else None
+    n = len(inputs)
+    files, frames = (ctypes.c_char_p * n)(), (ctypes.c_void_p * n)()
+    results = (ctypes.c_int64 * (2 * n))()
+    for i, x in enumerate(inputs):
+        if isinstance(x, os.PathLike):
+            files[i] = os.fsencode(x)
+        else:
+            frames[i], results[2 * i + 1] = x.ctypes.data, x.shape[0]
+    settings, epsilons, kernels, _ = _table_settings(tuple(params))
+    run(_powers_address(), files, frames, n, joints, len(params), settings, epsilons, kernels,
+        (ctypes.c_void_p * len(outs))(*[out.ctypes.data for out in outs]),
+        None if headers is None else headers.ctypes.data, _HEADER_BYTES, results, threads)
+    return np.frombuffer(results, dtype=np.int64).reshape(n, 2)

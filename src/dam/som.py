@@ -385,14 +385,16 @@ def _kernel(name):
                             pointer, size, pointer, size, pointer, size, ctypes.c_double)
 
 
-def _thread_count(units: int, dim: int) -> int:
-    """Threads the kernel trains a map of `units` units of dimension `dim` on: 1 or 2.
+def _thread_count(units: int, dim: int, min_work: int = _THREAD_MIN_WORK) -> int:
+    """Threads a compiled call runs `units` items of `dim` values each on: 1 or 2.
 
-    Two only for a map of at least `_THREAD_MIN_WORK` values, called on the
-    main thread of a process that is no worker of another, when that process
-    may run on two CPUs: a pool of threads or of workers keeps them busy.
+    The kernel trains a map of `units` units of dimension `dim`; the
+    preprocessing pass reads `units` inputs (`dim` 1, `min_work` 2). Two only
+    for at least `min_work` values, called on the main thread of a process
+    that is no worker of another, when that process may run on two CPUs: a
+    pool of threads or of workers keeps them busy.
     """
-    if (units * dim < _THREAD_MIN_WORK or multiprocessing.parent_process() is not None
+    if (units * dim < min_work or multiprocessing.parent_process() is not None
             or threading.current_thread() is not threading.main_thread()):
         return 1
     return min(2, _usable_cpus())
@@ -532,7 +534,17 @@ def train_som(
     sigma1 = params.radius_end
 
     total = params.epochs * n
-    order = subset[np.concatenate([rng.permutation(n) for _ in range(params.epochs)])]
+    # The visiting order is allocated whole before any draw, so that an
+    # `epochs` too large for memory is refused at once, by name.
+    shape = (params.epochs, n)
+    try:
+        order = np.empty(shape, dtype=np.int64)
+    except (ValueError, MemoryError) as e:
+        raise ValueError(f"epochs={params.epochs} and {n} training vectors need a visiting "
+                         f"order of shape {shape}: {e}") from None
+    for epoch in order:
+        epoch[:] = rng.permutation(n)
+    order = subset[order.ravel()]
     neg_k, index = _neighbour_index(rows, cols)
     run_block = _block_runner(units, samples.shape[1])
     schedule = _schedule()

@@ -562,6 +562,29 @@ class TestClassify:
         [line] = stderr.splitlines()
         assert line.startswith(f"error: {bad}: {error}")
 
+    @pytest.mark.parametrize("frames", [10**13, 10**30], ids=["out-of-memory", "too-many-rows"])
+    def test_a_table_too_large_to_allocate_names_the_model_and_its_settings(
+            self, capsys, tmp_path, canon_dir, model_path, rewrite_model_payload, frames):
+        big = tmp_path / "big.json"
+        rewrite_model_payload(model_path, lambda payload: {
+            **payload, "preprocess": {**payload["preprocess"], "frames": frames}}, big)
+        model = load_model(big)
+        code, stdout, stderr = run(capsys, "classify", "--model", str(big), str(canon_dir))
+        shape = (len(list(canon_dir.glob("*.txt"))) * model.params.wdf_count, model.grid.dim)
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: {big}: frames={frames} and window={model.params.window}"
+                                 f" need a window table of shape {shape}: ")
+        assert stderr.count("\n") == 1
+
+    def test_a_file_listed_twice_is_scored_twice(self, capsys, canon_dir, model_path):
+        # Inputs are not a dataset: an id may repeat.
+        path = str(sorted(canon_dir.glob("*.txt"))[0])
+        code, once, _ = run(capsys, "classify", "--model", str(model_path), path)
+        assert code == 0
+        header, row = once.splitlines(keepends=True)
+        assert run(capsys, "classify", "--model", str(model_path), path, path) == (
+            0, header + row + row, "")
+
     def test_format_3_model_file_gives_one_error_line(self, capsys, tmp_path, canon_dir,
                                                       model_path):
         # A format-3 file held the probabilities on line 1 and its codebook's
@@ -852,6 +875,7 @@ class TestEvaluate:
         args = [*FAST, "--runs", "2", "--seed", "5", "--jobs", str(jobs),
                 "--protocol", protocol]
         parsed, preprocessed, pools = [], [], []
+        read = _pass_reads(monkeypatch)
         monkeypatch.setattr(dataset_module, "parse_action_file",
                             lambda text: parsed.append(1) or parse_action_file(text))
         monkeypatch.setattr(evaluation, "preprocess_action",
@@ -869,8 +893,8 @@ class TestEvaluate:
         code, stdout, _ = run(capsys, "evaluate", str(data), "--output-dir", str(both), *args)
         assert code == 0
         ids = sorted(p.stem for p in canon_dir.glob("*.txt"))
-        assert len(parsed) == len(ids)  # one load for both passes
-        assert sorted(preprocessed) == ids  # one preprocessing for both passes
+        assert len(parsed) + len(read) == len(ids)  # one load for both passes
+        assert sorted(preprocessed + read) == ids  # one preprocessing for both passes
         assert len(pools) == (jobs > 1)  # and at most one pool
         assert stdout.count("mean accuracy") == 2
         names = ["results", "confusion", "probmatrix", "per_subject"]
@@ -1171,6 +1195,21 @@ def _streaming_argv(command: str, data: Path, out: Path) -> list:
 REFUSED_FRAMES = np.cumsum(np.random.default_rng(0).normal(size=(30, 3, 3)), axis=0) * 1e103
 
 
+def _pass_reads(monkeypatch) -> list:
+    """The stems of the files whose rows the compiled pass writes in
+    `dam.evaluation`, one entry per file read, in call order."""
+    read, compiled_rows = [], evaluation._compiled_rows
+
+    def counted(inputs, *args, **kwargs):
+        results = compiled_rows(inputs, *args, **kwargs)
+        if results is not None:
+            read.extend(Path(x).stem for x, (status, _) in zip(inputs, results) if status == 0)
+        return results
+
+    monkeypatch.setattr(evaluation, "_compiled_rows", counted)
+    return read
+
+
 def _bad_actions(tmp_path: Path, bad: dict) -> Path:
     """The `canon_dir` corpus, with the action of each id in `bad` given the
     frames it maps to; returns the directory."""
@@ -1212,8 +1251,10 @@ class TestStreamedActions:
         argv = _streaming_argv(command, data, tmp_path / "out")
         code, _, stderr = run(capsys, *argv, "--format", fmt)
         assert (code, stderr) == (0, "")
-        # The action whose rows are being written, and the next one parsed.
-        assert 0 < most[0] <= 2
+        # The action whose rows are being written, and the next one parsed;
+        # none when the compiled pass reads canonical files into their rows.
+        straight = fmt == "canonical" and _native.load("_preprocess.c") is not None
+        assert most[0] == 0 if straight else 0 < most[0] <= 2
         assert alive[0] == 0
 
     @pytest.mark.parametrize("command", ["train", "evaluate-apply-1", "sweep"])
@@ -1241,7 +1282,7 @@ class TestStreamedActions:
                                                                  monkeypatch, command):
         frames = np.random.default_rng(1).normal(size=(20, 2, 3))
         data = _bad_actions(tmp_path, {"c1_s02_i00": frames})
-        preprocessed = []
+        preprocessed = _pass_reads(monkeypatch)
         monkeypatch.setattr(evaluation, "preprocess_action",
                             lambda action, params: preprocessed.append(action.id)
                             or preprocess_action(action, params))
@@ -1252,6 +1293,15 @@ class TestStreamedActions:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("epochs", ["10000000000000", "1" + "0" * 30])
+    def test_an_epochs_too_large_to_order_the_steps_is_one_error_line(self, capsys, tmp_path,
+                                                                      canon_dir, epochs):
+        code, stdout, stderr = run(capsys, "train", str(canon_dir), *FAST, "--epochs", epochs,
+                                   "-o", str(tmp_path / "m.json"))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: epochs={epochs} and ") and stderr.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "--help")
         assert code == 0

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dam import _native, descriptor, evaluation, preprocess, som
+from dam import descriptor, evaluation, preprocess, som
 from dam.classifier import _per_row, score_actions
 from dam.dataset import Dataset, split_cross_subject
 from dam.evaluation import (
@@ -941,13 +941,16 @@ class TestSettingsAreRefusedOrRun:
         assert bad is None, f"{bad}={experiment_fields.get(bad, preprocess_fields.get(bad))!r}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            compiled = _native.load("_preprocess.c") is not None
             for action in tiny:
-                positions = np.asarray(action.frames, dtype=np.float64)
-                want = preprocess._numpy_windows(positions, cfg.preprocess)
-                if compiled:
-                    got = preprocess._compiled_windows(positions, cfg.preprocess)
-                    assert got is not None and got.tobytes() == want.tobytes()
+                positions = np.ascontiguousarray(action.frames, dtype=np.float64)
+                want = preprocess._normalize_in_place(
+                    preprocess._numpy_windows(positions, cfg.preprocess),
+                    cfg.preprocess.norm_epsilon)
+                got = np.empty_like(want)
+                results = preprocess._compiled_rows([positions], action.num_joints,
+                                                    [cfg.preprocess], [got])
+                if results is not None:
+                    assert results[0, 0] == 0 and got.tobytes() == want.tobytes()
             # `runs` only sizes the protocol; one run shows the settings work.
             result = cross_validate(tiny, replace(cfg, runs=1))
         assert 0.0 <= result.mean_accuracy <= 1.0

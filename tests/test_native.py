@@ -109,7 +109,7 @@ class TestFallback:
         python = load_canonical_dataset(data)
         assert [(a.id, a.frames.tobytes()) for a in python] == [
             (a.id, a.frames.tobytes()) for a in compiled]
-        _assert_fallback_ran(caplog, "no C compiler", "_table_reader.c")
+        _assert_fallback_ran(caplog, "no C compiler", "_preprocess.c")
 
     def test_no_compiler_preprocesses_the_same_bytes(self, fresh_cache, tmp_path, monkeypatch,
                                                      caplog):
@@ -315,17 +315,17 @@ def _trained_model(tmp_path: Path) -> tuple[Path, Path]:
 
 
 def test_classify_never_builds_or_loads_the_kernel(tmp_path, monkeypatch, capsys):
-    # Only the table reader and the preprocessing chain: `dam classify`
-    # parses and preprocesses files but trains no map.
+    # Only the preprocessing pass: `dam classify` parses and preprocesses
+    # files but trains no map.
     data, model = _trained_model(tmp_path)
     calls = []
     monkeypatch.setattr(_native, "load", lambda name: calls.append(name))
     assert cli.main(["classify", "--model", str(model), str(data)]) == 0
-    assert calls and set(calls) == {"_table_reader.c", "_preprocess.c"}
+    assert calls and set(calls) == {"_preprocess.c"}
 
 
 def test_compiled_classify_never_imports_scipy(tmp_path):
-    _require("_table_reader.c", "_preprocess.c")
+    _require("_preprocess.c")
     # scipy's dgtsv serves only the numpy preprocessing path.
     data, model = _trained_model(tmp_path)
     code = (

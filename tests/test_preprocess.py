@@ -2,10 +2,11 @@
 
 Oracles here are deliberately independent re-implementations (plain Python
 loops, closed-form values) rather than calls back into the library. The one
-exception is the compiled chain, `_preprocess.c`, which is held to the bytes
+exception is the compiled pass, `_preprocess.c`, which is held to the bytes
 of the library's numpy path.
 """
 
+import ctypes
 import hashlib
 import math
 
@@ -107,7 +108,7 @@ class TestSmoothing:
             params = PreprocessParams(frames=20, window=3, smoothing_sigma=8.0,
                                       smoothing_radius=radius)
             if chain_path == "compiled":
-                assert preprocess._compiled_windows(frames, params) is not None
+                assert _pass_rows(frames, params) is not None
             return preprocess_action(frames, params).tobytes()
 
         want = smooth_joint(series, sigma=8.0, radius=29).tobytes()
@@ -413,6 +414,16 @@ class TestPreprocessParams:
         got = preprocess_action(action, numpy_params)
         assert got.tobytes() == preprocess_action(action, params).tobytes()
 
+    def test_a_float32_epsilon_is_read_as_its_value(self):
+        # The compiled pass reads each table's epsilon as a double, whatever
+        # type the field holds; half of these windows lie below it.
+        action = np.cumsum(np.random.default_rng(3).normal(size=(20, 2, 3)), axis=0)
+        windows = preprocess._numpy_windows(action, PreprocessParams(frames=10, window=2))
+        epsilon = np.float32(np.median(np.sqrt((windows * windows).sum(axis=1))))
+        want = preprocess._normalize_in_place(windows, float(epsilon))
+        got = preprocess_action(action, PreprocessParams(frames=10, window=2, norm_epsilon=epsilon))
+        assert got.tobytes() == want.tobytes()
+
     def test_a_nan_sigma_turns_smoothing_off_as_the_compiled_chain_does(self):
         series = np.random.default_rng(5).normal(size=(9, 3))
         assert_array_equal(smooth_joint(series, sigma=np.nan, radius=2), series)
@@ -595,13 +606,29 @@ def _compiled_library():
     return library
 
 
+def _pass_rows(frames, params):
+    """The normalized windows of a one-action call of the compiled pass, or None
+    when it declines the action."""
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    out = np.empty((params.wdf_count, params.feature_dim(frames.shape[1])))
+    results = preprocess._compiled_rows([frames], frames.shape[1], [params], [out])
+    assert results is not None, "_preprocess.c was not compiled here"
+    return out if results[0, 0] == 0 else None
+
+
+def _numpy_rows(frames, params):
+    """The normalized windows of the numpy path, the pass's oracle."""
+    windows = preprocess._numpy_windows(np.asarray(frames, dtype=np.float64), params)
+    return preprocess._normalize_in_place(windows, params.norm_epsilon)
+
+
 @pytest.fixture(params=["compiled", "numpy"])
 def chain_path(request, monkeypatch):
     """preprocess_action on the compiled chain, or on the numpy path alone."""
     if request.param == "compiled":
         _compiled_library()
     else:
-        monkeypatch.setattr(preprocess, "_compiled_windows", lambda positions, params: None)
+        monkeypatch.setattr(preprocess, "_compiled_rows", lambda *args, **kwargs: None)
     return request.param
 
 
@@ -613,7 +640,7 @@ class TestPinnedBytes:
         params = PreprocessParams(frames=25, window=3)
         if chain_path == "compiled":
             assert all(
-                preprocess._compiled_windows(a.frames, params) is not None
+                _pass_rows(a.frames, params) is not None
                 for a in dataset.actions
             )
         digest = hashlib.sha256()
@@ -684,33 +711,38 @@ def _chain_cases(draw):
 
 
 class TestCompiledChain:
-    """`_preprocess.c` gives the numpy path's bytes, or declines what the numpy path rejects."""
+    """The pass, on one action, gives the numpy path's bytes, or declines what the numpy
+    path rejects."""
 
     @settings(max_examples=400, deadline=None)
     @given(_chain_cases())
     def test_same_bytes_as_numpy(self, case):
         _compiled_library()
         frames, params = case
-        compiled = preprocess._compiled_windows(frames, params)
+        compiled = _pass_rows(frames, params)
         try:
             with np.errstate(all="ignore"):
-                expected = preprocess._numpy_windows(frames, params)
+                expected = _numpy_rows(frames, params)
         except ValueError:
             assert compiled is None
             return
         assert compiled is not None
         assert compiled.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e100, 1e150])
     @pytest.mark.parametrize("params", TestMatchesReferenceChain.PARAMS)
     @pytest.mark.parametrize("name", sorted(_edge_case_actions()))
     def test_edge_cases_run_compiled(self, name, params, scale):
         _compiled_library()
         frames = _edge_case_actions()[name] * scale
-        compiled = preprocess._compiled_windows(frames, params)
+        compiled = _pass_rows(frames, params)
+        try:
+            with np.errstate(all="ignore"):  # s**3 overflows at 1e150
+                expected = _numpy_rows(frames, params)
+        except ValueError as e:  # at 1e150 the squares of a moving window overflow
+            assert (scale, str(e), compiled) == (1e150, "window norm is not finite", None)
+            return
         assert compiled is not None
-        with np.errstate(all="ignore"):  # s**3 overflows at 1e150
-            expected = preprocess._numpy_windows(frames, params)
         assert compiled.tobytes() == expected.tobytes()
 
     def test_a_zero_that_turns_negative_runs_compiled(self):
@@ -724,8 +756,42 @@ class TestCompiledChain:
         ])
         params = PreprocessParams(frames=5, window=1, smoothing_sigma=0.0)
         _compiled_library()
-        compiled = preprocess._compiled_windows(frames, params)
+        compiled = _pass_rows(frames, params)
         assert compiled is not None
-        assert compiled.tobytes() == preprocess._numpy_windows(frames, params).tobytes()
+        assert compiled.tobytes() == _numpy_rows(frames, params).tobytes()
         want = _reference_preprocess(frames, params)
         assert preprocess_action(frames, params).tobytes() == want.tobytes()
+
+
+class TestCompiledNormalization:
+    """The pass's normalization gives `_normalize_in_place`'s bytes, whose norms
+    are numpy's pairwise sums (eight running sums, halves past 128 values), or
+    declines every table `_normalize_in_place` refuses."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(width=st.integers(1, 400), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "below epsilon", "non-finite", "overflowing"]),
+           epsilon=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]))
+    def test_same_bytes_as_numpy(self, width, rows, seed, kind, epsilon):
+        _compiled_library()
+        normalize = _native.function("_preprocess.c", "dam_normalize", ctypes.c_int64,
+                                     ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                     ctypes.c_double)
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-30, 30, size=(rows, 1))
+        row, column = rng.integers(rows), rng.integers(width)
+        if kind == "below epsilon":
+            table[row] *= epsilon * 1e-3 / np.abs(table[row]).max()
+        elif kind == "non-finite":
+            table[row, column] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "overflowing":
+            table[row] = 1e160 * np.sign(table[row])
+        expected, got = table.copy(), table.copy()
+        try:
+            with np.errstate(all="ignore"):
+                preprocess._normalize_in_place(expected, epsilon)
+        except ValueError:
+            assert normalize(got.ctypes.data, rows, width, epsilon) == 0
+            return
+        assert normalize(got.ctypes.data, rows, width, epsilon) == 1
+        assert got.tobytes() == expected.tobytes()

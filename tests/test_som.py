@@ -6,6 +6,7 @@ import functools
 import hashlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1152,6 +1153,14 @@ class TestThreadCount:
             assert pool.submit(som._thread_count, 625, 180).result(timeout=60) == 1
         assert som._thread_count(625, 180) == 2
 
+    def test_the_pass_takes_two_for_two_inputs_or_more(self, monkeypatch):
+        # The preprocessing pass uses the same rule, one value per input.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert som._thread_count(2, 1, min_work=2) == 2
+        assert som._thread_count(1, 1, min_work=2) == 1
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(som._thread_count, 256, 1, 2).result(timeout=60) == 1
+
     def test_pool_workers_take_one(self):
         # The workers of a caller's own process pool already keep the CPUs
         # busy.
@@ -1160,6 +1169,16 @@ class TestThreadCount:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("epochs", [10**13, 10**30], ids=["out-of-memory", "too-many-rows"])
+    def test_an_epochs_too_large_for_the_visiting_order_is_refused_by_name(self, epochs):
+        # The order is allocated whole before the first draw, so the error
+        # comes at once, not after drawing permutations until memory runs out.
+        samples = np.random.default_rng(0).normal(size=(30, 4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"epochs={epochs} and 30 training vectors need a visiting order of shape "
+                f"({epochs}, 30): ")):
+            train_som(samples, 2, 2, SomTrainParams(epochs=epochs))
+
     def test_same_seed_is_bit_identical(self):
         rng = np.random.default_rng(9)
         samples = rng.normal(size=(80, 6))
